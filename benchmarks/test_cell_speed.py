@@ -1,4 +1,4 @@
-"""Speed gate: the batched family fill must be ≥ 5x the scalar fill.
+"""Speed gate: the batched family fill must be ≥ 5x the per-point loop.
 
 The PR that vectorised the per-cell assessment spine claims a sweep
 over a volume-heavy grid walks each production flow **once per volume
@@ -8,18 +8,19 @@ point, and broadcasts the placements — while producing bit-identical
 rows.  This benchmark pins that claim on a 64-volume × 2-tolerance GPS
 grid (128 points, 512 rows):
 
-* **scalar fill** (the per-point reference, still shipped as
-  ``fill="scalar"``): every point builds its candidates, resolves the
-  memo and walks all four production flows;
-* **batched fill** (the default, ``fill="batch"``): two volume
-  families, each assessed by one batched flow walk per candidate.
+* **per-point loop** (the reference, kept here as
+  :func:`_per_point_cells`): every point builds its candidates,
+  resolves the memo and walks all four production flows;
+* **batched fill** (:func:`~repro.core.sweep.evaluate_cells`): two
+  volume families, each assessed by one batched flow walk per
+  candidate.
 
 Both sides start from the same warm cache — performance and placement
 already memoised by a throwaway volume, so the MNA solves are off the
 clock on *both* paths and the gate times the assessment spine itself,
 not the circuit engine.  The frames must be byte-identical before any
 timing matters; the batched fill must be at least ``MIN_SPEEDUP``
-times faster.
+times faster than the per-point loop.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from repro.core.figure_of_merit import FomWeights
 from repro.core.sweep import (
     EvaluationCache,
     SweepGrid,
+    evaluate_cell,
     evaluate_cells,
     frame_for_cells,
 )
 from repro.gps.study import sweep_candidates
 from repro.passives.tolerance import PRECISION_CLASS
 
-#: The acceptance criterion: batched vs scalar per-cell speedup.
+#: The acceptance criterion: batched fill vs per-point loop speedup.
 MIN_SPEEDUP = 5.0
 
 N_VOLUMES = 64
@@ -56,15 +58,20 @@ WARM_GRID = SweepGrid(
 )
 
 
+def _per_point_cells(points, candidate_factory, reference, weights, cache):
+    """The per-point reference: the factory and the memo once per point."""
+    return [
+        evaluate_cell(
+            point, candidate_factory(point), reference, weights, cache
+        )
+        for point in points
+    ]
+
+
 def _warm_cache() -> EvaluationCache:
     cache = EvaluationCache()
-    evaluate_cells(
-        WARM_GRID.points(),
-        sweep_candidates,
-        0,
-        FomWeights(),
-        cache,
-        fill="scalar",
+    _per_point_cells(
+        WARM_GRID.points(), sweep_candidates, 0, FomWeights(), cache
     )
     return cache
 
@@ -84,18 +91,15 @@ def test_batched_fill_is_5x_the_scalar_fill():
     warm = _warm_cache()
     points = GRID.points()
 
-    def run(fill):
-        return evaluate_cells(
-            points,
-            sweep_candidates,
-            0,
-            FomWeights(),
-            copy.deepcopy(warm),
-            fill=fill,
+    def run(evaluate):
+        return evaluate(
+            points, sweep_candidates, 0, FomWeights(), copy.deepcopy(warm)
         )
 
-    scalar_s, scalar_cells = _best_of(lambda: run("scalar"), repeats=2)
-    batch_s, batch_cells = _best_of(lambda: run("batch"), repeats=5)
+    scalar_s, scalar_cells = _best_of(
+        lambda: run(_per_point_cells), repeats=2
+    )
+    batch_s, batch_cells = _best_of(lambda: run(evaluate_cells), repeats=5)
 
     scalar_frame = frame_for_cells(scalar_cells)
     batch_frame = frame_for_cells(batch_cells)
@@ -104,7 +108,7 @@ def test_batched_fill_is_5x_the_scalar_fill():
 
     speedup = scalar_s / batch_s
     print(
-        f"\n{len(points)}-cell assessment: scalar fill "
+        f"\n{len(points)}-cell assessment: per-point loop "
         f"{1e3 * scalar_s:.0f} ms, batched fill {1e3 * batch_s:.0f} ms "
         f"-> {speedup:.1f}x (gate {MIN_SPEEDUP}x)"
     )

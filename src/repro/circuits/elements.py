@@ -388,127 +388,6 @@ def lossy_capacitor(
     )
 
 
-def stacked_admittances(
-    elements: "list[Element]", omegas: np.ndarray
-) -> np.ndarray:
-    """``(B, F)`` admittances of one element *slot* of a circuit family.
-
-    ``elements`` holds the same structural slot of ``B`` circuits that
-    share a topology (same element kind between the same nodes, different
-    values).  When every element is a concrete :class:`Resistor`,
-    :class:`Capacitor` or :class:`Inductor`, the whole slot is evaluated
-    with one numpy expression over ``(B, F)``; the operation order of the
-    per-element :meth:`Element.admittances` formulas is preserved exactly,
-    so the stacked values are bit-identical to evaluating each circuit on
-    its own.  Mixed or unknown element types fall back to the per-element
-    vectorised path.
-    """
-    array = _validate_omegas(omegas)
-    members = list(elements)
-    if not members:
-        raise CircuitError("stacked admittances need at least one element")
-
-    if all(type(e) is Resistor for e in members):
-        conductance = 1.0 / np.array(
-            [e.resistance for e in members], dtype=float
-        )
-        out = np.empty((len(members), array.size), dtype=complex)
-        out[:] = conductance[:, None]
-        return out
-
-    if all(type(e) is Capacitor for e in members):
-        capacitance = np.array([e.capacitance for e in members])[:, None]
-        loss = np.array(
-            [complex(e.tan_delta, 1.0) for e in members]
-        )[:, None]
-        esr = np.array([e.esr for e in members])[:, None]
-        y_diel = array[None, :] * capacitance * loss
-        if not np.any(esr > 0.0):
-            return y_diel
-        # np.where keeps the esr == 0 rows bit-identical to y_diel
-        # (1 / (1/y) is not an exact round trip).
-        return np.where(esr == 0.0, y_diel, 1.0 / (esr + 1.0 / y_diel))
-
-    if all(type(e) is Inductor for e in members):
-        inductance = np.array([e.inductance for e in members])[:, None]
-        series_r = np.array(
-            [e.series_resistance for e in members]
-        )[:, None]
-        c_par = np.array([e.c_par for e in members])[:, None]
-        y = 1.0 / (series_r + 1j * array[None, :] * inductance)
-        if not np.any(c_par > 0.0):
-            return y
-        # Guard c_par == 0 rows: y + 0j could flip signed zeros.
-        return np.where(c_par > 0.0, y + 1j * array[None, :] * c_par, y)
-
-    if all(type(e) is DispersiveInductor for e in members):
-        stacked = _stacked_dispersive_inductors(members, array)
-        if stacked is not None:
-            return stacked
-
-    if all(type(e) is DispersiveCapacitor for e in members):
-        stacked = _stacked_dispersive_capacitors(members, array)
-        if stacked is not None:
-            return stacked
-
-    return np.array([e.admittances(array) for e in members], dtype=complex)
-
-
-def _stacked_dispersive_inductors(
-    members: "list[DispersiveInductor]", array: np.ndarray
-) -> np.ndarray | None:
-    """``(B, F)`` fast path of a dispersive-inductor slot.
-
-    Applies when every member shares one Q model with a stacked
-    ``inductor_q_profiles`` evaluator: the whole slot's Q block is one
-    model call and the admittance one numpy expression.  Operation
-    order mirrors :meth:`DispersiveInductor.admittances` exactly (and
-    the shipped models' stacked profiles are row-for-row bit-identical
-    to their grid profiles), so the result matches evaluating each
-    member alone bit for bit.  Returns None when models differ across
-    the slot — the caller then falls back to per-member evaluation.
-    """
-    model = members[0].q_model
-    profiles = getattr(model, "inductor_q_profiles", None)
-    if profiles is None or any(
-        e.q_model != model for e in members[1:]
-    ):
-        return None
-    values = np.array([e.inductance for e in members], dtype=float)
-    freqs = array / (2.0 * math.pi)
-    q = np.asarray(profiles(values, freqs), dtype=float)
-    reactance = array[None, :] * values[:, None]
-    series_r = reactance * _loss_from_q(q)
-    y = 1.0 / (series_r + 1j * reactance)
-    c_par = np.array([e.c_par for e in members])[:, None]
-    if not np.any(c_par > 0.0):
-        return y
-    # Guard c_par == 0 rows: y + 0j could flip signed zeros.
-    return np.where(c_par > 0.0, y + 1j * array[None, :] * c_par, y)
-
-
-def _stacked_dispersive_capacitors(
-    members: "list[DispersiveCapacitor]", array: np.ndarray
-) -> np.ndarray | None:
-    """``(B, F)`` fast path of a dispersive-capacitor slot.
-
-    Same contract as :func:`_stacked_dispersive_inductors`: one
-    ``capacitor_q_profiles`` call for the slot when all members share a
-    model, bit-identical operation order, None on mixed models.
-    """
-    model = members[0].q_model
-    profiles = getattr(model, "capacitor_q_profiles", None)
-    if profiles is None or any(
-        e.q_model != model for e in members[1:]
-    ):
-        return None
-    values = np.array([e.capacitance for e in members], dtype=float)
-    freqs = array / (2.0 * math.pi)
-    q = np.asarray(profiles(values, freqs), dtype=float)
-    tan_delta = _loss_from_q(q)
-    return array[None, :] * values[:, None] * (tan_delta + 1j)
-
-
 @dataclass(frozen=True)
 class Port:
     """An analysis port: a node (referenced to ground) with an impedance."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CircuitError
-from .elements import GROUND, _validate_omegas, stacked_admittances
+from .elements import GROUND, _validate_omegas
 from .netlist import Circuit
 
 
@@ -60,14 +60,13 @@ class StampPlan:
     Caching invariants
     ------------------
     The plan caches **structure only** — the element-to-matrix-row
-    scatter pattern and the node-name edge list — and both depend on
-    nothing but the netlist topology, so a plan can be built once per
-    circuit (or once per circuit *family*) and reused for every grid:
+    scatter pattern — which depends on nothing but the netlist
+    topology, so a plan can be built once per circuit and reused for
+    every grid:
 
-    * no admittance value is ever cached: :meth:`matrices` and
-      :meth:`family_matrices` call every element's vectorised
-      ``admittances`` afresh on each invocation, which is what makes
-      frequency-dependent elements
+    * no admittance value is ever cached: :meth:`matrices` calls every
+      element's vectorised ``admittances`` afresh on each invocation,
+      which is what makes frequency-dependent elements
       (:class:`~repro.circuits.elements.DispersiveInductor` /
       :class:`~repro.circuits.elements.DispersiveCapacitor`, whose
       loss follows a ``Q(f)`` technology model) re-evaluate their
@@ -75,9 +74,7 @@ class StampPlan:
       frozen at plan-build time;
     * no frequency grid is baked in: the same plan serves every
       ``omegas`` array, scalar queries and batched sweeps alike;
-    * element *values* are read at stamp time from the circuit objects
-      passed in, so a family stamp never mixes one member's values into
-      another's slice.
+    * element *values* are read at stamp time from the circuit object.
 
     Consequently a cached plan can only go stale if the circuit's
     *topology* is mutated after construction — the one thing the
@@ -95,11 +92,6 @@ class StampPlan:
         self._stamps: list[tuple[int, int | None, int | None]] = [
             (j, index.get(element.node_a), index.get(element.node_b))
             for j, element in enumerate(circuit.elements)
-        ]
-        # Node-name edge list: the O(E) fast path of family validation.
-        self._edges: list[tuple[str, str]] = [
-            (element.node_a, element.node_b)
-            for element in circuit.elements
         ]
 
     def element_admittances(self, omegas: np.ndarray) -> np.ndarray:
@@ -127,109 +119,6 @@ class StampPlan:
             if a is not None and b is not None:
                 tensor[:, a, b] -= y
                 tensor[:, b, a] -= y
-        return tensor
-
-    # -- circuit families (stacked over structurally identical circuits)
-
-    def check_family_member(self, circuit: Circuit) -> None:
-        """Validate that ``circuit`` shares this plan's topology.
-
-        Same element count and, slot by slot, the same matrix rows
-        (resolved through the member's own node index) — exactly the
-        condition under which one stamp plan describes every member.
-        Node and element *names* are free to differ; element *values*
-        are expected to.
-
-        Raises
-        ------
-        CircuitError
-            If the circuit is not structurally identical.
-        """
-        if len(circuit.elements) != len(self.circuit.elements):
-            raise CircuitError(
-                f"circuit {circuit.name!r} has {len(circuit.elements)} "
-                f"elements, family plan has {len(self.circuit.elements)}"
-            )
-        if self._edges == [
-            (e.node_a, e.node_b) for e in circuit.elements
-        ] and [p.node for p in circuit.ports] == [
-            p.node for p in self.circuit.ports
-        ]:
-            # Same node names slot by slot (elements and ports) — the
-            # common family shape: one builder, different element
-            # values.  Identical names resolve to identical rows, so no
-            # index rebuild is needed.
-            return
-        index = (
-            self.index if circuit is self.circuit else node_index(circuit)
-        )
-        if len(index) != self.n:
-            raise CircuitError(
-                f"circuit {circuit.name!r} has {len(index)} nodes, "
-                f"family plan has {self.n}"
-            )
-        for j, a, b in self._stamps:
-            element = circuit.elements[j]
-            if (index.get(element.node_a), index.get(element.node_b)) != (
-                a,
-                b,
-            ):
-                raise CircuitError(
-                    f"circuit {circuit.name!r} element "
-                    f"{element.name!r} (slot {j}) connects different "
-                    f"matrix rows than the family plan"
-                )
-
-    def family_element_admittances(
-        self, circuits: "list[Circuit]", omegas: np.ndarray
-    ) -> np.ndarray:
-        """``(B, F, E)`` admittances of every member, slot-stacked.
-
-        Each element slot is evaluated across the whole family with one
-        numpy expression (:func:`~repro.circuits.elements.stacked_admittances`),
-        so the cost is one vectorised evaluation per *slot*, not per
-        circuit.
-        """
-        array = _validate_omegas(omegas)
-        members = list(circuits)
-        if not members:
-            raise CircuitError("circuit family must not be empty")
-        for circuit in members:
-            self.check_family_member(circuit)
-        count = len(self.circuit.elements)
-        values = np.empty(
-            (len(members), array.size, count), dtype=complex
-        )
-        for j in range(count):
-            values[:, :, j] = stacked_admittances(
-                [circuit.elements[j] for circuit in members], array
-            )
-        return values
-
-    def family_matrices(
-        self, circuits: "list[Circuit]", omegas: np.ndarray
-    ) -> np.ndarray:
-        """Stamp the ``(B, F, n, n)`` tensor of a circuit family.
-
-        Equivalent to stacking :meth:`matrices` for each member, but with
-        the per-element admittance evaluation vectorised over the family
-        as well as the frequency grid.  Slots accumulate in netlist
-        order, so every ``(b, f)`` slice is bit-identical to the
-        single-circuit path.
-        """
-        admittances = self.family_element_admittances(circuits, omegas)
-        tensor = np.zeros(
-            admittances.shape[:2] + (self.n, self.n), dtype=complex
-        )
-        for j, a, b in self._stamps:
-            y = admittances[:, :, j]
-            if a is not None:
-                tensor[:, :, a, a] += y
-            if b is not None:
-                tensor[:, :, b, b] += y
-            if a is not None and b is not None:
-                tensor[:, :, a, b] -= y
-                tensor[:, :, b, a] -= y
         return tensor
 
 
@@ -283,29 +172,6 @@ def batch_admittance_matrix(
     return plan.matrices(omegas)
 
 
-def family_admittance_matrix(
-    circuits,
-    omegas: np.ndarray,
-    plan: StampPlan | None = None,
-) -> np.ndarray:
-    """Stamp the ``(B, F, n, n)`` tensor of a family of circuits.
-
-    The family is ``B`` structurally identical circuits (same topology,
-    different element values — what tolerance classes, E-series snapping
-    and candidate sweeps produce).  Equivalent to stacking
-    :func:`batch_admittance_matrix` per member; the shared
-    :class:`StampPlan` is built from the first member when not supplied.
-    Raises :class:`~repro.errors.CircuitError` on an empty family, a
-    topology mismatch, or any non-positive omega.
-    """
-    members = list(circuits)
-    if not members:
-        raise CircuitError("circuit family must not be empty")
-    if plan is None:
-        plan = StampPlan(members[0])
-    return plan.family_matrices(members, omegas)
-
-
 def solve_nodal(
     matrix: np.ndarray, currents: np.ndarray
 ) -> np.ndarray:
@@ -334,7 +200,7 @@ def batch_solve_nodal(
     ----------
     matrices:
         ``(F, n, n)`` admittance tensor, or any higher-rank stack such as
-        the ``(B, F, n, n)`` tensor of a circuit family.
+        a ``(B, F, n, n)`` tensor.
     currents:
         Right-hand sides: ``(n,)`` or ``(n, k)`` for an excitation shared
         by the whole stack, or a full ``(..., n, k)`` array matching the

@@ -15,12 +15,6 @@ This module runs the full loop:
 3. measure insertion loss and stopband rejection by MNA analysis
    (:mod:`repro.circuits.twoport`),
 4. score against the specification.
-
-Whole *sets* of chains (many technology assignments of the same specs —
-what a design-space sweep produces) are assessed by
-:func:`assess_chain_many`, which groups same-spec realisations into
-circuit families and measures each family with one stacked
-``(B, F, n, n)`` solve, bit-identical to the per-chain path.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from ..errors import SpecificationError
 from ..passives.filters import FilterSpec
 from .netlist import Circuit
 from .synthesis import BandpassDesign, QModel, build_bandpass_circuit, synthesize_bandpass
-from .twoport import sweep_grid, sweep_grid_stacked
+from .twoport import sweep_grid
 
 
 @dataclass(frozen=True)
@@ -101,13 +95,16 @@ def analyze_filter(
     return measure_filter(spec, circuit, passband_points)
 
 
-def _assessment_grid(
-    spec: FilterSpec, passband_points: int
-) -> tuple[np.ndarray, Optional[float]]:
-    """The measurement grid of one spec: passband plus optional stopband.
+def measure_filter(
+    spec: FilterSpec,
+    circuit: Circuit,
+    passband_points: int = 101,
+) -> FilterPerformance:
+    """Measure a ready-built filter circuit against its spec.
 
-    Shared by the single-circuit and the stacked measurement paths, so
-    both always evaluate the identical frequency list.
+    The passband grid and the (optional) stopband point are evaluated in
+    a *single* batched MNA solve: one ``(F, n, n)`` stamp, one
+    ``numpy.linalg.solve`` call for the whole assessment.
     """
     half_band = spec.bandwidth_hz / 2.0
     grid = np.linspace(
@@ -122,15 +119,8 @@ def _assessment_grid(
         if stop_hz <= 0:
             stop_hz = spec.center_hz + spec.stop_offset_hz
         grid = np.append(grid, stop_hz)
-    return grid, stop_hz
 
-
-def _performance_from_losses(
-    spec: FilterSpec,
-    losses: np.ndarray,
-    stop_hz: Optional[float],
-) -> FilterPerformance:
-    """Score one filter from its insertion-loss curve (shared scoring)."""
+    losses = sweep_grid(circuit, grid).insertion_loss_db
     if stop_hz is None:
         insertion_loss = float(np.min(losses))
     else:
@@ -154,50 +144,6 @@ def _performance_from_losses(
         score=score,
         meets_spec=meets,
     )
-
-
-def measure_filter(
-    spec: FilterSpec,
-    circuit: Circuit,
-    passband_points: int = 101,
-) -> FilterPerformance:
-    """Measure a ready-built filter circuit against its spec.
-
-    The passband grid and the (optional) stopband point are evaluated in
-    a *single* batched MNA solve: one ``(F, n, n)`` stamp, one
-    ``numpy.linalg.solve`` call for the whole assessment.
-    """
-    grid, stop_hz = _assessment_grid(spec, passband_points)
-    losses = sweep_grid(circuit, grid).insertion_loss_db
-    return _performance_from_losses(spec, losses, stop_hz)
-
-
-def measure_filter_family(
-    spec: FilterSpec,
-    circuits: Sequence[Circuit],
-    passband_points: int = 101,
-) -> list[FilterPerformance]:
-    """Measure a family of same-topology realisations of one spec.
-
-    All realisations (one spec synthesised with different technology Q
-    models — the shape every build-up comparison produces) share a
-    topology and a measurement grid, so the whole family is evaluated
-    with one stacked ``(B, F, n, n)`` solve.  Results are bit-identical
-    to calling :func:`measure_filter` per circuit.
-    """
-    members = list(circuits)
-    if not members:
-        raise SpecificationError(
-            "measure_filter_family needs at least one circuit"
-        )
-    grid, stop_hz = _assessment_grid(spec, passband_points)
-    if len(members) == 1:
-        losses = sweep_grid(members[0], grid).insertion_loss_db[None, :]
-    else:
-        losses = sweep_grid_stacked(members, grid).insertion_loss_db
-    return [
-        _performance_from_losses(spec, row, stop_hz) for row in losses
-    ]
 
 
 @dataclass(frozen=True)
@@ -241,84 +187,8 @@ def assess_chain(
         analyze_filter(spec, q_model, passband_points)
         for spec, q_model in assignments
     ]
-    return _chain_from_filters(results)
-
-
-def _chain_from_filters(
-    results: Sequence[FilterPerformance],
-) -> ChainPerformance:
-    """Fold per-filter results into the chain score (worst stage wins)."""
-    overall = min(result.score for result in results)
-    meets = all(result.meets_spec for result in results)
     return ChainPerformance(
         filters=tuple(results),
-        score=overall,
-        meets_spec=meets,
+        score=min(result.score for result in results),
+        meets_spec=all(result.meets_spec for result in results),
     )
-
-
-def assess_chain_many(
-    chains: Sequence[Sequence[tuple[FilterSpec, Optional[QModel]]]],
-    passband_points: int = 101,
-) -> list[ChainPerformance]:
-    """Assess many filter chains with circuit-stacked MNA solves.
-
-    Filters are grouped across *all* chains by specification: every
-    realisation of one spec shares a synthesised topology and a
-    measurement grid, so each group is measured with one stacked
-    ``(B, F, n, n)`` solve (:func:`measure_filter_family`) instead of
-    one solve per filter.  This is the hot path of design-space sweeps,
-    where the same specs recur across many technology assignments.
-
-    Results are bit-identical to ``[assess_chain(c) for c in chains]``
-    — LAPACK factorises each matrix independently of the batch shape and
-    the stamping order is preserved.
-
-    Parameters
-    ----------
-    chains:
-        One ``(spec, q_model)`` assignment list per chain; every chain
-        needs at least one filter.
-
-    Returns
-    -------
-    list[ChainPerformance]
-        One result per chain, in input order.
-    """
-    materialised = [list(chain) for chain in chains]
-    if not materialised:
-        raise SpecificationError(
-            "assess_chain_many needs at least one chain"
-        )
-    for chain in materialised:
-        if not chain:
-            raise SpecificationError(
-                "assess_chain needs at least one filter"
-            )
-
-    # Flatten to (chain, slot) tasks and group them by spec.
-    tasks: list[tuple[int, int, FilterSpec, Optional[QModel]]] = []
-    groups: dict[FilterSpec, list[int]] = {}
-    for i, chain in enumerate(materialised):
-        for j, (spec, q_model) in enumerate(chain):
-            groups.setdefault(spec, []).append(len(tasks))
-            tasks.append((i, j, spec, q_model))
-
-    measured: dict[int, FilterPerformance] = {}
-    for spec, members in groups.items():
-        design = synthesize_bandpass(spec)
-        circuits = [
-            build_bandpass_circuit(design, tasks[t][3]) for t in members
-        ]
-        for t, performance in zip(
-            members,
-            measure_filter_family(spec, circuits, passband_points),
-        ):
-            measured[t] = performance
-
-    results: list[list[FilterPerformance]] = [
-        [None] * len(chain) for chain in materialised  # type: ignore[list-item]
-    ]
-    for t, (i, j, _, _) in enumerate(tasks):
-        results[i][j] = measured[t]
-    return [_chain_from_filters(filters) for filters in results]

@@ -40,10 +40,10 @@ instead of freezing the loss at the filter centre.  The hierarchy:
   ``Q(f)`` physics in the stamped elements (e.g. SUMMIT's actual
   conductor/substrate roll-off rather than its value frozen at f0).
 
-Every dispersive model provides vectorised ``inductor_q_profile(s)`` /
-``capacitor_q_profile(s)`` so batched ``(F,)`` and family-stacked
-``(B, F)`` MNA solves evaluate the whole grid with numpy expressions —
-no per-frequency Python loop anywhere on the stamping path.
+Every dispersive model provides vectorised ``inductor_q_profile`` /
+``capacitor_q_profile`` so batched ``(F,)`` MNA solves evaluate the
+whole grid with numpy expressions — no per-frequency Python loop
+anywhere on the stamping path.
 
 Constant-Q models keep ``dispersive = False`` and are realised exactly
 as before (loss converted at the centre frequency), which is what keeps
@@ -143,29 +143,6 @@ class SummitQModel:
         q_sub = self.q_sub_ref * self.f_sub_ref_hz / grid
         return 1.0 / (1.0 / q_cond + 1.0 / q_sub)
 
-    def inductor_q_profiles(
-        self, inductances_h, frequencies_hz
-    ) -> np.ndarray:
-        """Stacked ``(B, F)`` inductor Q over values *and* frequencies.
-
-        The per-value spiral geometry is the only scalar step; the
-        conductor/substrate combination evaluates as one numpy
-        expression over the whole ``(B, F)`` block.
-        """
-        grid = _validate_frequencies(frequencies_hz)
-        values = _validate_inductances(inductances_h)
-        series_r = np.array(
-            [
-                design_spiral_inductor(
-                    float(value), self.process
-                ).series_resistance_ohm
-                for value in values
-            ]
-        )
-        omega = 2.0 * math.pi * grid
-        q_cond = omega[None, :] * values[:, None] / series_r[:, None]
-        q_sub = self.q_sub_ref * self.f_sub_ref_hz / grid
-        return 1.0 / (1.0 / q_cond + 1.0 / q_sub[None, :])
 
     def capacitor_q(self, capacitance_f: float, frequency_hz: float) -> float:
         del capacitance_f, frequency_hz
@@ -178,15 +155,6 @@ class SummitQModel:
         del capacitance_f
         grid = _validate_frequencies(frequencies_hz)
         return np.full(grid.shape, 1.0 / self.cap_tan_delta)
-
-    def capacitor_q_profiles(
-        self, capacitances_f, frequencies_hz
-    ) -> np.ndarray:
-        """Stacked ``(B, F)`` MIM capacitor Q (flat rows)."""
-        values = _validate_capacitances(capacitances_f)
-        return _broadcast_profile(
-            self.capacitor_q_profile(1.0, frequencies_hz), values.size
-        )
 
 
 @dataclass(frozen=True)
@@ -269,13 +237,6 @@ class MixedQModel:
             self.inductor_model, inductance_h, frequencies_hz
         )
 
-    def inductor_q_profiles(
-        self, inductances_h, frequencies_hz
-    ) -> np.ndarray:
-        """Delegate stacked evaluation to the inductor technology."""
-        return inductor_q_profiles(
-            self.inductor_model, inductances_h, frequencies_hz
-        )
 
     def capacitor_q(self, capacitance_f: float, frequency_hz: float) -> float:
         return self.capacitor_model.capacitor_q(capacitance_f, frequency_hz)
@@ -286,14 +247,6 @@ class MixedQModel:
         """Delegate grid evaluation to the capacitor technology."""
         return capacitor_q_profile(
             self.capacitor_model, capacitance_f, frequencies_hz
-        )
-
-    def capacitor_q_profiles(
-        self, capacitances_f, frequencies_hz
-    ) -> np.ndarray:
-        """Delegate stacked evaluation to the capacitor technology."""
-        return capacitor_q_profiles(
-            self.capacitor_model, capacitances_f, frequencies_hz
         )
 
 
@@ -372,15 +325,6 @@ class SkinEffectQModel:
         grid = _validate_frequencies(frequencies_hz)
         return self.q0_inductor * np.sqrt(grid / self.f0_hz)
 
-    def inductor_q_profiles(
-        self, inductances_h, frequencies_hz
-    ) -> np.ndarray:
-        values = _validate_inductances(inductances_h)
-        # Skin-effect Q is value-independent: one profile, broadcast,
-        # keeps every row bit-identical to the per-value path.
-        return _broadcast_profile(
-            self.inductor_q_profile(1.0, frequencies_hz), values.size
-        )
 
     def capacitor_q_profile(
         self, capacitance_f: float, frequencies_hz
@@ -388,14 +332,6 @@ class SkinEffectQModel:
         del capacitance_f
         grid = _validate_frequencies(frequencies_hz)
         return self.q0_capacitor * np.sqrt(grid / self.f0_hz)
-
-    def capacitor_q_profiles(
-        self, capacitances_f, frequencies_hz
-    ) -> np.ndarray:
-        values = _validate_capacitances(capacitances_f)
-        return _broadcast_profile(
-            self.capacitor_q_profile(1.0, frequencies_hz), values.size
-        )
 
 
 @dataclass(frozen=True)
@@ -480,13 +416,6 @@ class SubstrateLossQModel:
         grid = _validate_frequencies(frequencies_hz)
         return 1.0 / (1.0 / self.conductor_q + self._tan_delta(grid))
 
-    def inductor_q_profiles(
-        self, inductances_h, frequencies_hz
-    ) -> np.ndarray:
-        values = _validate_inductances(inductances_h)
-        return _broadcast_profile(
-            self.inductor_q_profile(1.0, frequencies_hz), values.size
-        )
 
     def capacitor_q_profile(
         self, capacitance_f: float, frequencies_hz
@@ -494,14 +423,6 @@ class SubstrateLossQModel:
         del capacitance_f
         grid = _validate_frequencies(frequencies_hz)
         return 1.0 / self._tan_delta(grid)
-
-    def capacitor_q_profiles(
-        self, capacitances_f, frequencies_hz
-    ) -> np.ndarray:
-        values = _validate_capacitances(capacitances_f)
-        return _broadcast_profile(
-            self.capacitor_q_profile(1.0, frequencies_hz), values.size
-        )
 
 
 @dataclass(frozen=True)
@@ -589,13 +510,6 @@ class TabulatedQModel:
         grid = _validate_frequencies(frequencies_hz)
         return self._interp(grid, self.inductor_q_table)
 
-    def inductor_q_profiles(
-        self, inductances_h, frequencies_hz
-    ) -> np.ndarray:
-        values = _validate_inductances(inductances_h)
-        return _broadcast_profile(
-            self.inductor_q_profile(1.0, frequencies_hz), values.size
-        )
 
     def capacitor_q_profile(
         self, capacitance_f: float, frequencies_hz
@@ -603,14 +517,6 @@ class TabulatedQModel:
         del capacitance_f
         grid = _validate_frequencies(frequencies_hz)
         return self._interp(grid, self.capacitor_q_table)
-
-    def capacitor_q_profiles(
-        self, capacitances_f, frequencies_hz
-    ) -> np.ndarray:
-        values = _validate_capacitances(capacitances_f)
-        return _broadcast_profile(
-            self.capacitor_q_profile(1.0, frequencies_hz), values.size
-        )
 
 
 @dataclass(frozen=True)
@@ -649,22 +555,11 @@ class DispersiveQModel:
     ) -> np.ndarray:
         return inductor_q_profile(self.model, inductance_h, frequencies_hz)
 
-    def inductor_q_profiles(
-        self, inductances_h, frequencies_hz
-    ) -> np.ndarray:
-        return inductor_q_profiles(self.model, inductances_h, frequencies_hz)
 
     def capacitor_q_profile(
         self, capacitance_f: float, frequencies_hz
     ) -> np.ndarray:
         return capacitor_q_profile(self.model, capacitance_f, frequencies_hz)
-
-    def capacitor_q_profiles(
-        self, capacitances_f, frequencies_hz
-    ) -> np.ndarray:
-        return capacitor_q_profiles(
-            self.model, capacitances_f, frequencies_hz
-        )
 
 
 #: A measured-style SUMMIT spiral/MIM table (Q sampled per decade),
@@ -719,18 +614,6 @@ def _require_positive_frequency(frequency_hz: float) -> None:
         )
 
 
-def _broadcast_profile(profile: np.ndarray, rows: int) -> np.ndarray:
-    """Tile a value-independent ``(F,)`` profile into ``(rows, F)``.
-
-    Used by models whose Q does not depend on the element value: every
-    row is the *same array contents* as the per-value profile, keeping
-    the stacked path bit-identical to the grid path.
-    """
-    out = np.empty((rows, profile.size), dtype=profile.dtype)
-    out[:] = profile[None, :]
-    return out
-
-
 def _validate_frequencies(frequencies_hz) -> np.ndarray:
     """Coerce to a 1-D positive float array (the Q-profile contract)."""
     grid = np.asarray(frequencies_hz, dtype=float)
@@ -743,34 +626,6 @@ def _validate_frequencies(frequencies_hz) -> np.ndarray:
             f"frequency must be positive, got {float(grid.min())}"
         )
     return grid
-
-
-def _validate_inductances(inductances_h) -> np.ndarray:
-    """Coerce to a 1-D positive float array (the stacked-profile contract)."""
-    values = np.asarray(inductances_h, dtype=float)
-    if values.ndim == 0:
-        values = values[None]
-    if values.size == 0:
-        raise CircuitError("inductance list must not be empty")
-    if np.any(values <= 0):
-        raise CircuitError(
-            f"inductance must be positive, got {float(values.min())}"
-        )
-    return values
-
-
-def _validate_capacitances(capacitances_f) -> np.ndarray:
-    """Coerce to a 1-D positive float array (the stacked-profile contract)."""
-    values = np.asarray(capacitances_f, dtype=float)
-    if values.ndim == 0:
-        values = values[None]
-    if values.size == 0:
-        raise CircuitError("capacitance list must not be empty")
-    if np.any(values <= 0):
-        raise CircuitError(
-            f"capacitance must be positive, got {float(values.min())}"
-        )
-    return values
 
 
 def inductor_q_profile(
@@ -793,29 +648,6 @@ def inductor_q_profile(
     )
 
 
-def inductor_q_profiles(
-    q_model, inductances_h, frequencies_hz
-) -> np.ndarray:
-    """Stacked ``(B, F)`` inductor Q: many values over one grid.
-
-    The batched analogue of :func:`inductor_q_profile` — the shape a
-    design-space sweep asks for when tracing a whole inductor family.
-    Dispatches to the model's ``inductor_q_profiles`` when it provides
-    one (:class:`SummitQModel` evaluates the whole block as one numpy
-    expression); otherwise stacks the per-value grid profile.
-    """
-    vectorised = getattr(q_model, "inductor_q_profiles", None)
-    if vectorised is not None:
-        return np.asarray(vectorised(inductances_h, frequencies_hz))
-    values = _validate_inductances(inductances_h)
-    return np.stack(
-        [
-            inductor_q_profile(q_model, float(value), frequencies_hz)
-            for value in values
-        ]
-    )
-
-
 def capacitor_q_profile(
     q_model, capacitance_f: float, frequencies_hz
 ) -> np.ndarray:
@@ -834,44 +666,6 @@ def capacitor_q_profile(
     )
 
 
-def capacitor_q_profiles(
-    q_model, capacitances_f, frequencies_hz
-) -> np.ndarray:
-    """Stacked ``(B, F)`` capacitor Q: many values over one grid.
-
-    The capacitor analogue of :func:`inductor_q_profiles`.  Dispatches
-    to the model's ``capacitor_q_profiles`` when it provides one;
-    otherwise stacks the per-value grid profile.
-    """
-    vectorised = getattr(q_model, "capacitor_q_profiles", None)
-    if vectorised is not None:
-        return np.asarray(vectorised(capacitances_f, frequencies_hz))
-    values = _validate_capacitances(capacitances_f)
-    return np.stack(
-        [
-            capacitor_q_profile(q_model, float(value), frequencies_hz)
-            for value in values
-        ]
-    )
-
-
-def _combine_profiles(q_l: np.ndarray, q_c: np.ndarray) -> np.ndarray:
-    """``1/Q = 1/Q_L + 1/Q_C`` elementwise, shape-generic.
-
-    Infinite contributions are dropped; all-infinite points stay
-    infinite.  Shared by the grid and the stacked combiners.
-    """
-    inverse = np.zeros_like(q_l, dtype=float)
-    finite_l = np.isfinite(q_l) & (q_l > 0)
-    finite_c = np.isfinite(q_c) & (q_c > 0)
-    inverse[finite_l] += 1.0 / q_l[finite_l]
-    inverse[finite_c] += 1.0 / q_c[finite_c]
-    result = np.full(inverse.shape, math.inf)
-    nonzero = inverse > 0
-    result[nonzero] = 1.0 / inverse[nonzero]
-    return result
-
-
 def combined_q_profile(
     q_model,
     inductance_h: float,
@@ -886,32 +680,15 @@ def combined_q_profile(
     """
     q_l = inductor_q_profile(q_model, inductance_h, frequencies_hz)
     q_c = capacitor_q_profile(q_model, capacitance_f, frequencies_hz)
-    return _combine_profiles(q_l, q_c)
-
-
-def combined_q_profiles(
-    q_model,
-    inductances_h,
-    capacitances_f,
-    frequencies_hz,
-) -> np.ndarray:
-    """Stacked ``(B, F)`` resonator Q of many L/C pairs over one grid.
-
-    The batched analogue of :func:`combined_q_profile`: row ``b``
-    combines ``inductances_h[b]`` with ``capacitances_f[b]``.
-    """
-    inductances = _validate_inductances(inductances_h)
-    capacitances = np.asarray(capacitances_f, dtype=float)
-    if capacitances.ndim == 0:
-        capacitances = capacitances[None]
-    if capacitances.shape != inductances.shape:
-        raise CircuitError(
-            f"need one capacitance per inductance, got "
-            f"{capacitances.size} for {inductances.size}"
-        )
-    q_l = inductor_q_profiles(q_model, inductances, frequencies_hz)
-    q_c = capacitor_q_profiles(q_model, capacitances, frequencies_hz)
-    return _combine_profiles(q_l, q_c)
+    inverse = np.zeros_like(q_l, dtype=float)
+    finite_l = np.isfinite(q_l) & (q_l > 0)
+    finite_c = np.isfinite(q_c) & (q_c > 0)
+    inverse[finite_l] += 1.0 / q_l[finite_l]
+    inverse[finite_c] += 1.0 / q_c[finite_c]
+    result = np.full(inverse.shape, math.inf)
+    nonzero = inverse > 0
+    result[nonzero] = 1.0 / inverse[nonzero]
+    return result
 
 
 def combined_unloaded_q(

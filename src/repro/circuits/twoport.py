@@ -13,11 +13,7 @@ with two declared ports into S-parameters:
 Frequency sweeps are *batched*: :func:`sweep_grid` stamps the whole
 ``(F, n, n)`` admittance tensor once (via the cached
 :class:`~repro.circuits.mna.StampPlan`) and solves every frequency and
-both excitations with a single ``numpy.linalg.solve`` call.  Circuit
-*families* (same topology, different element values) are additionally
-*stacked*: :func:`sweep_grid_stacked` / :func:`sweep_stacked` stamp a
-``(B, F, n, n)`` tensor and solve every member, frequency and excitation
-in one LAPACK batch, bit-identical to sweeping each member alone.  The
+both excitations with a single ``numpy.linalg.solve`` call.  The
 pre-vectorisation per-frequency loop survives as
 :func:`sweep_pointwise`, the reference implementation the property tests
 and the speed benchmark compare against.
@@ -39,7 +35,6 @@ from .mna import (
     AcAnalysis,
     StampPlan,
     batch_solve_nodal,
-    family_admittance_matrix,
     node_admittance_matrix,
     node_index,
 )
@@ -246,8 +241,8 @@ class SweepResult:
 def _validate_grid(frequencies_hz) -> np.ndarray:
     """Coerce an explicit grid to a 1-D array of positive frequencies.
 
-    The single validation gate of every sweep entry point — batched,
-    stacked and pointwise alike — so the error contract cannot drift
+    The single validation gate of every sweep entry point — batched
+    and pointwise alike — so the error contract cannot drift
     between the engine and its reference implementation.
     """
     grid = np.asarray(frequencies_hz, dtype=float)
@@ -303,153 +298,6 @@ def sweep_grid(
     return SweepResult(frequencies_hz=grid, s_matrices=s)
 
 
-@dataclass
-class StackedSweepResult:
-    """S-parameters of a circuit *family* over one shared frequency grid.
-
-    ``s_matrices`` has shape ``(B, F, 2, 2)`` — one S-matrix per family
-    member per frequency.  Every member slice is bit-identical to what
-    :func:`sweep_grid` returns for that circuit alone; the dB views
-    evaluate vectorised over the whole family.
-    """
-
-    frequencies_hz: np.ndarray
-    s_matrices: np.ndarray
-
-    def __len__(self) -> int:
-        return self.s_matrices.shape[0]
-
-    def result(self, member: int) -> SweepResult:
-        """One family member's sweep as a plain :class:`SweepResult`."""
-        return SweepResult(
-            frequencies_hz=self.frequencies_hz,
-            s_matrices=self.s_matrices[member],
-        )
-
-    def results(self) -> list[SweepResult]:
-        """Per-member :class:`SweepResult` views, in family order."""
-        return [self.result(b) for b in range(len(self))]
-
-    @property
-    def s21(self) -> np.ndarray:
-        """Complex ``S21``, shape ``(B, F)``."""
-        return self.s_matrices[:, :, 1, 0]
-
-    @property
-    def s11(self) -> np.ndarray:
-        """Complex ``S11``, shape ``(B, F)``."""
-        return self.s_matrices[:, :, 0, 0]
-
-    @property
-    def insertion_loss_db(self) -> np.ndarray:
-        """Insertion loss in dB, shape ``(B, F)`` (vectorised)."""
-        return _loss_db(np.abs(self.s21))
-
-    @property
-    def return_loss_db(self) -> np.ndarray:
-        """Return loss in dB, shape ``(B, F)`` (vectorised)."""
-        return _loss_db(np.abs(self.s11))
-
-
-def sweep_grid_stacked(
-    circuits,
-    frequencies_hz,
-    plan: Optional[StampPlan] = None,
-) -> StackedSweepResult:
-    """Two-port S-parameters of a circuit family, one stacked solve.
-
-    ``circuits`` is a family of structurally identical two-ports (same
-    topology and port placement, different element values).  The whole
-    family is stamped as one ``(B, F, n, n)`` tensor and every member,
-    frequency and excitation is solved with a *single* batched
-    ``numpy.linalg.solve`` call.  Port reference impedances may differ
-    per member (an even-order Chebyshev family transforms its load).
-
-    Each member's slice is bit-identical to :func:`sweep_grid` on that
-    circuit alone: stamping accumulates in the same order and LAPACK
-    factorises each ``(n, n)`` matrix independently of the batch shape.
-    """
-    members = list(circuits)
-    if not members:
-        raise CircuitError("stacked sweep needs at least one circuit")
-    port1, port2, index = _check_two_ports(members[0])
-    grid = _validate_grid(frequencies_hz)
-    if plan is None:
-        plan = StampPlan(members[0], index)
-    rows = [index[port1.node], index[port2.node]]
-    first_port_nodes = [port1.node, port2.node]
-    for circuit in members[1:]:
-        # Same port node names means same matrix rows once the family
-        # stamping below validates the member's topology; only members
-        # with renamed nodes need their own index resolution.
-        if [p.node for p in circuit.ports] == first_port_nodes:
-            continue
-        p1, p2, idx = _check_two_ports(circuit)
-        if [idx[p1.node], idx[p2.node]] != rows:
-            raise CircuitError(
-                f"circuit {circuit.name!r} places its ports on different "
-                "matrix rows than the rest of the family"
-            )
-
-    matrices = family_admittance_matrix(
-        members, 2.0 * math.pi * grid, plan=plan
-    )
-
-    # (B, 2) per-member port reference impedances.
-    z0 = np.array(
-        [[c.ports[0].impedance, c.ports[1].impedance] for c in members],
-        dtype=float,
-    )
-    sqrt_z0 = np.sqrt(z0)
-
-    # Terminate both ports of every member (loop handles shared nodes).
-    for k, row in enumerate(rows):
-        matrices[:, :, row, row] += (1.0 / z0[:, k])[:, None]
-
-    rhs = np.zeros((len(members), 1, len(index), 2), dtype=complex)
-    rhs[:, 0, rows[0], 0] = 2.0 / sqrt_z0[:, 0]
-    rhs[:, 0, rows[1], 1] = 2.0 / sqrt_z0[:, 1]
-    try:
-        solution = batch_solve_nodal(
-            matrices,
-            np.broadcast_to(rhs, matrices.shape[:2] + rhs.shape[2:]),
-        )
-    except CircuitError as exc:
-        raise CircuitError(
-            "singular admittance matrix in stacked sweep of "
-            f"{members[0].name!r} family"
-        ) from exc
-
-    s = solution[:, :, rows, :] / sqrt_z0[:, None, :, None]
-    s[:, :, 0, 0] -= 1.0
-    s[:, :, 1, 1] -= 1.0
-    return StackedSweepResult(frequencies_hz=grid, s_matrices=s)
-
-
-def sweep_stacked(
-    circuits,
-    start_hz: float,
-    stop_hz: float,
-    points: int = 201,
-    log_spacing: bool = False,
-) -> StackedSweepResult:
-    """Sweep a whole circuit family over ``[start_hz, stop_hz]``.
-
-    The family analogue of :func:`sweep`: one stacked ``(B, F, n, n)``
-    stamp, one LAPACK batch for every member and frequency.
-    """
-    grid = _sweep_frequencies(start_hz, stop_hz, points, log_spacing)
-    return sweep_grid_stacked(circuits, grid)
-
-
-def two_port_sparameters_stacked(
-    circuits, frequency_hz: float
-) -> list[SParameters]:
-    """S-parameters of every family member at one frequency (stacked)."""
-    stacked = sweep_grid_stacked(circuits, [frequency_hz])
-    return [stacked.result(b).points[0] for b in range(len(stacked))]
-
-
 def _sweep_frequencies(
     start_hz: float, stop_hz: float, points: int, log_spacing: bool
 ) -> np.ndarray:
@@ -489,8 +337,8 @@ def sweep_pointwise(
 ) -> SweepResult:
     """Per-frequency REFERENCE sweep (one stamp + solve per point).
 
-    This is the reference implementation the batched and stacked engines
-    are measured against — keep it a plain per-frequency loop.  As a
+    This is the reference implementation the batched engine is
+    measured against — keep it a plain per-frequency loop.  As a
     drift guard it builds and validates its grid through the *same*
     helpers as the batched path (:func:`_sweep_frequencies` /
     :func:`_validate_grid`), so the two paths can never disagree on

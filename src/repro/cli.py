@@ -10,7 +10,7 @@ Installed as ``repro-gps``.  Subcommands:
 * ``sweep`` — fan the methodology out over a design-space grid
   (volume x substrate rule x thin-film process x tolerance class x
   technology Q model x NRE scenario x FoM weight vector) and print
-  Pareto-ready rows.  ``--engine serial|process|stacked|sharded|async``
+  Pareto-ready rows.  ``--engine serial|process|sharded|async``
   plus ``--jobs N`` / ``--shards K`` pick the execution engine
   (identical rows either way); ``--cache-stats`` prints the per-table
   memo tally, merged across workers.  Cross-host sharding:
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -77,12 +76,7 @@ from .core.sharding import (
     shard_filename,
     write_shard_artifact,
 )
-from .core.sweep import (
-    BATCH_FILL_ENV,
-    SweepGrid,
-    SweepReport,
-    batch_fill_enabled,
-)
+from .core.sweep import SweepGrid, SweepReport
 from .core.queryservice import (
     QUERY_KINDS,
     SENSITIVITY_AXES,
@@ -1076,26 +1070,6 @@ def _cmd_sweep_adaptive(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.fill is None:
-        return _cmd_sweep_resolved(args)
-    # --fill wins over $REPRO_SWEEP_BATCH for this invocation only:
-    # the env var is set for the duration of the sweep (it reaches
-    # process-engine workers through the inherited environment) and
-    # restored afterwards.
-    previous = os.environ.get(BATCH_FILL_ENV)
-    os.environ[BATCH_FILL_ENV] = (
-        "1" if args.fill == "batch" else "0"
-    )
-    try:
-        return _cmd_sweep_resolved(args)
-    finally:
-        if previous is None:
-            os.environ.pop(BATCH_FILL_ENV, None)
-        else:
-            os.environ[BATCH_FILL_ENV] = previous
-
-
-def _cmd_sweep_resolved(args: argparse.Namespace) -> int:
     if not args.adaptive:
         for value, flag in (
             (args.passes, "--passes"),
@@ -1144,9 +1118,6 @@ def _cmd_sweep_resolved(args: argparse.Namespace) -> int:
     # environment defaults.  A bad engine name or worker count —
     # from either source — is a clean exit 2, not a traceback.
     try:
-        # Validate the batch-fill switch up front so a bad
-        # $REPRO_SWEEP_BATCH exits 2 like every other bad env default.
-        batch_fill_enabled()
         executor = resolve_executor(args.engine, args.jobs, args.shards)
         # The documented default for --shards is $REPRO_SWEEP_SHARDS;
         # resolve it once so every path below honours it.
@@ -1728,17 +1699,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution engine (identical rows either way); defaults to "
             "$REPRO_SWEEP_ENGINE or serial"
-        ),
-    )
-    sweep.add_argument(
-        "--fill",
-        choices=("batch", "scalar"),
-        default=None,
-        help=(
-            "per-cell fill strategy: 'batch' walks each production "
-            "flow once per volume family, 'scalar' keeps the "
-            "per-point reference path (identical rows either way); "
-            "defaults to $REPRO_SWEEP_BATCH or batch"
         ),
     )
     sweep.add_argument(

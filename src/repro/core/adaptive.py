@@ -31,12 +31,13 @@ neighbours of each front cell.  That is what makes the acceptance gate
 checkable — the adaptive front can be byte-compared against the
 exhaustive front restricted to the evaluated points, because every
 evaluated point is an exhaustive-grid point evaluated through exactly
-the same :func:`~repro.core.sweep.evaluate_cell` path.
+the same :func:`~repro.core.sweep.evaluate_cells` path.
 
 Each pass is an ordinary point list driven through
-:func:`~repro.core.sweep.stream_design_sweep` under any executor with
-one shared memoised :class:`~repro.core.sweep.EvaluationCache`, so the
-engine/fill machinery composes unchanged and refinement re-uses every
+:func:`~repro.core.sweep.stream_design_sweep` (serial, family-batched
+blocks by default; any executor works) with one shared memoised
+:class:`~repro.core.sweep.EvaluationCache`, so the engine machinery
+composes unchanged and refinement re-uses every
 sub-result the coarse pass already paid for.  All passes merge into one
 canonical :class:`~repro.core.resultframe.ResultFrame` — deduplicated
 by design point (one evaluation per grid coordinate, whatever pass

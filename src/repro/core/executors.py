@@ -5,31 +5,25 @@ computes (grid points through the methodology) from *how* the grid is
 scheduled.  The "how" is an :class:`Executor`:
 
 * :class:`SerialExecutor` — one process, one shared cache, grid points
-  in order (the reference engine);
+  in order (the reference engine, and the default streaming engine of
+  :func:`~repro.core.sweep.stream_design_sweep`);
 * :class:`MultiprocessExecutor` — shards contiguous runs of grid points
   across a ``concurrent.futures.ProcessPoolExecutor``; each worker
   fills its own :class:`~repro.core.sweep.EvaluationCache`, which is
   merged back into the caller's cache afterwards;
-* :class:`ChunkedStackedExecutor` — groups the distinct filter chains of
-  same-topology grid cells into chunks and assesses each chunk with one
-  circuit-stacked ``(B, F, n, n)`` MNA solve
-  (:func:`~repro.circuits.performance.assess_chain_many`), then runs the
-  per-point evaluation against the pre-seeded cache;
 * :class:`AsyncExecutor` — schedules every grid point as an asyncio
-  task over a thread pool and streams cells back as they complete
-  (the engine behind :func:`~repro.core.sweep.stream_design_sweep`);
+  task over a thread pool and streams cells back as they complete;
 * ``ShardedExecutor`` (:mod:`repro.core.sharding`) — partitions the
   grid into content-addressed shards and runs each through an inner
   engine; the same partitioning drives the cross-host shard → artifact
   → merge flow.
 
-Every engine produces *identical* cells — the stacked solves are
-bit-compatible with the per-circuit path and the process, sharded and
+Every engine produces *identical* cells — the process, sharded and
 async engines only repartition or reorder the work — so the columnar
 :class:`~repro.core.resultframe.ResultFrame` a sweep report assembles
 from those cells (and its row bridge) is byte-identical whatever
 engine ran, and engine choice is a pure scheduling decision:
-``repro-gps sweep --engine serial|process|stacked|sharded|async
+``repro-gps sweep --engine serial|process|sharded|async
 [--jobs N] [--shards K]``, or the ``REPRO_SWEEP_ENGINE`` /
 ``REPRO_SWEEP_JOBS`` / ``REPRO_SWEEP_SHARDS`` environment variables
 for anything that does not thread an executor through explicitly (this
@@ -62,7 +56,6 @@ from typing import (
     Sequence,
 )
 
-from ..circuits.performance import assess_chain_many
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
 from .methodology import CandidateBuildUp
@@ -82,7 +75,14 @@ JOBS_ENV = "REPRO_SWEEP_JOBS"
 SHARDS_ENV = "REPRO_SWEEP_SHARDS"
 
 #: The engine names :func:`make_executor` accepts.
-ENGINE_NAMES = ("serial", "process", "stacked", "sharded", "async")
+ENGINE_NAMES = ("serial", "process", "sharded", "async")
+
+#: Grid points :meth:`SerialExecutor.iter_cells` evaluates per
+#: :func:`~repro.core.sweep.evaluate_cells` call.  Large enough that a
+#: block spans many volumes of each family (one batched cost walk
+#: serves them all), small enough that a streaming consumer never holds
+#: more than one block of cells.
+STREAM_BLOCK = 256
 
 CandidateFactory = Callable[
     [DesignPoint], Sequence[CandidateBuildUp]
@@ -169,20 +169,30 @@ class SerialExecutor:
     ):
         """Stream ``(index, cell)`` pairs in canonical order.
 
-        The streaming surface constant-memory consumers (the chunked
-        frame store's :func:`~repro.core.framestore.spill_design_sweep`)
-        rely on: one point is evaluated per step, so no cell outlives
-        its yield.  Both fills produce bit-identical cells point by
-        point, and the batched fill's :meth:`EvaluationCache.count_reuse`
-        discipline keeps per-point cache stats equal to the whole-run
-        tally — so the streamed sweep matches :meth:`run_sweep` rows
-        *and* stats exactly.
+        The streaming surface of
+        :func:`~repro.core.sweep.stream_design_sweep` and its
+        constant-memory consumers (the chunked frame store's
+        :func:`~repro.core.framestore.spill_design_sweep`, the adaptive
+        driver): contiguous blocks of :data:`STREAM_BLOCK` points go
+        through :func:`~repro.core.sweep.evaluate_cells` — the
+        family-batched fill, for a volume-invariant factory — so at
+        most one block of cells is held at a time.  Cells are
+        bit-identical whatever the block boundaries, and the batched
+        fill's :meth:`EvaluationCache.count_reuse` discipline keeps the
+        per-block cache stats summing to the whole-run tally — so the
+        streamed sweep matches :meth:`run_sweep` rows *and* stats
+        exactly.
         """
-        for index, point in enumerate(points):
-            (cell,) = evaluate_cells(
-                [point], candidate_factory, reference, weights, cache
+        for start in range(0, len(points), STREAM_BLOCK):
+            cells = evaluate_cells(
+                points[start : start + STREAM_BLOCK],
+                candidate_factory,
+                reference,
+                weights,
+                cache,
             )
-            yield index, cell
+            for offset, cell in enumerate(cells):
+                yield start + offset, cell
 
 
 def _split_runs(points: Sequence[DesignPoint], parts: int) -> list[list]:
@@ -270,68 +280,6 @@ class MultiprocessExecutor:
         return cells
 
 
-class ChunkedStackedExecutor:
-    """Batch same-topology grid cells into circuit-stacked MNA solves.
-
-    The MNA-heavy step of a sweep is the filter-chain assessment, and a
-    grid produces many chains that share filter specifications (hence
-    circuit topology) while differing only in element values.  This
-    engine collects every *distinct, uncached* chain across the whole
-    grid up front, assesses them in chunks through
-    :func:`~repro.circuits.performance.assess_chain_many` — one stacked
-    ``(B, F, n, n)`` solve per spec per chunk — seeds the cache, and
-    then runs the ordinary per-point evaluation, which now hits the
-    cache for every chain.
-    """
-
-    name = "stacked"
-
-    def __init__(self, chunk_size: int = 32) -> None:
-        if chunk_size < 1:
-            raise SpecificationError(
-                f"stacked engine needs a positive chunk size, got "
-                f"{chunk_size}"
-            )
-        self.chunk_size = chunk_size
-
-    def run_sweep(
-        self,
-        points: Sequence[DesignPoint],
-        candidate_factory: CandidateFactory,
-        reference: int,
-        weights: FomWeights,
-        cache: EvaluationCache,
-    ) -> list[SweepCell]:
-        per_point = [list(candidate_factory(point)) for point in points]
-
-        pending: dict[str, list] = {}
-        for candidates in per_point:
-            for candidate in candidates:
-                if (
-                    candidate.fixed_performance is not None
-                    or not candidate.filter_assignments
-                ):
-                    continue
-                key = EvaluationCache.performance_key(
-                    candidate.filter_assignments
-                )
-                if cache.has_performance(key) or key in pending:
-                    continue
-                pending[key] = candidate.filter_assignments
-
-        keys = list(pending)
-        for start in range(0, len(keys), self.chunk_size):
-            chunk = keys[start : start + self.chunk_size]
-            chains = assess_chain_many([pending[key] for key in chunk])
-            for key, chain in zip(chunk, chains):
-                cache.seed_performance(key, chain)
-
-        return [
-            evaluate_cell(point, candidates, reference, weights, cache)
-            for point, candidates in zip(points, per_point)
-        ]
-
-
 class _SweepAbandoned(Exception):
     """Internal: a queued evaluation noticed its consumer went away."""
 
@@ -349,7 +297,7 @@ class AsyncExecutor:
     compute the same value — which the :class:`Executor` contract
     explicitly permits.
 
-    The engine is also the streaming backend of
+    The engine also streams, when passed to
     :func:`~repro.core.sweep.stream_design_sweep`:
 
     * :meth:`iter_cells` yields ``(canonical_index, cell)`` pairs in
@@ -554,8 +502,6 @@ def make_executor(
         return SerialExecutor()
     if normalized == "process":
         return MultiprocessExecutor(jobs)
-    if normalized == "stacked":
-        return ChunkedStackedExecutor()
     if normalized == "async":
         return AsyncExecutor(jobs)
     if normalized == "sharded":

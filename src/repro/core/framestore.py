@@ -98,9 +98,8 @@ def max_rows_from_env() -> Optional[int]:
     """The :envvar:`REPRO_SWEEP_MAX_ROWS` row budget, validated.
 
     Unset or empty means "no budget" (the in-RAM path); anything else
-    must be a positive integer — the same loud-or-nothing discipline as
-    :func:`~repro.core.sweep.batch_fill_enabled`, so a typo exits the
-    CLI with status 2 instead of silently sweeping in RAM.
+    must be a positive integer, so a typo exits the CLI with status 2
+    instead of silently sweeping in RAM.
     """
     raw = os.environ.get(MAX_ROWS_ENV, "").strip()
     if not raw:
@@ -866,8 +865,8 @@ def spill_design_sweep(
     :func:`~repro.core.sweep.stream_design_sweep` through a reorder
     window, so any engine works: a streaming engine's completion order
     is rewound to canonical order before rows touch the store.  The
-    default engine here is the serial one — it streams cells in
-    canonical order, keeping the reorder window at one cell.
+    default serial engine streams in canonical order, keeping the
+    reorder window empty.
 
     The finished store's ``meta`` carries the grid identity
     (fingerprint, order digest, point count — see

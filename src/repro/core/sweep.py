@@ -23,15 +23,15 @@ choices:
 
 *How* the grid is evaluated is pluggable: :func:`run_design_sweep`
 delegates scheduling to an execution engine
-(:mod:`repro.core.executors`) — serial, multi-process, circuit-stacked
-batching, in-process sharding (:mod:`repro.core.sharding`) or
-asyncio-based streaming — all of which produce identical rows.
-:func:`stream_design_sweep` is the generator surface: it yields
-:class:`StreamedCell` results as grid points finish instead of
-blocking on the whole grid.  :class:`EvaluationCache` is mergeable so
-per-worker caches fold back into one whole-sweep stats report, and
-exports a :meth:`~EvaluationCache.portable_state` payload so caches
-filled on *different hosts* can have their stats merged too.
+(:mod:`repro.core.executors`) — serial, multi-process, in-process
+sharding (:mod:`repro.core.sharding`) or asyncio-based — all of which
+produce identical rows.  :func:`stream_design_sweep` is the generator
+surface: it yields :class:`StreamedCell` results block by block
+instead of blocking on the whole grid.  :class:`EvaluationCache` is
+mergeable so per-worker caches fold back into one whole-sweep stats
+report, and exports a :meth:`~EvaluationCache.portable_state` payload
+so caches filled on *different hosts* can have their stats merged
+too.
 
 The subsystem is application-agnostic: a *candidate factory* maps each
 :class:`DesignPoint` to the list of
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -339,19 +338,6 @@ class EvaluationCache:
             "performance", self.performance_key(assignments), compute
         )
 
-    def has_performance(self, key: str) -> bool:
-        """True when a chain result is already cached under ``key``."""
-        return key in self._tables["performance"]
-
-    def seed_performance(self, key: str, chain: ChainPerformance) -> None:
-        """Insert a precomputed chain result without counting hit/miss.
-
-        The stacked execution engine assesses whole batches of chains
-        ahead of the per-point evaluation and seeds them here; the later
-        lookups then count as ordinary hits.
-        """
-        self._tables["performance"].setdefault(key, chain)
-
     @staticmethod
     def area_key(footprints, rule, laminate) -> str:
         """The content key of one placement call."""
@@ -371,8 +357,7 @@ class EvaluationCache:
 
         The batched fill path places whole candidate families through
         one broadcast call ahead of the per-point evaluation and seeds
-        them here; the later lookups then count as ordinary hits —
-        exactly the :meth:`seed_performance` discipline.
+        them here; the later lookups then count as ordinary hits.
         """
         self._tables["area"].setdefault(key, report)
 
@@ -409,8 +394,8 @@ class EvaluationCache:
 
         The batched fill resolves a volume-invariant sub-result once per
         family instead of once per point; this keeps the hit counters
-        reporting the per-point lookups the scalar fill would have made,
-        so cache stats stay comparable across fills.
+        reporting the lookups a per-point evaluation would have made,
+        so cache stats stay comparable across evaluation paths.
         """
         if count > 0:
             self._hits[name] += count
@@ -703,28 +688,6 @@ def evaluate_cell(
     return SweepCell(point=point, result=result)
 
 
-#: Environment switch for the batched family fill (default: enabled).
-BATCH_FILL_ENV = "REPRO_SWEEP_BATCH"
-
-#: Values accepted by :envvar:`REPRO_SWEEP_BATCH`, by meaning.
-_BATCH_FILL_ON = ("", "1", "true", "on", "batch")
-_BATCH_FILL_OFF = ("0", "false", "off", "scalar")
-
-
-def batch_fill_enabled() -> bool:
-    """Whether :envvar:`REPRO_SWEEP_BATCH` allows the batched fill."""
-    raw = os.environ.get(BATCH_FILL_ENV, "").strip().lower()
-    if raw in _BATCH_FILL_ON:
-        return True
-    if raw in _BATCH_FILL_OFF:
-        return False
-    raise SpecificationError(
-        f"{BATCH_FILL_ENV} must be one of "
-        "1/0/true/false/on/off/batch/scalar, got "
-        f"{os.environ[BATCH_FILL_ENV]!r}"
-    )
-
-
 def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
     """Group point positions into volume families.
 
@@ -759,7 +722,7 @@ def assess_candidate_family_cached(
     The volume-invariant sub-results (performance, placement) are
     resolved through the cache **once** and re-counted as hits for the
     remaining volumes (:meth:`EvaluationCache.count_reuse`), so the
-    stats match the per-point lookups of the scalar fill; the cost step
+    stats match the lookups of a per-point evaluation; the cost step
     resolves all volumes through one :meth:`EvaluationCache.cost_batch`
     call backed by a single batched flow walk.  Produces assessments
     bit-identical to ``[assess_candidate_cached(candidate, v, cache)
@@ -896,7 +859,8 @@ def evaluate_cells_batched(
     volume-invariant, see :func:`evaluate_cells` — placements are
     broadcast ahead of the evaluation, and each family is assessed with
     one batched flow walk per (candidate, flow).  The returned cells
-    are in run order and bit-identical to the scalar fill.
+    are in run order and bit-identical to per-point
+    :func:`evaluate_cell` calls.
     """
     runs = family_runs(points)
     family_points = [[points[position] for position in run] for run in runs]
@@ -921,42 +885,22 @@ def evaluate_cells(
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
-    fill: Optional[str] = None,
 ) -> list[SweepCell]:
     """Evaluate a run of grid points in order, sharing one cache.
 
-    The serial engine's whole job, and the per-worker body of the
-    process engine (each worker runs this over its slice with a fresh
-    cache that is merged back afterwards).
+    The serial engine's whole job (its streaming surface calls this
+    block by block), and the per-worker body of the process engine
+    (each worker runs this over its slice with a fresh cache that is
+    merged back afterwards).
 
-    ``fill`` selects how the run is filled:
-
-    * ``None`` (default) — the batched fill when
-      :envvar:`REPRO_SWEEP_BATCH` allows it (it does by default) *and*
-      the candidate factory declares ``volume_invariant = True``
-      (meaning it returns equal candidates for points differing only in
-      volume — :class:`~repro.gps.study.GpsSweepFactory` does); the
-      scalar reference fill otherwise.
-    * ``"batch"`` — force the batched fill (caller vouches for the
-      factory's volume-invariance).
-    * ``"scalar"`` — force the per-point reference fill.
-
-    Both fills produce bit-identical cells; the batched fill walks each
-    production flow once per family instead of once per point.
+    A candidate factory that declares ``volume_invariant = True``
+    (it returns equal candidates for points differing only in volume —
+    :class:`~repro.gps.study.GpsSweepFactory` does) gets the batched
+    fill, which walks each production flow once per volume family
+    instead of once per point; any other factory is called per point.
+    Both produce bit-identical cells.
     """
-    if fill is None:
-        use_batch = batch_fill_enabled() and getattr(
-            candidate_factory, "volume_invariant", False
-        )
-    elif fill == "batch":
-        use_batch = True
-    elif fill == "scalar":
-        use_batch = False
-    else:
-        raise SpecificationError(
-            f"fill must be one of None/'batch'/'scalar', got {fill!r}"
-        )
-    if use_batch:
+    if getattr(candidate_factory, "volume_invariant", False):
         return evaluate_cells_batched(
             points, candidate_factory, reference, weights, cache
         )
@@ -1026,12 +970,13 @@ def run_design_sweep(
 
 @dataclass(frozen=True)
 class StreamedCell:
-    """One grid cell as it streams out of an asynchronous sweep.
+    """One grid cell as it streams out of :func:`stream_design_sweep`.
 
-    ``index`` is the cell's canonical position in the grid (the order
-    :class:`SerialExecutor` would have produced it in); cells arrive in
-    *completion* order, so a consumer that wants the canonical row
-    order sorts by index — or simply calls :func:`run_design_sweep`.
+    ``index`` is the cell's canonical position in the grid.  The
+    default serial engine yields cells in canonical order; an engine
+    that streams in *completion* order (the async engine) yields them
+    out of order, so a consumer that needs canonical order under any
+    engine sorts or reorders by index.
     ``frame`` carries the cell's results columnar (concatenate streamed
     frames with :meth:`ResultFrame.concat` for an incremental report);
     :attr:`rows` is the row-object bridge.
@@ -1057,14 +1002,15 @@ def stream_design_sweep(
 ) -> Iterator[StreamedCell]:
     """The generator surface of :func:`run_design_sweep`.
 
-    Yields one :class:`StreamedCell` per grid point *as each point
-    finishes* instead of blocking until the whole grid is done.  With
-    an engine that evaluates points concurrently and supports
-    streaming (``iter_cells``, e.g.
-    :class:`~repro.core.executors.AsyncExecutor`, the default here),
-    cells arrive in completion order; any other
-    :class:`~repro.core.executors.Executor` is driven to completion
-    first and its cells are yielded in canonical order.
+    Yields one :class:`StreamedCell` per grid point as results become
+    available instead of blocking until the whole grid is done.  The
+    default engine, :class:`~repro.core.executors.SerialExecutor`,
+    evaluates contiguous blocks of points through the batched fill and
+    yields their cells in canonical order.  An engine with its own
+    ``iter_cells`` streams through it (the async engine in completion
+    order); any other :class:`~repro.core.executors.Executor` is
+    driven to completion first and its cells are yielded in canonical
+    order.
 
     The rows of every yielded cell are byte-identical to the rows
     :func:`run_design_sweep` would report for the same grid — streaming
@@ -1078,9 +1024,9 @@ def stream_design_sweep(
     if cache is None:
         cache = EvaluationCache()
     if executor is None:
-        from .executors import AsyncExecutor  # cycle-free at import
+        from .executors import SerialExecutor  # cycle-free at import
 
-        executor = AsyncExecutor()
+        executor = SerialExecutor()
 
     iter_cells = getattr(executor, "iter_cells", None)
     if iter_cells is not None:

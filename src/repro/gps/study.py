@@ -289,9 +289,10 @@ def stream_gps_sweep(
 ) -> Iterator[StreamedCell]:
     """Streaming variant of :func:`run_gps_sweep`.
 
-    Yields one :class:`~repro.core.sweep.StreamedCell` per grid point
-    as soon as it is evaluated (completion order under the async
-    engine, the default).  Each carries its results as a per-cell
+    Yields one :class:`~repro.core.sweep.StreamedCell` per grid point,
+    block by block in canonical order under the default serial engine
+    (completion order under the async engine).  Each carries its
+    results as a per-cell
     :class:`~repro.core.resultframe.ResultFrame` (plus the bridged
     ``rows``), byte-identical to the slice :func:`run_gps_sweep`
     reports for the same grid.

@@ -177,6 +177,17 @@ class TestOmegaValidation:
         with pytest.raises(CircuitError):
             batch_solve_nodal(matrices, rhs)
 
+    def test_singular_stack_raises_circuit_error(self):
+        floating = Circuit("floating")
+        floating.resistor("R1", "a", "b", 100.0)
+        floating.resistor("R2", "c", "0", 100.0)
+        omegas = np.array([2.0 * math.pi * 1e6])
+        matrices = np.stack([batch_admittance_matrix(floating, omegas)] * 2)
+        rhs = np.zeros(3, dtype=complex)
+        rhs[0] = 1.0
+        with pytest.raises(CircuitError):
+            batch_solve_nodal(matrices, rhs)
+
 
 class TestAcAnalysisSweeps:
     @settings(max_examples=25, deadline=None)

@@ -1,18 +1,13 @@
-"""Property tests: circuit-stacked MNA solves against the scalar path.
+"""Property tests: solving a stack of same-topology circuits at once.
 
 A *family* is ``B`` structurally identical circuits (same topology,
 different element values — what tolerance classes, E-series snapping and
-candidate sweeps produce).  The stacked engine stamps the whole family
-as one ``(B, F, n, n)`` tensor and solves it with a single batched
-``numpy.linalg.solve``; these tests assert, over seeded random RLC
-families, that every member agrees with the per-circuit
-:func:`node_admittance_matrix` / :func:`solve_nodal` reference to 1e-12
-and that the scalar error contract (``omega <= 0`` raises
-:class:`~repro.errors.CircuitError`) survives stacking.
-
-The two-port layer gets the stronger check: stacked S-parameters must be
-*bit-identical* to per-circuit :func:`sweep_grid` results, which is what
-lets the execution engines promise byte-identical sweep reports.
+candidate sweeps produce).  Stacking each member's ``(F, n, n)``
+:func:`batch_admittance_matrix` gives a ``(B, F, n, n)`` tensor that
+:func:`batch_solve_nodal` solves with one batched ``numpy.linalg.solve``;
+these tests assert, over seeded random RLC families, that every member
+agrees with the per-circuit :func:`node_admittance_matrix` /
+:func:`solve_nodal` reference to 1e-12.
 """
 
 from __future__ import annotations
@@ -21,35 +16,20 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.elements import Capacitor, Inductor, Resistor
 from repro.circuits.mna import (
-    StampPlan,
     batch_admittance_matrix,
     batch_solve_nodal,
-    family_admittance_matrix,
     node_admittance_matrix,
     node_index,
     solve_nodal,
 )
 from repro.circuits.netlist import Circuit
-from repro.circuits.twoport import (
-    sweep_grid,
-    sweep_grid_stacked,
-    sweep_stacked,
-    two_port_sparameters,
-    two_port_sparameters_stacked,
-)
-from repro.errors import CircuitError
 
-from test_mna_batch import (
-    random_frequencies,
-    random_rlc_circuit,
-    random_two_port,
-)
+from test_mna_batch import random_frequencies, random_rlc_circuit
 
 RTOL = 1e-12
 
@@ -99,43 +79,19 @@ def random_family(seed: int, n_nodes: int, members: int) -> list[Circuit]:
     ]
 
 
+def family_matrices(family: list[Circuit], omegas: np.ndarray) -> np.ndarray:
+    """The ``(B, F, n, n)`` stack of the members' batched matrices."""
+    index = node_index(family[0])
+    return np.stack(
+        [batch_admittance_matrix(c, omegas, index) for c in family]
+    )
+
+
 family_params = st.tuples(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=2, max_value=6),
     st.integers(min_value=2, max_value=6),
 )
-
-
-class TestFamilyStamping:
-    @settings(max_examples=40, deadline=None)
-    @given(family_params)
-    def test_family_matches_scalar_stamping(self, params):
-        seed, n_nodes, members = params
-        family = random_family(seed, n_nodes, members)
-        index = node_index(family[0])
-        omegas = 2.0 * math.pi * random_frequencies(seed, count=5)
-        stacked = family_admittance_matrix(family, omegas)
-        for b, circuit in enumerate(family):
-            for k, omega in enumerate(omegas):
-                scalar = node_admittance_matrix(
-                    circuit, float(omega), index
-                )
-                np.testing.assert_allclose(
-                    stacked[b, k], scalar, rtol=RTOL, atol=1e-300
-                )
-
-    @settings(max_examples=30, deadline=None)
-    @given(family_params)
-    def test_family_is_bitwise_stack_of_batches(self, params):
-        """Each member's slice equals its own batched stamp, bit for bit."""
-        seed, n_nodes, members = params
-        family = random_family(seed, n_nodes, members)
-        omegas = 2.0 * math.pi * random_frequencies(seed, count=5)
-        stacked = family_admittance_matrix(family, omegas)
-        for b, circuit in enumerate(family):
-            np.testing.assert_array_equal(
-                stacked[b], batch_admittance_matrix(circuit, omegas)
-            )
 
 
 class TestStackedSolve:
@@ -152,9 +108,7 @@ class TestStackedSolve:
             size=len(index)
         )
 
-        stacked = batch_solve_nodal(
-            family_admittance_matrix(family, omegas), rhs
-        )
+        stacked = batch_solve_nodal(family_matrices(family, omegas), rhs)
         assert stacked.shape == (members, omegas.size, len(index))
         for b, circuit in enumerate(family):
             for k, omega in enumerate(omegas):
@@ -169,7 +123,7 @@ class TestStackedSolve:
     def test_stacked_solve_accepts_per_member_rhs(self):
         family = random_family(7, 4, 3)
         omegas = 2.0 * math.pi * random_frequencies(7, count=4)
-        matrices = family_admittance_matrix(family, omegas)
+        matrices = family_matrices(family, omegas)
         n = matrices.shape[-1]
         rng = np.random.default_rng(99)
         rhs = rng.normal(size=(3, 1, n, 2)) + 0j
@@ -179,136 +133,3 @@ class TestStackedSolve:
         for b in range(3):
             member = batch_solve_nodal(matrices[b], rhs[b, 0])
             np.testing.assert_array_equal(solution[b], member)
-
-
-class TestStackedErrorContract:
-    """Stacking must keep every scalar-path error contract."""
-
-    def test_zero_omega_rejected(self):
-        family = random_family(0, 3, 3)
-        with pytest.raises(CircuitError):
-            family_admittance_matrix(family, np.array([1e6, 0.0, 1e7]))
-
-    def test_negative_omega_rejected(self):
-        family = random_family(1, 3, 3)
-        with pytest.raises(CircuitError):
-            family_admittance_matrix(family, np.array([-1e6]))
-
-    def test_empty_grid_rejected(self):
-        family = random_family(2, 3, 3)
-        with pytest.raises(CircuitError):
-            family_admittance_matrix(family, np.array([]))
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(CircuitError):
-            family_admittance_matrix([], np.array([1e6]))
-
-    def test_element_count_mismatch_rejected(self):
-        base = random_rlc_circuit(3, 3)
-        other = random_rlc_circuit(3, 3)
-        other.resistor("Rextra", other.nodes()[0], "0", 42.0)
-        with pytest.raises(CircuitError):
-            family_admittance_matrix([base, other], np.array([1e6]))
-
-    def test_topology_mismatch_rejected(self):
-        base = Circuit("base")
-        base.resistor("R1", "a", "b", 10.0)
-        base.resistor("R2", "b", "0", 20.0)
-        twisted = Circuit("twisted")
-        twisted.resistor("R1", "a", "0", 10.0)
-        twisted.resistor("R2", "a", "b", 20.0)
-        with pytest.raises(CircuitError):
-            family_admittance_matrix([base, twisted], np.array([1e6]))
-
-    def test_renamed_nodes_same_structure_accepted(self):
-        base = Circuit("base")
-        base.resistor("R1", "a", "b", 10.0)
-        base.capacitor("C1", "b", "0", 1e-12)
-        renamed = Circuit("renamed")
-        renamed.resistor("R1", "x", "y", 33.0)
-        renamed.capacitor("C1", "y", "0", 2e-12)
-        omegas = np.array([2.0 * math.pi * 1e9])
-        stacked = family_admittance_matrix([base, renamed], omegas)
-        np.testing.assert_array_equal(
-            stacked[1], batch_admittance_matrix(renamed, omegas)
-        )
-
-    def test_singular_family_raises_circuit_error(self):
-        member = Circuit("floating")
-        member.resistor("R1", "a", "b", 100.0)
-        member.resistor("R2", "c", "0", 100.0)
-        matrices = family_admittance_matrix(
-            [member, perturbed_copy(member, 5, 1)],
-            np.array([2.0 * math.pi * 1e6]),
-        )
-        rhs = np.zeros(3, dtype=complex)
-        rhs[0] = 1.0
-        with pytest.raises(CircuitError):
-            batch_solve_nodal(matrices, rhs)
-
-
-def random_two_port_family(
-    seed: int, n_nodes: int, members: int
-) -> list[Circuit]:
-    base = random_two_port(seed, n_nodes)
-    return [base] + [
-        perturbed_copy(base, seed, tag) for tag in range(1, members)
-    ]
-
-
-class TestStackedTwoPort:
-    @settings(max_examples=30, deadline=None)
-    @given(family_params)
-    def test_stacked_sweep_is_bitwise_per_circuit_sweep(self, params):
-        """The engine-identity guarantee: stacked == per-circuit, exactly."""
-        seed, n_nodes, members = params
-        family = random_two_port_family(seed, n_nodes, members)
-        frequencies = random_frequencies(seed, count=7)
-        stacked = sweep_grid_stacked(family, frequencies)
-        assert len(stacked) == members
-        for b, circuit in enumerate(family):
-            np.testing.assert_array_equal(
-                stacked.s_matrices[b],
-                sweep_grid(circuit, frequencies).s_matrices,
-            )
-
-    def test_member_views_and_db_shapes(self):
-        family = random_two_port_family(11, 5, 4)
-        stacked = sweep_stacked(family, 1e7, 1e9, points=21)
-        assert stacked.insertion_loss_db.shape == (4, 21)
-        assert stacked.return_loss_db.shape == (4, 21)
-        member = stacked.result(2)
-        np.testing.assert_array_equal(
-            member.insertion_loss_db, stacked.insertion_loss_db[2]
-        )
-        assert len(stacked.results()) == 4
-
-    def test_single_frequency_stack(self):
-        family = random_two_port_family(13, 4, 3)
-        points = two_port_sparameters_stacked(family, 250e6)
-        assert len(points) == 3
-        for point, circuit in zip(points, family):
-            scalar = two_port_sparameters(circuit, 250e6)
-            assert point.s21 == pytest.approx(scalar.s21, rel=RTOL)
-            assert point.s11 == pytest.approx(scalar.s11, rel=RTOL)
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(CircuitError):
-            sweep_grid_stacked([], [1e6])
-
-    def test_nonpositive_frequency_rejected(self):
-        family = random_two_port_family(3, 3, 2)
-        with pytest.raises(CircuitError):
-            sweep_grid_stacked(family, [1e6, -1e6])
-        with pytest.raises(CircuitError):
-            sweep_grid_stacked(family, [])
-
-    def test_port_row_mismatch_rejected(self):
-        # A member with reversed ports maps port 1 to a different matrix
-        # row; the family path refuses rather than silently swapping
-        # S11/S22 roles for that member.
-        base = random_two_port(17, 4)
-        other = perturbed_copy(base, 17, 1)
-        other.ports = list(reversed(other.ports))
-        with pytest.raises(CircuitError):
-            sweep_grid_stacked([base, other], [1e8])

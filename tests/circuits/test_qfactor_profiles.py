@@ -15,10 +15,8 @@ from repro.circuits.qfactor import (
     SummitQModel,
     capacitor_q_profile,
     combined_q_profile,
-    combined_q_profiles,
     combined_unloaded_q,
     inductor_q_profile,
-    inductor_q_profiles,
 )
 from repro.errors import CircuitError
 
@@ -92,67 +90,3 @@ class TestCombinedProfiles:
         np.testing.assert_allclose(profile, expected)
         assert np.all(profile < 30.0)
 
-
-INDUCTANCES = np.array([10e-9, 40e-9, 100e-9, 250e-9])
-
-
-class TestStackedProfiles:
-    """The ``(B, F)`` profile block against the per-value grid path."""
-
-    def test_summit_stack_matches_per_value_profiles(self):
-        model = SummitQModel()
-        stacked = inductor_q_profiles(model, INDUCTANCES, GRID)
-        assert stacked.shape == (INDUCTANCES.size, GRID.size)
-        for row, value in zip(stacked, INDUCTANCES):
-            np.testing.assert_allclose(
-                row,
-                inductor_q_profile(model, float(value), GRID),
-                rtol=1e-12,
-            )
-
-    def test_fallback_stack_matches_per_value_profiles(self):
-        model = SmdQModel(inductor_q_value=17.0)
-        stacked = inductor_q_profiles(model, INDUCTANCES, GRID)
-        np.testing.assert_allclose(stacked, 17.0)
-        assert stacked.shape == (INDUCTANCES.size, GRID.size)
-
-    def test_mixed_model_delegates_stack(self):
-        mixed = MixedQModel(
-            inductor_model=SummitQModel(),
-            capacitor_model=SmdQModel(),
-        )
-        stacked = inductor_q_profiles(mixed, INDUCTANCES, GRID)
-        np.testing.assert_allclose(
-            stacked,
-            inductor_q_profiles(SummitQModel(), INDUCTANCES, GRID),
-            rtol=1e-12,
-        )
-
-    def test_combined_stack_matches_per_pair(self):
-        model = SummitQModel()
-        capacitances = np.array([5e-12, 10e-12, 22e-12, 47e-12])
-        stacked = combined_q_profiles(
-            model, INDUCTANCES, capacitances, GRID
-        )
-        for row, value, cap in zip(stacked, INDUCTANCES, capacitances):
-            np.testing.assert_allclose(
-                row,
-                combined_q_profile(model, float(value), float(cap), GRID),
-                rtol=1e-12,
-            )
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(CircuitError):
-            combined_q_profiles(
-                SummitQModel(), INDUCTANCES, np.array([1e-12]), GRID
-            )
-
-    def test_bad_inductances_rejected(self):
-        with pytest.raises(CircuitError):
-            inductor_q_profiles(SmdQModel(), [], GRID)
-        with pytest.raises(CircuitError):
-            inductor_q_profiles(SummitQModel(), [40e-9, -1e-9], GRID)
-
-    def test_bad_frequencies_rejected(self):
-        with pytest.raises(CircuitError):
-            inductor_q_profiles(SummitQModel(), INDUCTANCES, [1e9, 0.0])

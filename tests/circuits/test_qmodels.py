@@ -3,8 +3,7 @@
 Covers the dispersive hierarchy (skin effect, substrate loss tangent,
 tabulated profiles, the dispersive wrapper), the
 ``DispersiveInductor`` / ``DispersiveCapacitor`` elements they are
-realised as, bit-identity of the stacked ``(B, F)`` evaluation against
-the per-circuit path, and the constant-vs-dispersive routing of
+realised as, and the constant-vs-dispersive routing of
 ``build_bandpass_circuit``.
 """
 
@@ -22,15 +21,9 @@ from repro.circuits.elements import (
     Inductor,
     dispersive_capacitor,
     dispersive_inductor,
-    stacked_admittances,
 )
 from repro.circuits.netlist import Circuit
-from repro.circuits.performance import (
-    assess_chain,
-    assess_chain_many,
-    measure_filter,
-    measure_filter_family,
-)
+from repro.circuits.performance import assess_chain
 from repro.circuits.qfactor import (
     DispersiveQModel,
     MEASURED_SUMMIT_TABLE,
@@ -42,14 +35,12 @@ from repro.circuits.qfactor import (
     SummitQModel,
     TabulatedQModel,
     capacitor_q_profile,
-    capacitor_q_profiles,
     inductor_q_profile,
-    inductor_q_profiles,
     is_dispersive,
     process_q_model,
 )
 from repro.circuits.synthesis import build_bandpass_circuit, synthesize_bandpass
-from repro.circuits.twoport import sweep_grid, sweep_grid_stacked
+from repro.circuits.twoport import sweep_grid
 from repro.errors import CircuitError
 from repro.gps.filters_chain import if_filter_spec, technology_assignments
 from repro.passives.thin_film import SUMMIT_PROCESS, with_loss
@@ -175,7 +166,7 @@ class TestModelLaws:
 
 
 class TestProfileConsistency:
-    """Vectorised grid and stacked evaluations vs the scalar methods."""
+    """Vectorised grid evaluations vs the scalar methods."""
 
     @pytest.mark.parametrize("model", DISPERSIVE_MODELS)
     def test_grid_profile_matches_scalar(self, model):
@@ -186,21 +177,6 @@ class TestProfileConsistency:
         scalar_c = [model.capacitor_q(10e-12, float(f)) for f in GRID]
         np.testing.assert_allclose(profile_c, scalar_c, rtol=1e-12)
 
-    @pytest.mark.parametrize("model", DISPERSIVE_MODELS)
-    def test_stacked_profiles_bit_identical_to_rows(self, model):
-        """The contract the stacked element fast path relies on."""
-        inductances = np.array([5e-9, 40e-9, 120e-9])
-        stacked = inductor_q_profiles(model, inductances, GRID)
-        for row, value in zip(stacked, inductances):
-            np.testing.assert_array_equal(
-                row, inductor_q_profile(model, float(value), GRID)
-            )
-        capacitances = np.array([1e-12, 10e-12, 47e-12])
-        stacked_c = capacitor_q_profiles(model, capacitances, GRID)
-        for row, value in zip(stacked_c, capacitances):
-            np.testing.assert_array_equal(
-                row, capacitor_q_profile(model, float(value), GRID)
-            )
 
 
 class TestDispersiveElements:
@@ -270,72 +246,6 @@ class TestDispersiveElements:
         assert abs((1.0 / y).real) < 1e-6
 
 
-class TestStackedDispersiveSlots:
-    """``stacked_admittances`` over dispersive element families."""
-
-    OMEGAS = 2.0 * math.pi * np.linspace(100e6, 2e9, 17)
-
-    def test_shared_model_fast_path_bit_identical(self):
-        model = SkinEffectQModel()
-        members = [
-            dispersive_inductor(f"L{i}", "a", "b", (10 + 5 * i) * 1e-9, model)
-            for i in range(6)
-        ]
-        stacked = stacked_admittances(members, self.OMEGAS)
-        for row, element in zip(stacked, members):
-            np.testing.assert_array_equal(
-                row, element.admittances(self.OMEGAS)
-            )
-
-    def test_shared_model_capacitors_bit_identical(self):
-        model = SubstrateLossQModel()
-        members = [
-            dispersive_capacitor(f"C{i}", "a", "b", (5 + i) * 1e-12, model)
-            for i in range(6)
-        ]
-        stacked = stacked_admittances(members, self.OMEGAS)
-        for row, element in zip(stacked, members):
-            np.testing.assert_array_equal(
-                row, element.admittances(self.OMEGAS)
-            )
-
-    def test_mixed_models_fall_back_bit_identically(self):
-        members = [
-            dispersive_inductor(
-                f"L{i}", "a", "b", 20e-9, SkinEffectQModel(q0_inductor=20 + i)
-            )
-            for i in range(4)
-        ]
-        stacked = stacked_admittances(members, self.OMEGAS)
-        for row, element in zip(stacked, members):
-            np.testing.assert_array_equal(
-                row, element.admittances(self.OMEGAS)
-            )
-
-    def test_mixed_element_kinds_fall_back(self):
-        members = [
-            dispersive_inductor("L0", "a", "b", 20e-9, SkinEffectQModel()),
-            Inductor("L1", "a", "b", 20e-9, series_resistance=0.5),
-        ]
-        stacked = stacked_admittances(members, self.OMEGAS)
-        for row, element in zip(stacked, members):
-            np.testing.assert_array_equal(
-                row, element.admittances(self.OMEGAS)
-            )
-
-    def test_c_par_rows_guarded(self):
-        model = SkinEffectQModel()
-        members = [
-            dispersive_inductor("L0", "a", "b", 20e-9, model),
-            dispersive_inductor("L1", "a", "b", 30e-9, model, c_par=1e-13),
-        ]
-        stacked = stacked_admittances(members, self.OMEGAS)
-        for row, element in zip(stacked, members):
-            np.testing.assert_array_equal(
-                row, element.admittances(self.OMEGAS)
-            )
-
-
 class TestBuildRouting:
     SPEC = if_filter_spec(1)
 
@@ -381,43 +291,6 @@ class TestBuildRouting:
         assert disp_losses[0] < frozen_losses[0]
         assert disp_losses[0] != frozen_losses[0]
 
-    def test_family_measurement_bit_identical_per_filter(self):
-        design = synthesize_bandpass(self.SPEC)
-        models = [
-            SummitQModel(),
-            SkinEffectQModel(),
-            MEASURED_SUMMIT_TABLE,
-            DispersiveQModel(SummitQModel()),
-        ]
-        circuits = [build_bandpass_circuit(design, m) for m in models]
-        family = measure_filter_family(self.SPEC, circuits)
-        for circuit, stacked_result in zip(circuits, family):
-            single = measure_filter(self.SPEC, circuit)
-            assert single == stacked_result
-
-    def test_stacked_family_sweep_bit_identical(self):
-        design = synthesize_bandpass(self.SPEC)
-        circuits = [
-            build_bandpass_circuit(design, SkinEffectQModel(q0_inductor=q))
-            for q in (10.0, 20.0, 40.0)
-        ]
-        grid = np.linspace(170e6, 180e6, 31)
-        stacked = sweep_grid_stacked(circuits, grid)
-        for member, circuit in enumerate(circuits):
-            np.testing.assert_array_equal(
-                stacked.s_matrices[member],
-                sweep_grid(circuit, grid).s_matrices,
-            )
-
-    def test_assess_chain_many_matches_per_chain_with_dispersive(self):
-        chains = [
-            technology_assignments(3),
-            technology_assignments(3, q_model=SubstrateLossQModel()),
-            technology_assignments(4, q_model=MEASURED_SUMMIT_TABLE),
-        ]
-        stacked = assess_chain_many(chains)
-        for chain, result in zip(chains, stacked):
-            assert assess_chain(chain) == result
 
 
 class TestProcessThreading:
@@ -471,23 +344,6 @@ class TestProcessThreading:
         circuit = build_bandpass_circuit(design, mixed)
         kinds = {type(e) for e in circuit.elements}
         assert kinds == {DispersiveInductor, DispersiveCapacitor}
-
-
-def test_stacked_gps_family_circuit() -> None:
-    """A realistic mixed family: constant and dispersive members stack."""
-    spec = if_filter_spec(2)
-    design = synthesize_bandpass(spec)
-    members = [
-        build_bandpass_circuit(design, SummitQModel()),
-        build_bandpass_circuit(design, SkinEffectQModel()),
-        build_bandpass_circuit(design, None),
-    ]
-    grid = np.linspace(165e6, 185e6, 11)
-    stacked = sweep_grid_stacked(members, grid)
-    for member, circuit in enumerate(members):
-        np.testing.assert_array_equal(
-            stacked.s_matrices[member], sweep_grid(circuit, grid).s_matrices
-        )
 
 
 def test_circuit_convenience_constructors() -> None:

@@ -34,14 +34,11 @@ from repro.core.adaptive import (
     run_adaptive_sweep,
     spill_adaptive_sweep,
 )
-from repro.core.executors import (
-    AsyncExecutor,
-    ChunkedStackedExecutor,
-    SerialExecutor,
-)
+from repro.core.executors import AsyncExecutor, SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
 from repro.core.pareto import first_dominators, margin_dominators
+from repro.core.sharding import ShardedExecutor
 from repro.core.sweep import (
     DesignPoint,
     SweepGrid,
@@ -179,7 +176,7 @@ class TestDifferentialAdaptive:
             for executor in (
                 SerialExecutor(),
                 AsyncExecutor(jobs=3),
-                ChunkedStackedExecutor(chunk_size=2),
+                ShardedExecutor(shards=2),
             )
         ]
         baseline = reports[0]

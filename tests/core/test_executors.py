@@ -10,11 +10,16 @@ focus on the scheduling machinery itself.
 
 from __future__ import annotations
 
-import pytest
+import math
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import executors
 from repro.core.executors import (
     AsyncExecutor,
-    ChunkedStackedExecutor,
     ENGINE_ENV,
     ENGINE_NAMES,
     JOBS_ENV,
@@ -26,11 +31,14 @@ from repro.core.executors import (
     make_executor,
     resolve_executor,
 )
+from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
 from repro.core.sweep import (
     DesignPoint,
     EvaluationCache,
+    SweepGrid,
     run_design_sweep,
+    stream_design_sweep,
 )
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
@@ -76,7 +84,6 @@ class TestMakeExecutor:
     def test_names(self):
         assert make_executor("serial").name == "serial"
         assert make_executor("process", 2).name == "process"
-        assert make_executor("stacked").name == "stacked"
         assert make_executor("sharded", shards=2).name == "sharded"
         assert make_executor("async", 2).name == "async"
 
@@ -100,11 +107,6 @@ class TestMakeExecutor:
             MultiprocessExecutor(0)
         assert MultiprocessExecutor(3).jobs == 3
         assert MultiprocessExecutor().jobs >= 1
-
-    def test_stacked_chunk_size_validated(self):
-        with pytest.raises(SpecificationError):
-            ChunkedStackedExecutor(0)
-        assert ChunkedStackedExecutor(8).chunk_size == 8
 
     def test_async_jobs_validated(self):
         with pytest.raises(SpecificationError):
@@ -224,18 +226,6 @@ class TestCacheMerge:
         left.merge(right)
         assert left.cost("flow", 1.0, lambda: "recomputed") == "mine"
 
-    def test_seed_performance_counts_nothing(self):
-        cache = EvaluationCache()
-        key = EvaluationCache.performance_key([("spec", None)])
-        cache.seed_performance(key, "chain")
-        assert cache.has_performance(key)
-        assert cache.hits == 0 and cache.misses == 0
-        assert (
-            cache.performance([("spec", None)], lambda: "recomputed")
-            == "chain"
-        )
-        assert cache.hits == 1
-
 
 class TestEnginesAgree:
     POINTS = [DesignPoint(volume=v) for v in (1e3, 1e4, 1e5, 1e6, 1e7)]
@@ -255,11 +245,6 @@ class TestEnginesAgree:
         assert [c.point for c in process_cells] == [
             c.point for c in serial_cells
         ]
-
-    def test_stacked_engine_matches_serial(self):
-        _, serial_rows = self._cells(SerialExecutor())
-        _, stacked_rows = self._cells(ChunkedStackedExecutor(chunk_size=2))
-        assert stacked_rows == serial_rows
 
     def test_process_engine_merges_worker_caches(self):
         cache = EvaluationCache()
@@ -433,3 +418,100 @@ class TestAsyncStreaming:
         next(iterator)
         iterator.close()  # the generator's finally joins the worker
         assert len(calls) < len(many)
+
+
+def _nre_flow(area_cm2: float) -> ProductionFlow:
+    """A toy flow whose unit cost falls with volume (amortised NRE)."""
+    flow = ProductionFlow(name="toy-nre", nre=5_000.0 * area_cm2)
+    flow.add(CarrierStep("ID1", "carrier", unit_cost=10.0 + area_cm2))
+    flow.add(TestStep("ID2", "test", test_cost=1.0))
+    return flow
+
+
+def family_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
+    """Volume-invariant two-candidate factory (takes the batched fill)."""
+    footprints = [Footprint("chip", 25.0, MountKind.PACKAGED)]
+    return [
+        CandidateBuildUp(
+            name="ref",
+            footprints=footprints,
+            substrate_rule=PCB_RULE,
+            flow_factory=_nre_flow,
+            fixed_performance=1.0,
+        ),
+        CandidateBuildUp(
+            name="alt",
+            footprints=footprints * 3,
+            substrate_rule=PCB_RULE,
+            flow_factory=_flow,
+            fixed_performance=0.9,
+        ),
+    ]
+
+
+family_candidates.volume_invariant = True
+
+#: Distinct FoM weight vectors: each one is its own volume family.
+WEIGHT_POOL = (
+    None,
+    FomWeights(performance=2.0),
+    FomWeights(size=0.5, cost=2.0),
+)
+
+
+class TestSerialBlockStreaming:
+    """``SerialExecutor.iter_cells`` streams family-batched blocks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        volumes=st.lists(
+            st.floats(min_value=1e2, max_value=1e7),
+            min_size=3,
+            max_size=12,
+            unique=True,
+        ),
+        families=st.integers(min_value=2, max_value=len(WEIGHT_POOL)),
+        block=st.integers(min_value=1, max_value=5),
+    )
+    def test_blocks_match_run_sweep_cells_and_stats(
+        self, volumes, families, block
+    ):
+        points = SweepGrid(
+            volumes=tuple(volumes), fom_weights=WEIGHT_POOL[:families]
+        ).points()
+        assert len(points) > block
+        run_cache = EvaluationCache()
+        whole = SerialExecutor().run_sweep(
+            points, family_candidates, 0, FomWeights(), run_cache
+        )
+        stream_cache = EvaluationCache()
+        with mock.patch.object(executors, "STREAM_BLOCK", block):
+            streamed = list(
+                SerialExecutor().iter_cells(
+                    points, family_candidates, 0, FomWeights(), stream_cache
+                )
+            )
+        assert [index for index, _ in streamed] == list(range(len(points)))
+        assert [cell for _, cell in streamed] == whole
+        assert stream_cache.stats() == run_cache.stats()
+
+    def test_default_stream_evaluates_block_by_block(self, monkeypatch):
+        """One ``evaluate_cells`` call per block, none per point."""
+        points = SweepGrid(
+            volumes=tuple(float(v) for v in range(1, 8)),
+            fom_weights=WEIGHT_POOL[:2],
+        ).points()
+        block = 4
+        calls = []
+        evaluate = executors.evaluate_cells
+
+        def counting(block_points, *args):
+            calls.append(len(block_points))
+            return evaluate(block_points, *args)
+
+        monkeypatch.setattr(executors, "STREAM_BLOCK", block)
+        monkeypatch.setattr(executors, "evaluate_cells", counting)
+        streamed = list(stream_design_sweep(points, family_candidates))
+        assert [item.index for item in streamed] == list(range(len(points)))
+        assert len(calls) == math.ceil(len(points) / block)
+        assert calls == [4, 4, 4, 2]

@@ -35,8 +35,9 @@ from hypothesis import strategies as st
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
-from repro.core import framestore
+from repro.core import executors, framestore
 from repro.core.executors import SerialExecutor
+from repro.core.figure_of_merit import FomWeights
 from repro.core.framestore import (
     CHUNK_FORMAT,
     MANIFEST_NAME,
@@ -60,7 +61,12 @@ from repro.core.sharding import (
     shard_filename,
     write_shard_artifact,
 )
-from repro.core.sweep import DesignPoint, run_design_sweep
+from repro.core.sweep import (
+    DesignPoint,
+    SweepGrid,
+    family_runs,
+    run_design_sweep,
+)
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
@@ -424,6 +430,58 @@ class TestSpillDesignSweep:
             spill_design_sweep(
                 [], fixed_candidates, tmp_path / "s", max_rows_in_memory=3
             )
+
+    def test_block_boundary_inside_a_family_is_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """Streaming blocks that cut volume families in two must spill
+        the same files — chunks and manifest with its cache stats — as
+        spilling the whole grid evaluated in RAM first."""
+        grid = SweepGrid(
+            volumes=(1e3, 1e4, 1e5), fom_weights=(None, FomWeights(cost=2.0))
+        )
+        # Volume-major order interleaves the two families; a 3-point
+        # block ends mid-way through both of them.
+        assert family_runs(grid.points()) == [[0, 2, 4], [1, 3, 5]]
+        monkeypatch.setattr(executors, "STREAM_BLOCK", 3)
+        blocked = spill_design_sweep(
+            grid, volume_invariant_candidates, tmp_path / "blocked", 5
+        )
+        in_ram = spill_design_sweep(
+            grid,
+            volume_invariant_candidates,
+            tmp_path / "in-ram",
+            5,
+            executor=_WholeGridExecutor(),
+        )
+        assert blocked.meta["cache_stats"] == in_ram.meta["cache_stats"]
+        assert _tree_bytes(tmp_path / "blocked") == _tree_bytes(
+            tmp_path / "in-ram"
+        )
+
+
+def volume_invariant_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
+    """:func:`fixed_candidates`, declared volume-invariant."""
+    return fixed_candidates(point)
+
+
+volume_invariant_candidates.volume_invariant = True
+
+
+class _WholeGridExecutor:
+    """An engine without ``iter_cells``: the stream evaluates the whole
+    grid in one serial call before it yields any cell."""
+
+    name = "whole-grid"
+
+    def run_sweep(self, *args):
+        return SerialExecutor().run_sweep(*args)
+
+
+def _tree_bytes(directory: Path) -> dict:
+    return {
+        path.name: path.read_bytes() for path in sorted(directory.iterdir())
+    }
 
 
 # -- fault injection ---------------------------------------------------

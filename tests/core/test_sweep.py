@@ -13,12 +13,10 @@ from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import assess_candidate, assess_candidate_batch
 from repro.core.sweep import (
-    BATCH_FILL_ENV,
     DesignPoint,
     EvaluationCache,
     NreScenario,
     SweepGrid,
-    batch_fill_enabled,
     evaluate_cells,
     family_runs,
     run_design_sweep,
@@ -32,6 +30,8 @@ from repro.gps.study import (
 )
 from repro.passives.thin_film import SI3N4_PROCESS
 from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
+
+from per_point import per_point_cells
 
 IMPL3 = "MCM-D(Si)/FC/IP"
 IMPL4 = "MCM-D(Si)/FC/IP&SMD"
@@ -222,28 +222,6 @@ class TestBatchedFill:
         tolerances=(None, PRECISION_CLASS),
     )
 
-    def test_env_gate_parsing(self, monkeypatch):
-        for raw, expected in (
-            ("", True),
-            ("1", True),
-            ("true", True),
-            ("on", True),
-            ("batch", True),
-            ("0", False),
-            ("false", False),
-            ("off", False),
-            ("scalar", False),
-        ):
-            monkeypatch.setenv(BATCH_FILL_ENV, raw)
-            assert batch_fill_enabled() is expected
-        monkeypatch.delenv(BATCH_FILL_ENV)
-        assert batch_fill_enabled() is True
-
-    def test_env_gate_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(BATCH_FILL_ENV, "bogus")
-        with pytest.raises(SpecificationError, match=BATCH_FILL_ENV):
-            batch_fill_enabled()
-
     def test_family_runs_groups_across_volume_major_stride(self):
         points = self.GRID.points()
         families = family_runs(points)
@@ -267,15 +245,13 @@ class TestBatchedFill:
             0,
             FomWeights(),
             EvaluationCache(),
-            fill="batch",
         )
-        scalar = evaluate_cells(
+        scalar = per_point_cells(
             self.GRID.points(),
             sweep_candidates,
             0,
             FomWeights(),
             EvaluationCache(),
-            fill="scalar",
         )
         assert len(batched) == len(scalar)
         for fast, slow in zip(batched, scalar):
@@ -291,10 +267,10 @@ class TestBatchedFill:
                 )
 
     def test_fills_report_equal_stat_totals(self):
-        """Hit/miss *splits* may differ between the fills (the batched
-        fill seeds placements ahead of the lookups) but the totals per
-        table may not — every sub-result is still resolved exactly
-        once per point."""
+        """Hit/miss *splits* may differ between the batched fill and
+        the per-point loop (the batched fill seeds placements ahead of
+        the lookups) but the totals per table may not — every
+        sub-result is still resolved exactly once per point."""
         batch_cache = EvaluationCache()
         scalar_cache = EvaluationCache()
         evaluate_cells(
@@ -303,15 +279,13 @@ class TestBatchedFill:
             0,
             FomWeights(),
             batch_cache,
-            fill="batch",
         )
-        evaluate_cells(
+        per_point_cells(
             self.GRID.points(),
             sweep_candidates,
             0,
             FomWeights(),
             scalar_cache,
-            fill="scalar",
         )
         fast, slow = batch_cache.stats(), scalar_cache.stats()
         for table in fast["tables"]:
@@ -323,35 +297,15 @@ class TestBatchedFill:
                 + slow["tables"][table]["misses"]
             )
 
-    def test_bad_fill_rejected(self):
-        with pytest.raises(SpecificationError, match="fill"):
-            evaluate_cells(
-                [DesignPoint()],
-                sweep_candidates,
-                0,
-                FomWeights(),
-                EvaluationCache(),
-                fill="vector",
-            )
-
-    def test_env_gate_controls_default_fill(self, monkeypatch):
-        """With the env off, the default fill runs scalar — same rows."""
-        monkeypatch.setenv(BATCH_FILL_ENV, "0")
-        off = run_gps_sweep(self.GRID)
-        monkeypatch.setenv(BATCH_FILL_ENV, "1")
-        on = run_gps_sweep(self.GRID)
-        assert on.rows == off.rows
-
-    def test_unknown_factory_stays_scalar(self, monkeypatch):
+    def test_unknown_factory_stays_scalar(self):
         """A factory without the volume_invariant marker must not be
-        re-grouped even when the env allows batching."""
+        re-grouped into volume families."""
         calls = []
 
         def counting_factory(point):
             calls.append(point)
             return sweep_candidates(point)
 
-        monkeypatch.setenv(BATCH_FILL_ENV, "1")
         points = self.GRID.points()
         evaluate_cells(
             points,
@@ -360,7 +314,7 @@ class TestBatchedFill:
             FomWeights(),
             EvaluationCache(),
         )
-        # Scalar fill: the factory runs once per point, not per family.
+        # Per-point path: the factory runs once per point, not per family.
         assert len(calls) == len(points)
 
     def test_assess_candidate_batch_matches_looped(self):

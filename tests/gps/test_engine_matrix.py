@@ -3,7 +3,7 @@
 This is the systematic replacement for the ad-hoc per-engine
 comparisons that used to live in ``test_engines.py``: one parametrised
 matrix that runs a small GPS sweep through *every* execution engine
-(process, stacked, sharded, async — serial is the reference) under
+(process, sharded, async — serial is the reference) under
 *every* Q-model scenario class (constant-Q, dispersive, custom
 ``tan=``) and asserts the rows are byte-identical to the serial
 engine — dataclass equality on ``SweepRow`` compares every float
@@ -33,8 +33,10 @@ from repro.core.sharding import (
     merge_shard_artifacts,
     payload_to_artifact,
 )
-from repro.core.sweep import SweepGrid
+from repro.core.figure_of_merit import FomWeights
+from repro.core.sweep import EvaluationCache, SweepGrid, frame_for_cells
 from repro.gps.study import (
+    GpsSweepFactory,
     run_gps_queue_worker,
     run_gps_shard,
     run_gps_sweep,
@@ -42,10 +44,11 @@ from repro.gps.study import (
 )
 from repro.passives.tolerance import PRECISION_CLASS
 
+from per_point import per_point_cells
+
 #: Engine name -> factory.  Serial is the reference, not a column.
 ENGINES = {
     "process": lambda: make_executor("process", jobs=2),
-    "stacked": lambda: make_executor("stacked"),
     "sharded": lambda: ShardedExecutor(shards=3),
     "async": lambda: make_executor("async", jobs=2),
 }
@@ -95,20 +98,21 @@ class TestEngineMatrix:
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_GRIDS))
     def test_scalar_fill_byte_identical_to_batched(
-        self, serial_reports, scenario, monkeypatch
+        self, serial_reports, scenario
     ):
-        """The serial reference runs the batched family fill by
-        default; forcing the scalar per-point fill through the env gate
-        must hit the same bytes under every scenario class."""
-        from repro.core.sweep import BATCH_FILL_ENV
-
-        monkeypatch.setenv(BATCH_FILL_ENV, "0")
-        report = run_gps_sweep(
-            SCENARIO_GRIDS[scenario], executor=make_executor("serial")
+        """The serial reference runs the batched family fill; the
+        per-point loop must hit the same bytes under every scenario
+        class."""
+        cells = per_point_cells(
+            SCENARIO_GRIDS[scenario].points(),
+            GpsSweepFactory(),
+            0,
+            FomWeights(),
+            EvaluationCache(),
         )
         reference = serial_reports[scenario]
-        assert report.rows == reference.rows
-        assert [cell.point for cell in report.cells] == [
+        assert frame_for_cells(cells) == reference.frame
+        assert [cell.point for cell in cells] == [
             cell.point for cell in reference.cells
         ]
 

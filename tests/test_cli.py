@@ -248,70 +248,13 @@ class TestSweepCommand:
             assert record[6] == "1:1:0"
 
 
-class TestSweepFill:
-    """The --fill flag and the REPRO_SWEEP_BATCH env gate."""
-
-    ARGS = ["sweep", "--csv", "--volumes", "1e3,1e4", "--tolerances",
-            "paper,precision"]
-
-    def test_scalar_fill_csv_identical_to_default(self, capsys):
-        assert main(self.ARGS) == 0
-        reference = capsys.readouterr().out
-        assert main(self.ARGS + ["--fill", "scalar"]) == 0
-        assert capsys.readouterr().out == reference
-        assert main(self.ARGS + ["--fill", "batch"]) == 0
-        assert capsys.readouterr().out == reference
-
-    def test_invalid_fill_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--fill", "vector"])
-        assert excinfo.value.code == 2
-
-    def test_bad_env_gate_exits_2(self, capsys, monkeypatch):
-        from repro.core.sweep import BATCH_FILL_ENV
-
-        monkeypatch.setenv(BATCH_FILL_ENV, "bogus")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep"])
-        assert excinfo.value.code == 2
-        assert "REPRO_SWEEP_BATCH" in capsys.readouterr().err
-
-    def test_fill_flag_restores_env(self, capsys, monkeypatch):
-        """--fill must not leak its env override past the command."""
-        import os
-
-        from repro.core.sweep import BATCH_FILL_ENV
-
-        monkeypatch.delenv(BATCH_FILL_ENV, raising=False)
-        assert main(self.ARGS + ["--fill", "scalar"]) == 0
-        capsys.readouterr()
-        assert BATCH_FILL_ENV not in os.environ
-
-        monkeypatch.setenv(BATCH_FILL_ENV, "1")
-        assert main(self.ARGS + ["--fill", "scalar"]) == 0
-        capsys.readouterr()
-        assert os.environ[BATCH_FILL_ENV] == "1"
-
-    def test_scalar_fill_env_csv_identical_to_default(
-        self, capsys, monkeypatch
-    ):
-        from repro.core.sweep import BATCH_FILL_ENV
-
-        monkeypatch.delenv(BATCH_FILL_ENV, raising=False)
-        assert main(self.ARGS) == 0
-        reference = capsys.readouterr().out
-        monkeypatch.setenv(BATCH_FILL_ENV, "0")
-        assert main(self.ARGS) == 0
-        assert capsys.readouterr().out == reference
-
-
 class TestSweepEngines:
     """The --engine / --jobs / --cache-stats surface."""
 
     @staticmethod
     def _table_lines(out: str) -> list[str]:
         # The memo tally is engine-dependent by design (each process
-        # worker starts cold; the stacked engine pre-seeds); everything
+        # worker starts cold); everything
         # else — every number in every row — must match exactly.
         return [
             line
@@ -320,7 +263,7 @@ class TestSweepEngines:
         ]
 
     @pytest.mark.parametrize(
-        "engine", ["serial", "process", "stacked", "sharded", "async"]
+        "engine", ["serial", "process", "sharded", "async"]
     )
     def test_engines_print_identical_tables(self, engine, capsys):
         assert main(["sweep", "--engine", "serial"]) == 0
@@ -343,25 +286,6 @@ class TestSweepEngines:
             assert table in out
         assert "entries" in out
 
-    def test_cache_stats_with_stacked_engine(self, capsys):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--engine",
-                    "stacked",
-                    "--volumes",
-                    "1e3,1e4",
-                    "--cache-stats",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        # The stacked engine pre-seeds every chain, so the per-point
-        # evaluation hits the performance table on every lookup.
-        assert "performance: 8 hits / 0 misses" in out
-
     def test_csv_keeps_stdout_clean_with_cache_stats(self, capsys):
         assert main(["sweep", "--csv", "--cache-stats"]) == 0
         captured = capsys.readouterr()
@@ -372,6 +296,12 @@ class TestSweepEngines:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--engine", "quantum"])
         assert excinfo.value.code == 2
+
+    def test_stacked_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--engine", "stacked"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'stacked'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
     def test_bad_jobs_rejected(self, jobs):
