@@ -11,10 +11,11 @@ instead of per-object speed.  This benchmark pins that claim on a
   O(n²) Pareto loop (``pareto_front_pointwise``, kept in
   :mod:`repro.core.pareto` as the reference), and format the CSV row
   by row through ``as_dict``.  The row path's Pareto scan grows
-  quadratically while the frame path stays near O(front × n); at this
-  grid size (20k rows) the pipeline measures ~9.5x against the 5x
-  gate, and the best-of-N timing keeps runner noise (which only ever
-  *inflates* a best-of) from eating that margin;
+  quadratically while the frame path's exact sort-and-sweep is
+  O(n log n); at this grid size (20k rows) the pipeline measures
+  ~18x against the 5x gate, and the best-of-N timing keeps runner
+  noise (which only ever *inflates* a best-of) from eating that
+  margin;
 * **frame path** (what the library actually does now): rebuild one
   ``ResultFrame`` per shard from the columnar payload, concatenate and
   stable-sort into canonical order, take the vectorised

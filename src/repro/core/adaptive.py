@@ -62,7 +62,7 @@ import numpy as np
 from ..circuits.qfactor import SubstrateLossQModel
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
-from .pareto import first_dominators, margin_dominators
+from .pareto import dominated_by
 from .resultframe import ResultFrame
 from .sweep import (
     DesignPoint,
@@ -217,18 +217,30 @@ def global_front_mask(
     needs dominance across the whole evaluated set.  Objectives are the
     frame's ``performance`` (maximised) and ``area_percent`` /
     ``cost_percent`` (minimised); ``margin = 0`` asks for the exact
-    front via :func:`~repro.core.pareto.first_dominators`, a positive
-    margin widens membership to rows whose margin-boosted copy would
-    survive (:func:`~repro.core.pareto.margin_dominators`).
+    front (:meth:`ResultFrame.pareto_mask`).  A positive margin widens
+    membership to rows whose fictitious improved copy — performance
+    scaled up by ``1 + margin``, size and cost ratios scaled down by
+    the same factor — no *original* row dominates: such a row is on
+    the front or within the relative margin of it.  Objectives are
+    non-negative throughout the study, so the margin is a relative
+    factor that composes with the log-scale volume axis.  Both verdicts
+    come from :func:`~repro.core.pareto.dominated_by`.
     """
+    if not np.isfinite(margin) or margin < 0.0:
+        raise SpecificationError(
+            f"dominance margin must be a finite non-negative factor, got {margin!r}"
+        )
+    if margin == 0.0:
+        return frame.pareto_mask()
     performance = frame.column("performance")
     area = frame.column("area_percent")
     cost = frame.column("cost_percent")
-    if margin == 0.0:
-        dominator = first_dominators(performance, area, cost)
-    else:
-        dominator = margin_dominators(performance, area, cost, margin)
-    return dominator < 0
+    boost = 1.0 + margin
+    originals = np.column_stack([-performance, area, cost])
+    boosted = np.column_stack(
+        [-(performance * boost), area / boost, cost / boost]
+    )
+    return ~dominated_by(originals, boosted)
 
 
 def _front_cells(
@@ -407,9 +419,9 @@ def run_adaptive_sweep(
         Relative dominance margin for choosing which cells to refine
         around: ``0`` refines only exact front members, ``0.05`` also
         refines cells whose rows come within 5 % of the front
-        (:func:`~repro.core.pareto.margin_dominators`).  Widening the
-        margin trades evaluations for robustness against fronts that
-        shift as refinement fills the grid in.
+        (:func:`global_front_mask`).  Widening the margin trades
+        evaluations for robustness against fronts that shift as
+        refinement fills the grid in.
     coarse:
         Ranks the coarse pass keeps per refinable axis (endpoints
         always included; categorical values are always swept in full).

@@ -53,7 +53,7 @@ import numpy as np
 from ..errors import SpecificationError
 from .executors import CandidateFactory, Executor, SerialExecutor
 from .figure_of_merit import FomWeights
-from .pareto import nondominated_mask
+from .pareto import dominated_by
 from .queue import _write_json_atomic
 from .resultframe import ResultFrame
 from .sharding import (
@@ -84,11 +84,6 @@ MANIFEST_NAME = "framestore.json"
 
 #: Environment switch for the out-of-core row budget (unset: in-RAM).
 MAX_ROWS_ENV = "REPRO_SWEEP_MAX_ROWS"
-
-#: Upper bound on the transient boolean buffers of the blocked
-#: front-vs-block dominance sweep (same budget as ``pareto.py``).
-_BLOCK_BUDGET = 4_000_000
-
 
 class FrameStoreError(SpecificationError):
     """A chunked frame store cannot be (safely) read or written."""
@@ -561,44 +556,6 @@ def store_matches(
 # -- chunked Pareto ---------------------------------------------------
 
 
-def _dominated_by(candidates: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Which ``targets`` rows some ``candidates`` row dominates.
-
-    Both arrays are ``(k, 3)`` / ``(m, 3)`` objective matrices already
-    oriented for *minimisation* on every column.  Evaluated in blocks
-    of target columns so the transient boolean buffers stay under the
-    same few-megabyte budget as :func:`repro.core.pareto.first_dominators`;
-    NaN rows neither dominate nor are dominated (every comparison is
-    False), exactly like the in-RAM kernels.
-    """
-    k = candidates.shape[0]
-    m = targets.shape[0]
-    out = np.zeros(m, dtype=bool)
-    if k == 0 or m == 0:
-        return out
-    cp = candidates[:, 0]
-    cs = candidates[:, 1]
-    cc = candidates[:, 2]
-    block = max(1, min(m, _BLOCK_BUDGET // k))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        tp = targets[start:stop, 0]
-        ts = targets[start:stop, 1]
-        tc = targets[start:stop, 2]
-        at_least = (
-            (cp[:, None] <= tp[None, :])
-            & (cs[:, None] <= ts[None, :])
-            & (cc[:, None] <= tc[None, :])
-        )
-        strictly = (
-            (cp[:, None] < tp[None, :])
-            | (cs[:, None] < ts[None, :])
-            | (cc[:, None] < tc[None, :])
-        )
-        out[start:stop] = (at_least & strictly).any(axis=0)
-    return out
-
-
 def chunked_nondominated_mask(blocks) -> np.ndarray:
     """Global non-dominated mask over blocks of objective arrays.
 
@@ -610,17 +567,15 @@ def chunked_nondominated_mask(blocks) -> np.ndarray:
     front is ever resident.
 
     The algorithm carries the exact Pareto front of everything seen so
-    far.  Per block: (1) points some front member dominates are marked
-    dominated — complete, because strict dominance is transitive, so
-    any dominated point has a *maximal* dominator, which by the
-    invariant sits on the carried front; (2) the survivors are
-    self-filtered with the in-RAM kernel (a survivor dominated only by
-    a dominated in-block point would, by transitivity, be dominated by
-    that point's front-member dominator and already be gone); (3) front
-    members the block's new front points dominate are retired — their
-    already-emitted mask bit is rewritten to False — and the front is
-    extended with the block's new points.  Duplicates across blocks
-    both survive and NaN rows survive, exactly as in-RAM.
+    far and, per block, ranks the carried front and the block together
+    with :func:`~repro.core.pareto.dominated_by` — exact, because
+    strict dominance is transitive: a block point dominated by an
+    earlier, already-dropped point is also dominated by that point's
+    maximal dominator, which by the invariant sits on the carried
+    front.  Front members a block point dominates are retired (their
+    already-emitted mask bit is rewritten to False) and the front
+    becomes the combined survivors.  Duplicates across blocks both
+    survive and NaN rows survive, exactly as in-RAM.
     """
     masks: list[np.ndarray] = []
     front = np.empty((0, 3), dtype=np.float64)
@@ -638,25 +593,20 @@ def chunked_nondominated_mask(blocks) -> np.ndarray:
                 f"arrays, got shapes {perf.shape}, {size.shape}, "
                 f"{cost.shape}"
             )
-        objectives = np.column_stack([-perf, size, cost])
-        n = objectives.shape[0]
-        mask = np.zeros(n, dtype=bool)
-        survivors = ~_dominated_by(front, objectives)
-        local = objectives[survivors]
-        keep = nondominated_mask(-local[:, 0], local[:, 1], local[:, 2])
-        indices = np.flatnonzero(survivors)[keep]
-        mask[indices] = True
-        block_front = objectives[indices]
-        fallen = _dominated_by(block_front, front)
-        for position in np.flatnonzero(fallen):
+        combined = np.concatenate(
+            [front, np.column_stack([-perf, size, cost])]
+        )
+        keep = ~dominated_by(combined, combined)
+        alive = keep[: front.shape[0]]
+        mask = keep[front.shape[0]:]
+        for position in np.flatnonzero(~alive):
             owner, row = front_pos[position]
             masks[owner][row] = False
         masks.append(mask)
-        alive = ~fallen
-        front = np.concatenate([front[alive], block_front])
+        front = combined[keep]
         front_pos = [
             pos for pos, ok in zip(front_pos, alive) if ok
-        ] + [(block_no, int(row)) for row in indices]
+        ] + [(block_no, int(row)) for row in np.flatnonzero(mask)]
     if not masks:
         return np.zeros(0, dtype=bool)
     return np.concatenate(masks)

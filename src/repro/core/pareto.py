@@ -8,21 +8,25 @@ three axes can be discarded regardless of how the axes are weighted —
 which is exactly what happens to the paper's full-IP solution 3, beaten
 by solution 4 on performance, size *and* cost.
 
-Dominance itself is computed *vectorised*, by two kernels with one
-semantics: :func:`first_dominators` broadcasts the three objective
-arrays against themselves in bounded blocks and attributes the first
-dominator per point (what :func:`pareto_front` needs);
-:func:`nondominated_mask` answers only "who is on the front" by
-successive O(front × n) filtering — the kernel behind
-:meth:`repro.core.resultframe.ResultFrame.pareto_mask` on large
-frames.  :func:`pareto_front_pointwise` keeps the original per-point
-loop as the reference implementation (the same discipline as
-``repro.circuits.twoport.sweep_pointwise``); all three are locked
-equivalent by hypothesis in ``tests/core/test_resultframe.py``.
+Dominance has one exact primitive, :func:`dominated_by`: a
+sort-and-staircase sweep (Kung, Luccio & Preparata, JACM 1975) that
+answers "which targets does some candidate dominate" in O(n log n).
+Every mask — :func:`nondominated_mask` behind
+:meth:`repro.core.resultframe.ResultFrame.pareto_mask`, the adaptive
+driver's margin front and the out-of-core chunked front — is built on
+it.  :func:`first_dominators` broadcasts the objective arrays against
+themselves in bounded blocks to *attribute* the first dominator per
+point, which is what :func:`pareto_front` reports;
+:func:`pareto_front_pointwise` keeps the original per-point loop as the
+reference implementation (the same discipline as
+``repro.circuits.twoport.sweep_pointwise``).  The kernels are locked
+equivalent by hypothesis in ``tests/core/test_pareto_kernel.py`` and
+``tests/core/test_resultframe.py``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,83 +166,105 @@ def first_dominators(
     return dominator
 
 
-def margin_dominators(
-    performance, size, cost, margin: float = 0.0
-) -> np.ndarray:
-    """Index of the first point dominating a margin-boosted copy (``-1``: none).
+def dominated_by(candidates, targets) -> np.ndarray:
+    """Which ``targets`` rows some ``candidates`` row dominates.
 
-    Generalises :func:`first_dominators` for near-front queries: each
-    column point *j* is replaced by a fictitious improved copy — its
-    performance scaled up by ``1 + margin`` and its size and cost ratios
-    scaled down by the same factor — and that copy is tested against the
-    *original* points.  A point whose boosted copy is still dominated
-    sits decisively behind the front; a point that survives is on the
-    front or within the relative margin of it.  With ``margin = 0`` the
-    boost is the identity (multiplying and dividing by exactly ``1.0``)
-    and the verdicts coincide with :func:`first_dominators` bit for bit.
+    Both arguments are ``(k, 3)`` / ``(m, 3)`` objective matrices
+    oriented for *minimisation* on every column.  Candidate *c*
+    dominates target *t* when ``c <= t`` everywhere and ``c < t``
+    somewhere — the literal scalar definition, so an equal vector
+    (``-0.0 == 0.0`` included) never dominates, and a row carrying a
+    NaN neither dominates nor is dominated (every NaN comparison is
+    False).  Infinities compare like any other value.
 
-    Objectives are assumed non-negative, as everywhere in the study
-    (performance figures and percent ratios); the margin is a relative
-    factor, so it composes with the log-scale volume axis the adaptive
-    driver refines.
+    An exact sort-and-sweep (Kung, Luccio & Preparata, JACM 1975) in
+    O((k + m) log(k + m)) time and O(k + m) memory: the union of the
+    NaN-free rows is lex-sorted on the three columns and grouped into
+    equal vectors, so every strict dominator of a group sits in an
+    *earlier* group, never in its own.  The groups are swept in order
+    over a 2-D staircase of the candidates seen so far, on the last two
+    columns (size and cost in the study's orientation): sizes
+    ascending, costs strictly descending, maintained with
+    :mod:`bisect`.  Each group is queried against the staircase
+    *before* its own candidates are inserted.
     """
-    if not np.isfinite(margin) or margin < 0.0:
-        raise SpecificationError(
-            f"dominance margin must be a finite non-negative factor, got {margin!r}"
+    same = targets is candidates
+    candidates = np.asarray(candidates, dtype=np.float64)
+    targets = candidates if same else np.asarray(targets, dtype=np.float64)
+    for name, matrix in (("candidates", candidates), ("targets", targets)):
+        if matrix.ndim != 2 or matrix.shape[1] != 3:
+            raise SpecificationError(
+                f"dominance needs a (n, 3) {name} objective matrix, "
+                f"got shape {matrix.shape}"
+            )
+    out = np.zeros(targets.shape[0], dtype=bool)
+    valid = np.flatnonzero(~np.isnan(targets).any(axis=1))
+    if same:
+        # A self-query sorts the matrix once: each row plays both roles.
+        rows = targets[valid]
+        row_target = valid
+        row_is_candidate = np.ones(valid.shape[0], dtype=bool)
+    else:
+        cand = candidates[~np.isnan(candidates).any(axis=1)]
+        rows = np.concatenate([cand, targets[valid]])
+        row_target = np.concatenate(
+            [np.full(cand.shape[0], -1, dtype=valid.dtype), valid]
         )
-    perf = np.ascontiguousarray(performance, dtype=np.float64)
-    size = np.ascontiguousarray(size, dtype=np.float64)
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if not (perf.shape == size.shape == cost.shape) or perf.ndim != 1:
-        raise SpecificationError(
-            "dominance needs three equally-long 1-D objective arrays, "
-            f"got shapes {perf.shape}, {size.shape}, {cost.shape}"
-        )
-    boost = 1.0 + margin
-    n = perf.shape[0]
-    dominator = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return dominator
-    block = max(1, min(n, _BLOCK_BUDGET // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        p = perf[start:stop] * boost
-        s = size[start:stop] / boost
-        c = cost[start:stop] / boost
-        # dominates[i, j]: original point i dominates the boosted copy
-        # of column point start+j.
-        at_least = (
-            (perf[:, None] >= p[None, :])
-            & (size[:, None] <= s[None, :])
-            & (cost[:, None] <= c[None, :])
-        )
-        strictly = (
-            (perf[:, None] > p[None, :])
-            | (size[:, None] < s[None, :])
-            | (cost[:, None] < c[None, :])
-        )
-        dominates = at_least & strictly
-        found = dominates.any(axis=0)
-        first = dominates.argmax(axis=0)
-        view = dominator[start:stop]
-        view[found] = first[found]
-    return dominator
+        row_is_candidate = row_target < 0
+    if not row_is_candidate.any() or valid.shape[0] == 0:
+        return out
+    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+    ordered = rows[order]
+    # Group starts: the first row of every run of equal vectors.
+    new_group = np.concatenate(
+        [[True], (ordered[1:] != ordered[:-1]).any(axis=1)]
+    )
+    starts = np.flatnonzero(new_group)
+    group_has_candidate = np.logical_or.reduceat(
+        row_is_candidate[order], starts
+    )
+    sizes: list[float] = []
+    costs: list[float] = []
+    group_dominated = []
+    for size, cost, inserts in zip(
+        ordered[starts, 1].tolist(),
+        ordered[starts, 2].tolist(),
+        group_has_candidate.tolist(),
+    ):
+        # Staircase points with size <= this one end at ``hi``; the
+        # last of them carries the smallest cost.
+        hi = bisect_right(sizes, size)
+        dominated = hi > 0 and costs[hi - 1] <= cost
+        group_dominated.append(dominated)
+        if inserts and not dominated:
+            lo = bisect_left(sizes, size, 0, hi)
+            # Retire the steps the new point covers: size >= its size
+            # (from ``lo``) and cost >= its cost (a prefix of those,
+            # since costs descend).
+            stop = lo
+            while stop < len(costs) and costs[stop] >= cost:
+                stop += 1
+            sizes[lo:stop] = [size]
+            costs[lo:stop] = [cost]
+    verdict = np.asarray(group_dominated, dtype=bool)[
+        np.cumsum(new_group) - 1
+    ]
+    target = row_target[order]
+    is_target = target >= 0
+    out[target[is_target]] = verdict[is_target]
+    return out
 
 
 def nondominated_mask(performance, size, cost) -> np.ndarray:
-    """Boolean mask of the Pareto-optimal points (vectorised).
+    """Boolean mask of the Pareto-optimal points.
 
-    Successive non-dominated filtering: scan the surviving points in
-    order and discard everything the scanned point dominates, so each
-    pass is one vectorised comparison against the (shrinking) survivor
-    set and the total cost is O(front_size × n) — *not* the full n²
-    pairwise matrix :func:`first_dominators` evaluates (that one also
-    attributes a dominator per point, which the mask does not need).
-    Exact duplicates of a front point survive, matching the scalar
-    definition: equal points never dominate each other.
-
-    Equivalence with the per-point reference loop is hypothesis-locked
-    in ``tests/core/test_resultframe.py``.
+    ``~dominated_by(X, X)`` over the objectives oriented for
+    minimisation (performance negated): O(n log n), exact, and
+    bit-identical to ``first_dominators(...) < 0`` — exact duplicates
+    of a front point and NaN-bearing rows survive, matching the scalar
+    definition.  Equivalence with the per-point reference loop and the
+    broadcast kernels is hypothesis-locked in
+    ``tests/core/test_pareto_kernel.py``.
     """
     perf = np.asarray(performance, dtype=np.float64)
     size = np.asarray(size, dtype=np.float64)
@@ -248,29 +274,8 @@ def nondominated_mask(performance, size, cost) -> np.ndarray:
             "dominance needs three equally-long 1-D objective arrays, "
             f"got shapes {perf.shape}, {size.shape}, {cost.shape}"
         )
-    # Orient every objective for minimisation.
     objectives = np.column_stack([-perf, size, cost])
-    n = objectives.shape[0]
-    alive = np.arange(n)
-    scan = 0
-    while scan < objectives.shape[0]:
-        pivot = objectives[scan]
-        # Drop exactly the points the pivot dominates: at least as
-        # good everywhere, strictly better somewhere.  The literal
-        # scalar definition, so duplicates survive (never strictly
-        # better) and NaN-bearing rows/pivots survive too (every NaN
-        # comparison is False on both sides) — identical verdicts to
-        # :func:`first_dominators` and the pointwise loop.
-        dominated = np.all(pivot <= objectives, axis=1) & np.any(
-            pivot < objectives, axis=1
-        )
-        keep = ~dominated
-        objectives = objectives[keep]
-        alive = alive[keep]
-        scan = int(np.count_nonzero(keep[:scan])) + 1
-    mask = np.zeros(n, dtype=bool)
-    mask[alive] = True
-    return mask
+    return ~dominated_by(objectives, objectives)
 
 
 def _analysis_from_dominators(

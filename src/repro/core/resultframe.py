@@ -27,10 +27,9 @@ Design rules the rest of the stack relies on:
 * **Column order is :class:`SweepRow` field order**, so a frame's CSV
   header matches the historical ``SweepRow.as_dict`` key order.
 
-The vectorised dominance kernel behind :meth:`ResultFrame.pareto_mask`
-lives in :mod:`repro.core.pareto`
-(:func:`~repro.core.pareto.nondominated_mask`, successive O(front × n)
-filtering).
+The dominance kernel behind :meth:`ResultFrame.pareto_mask` lives in
+:mod:`repro.core.pareto` (:func:`~repro.core.pareto.nondominated_mask`,
+an exact O(n log n) sort-and-staircase sweep).
 """
 
 from __future__ import annotations
@@ -400,7 +399,7 @@ class ResultFrame:
     # -- vectorised queries ------------------------------------------
 
     def pareto_mask(self) -> np.ndarray:
-        """Mask of rows no other row dominates (vectorised dominance).
+        """Mask of rows no other row dominates (O(n log n) dominance).
 
         Orientation matches the per-cell study analysis: performance is
         maximised, ``area_percent`` and ``cost_percent`` minimised.

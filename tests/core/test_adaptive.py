@@ -11,8 +11,9 @@ The load-bearing properties, checked with hypothesis on random grids:
 * the evaluated subset never depends on the engine, only on the grid,
   the coarse sampling and the margin.
 
-Around it: the margin dominance kernel (``margin = 0`` coincides with
-:func:`~repro.core.pareto.first_dominators` bit for bit, growing
+Around it: the margin front (``margin = 0`` coincides with
+:func:`~repro.core.pareto.first_dominators` bit for bit, a positive
+margin with the broadcast ``margin_dominators`` reference, growing
 margins only widen survival), budget exhaustion, the single-pass
 "coarse covers everything = plain sweep" edge, spill integration and
 the parameter-validation matrix.
@@ -37,7 +38,7 @@ from repro.core.adaptive import (
 from repro.core.executors import AsyncExecutor, SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
-from repro.core.pareto import first_dominators, margin_dominators
+from repro.core.pareto import first_dominators
 from repro.core.sharding import ShardedExecutor
 from repro.core.sweep import (
     DesignPoint,
@@ -47,6 +48,8 @@ from repro.core.sweep import (
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
+
+from pareto_reference import margin_dominators, objective_frame
 
 #: Volumes the random grids draw from — wide enough that NRE
 #: amortisation moves the cost objective across the axis.
@@ -321,9 +324,13 @@ class TestMarginKernel:
     @given(points=objective_arrays)
     def test_zero_margin_equals_first_dominators(self, points):
         perf, size, cost = (np.asarray(axis) for axis in zip(*points))
+        dominators = first_dominators(perf, size, cost)
         assert margin_dominators(perf, size, cost, 0.0).tolist() == (
-            first_dominators(perf, size, cost).tolist()
+            dominators.tolist()
         )
+        assert global_front_mask(
+            objective_frame(perf, size, cost), 0.0
+        ).tolist() == (dominators < 0).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -335,12 +342,20 @@ class TestMarginKernel:
     )
     def test_growing_margin_only_widens_survival(self, points, margins):
         perf, size, cost = (np.asarray(axis) for axis in zip(*points))
+        frame = objective_frame(perf, size, cost)
         low, high = sorted(margins)
-        survives_low = margin_dominators(perf, size, cost, low) < 0
-        survives_high = margin_dominators(perf, size, cost, high) < 0
+        survives_low = global_front_mask(frame, low)
+        survives_high = global_front_mask(frame, high)
         assert np.all(survives_high >= survives_low)
+        for margin, survives in ((low, survives_low), (high, survives_high)):
+            assert survives.tolist() == (
+                margin_dominators(perf, size, cost, margin) < 0
+            ).tolist()
 
     def test_bad_margins_rejected(self):
+        frame = objective_frame([1.0], [1.0], [1.0])
         for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(SpecificationError):
+                global_front_mask(frame, bad)
             with pytest.raises(SpecificationError):
                 margin_dominators([1.0], [1.0], [1.0], bad)
