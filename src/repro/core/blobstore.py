@@ -1,0 +1,257 @@
+"""The storage primitive every on-disk container publishes through.
+
+Shard artifacts, warehouse frames and chunk-store chunks, their
+manifests, and the queue's manifest, leases and failure ledgers are
+all JSON files written and read here and nowhere else:
+
+* :func:`write_json` — atomic publication: a ``.tmp`` sibling, flushed,
+  fsynced and renamed over the destination with :func:`os.replace`.
+  A reader sees no file or a complete one, and a writer killed at any
+  instant leaves the destination absent or at its previous value
+  (:class:`ArtifactState`);
+* :func:`create_json_exclusive` — ``O_CREAT | O_EXCL``: one winner;
+* :func:`read_json` — the one strict reader: every failure raises the
+  caller's error class with the path in the message;
+* :func:`content_digest` / :func:`put_blob` / :func:`get_blob` —
+  content addressing: a blob's file name embeds the digest of its
+  canonical JSON, and it is read back only by a bare name inside its
+  container directory, verified against the digest its manifest
+  recorded.
+
+Each container keeps its own manifest layout and revision counter and
+republishes the manifest with :func:`write_json` after its blob lands.
+"""
+
+from __future__ import annotations
+
+import enum
+import hashlib
+import json
+import os
+from pathlib import Path
+from typing import Callable, Optional, Union
+
+from ..errors import SpecificationError
+
+PathLike = Union[str, Path]
+
+#: The caller's error class: every read failure is raised as one.
+ErrorClass = type[SpecificationError]
+
+
+def canonical_json(payload) -> str:
+    """Deterministic JSON text: sorted keys, no whitespace, exact floats.
+
+    The single serialisation used for content digests *and* query
+    responses, so "byte-identical" means the same thing everywhere.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def content_digest(payload) -> str:
+    """Content digest of a payload: SHA-256 of its canonical JSON, 16 hex."""
+    return hashlib.sha256(
+        canonical_json(payload).encode("utf-8")
+    ).hexdigest()[:16]
+
+
+# -- the write protocol ------------------------------------------------
+
+
+class ArtifactState(enum.Enum):
+    """Durability state of one published path.
+
+    The write protocol gives every path exactly three observable
+    states, which is what lets watchers poll a directory safely:
+
+    * ``ABSENT`` — neither the file nor its temp sibling exists;
+    * ``PENDING`` — only the ``.tmp`` sibling exists: a writer is
+      mid-serialisation, or died there.  Never read it; a retry will
+      atomically replace it;
+    * ``COMPLETE`` — the destination path exists.  Because the only
+      way it comes into existence is :func:`os.replace` of a fully
+      written, fsynced temp file, existence *is* completeness: a
+      reader that can open it sees every byte.
+    """
+
+    ABSENT = "absent"
+    PENDING = "pending"
+    COMPLETE = "complete"
+
+
+def pending_path(path: PathLike) -> Path:
+    """The temp sibling an in-flight write uses: ``<name>.tmp``.
+
+    The suffix keeps it out of every ``*.json`` glob, so shard scans
+    and stray-chunk checks never pick up a half-written file.
+    """
+    path = Path(path)
+    return path.with_name(path.name + ".tmp")
+
+
+def artifact_state(path: PathLike) -> ArtifactState:
+    """Classify a published path (see :class:`ArtifactState`)."""
+    path = Path(path)
+    if path.exists():
+        return ArtifactState.COMPLETE
+    if pending_path(path).exists():
+        return ArtifactState.PENDING
+    return ArtifactState.ABSENT
+
+
+def _dump_synced(handle, payload) -> None:
+    json.dump(payload, handle)
+    handle.write("\n")
+    handle.flush()
+    os.fsync(handle.fileno())
+
+
+def write_json(path: PathLike, payload) -> Path:
+    """Atomically publish ``payload`` at ``path`` (one JSON line).
+
+    On any failure the temp file is removed and the exception
+    propagates, leaving ``path`` absent or unchanged.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = pending_path(path)
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            _dump_synced(handle, payload)
+        os.replace(tmp, path)
+    except BaseException:
+        # A failed write must not leave a stale PENDING file claiming
+        # a writer is still at work.
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def create_json_exclusive(path: PathLike, payload) -> bool:
+    """Create ``path`` holding ``payload`` unless it exists.
+
+    ``O_CREAT | O_EXCL`` (atomic on POSIX and NFSv3+) decides the race:
+    ``True`` for the one creator that won, ``False`` otherwise.
+    """
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+    except FileExistsError:
+        return False
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        _dump_synced(handle, payload)
+    return True
+
+
+# -- the strict reader -------------------------------------------------
+
+
+def check_payload(
+    payload,
+    error: ErrorClass,
+    label: str,
+    source: str,
+    format: Optional[str] = None,
+) -> dict:
+    """``payload`` if it is an object declaring ``format`` (when given);
+    also the check of the ``payload_to_*`` rebuilders."""
+    if not isinstance(payload, dict):
+        raise error(f"{source}: {label} is not an object")
+    if format is not None:
+        declared = payload.get("format")
+        if declared != format:
+            raise error(
+                f"{source}: unsupported {label} format {declared!r} "
+                f"(expected {format!r})"
+            )
+    return payload
+
+
+def read_json(
+    path: PathLike,
+    error: ErrorClass,
+    label: str,
+    *,
+    format: Optional[str] = None,
+    digest: Optional[str] = None,
+) -> dict:
+    """Load one JSON object, raising ``error`` on every failure.
+
+    ``label`` names the file kind in messages ("shard artifact",
+    "frame chunk", ...).  With ``format`` the payload must declare it;
+    with ``digest`` its :func:`content_digest` must equal it — a
+    tampered, truncated-then-repaired or mispaired file is refused.
+    """
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {label} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{label} {path} is not valid JSON (truncated write?): {exc}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        # A write torn mid multi-byte character must surface as the
+        # caller's error, not a UnicodeDecodeError traceback.
+        raise error(
+            f"{label} {path} is not valid JSON: not valid UTF-8 "
+            f"(truncated write?): {exc}"
+        ) from None
+    check_payload(payload, error, label, str(path), format)
+    if digest is not None:
+        actual = content_digest(payload)
+        if actual != digest:
+            raise error(
+                f"{path}: {label} content digest {actual} does not "
+                f"match the manifest's {digest} (tampered or mispaired "
+                f"{label} file)"
+            )
+    return payload
+
+
+# -- content-addressed blobs ------------------------------------------
+
+
+def check_blob_name(name, error: ErrorClass, label: str) -> str:
+    """``name`` if it is a bare file name, else ``error``: a manifest
+    must not point outside its container directory."""
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or "/" in name
+        or "\\" in name
+        or "\x00" in name
+    ):
+        raise error(f"{label} file must be a bare file name, got {name!r}")
+    return name
+
+
+def put_blob(
+    directory: PathLike, name_for_digest: Callable[[str], str], payload
+) -> tuple[str, str]:
+    """Publish ``payload`` as ``name_for_digest(content_digest)``;
+    returns ``(name, digest)`` for the caller's manifest entry."""
+    digest = content_digest(payload)
+    name = name_for_digest(digest)
+    write_json(Path(directory) / name, payload)
+    return name, digest
+
+
+def get_blob(
+    directory: PathLike,
+    name: str,
+    digest: str,
+    error: ErrorClass,
+    label: str,
+    *,
+    format: Optional[str] = None,
+) -> dict:
+    """Read back a blob by its bare ``name`` and verify its ``digest``."""
+    check_blob_name(name, error, label)
+    return read_json(
+        Path(directory) / name, error, label, format=format, digest=digest
+    )

@@ -18,16 +18,16 @@ Design rules, all inherited from the existing tiers:
   the equivalent single-frame operations, for every chunk size.  The
   differential suite in ``tests/core/test_framestore.py`` locks this
   under hypothesis.
-* **Atomic publication.**  Chunk files use the shard-artifact write
-  protocol (tmp sibling + fsync + :func:`os.replace`), and the store
-  manifest is republished atomically *after* each chunk lands — so a
-  writer killed at any instant leaves a directory whose manifest
+* **Atomic publication and content addressing**
+  (:mod:`repro.core.blobstore`).  Chunks are
+  :func:`~repro.core.blobstore.put_blob` blobs whose file names carry
+  their content digest, and the store manifest is republished with
+  :func:`~repro.core.blobstore.write_json` *after* each chunk lands —
+  so a writer killed at any instant leaves a directory whose manifest
   references only complete chunks: absent-or-previous, never torn.
-* **Content addressing.**  Every chunk file name carries the SHA-256
-  digest of its canonical-JSON payload, re-verified on read; a
-  truncated, foreign or mispaired chunk file is a loud
-  :class:`FrameStoreError` (exit 2 from the CLI), mirroring the
-  :class:`~repro.core.sharding.ShardMergeError` contract.
+  Chunks are read back with :func:`~repro.core.blobstore.get_blob`:
+  a truncated, foreign, mispaired or out-of-directory chunk is a loud
+  :class:`FrameStoreError` (exit 2 from the CLI).
 * **Bounded memory.**  The writer never buffers more than
   ``max_rows_in_memory`` rows; the streaming merge
   (:func:`merge_artifacts_to_store`) holds one source artifact plus
@@ -41,8 +41,6 @@ land; see ``docs/sweep-guide.md``, "Sweeping beyond RAM".
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,18 +49,17 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import SpecificationError
+from . import blobstore
 from .executors import CandidateFactory, Executor, SerialExecutor
 from .figure_of_merit import FomWeights
 from .pareto import dominated_by
-from .queue import _write_json_atomic
 from .resultframe import ResultFrame
 from .sharding import (
     ArtifactLike,
-    ShardMergeError,
-    _load,
-    _summarise_indices,
+    check_shard_cover,
     grid_fingerprint,
     grid_order_digest,
+    load_artifact,
     merge_cache_states,
 )
 from .sweep import (
@@ -71,7 +68,6 @@ from .sweep import (
     SweepGrid,
     stream_design_sweep,
 )
-from .warehouse import canonical_json
 
 #: Store manifest format identifier; bumped on incompatible changes.
 STORE_FORMAT = "repro-framestore/1"
@@ -111,13 +107,6 @@ def max_rows_from_env() -> Optional[int]:
     return value
 
 
-def chunk_digest(payload: dict) -> str:
-    """Content digest of a chunk payload (canonical-JSON SHA-256)."""
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:16]
-
-
 def chunk_filename(sequence: int, digest: str) -> str:
     """Canonical content-addressed chunk filename."""
     return f"chunk-{sequence:06d}-{digest}.json"
@@ -130,6 +119,9 @@ class ChunkEntry:
     file: str
     digest: str
     rows: int
+
+    def __post_init__(self) -> None:
+        blobstore.check_blob_name(self.file, FrameStoreError, "frame chunk")
 
 
 def _require_positive_rows(max_rows_in_memory) -> int:
@@ -157,7 +149,7 @@ class ChunkedFrameStore:
     :meth:`csv_lines` / :meth:`pareto_mask`, or bridge back to RAM with
     :meth:`to_frame` (the bit-identity reference).
 
-    Durability matches the shard-artifact protocol: every chunk file is
+    Durability is :mod:`repro.core.blobstore`'s: every chunk file is
     atomically published *before* the manifest that references it, so a
     writer killed mid-chunk leaves the previous manifest intact —
     readers observe absent-or-previous, never a torn store.
@@ -230,28 +222,9 @@ class ChunkedFrameStore:
         """Load an existing store's manifest (chunks stay on disk)."""
         directory = Path(directory)
         path = directory / MANIFEST_NAME
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise FrameStoreError(
-                f"cannot read frame store manifest {path}: {exc}"
-            ) from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FrameStoreError(
-                f"frame store manifest {path} is not valid JSON "
-                f"(truncated write?): {exc}"
-            ) from None
-        if not isinstance(payload, dict):
-            raise FrameStoreError(
-                f"frame store manifest {path} is not an object"
-            )
-        declared = payload.get("format")
-        if declared != STORE_FORMAT:
-            raise FrameStoreError(
-                f"{path}: unsupported frame store format {declared!r} "
-                f"(expected {STORE_FORMAT!r})"
-            )
+        payload = blobstore.read_json(
+            path, FrameStoreError, "frame store", format=STORE_FORMAT
+        )
         try:
             entries = [
                 ChunkEntry(
@@ -345,7 +318,7 @@ class ChunkedFrameStore:
 
     def _publish(self) -> None:
         self._revision += 1
-        _write_json_atomic(
+        blobstore.write_json(
             self._directory / MANIFEST_NAME, self._manifest_payload()
         )
 
@@ -374,12 +347,14 @@ class ChunkedFrameStore:
             "rows": len(chunk),
             "columns": chunk.to_json_columns(),
         }
-        digest = chunk_digest(payload)
-        name = chunk_filename(len(self._entries), digest)
         # The chunk file lands (atomically) before the manifest that
         # references it: a crash between the two leaves an orphan chunk
         # file and the previous manifest — never a dangling reference.
-        _write_json_atomic(self._directory / name, payload)
+        name, digest = blobstore.put_blob(
+            self._directory,
+            lambda digest: chunk_filename(len(self._entries), digest),
+            payload,
+        )
         self._entries.append(
             ChunkEntry(file=name, digest=digest, rows=len(chunk))
         )
@@ -423,33 +398,14 @@ class ChunkedFrameStore:
 
     def _read_chunk(self, entry: ChunkEntry) -> ResultFrame:
         path = self._directory / entry.file
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise FrameStoreError(
-                f"cannot read frame chunk {path}: {exc}"
-            ) from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FrameStoreError(
-                f"frame chunk {path} is not valid JSON "
-                f"(truncated write?): {exc}"
-            ) from None
-        if not isinstance(payload, dict):
-            raise FrameStoreError(f"frame chunk {path} is not an object")
-        declared = payload.get("format")
-        if declared != CHUNK_FORMAT:
-            raise FrameStoreError(
-                f"{path}: unsupported frame chunk format {declared!r} "
-                f"(expected {CHUNK_FORMAT!r})"
-            )
-        actual = chunk_digest(payload)
-        if actual != entry.digest:
-            raise FrameStoreError(
-                f"{path}: chunk content digest {actual} does not match "
-                f"the manifest's {entry.digest} (tampered or mispaired "
-                f"chunk file)"
-            )
+        payload = blobstore.get_blob(
+            self._directory,
+            entry.file,
+            entry.digest,
+            FrameStoreError,
+            "frame chunk",
+            format=CHUNK_FORMAT,
+        )
         try:
             frame = ResultFrame.from_json_columns(payload["columns"])
         except (KeyError, TypeError, ValueError, SpecificationError) as exc:
@@ -624,10 +580,11 @@ def merge_artifacts_to_store(
     """Spill-to-disk merge: shard artifacts to a chunked frame store.
 
     The out-of-core twin of
-    :func:`~repro.core.sharding.merge_shard_artifacts` — same
-    validation (same :class:`~repro.core.sharding.ShardMergeError`
-    messages for foreign grids, wrong orders, duplicated or missing
-    indices), same canonical result: the store's row stream is
+    :func:`~repro.core.sharding.merge_shard_artifacts` — the same
+    validator (:func:`~repro.core.sharding.check_shard_cover`, so the
+    same :class:`~repro.core.sharding.ShardMergeError` for foreign
+    grids, wrong orders, duplicated or missing indices), the same
+    canonical result: the store's row stream is
     byte-identical to the in-RAM merge's frame.  The stable in-RAM sort
     groups rows by ascending canonical point index with each point's
     rows in artifact order; every point lives in exactly one artifact,
@@ -640,85 +597,23 @@ def merge_artifacts_to_store(
     reloads one artifact at a time.  Path sources are read twice
     (validate, then copy); in-memory artifacts are kept by reference.
     """
-    sources = list(artifacts)
-    if not sources:
-        raise ShardMergeError("no shard artifacts to merge")
-
     records: list[tuple[ArtifactLike, tuple[int, ...], tuple[int, ...]]] = []
+    identities = []
     states: list[dict] = []
-    reference: Optional[dict] = None
-    for source in sources:
-        artifact = _load(source)
-        if reference is None:
-            reference = {
-                "fingerprint": artifact.fingerprint,
-                "order_digest": artifact.order_digest,
-                "total_points": artifact.total_points,
-                "shards": artifact.shards,
-                "shard_index": artifact.shard_index,
-            }
-        else:
-            if artifact.fingerprint != reference["fingerprint"]:
-                raise ShardMergeError(
-                    f"shard artifacts fingerprint different grids: "
-                    f"{reference['fingerprint']} (shard "
-                    f"{reference['shard_index']}/{reference['shards']}) "
-                    f"vs {artifact.fingerprint} (shard "
-                    f"{artifact.shard_index}/{artifact.shards})"
-                )
-            if artifact.order_digest != reference["order_digest"]:
-                raise ShardMergeError(
-                    f"shard artifacts enumerate the same grid in a "
-                    f"different point order (order digest "
-                    f"{reference['order_digest']} vs "
-                    f"{artifact.order_digest}): re-run the shards with "
-                    f"identically-ordered axes"
-                )
-            if artifact.total_points != reference["total_points"]:
-                raise ShardMergeError(
-                    f"shard artifacts disagree on the grid size: "
-                    f"{reference['total_points']} vs "
-                    f"{artifact.total_points} points"
-                )
-        total = reference["total_points"]
-        indices = np.asarray(artifact.indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= total):
-            outside = int(indices[(indices < 0) | (indices >= total)][0])
-            raise ShardMergeError(
-                f"shard {artifact.shard_index}/{artifact.shards} "
-                f"carries point index {outside}, outside the "
-                f"{total}-point grid"
-            )
+    for source in artifacts:
+        artifact = load_artifact(source)
         records.append(
             (
                 source if isinstance(source, (str, Path)) else artifact,
-                tuple(artifact.indices),
-                tuple(artifact.row_counts),
+                artifact.indices,
+                artifact.row_counts,
             )
         )
+        identities.append(artifact.identity)
         states.append(artifact.cache_state)
         del artifact  # free the frame before loading the next source
-
-    total = reference["total_points"]
-    all_indices = np.concatenate(
-        [np.asarray(indices, dtype=np.int64) for _, indices, _ in records]
-    ) if records else np.empty(0, dtype=np.int64)
-    covered, counts = np.unique(all_indices, return_counts=True)
-    duplicates = covered[counts > 1]
-    if duplicates.size:
-        raise ShardMergeError(
-            f"duplicated point indices across shard artifacts: "
-            f"{_summarise_indices(duplicates.tolist())} "
-            f"(the same shard was merged twice?)"
-        )
-    if covered.size != total:
-        coverage = np.zeros(total, dtype=bool)
-        coverage[covered] = True
-        missing = np.flatnonzero(~coverage).tolist()
-        raise ShardMergeError(
-            f"missing point indices {_summarise_indices(missing)} of "
-            f"{total}: a shard artifact was not merged"
-        )
+    reference = check_shard_cover(identities)
+    total = reference.total_points
 
     # The merge plan, one int64 per point instead of a dict of Python
     # tuples (which would cost ~200 bytes/point — more than the rows
@@ -739,8 +634,8 @@ def merge_artifacts_to_store(
         max_rows_in_memory=max_rows_in_memory,
         meta={
             **(meta or {}),
-            "fingerprint": reference["fingerprint"],
-            "order_digest": reference["order_digest"],
+            "fingerprint": reference.fingerprint,
+            "order_digest": reference.order_digest,
             "total_points": total,
         },
     )
@@ -754,7 +649,7 @@ def merge_artifacts_to_store(
     def _frame_of(record_index: int) -> ResultFrame:
         nonlocal loaded_index, loaded_frame
         if loaded_index != record_index:
-            loaded_frame = _load(records[record_index][0]).frame
+            loaded_frame = load_artifact(records[record_index][0]).frame
             loaded_index = record_index
         return loaded_frame
 

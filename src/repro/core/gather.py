@@ -56,12 +56,12 @@ from .sharding import (
     ArtifactLike,
     ShardArtifact,
     ShardMergeError,
-    _load,
-    _summarise_indices,
     find_pending_artifacts,
     find_shard_artifacts,
+    load_artifact,
     merge_cache_states,
     merge_shard_artifacts,
+    summarise_indices,
 )
 from .sweep import SweepReport
 
@@ -184,7 +184,7 @@ class IncrementalGather:
                 else "<memory>"
             )
         try:
-            loaded = _load(artifact)
+            loaded = load_artifact(artifact)
         except ShardMergeError as exc:
             raise GatherError(str(exc)) from None
         self._check(loaded, source)
@@ -195,7 +195,7 @@ class IncrementalGather:
         if overlap:
             raise GatherError(
                 f"{source}: artifact covers already-gathered point "
-                f"indices {_summarise_indices(sorted(overlap))}"
+                f"indices {summarise_indices(sorted(overlap))}"
             )
         self._artifacts[loaded.shard_index] = loaded
         self._covered |= indices
@@ -292,7 +292,7 @@ class IncrementalGather:
         if not self.complete:
             raise GatherError(
                 f"gather is incomplete: missing point indices "
-                f"{_summarise_indices(self.missing_indices())} of "
+                f"{summarise_indices(self.missing_indices())} of "
                 f"{self._total_points if self._total_points else '?'}"
             )
         return merge_shard_artifacts(
@@ -354,7 +354,7 @@ def gather_directory_to_store(
         )
     if expected is not None:
         try:
-            first = _load(paths[0])
+            first = load_artifact(paths[0])
         except ShardMergeError as exc:
             raise GatherError(str(exc)) from None
         source = paths[0].name
@@ -432,7 +432,7 @@ def watch_directory(
                 f"{snapshot.total_points if snapshot.total_points else '?'} "
                 f"points gathered"
                 + (
-                    f" (missing {_summarise_indices(gather.missing_indices())})"
+                    f" (missing {summarise_indices(gather.missing_indices())})"
                     if gather.missing_indices()
                     else ""
                 )

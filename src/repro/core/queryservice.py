@@ -53,11 +53,11 @@ from .resultframe import (
     group_first_max,
     group_starts,
 )
+from .blobstore import canonical_json
 from .warehouse import (
     DecisionFrame,
     FrameCache,
     WarehouseManifest,
-    canonical_json,
     load_warehouse,
     read_warehouse_manifest,
 )

@@ -14,11 +14,14 @@ infrastructure a fleet of workers needs:
   does not match the grid they resolved locally, so a stale manifest
   can never silently evaluate the wrong grid;
 * :class:`ShardQueue` — claim/lease bookkeeping over the directory.
-  A claim is an ``O_CREAT | O_EXCL`` lease file (atomic on POSIX and
-  NFSv3+), carrying owner, expiry and attempt count; an expired lease
-  is stolen, so a host that died mid-shard only delays its shard by
-  one lease TTL.  Completion is the atomically-written shard artifact
-  itself — there is no separate "done" marker to get out of sync;
+  A claim is a lease file created with
+  :func:`~repro.core.blobstore.create_json_exclusive` (``O_CREAT |
+  O_EXCL``, atomic on POSIX and NFSv3+), carrying owner, expiry and
+  attempt count; an expired lease is stolen, so a host that died
+  mid-shard only delays its shard by one lease TTL.  Completion is the
+  atomically-written shard artifact itself — there is no separate
+  "done" marker to get out of sync; the manifest and failure ledgers
+  are published with :func:`~repro.core.blobstore.write_json`;
 * :func:`run_queue_worker` — the worker loop: claim a shard, evaluate
   it through any :class:`~repro.core.executors.Executor`, write the
   artifact atomically, repeat until nothing is claimable.  A failed
@@ -42,7 +45,6 @@ MANIFEST`` (run a worker until the queue drains); see
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
@@ -51,16 +53,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 from ..errors import SpecificationError
+from . import blobstore
 from .executors import CandidateFactory, Executor
 from .figure_of_merit import FomWeights
 from .sharding import (
-    ArtifactState,
     ShardMergeError,
     artifact_matches,
-    artifact_state,
     grid_fingerprint,
     grid_order_digest,
-    pending_path,
     read_shard_artifact,
     run_shard,
     shard_filename,
@@ -183,14 +183,9 @@ def payload_to_manifest(
     payload: dict, source: str = "<payload>"
 ) -> QueueManifest:
     """Rebuild a :class:`QueueManifest` from its JSON payload."""
-    if not isinstance(payload, dict):
-        raise QueueError(f"{source}: queue manifest is not an object")
-    declared = payload.get("format")
-    if declared != QUEUE_FORMAT:
-        raise QueueError(
-            f"{source}: unsupported queue manifest format {declared!r} "
-            f"(expected {QUEUE_FORMAT!r})"
-        )
+    blobstore.check_payload(
+        payload, QueueError, "queue manifest", source, QUEUE_FORMAT
+    )
     grid_spec = payload.get("grid_spec")
     if grid_spec is not None and not isinstance(grid_spec, dict):
         raise QueueError(
@@ -212,47 +207,16 @@ def payload_to_manifest(
         ) from None
 
 
-def _write_json_atomic(path: Path, payload: dict) -> Path:
-    """Write a small JSON control file with the artifact write protocol."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = pending_path(path)
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def write_manifest(
     path: Union[str, Path], manifest: QueueManifest
 ) -> Path:
     """Write the queue manifest (atomically, like every artifact)."""
-    return _write_json_atomic(Path(path), manifest_to_payload(manifest))
+    return blobstore.write_json(path, manifest_to_payload(manifest))
 
 
 def read_manifest(path: Union[str, Path]) -> QueueManifest:
     """Load a queue manifest, with path context on every failure."""
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise QueueError(
-            f"cannot read queue manifest {path}: {exc}"
-        ) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise QueueError(
-            f"queue manifest {path} is not valid JSON: {exc}"
-        ) from None
+    payload = blobstore.read_json(path, QueueError, "queue manifest")
     return payload_to_manifest(payload, source=str(path))
 
 
@@ -327,15 +291,12 @@ class ShardQueue:
     def valid_artifact(self, shard_index: int) -> bool:
         """True when the shard's artifact exists and matches the grid.
 
-        A torn, foreign or wrong-geometry artifact does *not* count —
-        the shard stays claimable and the next completion atomically
-        replaces the junk.
+        A missing, torn, foreign or wrong-geometry artifact does *not*
+        count — the shard stays claimable and the next completion
+        atomically replaces the junk.
         """
-        path = self.artifact_path(shard_index)
-        if artifact_state(path) is not ArtifactState.COMPLETE:
-            return False
         try:
-            artifact = read_shard_artifact(path)
+            artifact = read_shard_artifact(self.artifact_path(shard_index))
         except ShardMergeError:
             return False
         return artifact_matches(
@@ -348,12 +309,11 @@ class ShardQueue:
         )
 
     def _read_json(self, path: Path) -> Optional[dict]:
+        """A lease or ledger object, or ``None`` when absent or junk."""
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            return blobstore.read_json(path, QueueError, "queue file")
+        except QueueError:
             return None
-        return payload if isinstance(payload, dict) else None
 
     def attempts(self, shard_index: int) -> int:
         """Recorded failed attempts of one shard (0 when none)."""
@@ -453,17 +413,8 @@ class ShardQueue:
             "expires": now + self.manifest.lease_ttl,
             "attempt": attempt,
         }
-        try:
-            fd = os.open(
-                lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
-        except FileExistsError:
+        if not blobstore.create_json_exclusive(lease_path, payload):
             return None
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
         return ShardClaim(
             shard_index=shard_index,
             attempt=attempt,
@@ -510,7 +461,7 @@ class ShardQueue:
         """Record a failed attempt and release the shard for retry."""
         errors = self.errors(claim.shard_index)
         errors.append(error)
-        _write_json_atomic(
+        blobstore.write_json(
             self.failure_path(claim.shard_index),
             {
                 "shard_index": claim.shard_index,

@@ -27,19 +27,19 @@ the canonical row order, wherever they were produced:
   (one list per typed column, not one object per row); Python's JSON
   round-trips floats exactly (``repr``-based), so frames reassembled
   from artifacts are *byte-identical* to what the serial engine would
-  have produced in-process.  Writes are **atomic**: the payload is
-  written to a ``.tmp`` sibling (the :data:`~ArtifactState.PENDING`
-  state), fsynced, and renamed into place with :func:`os.replace`, so
-  a concurrent reader — the incremental gather service polls shard
-  directories — can never observe a half-written artifact, and a host
-  killed mid-write leaves at most a stale temp file, never a torn
-  destination;
+  have produced in-process.  Artifacts are published and read through
+  :mod:`repro.core.blobstore` (atomic ``.tmp`` + fsync +
+  :func:`os.replace` writes, strict reads), so a concurrent reader —
+  the incremental gather service polls shard directories — never
+  observes a half-written artifact;
+* :func:`check_shard_cover` — the one validator both merges share: the
+  artifacts' identities must name one grid in one order, and their
+  indices must cover it exactly once (a missing or doubled shard is a
+  loud :class:`ShardMergeError`, never a silently wrong report);
 * :func:`merge_shard_artifacts` — reassemble any combination of
   artifacts into one :class:`~repro.core.sweep.SweepReport` with a
   single vectorised frame concatenation + stable sort into canonical
-  point order, with duplicate- and gap-detection (a missing or doubled
-  shard is a loud :class:`ShardMergeError`, never a silently wrong
-  report) and additive cache statistics that count a sub-result
+  point order, with additive cache statistics that count a sub-result
   computed by two cold shard caches only once in the merged
   ``entries`` tally;
 * :class:`ShardedExecutor` — the same partitioning as an in-process
@@ -58,9 +58,7 @@ walkthrough.
 
 from __future__ import annotations
 
-import enum
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,6 +67,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import SpecificationError
+from . import blobstore
 from .executors import CandidateFactory, Executor, SerialExecutor
 from .figure_of_merit import FomWeights
 from .resultframe import ResultFrame
@@ -157,6 +156,18 @@ def shard_indices(total: int, shards: int, shard_index: int) -> range:
     start = shard_index * base + min(shard_index, extra)
     stop = start + base + (1 if shard_index < extra else 0)
     return range(start, stop)
+
+
+@dataclass(frozen=True)
+class ShardIdentity:
+    """What a merge validates about one artifact: no rows, no cache."""
+
+    fingerprint: str
+    order_digest: str
+    total_points: int
+    shards: int
+    shard_index: int
+    indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -263,6 +274,14 @@ class ShardArtifact:
                             f"numbers, got {value!r}"
                         )
 
+    @property
+    def identity(self) -> ShardIdentity:
+        """The artifact's grid identity and indices, frame dropped."""
+        return ShardIdentity(
+            self.fingerprint, self.order_digest, self.total_points,
+            self.shards, self.shard_index, self.indices,
+        )
+
     def point_of_row(self) -> np.ndarray:
         """Canonical point index of every frame row (vectorised)."""
         return np.repeat(
@@ -356,14 +375,9 @@ def payload_to_artifact(payload: dict, source: str = "<payload>") -> ShardArtifa
     ``source`` names the artifact in error messages (the file path
     when loaded from disk).
     """
-    if not isinstance(payload, dict):
-        raise ShardMergeError(f"{source}: shard artifact is not an object")
-    declared = payload.get("format")
-    if declared != SHARD_FORMAT:
-        raise ShardMergeError(
-            f"{source}: unsupported shard format {declared!r} "
-            f"(expected {SHARD_FORMAT!r})"
-        )
+    blobstore.check_payload(
+        payload, ShardMergeError, "shard artifact", source, SHARD_FORMAT
+    )
     try:
         raw_ratios = payload.get("ratios")
         ratios = None
@@ -399,104 +413,22 @@ def shard_filename(shards: int, shard_index: int) -> str:
     return f"shard-{shard_index:04d}-of-{shards:04d}.json"
 
 
-class ArtifactState(enum.Enum):
-    """Durability state of one shard artifact path.
-
-    The write protocol gives every artifact exactly three observable
-    states, which is what lets watchers poll a shard directory safely:
-
-    * ``ABSENT`` — neither the artifact nor its temp sibling exists;
-      the shard has not been attempted (or its temp file was cleaned);
-    * ``PENDING`` — only the ``.tmp`` sibling exists: a writer is
-      mid-serialisation, or died there.  Never read it; a retry will
-      atomically replace it;
-    * ``COMPLETE`` — the destination path exists.  Because the only
-      way it comes into existence is :func:`os.replace` of a fully
-      written, fsynced temp file, existence *is* completeness: a
-      reader that can open it sees every byte.
-    """
-
-    ABSENT = "absent"
-    PENDING = "pending"
-    COMPLETE = "complete"
-
-
-def pending_path(path: Union[str, Path]) -> Path:
-    """The temp sibling an in-flight artifact write uses.
-
-    Named ``<artifact>.tmp`` so it never matches the ``shard-*.json``
-    glob :func:`find_shard_artifacts` (and hence merge/gather) scan.
-    """
-    path = Path(path)
-    return path.with_name(path.name + ".tmp")
-
-
-def artifact_state(path: Union[str, Path]) -> ArtifactState:
-    """Classify an artifact path (see :class:`ArtifactState`)."""
-    path = Path(path)
-    if path.exists():
-        return ArtifactState.COMPLETE
-    if pending_path(path).exists():
-        return ArtifactState.PENDING
-    return ArtifactState.ABSENT
-
-
 def write_shard_artifact(
     path: Union[str, Path], artifact: ShardArtifact
 ) -> Path:
     """Serialise a shard artifact to ``path`` (JSON, exact floats).
 
-    The write is atomic with respect to concurrent readers: the
-    payload goes to the :func:`pending_path` temp sibling first, is
-    flushed and fsynced there, and only then renamed over ``path``
-    with :func:`os.replace`.  A reader polling the directory therefore
-    sees either no artifact or a complete one — never a prefix — and a
-    writer killed at any instant leaves the destination untouched
+    Published with :func:`repro.core.blobstore.write_json`: a reader
+    polling the directory sees either no artifact or a complete one,
+    and a writer killed at any instant leaves the destination untouched
     (including a previous valid artifact it was about to replace).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = pending_path(path)
-    try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(artifact_to_payload(artifact), handle)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        # Best-effort cleanup: a failed write must not leave a stale
-        # PENDING file claiming a writer is still at work.
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    return path
+    return blobstore.write_json(path, artifact_to_payload(artifact))
 
 
 def read_shard_artifact(path: Union[str, Path]) -> ShardArtifact:
     """Load one shard artifact, with path context on every failure."""
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ShardMergeError(
-            f"cannot read shard artifact {path}: {exc}"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise ShardMergeError(
-            f"shard artifact {path} is not valid JSON: {exc}"
-        ) from None
-    except UnicodeDecodeError as exc:
-        # A write torn mid multi-byte character (pre-atomic writers,
-        # foreign tools) must surface as a merge error, not a
-        # UnicodeDecodeError traceback.
-        raise ShardMergeError(
-            f"shard artifact {path} is not valid UTF-8 "
-            f"(truncated write?): {exc}"
-        ) from None
+    payload = blobstore.read_json(path, ShardMergeError, "shard artifact")
     return payload_to_artifact(payload, source=str(path))
 
 
@@ -586,7 +518,7 @@ def merge_cache_states(states: Iterable[dict]) -> dict:
     }
 
 
-def _summarise_indices(indices: Sequence[int], limit: int = 20) -> str:
+def summarise_indices(indices: Sequence[int], limit: int = 20) -> str:
     """Comma-list of point indices, capped so error messages stay
     readable on huge grids."""
     listed = ", ".join(str(i) for i in indices[:limit])
@@ -598,10 +530,96 @@ def _summarise_indices(indices: Sequence[int], limit: int = 20) -> str:
 ArtifactLike = Union[ShardArtifact, str, Path]
 
 
-def _load(artifact: ArtifactLike) -> ShardArtifact:
+def load_artifact(artifact: ArtifactLike) -> ShardArtifact:
+    """An in-memory artifact as is, or the one read from a path."""
     if isinstance(artifact, ShardArtifact):
         return artifact
     return read_shard_artifact(artifact)
+
+
+def check_shard_cover(identities: Sequence[ShardIdentity]) -> ShardIdentity:
+    """Refuse shard identities that do not tile one grid exactly once.
+
+    The single validator behind both merges — the in-RAM
+    :func:`merge_shard_artifacts` and the streaming
+    :func:`~repro.core.framestore.merge_artifacts_to_store`.  It sees
+    only identities and indices, never frames, so the streaming merge
+    can validate while holding one artifact at a time.  Returns the
+    first identity (the grid every other one matched).
+
+    Raises
+    ------
+    ShardMergeError
+        If no artifacts are given, the artifacts fingerprint different
+        grids, enumerate them in different orders, disagree on the
+        grid size, carry an index outside the grid, cover a canonical
+        index twice (duplicated shard), or leave indices uncovered
+        (missing shard).  The message names the offending indices so
+        the operator knows which shard to re-run or drop.
+    """
+    if not identities:
+        raise ShardMergeError("no shard artifacts to merge")
+    reference = identities[0]
+    for identity in identities[1:]:
+        if identity.fingerprint != reference.fingerprint:
+            raise ShardMergeError(
+                f"shard artifacts fingerprint different grids: "
+                f"{reference.fingerprint} (shard "
+                f"{reference.shard_index}/{reference.shards}) vs "
+                f"{identity.fingerprint} (shard "
+                f"{identity.shard_index}/{identity.shards})"
+            )
+        if identity.order_digest != reference.order_digest:
+            # Same point set, different canonical order: index-wise
+            # merging would pair rows with the wrong points.
+            raise ShardMergeError(
+                f"shard artifacts enumerate the same grid in a "
+                f"different point order (order digest "
+                f"{reference.order_digest} vs {identity.order_digest}): "
+                f"re-run the shards with identically-ordered axes"
+            )
+        if identity.total_points != reference.total_points:
+            raise ShardMergeError(
+                f"shard artifacts disagree on the grid size: "
+                f"{reference.total_points} vs {identity.total_points} "
+                f"points"
+            )
+
+    total = reference.total_points
+    for identity in identities:
+        indices = np.asarray(identity.indices, dtype=np.int64)
+        if indices.size and (
+            indices.min() < 0 or indices.max() >= total
+        ):
+            outside = int(
+                indices[(indices < 0) | (indices >= total)][0]
+            )
+            raise ShardMergeError(
+                f"shard {identity.shard_index}/{identity.shards} "
+                f"carries point index {outside}, outside the "
+                f"{total}-point grid"
+            )
+
+    all_indices = np.concatenate(
+        [np.asarray(i.indices, dtype=np.int64) for i in identities]
+    )
+    covered, counts = np.unique(all_indices, return_counts=True)
+    duplicates = covered[counts > 1]
+    if duplicates.size:
+        raise ShardMergeError(
+            f"duplicated point indices across shard artifacts: "
+            f"{summarise_indices(duplicates.tolist())} "
+            f"(the same shard was merged twice?)"
+        )
+    if covered.size != total:
+        coverage = np.zeros(total, dtype=bool)
+        coverage[covered] = True
+        missing = np.flatnonzero(~coverage).tolist()
+        raise ShardMergeError(
+            f"missing point indices {summarise_indices(missing)} of "
+            f"{total}: a shard artifact was not merged"
+        )
+    return reference
 
 
 def merge_shard_artifacts(
@@ -619,79 +637,11 @@ def merge_shard_artifacts(
     no per-row object is ever materialised, so merging hundreds of
     10k-row artifacts costs numpy passes, not Python loops.
 
-    Raises
-    ------
-    ShardMergeError
-        If no artifacts are given, the artifacts fingerprint different
-        grids, disagree on the grid size, cover a canonical index
-        twice (duplicated shard), or leave indices uncovered (missing
-        shard).  The message names the offending indices so the
-        operator knows which shard to re-run or drop.
+    Raises :class:`ShardMergeError` for any set that
+    :func:`check_shard_cover` refuses.
     """
-    loaded = [_load(artifact) for artifact in artifacts]
-    if not loaded:
-        raise ShardMergeError("no shard artifacts to merge")
-
-    reference = loaded[0]
-    for artifact in loaded[1:]:
-        if artifact.fingerprint != reference.fingerprint:
-            raise ShardMergeError(
-                f"shard artifacts fingerprint different grids: "
-                f"{reference.fingerprint} (shard "
-                f"{reference.shard_index}/{reference.shards}) vs "
-                f"{artifact.fingerprint} (shard "
-                f"{artifact.shard_index}/{artifact.shards})"
-            )
-        if artifact.order_digest != reference.order_digest:
-            # Same point set, different canonical order: index-wise
-            # merging would pair rows with the wrong points.
-            raise ShardMergeError(
-                f"shard artifacts enumerate the same grid in a "
-                f"different point order (order digest "
-                f"{reference.order_digest} vs {artifact.order_digest}): "
-                f"re-run the shards with identically-ordered axes"
-            )
-        if artifact.total_points != reference.total_points:
-            raise ShardMergeError(
-                f"shard artifacts disagree on the grid size: "
-                f"{reference.total_points} vs {artifact.total_points} "
-                f"points"
-            )
-
-    total = reference.total_points
-    for artifact in loaded:
-        indices = np.asarray(artifact.indices, dtype=np.int64)
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= total
-        ):
-            outside = int(
-                indices[(indices < 0) | (indices >= total)][0]
-            )
-            raise ShardMergeError(
-                f"shard {artifact.shard_index}/{artifact.shards} "
-                f"carries point index {outside}, outside the "
-                f"{total}-point grid"
-            )
-
-    all_indices = np.concatenate(
-        [np.asarray(a.indices, dtype=np.int64) for a in loaded]
-    )
-    covered, counts = np.unique(all_indices, return_counts=True)
-    duplicates = covered[counts > 1]
-    if duplicates.size:
-        raise ShardMergeError(
-            f"duplicated point indices across shard artifacts: "
-            f"{_summarise_indices(duplicates.tolist())} "
-            f"(the same shard was merged twice?)"
-        )
-    if covered.size != total:
-        coverage = np.zeros(total, dtype=bool)
-        coverage[covered] = True
-        missing = np.flatnonzero(~coverage).tolist()
-        raise ShardMergeError(
-            f"missing point indices {_summarise_indices(missing)} of "
-            f"{total}: a shard artifact was not merged"
-        )
+    loaded = [load_artifact(artifact) for artifact in artifacts]
+    check_shard_cover([artifact.identity for artifact in loaded])
 
     # Vectorised reassembly: concatenate the shard frames (whatever
     # order they arrived in), then stable-sort rows by their canonical

@@ -23,18 +23,17 @@ Design rules:
   ``size_ratio`` / ``cost_ratio`` FoM inputs — the percent columns are
   ``fl(100 * ratio)`` and cannot be inverted, so without the ratios no
   stored frame could be re-ranked byte-identically to a fresh sweep.
-* **Frame files are immutable and content-addressed.**  The filename
-  embeds a SHA-256 digest of the canonical JSON payload; a file, once
-  published, never changes.  That is what makes the reader's LRU cache
-  (:class:`FrameCache`) trivially coherent: a cached entry can never go
-  stale, eviction only bounds memory.
-* **Publication is atomic** (the shard-artifact discipline from
-  :mod:`repro.core.queue` / :mod:`repro.core.sharding`): frame files
-  and the manifest are written to a ``.tmp`` sibling, fsynced and
-  renamed into place.  An append writes the new frame file *first* and
-  only then republishes the manifest referencing it, so a concurrent
-  reader sees either the old manifest (old frames, all readable) or
-  the new one (new frame already durable) — never a torn state.
+* **Frame files are immutable and content-addressed.**  Frames are
+  :func:`~repro.core.blobstore.put_blob` blobs: the filename embeds the
+  :func:`~repro.core.blobstore.content_digest` of the payload, and a
+  file, once published, never changes.  That is what makes the
+  reader's LRU cache (:class:`FrameCache`) trivially coherent: a
+  cached entry can never go stale, eviction only bounds memory.
+* **Publication is atomic** (:mod:`repro.core.blobstore`).  An append
+  writes the new frame file *first* and only then republishes the
+  manifest referencing it, so a concurrent reader sees either the old
+  manifest (old frames, all readable) or the new one (new frame
+  already durable) — never a torn state.
 * **Appends are incremental and idempotent.**  Shard artifacts from a
   queue run (:func:`append_shard_artifact`,
   :func:`ingest_shard_directory`) land one frame file each; an
@@ -47,8 +46,6 @@ Design rules:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -58,8 +55,9 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import SpecificationError
+from . import blobstore
+from .blobstore import canonical_json  # noqa: F401 — re-exported
 from .figure_of_merit import FomWeights
-from .queue import _write_json_atomic
 from .resultframe import ResultFrame
 from .sharding import (
     ShardArtifact,
@@ -93,15 +91,6 @@ RATIO_COLUMNS = ("size_ratio", "cost_ratio")
 
 class WarehouseError(SpecificationError):
     """The warehouse cannot be (safely) read or written."""
-
-
-def canonical_json(payload) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace, exact floats.
-
-    The single serialisation used for content digests *and* query
-    responses, so "byte-identical" means the same thing everywhere.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # -- the decision frame -----------------------------------------------
@@ -317,13 +306,6 @@ def frame_payload(
     }
 
 
-def frame_digest(payload: dict) -> str:
-    """Content digest of a frame payload (canonical-JSON SHA-256)."""
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:16]
-
-
 def frame_filename(digest: str) -> str:
     """Canonical content-addressed frame filename."""
     return f"frame-{digest}.json"
@@ -339,37 +321,13 @@ def read_warehouse_frame(
     truncated by a non-atomic writer or mispaired with its name is a
     loud :class:`WarehouseError`, never silently wrong rows.
     """
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise WarehouseError(
-            f"cannot read warehouse frame {path}: {exc}"
-        ) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise WarehouseError(
-            f"warehouse frame {path} is not valid JSON "
-            f"(truncated write?): {exc}"
-        ) from None
-    if not isinstance(payload, dict):
-        raise WarehouseError(
-            f"warehouse frame {path} is not an object"
-        )
-    declared = payload.get("format")
-    if declared != FRAME_FORMAT:
-        raise WarehouseError(
-            f"{path}: unsupported frame format {declared!r} "
-            f"(expected {FRAME_FORMAT!r})"
-        )
-    if expected_digest is not None:
-        actual = frame_digest(payload)
-        if actual != expected_digest:
-            raise WarehouseError(
-                f"{path}: frame content digest {actual} does not match "
-                f"the manifest's {expected_digest} (tampered or "
-                f"mispaired frame file)"
-            )
+    payload = blobstore.read_json(
+        path,
+        WarehouseError,
+        "warehouse frame",
+        format=FRAME_FORMAT,
+        digest=expected_digest,
+    )
     try:
         ratios = payload["ratios"]
         return DecisionFrame(
@@ -402,11 +360,7 @@ class FrameEntry:
     rows: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.file, str) or "/" in self.file:
-            raise WarehouseError(
-                f"frame entry file must be a bare filename, got "
-                f"{self.file!r}"
-            )
+        blobstore.check_blob_name(self.file, WarehouseError, "frame entry")
         if not isinstance(self.rows, int) or isinstance(
             self.rows, bool
         ) or self.rows < 0:
@@ -512,16 +466,9 @@ def payload_to_manifest(
     payload: dict, source: str = "<payload>"
 ) -> WarehouseManifest:
     """Rebuild a :class:`WarehouseManifest` from its JSON payload."""
-    if not isinstance(payload, dict):
-        raise WarehouseError(
-            f"{source}: warehouse manifest is not an object"
-        )
-    declared = payload.get("format")
-    if declared != WAREHOUSE_FORMAT:
-        raise WarehouseError(
-            f"{source}: unsupported warehouse format {declared!r} "
-            f"(expected {WAREHOUSE_FORMAT!r})"
-        )
+    blobstore.check_payload(
+        payload, WarehouseError, "warehouse manifest", source, WAREHOUSE_FORMAT
+    )
     grid_spec = payload.get("grid_spec")
     if grid_spec is not None and not isinstance(grid_spec, dict):
         raise WarehouseError(
@@ -561,17 +508,15 @@ def read_warehouse_manifest(
     """Load the manifest of a warehouse directory."""
     path = manifest_path(directory)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
+        payload = blobstore.read_json(
+            path, WarehouseError, "warehouse manifest"
+        )
+    except WarehouseError as exc:
+        if path.exists():
+            raise
         raise WarehouseError(
-            f"cannot read warehouse manifest {path}: {exc} "
-            f"(is {directory} a warehouse? build one with "
+            f"{exc} (is {directory} a warehouse? build one with "
             f"`repro-gps warehouse build`)"
-        ) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise WarehouseError(
-            f"warehouse manifest {path} is not valid JSON: {exc}"
         ) from None
     return payload_to_manifest(payload, source=str(path))
 
@@ -579,7 +524,7 @@ def read_warehouse_manifest(
 def _publish_manifest(
     directory: Union[str, Path], manifest: WarehouseManifest
 ) -> WarehouseManifest:
-    _write_json_atomic(
+    blobstore.write_json(
         manifest_path(directory), manifest_to_payload(manifest)
     )
     return manifest
@@ -661,9 +606,7 @@ def append_decision_frame(
         order_digest=manifest.order_digest,
         total_points=manifest.total_points,
     )
-    digest = frame_digest(payload)
-    name = frame_filename(digest)
-    _write_json_atomic(directory / name, payload)
+    name, digest = blobstore.put_blob(directory, frame_filename, payload)
     entry = FrameEntry(
         file=name,
         digest=digest,

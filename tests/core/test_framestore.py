@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import tempfile
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
-from repro.core import executors, framestore
+from repro.core import blobstore, executors
 from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.framestore import (
@@ -507,7 +506,7 @@ class TestAtomicPublication:
         def explode(path, payload):
             raise OSError("disk gone")
 
-        monkeypatch.setattr(framestore, "_write_json_atomic", explode)
+        monkeypatch.setattr(blobstore, "write_json", explode)
         with pytest.raises(OSError):
             store.append(
                 ResultFrame.from_rows([_row(volume=99.0)])
@@ -527,16 +526,14 @@ class TestAtomicPublication:
         store = ChunkedFrameStore.create(
             tmp_path / "s", max_rows_in_memory=3
         )
-        real = framestore._write_json_atomic
+        real = blobstore.write_json
 
         def crash_on_manifest(path, payload):
             if Path(path).name == MANIFEST_NAME:
                 raise OSError("killed")
             real(path, payload)
 
-        monkeypatch.setattr(
-            framestore, "_write_json_atomic", crash_on_manifest
-        )
+        monkeypatch.setattr(blobstore, "write_json", crash_on_manifest)
         with pytest.raises(OSError):
             store.append(
                 ResultFrame.from_rows(
@@ -560,7 +557,7 @@ class TestAtomicPublication:
         def explode(src, dst):
             raise OSError("kill -9")
 
-        monkeypatch.setattr(os, "replace", explode)
+        monkeypatch.setattr(blobstore.os, "replace", explode)
         with pytest.raises(OSError):
             store.append(
                 ResultFrame.from_rows(
@@ -610,6 +607,25 @@ class TestChunkRefusals:
         chunks[1].write_text(a_text, encoding="utf-8")
         with pytest.raises(FrameStoreError, match="digest"):
             store.to_frame()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["../other/{}", "/abs/{}", "sub/{}", "..\\{}", "", ".", ".."],
+    )
+    def test_chunk_outside_the_store_refused(self, tmp_path, name):
+        """The regression: a manifest naming ``../other/chunk-….json``
+        (digest intact) used to open, and ``to_frame()`` returned rows
+        read from outside the store directory."""
+        _spilled_store(tmp_path / "s")
+        manifest = tmp_path / "s" / MANIFEST_NAME
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        chunk = payload["chunks"][0]["file"]
+        (tmp_path / "other").mkdir()
+        (tmp_path / "s" / chunk).rename(tmp_path / "other" / chunk)
+        payload["chunks"][0]["file"] = name.format(chunk)
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FrameStoreError, match="bare file name"):
+            ChunkedFrameStore.open(tmp_path / "s").to_frame()
 
     def test_missing_chunk_refused(self, tmp_path):
         store = _spilled_store(tmp_path / "s")

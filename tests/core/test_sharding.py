@@ -25,13 +25,12 @@ from repro.area.substrate import PCB_RULE
 from repro.core.executors import SerialExecutor
 from repro.core.methodology import CandidateBuildUp
 from repro.core.gather import gather_directory
+from repro.core.blobstore import ArtifactState, artifact_state, pending_path
 from repro.core.queue import manifest_for_grid, run_queue_worker, write_manifest
 from repro.core.sharding import (
     SHARD_FORMAT,
-    ArtifactState,
     ShardedExecutor,
     ShardMergeError,
-    artifact_state,
     artifact_to_payload,
     find_pending_artifacts,
     find_shard_artifacts,
@@ -39,7 +38,6 @@ from repro.core.sharding import (
     merge_cache_states,
     merge_shard_artifacts,
     payload_to_artifact,
-    pending_path,
     read_shard_artifact,
     run_shard,
     shard_filename,
@@ -386,7 +384,7 @@ class TestAtomicWrite:
 
     def _truncating_dump(self, monkeypatch, after_chars: int):
         """Make the artifact serialiser die mid-write (simulated kill)."""
-        import repro.core.sharding as sharding_module
+        import repro.core.blobstore as blobstore_module
 
         real_dump = json.dump
 
@@ -395,7 +393,7 @@ class TestAtomicWrite:
             handle.write(text[:after_chars])
             raise RuntimeError("injected kill mid-serialisation")
 
-        monkeypatch.setattr(sharding_module.json, "dump", torn_dump)
+        monkeypatch.setattr(blobstore_module.json, "dump", torn_dump)
         return real_dump
 
     def test_interrupted_write_leaves_destination_absent(

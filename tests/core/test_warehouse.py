@@ -20,6 +20,7 @@ from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
 from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
+from repro.core.blobstore import content_digest
 from repro.core.methodology import CandidateBuildUp
 from repro.core.sharding import (
     payload_to_artifact,
@@ -37,7 +38,6 @@ from repro.core.warehouse import (
     canonical_json,
     decision_frame_for_cells,
     decision_frame_from_artifact,
-    frame_digest,
     frame_filename,
     frame_payload,
     ingest_shard_directory,
@@ -168,7 +168,7 @@ class TestFrameFiles:
             order_digest="o" * 16,
             total_points=6,
         )
-        digest = frame_digest(payload)
+        digest = content_digest(payload)
         path = tmp_path / frame_filename(digest)
         path.write_text(canonical_json(payload) + "\n")
         loaded = read_warehouse_frame(path, expected_digest=digest)

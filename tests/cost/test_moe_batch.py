@@ -38,9 +38,10 @@ from repro.cost.yieldmodels import (
 )
 from repro.errors import FlowError
 
-# Yields and coverages stay off the degenerate corners so every
+# Yields and coverages stay off the degenerate corners so nearly every
 # generated flow ships units (lost == 1 needs faulty == coverage == 1
-# with no rework).
+# with no rework); the rare flow that still scraps everything must be
+# refused by the batch and the looped path alike.
 costs = st.floats(min_value=0.0, max_value=500.0)
 yields = st.floats(min_value=0.5, max_value=1.0)
 coverages = st.floats(min_value=0.0, max_value=0.999)
@@ -116,11 +117,27 @@ def flows(draw) -> ProductionFlow:
     return flow
 
 
+def _assert_looped_refuses(flow, family, exc: FlowError) -> None:
+    """The batch refused ``flow`` (it scraps every unit): the looped
+    scalar path must refuse it too, with the same message."""
+    refusals = []
+    for volume in family:
+        try:
+            evaluate(flow, volume)
+        except FlowError as scalar:
+            refusals.append(str(scalar))
+    assert str(exc) in refusals
+
+
 class TestEvaluateBatch:
     @settings(max_examples=120, deadline=None)
     @given(flows(), volumes)
     def test_bit_identical_to_looped_evaluate(self, flow, family):
-        batch = evaluate_batch(flow, family)
+        try:
+            batch = evaluate_batch(flow, family)
+        except FlowError as exc:
+            _assert_looped_refuses(flow, family, exc)
+            return
         looped = tuple(evaluate(flow, volume) for volume in family)
         # Frozen-dataclass equality compares every CostReport field —
         # cost_by_tag dicts and the per-step StepReport tuples included
@@ -130,7 +147,11 @@ class TestEvaluateBatch:
     @settings(max_examples=60, deadline=None)
     @given(flows(), volumes)
     def test_columns_match_scalar_fields(self, flow, family):
-        batch = evaluate_batch(flow, family)
+        try:
+            batch = evaluate_batch(flow, family)
+        except FlowError as exc:
+            _assert_looped_refuses(flow, family, exc)
+            return
         assert len(batch) == len(family)
         for column, volume in enumerate(family):
             report = evaluate(flow, volume)

@@ -1497,6 +1497,31 @@ class TestOutOfCoreCli:
         assert excinfo.value.code == 2
         assert "digest" in capsys.readouterr().err
 
+    def test_spill_manifest_path_escape_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A reused store whose manifest names a chunk outside its
+        directory is refused before a single row is read."""
+        import json
+
+        monkeypatch.delenv("REPRO_SWEEP_MAX_ROWS", raising=False)
+        spill = ["--max-rows-in-memory", "5", "--spill-dir", str(tmp_path / "sp")]
+        assert main(["sweep", *self.GRID, "--csv", *spill]) == 0
+        capsys.readouterr()
+        (tmp_path / "other").mkdir()
+        manifest = tmp_path / "sp" / "framestore.json"
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        name = payload["chunks"][0]["file"]
+        (tmp_path / "sp" / name).rename(tmp_path / "other" / name)
+        payload["chunks"][0]["file"] = f"../other/{name}"
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *self.GRID, "--csv", *spill])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "bare file name" in captured.err
+        assert captured.out == ""
+
     def _shard_directory(self, tmp_path, capsys):
         directory = tmp_path / "shards"
         for index in range(3):
