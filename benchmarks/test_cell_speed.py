@@ -9,8 +9,9 @@ rows.  This benchmark pins that claim on a 64-volume × 2-tolerance GPS
 grid (128 points, 512 rows):
 
 * **per-point loop** (the reference, kept here as
-  :func:`_per_point_cells`): every point builds its candidates,
-  resolves the memo and walks all four production flows;
+  :func:`_per_point_frame`): every point builds its candidates,
+  resolves the memo, walks all four production flows and is ranked
+  on its own (:func:`~repro.core.sweep.evaluate_cell`);
 * **batched fill** (:func:`~repro.core.sweep.evaluate_cells`): two
   volume families, each assessed by one batched flow walk per
   candidate.
@@ -31,12 +32,12 @@ import time
 import numpy as np
 
 from repro.core.figure_of_merit import FomWeights
+from repro.core.ranking import DecisionFrame
 from repro.core.sweep import (
     EvaluationCache,
     SweepGrid,
     evaluate_cell,
     evaluate_cells,
-    frame_for_cells,
 )
 from repro.gps.study import sweep_candidates
 from repro.passives.tolerance import PRECISION_CLASS
@@ -58,19 +59,21 @@ WARM_GRID = SweepGrid(
 )
 
 
-def _per_point_cells(points, candidate_factory, reference, weights, cache):
+def _per_point_frame(points, candidate_factory, reference, weights, cache):
     """The per-point reference: the factory and the memo once per point."""
-    return [
-        evaluate_cell(
-            point, candidate_factory(point), reference, weights, cache
-        )
-        for point in points
-    ]
+    return DecisionFrame.concat(
+        [
+            evaluate_cell(
+                point, candidate_factory(point), reference, weights, cache
+            ).reindexed((index,))
+            for index, point in enumerate(points)
+        ]
+    )
 
 
 def _warm_cache() -> EvaluationCache:
     cache = EvaluationCache()
-    _per_point_cells(
+    _per_point_frame(
         WARM_GRID.points(), sweep_candidates, 0, FomWeights(), cache
     )
     return cache
@@ -96,13 +99,11 @@ def test_batched_fill_is_5x_the_scalar_fill():
             points, sweep_candidates, 0, FomWeights(), copy.deepcopy(warm)
         )
 
-    scalar_s, scalar_cells = _best_of(
-        lambda: run(_per_point_cells), repeats=2
-    )
-    batch_s, batch_cells = _best_of(lambda: run(evaluate_cells), repeats=5)
+    scalar_s, scalar = _best_of(lambda: run(_per_point_frame), repeats=2)
+    batch_s, batch = _best_of(lambda: run(evaluate_cells), repeats=5)
 
-    scalar_frame = frame_for_cells(scalar_cells)
-    batch_frame = frame_for_cells(batch_cells)
+    assert batch == scalar
+    scalar_frame, batch_frame = scalar.frame, batch.frame
     assert batch_frame.csv_lines() == scalar_frame.csv_lines()
     assert batch_frame.to_rows() == scalar_frame.to_rows()
 

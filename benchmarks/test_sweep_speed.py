@@ -111,7 +111,7 @@ def test_design_sweep_memoization(benchmark):
     # Three volumes share performance and placement: after the first
     # point, both steps hit for all four candidates.  Only the cost
     # step (which genuinely depends on volume) re-evaluates.
-    candidates = len(report.cells[0].result.rows)
+    candidates = len(report.rows) // len(grid)
     expected_hits = (len(grid) - 1) * candidates * 2
     assert report.cache_stats["hits"] >= expected_hits
     winners = report.winner_counts()

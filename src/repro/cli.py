@@ -494,7 +494,6 @@ def _print_store_report(
         return
     frame = store.to_frame()
     report = SweepReport(
-        cells=(),
         frame=frame,
         cache_stats=store.meta.get("cache_stats", {}),
     )

@@ -34,12 +34,12 @@ evaluated point is an exhaustive-grid point evaluated through exactly
 the same :func:`~repro.core.sweep.evaluate_cells` path.
 
 Each pass is an ordinary point list driven through
-:func:`~repro.core.sweep.stream_design_sweep` (serial, family-batched
+:func:`~repro.core.sweep.stream_decision_frames` (serial, family-batched
 blocks by default; any executor works) with one shared memoised
 :class:`~repro.core.sweep.EvaluationCache`, so the engine machinery
 composes unchanged and refinement re-uses every
 sub-result the coarse pass already paid for.  All passes merge into one
-canonical :class:`~repro.core.resultframe.ResultFrame` — deduplicated
+canonical :class:`~repro.core.ranking.DecisionFrame` — deduplicated
 by design point (one evaluation per grid coordinate, whatever pass
 proposed it first) and ordered by the point's canonical grid position —
 byte-compatible with the warehouse and framestore ingest paths.
@@ -63,15 +63,15 @@ from ..circuits.qfactor import SubstrateLossQModel
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
 from .pareto import dominated_by
+from .ranking import DecisionFrame
 from .resultframe import ResultFrame
 from .sweep import (
     DesignPoint,
     EvaluationCache,
-    SweepCell,
     SweepGrid,
     SweepReport,
-    frame_for_cells,
-    stream_design_sweep,
+    resolve_sweep,
+    stream_decision_frames,
 )
 
 #: SweepGrid axis attributes in canonical (volume-major) order.
@@ -165,8 +165,8 @@ class AdaptivePass:
 class AdaptiveReport:
     """Everything the adaptive driver produced.
 
-    ``frame`` / ``cells`` carry the merged results of every pass in
-    canonical grid order — byte-identical to what an exhaustive sweep
+    ``frame`` carries the merged results of every pass in canonical
+    grid order — byte-identical to what an exhaustive sweep
     restricted to ``evaluated_indices`` would report, so all frame
     consumers (warehouse ingest, framestore spill, CSV) compose
     unchanged.  ``grid_points`` is the exhaustive grid's size;
@@ -179,7 +179,6 @@ class AdaptiveReport:
     stable: bool
     budget_exhausted: bool
     refine_margin: float
-    cells: tuple[SweepCell, ...]
     frame: ResultFrame
     evaluated_indices: tuple[int, ...]
     cache_stats: dict = field(default_factory=dict)
@@ -193,7 +192,6 @@ class AdaptiveReport:
     def report(self) -> SweepReport:
         """The merged results as an ordinary :class:`SweepReport`."""
         return SweepReport(
-            cells=self.cells,
             frame=self.frame,
             cache_stats=self.cache_stats,
         )
@@ -244,14 +242,12 @@ def global_front_mask(
 
 
 def _front_cells(
-    cells: Sequence[SweepCell],
-    indices: Sequence[int],
-    mask: np.ndarray,
+    merged: DecisionFrame, mask: np.ndarray
 ) -> tuple[set[int], set[tuple[int, str]]]:
     """Cells to refine around, plus front identity for delta tracking.
 
-    ``indices`` aligns each cell with its flat grid index (a stable
-    identity across passes — positions in the cells list shift as the
+    ``merged`` holds every evaluated cell at its flat grid index (a
+    stable identity across passes — row positions shift as the
     evaluated set grows).  The first return holds the flat indices of
     the cells to zoom around, deduplicated by objective vector: the
     reference rows are byte-identical at every grid point (always the
@@ -262,24 +258,24 @@ def _front_cells(
     pairs) stays undeduped so pass deltas report what the front
     actually holds.
     """
+    frame = merged.frame
+    rows = np.flatnonzero(mask)
     refine: set[int] = set()
     members: set[tuple[int, str]] = set()
     seen: set[tuple[float, float, float]] = set()
-    row = 0
-    for index, cell in zip(indices, cells):
-        for study_row in cell.result.rows:
-            if mask[row]:
-                name = study_row.assessment.name
-                members.add((index, name))
-                objective = (
-                    study_row.fom.performance,
-                    study_row.area_percent,
-                    study_row.cost_percent,
-                )
-                if objective not in seen:
-                    seen.add(objective)
-                    refine.add(index)
-            row += 1
+    for index, name, objective in zip(
+        merged.point_of_row()[rows].tolist(),
+        frame.column("candidate")[rows].tolist(),
+        zip(
+            frame.column("performance")[rows].tolist(),
+            frame.column("area_percent")[rows].tolist(),
+            frame.column("cost_percent")[rows].tolist(),
+        ),
+    ):
+        members.add((index, name))
+        if objective not in seen:
+            seen.add(objective)
+            refine.add(index)
     return refine, members
 
 
@@ -335,7 +331,7 @@ class _GridIndex:
         return [self.flat(combo) for combo in product(*kept)]
 
     def zoom_indices(
-        self, refine: set[int], evaluated: dict[int, SweepCell]
+        self, refine: set[int], evaluated: set[int]
     ) -> list[int]:
         """Flat indices the next zoom pass should evaluate.
 
@@ -451,14 +447,11 @@ def run_adaptive_sweep(
             "refine margin must be a finite non-negative factor, "
             f"got {refine_margin!r}"
         )
-    if weights is None:
-        weights = FomWeights()
-    if cache is None:
-        cache = EvaluationCache()
-
+    points, weights, cache = resolve_sweep(grid, weights, cache)
     index = _GridIndex(grid)
-    points = grid.points()
-    evaluated: dict[int, SweepCell] = {}
+    evaluated: set[int] = set()
+    blocks: list[DecisionFrame] = []
+    merged = DecisionFrame.empty()
     pass_records: list[AdaptivePass] = []
     previous_members: set[tuple[int, str]] = set()
     refine: set[int] = set()
@@ -484,7 +477,7 @@ def run_adaptive_sweep(
         if chosen:
             hits_before = cache.hits
             misses_before = cache.misses
-            for streamed in stream_design_sweep(
+            for block in stream_decision_frames(
                 [points[i] for i in chosen],
                 candidate_factory,
                 reference,
@@ -492,13 +485,13 @@ def run_adaptive_sweep(
                 cache,
                 executor,
             ):
-                evaluated[chosen[streamed.index]] = streamed.cell
-            ordered_indices = sorted(evaluated)
-            cells = [evaluated[i] for i in ordered_indices]
-            mask = global_front_mask(
-                frame_for_cells(cells), refine_margin
-            )
-            refine, members = _front_cells(cells, ordered_indices, mask)
+                blocks.append(
+                    block.reindexed([chosen[i] for i in block.indices])
+                )
+            evaluated.update(chosen)
+            merged = DecisionFrame.concat(blocks)
+            mask = global_front_mask(merged.frame, refine_margin)
+            refine, members = _front_cells(merged, mask)
             pass_records.append(
                 AdaptivePass(
                     index=pass_number,
@@ -521,8 +514,6 @@ def run_adaptive_sweep(
         # "coarse covers the whole grid" case lands here).
         stable = not index.zoom_indices(refine, evaluated)
 
-    evaluated_indices = tuple(sorted(evaluated))
-    final_cells = tuple(evaluated[i] for i in evaluated_indices)
     return AdaptiveReport(
         grid_points=len(points),
         total_evaluations=len(evaluated),
@@ -530,9 +521,8 @@ def run_adaptive_sweep(
         stable=stable,
         budget_exhausted=budget_exhausted,
         refine_margin=refine_margin,
-        cells=final_cells,
-        frame=frame_for_cells(final_cells),
-        evaluated_indices=evaluated_indices,
+        frame=merged.frame,
+        evaluated_indices=merged.indices,
         cache_stats=cache.stats(),
     )
 
@@ -556,7 +546,7 @@ def spill_adaptive_sweep(
     """Adaptive sweep whose merged frame lands in a chunk store.
 
     Runs :func:`run_adaptive_sweep` and spills the canonical merged
-    frame cell by cell into a
+    frame into a
     :class:`~repro.core.framestore.ChunkedFrameStore` under
     ``directory`` — the same ingest path the exhaustive spill uses, so
     warehouse/framestore consumers read adaptive results unchanged.
@@ -583,7 +573,8 @@ def spill_adaptive_sweep(
         refine_margin=refine_margin,
         coarse=coarse,
     )
-    evaluated_points = [cell.point for cell in report.cells]
+    points = grid.points()
+    evaluated_points = [points[i] for i in report.evaluated_indices]
     store = ChunkedFrameStore.create(
         directory,
         max_rows_in_memory=max_rows_in_memory,
@@ -602,6 +593,5 @@ def spill_adaptive_sweep(
             },
         },
     )
-    for cell in report.cells:
-        store.append(frame_for_cells([cell]))
+    store.append(report.frame)
     return store.finish(meta={"cache_stats": report.cache_stats}), report

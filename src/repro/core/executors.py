@@ -12,17 +12,18 @@ scheduled.  The "how" is an :class:`Executor`:
   fills its own :class:`~repro.core.sweep.EvaluationCache`, which is
   merged back into the caller's cache afterwards;
 * :class:`AsyncExecutor` — schedules every grid point as an asyncio
-  task over a thread pool and streams cells back as they complete;
+  task over a thread pool and streams results back as they complete;
 * ``ShardedExecutor`` (:mod:`repro.core.sharding`) — partitions the
   grid into content-addressed shards and runs each through an inner
   engine; the same partitioning drives the cross-host shard → artifact
   → merge flow.
 
-Every engine produces *identical* cells — the process, sharded and
+Every engine returns an *identical*
+:class:`~repro.core.ranking.DecisionFrame` — the process, sharded and
 async engines only repartition or reorder the work — so the columnar
-:class:`~repro.core.resultframe.ResultFrame` a sweep report assembles
-from those cells (and its row bridge) is byte-identical whatever
-engine ran, and engine choice is a pure scheduling decision:
+:class:`~repro.core.resultframe.ResultFrame` a sweep report carries
+(and its row bridge) is byte-identical whatever engine ran, and engine
+choice is a pure scheduling decision:
 ``repro-gps sweep --engine serial|process|sharded|async
 [--jobs N] [--shards K]``, or the ``REPRO_SWEEP_ENGINE`` /
 ``REPRO_SWEEP_JOBS`` / ``REPRO_SWEEP_SHARDS`` environment variables
@@ -48,6 +49,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from itertools import accumulate
 from typing import (
     Callable,
     Iterator,
@@ -59,10 +61,10 @@ from typing import (
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
 from .methodology import CandidateBuildUp
+from .ranking import DecisionFrame
 from .sweep import (
     DesignPoint,
     EvaluationCache,
-    SweepCell,
     evaluate_cell,
     evaluate_cells,
 )
@@ -81,7 +83,7 @@ ENGINE_NAMES = ("serial", "process", "sharded", "async")
 #: :func:`~repro.core.sweep.evaluate_cells` call.  Large enough that a
 #: block spans many volumes of each family (one batched cost walk
 #: serves them all), small enough that a streaming consumer never holds
-#: more than one block of cells.
+#: more than one block of results.
 STREAM_BLOCK = 256
 
 CandidateFactory = Callable[
@@ -98,12 +100,13 @@ class Executor(Protocol):
 
     * **Completeness and order** — ``run_sweep`` evaluates *every*
       point in ``points`` exactly once and returns one
-      :class:`~repro.core.sweep.SweepCell` per point, in the input
-      order, regardless of the internal evaluation order.
-    * **Result identity** — the returned cells must equal what
+      :class:`~repro.core.ranking.DecisionFrame` holding every point's
+      cell in the input order, at point indices
+      ``0 .. len(points) - 1``, regardless of the internal evaluation
+      order.
+    * **Result identity** — the returned frame must equal what
       :class:`SerialExecutor` produces for the same inputs, float for
-      float: the :class:`~repro.core.resultframe.ResultFrame` built
-      from them must be byte-identical column for column.  Engines are
+      float: every result and ratio column byte-identical.  Engines are
       pure scheduling decisions; they may not change *what* is
       computed (``tests/gps/test_engine_matrix.py`` pins frame/row
       byte identity on the GPS study for every engine × scenario).
@@ -126,6 +129,11 @@ class Executor(Protocol):
     * **Error transparency** — exceptions raised by the factory or the
       evaluation propagate to the caller; an engine must not swallow a
       failed point and return a partial result.
+
+    An engine may also stream: ``iter_cells`` (same arguments) yields
+    decision-frame blocks at canonical point indices as they finish,
+    which :func:`~repro.core.sweep.stream_decision_frames` prefers
+    over ``run_sweep``.
     """
 
     name: str
@@ -137,8 +145,8 @@ class Executor(Protocol):
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-    ) -> list[SweepCell]:
-        """Evaluate all grid points and return their cells in order."""
+    ) -> DecisionFrame:
+        """Evaluate all grid points; their cells in order, one frame."""
         ...
 
 
@@ -154,7 +162,7 @@ class SerialExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-    ) -> list[SweepCell]:
+    ) -> DecisionFrame:
         return evaluate_cells(
             points, candidate_factory, reference, weights, cache
         )
@@ -166,8 +174,8 @@ class SerialExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-    ):
-        """Stream ``(index, cell)`` pairs in canonical order.
+    ) -> Iterator[DecisionFrame]:
+        """Stream decision-frame blocks in canonical order.
 
         The streaming surface of
         :func:`~repro.core.sweep.stream_design_sweep` and its
@@ -176,23 +184,18 @@ class SerialExecutor:
         driver): contiguous blocks of :data:`STREAM_BLOCK` points go
         through :func:`~repro.core.sweep.evaluate_cells` — the
         family-batched fill, for a volume-invariant factory — so at
-        most one block of cells is held at a time.  Cells are
-        bit-identical whatever the block boundaries, and the batched
-        fill's :meth:`EvaluationCache.count_reuse` discipline keeps the
+        most one block is held at a time.  Results are bit-identical
+        whatever the block boundaries, and the batched fill's
+        :meth:`EvaluationCache.count_reuse` discipline keeps the
         per-block cache stats summing to the whole-run tally — so the
         streamed sweep matches :meth:`run_sweep` rows *and* stats
         exactly.
         """
         for start in range(0, len(points), STREAM_BLOCK):
-            cells = evaluate_cells(
-                points[start : start + STREAM_BLOCK],
-                candidate_factory,
-                reference,
-                weights,
-                cache,
-            )
-            for offset, cell in enumerate(cells):
-                yield start + offset, cell
+            block = points[start : start + STREAM_BLOCK]
+            yield evaluate_cells(
+                block, candidate_factory, reference, weights, cache
+            ).reindexed(range(start, start + len(block)))
 
 
 def _split_runs(points: Sequence[DesignPoint], parts: int) -> list[list]:
@@ -227,15 +230,16 @@ def _split_runs(points: Sequence[DesignPoint], parts: int) -> list[list]:
 def _process_worker(payload):
     """Evaluate one run of grid points in a worker process.
 
-    Returns the cells plus the worker-local cache so the parent can
-    merge hit/miss stats and reuse the computed sub-results.
+    Returns the run's decision frame (at the run's grid positions from
+    ``start``) plus the worker-local cache so the parent can merge
+    hit/miss stats and reuse the computed sub-results.
     """
-    points, candidate_factory, reference, weights = payload
+    start, points, candidate_factory, reference, weights = payload
     cache = EvaluationCache()
-    cells = evaluate_cells(
+    dframe = evaluate_cells(
         points, candidate_factory, reference, weights, cache
     )
-    return cells, cache
+    return dframe.reindexed(range(start, start + len(points))), cache
 
 
 class MultiprocessExecutor:
@@ -244,8 +248,9 @@ class MultiprocessExecutor:
     Each worker evaluates its run with a fresh cache (memoisation still
     applies *within* a run); the parent merges every worker cache into
     the sweep's cache, so the final stats are the whole-sweep tally.
-    The candidate factory must be picklable; results (cells and cached
-    sub-results) are plain dataclasses and always are.
+    The candidate factory must be picklable; results (decision frames
+    and cached sub-results) are plain arrays and dataclasses and
+    always are.
     """
 
     name = "process"
@@ -266,18 +271,18 @@ class MultiprocessExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-    ) -> list[SweepCell]:
+    ) -> DecisionFrame:
         runs = _split_runs(points, self.jobs)
+        starts = accumulate((len(run) for run in runs), initial=0)
         payloads = [
-            (run, candidate_factory, reference, weights) for run in runs
+            (start, run, candidate_factory, reference, weights)
+            for start, run in zip(starts, runs)
         ]
         with ProcessPoolExecutor(max_workers=len(runs)) as pool:
             outcomes = list(pool.map(_process_worker, payloads))
-        cells: list[SweepCell] = []
-        for run_cells, worker_cache in outcomes:
-            cells.extend(run_cells)
+        for _, worker_cache in outcomes:
             cache.merge(worker_cache)
-        return cells
+        return DecisionFrame.concat([dframe for dframe, _ in outcomes])
 
 
 class _SweepAbandoned(Exception):
@@ -290,7 +295,7 @@ class AsyncExecutor:
     Grid points are embarrassingly parallel, so the engine schedules
     each one as an asyncio task that runs the evaluation on a thread
     pool (the MNA-heavy part spends its time in LAPACK, which releases
-    the GIL) and gathers the cells back into canonical order.  Rows
+    the GIL) and gathers the results back into canonical order.  Rows
     are identical to the serial engine's: evaluation is deterministic
     per point, so only the shared cache's hit/miss *tally* can vary
     with completion order — two tasks racing on a cold key both
@@ -300,10 +305,13 @@ class AsyncExecutor:
     The engine also streams, when passed to
     :func:`~repro.core.sweep.stream_design_sweep`:
 
-    * :meth:`iter_cells` yields ``(canonical_index, cell)`` pairs in
-      *completion* order while the sweep is still running;
-    * ``progress`` (a ``callback(done, total, cell)``) fires after
-      every completed point, whichever entry point drove the sweep.
+    * :meth:`iter_cells` yields one-point
+      :class:`~repro.core.ranking.DecisionFrame` blocks at their
+      canonical index in *completion* order while the sweep is still
+      running;
+    * ``progress`` (a ``callback(done, total, dframe)``, ``dframe``
+      the finished point's one-point frame) fires after every
+      completed point, whichever entry point drove the sweep.
     """
 
     name = "async"
@@ -311,7 +319,9 @@ class AsyncExecutor:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        progress: Optional[Callable[[int, int, SweepCell], None]] = None,
+        progress: Optional[
+            Callable[[int, int, DecisionFrame], None]
+        ] = None,
     ) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -332,13 +342,12 @@ class AsyncExecutor:
         weights: FomWeights,
         cache: EvaluationCache,
         cancel: Optional[threading.Event],
-    ) -> tuple[int, SweepCell]:
+    ) -> DecisionFrame:
         if cancel is not None and cancel.is_set():
             raise _SweepAbandoned()
-        cell = evaluate_cell(
+        return evaluate_cell(
             point, candidate_factory(point), reference, weights, cache
-        )
-        return index, cell
+        ).reindexed((index,))
 
     async def _run(
         self,
@@ -347,12 +356,11 @@ class AsyncExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-        emit: Optional[Callable[[int, SweepCell], None]],
+        emit: Optional[Callable[[DecisionFrame], None]],
         cancel: Optional[threading.Event] = None,
-    ) -> list[SweepCell]:
+    ) -> list[DecisionFrame]:
         loop = asyncio.get_running_loop()
-        cells: list[Optional[SweepCell]] = [None] * len(points)
-        done = 0
+        frames: list[DecisionFrame] = []
         pool = ThreadPoolExecutor(max_workers=self.jobs)
         try:
             futures = [
@@ -371,13 +379,12 @@ class AsyncExecutor:
             ]
             try:
                 for future in asyncio.as_completed(futures):
-                    index, cell = await future
-                    cells[index] = cell
-                    done += 1
+                    dframe = await future
+                    frames.append(dframe)
                     if self.progress is not None:
-                        self.progress(done, len(points), cell)
+                        self.progress(len(frames), len(points), dframe)
                     if emit is not None:
-                        emit(index, cell)
+                        emit(dframe)
             except BaseException:
                 # A failed point must not wait for the whole queue:
                 # drop everything not yet started before re-raising
@@ -387,7 +394,7 @@ class AsyncExecutor:
                 raise
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-        return cells
+        return frames
 
     def run_sweep(
         self,
@@ -396,10 +403,13 @@ class AsyncExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-    ) -> list[SweepCell]:
-        return asyncio.run(
-            self._run(
-                points, candidate_factory, reference, weights, cache, None
+    ) -> DecisionFrame:
+        return DecisionFrame.concat(
+            asyncio.run(
+                self._run(
+                    points, candidate_factory, reference, weights, cache,
+                    None,
+                )
             )
         )
 
@@ -410,11 +420,11 @@ class AsyncExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-    ) -> Iterator[tuple[int, SweepCell]]:
-        """Yield ``(canonical_index, cell)`` in completion order.
+    ) -> Iterator[DecisionFrame]:
+        """Yield one-point decision frames in completion order.
 
         The asyncio loop runs on a helper thread and pushes completed
-        cells through a queue, so the caller iterates an ordinary
+        points through a queue, so the caller iterates an ordinary
         synchronous generator while evaluation continues in the
         background.  Exceptions from the factory or the evaluation are
         re-raised here; not-yet-started points are dropped first, so
@@ -434,16 +444,14 @@ class AsyncExecutor:
                         reference,
                         weights,
                         cache,
-                        lambda index, cell: results.put(
-                            ("cell", index, cell)
-                        ),
+                        lambda dframe: results.put(("cell", dframe)),
                         cancel=abandoned,
                     )
                 )
             except BaseException as exc:  # noqa: BLE001 — re-raised below
-                results.put(("error", exc, None))
+                results.put(("error", exc))
             else:
-                results.put(("done", None, None))
+                results.put(("done", None))
 
         thread = threading.Thread(
             target=_drive, name="repro-async-sweep", daemon=True
@@ -451,11 +459,11 @@ class AsyncExecutor:
         thread.start()
         try:
             while True:
-                kind, first, second = results.get()
+                kind, value = results.get()
                 if kind == "cell":
-                    yield first, second
+                    yield value
                 elif kind == "error":
-                    raise first
+                    raise value
                 else:
                     return
         finally:

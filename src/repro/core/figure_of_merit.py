@@ -84,9 +84,9 @@ def figure_of_merit(
     weights:
         Optional exponents; defaults to the plain product.
     """
-    if performance < 0:
+    if not performance >= 0:
         raise SpecificationError(
-            f"performance cannot be negative, got {performance}"
+            f"performance cannot be negative or NaN, got {performance}"
         )
     if size_ratio <= 0 or cost_ratio <= 0:
         raise SpecificationError(

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..errors import SpecificationError
 from . import blobstore
-from .executors import CandidateFactory, Executor, SerialExecutor
+from .executors import CandidateFactory, Executor
 from .figure_of_merit import FomWeights
 from .pareto import dominated_by
 from .resultframe import ResultFrame
@@ -66,6 +66,7 @@ from .sweep import (
     DesignPoint,
     EvaluationCache,
     SweepGrid,
+    resolve_sweep,
     stream_design_sweep,
 )
 
@@ -717,16 +718,7 @@ def spill_design_sweep(
     (fingerprint, order digest, point count — see
     :func:`store_matches`) and the sweep's ``cache_stats``.
     """
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise SpecificationError("design sweep needs at least one point")
-    if weights is None:
-        weights = FomWeights()
-    if cache is None:
-        cache = EvaluationCache()
-    if executor is None:
-        executor = SerialExecutor()
-
+    points, weights, cache = resolve_sweep(grid, weights, cache)
     store = ChunkedFrameStore.create(
         directory,
         max_rows_in_memory=max_rows_in_memory,

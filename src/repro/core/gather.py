@@ -47,8 +47,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
-import numpy as np
-
 from ..errors import SpecificationError
 from .queue import QueueManifest
 from .resultframe import ResultFrame
@@ -58,6 +56,7 @@ from .sharding import (
     ShardMergeError,
     find_pending_artifacts,
     find_shard_artifacts,
+    frame_in_point_order,
     load_artifact,
     merge_cache_states,
     merge_shard_artifacts,
@@ -258,11 +257,7 @@ class IncrementalGather:
         ]
         if not artifacts:
             return ResultFrame.empty()
-        frame = ResultFrame.concat([a.frame for a in artifacts])
-        point_of_row = np.concatenate(
-            [a.point_of_row() for a in artifacts]
-        )
-        return frame.take(np.argsort(point_of_row, kind="stable"))
+        return frame_in_point_order(artifacts)
 
     def snapshot(self) -> GatherSnapshot:
         """The current partial view (sorted frame, merged cache stats)."""

@@ -18,6 +18,7 @@ The methodology is application-agnostic: the GPS case study
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +27,7 @@ from ..area.substrate import LaminateRule, SubstrateRule
 from ..area.footprint import Footprint
 from ..circuits.performance import ChainPerformance, assess_chain
 from ..circuits.synthesis import QModel
-from ..cost.moe.analytic import evaluate, evaluate_batch
+from ..cost.moe.analytic import evaluate
 from ..cost.moe.flow import ProductionFlow
 from ..cost.moe.report import CostReport
 from ..errors import SpecificationError
@@ -80,6 +81,16 @@ class CandidateBuildUp:
             raise SpecificationError(
                 f"candidate {self.name!r}: needs filter assignments or a "
                 "fixed performance score"
+            )
+        if self.fixed_performance is not None and not (
+            math.isfinite(self.fixed_performance)
+            and self.fixed_performance >= 0
+        ):
+            # A NaN score compares false against everything, so it
+            # would silently skew the winner instead of failing.
+            raise SpecificationError(
+                f"candidate {self.name!r}: fixed performance must be a "
+                f"non-negative finite number, got {self.fixed_performance}"
             )
 
 
@@ -165,40 +176,6 @@ def assess_candidate(
     )
 
 
-def assess_candidate_batch(
-    candidate: CandidateBuildUp, volumes: Sequence[float]
-) -> tuple[BuildUpAssessment, ...]:
-    """Methodology steps 2-4 for one candidate over a volume family.
-
-    Performance and placement are volume-independent, so they run once;
-    the cost step runs as a single batched flow walk
-    (:func:`~repro.cost.moe.analytic.evaluate_batch`).  Bit-identical
-    to ``[assess_candidate(candidate, v) for v in volumes]``, one
-    assessment per volume.
-    """
-    if candidate.fixed_performance is not None:
-        performance = candidate.fixed_performance
-        chain: Optional[ChainPerformance] = None
-    else:
-        chain = assess_chain(candidate.filter_assignments)
-        performance = chain.score
-    area = trivial_placement(
-        candidate.footprints, candidate.substrate_rule, candidate.laminate
-    )
-    flow = candidate.flow_factory(area.substrate_area_cm2)
-    batch = evaluate_batch(flow, volumes)
-    return tuple(
-        BuildUpAssessment(
-            name=candidate.name,
-            performance=performance,
-            chain=chain,
-            area=area,
-            cost=report,
-        )
-        for report in batch.to_reports()
-    )
-
-
 def run_study(
     candidates: Sequence[CandidateBuildUp],
     reference: int = 0,
@@ -240,9 +217,9 @@ def study_from_assessments(
 ) -> StudyResult:
     """Normalise and rank ready-made assessments (methodology step 5).
 
-    Shared by :func:`run_study` and the design-space sweep
-    (:mod:`repro.core.sweep`), whose memoised evaluation produces the
-    assessments itself.
+    The object path of :func:`run_study` and the ``study`` command; the
+    design-space sweep runs the same step as columns
+    (:func:`repro.core.sweep.evaluate_family`).
     """
     ref = assessments[reference]
     rows = []

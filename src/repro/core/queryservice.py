@@ -18,14 +18,10 @@ no circuit is solved, no substrate placed, no flow walked:
   axis with every other axis pinned;
 * ``manifest`` — what the warehouse covers.
 
-Numerical discipline: the re-rank kernel routes ``pow`` through the
-scalar ``**`` operator per element (``np.power``'s SIMD path drifts by
-1 ulp on a few percent of inputs — the same reason
-:mod:`repro.cost.yieldmodels` computes its powers scalar), while the
-reciprocal and product steps vectorise safely (elementwise division
-and multiplication are correctly rounded).  The only fast paths are
-exponent ``0.0`` (``pow(x, 0) == 1.0`` exactly, even for ``0``/NaN)
-and ``1.0`` (``pow(x, 1) == x`` exactly).
+Numerical discipline: the re-rank is the sweep's own ranking spine
+(:mod:`repro.core.ranking`) applied to stored columns — scalar ``pow``
+bits, correctly-rounded reciprocals and products, first-max winners —
+so its doubles are the sweep's doubles.
 
 The HTTP surface is a stdlib ``ThreadingHTTPServer``: ``POST /query``
 with a JSON body, ``GET /manifest``, ``GET /health``.  Responses are
@@ -47,15 +43,14 @@ import numpy as np
 
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
-from .resultframe import (
-    COLUMN_ORDER,
-    ResultFrame,
-    group_first_max,
-    group_starts,
+from .ranking import (  # noqa: F401 — weighted_fom re-exported
+    DecisionFrame,
+    weighted_fom,
+    winner_mask,
 )
+from .resultframe import COLUMN_ORDER, ResultFrame
 from .blobstore import canonical_json
 from .warehouse import (
-    DecisionFrame,
     FrameCache,
     WarehouseManifest,
     load_warehouse,
@@ -150,55 +145,6 @@ def parse_fom_weights(value) -> FomWeights:
         raise QueryError(str(exc)) from None
 
 
-def _pow_column(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Elementwise ``value ** exponent`` with scalar-operator bits.
-
-    ``np.power`` disagrees with Python's ``**`` by 1 ulp on a few
-    percent of inputs (different libm paths), which would break the
-    byte-identity contract with :func:`~repro.core.figure_of_merit.
-    figure_of_merit`; the loop stays off the hot path because a re-rank
-    runs it three times over one frame.  Exponents ``0.0`` and ``1.0``
-    short-circuit exactly (``pow(x, 0) == 1.0`` for every double
-    including NaN, ``pow(x, 1) == x``).
-    """
-    if exponent == 0.0:
-        return np.ones(values.shape[0], dtype=np.float64)
-    if exponent == 1.0:
-        return values.astype(np.float64, copy=True)
-    return np.asarray(
-        [value**exponent for value in values.tolist()], dtype=np.float64
-    )
-
-
-def weighted_fom(
-    performance: np.ndarray,
-    size_ratio: np.ndarray,
-    cost_ratio: np.ndarray,
-    weights: FomWeights,
-) -> np.ndarray:
-    """Vector twin of :func:`~repro.core.figure_of_merit.figure_of_merit`.
-
-    Same operations in the same order per element — scalar ``pow``
-    bits, correctly-rounded elementwise reciprocal and product — so
-    every output double matches the scalar formula exactly.
-    """
-    performance = np.asarray(performance, dtype=np.float64)
-    if performance.size and not np.all(performance >= 0.0):
-        raise QueryError(
-            "stored performance column holds negative or NaN values; "
-            "the warehouse frame is corrupt"
-        )
-    return (
-        _pow_column(performance, weights.performance)
-        * _pow_column(
-            1.0 / np.asarray(size_ratio, dtype=np.float64), weights.size
-        )
-        * _pow_column(
-            1.0 / np.asarray(cost_ratio, dtype=np.float64), weights.cost
-        )
-    )
-
-
 def rerank_frame(
     dframe: DecisionFrame, weights: FomWeights
 ) -> ResultFrame:
@@ -207,39 +153,35 @@ def rerank_frame(
     Byte-identical to re-running the sweep with ``weights`` as the
     sweep-wide default: points on the frame's weights *axis* (a
     non-``paper`` ``weights`` label) keep their own per-point ranking —
-    exactly as :func:`~repro.core.sweep.evaluate_cell` would — while
+    exactly as :func:`~repro.core.sweep.evaluate_family` would — while
     every ``paper``-label point is re-scored from the stored FoM
-    inputs.  Winners are recomputed per cell with the first-max rule
-    :func:`~repro.core.figure_of_merit.rank_buildups` uses, broadcast
-    by winner *name* (the stored semantics: every row sharing the
-    winning candidate's name carries the flag).
+    inputs.  Both steps are the sweep's own ranking kernels
+    (:mod:`repro.core.ranking`) applied to the stored columns: the
+    weighted FoM, then the per-point first-max winner broadcast by
+    name.
     """
     frame = dframe.frame
     fom = frame.column("figure_of_merit").copy()
-    paper = frame.column("weights") == "paper"
+    # The weights label is one per point: compare each point's first row.
+    starts = dframe.starts
+    paper = np.repeat(
+        frame.column("weights")[starts] == "paper",
+        np.diff(np.append(starts, len(frame))),
+    )
     if np.any(paper):
+        performance = frame.column("performance")
+        if not np.all(performance >= 0.0):
+            raise QueryError(
+                "stored performance column holds negative or NaN "
+                "values; the warehouse frame is corrupt"
+            )
         recomputed = weighted_fom(
-            frame.column("performance"),
-            dframe.size_ratio,
-            dframe.cost_ratio,
-            weights,
+            performance, dframe.size_ratio, dframe.cost_ratio, weights
         )
         fom[paper] = recomputed[paper]
-    n = len(frame)
-    if n:
-        point = dframe.point_of_row()
-        starts = group_starts(point)
-        lengths = np.diff(np.append(starts, n))
-        first = group_first_max(point, fom)
-        winner_names = np.repeat(
-            frame.column("candidate")[first], lengths
-        )
-        is_winner = frame.column("candidate") == winner_names
-    else:
-        is_winner = np.zeros(0, dtype=np.bool_)
     columns = {name: frame.column(name) for name in COLUMN_ORDER}
     columns["figure_of_merit"] = fom
-    columns["is_winner"] = np.asarray(is_winner, dtype=np.bool_)
+    columns["is_winner"] = winner_mask(starts, fom, dframe.name_codes)
     return ResultFrame.from_columns(columns)
 
 

@@ -66,7 +66,7 @@ from .sharding import (
     shard_filename,
     write_shard_artifact,
 )
-from .sweep import DesignPoint, SweepGrid
+from .sweep import DesignPoint, SweepGrid, resolve_sweep
 
 #: Manifest format identifier; bumped on incompatible changes.
 QUEUE_FORMAT = "repro-sweep-queue/1"
@@ -149,9 +149,7 @@ def manifest_for_grid(
     grid_spec: Optional[dict] = None,
 ) -> QueueManifest:
     """Build the manifest of a queue over ``grid`` cut into ``shards``."""
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise SpecificationError("design sweep needs at least one point")
+    points, _, _ = resolve_sweep(grid)
     return QueueManifest(
         fingerprint=grid_fingerprint(points),
         order_digest=grid_order_digest(points),
@@ -355,6 +353,16 @@ class ShardQueue:
             return False
         return expires > self.clock()
 
+    def _stale(self, path: Path) -> bool:
+        """True for a file older than the lease TTL: an unreadable
+        lease that old (its claimant died between the exclusive create
+        and the write) is expired, not mid-write."""
+        try:
+            age = self.clock() - path.stat().st_mtime
+        except FileNotFoundError:
+            return False
+        return age > self.manifest.lease_ttl
+
     def outstanding(self) -> list[int]:
         """Shard indices without a valid artifact yet."""
         return [
@@ -392,9 +400,9 @@ class ShardQueue:
             return None
         lease_path = self.lease_path(shard_index)
         existing = self._read_json(lease_path)
-        if existing is not None:
-            if self._lease_live(existing):
-                return None
+        if existing is not None and self._lease_live(existing):
+            return None
+        if existing is not None or self._stale(lease_path):
             # Expired (straggler or dead host): clear it, then race
             # for the fresh lease like everyone else.  Losing the
             # unlink race is fine — FileNotFoundError means another
@@ -523,9 +531,7 @@ def run_queue_worker(
     done.
     """
     queue = ShardQueue(manifest_path, owner=owner, clock=clock)
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise SpecificationError("design sweep needs at least one point")
+    points, weights, _ = resolve_sweep(grid, weights)
     fingerprint = grid_fingerprint(points)
     order_digest = grid_order_digest(points)
     if fingerprint != queue.manifest.fingerprint:
@@ -547,8 +553,6 @@ def run_queue_worker(
             f"{queue.manifest.total_points} points but the resolved "
             f"grid has {len(points)}"
         )
-    if weights is None:
-        weights = FomWeights()
 
     def emit(kind: str, shard_index: int, detail: str) -> None:
         if on_event is not None:

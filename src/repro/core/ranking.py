@@ -1,0 +1,356 @@
+"""Methodology step 5 over columns: the one ranking spine.
+
+The decision step normalises every build-up to the reference, folds
+``perf · (1/size) · (1/cost)`` into the figure of merit (Fig. 6) and
+picks the winner.  Per volume family that is a few array operations,
+and the same operations re-rank a stored warehouse frame under new
+weights, so both callers — :func:`repro.core.sweep.evaluate_family`
+and :func:`repro.core.queryservice.rerank_frame` — share this module:
+the :class:`DecisionFrame` unit, :func:`weighted_fom`,
+:func:`winner_mask` (first-max winner, broadcast by name) and
+:func:`cell_front_mask` (per-point front, broadcast by name).
+
+``pow`` goes through the scalar ``**`` operator (``np.power`` drifts
+by 1 ulp on a few percent of inputs); reciprocals and products
+vectorise safely (they are correctly rounded).  Every output double
+therefore equals the per-candidate object path's —
+``tests/core/test_ranking.py`` locks that against the reference kept
+in ``tests/per_point.py``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from ..errors import SpecificationError
+from .figure_of_merit import FomWeights
+from .resultframe import ResultFrame
+
+#: The auxiliary ratio columns every decision frame carries.
+RATIO_COLUMNS = ("size_ratio", "cost_ratio")
+
+
+def point_of_row(indices, row_counts) -> np.ndarray:
+    """Canonical point index of every row of a ``row_counts`` run."""
+    return np.repeat(
+        np.asarray(indices, dtype=np.int64),
+        np.asarray(row_counts, dtype=np.int64),
+    )
+
+
+def check_point_runs(label: str, indices, row_counts, rows: int) -> None:
+    """Refuse ``row_counts[k]`` runs for points ``indices[k]`` that do
+    not tile ``rows`` frame rows (a decision frame, a shard artifact)."""
+    if len(indices) != len(row_counts):
+        raise SpecificationError(
+            f"{label} carries {len(indices)} indices but "
+            f"{len(row_counts)} row counts"
+        )
+    for name, values in (("index", indices), ("row count", row_counts)):
+        for value in values:
+            # Exact non-negative ints only: a float would silently
+            # truncate (and a negative count crash) in the int64 cast
+            # :func:`point_of_row` feeds to ``np.repeat``.
+            if (
+                not isinstance(value, int)
+                or isinstance(value, bool)
+                or value < 0
+            ):
+                raise SpecificationError(
+                    f"{label} {name}s must be non-negative integers, "
+                    f"got {value!r}"
+                )
+    if sum(row_counts) != rows:
+        raise SpecificationError(
+            f"{label} row counts sum to {sum(row_counts)} but the frame "
+            f"carries {rows} rows"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class DecisionFrame:
+    """Sweep rows plus their re-rank basis columns.
+
+    ``frame`` holds the 14 :class:`~repro.core.resultframe.SweepRow`
+    columns; ``size_ratio`` / ``cost_ratio`` are the FoM inputs the
+    percent columns cannot recover (``fl(100 * ratio)`` is not
+    invertible), so a stored frame can be re-ranked byte-identically
+    to a fresh sweep.  ``indices`` / ``row_counts`` assign runs of
+    rows to canonical grid points, exactly like a shard artifact —
+    ``row_counts[k]`` consecutive rows belong to point ``indices[k]``.
+    """
+
+    frame: ResultFrame
+    size_ratio: np.ndarray
+    cost_ratio: np.ndarray
+    indices: tuple[int, ...]
+    row_counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for name in RATIO_COLUMNS:
+            try:
+                array = np.asarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise SpecificationError(
+                    f"decision frame {name} is not numeric: {exc}"
+                ) from None
+            if array.ndim != 1 or array.shape[0] != len(self.frame):
+                raise SpecificationError(
+                    f"decision frame {name} must be one value per row "
+                    f"({len(self.frame)}), got shape {array.shape}"
+                )
+            if array.size and (
+                not np.all(np.isfinite(array)) or np.any(array <= 0.0)
+            ):
+                # The re-rank kernel computes 1/ratio and raises it to
+                # a power; zero or NaN here would turn a corrupt frame
+                # file into silently wrong rankings.
+                raise SpecificationError(
+                    f"decision frame {name} values must be positive "
+                    f"finite numbers"
+                )
+            if array.flags.writeable or array.base is not None:
+                array = array.copy()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        check_point_runs(
+            "decision frame", self.indices, self.row_counts, len(self.frame)
+        )
+
+    @classmethod
+    def empty(cls) -> "DecisionFrame":
+        """A zero-row, zero-point frame (the identity of :meth:`concat`)."""
+        nothing = np.empty(0, dtype=np.float64)
+        return cls(ResultFrame.empty(), nothing, nothing, (), ())
+
+    @classmethod
+    def concat(cls, frames: Sequence["DecisionFrame"]) -> "DecisionFrame":
+        """Frames over disjoint points merged into canonical point order.
+
+        One frame concat plus a stable sort on the point index, with
+        the ratio columns carried through the same permutation; the
+        sort is skipped when the rows already arrive in point order.
+        Frames that overlap on a point are refused.
+        """
+        frames = list(frames)
+        if not frames:
+            return cls.empty()
+        if len(frames) == 1:
+            return frames[0]
+        pairs = sorted(
+            (index, count)
+            for frame in frames
+            for index, count in zip(frame.indices, frame.row_counts)
+        )
+        indices = np.asarray([index for index, _ in pairs])
+        overlap = indices[1:][indices[1:] == indices[:-1]]
+        if overlap.size:
+            raise SpecificationError(
+                f"decision frames overlap on point index {overlap[0]}"
+            )
+        point = np.concatenate([frame.point_of_row() for frame in frames])
+        merged = ResultFrame.concat([f.frame for f in frames])
+        size = np.concatenate([f.size_ratio for f in frames])
+        cost = np.concatenate([f.cost_ratio for f in frames])
+        if np.any(point[1:] < point[:-1]):
+            order = np.argsort(point, kind="stable")
+            merged, size, cost = merged.take(order), size[order], cost[order]
+        return cls(
+            frame=merged,
+            size_ratio=size,
+            cost_ratio=cost,
+            indices=tuple(indices.tolist()),
+            row_counts=tuple(count for _, count in pairs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecisionFrame):
+            return NotImplemented
+        return (
+            self.frame == other.frame
+            and np.array_equal(self.size_ratio, other.size_ratio)
+            and np.array_equal(self.cost_ratio, other.cost_ratio)
+            and self.indices == other.indices
+            and self.row_counts == other.row_counts
+        )
+
+    def point_of_row(self) -> np.ndarray:
+        """Canonical point index of every frame row (vectorised)."""
+        return point_of_row(self.indices, self.row_counts)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Offset of the first row of every point that has rows."""
+        counts = np.asarray(self.row_counts, dtype=np.intp)
+        return (np.cumsum(counts) - counts)[counts > 0]
+
+    @cached_property
+    def name_codes(self) -> np.ndarray:
+        """:func:`name_codes` of the candidate column."""
+        return name_codes(self.frame.column("candidate").tolist())
+
+    def reindexed(self, indices: Sequence[int]) -> "DecisionFrame":
+        """The same rows assigned to other point indices (same count)."""
+        return replace(self, indices=tuple(indices))
+
+    def cells(self) -> Iterator[tuple[int, ResultFrame]]:
+        """``(index, frame)`` per point, in row order."""
+        stop = 0
+        for index, count in zip(self.indices, self.row_counts):
+            start, stop = stop, stop + count
+            yield index, self.frame.take(np.arange(start, stop))
+
+
+def _pow_column(values: np.ndarray, exponent: float) -> np.ndarray:
+    """Elementwise ``value ** exponent`` with scalar-operator bits.
+
+    ``np.power`` disagrees with Python's ``**`` by 1 ulp on a few
+    percent of inputs (different libm paths), which would break the
+    byte-identity contract with :func:`~repro.core.figure_of_merit.
+    figure_of_merit`.  The scalar operator runs once per distinct bit
+    pattern (a stored column repeats each candidate's performance and
+    size ratio at every volume), so ``-0.0`` and ``0.0`` stay apart.
+    Exponents ``0.0`` and ``1.0`` short-circuit exactly
+    (``pow(x, 0) == 1.0`` for every double including NaN,
+    ``pow(x, 1) == x``).
+    """
+    if exponent == 0.0:
+        return np.ones(values.shape, dtype=np.float64)
+    if exponent == 1.0:
+        return values.astype(np.float64, copy=True)
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    powered = np.asarray(
+        [value**exponent for value in distinct.view(np.float64).tolist()],
+        dtype=np.float64,
+    )
+    return powered[np.searchsorted(distinct, bits)]
+
+
+def weighted_fom(
+    performance,
+    size_ratio,
+    cost_ratio,
+    weights: FomWeights,
+) -> np.ndarray:
+    """Vector twin of :func:`~repro.core.figure_of_merit.figure_of_merit`.
+
+    Same operations in the same order per element — scalar ``pow``
+    bits, correctly-rounded elementwise reciprocal and product — so
+    every output double matches the scalar formula exactly.  The
+    arguments broadcast against each other (the sweep passes one
+    performance and size ratio per candidate against a cost ratio per
+    candidate and volume).  Performance must be non-negative, as in the
+    scalar formula; the ratios are a :class:`DecisionFrame`'s to check.
+    """
+    performance = np.asarray(performance, dtype=np.float64)
+    size_ratio = np.asarray(size_ratio, dtype=np.float64)
+    cost_ratio = np.asarray(cost_ratio, dtype=np.float64)
+    if not np.all(performance >= 0.0):
+        bad = performance[~(performance >= 0.0)][0]
+        raise SpecificationError(
+            f"performance cannot be negative or NaN, got {bad}"
+        )
+    return (
+        _pow_column(performance, weights.performance)
+        * _pow_column(1.0 / size_ratio, weights.size)
+        * _pow_column(1.0 / cost_ratio, weights.cost)
+    )
+
+
+def group_first_max(starts, values) -> np.ndarray:
+    """Row index of the first maximum within every run of rows.
+
+    ``starts`` are the ascending offsets of non-empty runs covering
+    ``values`` (a decision frame's :attr:`DecisionFrame.starts`).  The
+    vectorised twin of a per-group ``max()`` scan with first-wins
+    tie-breaking — exactly the winner selection
+    :func:`repro.core.figure_of_merit.rank_buildups` performs per cell
+    (stable descending sort, take the head).  Equal-sized runs are one
+    ``argmax`` over a reshaped view; ragged runs take their maxima with
+    ``np.maximum.reduceat`` and the first row matching each.  No
+    Python-level loop touches the rows.
+    """
+    data = np.asarray(values, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
+    if starts.size == 0:
+        return np.empty(0, dtype=np.intp)
+    if np.isnan(data).any():
+        raise SpecificationError(
+            "group maximum undefined (NaN values in a group)"
+        )
+    lengths = np.diff(np.append(starts, data.shape[0]))
+    if np.all(lengths == lengths[0]):
+        # Equal-sized cells (the sweep's k candidates per point):
+        # ``argmax`` returns the first maximum of every row.
+        return starts + data.reshape(-1, lengths[0]).argmax(axis=1)
+    maxima = np.repeat(np.maximum.reduceat(data, starts), lengths)
+    hits = np.flatnonzero(data == maxima)
+    # Every group holds a hit, so the first hit at or after a group's
+    # start is that group's first maximum.
+    return hits[np.searchsorted(hits, starts)]
+
+
+def name_codes(names: Sequence[str]) -> np.ndarray:
+    """An integer per name, equal exactly where the names are."""
+    codes: dict = {}
+    return np.asarray([codes.setdefault(name, len(codes)) for name in names])
+
+
+def winner_mask(starts, fom, codes) -> np.ndarray:
+    """``is_winner`` per row: the group's first-max name, broadcast.
+
+    ``codes`` are the rows' :func:`name_codes`, so every row sharing
+    the winning candidate's *name* carries the flag — the stored
+    semantics of ``name == study.winner.name`` per cell.
+    """
+    codes = np.asarray(codes)
+    first = group_first_max(starts, fom)
+    lengths = np.diff(np.append(starts, codes.shape[0]))
+    return codes == np.repeat(codes[first], lengths)
+
+
+def cell_front_mask(performance, size_ratio, cost_ratio, names) -> np.ndarray:
+    """Per-point Pareto membership of ``(cells, k)`` objective rows.
+
+    Candidate *i* dominates *j* within one cell when it is at least as
+    good on every objective (performance maximised, ratios minimised)
+    and strictly better on one — the exact comparisons of
+    :meth:`~repro.core.pareto.ParetoPoint.dominates`, so NaN never
+    dominates nor is dominated.  Evaluated as one ``(cells, k, k)``
+    broadcast; the arguments broadcast to ``(cells, k)``.  Membership
+    is broadcast by name like
+    :meth:`~repro.core.pareto.ParetoAnalysis.is_on_front`: a row is on
+    the front when any row of its cell with the same candidate name
+    is undominated.
+    """
+    cost = np.asarray(cost_ratio, dtype=np.float64)
+    perf = np.broadcast_to(
+        np.asarray(performance, dtype=np.float64), cost.shape
+    )
+    size = np.broadcast_to(
+        np.asarray(size_ratio, dtype=np.float64), cost.shape
+    )
+    # dominates[c, i, j]: candidate i dominates candidate j in cell c.
+    at_least = (
+        (perf[:, :, None] >= perf[:, None, :])
+        & (size[:, :, None] <= size[:, None, :])
+        & (cost[:, :, None] <= cost[:, None, :])
+    )
+    strictly = (
+        (perf[:, :, None] > perf[:, None, :])
+        | (size[:, :, None] < size[:, None, :])
+        | (cost[:, :, None] < cost[:, None, :])
+    )
+    front = ~(at_least & strictly).any(axis=1)
+    names = np.asarray(names, dtype=object)
+    same = names[:, None] == names[None, :]
+    return (front[:, :, None] & same[None, :, :]).any(axis=1)

@@ -147,60 +147,6 @@ def _check_bool_values(name: str, values) -> None:
     )
 
 
-def group_starts(group_ids) -> np.ndarray:
-    """Start offset of every run of equal ids in a run-grouped array.
-
-    ``group_ids`` must already be *grouped* (equal ids contiguous) —
-    the canonical frame row order groups rows by grid point, so the
-    per-point id column (``point_of_row``) qualifies.  Returns the
-    offsets in order of first appearance; empty input yields an empty
-    offset array.
-    """
-    ids = np.asarray(group_ids)
-    if ids.ndim != 1:
-        raise SpecificationError(
-            f"group ids must be 1-D, got shape {ids.shape}"
-        )
-    if ids.shape[0] == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]]).astype(np.intp)
-
-
-def group_first_max(group_ids, values) -> np.ndarray:
-    """Row index of the first maximum within every run of equal ids.
-
-    The vectorised twin of a per-group ``max()`` scan with first-wins
-    tie-breaking — exactly the winner selection
-    :func:`repro.core.figure_of_merit.rank_buildups` performs per cell
-    (stable descending sort, take the head).  One
-    ``np.maximum.reduceat`` finds each group's maximum, and a
-    ``np.minimum.reduceat`` over masked row indices finds where it
-    first occurs; no Python-level loop touches the rows.
-    """
-    ids = np.asarray(group_ids)
-    data = np.asarray(values, dtype=np.float64)
-    if data.shape != ids.shape:
-        raise SpecificationError(
-            f"group values have shape {data.shape}, expected "
-            f"{ids.shape}"
-        )
-    starts = group_starts(ids)
-    if starts.size == 0:
-        return np.empty(0, dtype=np.intp)
-    n = ids.shape[0]
-    lengths = np.diff(np.append(starts, n))
-    per_row_max = np.repeat(np.maximum.reduceat(data, starts), lengths)
-    masked = np.where(data == per_row_max, np.arange(n), n)
-    first = np.minimum.reduceat(masked, starts)
-    if np.any(first >= n):
-        # A group whose maximum never compares equal to itself can
-        # only contain NaNs; surface it instead of indexing row n.
-        raise SpecificationError(
-            "group maximum undefined (NaN values in a group)"
-        )
-    return first.astype(np.intp)
-
-
 class ResultFrame:
     """Structure-of-arrays container for sweep results.
 
@@ -245,6 +191,11 @@ class ResultFrame:
                 array.flags.writeable = False
             converted[name] = array
         object.__setattr__(self, "_columns", converted)
+
+    def __reduce__(self):
+        # Unpickled arrays come back writeable; rebuild through the
+        # validating constructor so they are read-only again.
+        return (ResultFrame, (self._columns,))
 
     # -- construction -------------------------------------------------
 

@@ -70,16 +70,15 @@ from ..errors import SpecificationError
 from . import blobstore
 from .executors import CandidateFactory, Executor, SerialExecutor
 from .figure_of_merit import FomWeights
+from .ranking import DecisionFrame, check_point_runs, point_of_row
 from .resultframe import ResultFrame
 from .sweep import (
     CACHE_TABLES,
     DesignPoint,
     EvaluationCache,
-    SweepCell,
     SweepGrid,
     SweepReport,
-    frame_for_cells,
-    ratio_columns_for_cells,
+    resolve_sweep,
 )
 
 #: Artifact format identifier; bumped on incompatible payload changes.
@@ -217,34 +216,9 @@ class ShardArtifact:
                     f"shard artifact {label} must be an integer "
                     f">= {minimum}, got {value!r}"
                 )
-        if len(self.indices) != len(self.row_counts):
-            raise SpecificationError(
-                f"shard artifact carries {len(self.indices)} indices "
-                f"but {len(self.row_counts)} row counts"
-            )
-        for label, values in (
-            ("index", self.indices),
-            ("row count", self.row_counts),
-        ):
-            for value in values:
-                # Exact non-negative ints only: a float would silently
-                # truncate (and a negative count crash) in the int64
-                # cast :meth:`point_of_row` feeds to ``np.repeat``.
-                if (
-                    not isinstance(value, int)
-                    or isinstance(value, bool)
-                    or value < 0
-                ):
-                    raise SpecificationError(
-                        f"shard artifact {label}s must be non-negative "
-                        f"integers, got {value!r}"
-                    )
-        if sum(self.row_counts) != len(self.frame):
-            raise SpecificationError(
-                f"shard artifact row counts sum to "
-                f"{sum(self.row_counts)} but the frame carries "
-                f"{len(self.frame)} rows"
-            )
+        check_point_runs(
+            "shard artifact", self.indices, self.row_counts, len(self.frame)
+        )
         if self.ratios is not None:
             if not isinstance(self.ratios, dict) or set(self.ratios) != {
                 "size_ratio",
@@ -282,13 +256,6 @@ class ShardArtifact:
             self.shards, self.shard_index, self.indices,
         )
 
-    def point_of_row(self) -> np.ndarray:
-        """Canonical point index of every frame row (vectorised)."""
-        return np.repeat(
-            np.asarray(self.indices, dtype=np.int64),
-            np.asarray(self.row_counts, dtype=np.int64),
-        )
-
 
 def run_shard(
     grid: Union[SweepGrid, Iterable[DesignPoint]],
@@ -308,20 +275,14 @@ def run_shard(
     through ``executor`` (serial by default — any engine works, the
     rows are identical either way).
     """
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise SpecificationError("design sweep needs at least one point")
-    if weights is None:
-        weights = FomWeights()
-    if cache is None:
-        cache = EvaluationCache()
+    points, weights, cache = resolve_sweep(grid, weights, cache)
     if executor is None:
         executor = SerialExecutor()
     indices = shard_indices(len(points), shards, shard_index)
     shard_points = [points[i] for i in indices]
-    cells: list[SweepCell] = []
+    dframe = DecisionFrame.empty()
     if shard_points:
-        cells = executor.run_sweep(
+        dframe = executor.run_sweep(
             shard_points, candidate_factory, reference, weights, cache
         )
     return ShardArtifact(
@@ -331,10 +292,13 @@ def run_shard(
         shard_index=shard_index,
         total_points=len(points),
         indices=tuple(indices),
-        row_counts=tuple(len(cell.result.rows) for cell in cells),
-        frame=frame_for_cells(cells),
+        row_counts=dframe.row_counts,
+        frame=dframe.frame,
         cache_state=cache.portable_state(),
-        ratios=ratio_columns_for_cells(cells),
+        ratios={
+            name: tuple(getattr(dframe, name).tolist())
+            for name in ("size_ratio", "cost_ratio")
+        },
     )
 
 
@@ -622,6 +586,21 @@ def check_shard_cover(identities: Sequence[ShardIdentity]) -> ShardIdentity:
     return reference
 
 
+def frame_in_point_order(artifacts: Sequence[ShardArtifact]) -> ResultFrame:
+    """The artifacts' rows in canonical point order (at least one).
+
+    Concatenates the shard frames, whatever order they arrived in, then
+    stable-sorts rows by their canonical point index.  Each point lives
+    in one artifact with its rows contiguous there, so the stable sort
+    reproduces the serial row order exactly.
+    """
+    point = np.concatenate(
+        [point_of_row(a.indices, a.row_counts) for a in artifacts]
+    )
+    merged = ResultFrame.concat([a.frame for a in artifacts])
+    return merged.take(np.argsort(point, kind="stable"))
+
+
 def merge_shard_artifacts(
     artifacts: Iterable[ArtifactLike],
 ) -> SweepReport:
@@ -643,17 +622,8 @@ def merge_shard_artifacts(
     loaded = [load_artifact(artifact) for artifact in artifacts]
     check_shard_cover([artifact.identity for artifact in loaded])
 
-    # Vectorised reassembly: concatenate the shard frames (whatever
-    # order they arrived in), then stable-sort rows by their canonical
-    # point index.  Each point lives in exactly one artifact and its
-    # rows are contiguous there, so the stable sort reproduces the
-    # serial row order exactly.
-    merged = ResultFrame.concat([a.frame for a in loaded])
-    point_of_row = np.concatenate([a.point_of_row() for a in loaded])
-    merged = merged.take(np.argsort(point_of_row, kind="stable"))
     return SweepReport(
-        cells=(),
-        frame=merged,
+        frame=frame_in_point_order(loaded),
         cache_stats=merge_cache_states(
             artifact.cache_state for artifact in loaded
         ),
@@ -696,16 +666,19 @@ class ShardedExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
-    ) -> list[SweepCell]:
-        cells: list[Optional[SweepCell]] = [None] * len(points)
+    ) -> DecisionFrame:
+        frames = []
         for shard_index in range(self.shards):
             indices = shard_indices(len(points), self.shards, shard_index)
-            shard_points = [points[i] for i in indices]
-            if not shard_points:
+            if not indices:
                 continue
-            shard_cells = self.inner.run_sweep(
-                shard_points, candidate_factory, reference, weights, cache
+            frames.append(
+                self.inner.run_sweep(
+                    [points[i] for i in indices],
+                    candidate_factory,
+                    reference,
+                    weights,
+                    cache,
+                ).reindexed(indices)
             )
-            for index, cell in zip(indices, shard_cells):
-                cells[index] = cell
-        return cells
+        return DecisionFrame.concat(frames)

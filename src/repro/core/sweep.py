@@ -21,14 +21,20 @@ choices:
   :attr:`~SweepReport.rows` property bridges back to
   :class:`~repro.core.resultframe.SweepRow` objects bit-for-bit.
 
+Evaluation is columnar end to end: each volume family's candidates
+are assessed as columns (one batched flow walk per candidate) and
+ranked by :mod:`repro.core.ranking`, the module the warehouse re-rank
+shares, into a :class:`~repro.core.ranking.DecisionFrame` — no
+per-point study object is built.
+
 *How* the grid is evaluated is pluggable: :func:`run_design_sweep`
 delegates scheduling to an execution engine
 (:mod:`repro.core.executors`) — serial, multi-process, in-process
 sharding (:mod:`repro.core.sharding`) or asyncio-based — all of which
-produce identical rows.  :func:`stream_design_sweep` is the generator
-surface: it yields :class:`StreamedCell` results block by block
-instead of blocking on the whole grid.  :class:`EvaluationCache` is
-mergeable so per-worker caches fold back into one whole-sweep stats
+produce identical decision frames.  :func:`stream_design_sweep` is the
+generator surface: it yields :class:`StreamedCell` results block by
+block instead of blocking on the whole grid.  :class:`EvaluationCache`
+is mergeable so per-worker caches fold back into one whole-sweep stats
 report, and exports a :meth:`~EvaluationCache.portable_state` payload
 so caches filled on *different hosts* can have their stats merged
 too.
@@ -48,22 +54,25 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from ..area.placement import trivial_placement, trivial_placement_batch
 from ..area.substrate import SubstrateRule
 from ..circuits.performance import ChainPerformance, assess_chain
-from ..cost.moe.analytic import evaluate, evaluate_batch
+from ..cost.moe.analytic import evaluate_batch
 from ..errors import SpecificationError
 from ..passives.thin_film import ThinFilmProcess
 from ..passives.tolerance import ToleranceClass
 from .figure_of_merit import FomWeights
-from .methodology import (
-    BuildUpAssessment,
-    CandidateBuildUp,
-    StudyResult,
-    study_from_assessments,
+from .methodology import CandidateBuildUp
+from .ranking import (
+    DecisionFrame,
+    cell_front_mask,
+    name_codes,
+    weighted_fom,
+    winner_mask,
 )
-from .pareto import analyze_study
-from .resultframe import COLUMN_ORDER, ResultFrame, SweepRow
+from .resultframe import ResultFrame, SweepRow
 
 
 @dataclass(frozen=True)
@@ -159,21 +168,23 @@ class DesignPoint:
         """The FoM-weights axis value as ``perf:size:cost``."""
         return _weights_label(self.weights)
 
+    def axis_labels(self) -> dict[str, str]:
+        """Every axis but the volume as a short string (``paper`` for
+        the factory default), keyed by result-frame column."""
+        return {
+            "substrate": self.substrate.name if self.substrate else "paper",
+            "process": self.process.name if self.process else "paper",
+            "tolerance": self.tolerance.name if self.tolerance else "paper",
+            "q_model": self.q_model_label(),
+            "nre": self.nre_label(),
+            "weights": self.weights_label(),
+        }
+
     def label(self) -> str:
         """Compact human-readable coordinate label."""
         parts = [f"volume={self.volume:g}"]
-        parts.append(
-            f"substrate={self.substrate.name if self.substrate else 'paper'}"
-        )
-        parts.append(
-            f"process={self.process.name if self.process else 'paper'}"
-        )
-        parts.append(
-            f"tolerance={self.tolerance.name if self.tolerance else 'paper'}"
-        )
-        parts.append(f"q={self.q_model_label()}")
-        parts.append(f"nre={self.nre_label()}")
-        parts.append(f"weights={self.weights_label()}")
+        for column, value in self.axis_labels().items():
+            parts.append(f"{'q' if column == 'q_model' else column}={value}")
         return " ".join(parts)
 
 
@@ -303,7 +314,9 @@ class EvaluationCache:
     evaluation, the tolerance class only the production flow, the
     substrate rule only placement and cost.  Keys are built from the
     ``repr`` of the (frozen, content-rich) dataclasses involved, so two
-    grid points that share an input share the computation.
+    grid points that share an input share the computation.  The cost
+    table holds a flow's final cost per shipped unit at one volume —
+    the only cost figure the ranking reads.
 
     Caches are *mergeable*: every execution engine worker fills its own
     cache and :meth:`merge` folds the workers' tables and counters back
@@ -361,16 +374,12 @@ class EvaluationCache:
         """
         self._tables["area"].setdefault(key, report)
 
-    def cost(self, flow, volume: float, compute):
-        key = f"{volume!r}|{flow!r}"
-        return self._get("cost", key, compute)
-
     def cost_batch(self, flow, volumes: Sequence[float], compute_missing):
-        """Resolve one flow's cost reports at many volumes together.
+        """Resolve one flow's final costs at many volumes together.
 
-        Counts exactly as ``len(volumes)`` single :meth:`cost` lookups
-        would — a hit per already-cached volume, a miss per computed
-        one — but all missing volumes are produced by a single
+        Counts a hit per already-cached volume and a miss per computed
+        one, exactly as one lookup per volume would, but all missing
+        volumes are produced by a single
         ``compute_missing(missing_volumes)`` call (one batched flow
         walk) instead of one evaluation each.
         """
@@ -383,8 +392,8 @@ class EvaluationCache:
                 pending[key] = volume
         if pending:
             computed = compute_missing(list(pending.values()))
-            for key, report in zip(pending, computed):
-                table[key] = report
+            for key, cost in zip(pending, computed):
+                table[key] = cost
         self._misses["cost"] += len(pending)
         self._hits["cost"] += len(keys) - len(pending)
         return [table[key] for key in keys]
@@ -470,53 +479,6 @@ class EvaluationCache:
         }
 
 
-def assess_candidate_cached(
-    candidate: CandidateBuildUp,
-    volume: float,
-    cache: EvaluationCache,
-) -> BuildUpAssessment:
-    """Methodology steps 2-4 for one candidate, through the memo.
-
-    Mirrors :func:`repro.core.methodology.assess_candidate` exactly,
-    with each sub-result resolved through the
-    :class:`EvaluationCache`.
-    """
-    if candidate.fixed_performance is not None:
-        performance = candidate.fixed_performance
-        chain: Optional[ChainPerformance] = None
-    else:
-        chain = cache.performance(
-            candidate.filter_assignments,
-            lambda: assess_chain(candidate.filter_assignments),
-        )
-        performance = chain.score
-    area = cache.area(
-        candidate.footprints,
-        candidate.substrate_rule,
-        candidate.laminate,
-        lambda: trivial_placement(
-            candidate.footprints,
-            candidate.substrate_rule,
-            candidate.laminate,
-        ),
-    )
-    flow = candidate.flow_factory(area.substrate_area_cm2)
-    cost = cache.cost(flow, volume, lambda: evaluate(flow, volume=volume))
-    return BuildUpAssessment(
-        name=candidate.name,
-        performance=performance,
-        chain=chain,
-        area=area,
-        cost=cost,
-    )
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """The full study at one grid point."""
-
-    point: DesignPoint
-    result: StudyResult
 
 
 @dataclass(frozen=True)
@@ -537,7 +499,6 @@ class SweepReport:
     sweep.
     """
 
-    cells: tuple[SweepCell, ...]
     frame: ResultFrame
     cache_stats: dict = field(default_factory=dict)
 
@@ -552,7 +513,7 @@ class SweepReport:
         A vectorised count over the frame's ``is_winner`` /
         ``candidate`` columns (every grid point has exactly one winning
         row), so it also works for reports reassembled from shard
-        artifacts, which carry the frame but no ``cells``.
+        artifacts.
         """
         return self.frame.winner_counts()
 
@@ -566,91 +527,157 @@ class SweepReport:
         return self.frame.row(self.frame.best_index())
 
 
-def _cell_row_values(cell: SweepCell) -> Iterator[tuple]:
-    """Per-candidate value tuples of one cell, in SweepRow field order.
+def assess_candidate_family_cached(
+    candidate: CandidateBuildUp,
+    volumes: Sequence[float],
+    cache: EvaluationCache,
+) -> tuple[float, float, list[float]]:
+    """Steps 2-4 for one candidate across a volume family, memoised.
 
-    The single canonical cell → values mapping shared by
-    :func:`rows_for_cell` (row objects) and :func:`frame_for_cells`
-    (columns) — whatever representation a path materialises, the
-    underlying values are identical.
+    Returns the performance score, the final area in mm² (Fig. 3) and
+    the final cost per shipped unit at every volume (Fig. 5).
+    Performance and placement are resolved **once** and re-counted as
+    hits for the remaining volumes (:meth:`EvaluationCache.count_reuse`,
+    so the stats match a per-point evaluation); all volumes' costs come
+    from one :meth:`EvaluationCache.cost_batch` call backed by a single
+    batched flow walk's ``final_cost_per_shipped`` column.
     """
-    point = cell.point
-    winner = cell.result.winner.assessment.name
-    pareto = analyze_study(cell.result)
-    substrate = point.substrate.name if point.substrate else "paper"
-    process = point.process.name if point.process else "paper"
-    tolerance = point.tolerance.name if point.tolerance else "paper"
-    q_model = point.q_model_label()
-    nre = point.nre_label()
-    weights = point.weights_label()
-    for study_row in cell.result.rows:
-        name = study_row.assessment.name
-        yield (
-            point.volume,
-            substrate,
-            process,
-            tolerance,
-            q_model,
-            nre,
-            weights,
-            name,
-            study_row.fom.performance,
-            study_row.area_percent,
-            study_row.cost_percent,
-            study_row.fom.figure_of_merit,
-            name == winner,
-            pareto.is_on_front(name),
+    reuse = len(volumes) - 1
+    if candidate.fixed_performance is not None:
+        performance = candidate.fixed_performance
+    else:
+        chain = cache.performance(
+            candidate.filter_assignments,
+            lambda: assess_chain(candidate.filter_assignments),
         )
+        cache.count_reuse("performance", reuse)
+        performance = chain.score
+    area = cache.area(
+        candidate.footprints,
+        candidate.substrate_rule,
+        candidate.laminate,
+        lambda: trivial_placement(
+            candidate.footprints,
+            candidate.substrate_rule,
+            candidate.laminate,
+        ),
+    )
+    cache.count_reuse("area", reuse)
+    flow = candidate.flow_factory(area.substrate_area_cm2)
+    costs = cache.cost_batch(
+        flow,
+        volumes,
+        lambda missing: evaluate_batch(
+            flow, missing
+        ).final_cost_per_shipped.tolist(),
+    )
+    return performance, area.final_area_mm2, costs
 
 
-def rows_for_cell(cell: SweepCell) -> list[SweepRow]:
-    """Flatten one evaluated grid cell into its Pareto-ready rows.
+def frame_for_cells(
+    points: Sequence[DesignPoint],
+    names: Sequence[str],
+    performance,
+    size_ratio,
+    cost_ratio,
+    weights: FomWeights,
+) -> DecisionFrame:
+    """Rank one volume family's cells and lay them out as a frame.
 
-    The row-object view of :func:`_cell_row_values`; per-row consumers
-    (and the streaming bridge) use this, bulk paths build a
-    :class:`~repro.core.resultframe.ResultFrame` with
-    :func:`frame_for_cells` instead.
+    Methodology step 5 on the :mod:`repro.core.ranking` kernels: the
+    weighted FoM, each point's first-max winner and its Pareto front,
+    both broadcast by candidate name.  Every metric argument
+    broadcasts to ``(len(points), k)`` — point *p*'s cell is row *p*,
+    candidate *i* column *i* — and the frame holds the cells in the
+    order given, ``k`` rows each, at point indices
+    ``0 .. len(points) - 1``.  The points share every axis but the
+    volume, so the labels come from the first one.
     """
-    return [SweepRow(*values) for values in _cell_row_values(cell)]
+    fom = weighted_fom(performance, size_ratio, cost_ratio, weights)
+    shape = fom.shape
+    codes = name_codes(names)
+
+    def cells(values) -> np.ndarray:
+        return np.broadcast_to(values, shape).ravel()
+
+    candidate = np.empty(shape, dtype=object)
+    candidate[:] = list(names)
+    size, cost = cells(size_ratio), cells(cost_ratio)
+    columns = {
+        "volume": np.repeat([p.volume for p in points], shape[1]),
+        **{
+            name: np.full(fom.size, label, dtype=object)
+            for name, label in points[0].axis_labels().items()
+        },
+        "candidate": candidate.ravel(),
+        "performance": cells(performance),
+        "area_percent": 100.0 * size,
+        "cost_percent": 100.0 * cost,
+        "figure_of_merit": fom.ravel(),
+        "is_winner": winner_mask(
+            np.arange(0, fom.size, shape[1]),
+            fom.ravel(),
+            np.tile(codes, shape[0]),
+        ),
+        "on_pareto_front": cell_front_mask(
+            performance, size_ratio, cost_ratio, names
+        ).ravel(),
+    }
+    return DecisionFrame(
+        frame=ResultFrame.from_columns(columns),
+        size_ratio=size,
+        cost_ratio=cost,
+        indices=tuple(range(shape[0])),
+        row_counts=(shape[1],) * shape[0],
+    )
 
 
-def frame_for_cells(cells: Sequence[SweepCell]) -> ResultFrame:
-    """Flatten evaluated grid cells into one columnar result frame.
+def evaluate_family(
+    points: Sequence[DesignPoint],
+    candidates: Sequence[CandidateBuildUp],
+    reference: int,
+    weights: FomWeights,
+    cache: EvaluationCache,
+) -> DecisionFrame:
+    """Evaluate and rank a whole volume family of grid points.
 
-    The canonical cells → frame mapping shared by
-    :func:`run_design_sweep`, the streaming generator and the shard
-    artifact writer — whatever path produced the cells, the frame (and
-    hence its row bridge) is byte-identical.
+    All points share one candidate list (the family key excludes only
+    the volume); each candidate is assessed across the whole volume
+    axis at once, the ratios to the reference candidate follow the
+    scalar formula's operation order, and :func:`frame_for_cells`
+    ranks the cells — with the family's own weights-axis vector, else
+    ``weights``.  Returns the cells in the order given, at point
+    indices ``0 .. len(points) - 1``.
     """
-    columns: dict[str, list] = {name: [] for name in COLUMN_ORDER}
-    for cell in cells:
-        for values in _cell_row_values(cell):
-            for name, value in zip(COLUMN_ORDER, values):
-                columns[name].append(value)
-    return ResultFrame.from_columns(columns)
-
-
-def ratio_columns_for_cells(
-    cells: Sequence[SweepCell],
-) -> dict[str, tuple[float, ...]]:
-    """The per-row FoM *input* ratios, aligned with :func:`frame_for_cells`.
-
-    The frame stores ``area_percent`` / ``cost_percent`` — the rounded
-    doubles ``fl(100 * ratio)`` — from which the underlying ratios
-    cannot be recovered (``(100.0 * x) / 100.0 != x`` for a measurable
-    fraction of doubles, and the map is not even injective).  Anything
-    that re-ranks stored rows under new FoM weights byte-identically to
-    a fresh sweep therefore needs the ratios themselves; the warehouse
-    tier (:mod:`repro.core.warehouse`) persists these two auxiliary
-    columns next to the frame for exactly that.
-    """
-    size: list[float] = []
-    cost: list[float] = []
-    for cell in cells:
-        for study_row in cell.result.rows:
-            size.append(study_row.fom.size_ratio)
-            cost.append(study_row.fom.cost_ratio)
-    return {"size_ratio": tuple(size), "cost_ratio": tuple(cost)}
+    candidates = list(candidates)
+    if not candidates:
+        raise SpecificationError(
+            f"candidate factory returned no candidates at "
+            f"{points[0].label()}"
+        )
+    if not (0 <= reference < len(candidates)):
+        raise SpecificationError(
+            f"reference index {reference} out of range for "
+            f"{len(candidates)} candidates"
+        )
+    volumes = [point.volume for point in points]
+    performance, area, costs = zip(
+        *(
+            assess_candidate_family_cached(candidate, volumes, cache)
+            for candidate in candidates
+        )
+    )
+    area = np.asarray(area, dtype=np.float64)
+    # (volumes, k): a cell per row, a candidate per column.
+    cost = np.asarray(costs, dtype=np.float64).T
+    return frame_for_cells(
+        points,
+        [candidate.name for candidate in candidates],
+        np.asarray(performance, dtype=np.float64),
+        area / area[reference],
+        cost / cost[:, reference : reference + 1],
+        points[0].weights if points[0].weights is not None else weights,
+    )
 
 
 def evaluate_cell(
@@ -659,33 +686,14 @@ def evaluate_cell(
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
-) -> SweepCell:
+) -> DecisionFrame:
     """Evaluate one grid point over ready-made candidates.
 
-    The unit of work every execution engine schedules: validates the
-    candidate list, assesses each candidate through the memo and ranks
-    the result (methodology step 5).  A point carrying its own FoM
-    weight vector (the weights axis) is ranked with it; ``weights`` is
-    the sweep-wide default for all other points.
+    The one-point family (:func:`evaluate_family`): the unit the async
+    engine schedules and the path of a factory that is not
+    volume-invariant.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise SpecificationError(
-            f"candidate factory returned no candidates at "
-            f"{point.label()}"
-        )
-    if not (0 <= reference < len(candidates)):
-        raise SpecificationError(
-            f"reference index {reference} out of range for "
-            f"{len(candidates)} candidates"
-        )
-    assessments = [
-        assess_candidate_cached(candidate, point.volume, cache)
-        for candidate in candidates
-    ]
-    effective = point.weights if point.weights is not None else weights
-    result = study_from_assessments(assessments, reference, effective)
-    return SweepCell(point=point, result=result)
+    return evaluate_family([point], candidates, reference, weights, cache)
 
 
 def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
@@ -712,102 +720,6 @@ def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
     return list(families.values())
 
 
-def assess_candidate_family_cached(
-    candidate: CandidateBuildUp,
-    volumes: Sequence[float],
-    cache: EvaluationCache,
-) -> list[BuildUpAssessment]:
-    """Steps 2-4 for one candidate across a volume family, memoised.
-
-    The volume-invariant sub-results (performance, placement) are
-    resolved through the cache **once** and re-counted as hits for the
-    remaining volumes (:meth:`EvaluationCache.count_reuse`), so the
-    stats match the lookups of a per-point evaluation; the cost step
-    resolves all volumes through one :meth:`EvaluationCache.cost_batch`
-    call backed by a single batched flow walk.  Produces assessments
-    bit-identical to ``[assess_candidate_cached(candidate, v, cache)
-    for v in volumes]``.
-    """
-    reuse = len(volumes) - 1
-    if candidate.fixed_performance is not None:
-        performance = candidate.fixed_performance
-        chain: Optional[ChainPerformance] = None
-    else:
-        chain = cache.performance(
-            candidate.filter_assignments,
-            lambda: assess_chain(candidate.filter_assignments),
-        )
-        cache.count_reuse("performance", reuse)
-        performance = chain.score
-    area = cache.area(
-        candidate.footprints,
-        candidate.substrate_rule,
-        candidate.laminate,
-        lambda: trivial_placement(
-            candidate.footprints,
-            candidate.substrate_rule,
-            candidate.laminate,
-        ),
-    )
-    cache.count_reuse("area", reuse)
-    flow = candidate.flow_factory(area.substrate_area_cm2)
-    costs = cache.cost_batch(
-        flow,
-        volumes,
-        lambda missing: evaluate_batch(flow, missing).to_reports(),
-    )
-    return [
-        BuildUpAssessment(
-            name=candidate.name,
-            performance=performance,
-            chain=chain,
-            area=area,
-            cost=cost,
-        )
-        for cost in costs
-    ]
-
-
-def evaluate_family(
-    points: Sequence[DesignPoint],
-    candidates: Sequence[CandidateBuildUp],
-    reference: int,
-    weights: FomWeights,
-    cache: EvaluationCache,
-) -> list[SweepCell]:
-    """Evaluate a whole volume family of grid points in one pass.
-
-    All points share one candidate list (the family key excludes only
-    the volume); each candidate is assessed across the whole volume
-    axis at once and the per-point ranking (step 5) is applied last.
-    Returns one cell per point, in the order given, each bit-identical
-    to :func:`evaluate_cell` at that point.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise SpecificationError(
-            f"candidate factory returned no candidates at "
-            f"{points[0].label()}"
-        )
-    if not (0 <= reference < len(candidates)):
-        raise SpecificationError(
-            f"reference index {reference} out of range for "
-            f"{len(candidates)} candidates"
-        )
-    volumes = [point.volume for point in points]
-    per_candidate = [
-        assess_candidate_family_cached(candidate, volumes, cache)
-        for candidate in candidates
-    ]
-    cells = []
-    for column, point in enumerate(points):
-        assessments = [family[column] for family in per_candidate]
-        effective = point.weights if point.weights is not None else weights
-        result = study_from_assessments(assessments, reference, effective)
-        cells.append(SweepCell(point=point, result=result))
-    return cells
-
-
 def _seed_family_placements(
     family_candidates: Sequence[Sequence[CandidateBuildUp]],
     cache: EvaluationCache,
@@ -819,64 +731,25 @@ def _seed_family_placements(
     are seeded without counting (:meth:`EvaluationCache.seed_area`), so
     the later per-family lookups tally as ordinary hits.
     """
-    pending: dict[str, CandidateBuildUp] = {}
+    groups: dict[str, dict[str, CandidateBuildUp]] = {}
     for candidates in family_candidates:
         for candidate in candidates:
+            rule, laminate = candidate.substrate_rule, candidate.laminate
             key = EvaluationCache.area_key(
-                candidate.footprints,
-                candidate.substrate_rule,
-                candidate.laminate,
+                candidate.footprints, rule, laminate
             )
-            if not cache.has_area(key) and key not in pending:
-                pending[key] = candidate
-    groups: dict[str, list[tuple[str, CandidateBuildUp]]] = {}
-    for key, candidate in pending.items():
-        group_key = f"{candidate.substrate_rule!r}|{candidate.laminate!r}"
-        groups.setdefault(group_key, []).append((key, candidate))
-    for entries in groups.values():
-        rule = entries[0][1].substrate_rule
-        laminate = entries[0][1].laminate
+            if not cache.has_area(key):
+                group = groups.setdefault(f"{rule!r}|{laminate!r}", {})
+                group.setdefault(key, candidate)
+    for group in groups.values():
+        first = next(iter(group.values()))
         reports = trivial_placement_batch(
-            [candidate.footprints for _, candidate in entries],
-            rule,
-            laminate,
+            [candidate.footprints for candidate in group.values()],
+            first.substrate_rule,
+            first.laminate,
         )
-        for (key, _), report in zip(entries, reports):
+        for key, report in zip(group, reports):
             cache.seed_area(key, report)
-
-
-def evaluate_cells_batched(
-    points: Sequence[DesignPoint],
-    candidate_factory: Callable[[DesignPoint], Sequence[CandidateBuildUp]],
-    reference: int,
-    weights: FomWeights,
-    cache: EvaluationCache,
-) -> list[SweepCell]:
-    """The batched fill: evaluate a run of points family by family.
-
-    Points are grouped into volume families (:func:`family_runs`); the
-    candidate factory runs **once per family** — it must therefore be
-    volume-invariant, see :func:`evaluate_cells` — placements are
-    broadcast ahead of the evaluation, and each family is assessed with
-    one batched flow walk per (candidate, flow).  The returned cells
-    are in run order and bit-identical to per-point
-    :func:`evaluate_cell` calls.
-    """
-    runs = family_runs(points)
-    family_points = [[points[position] for position in run] for run in runs]
-    family_candidates = [
-        list(candidate_factory(family[0])) for family in family_points
-    ]
-    _seed_family_placements(family_candidates, cache)
-    cells: list[Optional[SweepCell]] = [None] * len(points)
-    for run, family, candidates in zip(
-        runs, family_points, family_candidates
-    ):
-        for position, cell in zip(
-            run, evaluate_family(family, candidates, reference, weights, cache)
-        ):
-            cells[position] = cell
-    return cells
 
 
 def evaluate_cells(
@@ -885,31 +758,63 @@ def evaluate_cells(
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
-) -> list[SweepCell]:
+) -> DecisionFrame:
     """Evaluate a run of grid points in order, sharing one cache.
 
     The serial engine's whole job (its streaming surface calls this
     block by block), and the per-worker body of the process engine
     (each worker runs this over its slice with a fresh cache that is
-    merged back afterwards).
+    merged back afterwards).  Returns one decision frame with the
+    points' cells in run order, at point indices
+    ``0 .. len(points) - 1``.
 
     A candidate factory that declares ``volume_invariant = True``
     (it returns equal candidates for points differing only in volume —
     :class:`~repro.gps.study.GpsSweepFactory` does) gets the batched
-    fill, which walks each production flow once per volume family
-    instead of once per point; any other factory is called per point.
-    Both produce bit-identical cells.
+    fill: points are grouped into volume families
+    (:func:`family_runs`), the factory runs **once per family**,
+    placements are broadcast ahead of the evaluation, and each family
+    is assessed with one batched flow walk per (candidate, flow).  Any
+    other factory is called per point, each point its own family.  Both
+    produce bit-identical frames.
     """
-    if getattr(candidate_factory, "volume_invariant", False):
-        return evaluate_cells_batched(
-            points, candidate_factory, reference, weights, cache
-        )
-    return [
-        evaluate_cell(
-            point, candidate_factory(point), reference, weights, cache
-        )
-        for point in points
+    batched = getattr(candidate_factory, "volume_invariant", False)
+    if batched:
+        runs = family_runs(points)
+    else:
+        runs = [[position] for position in range(len(points))]
+    families = [[points[position] for position in run] for run in runs]
+    family_candidates = [
+        list(candidate_factory(family[0])) for family in families
     ]
+    if batched:
+        _seed_family_placements(family_candidates, cache)
+    return DecisionFrame.concat(
+        [
+            evaluate_family(
+                family, candidates, reference, weights, cache
+            ).reindexed(run)
+            for run, family, candidates in zip(
+                runs, families, family_candidates
+            )
+        ]
+    )
+
+
+def resolve_sweep(
+    grid: SweepGrid | Iterable[DesignPoint],
+    weights: Optional[FomWeights] = None,
+    cache: Optional[EvaluationCache] = None,
+) -> tuple[list[DesignPoint], FomWeights, EvaluationCache]:
+    """A sweep's points (at least one), weights and cache, defaulted."""
+    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
+    if not points:
+        raise SpecificationError("design sweep needs at least one point")
+    return (
+        points,
+        weights if weights is not None else FomWeights(),
+        cache if cache is not None else EvaluationCache(),
+    )
 
 
 def run_design_sweep(
@@ -946,26 +851,15 @@ def run_design_sweep(
         Every engine produces identical rows — they only change how the
         grid is scheduled.
     """
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise SpecificationError("design sweep needs at least one point")
-    if weights is None:
-        weights = FomWeights()
-    if cache is None:
-        cache = EvaluationCache()
+    points, weights, cache = resolve_sweep(grid, weights, cache)
     if executor is None:
         from .executors import default_executor  # cycle-free at import
 
         executor = default_executor()
-
-    cells = executor.run_sweep(
+    dframe = executor.run_sweep(
         points, candidate_factory, reference, weights, cache
     )
-    return SweepReport(
-        cells=tuple(cells),
-        frame=frame_for_cells(cells),
-        cache_stats=cache.stats(),
-    )
+    return SweepReport(frame=dframe.frame, cache_stats=cache.stats())
 
 
 @dataclass(frozen=True)
@@ -983,13 +877,43 @@ class StreamedCell:
     """
 
     index: int
-    cell: SweepCell
     frame: ResultFrame
 
     @cached_property
     def rows(self) -> tuple[SweepRow, ...]:
         """The cell's frame as row objects (bit-exact bridge)."""
         return self.frame.to_rows()
+
+
+def stream_decision_frames(
+    grid: SweepGrid | Iterable[DesignPoint],
+    candidate_factory: Callable[[DesignPoint], Sequence[CandidateBuildUp]],
+    reference: int = 0,
+    weights: Optional[FomWeights] = None,
+    cache: Optional[EvaluationCache] = None,
+    executor=None,
+) -> Iterator[DecisionFrame]:
+    """Decision-frame blocks at canonical point indices, as they finish.
+
+    Streams through the engine's ``iter_cells`` — the default
+    :class:`~repro.core.executors.SerialExecutor`'s batched blocks in
+    canonical order, the async engine's single points in completion
+    order; any other engine's whole frame is one block.
+    """
+    points, weights, cache = resolve_sweep(grid, weights, cache)
+    if executor is None:
+        from .executors import SerialExecutor  # cycle-free at import
+
+        executor = SerialExecutor()
+    iter_cells = getattr(executor, "iter_cells", None)
+    if iter_cells is not None:
+        yield from iter_cells(
+            points, candidate_factory, reference, weights, cache
+        )
+    else:
+        yield executor.run_sweep(
+            points, candidate_factory, reference, weights, cache
+        )
 
 
 def stream_design_sweep(
@@ -1003,43 +927,15 @@ def stream_design_sweep(
     """The generator surface of :func:`run_design_sweep`.
 
     Yields one :class:`StreamedCell` per grid point as results become
-    available instead of blocking until the whole grid is done.  The
-    default engine, :class:`~repro.core.executors.SerialExecutor`,
-    evaluates contiguous blocks of points through the batched fill and
-    yields their cells in canonical order.  An engine with its own
-    ``iter_cells`` streams through it (the async engine in completion
-    order); any other :class:`~repro.core.executors.Executor` is
-    driven to completion first and its cells are yielded in canonical
-    order.
+    available instead of blocking until the whole grid is done: the
+    blocks of :func:`stream_decision_frames`, split per point.
 
     The rows of every yielded cell are byte-identical to the rows
     :func:`run_design_sweep` would report for the same grid — streaming
     changes *when* results become visible, never *what* they are.
     """
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise SpecificationError("design sweep needs at least one point")
-    if weights is None:
-        weights = FomWeights()
-    if cache is None:
-        cache = EvaluationCache()
-    if executor is None:
-        from .executors import SerialExecutor  # cycle-free at import
-
-        executor = SerialExecutor()
-
-    iter_cells = getattr(executor, "iter_cells", None)
-    if iter_cells is not None:
-        indexed = iter_cells(
-            points, candidate_factory, reference, weights, cache
-        )
-    else:
-        indexed = enumerate(
-            executor.run_sweep(
-                points, candidate_factory, reference, weights, cache
-            )
-        )
-    for index, cell in indexed:
-        yield StreamedCell(
-            index=index, cell=cell, frame=frame_for_cells([cell])
-        )
+    for block in stream_decision_frames(
+        grid, candidate_factory, reference, weights, cache, executor
+    ):
+        for index, frame in block.cells():
+            yield StreamedCell(index=index, frame=frame)

@@ -19,7 +19,8 @@ Layout of a warehouse directory::
 Design rules:
 
 * **Frames carry the re-rank basis.**  Each
-  :class:`DecisionFrame` stores the 14 ``SweepRow`` columns *plus* the
+  :class:`~repro.core.ranking.DecisionFrame` — the unit the sweep
+  engines produce — stores the 14 ``SweepRow`` columns *plus* the
   ``size_ratio`` / ``cost_ratio`` FoM inputs — the percent columns are
   ``fl(100 * ratio)`` and cannot be inverted, so without the ratios no
   stored frame could be re-ranked byte-identically to a fresh sweep.
@@ -57,7 +58,9 @@ import numpy as np
 from ..errors import SpecificationError
 from . import blobstore
 from .blobstore import canonical_json  # noqa: F401 — re-exported
+from .executors import default_executor
 from .figure_of_merit import FomWeights
+from .ranking import RATIO_COLUMNS, DecisionFrame  # noqa: F401 — re-exported
 from .resultframe import ResultFrame
 from .sharding import (
     ShardArtifact,
@@ -69,11 +72,9 @@ from .sharding import (
 from .sweep import (
     DesignPoint,
     EvaluationCache,
-    SweepCell,
     SweepGrid,
-    frame_for_cells,
-    ratio_columns_for_cells,
-    run_design_sweep,
+    resolve_sweep,
+    stream_decision_frames,
 )
 
 #: Manifest format identifier; bumped on incompatible layout changes.
@@ -85,123 +86,12 @@ FRAME_FORMAT = "repro-warehouse-frame/1"
 #: The manifest filename inside a warehouse directory.
 MANIFEST_NAME = "warehouse.json"
 
-#: The auxiliary ratio columns every decision frame carries.
-RATIO_COLUMNS = ("size_ratio", "cost_ratio")
-
 
 class WarehouseError(SpecificationError):
     """The warehouse cannot be (safely) read or written."""
 
 
 # -- the decision frame -----------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DecisionFrame:
-    """A warehouse frame: sweep rows plus their re-rank basis columns.
-
-    ``frame`` holds the 14 :class:`~repro.core.resultframe.SweepRow`
-    columns; ``size_ratio`` / ``cost_ratio`` are the FoM inputs the
-    percent columns cannot recover.  ``indices`` / ``row_counts``
-    assign runs of rows to canonical grid points, exactly like a shard
-    artifact — ``row_counts[k]`` consecutive rows belong to point
-    ``indices[k]``.
-    """
-
-    frame: ResultFrame
-    size_ratio: np.ndarray
-    cost_ratio: np.ndarray
-    indices: tuple[int, ...]
-    row_counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name in RATIO_COLUMNS:
-            try:
-                array = np.asarray(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise WarehouseError(
-                    f"decision frame {name} is not numeric: {exc}"
-                ) from None
-            if array.ndim != 1 or array.shape[0] != len(self.frame):
-                raise WarehouseError(
-                    f"decision frame {name} must be one value per row "
-                    f"({len(self.frame)}), got shape {array.shape}"
-                )
-            if array.size and (
-                not np.all(np.isfinite(array)) or np.any(array <= 0.0)
-            ):
-                # The re-rank kernel computes 1/ratio and raises it to
-                # a power; zero or NaN here would turn a corrupt frame
-                # file into silently wrong rankings.
-                raise WarehouseError(
-                    f"decision frame {name} values must be positive "
-                    f"finite numbers"
-                )
-            if array.flags.writeable or array.base is not None:
-                array = array.copy()
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-        if len(self.indices) != len(self.row_counts):
-            raise WarehouseError(
-                f"decision frame carries {len(self.indices)} indices "
-                f"but {len(self.row_counts)} row counts"
-            )
-        for label, values in (
-            ("index", self.indices),
-            ("row count", self.row_counts),
-        ):
-            for value in values:
-                if (
-                    not isinstance(value, int)
-                    or isinstance(value, bool)
-                    or value < 0
-                ):
-                    raise WarehouseError(
-                        f"decision frame {label}s must be non-negative "
-                        f"integers, got {value!r}"
-                    )
-        if sum(self.row_counts) != len(self.frame):
-            raise WarehouseError(
-                f"decision frame row counts sum to "
-                f"{sum(self.row_counts)} but the frame carries "
-                f"{len(self.frame)} rows"
-            )
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DecisionFrame):
-            return NotImplemented
-        return (
-            self.frame == other.frame
-            and np.array_equal(self.size_ratio, other.size_ratio)
-            and np.array_equal(self.cost_ratio, other.cost_ratio)
-            and self.indices == other.indices
-            and self.row_counts == other.row_counts
-        )
-
-    def point_of_row(self) -> np.ndarray:
-        """Canonical point index of every frame row (vectorised)."""
-        return np.repeat(
-            np.asarray(self.indices, dtype=np.int64),
-            np.asarray(self.row_counts, dtype=np.int64),
-        )
-
-
-def decision_frame_for_cells(
-    cells: Sequence[SweepCell], indices: Iterable[int]
-) -> DecisionFrame:
-    """Package evaluated cells (at the given canonical indices)."""
-    cells = list(cells)
-    ratios = ratio_columns_for_cells(cells)
-    return DecisionFrame(
-        frame=frame_for_cells(cells),
-        size_ratio=np.asarray(ratios["size_ratio"], dtype=np.float64),
-        cost_ratio=np.asarray(ratios["cost_ratio"], dtype=np.float64),
-        indices=tuple(indices),
-        row_counts=tuple(len(cell.result.rows) for cell in cells),
-    )
 
 
 def decision_frame_from_artifact(artifact: ShardArtifact) -> DecisionFrame:
@@ -235,49 +125,11 @@ def decision_frame_from_artifact(artifact: ShardArtifact) -> DecisionFrame:
 def merge_decision_frames(
     frames: Sequence[DecisionFrame],
 ) -> DecisionFrame:
-    """Merge decision frames into canonical point order (vectorised).
-
-    The warehouse twin of
-    :func:`~repro.core.sharding.merge_shard_artifacts`' reassembly: one
-    frame concat plus a stable sort on the canonical point index, with
-    the ratio columns carried through the same permutation.  Frames
-    must cover disjoint point sets.
-    """
-    frames = list(frames)
-    if not frames:
-        return DecisionFrame(
-            frame=ResultFrame.empty(),
-            size_ratio=np.empty(0, dtype=np.float64),
-            cost_ratio=np.empty(0, dtype=np.float64),
-            indices=(),
-            row_counts=(),
-        )
-    if len(frames) == 1:
-        return frames[0]
-    pairs = [
-        (index, count)
-        for frame in frames
-        for index, count in zip(frame.indices, frame.row_counts)
-    ]
-    seen = set()
-    for index, _ in pairs:
-        if index in seen:
-            raise WarehouseError(
-                f"decision frames overlap on point index {index}"
-            )
-        seen.add(index)
-    pairs.sort()
-    point_of_row = np.concatenate(
-        [frame.point_of_row() for frame in frames]
-    )
-    order = np.argsort(point_of_row, kind="stable")
-    return DecisionFrame(
-        frame=ResultFrame.concat([f.frame for f in frames]).take(order),
-        size_ratio=np.concatenate([f.size_ratio for f in frames])[order],
-        cost_ratio=np.concatenate([f.cost_ratio for f in frames])[order],
-        indices=tuple(index for index, _ in pairs),
-        row_counts=tuple(count for _, count in pairs),
-    )
+    """:meth:`DecisionFrame.concat` of frames over disjoint points."""
+    try:
+        return DecisionFrame.concat(frames)
+    except SpecificationError as exc:
+        raise WarehouseError(str(exc)) from None
 
 
 # -- frame files ------------------------------------------------------
@@ -533,15 +385,6 @@ def _publish_manifest(
 # -- the writer -------------------------------------------------------
 
 
-def _resolve_points(
-    grid: Union[SweepGrid, Iterable[DesignPoint]],
-) -> list[DesignPoint]:
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise WarehouseError("a warehouse needs at least one grid point")
-    return points
-
-
 def init_warehouse(
     directory: Union[str, Path],
     grid: Union[SweepGrid, Iterable[DesignPoint]],
@@ -553,7 +396,7 @@ def init_warehouse(
     Refuses to re-initialise an existing warehouse: frames already
     published there would silently become unreachable orphans.
     """
-    points = _resolve_points(grid)
+    points, _, _ = resolve_sweep(grid)
     path = manifest_path(directory)
     if path.exists():
         raise WarehouseError(
@@ -721,25 +564,23 @@ def build_warehouse(
     """Run a sweep and materialise it as a one-frame warehouse.
 
     The offline indexing tier in one call: evaluates the grid through
-    :func:`~repro.core.sweep.run_design_sweep` (any engine — identical
-    rows either way) and publishes the result.  For incremental builds
-    from many hosts, run a shard queue instead and ingest the artifact
-    directory (:func:`ingest_shard_directory`).
+    any engine (the environment's by default — identical rows either
+    way) and publishes the result.  For incremental builds from many
+    hosts, run a shard queue instead and ingest the artifact directory
+    (:func:`ingest_shard_directory`).
     """
-    points = _resolve_points(grid)
-    report = run_design_sweep(
+    points, _, _ = resolve_sweep(grid)
+    blocks = stream_decision_frames(
         points,
         candidate_factory,
         reference=reference,
         weights=weights,
         cache=cache,
-        executor=executor,
+        executor=executor if executor is not None else default_executor(),
     )
+    dframe = DecisionFrame.concat(list(blocks))
     init_warehouse(directory, points, grid_spec=grid_spec)
-    return append_decision_frame(
-        directory,
-        decision_frame_for_cells(report.cells, range(len(points))),
-    )
+    return append_decision_frame(directory, dframe)
 
 
 # -- the reader -------------------------------------------------------

@@ -253,7 +253,11 @@ class TestRefinableAxes:
         report = run_adaptive_sweep(
             grid, toy_candidates, coarse=2
         )
-        labels = {cell.point.q_model_label() for cell in report.cells}
+        points = grid.points()
+        labels = {
+            points[index].q_model_label()
+            for index in report.evaluated_indices
+        }
         # The paper default (categorical) is always evaluated; the tan
         # endpoints are the coarse sample of the refinable span.
         assert "paper" in labels
@@ -265,9 +269,7 @@ class TestRefinableAxes:
         )
         grid = SweepGrid(volumes=(1e4,), fom_weights=(None,) + weights)
         report = run_adaptive_sweep(grid, toy_candidates, coarse=2)
-        labels = {
-            cell.point.weights_label() for cell in report.cells
-        }
+        labels = set(report.frame.column("weights").tolist())
         assert "paper" in labels
         assert "0.5:1:1" in labels and "4:1:1" in labels
 

@@ -2,7 +2,8 @@
 
 Engine selection (names, env defaults, argument validation), the
 mergeable :class:`~repro.core.sweep.EvaluationCache`, and the engines'
-core contract: identical cells regardless of how the grid is scheduled.
+core contract: identical decision frames regardless of how the grid
+is scheduled.
 The heavyweight GPS-level identity check lives in
 ``tests/gps/test_engines.py``; here small synthetic factories keep the
 focus on the scheduling machinery itself.
@@ -33,6 +34,7 @@ from repro.core.executors import (
 )
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
+from repro.core.ranking import DecisionFrame
 from repro.core.sweep import (
     DesignPoint,
     EvaluationCache,
@@ -205,10 +207,10 @@ class TestCacheMerge:
     def test_merge_adds_counters_and_unions_tables(self):
         left = EvaluationCache()
         right = EvaluationCache()
-        left.cost("flowA", 1.0, lambda: "a")
-        right.cost("flowA", 1.0, lambda: "a")  # duplicate key
-        right.cost("flowB", 1.0, lambda: "b")
-        right.cost("flowB", 1.0, lambda: "b")  # one hit
+        left.cost_batch("flowA", [1.0], lambda missing: ["a"])
+        right.cost_batch("flowA", [1.0], lambda missing: ["a"])  # same key
+        right.cost_batch("flowB", [1.0], lambda missing: ["b"])
+        right.cost_batch("flowB", [1.0], lambda missing: ["b"])  # a hit
         left.merge(right)
         stats = left.stats()
         assert stats["tables"]["cost"] == {
@@ -221,30 +223,26 @@ class TestCacheMerge:
     def test_merge_is_first_wins(self):
         left = EvaluationCache()
         right = EvaluationCache()
-        left.cost("flow", 1.0, lambda: "mine")
-        right.cost("flow", 1.0, lambda: "theirs")
+        left.cost_batch("flow", [1.0], lambda missing: ["mine"])
+        right.cost_batch("flow", [1.0], lambda missing: ["theirs"])
         left.merge(right)
-        assert left.cost("flow", 1.0, lambda: "recomputed") == "mine"
+        assert left.cost_batch(
+            "flow", [1.0], lambda missing: ["recomputed"]
+        ) == ["mine"]
 
 
 class TestEnginesAgree:
     POINTS = [DesignPoint(volume=v) for v in (1e3, 1e4, 1e5, 1e6, 1e7)]
 
-    def _cells(self, executor):
-        report = run_design_sweep(
-            self.POINTS, fixed_candidates, executor=executor
+    def _frame(self, executor):
+        return executor.run_sweep(
+            self.POINTS, fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
-        return report.cells, report.rows
 
     def test_process_engine_matches_serial(self):
-        serial_cells, serial_rows = self._cells(SerialExecutor())
-        process_cells, process_rows = self._cells(
-            MultiprocessExecutor(jobs=2)
-        )
-        assert process_rows == serial_rows
-        assert [c.point for c in process_cells] == [
-            c.point for c in serial_cells
-        ]
+        serial = self._frame(SerialExecutor())
+        assert self._frame(MultiprocessExecutor(jobs=2)) == serial
+        assert serial.indices == tuple(range(len(self.POINTS)))
 
     def test_process_engine_merges_worker_caches(self):
         cache = EvaluationCache()
@@ -263,12 +261,9 @@ class TestEnginesAgree:
         assert stats["tables"]["cost"]["entries"] == 2 * len(self.POINTS)
 
     def test_async_engine_matches_serial(self):
-        serial_cells, serial_rows = self._cells(SerialExecutor())
-        async_cells, async_rows = self._cells(AsyncExecutor(jobs=3))
-        assert async_rows == serial_rows
-        assert [c.point for c in async_cells] == [
-            c.point for c in serial_cells
-        ]
+        assert self._frame(AsyncExecutor(jobs=3)) == self._frame(
+            SerialExecutor()
+        )
 
 
 class TestAsyncStreaming:
@@ -280,8 +275,8 @@ class TestAsyncStreaming:
         events = []
         executor = AsyncExecutor(
             jobs=2,
-            progress=lambda done, total, cell: events.append(
-                (done, total, cell.point)
+            progress=lambda done, total, dframe: events.append(
+                (done, total, dframe.indices)
             ),
         )
         run_design_sweep(
@@ -291,13 +286,15 @@ class TestAsyncStreaming:
             range(1, len(self.POINTS) + 1)
         )
         assert all(total == len(self.POINTS) for _, total, _ in events)
-        assert {point for _, _, point in events} == set(self.POINTS)
+        assert sorted(indices for _, _, indices in events) == [
+            (index,) for index in range(len(self.POINTS))
+        ]
 
     def test_iter_cells_yields_every_index_exactly_once(self):
         executor = AsyncExecutor(jobs=3)
         from repro.core.figure_of_merit import FomWeights
 
-        streamed = dict(
+        streamed = list(
             executor.iter_cells(
                 self.POINTS,
                 fixed_candidates,
@@ -306,7 +303,8 @@ class TestAsyncStreaming:
                 EvaluationCache(),
             )
         )
-        assert sorted(streamed) == list(range(len(self.POINTS)))
+        indices = [index for block in streamed for index in block.indices]
+        assert sorted(indices) == list(range(len(self.POINTS)))
         serial = SerialExecutor().run_sweep(
             self.POINTS,
             fixed_candidates,
@@ -314,8 +312,7 @@ class TestAsyncStreaming:
             FomWeights(),
             EvaluationCache(),
         )
-        for index, cell in streamed.items():
-            assert cell.result.rows == serial[index].result.rows
+        assert DecisionFrame.concat(streamed) == serial
 
     def test_stream_design_sweep_rows_match_run_design_sweep(self):
         from repro.core.sweep import stream_design_sweep
@@ -491,8 +488,10 @@ class TestSerialBlockStreaming:
                     points, family_candidates, 0, FomWeights(), stream_cache
                 )
             )
-        assert [index for index, _ in streamed] == list(range(len(points)))
-        assert [cell for _, cell in streamed] == whole
+        assert [
+            index for dframe in streamed for index in dframe.indices
+        ] == list(range(len(points)))
+        assert DecisionFrame.concat(streamed) == whole
         assert stream_cache.stats() == run_cache.stats()
 
     def test_default_stream_evaluates_block_by_block(self, monkeypatch):

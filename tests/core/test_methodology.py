@@ -6,7 +6,7 @@ import pytest
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import LAMINATE_RULE, MCM_D_RULE, PCB_RULE
-from repro.core.figure_of_merit import FomWeights
+from repro.core.figure_of_merit import FomWeights, figure_of_merit
 from repro.core.methodology import (
     CandidateBuildUp,
     assess_candidate,
@@ -75,6 +75,34 @@ class TestCandidateValidation:
                 filter_assignments=technology_assignments(1),
                 fixed_performance=1.0,
             )
+
+
+class TestPerformanceValidation:
+    """A NaN score compares false against everything, so a study of
+    ``ref`` (FoM 1.0), ``nan`` and ``good`` (FoM 1.56) used to name
+    ``ref`` the winner.  Non-finite and negative scores are refused up
+    front."""
+
+    @pytest.mark.parametrize(
+        "score", [float("nan"), float("inf"), -float("inf"), -0.5]
+    )
+    def test_bad_fixed_performance_rejected(self, score):
+        with pytest.raises(SpecificationError, match="fixed performance"):
+            candidate("bad", performance=score)
+
+    def test_nan_candidate_cannot_skew_the_winner(self):
+        with pytest.raises(SpecificationError):
+            run_study(
+                [
+                    candidate("ref"),
+                    candidate("nan", performance=float("nan")),
+                    candidate("good", area=300.0, mcm=True),
+                ]
+            )
+
+    def test_figure_of_merit_rejects_nan_performance(self):
+        with pytest.raises(SpecificationError, match="cannot be negative"):
+            figure_of_merit(float("nan"), 1.0, 1.0)
 
 
 class TestAssessment:

@@ -44,10 +44,12 @@ from repro.core.queryservice import (
 )
 from repro.core.sharding import run_shard
 from repro.core.sweep import DesignPoint, SweepGrid, run_design_sweep
+from repro.core.ranking import DecisionFrame
+from repro.core.resultframe import ResultFrame
 from repro.core.warehouse import (
+    append_decision_frame,
     append_shard_artifact,
     build_warehouse,
-    decision_frame_for_cells,
     init_warehouse,
     load_warehouse,
 )
@@ -437,6 +439,36 @@ class TestHttpSurface:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"http://{host}:{port}/pareto")
         assert excinfo.value.code == 404
+
+    def test_corrupt_performance_column_is_http_400(self, stored, tmp_path):
+        columns = stored.frame.to_json_columns()
+        columns["performance"][0] = -1.0
+        directory = tmp_path / "corrupt"
+        init_warehouse(directory, GRID)
+        append_decision_frame(
+            directory,
+            DecisionFrame(
+                frame=ResultFrame.from_json_columns(columns),
+                size_ratio=stored.size_ratio,
+                cost_ratio=stored.cost_ratio,
+                indices=stored.indices,
+                row_counts=stored.row_counts,
+            ),
+        )
+        server = serve_warehouse(directory)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._post(server, {"kind": "rerank", "fom_weights": "2:1:1"})
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read()) == {
+            "error": "stored performance column holds negative or NaN "
+            "values; the warehouse frame is corrupt"
+        }
 
 
 class TestConcurrentAppendAndQuery:

@@ -11,6 +11,8 @@ fingerprint does not match the grid it resolved locally.
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
@@ -260,6 +262,27 @@ class TestShardQueue:
         write_shard_artifact(queue.artifact_path(1), foreign)
         assert not queue.valid_artifact(1)
         assert queue.claim(1) is not None
+
+    def test_stale_torn_lease_is_expired(self, tmp_path):
+        """A claimant killed between the exclusive create and the write
+        leaves an empty lease; once older than the TTL it must not
+        block the shard forever."""
+        path = write_manifest(
+            tmp_path / "manifest.json",
+            manifest_for_grid(POINTS, shards=2, lease_ttl=1.0),
+        )
+        queue = ShardQueue(path, owner="a")
+        lease = queue.lease_path(0)
+        lease.write_text("", encoding="utf-8")
+        hour_ago = time.time() - 3600.0
+        os.utime(lease, (hour_ago, hour_ago))
+        assert queue.claim(0) is not None
+
+    def test_fresh_torn_lease_still_blocks(self, manifest_path):
+        """A young unreadable lease may be mid-write: hands off."""
+        queue = ShardQueue(manifest_path, owner="a")
+        queue.lease_path(0).write_text("", encoding="utf-8")
+        assert queue.claim(0) is None
 
     def test_out_of_range_claim_rejected(self, manifest_path):
         queue = ShardQueue(manifest_path, owner="a", clock=FakeClock())

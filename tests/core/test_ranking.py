@@ -1,0 +1,281 @@
+"""The columnar ranking spine, locked against the per-point object path.
+
+The sweep assesses and ranks whole volume families as columns
+(:func:`repro.core.sweep.evaluate_family` on the kernels of
+:mod:`repro.core.ranking`); ``tests/per_point.py`` keeps the
+one-point-at-a-time path through ``BuildUpAssessment``,
+``StudyResult`` and ``analyze_study``.  The hypothesis harness here
+runs both over random grids — 1 to 8 candidates, exact FoM and
+objective ties, duplicate candidate names, any reference index, a
+weights axis with non-unit exponents, with and without the batched
+family fill — and demands equal frame bytes, equal ratio columns and
+equal cache tallies.  A guard below keeps per-cell objects out of
+every sweep entry point.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.area.footprint import Footprint, MountKind
+from repro.area.substrate import MCM_D_RULE, PCB_RULE
+from repro.core import methodology, pareto
+from repro.core.figure_of_merit import FomWeights
+from repro.core.methodology import CandidateBuildUp
+from repro.core.pareto import first_dominators
+from repro.core.ranking import (
+    DecisionFrame,
+    cell_front_mask,
+    group_first_max,
+    winner_mask,
+)
+from repro.core.sweep import EvaluationCache, SweepGrid, evaluate_cells
+from repro.cost.moe.analytic import CostReportBatch
+from repro.cost.moe.flow import ProductionFlow
+from repro.cost.moe.nodes import CarrierStep, TestStep
+from repro.errors import SpecificationError
+from repro.gps.study import (
+    build_gps_warehouse,
+    run_adaptive_gps_sweep,
+    run_gps_shard,
+    run_gps_sweep,
+    spill_gps_sweep,
+    stream_gps_sweep,
+)
+
+from per_point import per_point_frame
+
+
+class ToyFlow:
+    """A carrier-plus-test flow priced by area, with amortised NRE."""
+
+    def __init__(self, unit_cost: float, nre: float) -> None:
+        self.unit_cost = unit_cost
+        self.nre = nre
+
+    def __call__(self, area_cm2: float) -> ProductionFlow:
+        flow = ProductionFlow(name="toy", nre=self.nre)
+        flow.add(
+            CarrierStep(
+                "ID1", "carrier", unit_cost=self.unit_cost + area_cm2
+            )
+        )
+        flow.add(TestStep("ID2", "test", test_cost=1.0))
+        return flow
+
+
+class SpecFactory:
+    """Candidates from ``(name, performance, area, mcm, cost, nre)``.
+
+    ``volume_invariant`` is set only when asked for, so the other
+    instances take the one-point :func:`~repro.core.sweep.evaluate_cell`
+    path.
+    """
+
+    def __init__(self, specs, invariant: bool) -> None:
+        self.specs = specs
+        if invariant:
+            self.volume_invariant = True
+
+    def __call__(self, point):
+        return [
+            CandidateBuildUp(
+                name=name,
+                footprints=[Footprint("chip", area, MountKind.PACKAGED)],
+                substrate_rule=MCM_D_RULE if mcm else PCB_RULE,
+                flow_factory=ToyFlow(cost, nre),
+                fixed_performance=performance,
+            )
+            for name, performance, area, mcm, cost, nre in self.specs
+        ]
+
+
+#: Small pools so draws collide: equal names, equal objectives, ties.
+spec = st.tuples(
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([0.0, 0.25, 0.9, 1.0]),
+    st.sampled_from([10.0, 25.0, 40.0]),
+    st.booleans(),
+    st.sampled_from([5.0, 12.5]),
+    st.sampled_from([0.0, 2_000.0]),
+)
+exponent = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def spine_cases(draw):
+    specs = tuple(draw(st.lists(spec, min_size=1, max_size=8)))
+    reference = draw(st.integers(0, len(specs) - 1))
+    volumes = draw(
+        st.lists(
+            st.sampled_from([1e2, 5e2, 1e3, 7e3, 1e4, 1e5]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    axis = FomWeights(
+        performance=draw(exponent), size=draw(exponent), cost=draw(exponent)
+    )
+    grid = SweepGrid(
+        volumes=tuple(volumes),
+        fom_weights=(None, axis),
+        tolerances=draw(st.sampled_from([(None,), (None, None)])),
+    )
+    default = FomWeights(
+        performance=draw(exponent), size=draw(exponent), cost=draw(exponent)
+    )
+    return specs, reference, grid, default, draw(st.booleans())
+
+
+def _table_totals(stats):
+    return {
+        name: (table["hits"] + table["misses"], table["entries"])
+        for name, table in stats["tables"].items()
+    }
+
+
+class TestSpineMatchesPerPointObjects:
+    @settings(max_examples=120, deadline=None)
+    @given(case=spine_cases())
+    def test_frames_ratios_and_stats_match(self, case):
+        specs, reference, grid, weights, invariant = case
+        factory = SpecFactory(specs, invariant)
+        points = grid.points()
+        spine_cache = EvaluationCache()
+        object_cache = EvaluationCache()
+        spine = evaluate_cells(
+            points, factory, reference, weights, spine_cache
+        )
+        objects = per_point_frame(
+            points, factory, reference, weights, object_cache
+        )
+        assert repr(spine.frame.to_json_columns()) == repr(
+            objects.frame.to_json_columns()
+        )
+        assert spine.size_ratio.tolist() == objects.size_ratio.tolist()
+        assert spine.cost_ratio.tolist() == objects.cost_ratio.tolist()
+        assert spine.indices == objects.indices
+        assert spine.row_counts == objects.row_counts
+        if invariant:
+            # The batched fill seeds placements uncounted, so only
+            # the per-table totals and entries are comparable.
+            assert _table_totals(spine_cache.stats()) == _table_totals(
+                object_cache.stats()
+            )
+        else:
+            assert spine_cache.stats() == object_cache.stats()
+
+
+class TestKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0.0, 0.5, 1.0, float("nan")]),
+                    st.sampled_from([0.5, 1.0, 2.0]),
+                    st.sampled_from([0.5, 1.0, float("inf")]),
+                ),
+                min_size=4,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        names=st.lists(
+            st.sampled_from(["a", "b", "c"]), min_size=4, max_size=4
+        ),
+    )
+    def test_cell_front_mask_matches_first_dominators(self, cells, names):
+        values = np.asarray(cells, dtype=np.float64)
+        mask = cell_front_mask(
+            values[:, :, 0], values[:, :, 1], values[:, :, 2], names
+        )
+        for cell, row in zip(values, mask):
+            front = first_dominators(cell[:, 0], cell[:, 1], cell[:, 2]) < 0
+            expected = [
+                any(f for f, other in zip(front, names) if other == name)
+                for name in names
+            ]
+            assert row.tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        groups=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["a", "b", "c"]),
+                    st.sampled_from([0.0, -0.0, 0.5, 1.0, float("inf")]),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_winner_mask_is_the_sorted_first_max(self, groups):
+        starts = np.cumsum([0] + [len(rows) for rows in groups[:-1]])
+        codes = {"a": 0, "b": 1, "c": 2}
+        names = [codes[name] for rows in groups for name, _ in rows]
+        fom = [value for rows in groups for _, value in rows]
+        expected = []
+        for rows in groups:
+            best = sorted(rows, key=lambda row: row[1], reverse=True)[0]
+            expected.extend(name == best[0] for name, _ in rows)
+        assert winner_mask(starts, fom, names).tolist() == expected
+
+    def test_any_nan_in_a_group_raises(self):
+        with pytest.raises(SpecificationError, match="NaN"):
+            group_first_max([0, 2], [1.0, float("nan"), 2.0])
+
+    def test_concat_restores_point_order(self):
+        factory = SpecFactory((("a", 1.0, 10.0, False, 5.0, 0.0),), True)
+        points = SweepGrid(volumes=(1e3, 1e4, 1e5)).points()
+        whole = evaluate_cells(
+            points, factory, 0, FomWeights(), EvaluationCache()
+        )
+        parts = [
+            evaluate_cells(
+                [points[i]], factory, 0, FomWeights(), EvaluationCache()
+            ).reindexed((i,))
+            for i in (2, 0, 1)
+        ]
+        assert DecisionFrame.concat(parts) == whole
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("per-cell object built on the sweep path")
+
+
+class TestNoPerCellObjects:
+    """Every sweep entry point runs without a per-cell study object."""
+
+    GRID = SweepGrid(volumes=(1e3, 1e4, 1e5))
+
+    @pytest.fixture(autouse=True)
+    def _guard(self, monkeypatch):
+        monkeypatch.setattr(CostReportBatch, "report_at", _refuse)
+        monkeypatch.setattr(methodology.StudyResult, "__init__", _refuse)
+        monkeypatch.setattr(pareto, "analyze_study", _refuse)
+
+    def test_guard_is_armed(self):
+        with pytest.raises(AssertionError):
+            pareto.analyze_study(None)
+
+    def test_every_entry_point_completes(self, tmp_path):
+        rows = len(run_gps_sweep(self.GRID).frame)
+        assert rows == 4 * len(self.GRID)
+        assert len(list(stream_gps_sweep(self.GRID))) == len(self.GRID)
+        store = spill_gps_sweep(
+            self.GRID, tmp_path / "store", max_rows_in_memory=5
+        )
+        assert store.total_rows == rows
+        assert len(run_gps_shard(self.GRID, 2, 0).frame) > 0
+        manifest = build_gps_warehouse(tmp_path / "warehouse", self.GRID)
+        assert manifest.complete
+        assert run_adaptive_gps_sweep(self.GRID).total_evaluations > 0

@@ -610,8 +610,8 @@ class TestCacheStateMerge:
 
     def test_portable_state_digests_entries(self):
         cache = EvaluationCache()
-        cache.cost("flowA", 1.0, lambda: "a")
-        cache.cost("flowA", 1.0, lambda: "a")
+        cache.cost_batch("flowA", [1.0], lambda missing: ["a"])
+        cache.cost_batch("flowA", [1.0], lambda missing: ["a"])
         state = cache.portable_state()
         cost = state["tables"]["cost"]
         assert cost["hits"] == 1 and cost["misses"] == 1

@@ -11,7 +11,6 @@ from repro.circuits.qfactor import (
 )
 from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
-from repro.core.methodology import assess_candidate, assess_candidate_batch
 from repro.core.sweep import (
     DesignPoint,
     EvaluationCache,
@@ -31,7 +30,7 @@ from repro.gps.study import (
 from repro.passives.thin_film import SI3N4_PROCESS
 from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
 
-from per_point import per_point_cells
+from per_point import per_point_frame, per_point_studies
 
 IMPL3 = "MCM-D(Si)/FC/IP"
 IMPL4 = "MCM-D(Si)/FC/IP&SMD"
@@ -153,9 +152,9 @@ class TestRunDesignSweep:
         report = run_gps_sweep(
             [DesignPoint()], nre_scenario={i: 0.0 for i in (1, 2, 3, 4)}
         )
-        (cell,) = report.cells
-        for study_row, sweep_row in zip(study.rows, cell.result.rows):
-            assert sweep_row.fom.figure_of_merit == pytest.approx(
+        assert len(report.rows) == len(study.rows)
+        for study_row, sweep_row in zip(study.rows, report.rows):
+            assert sweep_row.figure_of_merit == pytest.approx(
                 study_row.fom.figure_of_merit, rel=1e-12
             )
             assert sweep_row.area_percent == pytest.approx(
@@ -246,25 +245,17 @@ class TestBatchedFill:
             FomWeights(),
             EvaluationCache(),
         )
-        scalar = per_point_cells(
+        scalar = per_point_frame(
             self.GRID.points(),
             sweep_candidates,
             0,
             FomWeights(),
             EvaluationCache(),
         )
-        assert len(batched) == len(scalar)
-        for fast, slow in zip(batched, scalar):
-            assert fast.point == slow.point
-            for fast_row, slow_row in zip(
-                fast.result.rows, slow.result.rows
-            ):
-                assert fast_row.fom == slow_row.fom
-                assert fast_row.assessment.cost == slow_row.assessment.cost
-                assert (
-                    fast_row.assessment.area.final_area_mm2
-                    == slow_row.assessment.area.final_area_mm2
-                )
+        assert batched == scalar
+        assert batched.frame.to_json_columns() == (
+            scalar.frame.to_json_columns()
+        )
 
     def test_fills_report_equal_stat_totals(self):
         """Hit/miss *splits* may differ between the batched fill and
@@ -280,7 +271,7 @@ class TestBatchedFill:
             FomWeights(),
             batch_cache,
         )
-        per_point_cells(
+        per_point_studies(
             self.GRID.points(),
             sweep_candidates,
             0,
@@ -316,15 +307,6 @@ class TestBatchedFill:
         )
         # Per-point path: the factory runs once per point, not per family.
         assert len(calls) == len(points)
-
-    def test_assess_candidate_batch_matches_looped(self):
-        volumes = (500.0, 1e4, 1e5)
-        for candidate in sweep_candidates(DesignPoint()):
-            batched = assess_candidate_batch(candidate, volumes)
-            looped = tuple(
-                assess_candidate(candidate, volume) for volume in volumes
-            )
-            assert batched == looped
 
 
 class TestGpsAxes:

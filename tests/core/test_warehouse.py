@@ -29,14 +29,18 @@ from repro.core.sharding import (
     shard_filename,
     write_shard_artifact,
 )
-from repro.core.sweep import DesignPoint, SweepGrid, run_design_sweep
+from repro.core.sweep import (
+    DesignPoint,
+    EvaluationCache,
+    SweepGrid,
+    run_design_sweep,
+)
 from repro.core.warehouse import (
     FrameCache,
     WarehouseError,
     append_shard_artifact,
     build_warehouse,
     canonical_json,
-    decision_frame_for_cells,
     decision_frame_from_artifact,
     frame_filename,
     frame_payload,
@@ -99,9 +103,10 @@ def artifacts():
 
 class TestDecisionFrame:
     def test_from_cells_carries_ratio_columns(self, serial_report):
-        dframe = decision_frame_for_cells(
-            serial_report.cells, range(len(serial_report.cells))
+        dframe = SerialExecutor().run_sweep(
+            GRID.points(), fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
+        assert dframe.frame == serial_report.frame
         assert len(dframe) == len(serial_report.frame)
         assert dframe.size_ratio.dtype == np.float64
         assert not dframe.size_ratio.flags.writeable
@@ -124,8 +129,8 @@ class TestDecisionFrame:
         )
 
     def test_point_of_row_repeats_indices(self, serial_report):
-        dframe = decision_frame_for_cells(
-            serial_report.cells, range(len(serial_report.cells))
+        dframe = SerialExecutor().run_sweep(
+            GRID.points(), fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
         point = dframe.point_of_row()
         assert point.shape == (len(dframe),)

@@ -34,7 +34,7 @@ from repro.core.sharding import (
     payload_to_artifact,
 )
 from repro.core.figure_of_merit import FomWeights
-from repro.core.sweep import EvaluationCache, SweepGrid, frame_for_cells
+from repro.core.sweep import EvaluationCache, SweepGrid
 from repro.gps.study import (
     GpsSweepFactory,
     run_gps_queue_worker,
@@ -44,7 +44,7 @@ from repro.gps.study import (
 )
 from repro.passives.tolerance import PRECISION_CLASS
 
-from per_point import per_point_cells
+from per_point import per_point_frame
 
 #: Engine name -> factory.  Serial is the reference, not a column.
 ENGINES = {
@@ -92,9 +92,7 @@ class TestEngineMatrix:
         )
         reference = serial_reports[scenario]
         assert report.rows == reference.rows
-        assert [cell.point for cell in report.cells] == [
-            cell.point for cell in reference.cells
-        ]
+        assert report.frame == reference.frame
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_GRIDS))
     def test_scalar_fill_byte_identical_to_batched(
@@ -103,18 +101,14 @@ class TestEngineMatrix:
         """The serial reference runs the batched family fill; the
         per-point loop must hit the same bytes under every scenario
         class."""
-        cells = per_point_cells(
+        dframe = per_point_frame(
             SCENARIO_GRIDS[scenario].points(),
             GpsSweepFactory(),
             0,
             FomWeights(),
             EvaluationCache(),
         )
-        reference = serial_reports[scenario]
-        assert frame_for_cells(cells) == reference.frame
-        assert [cell.point for cell in cells] == [
-            cell.point for cell in reference.cells
-        ]
+        assert dframe.frame == serial_reports[scenario].frame
 
     def test_scenarios_genuinely_differ(self, serial_reports):
         """The matrix is not vacuous: each scenario moves the numbers."""
