@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import signal
 
 from ..errors import SynthesisError
 from ..passives.filters import FilterFamily, FilterSpec
@@ -72,8 +71,12 @@ def elliptic_attenuation_db(
     """Attenuation of an order-n elliptic lowpass at ``w/wc``.
 
     Evaluated from scipy's ``ellipap`` prototype transfer function; used
-    as the reference response for Cauer designs.
+    as the reference response for Cauer designs.  scipy is imported here,
+    not at module load: no CLI or GPS path calls this function, and
+    ``scipy.signal`` would otherwise dominate the package's import time.
     """
+    from scipy import signal
+
     _validate(order, ripple_db)
     if stop_attenuation_db <= ripple_db:
         raise SynthesisError(

@@ -89,9 +89,9 @@ from .core.warehouse import (
     ingest_shard_directory,
     read_warehouse_manifest,
 )
-from .cost.calibration import calibrate_chip_costs
+from .cost.calibration import calibrate_chip_costs, check_bare_discount
 from .cost.moe.builder import render_flow
-from .errors import SpecificationError
+from .errors import CalibrationError, SpecificationError
 from .gps.buildups import flow_for
 from .gps.study import (
     NRE_SCENARIOS,
@@ -266,6 +266,38 @@ def _coarse_rank_count(raw: str) -> int:
     return value
 
 
+def _bare_discount(raw: str) -> float:
+    """Parse --bare-discount: a fraction in (0, 1], checked at parse time."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a number"
+        ) from None
+    try:
+        return check_bare_discount(value)
+    except CalibrationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _create_directory(directory) -> Path:
+    """``directory``, created with its parents to hold command output.
+
+    A path that cannot be a directory (a regular file on the way, no
+    permission) is a bad ask, not a crash: it raises
+    :class:`SpecificationError`, which every command maps to its
+    exit-2 message.
+    """
+    directory = Path(directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SpecificationError(
+            f"cannot create directory {directory}: {exc.strerror or exc}"
+        ) from None
+    return directory
+
+
 def _sweep_error(message: str) -> "SystemExit":
     """Abort the sweep subcommand with argparse's exit contract.
 
@@ -357,24 +389,29 @@ def _fom_weight_values(raw: str) -> tuple:
     return tuple(values)
 
 
+def _volume(raw: str) -> float:
+    """Parse one production volume (a positive, finite number)."""
+    try:
+        volume = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"volume {raw!r} is not a number"
+        ) from None
+    if not math.isfinite(volume) or volume <= 0:
+        raise argparse.ArgumentTypeError(
+            f"volume must be positive and finite, got {volume:g}"
+        )
+    return volume
+
+
 def _volume_values(raw: str) -> tuple:
-    """Parse a comma-separated list of positive volumes."""
+    """Parse a comma-separated list of positive, finite volumes."""
     values = []
     for token in raw.split(","):
         token = token.strip()
         if not token:
             continue
-        try:
-            volume = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"volume {token!r} is not a number"
-            ) from None
-        if volume <= 0:
-            raise argparse.ArgumentTypeError(
-                f"volume must be positive, got {volume:g}"
-            )
-        values.append(volume)
+        values.append(_volume(token))
     if not values:
         raise argparse.ArgumentTypeError("empty volume list")
     return tuple(values)
@@ -546,7 +583,7 @@ def _reuse_or_create_store(
             file=sys.stderr,
         )
         return store
-    return build(directory)
+    return build(_create_directory(directory))
 
 
 #: Grid-axis flags and their parser defaults: --merge takes the grid
@@ -763,6 +800,7 @@ def _cmd_sweep_queue_init(args: argparse.Namespace) -> int:
             ),
             grid_spec=_grid_spec_from_args(args),
         )
+        _create_directory(Path(args.queue_init).parent)
         path = write_manifest(args.queue_init, manifest)
     except SpecificationError as exc:
         raise _sweep_error(str(exc)) from None
@@ -1022,7 +1060,7 @@ def _cmd_sweep_adaptive(
             if args.spill_dir is not None:
                 store, report = spill_adaptive_gps_sweep(
                     grid,
-                    Path(args.spill_dir),
+                    _create_directory(args.spill_dir),
                     max_rows,
                     executor=executor,
                     passes=args.passes,
@@ -1178,6 +1216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else executor
         )
         try:
+            _create_directory(args.shard_dir)
             # Shard geometry (positive count, index in range) is
             # validated by the sharding layer itself.
             artifact = run_gps_shard(
@@ -1468,6 +1507,7 @@ def _cmd_warehouse_build(args: argparse.Namespace) -> int:
                 "evaluating anything; drop --engine/--jobs"
             )
         try:
+            _create_directory(args.directory)
             manifest, appended, skipped = ingest_shard_directory(
                 args.directory, args.from_shards
             )
@@ -1489,6 +1529,7 @@ def _cmd_warehouse_build(args: argparse.Namespace) -> int:
         )
         try:
             executor = resolve_executor(args.engine, args.jobs, None)
+            _create_directory(args.directory)
             manifest = build_gps_warehouse(
                 args.directory,
                 grid,
@@ -1653,7 +1694,7 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser("study", help="run the full trade-off study")
     study.add_argument(
         "--volume",
-        type=float,
+        type=_volume,
         default=10_000.0,
         help="production volume for NRE amortisation",
     )
@@ -1675,7 +1716,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate.add_argument(
         "--bare-discount",
-        type=float,
+        type=_bare_discount,
         default=0.95,
         help="bare-die cost as a fraction of the packaged part",
     )

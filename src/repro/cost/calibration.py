@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..errors import CalibrationError
 
@@ -63,6 +62,15 @@ class CalibrationResult:
         )
 
 
+def check_bare_discount(bare_discount: float) -> float:
+    """``bare_discount`` if it lies in (0, 1], else :class:`CalibrationError`."""
+    if not (0.0 < bare_discount <= 1.0):
+        raise CalibrationError(
+            f"bare discount must lie in (0, 1], got {bare_discount}"
+        )
+    return bare_discount
+
+
 def calibrate_chip_costs(
     evaluate_ratios: Optional[
         Callable[[float, float, float, float], dict[int, float]]
@@ -92,10 +100,10 @@ def calibrate_chip_costs(
     CalibrationError
         If the optimiser fails or the resulting ordering is degenerate.
     """
-    if not (0.0 < bare_discount <= 1.0):
-        raise CalibrationError(
-            f"bare discount must lie in (0, 1], got {bare_discount}"
-        )
+    check_bare_discount(bare_discount)
+    # Imported here so only ``repro-gps calibrate`` pays for scipy.optimize.
+    from scipy.optimize import least_squares
+
     if evaluate_ratios is None:
         evaluate_ratios = _gps_ratio_evaluator()
 

@@ -106,6 +106,87 @@ class TestSweepArgumentErrors:
         assert "paper" in err
 
 
+class TestBadValuesExit2:
+    """Out-of-range numbers and unusable output paths are asking wrong:
+    exit 2 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def _exit_2(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--volumes", "nan"],
+            ["sweep", "--volumes", "inf"],
+            ["sweep", "--volumes", "1e3,-inf"],
+            ["study", "--volume", "nan"],
+            ["study", "--volume", "inf"],
+            ["study", "--volume", "0"],
+            ["study", "--volume", "-5"],
+        ],
+    )
+    def test_non_finite_or_non_positive_volume(self, argv, capsys):
+        err = self._exit_2(argv, capsys)
+        assert "volume must be positive" in err
+
+    @pytest.mark.parametrize("discount", ["2", "nan", "0", "-0.5"])
+    def test_bare_discount_outside_unit_interval(self, discount, capsys):
+        err = self._exit_2(
+            ["calibrate", "--bare-discount", discount], capsys
+        )
+        assert "bare discount must lie in (0, 1]" in err
+
+    def test_bare_discount_of_one_is_accepted(self):
+        args = build_parser().parse_args(
+            ["calibrate", "--bare-discount", "1"]
+        )
+        assert args.bare_discount == 1.0
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            (
+                "sweep",
+                ["sweep", "--volumes", "1e3", "--spill-dir", "{out}",
+                 "--max-rows-in-memory", "4"],
+            ),
+            (
+                "sweep",
+                ["sweep", "--volumes", "1e3", "--adaptive", "--spill-dir",
+                 "{out}", "--max-rows-in-memory", "4"],
+            ),
+            (
+                "sweep",
+                ["sweep", "--volumes", "1e3", "--shards", "2",
+                 "--shard-index", "0", "--shard-dir", "{out}"],
+            ),
+            (
+                "sweep",
+                ["sweep", "--volumes", "1e3", "--shards", "2",
+                 "--queue-init", "{out}/queue.json"],
+            ),
+            ("warehouse", ["warehouse", "build", "{out}", "--volumes", "1e3"]),
+        ],
+    )
+    def test_output_directory_that_cannot_be_created(
+        self, command, argv, tmp_path, capsys
+    ):
+        # A regular file where a parent directory should be.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "x")
+        err = self._exit_2(
+            [token.replace("{out}", out) for token in argv], capsys
+        )
+        assert f"repro-gps {command}: error: cannot create" in err
+
+
 class TestCommands:
     def test_flow_command_prints_fig4(self, capsys):
         assert main(["flow", "2"]) == 0
