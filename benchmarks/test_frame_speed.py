@@ -8,9 +8,8 @@ instead of per-object speed.  This benchmark pins that claim on a
 * **row-object path** (the pre-frame implementation, reconstructed
   here): deserialise every row dict into a ``SweepRow``, merge the
   shards point-index-wise through a Python dict, run the pointwise
-  O(n²) Pareto loop (``pareto_front_pointwise``, kept in
-  :mod:`repro.core.pareto` as the reference), and format the CSV row
-  by row through ``as_dict``.  The row path's Pareto scan grows
+  O(n²) Pareto loop (:func:`repro.core.pareto.pareto_front`), and
+  format the CSV row by row through ``as_dict``.  The row path's Pareto scan grows
   quadratically while the frame path's exact sort-and-sweep is
   O(n log n); at this grid size (20k rows) the pipeline measures
   ~18x against the 5x gate, and the best-of-N timing keeps runner
@@ -32,7 +31,7 @@ import time
 
 import numpy as np
 
-from repro.core.pareto import ParetoPoint, pareto_front_pointwise
+from repro.core.pareto import ParetoPoint, pareto_front
 from repro.core.resultframe import COLUMN_ORDER, ResultFrame, SweepRow
 
 #: The acceptance criterion: columnar vs row-object speedup.
@@ -150,7 +149,7 @@ def _row_object_pipeline(row_shards) -> tuple[str, list[bool]]:
         for i, row in enumerate(rows)
     ]
     front_ids = {
-        id(point) for point in pareto_front_pointwise(points).front
+        id(point) for point in pareto_front(points).front
     }
     mask = [id(point) in front_ids for point in points]
 

@@ -10,22 +10,26 @@ log-uniform volumes × 3 tolerance classes × 3 Q models, 2304 points
 and 9216 rows, whose global front holds a quarter of the rows.
 
 Identity comes first: the mask must equal the broadcast attribution
-kernel's verdict (``first_dominators(...) < 0``) before any timing is
-entertained.  Both timings are best-of-3 in the same process.
+reference's verdict (``first_dominators(...) < 0``, from
+``tests/pareto_reference.py``) before any timing is entertained.  Both timings are best-of-3 in the same process.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.circuits.qfactor import Q_MODEL_SCENARIOS
 from repro.core.adaptive import global_front_mask
-from repro.core.pareto import first_dominators
 from repro.core.sweep import EvaluationCache, SweepGrid
 from repro.gps.study import run_gps_sweep
 from repro.passives.tolerance import TOLERANCE_CLASSES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from pareto_reference import first_dominators  # noqa: E402
 
 #: The acceptance criterion: mask wall-clock as a share of the sweep.
 MAX_SHARE = 0.10

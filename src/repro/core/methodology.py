@@ -62,7 +62,7 @@ class CandidateBuildUp:
     """
 
     name: str
-    footprints: list[Footprint]
+    footprints: Sequence[Footprint]
     substrate_rule: SubstrateRule
     flow_factory: Callable[[float], ProductionFlow]
     laminate: Optional[LaminateRule] = None

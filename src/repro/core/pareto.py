@@ -14,13 +14,11 @@ answers "which targets does some candidate dominate" in O(n log n).
 Every mask — :func:`nondominated_mask` behind
 :meth:`repro.core.resultframe.ResultFrame.pareto_mask`, the adaptive
 driver's margin front and the out-of-core chunked front — is built on
-it.  :func:`first_dominators` broadcasts the objective arrays against
-themselves in bounded blocks to *attribute* the first dominator per
-point, which is what :func:`pareto_front` reports;
-:func:`pareto_front_pointwise` keeps the original per-point loop as the
-reference implementation (the same discipline as
-``repro.circuits.twoport.sweep_pointwise``).  The kernels are locked
-equivalent by hypothesis in ``tests/core/test_pareto_kernel.py`` and
+it.  :func:`pareto_front` is the plain per-point loop that names each
+dominated point's first dominator; it runs once per study on four
+candidates.  The kernels are locked equivalent to the broadcast
+references in ``tests/pareto_reference.py`` by hypothesis in
+``tests/core/test_pareto_kernel.py`` and
 ``tests/core/test_resultframe.py``.
 """
 
@@ -34,12 +32,6 @@ import numpy as np
 
 from ..errors import SpecificationError
 from .methodology import StudyResult, StudyRow
-
-#: Upper bound on ``n_points * block`` in the blocked dominance sweep —
-#: caps the transient boolean broadcast buffers at a few megabytes
-#: regardless of how many rows the caller throws at it.
-_BLOCK_BUDGET = 4_000_000
-
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -110,60 +102,6 @@ def _to_point(row: StudyRow) -> ParetoPoint:
         size_ratio=row.fom.size_ratio,
         cost_ratio=row.fom.cost_ratio,
     )
-
-
-def first_dominators(
-    performance, size, cost
-) -> np.ndarray:
-    """Index of the first dominating point per point (``-1``: none).
-
-    The attribution kernel behind :func:`pareto_front` (a mask alone
-    is cheaper — use :func:`nondominated_mask` for that).  Point *i*
-    dominates point *j* when it is at least as good on every objective
-    (``performance`` maximised, ``size`` and ``cost`` minimised) and
-    strictly better on one; the result matches the order the original
-    per-point loop reported dominators in — the *lowest* dominating
-    index — so the vectorised and pointwise paths name the same
-    dominator.
-
-    The pairwise comparison is evaluated in blocks of columns so the
-    transient boolean broadcast buffers stay a few megabytes whatever
-    ``n`` is; the arithmetic is still exact float comparison, never a
-    tolerance.
-    """
-    perf = np.ascontiguousarray(performance, dtype=np.float64)
-    size = np.ascontiguousarray(size, dtype=np.float64)
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if not (perf.shape == size.shape == cost.shape) or perf.ndim != 1:
-        raise SpecificationError(
-            "dominance needs three equally-long 1-D objective arrays, "
-            f"got shapes {perf.shape}, {size.shape}, {cost.shape}"
-        )
-    n = perf.shape[0]
-    dominator = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return dominator
-    block = max(1, min(n, _BLOCK_BUDGET // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        p, s, c = perf[start:stop], size[start:stop], cost[start:stop]
-        # dominates[i, j]: row point i dominates column point start+j.
-        at_least = (
-            (perf[:, None] >= p[None, :])
-            & (size[:, None] <= s[None, :])
-            & (cost[:, None] <= c[None, :])
-        )
-        strictly = (
-            (perf[:, None] > p[None, :])
-            | (size[:, None] < s[None, :])
-            | (cost[:, None] < c[None, :])
-        )
-        dominates = at_least & strictly
-        found = dominates.any(axis=0)
-        first = dominates.argmax(axis=0)
-        view = dominator[start:stop]
-        view[found] = first[found]
-    return dominator
 
 
 def dominated_by(candidates, targets) -> np.ndarray:
@@ -260,10 +198,10 @@ def nondominated_mask(performance, size, cost) -> np.ndarray:
 
     ``~dominated_by(X, X)`` over the objectives oriented for
     minimisation (performance negated): O(n log n), exact, and
-    bit-identical to ``first_dominators(...) < 0`` — exact duplicates
+    bit-identical to :func:`pareto_front`'s verdicts — exact duplicates
     of a front point and NaN-bearing rows survive, matching the scalar
-    definition.  Equivalence with the per-point reference loop and the
-    broadcast kernels is hypothesis-locked in
+    definition.  Equivalence with the per-point loop and the broadcast
+    references is hypothesis-locked in
     ``tests/core/test_pareto_kernel.py``.
     """
     perf = np.asarray(performance, dtype=np.float64)
@@ -278,45 +216,11 @@ def nondominated_mask(performance, size, cost) -> np.ndarray:
     return ~dominated_by(objectives, objectives)
 
 
-def _analysis_from_dominators(
-    points: Sequence[ParetoPoint], dominator: np.ndarray
-) -> ParetoAnalysis:
-    front: list[ParetoPoint] = []
-    dominated: list[tuple[ParetoPoint, str]] = []
-    for point, index in zip(points, dominator.tolist()):
-        if index < 0:
-            front.append(point)
-        else:
-            dominated.append((point, points[index].name))
-    return ParetoAnalysis(front=tuple(front), dominated=tuple(dominated))
-
-
 def pareto_front(points: Sequence[ParetoPoint]) -> ParetoAnalysis:
     """Partition points into the Pareto front and the dominated set.
 
-    Vectorised over all points at once (:func:`first_dominators`);
-    byte-identical to :func:`pareto_front_pointwise`, which keeps the
-    original per-point loop as the reference implementation.
-    """
-    if not points:
-        raise SpecificationError("pareto_front needs at least one point")
-    dominator = first_dominators(
-        [point.performance for point in points],
-        [point.size_ratio for point in points],
-        [point.cost_ratio for point in points],
-    )
-    return _analysis_from_dominators(points, dominator)
-
-
-def pareto_front_pointwise(
-    points: Sequence[ParetoPoint],
-) -> ParetoAnalysis:
-    """The original O(n²) per-point dominance loop.
-
-    Kept as the reference implementation :func:`pareto_front` must
-    reproduce exactly — the same discipline as the pointwise MNA sweep
-    (``repro.circuits.twoport.sweep_pointwise``) — and as the
-    row-object baseline of ``benchmarks/test_frame_speed.py``.
+    The per-point loop: each dominated point is reported with the
+    *first* point (in input order) that dominates it.
     """
     if not points:
         raise SpecificationError("pareto_front needs at least one point")

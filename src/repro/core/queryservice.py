@@ -45,6 +45,7 @@ from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
 from .ranking import (  # noqa: F401 — weighted_fom re-exported
     DecisionFrame,
+    fom_from_factors,
     weighted_fom,
     winner_mask,
 )
@@ -157,31 +158,30 @@ def rerank_frame(
     every ``paper``-label point is re-scored from the stored FoM
     inputs.  Both steps are the sweep's own ranking kernels
     (:mod:`repro.core.ranking`) applied to the stored columns: the
-    weighted FoM, then the per-point first-max winner broadcast by
-    name.
+    weighted FoM — from the frame's memoised
+    :attr:`~repro.core.ranking.DecisionFrame.fom_basis`, so only its
+    few distinct bases are raised to the new weights — then the
+    per-point first-max winner broadcast by name.
     """
     frame = dframe.frame
-    fom = frame.column("figure_of_merit").copy()
-    # The weights label is one per point: compare each point's first row.
-    starts = dframe.starts
-    paper = np.repeat(
-        frame.column("weights")[starts] == "paper",
-        np.diff(np.append(starts, len(frame))),
-    )
+    fom = frame.column("figure_of_merit")
+    paper = dframe.default_weight_rows
     if np.any(paper):
-        performance = frame.column("performance")
-        if not np.all(performance >= 0.0):
+        # Every stored performance is one of the basis' distinct values.
+        if not np.all(dframe.fom_basis[0][0] >= 0.0):
             raise QueryError(
                 "stored performance column holds negative or NaN "
                 "values; the warehouse frame is corrupt"
             )
-        recomputed = weighted_fom(
-            performance, dframe.size_ratio, dframe.cost_ratio, weights
-        )
-        fom[paper] = recomputed[paper]
+        recomputed = fom_from_factors(dframe.fom_basis, weights)
+        if np.all(paper):
+            fom = recomputed
+        else:
+            fom = fom.copy()
+            fom[paper] = recomputed[paper]
     columns = {name: frame.column(name) for name in COLUMN_ORDER}
     columns["figure_of_merit"] = fom
-    columns["is_winner"] = winner_mask(starts, fom, dframe.name_codes)
+    columns["is_winner"] = winner_mask(dframe.starts, fom, dframe.name_codes)
     return ResultFrame.from_columns(columns)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
-from .resultframe import ResultFrame
+from .resultframe import ResultFrame, distinct_values
 
 #: The auxiliary ratio columns every decision frame carries.
 RATIO_COLUMNS = ("size_ratio", "cost_ratio")
@@ -192,6 +192,27 @@ class DecisionFrame:
         return (np.cumsum(counts) - counts)[counts > 0]
 
     @cached_property
+    def default_weight_rows(self) -> np.ndarray:
+        """Rows of the points ranked under the sweep-wide weights.
+
+        A point on the weights *axis* carries its own label; ``paper``
+        marks the sweep-wide default, the rows a re-rank re-scores.
+        The label is one per point, so each point's first row decides.
+        """
+        starts = self.starts
+        return np.repeat(
+            self.frame.column("weights")[starts] == "paper",
+            np.diff(np.append(starts, len(self.frame))),
+        )
+
+    @cached_property
+    def fom_basis(self) -> tuple[FomFactor, FomFactor, FomFactor]:
+        """:func:`fom_factors` of the stored FoM inputs."""
+        return fom_factors(
+            self.frame.column("performance"), self.size_ratio, self.cost_ratio
+        )
+
+    @cached_property
     def name_codes(self) -> np.ndarray:
         """:func:`name_codes` of the candidate column."""
         return name_codes(self.frame.column("candidate").tolist())
@@ -208,8 +229,32 @@ class DecisionFrame:
             yield index, self.frame.take(np.arange(start, stop))
 
 
-def _pow_column(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Elementwise ``value ** exponent`` with scalar-operator bits.
+#: One FoM factor's base as :func:`~repro.core.resultframe.distinct_values`:
+#: ``(distinct, inverse)``.
+FomFactor = tuple[np.ndarray, np.ndarray]
+
+
+def fom_factors(
+    performance, size_ratio, cost_ratio
+) -> tuple[FomFactor, FomFactor, FomFactor]:
+    """The weight-independent half of :func:`weighted_fom`.
+
+    The bases ``performance``, ``1 / size_ratio`` and ``1 / cost_ratio``
+    (correctly-rounded elementwise reciprocals), each as its distinct
+    values plus every cell's index into them
+    (:func:`~repro.core.resultframe.distinct_values`).  A stored frame
+    keeps these (:attr:`DecisionFrame.fom_basis`) so a re-rank only
+    raises the few distinct values to the new weights.
+    """
+    return (
+        distinct_values(performance),
+        distinct_values(1.0 / np.asarray(size_ratio, dtype=np.float64)),
+        distinct_values(1.0 / np.asarray(cost_ratio, dtype=np.float64)),
+    )
+
+
+def _pow_factor(factor: FomFactor, exponent: float) -> np.ndarray:
+    """Elementwise ``base ** exponent`` with scalar-operator bits.
 
     ``np.power`` disagrees with Python's ``**`` by 1 ulp on a few
     percent of inputs (different libm paths), which would break the
@@ -221,18 +266,27 @@ def _pow_column(values: np.ndarray, exponent: float) -> np.ndarray:
     (``pow(x, 0) == 1.0`` for every double including NaN,
     ``pow(x, 1) == x``).
     """
+    distinct, inverse = factor
     if exponent == 0.0:
-        return np.ones(values.shape, dtype=np.float64)
-    if exponent == 1.0:
-        return values.astype(np.float64, copy=True)
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    ordered = np.sort(bits, axis=None)
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    powered = np.asarray(
-        [value**exponent for value in distinct.view(np.float64).tolist()],
-        dtype=np.float64,
+        return np.ones(inverse.shape, dtype=np.float64)
+    if exponent != 1.0:
+        distinct = np.asarray(
+            [value**exponent for value in distinct.tolist()],
+            dtype=np.float64,
+        )
+    return distinct[inverse]
+
+
+def fom_from_factors(
+    factors: tuple[FomFactor, FomFactor, FomFactor], weights: FomWeights
+) -> np.ndarray:
+    """:func:`weighted_fom` from its :func:`fom_factors`."""
+    performance, size, cost = factors
+    return (
+        _pow_factor(performance, weights.performance)
+        * _pow_factor(size, weights.size)
+        * _pow_factor(cost, weights.cost)
     )
-    return powered[np.searchsorted(distinct, bits)]
 
 
 def weighted_fom(
@@ -252,17 +306,13 @@ def weighted_fom(
     scalar formula; the ratios are a :class:`DecisionFrame`'s to check.
     """
     performance = np.asarray(performance, dtype=np.float64)
-    size_ratio = np.asarray(size_ratio, dtype=np.float64)
-    cost_ratio = np.asarray(cost_ratio, dtype=np.float64)
     if not np.all(performance >= 0.0):
         bad = performance[~(performance >= 0.0)][0]
         raise SpecificationError(
             f"performance cannot be negative or NaN, got {bad}"
         )
-    return (
-        _pow_column(performance, weights.performance)
-        * _pow_column(1.0 / size_ratio, weights.size)
-        * _pow_column(1.0 / cost_ratio, weights.cost)
+    return fom_from_factors(
+        fom_factors(performance, size_ratio, cost_ratio), weights
     )
 
 

@@ -147,6 +147,31 @@ def _check_bool_values(name: str, values) -> None:
     )
 
 
+def distinct_values(values) -> tuple[np.ndarray, np.ndarray]:
+    """A float array as its distinct values and each cell's index.
+
+    Values are told apart by their bit pattern (the ``int64`` view),
+    not by float equality, so ``-0.0`` and ``0.0`` — and NaNs of any
+    payload — stay apart, and ``distinct[inverse]`` rebuilds ``values``
+    bit for bit (``inverse`` has ``values``' shape).  The basis of
+    every once-per-distinct-value column operation: CSV formatting
+    here, the scalar ``pow`` of :mod:`repro.core.ranking`.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    return distinct.view(np.float64), inverse.reshape(bits.shape)
+
+
+def _rendered_floats(column: np.ndarray) -> list[str]:
+    """``[str(value) for value in column.tolist()]`` for a float64
+    column, with ``str`` run once per distinct value."""
+    distinct, inverse = distinct_values(column)
+    strings = np.array(
+        [str(value) for value in distinct.tolist()], dtype=object
+    )
+    return strings[inverse].tolist()
+
+
 class ResultFrame:
     """Structure-of-arrays container for sweep results.
 
@@ -421,11 +446,16 @@ class ResultFrame:
         labels verbatim — exactly what ``str(value)`` over
         ``row.as_dict()`` values produced.  Columns are materialised
         once with ``tolist()``, so there is no per-cell attribute or
-        dict traffic.
+        dict traffic, and a float column is formatted once per distinct
+        value (:func:`_rendered_floats`).
         """
         return [
-            [str(value) for value in self.column(name).tolist()]
-            for name in (names if names else COLUMN_ORDER)
+            _rendered_floats(column)
+            if column.dtype == np.float64
+            else [str(value) for value in column.tolist()]
+            for column in map(
+                self.column, names if names else COLUMN_ORDER
+            )
         ]
 
     def csv_lines(self) -> list[str]:

@@ -52,6 +52,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -151,9 +152,9 @@ class DesignPoint:
     weights: Optional[FomWeights] = None
 
     def __post_init__(self) -> None:
-        if self.volume <= 0:
+        if not (math.isfinite(self.volume) and self.volume > 0):
             raise SpecificationError(
-                f"volume must be positive, got {self.volume}"
+                f"volume must be positive and finite, got {self.volume}"
             )
 
     def q_model_label(self) -> str:
@@ -312,11 +313,18 @@ class EvaluationCache:
 
     Grid axes rarely invalidate every step: volume only reaches the cost
     evaluation, the tolerance class only the production flow, the
-    substrate rule only placement and cost.  Keys are built from the
-    ``repr`` of the (frozen, content-rich) dataclasses involved, so two
-    grid points that share an input share the computation.  The cost
-    table holds a flow's final cost per shipped unit at one volume —
-    the only cost figure the ranking reads.
+    substrate rule only placement and cost.  Keys are content strings —
+    the ``repr`` of the (frozen, content-rich) dataclasses involved —
+    so two grid points that share an input share the computation; each
+    key is built once per *distinct* input, never once per lookup:
+
+    * performance: ``repr`` of a chain's technology assignments;
+    * area: :meth:`area_key`, rendered by the caller once per distinct
+      ``(footprints, rule, laminate)`` and handed to :meth:`area`;
+    * cost: nested ``repr(flow)`` → ``repr(volume)`` → final cost per
+      shipped unit, the only cost figure the ranking reads.  The flat
+      key ``f"{volume!r}|{flow!r}"`` is spelled out only by
+      :meth:`portable_state`, for its digests.
 
     Caches are *mergeable*: every execution engine worker fills its own
     cache and :meth:`merge` folds the workers' tables and counters back
@@ -325,6 +333,8 @@ class EvaluationCache:
     """
 
     def __init__(self) -> None:
+        # The cost table nests: ``repr(flow)`` → ``repr(volume)`` →
+        # final cost per shipped unit.
         self._tables: dict[str, dict[str, object]] = {
             name: {} for name in CACHE_TABLES
         }
@@ -341,25 +351,28 @@ class EvaluationCache:
         table[key] = value
         return value
 
-    @staticmethod
-    def performance_key(assignments) -> str:
-        """The content key of one chain's technology assignments."""
-        return repr(assignments)
-
     def performance(self, assignments, compute) -> ChainPerformance:
+        """One chain's performance, keyed by ``repr(assignments)``."""
         return self._get(
-            "performance", self.performance_key(assignments), compute
+            "performance", repr(assignments), compute
         )
 
     @staticmethod
     def area_key(footprints, rule, laminate) -> str:
-        """The content key of one placement call."""
-        return f"{rule!r}|{laminate!r}|{footprints!r}"
+        """The content key of one placement call.
 
-    def area(self, footprints, rule, laminate, compute):
-        return self._get(
-            "area", self.area_key(footprints, rule, laminate), compute
+        ``f"{rule!r}|{laminate!r}|{list(footprints)!r}"``, with the list
+        rendered from the elements directly (``repr`` of a list is its
+        items' reprs joined by ``", "`` in brackets), so a tuple of
+        footprints keys exactly like the list it replaces.
+        """
+        return (
+            f"{rule!r}|{laminate!r}|[{', '.join(map(repr, footprints))}]"
         )
+
+    def area(self, key: str, compute):
+        """One placement result under its :meth:`area_key`."""
+        return self._get("area", key, compute)
 
     def has_area(self, key: str) -> bool:
         """True when a placement result is already cached under ``key``."""
@@ -374,18 +387,31 @@ class EvaluationCache:
         """
         self._tables["area"].setdefault(key, report)
 
-    def cost_batch(self, flow, volumes: Sequence[float], compute_missing):
+    def cost_batch(
+        self,
+        flow,
+        volumes: Sequence[float],
+        compute_missing,
+        volume_keys: Optional[Sequence[str]] = None,
+    ):
         """Resolve one flow's final costs at many volumes together.
 
         Counts a hit per already-cached volume and a miss per computed
         one, exactly as one lookup per volume would, but all missing
         volumes are produced by a single
         ``compute_missing(missing_volumes)`` call (one batched flow
-        walk) instead of one evaluation each.
+        walk) instead of one evaluation each.  ``repr(flow)`` is built
+        once per call; volumes are keyed by their own ``repr``, so
+        ``10000``, ``10000.0`` and ``np.float64(10000.0)`` stay distinct
+        entries.  A caller resolving many flows at the same volumes
+        passes those reprs once as ``volume_keys``.
         """
-        flow_repr = repr(flow)
-        keys = [f"{volume!r}|{flow_repr}" for volume in volumes]
-        table = self._tables["cost"]
+        table = self._tables["cost"].setdefault(repr(flow), {})
+        keys = (
+            [repr(volume) for volume in volumes]
+            if volume_keys is None
+            else volume_keys
+        )
         pending: dict[str, float] = {}
         for key, volume in zip(keys, volumes):
             if key not in table and key not in pending:
@@ -429,9 +455,31 @@ class EvaluationCache:
         for name in CACHE_TABLES:
             table = self._tables[name]
             for key, value in other._tables[name].items():
-                table.setdefault(key, value)
+                if name == "cost":
+                    costs = table.setdefault(key, {})
+                    for volume_key, cost in value.items():
+                        costs.setdefault(volume_key, cost)
+                else:
+                    table.setdefault(key, value)
             self._hits[name] += other._hits[name]
             self._misses[name] += other._misses[name]
+
+    def _entry_keys(self, name: str) -> Iterator[str]:
+        """Every entry key of one table, cost keys spelled out flat."""
+        table = self._tables[name]
+        if name != "cost":
+            yield from table
+            return
+        for flow_key, costs in table.items():
+            for volume_key in costs:
+                yield f"{volume_key}|{flow_key}"
+
+    def _entries(self, name: str) -> int:
+        """Number of distinct entries in one table."""
+        table = self._tables[name]
+        if name == "cost":
+            return sum(len(costs) for costs in table.values())
+        return len(table)
 
     def portable_state(self) -> dict:
         """The cache's *stats* state as a JSON-ready payload.
@@ -450,7 +498,8 @@ class EvaluationCache:
                     "hits": self._hits[name],
                     "misses": self._misses[name],
                     "keys": sorted(
-                        cache_key_digest(key) for key in self._tables[name]
+                        cache_key_digest(key)
+                        for key in self._entry_keys(name)
                     ),
                 }
                 for name in CACHE_TABLES
@@ -472,13 +521,11 @@ class EvaluationCache:
                 name: {
                     "hits": self._hits[name],
                     "misses": self._misses[name],
-                    "entries": len(self._tables[name]),
+                    "entries": self._entries(name),
                 }
                 for name in CACHE_TABLES
             },
         }
-
-
 
 
 @dataclass(frozen=True)
@@ -529,13 +576,18 @@ class SweepReport:
 
 def assess_candidate_family_cached(
     candidate: CandidateBuildUp,
+    area_key: str,
     volumes: Sequence[float],
+    volume_keys: Sequence[str],
     cache: EvaluationCache,
 ) -> tuple[float, float, list[float]]:
     """Steps 2-4 for one candidate across a volume family, memoised.
 
-    Returns the performance score, the final area in mm² (Fig. 3) and
-    the final cost per shipped unit at every volume (Fig. 5).
+    ``area_key`` is the candidate's :meth:`EvaluationCache.area_key`
+    (see :func:`candidate_area_keys`) and ``volume_keys`` the volumes'
+    reprs, shared by the family's candidates.  Returns the performance
+    score, the final area in mm² (Fig. 3) and the final cost per
+    shipped unit at every volume (Fig. 5).
     Performance and placement are resolved **once** and re-counted as
     hits for the remaining volumes (:meth:`EvaluationCache.count_reuse`,
     so the stats match a per-point evaluation); all volumes' costs come
@@ -553,9 +605,7 @@ def assess_candidate_family_cached(
         cache.count_reuse("performance", reuse)
         performance = chain.score
     area = cache.area(
-        candidate.footprints,
-        candidate.substrate_rule,
-        candidate.laminate,
+        area_key,
         lambda: trivial_placement(
             candidate.footprints,
             candidate.substrate_rule,
@@ -570,6 +620,7 @@ def assess_candidate_family_cached(
         lambda missing: evaluate_batch(
             flow, missing
         ).final_cost_per_shipped.tolist(),
+        volume_keys,
     )
     return performance, area.final_area_mm2, costs
 
@@ -632,9 +683,43 @@ def frame_for_cells(
     )
 
 
+def candidate_area_keys(
+    family_candidates: Sequence[Sequence[CandidateBuildUp]],
+) -> list[list[str]]:
+    """Every candidate's :meth:`EvaluationCache.area_key`, per family.
+
+    A key runs to several kilobytes (one ``repr`` per footprint), and
+    candidate factories share their inputs across families — the GPS
+    factory's footprint tuples come memoised from
+    :func:`repro.gps.buildups.footprints_for` and its rules are module
+    constants or grid axis values.  So each key is rendered once per
+    distinct ``(footprints, rule, laminate)`` object triple of the call
+    and shared by every candidate carrying that triple; the call holds
+    the candidates, so the objects' ``id`` s stay unique throughout.
+    """
+    rendered: dict[tuple[int, int, int], str] = {}
+    keys = []
+    for candidates in family_candidates:
+        family_keys = []
+        for candidate in candidates:
+            inputs = (
+                candidate.footprints,
+                candidate.substrate_rule,
+                candidate.laminate,
+            )
+            identity = (id(inputs[0]), id(inputs[1]), id(inputs[2]))
+            key = rendered.get(identity)
+            if key is None:
+                key = rendered[identity] = EvaluationCache.area_key(*inputs)
+            family_keys.append(key)
+        keys.append(family_keys)
+    return keys
+
+
 def evaluate_family(
     points: Sequence[DesignPoint],
     candidates: Sequence[CandidateBuildUp],
+    area_keys: Sequence[str],
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
@@ -642,12 +727,13 @@ def evaluate_family(
     """Evaluate and rank a whole volume family of grid points.
 
     All points share one candidate list (the family key excludes only
-    the volume); each candidate is assessed across the whole volume
-    axis at once, the ratios to the reference candidate follow the
-    scalar formula's operation order, and :func:`frame_for_cells`
-    ranks the cells — with the family's own weights-axis vector, else
-    ``weights``.  Returns the cells in the order given, at point
-    indices ``0 .. len(points) - 1``.
+    the volume), with each candidate's area key alongside
+    (:func:`candidate_area_keys`); each candidate is assessed across
+    the whole volume axis at once, the ratios to the reference
+    candidate follow the scalar formula's operation order, and
+    :func:`frame_for_cells` ranks the cells — with the family's own
+    weights-axis vector, else ``weights``.  Returns the cells in the
+    order given, at point indices ``0 .. len(points) - 1``.
     """
     candidates = list(candidates)
     if not candidates:
@@ -661,10 +747,13 @@ def evaluate_family(
             f"{len(candidates)} candidates"
         )
     volumes = [point.volume for point in points]
+    volume_keys = [repr(volume) for volume in volumes]
     performance, area, costs = zip(
         *(
-            assess_candidate_family_cached(candidate, volumes, cache)
-            for candidate in candidates
+            assess_candidate_family_cached(
+                candidate, key, volumes, volume_keys, cache
+            )
+            for candidate, key in zip(candidates, area_keys)
         )
     )
     area = np.asarray(area, dtype=np.float64)
@@ -693,7 +782,18 @@ def evaluate_cell(
     engine schedules and the path of a factory that is not
     volume-invariant.
     """
-    return evaluate_family([point], candidates, reference, weights, cache)
+    candidates = list(candidates)
+    (area_keys,) = candidate_area_keys([candidates])
+    return evaluate_family(
+        [point], candidates, area_keys, reference, weights, cache
+    )
+
+
+#: The axes a volume family shares: every :class:`DesignPoint` field
+#: but the volume.
+_family_axes = attrgetter(
+    "substrate", "process", "tolerance", "q_model", "nre", "weights"
+)
 
 
 def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
@@ -705,23 +805,31 @@ def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
     in the cost step's volume.  Grid enumeration is volume-major
     (volume varies *slowest*), so a family's members are strided across
     the run, not adjacent; positions within each family keep run order.
+
+    Grid points share their axis objects, so points are first grouped
+    by the ``id`` s of those objects, and only one point per such group
+    is ``repr`` ed; groups with equal reprs (equal content held by
+    distinct objects) merge into one family.
     """
-    families: dict[tuple, list[int]] = {}
+    by_identity: dict[tuple[int, ...], list[int]] = {}
     for position, point in enumerate(points):
-        key = (
-            repr(point.substrate),
-            repr(point.process),
-            repr(point.tolerance),
-            repr(point.q_model),
-            repr(point.nre),
-            repr(point.weights),
-        )
-        families.setdefault(key, []).append(position)
+        identity = tuple(map(id, _family_axes(point)))
+        by_identity.setdefault(identity, []).append(position)
+    families: dict[tuple[str, ...], list[int]] = {}
+    for run in by_identity.values():
+        key = tuple(map(repr, _family_axes(points[run[0]])))
+        family = families.get(key)
+        if family is None:
+            families[key] = run
+        else:
+            family.extend(run)
+            family.sort()
     return list(families.values())
 
 
 def _seed_family_placements(
     family_candidates: Sequence[Sequence[CandidateBuildUp]],
+    area_keys: Sequence[Sequence[str]],
     cache: EvaluationCache,
 ) -> None:
     """Pre-place every not-yet-cached candidate with broadcast calls.
@@ -729,16 +837,15 @@ def _seed_family_placements(
     Candidates are grouped by (rule, laminate) so each group is one
     :func:`~repro.area.placement.trivial_placement_batch` call; results
     are seeded without counting (:meth:`EvaluationCache.seed_area`), so
-    the later per-family lookups tally as ordinary hits.
+    the later per-family lookups tally as ordinary hits.  ``area_keys``
+    are the candidates' keys from :func:`candidate_area_keys`, the same
+    strings the lookups use.
     """
     groups: dict[str, dict[str, CandidateBuildUp]] = {}
-    for candidates in family_candidates:
-        for candidate in candidates:
-            rule, laminate = candidate.substrate_rule, candidate.laminate
-            key = EvaluationCache.area_key(
-                candidate.footprints, rule, laminate
-            )
+    for candidates, keys in zip(family_candidates, area_keys):
+        for candidate, key in zip(candidates, keys):
             if not cache.has_area(key):
+                rule, laminate = candidate.substrate_rule, candidate.laminate
                 group = groups.setdefault(f"{rule!r}|{laminate!r}", {})
                 group.setdefault(key, candidate)
     for group in groups.values():
@@ -776,7 +883,8 @@ def evaluate_cells(
     placements are broadcast ahead of the evaluation, and each family
     is assessed with one batched flow walk per (candidate, flow).  Any
     other factory is called per point, each point its own family.  Both
-    produce bit-identical frames.
+    produce bit-identical frames.  Either way each distinct area key is
+    rendered once for the whole run (:func:`candidate_area_keys`).
     """
     batched = getattr(candidate_factory, "volume_invariant", False)
     if batched:
@@ -787,15 +895,16 @@ def evaluate_cells(
     family_candidates = [
         list(candidate_factory(family[0])) for family in families
     ]
+    area_keys = candidate_area_keys(family_candidates)
     if batched:
-        _seed_family_placements(family_candidates, cache)
+        _seed_family_placements(family_candidates, area_keys, cache)
     return DecisionFrame.concat(
         [
             evaluate_family(
-                family, candidates, reference, weights, cache
+                family, candidates, keys, reference, weights, cache
             ).reindexed(run)
-            for run, family, candidates in zip(
-                runs, families, family_candidates
+            for run, family, candidates, keys in zip(
+                runs, families, family_candidates, area_keys
             )
         ]
     )

@@ -17,8 +17,8 @@ flow walk per finite-difference side**
 (:func:`~repro.cost.moe.analytic.final_costs_for_variants` with
 ``(K,)``-shaped state) instead of ``2 * K`` scalar re-evaluations;
 :func:`rank_cost_drivers_pointwise` keeps the scalar loop as the
-bit-identical reference, mirroring the ``sweep_pointwise`` /
-``pareto_front_pointwise`` discipline.
+bit-identical reference, mirroring the ``sweep_pointwise``
+discipline.
 """
 
 from __future__ import annotations

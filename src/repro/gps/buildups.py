@@ -17,6 +17,7 @@ technology assignment for the performance step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ..area.footprint import Footprint, MountKind
@@ -159,16 +160,28 @@ def _integrated_passive_footprints(
     return footprints
 
 
+@lru_cache(maxsize=64)
 def footprints_for(
     implementation: int,
     process: ThinFilmProcess = SUMMIT_PROCESS,
-) -> list[Footprint]:
+) -> tuple[Footprint, ...]:
     """Everything placed on the board/substrate of one build-up.
 
     ``process`` selects the thin-film process sizing the integrated
     passives of build-ups 3 and 4 (the design-space sweep's process
     axis); it has no effect on the all-SMD build-ups 1 and 2.
+
+    Memoised per ``(implementation, process)``: every caller gets the
+    same immutable tuple, so the sweep's candidates share it across
+    volume families and render its area cache key once
+    (:func:`repro.core.sweep.candidate_area_keys`).
     """
+    return tuple(_build_footprints(implementation, process))
+
+
+def _build_footprints(
+    implementation: int, process: ThinFilmProcess
+) -> list[Footprint]:
     buildup = get_buildup(implementation)
     footprints = _chip_footprints(buildup)
     if implementation in (1, 2):

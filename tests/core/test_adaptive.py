@@ -12,7 +12,7 @@ The load-bearing properties, checked with hypothesis on random grids:
   the coarse sampling and the margin.
 
 Around it: the margin front (``margin = 0`` coincides with
-:func:`~repro.core.pareto.first_dominators` bit for bit, a positive
+the ``first_dominators`` reference bit for bit, a positive
 margin with the broadcast ``margin_dominators`` reference, growing
 margins only widen survival), budget exhaustion, the single-pass
 "coarse covers everything = plain sweep" edge, spill integration and
@@ -38,7 +38,6 @@ from repro.core.adaptive import (
 from repro.core.executors import AsyncExecutor, SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
-from repro.core.pareto import first_dominators
 from repro.core.sharding import ShardedExecutor
 from repro.core.sweep import (
     DesignPoint,
@@ -49,7 +48,11 @@ from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
 
-from pareto_reference import margin_dominators, objective_frame
+from pareto_reference import (
+    first_dominators,
+    margin_dominators,
+    objective_frame,
+)
 
 #: Volumes the random grids draw from — wide enough that NRE
 #: amortisation moves the cost objective across the axis.

@@ -51,7 +51,7 @@ from repro.core.framestore import (
     store_matches,
 )
 from repro.core.methodology import CandidateBuildUp
-from repro.core.pareto import first_dominators, nondominated_mask
+from repro.core.pareto import nondominated_mask
 from repro.core.resultframe import ResultFrame, SweepRow
 from repro.core.sharding import (
     ShardMergeError,
@@ -69,6 +69,8 @@ from repro.core.sweep import (
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
+
+from pareto_reference import first_dominators
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 

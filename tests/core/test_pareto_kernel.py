@@ -4,8 +4,8 @@ Every front mask in the library comes from
 :func:`~repro.core.pareto.dominated_by`.  Each mask-only caller is
 checked bit for bit against the broadcast references (``tests/
 pareto_reference.py``), the attribution kernel
-:func:`~repro.core.pareto.first_dominators` and the per-point loop
-:func:`~repro.core.pareto.pareto_front_pointwise`:
+``first_dominators`` and the per-point loop
+:func:`~repro.core.pareto.pareto_front`:
 
 * ``dominated_by`` for arbitrary candidate and target sets;
 * ``nondominated_mask`` (and so ``ResultFrame.pareto_mask``);
@@ -30,14 +30,14 @@ from repro.core.framestore import chunked_nondominated_mask
 from repro.core.pareto import (
     ParetoPoint,
     dominated_by,
-    first_dominators,
     nondominated_mask,
-    pareto_front_pointwise,
+    pareto_front,
 )
 from repro.errors import SpecificationError
 
 from pareto_reference import (
     broadcast_dominated_by,
+    first_dominators,
     margin_dominators,
     objective_frame,
 )
@@ -63,7 +63,7 @@ def _columns(raw):
 
 def _pointwise_mask(raw) -> list[bool]:
     points = [ParetoPoint(f"p{i}", *values) for i, values in enumerate(raw)]
-    front = {point.name for point in pareto_front_pointwise(points).front}
+    front = {point.name for point in pareto_front(points).front}
     return [point.name in front for point in points]
 
 

@@ -25,7 +25,6 @@ from repro.area.substrate import MCM_D_RULE, PCB_RULE
 from repro.core import methodology, pareto
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
-from repro.core.pareto import first_dominators
 from repro.core.ranking import (
     DecisionFrame,
     cell_front_mask,
@@ -46,6 +45,7 @@ from repro.gps.study import (
     stream_gps_sweep,
 )
 
+from pareto_reference import first_dominators
 from per_point import per_point_frame
 
 

@@ -7,9 +7,9 @@ The load-bearing properties, checked with hypothesis:
   ``to_rows(from_rows(rows)) == rows`` bit for bit;
 * floats survive the JSON column payload and the CSV formatting
   *exactly* (repr round-trip, never a tolerance);
-* the vectorised Pareto dominance (`pareto_front`,
-  `ResultFrame.pareto_mask`) is equivalent to the original per-point
-  loop (`pareto_front_pointwise`), including dominator attribution.
+* the Pareto dominance (`pareto_front`, `ResultFrame.pareto_mask`)
+  is equivalent to the broadcast references in
+  `tests/pareto_reference.py`, including dominator attribution.
 
 Around them: the frame-vs-row byte-identical CSV on the GPS study and
 unit coverage of the vectorised transforms and their error paths.
@@ -26,10 +26,8 @@ from hypothesis import strategies as st
 
 from repro.core.pareto import (
     ParetoPoint,
-    first_dominators,
     nondominated_mask,
     pareto_front,
-    pareto_front_pointwise,
 )
 from repro.core.resultframe import (
     BOOL_COLUMNS,
@@ -41,6 +39,8 @@ from repro.core.resultframe import (
 )
 from repro.core.sweep import DesignPoint
 from repro.errors import SpecificationError
+
+from pareto_reference import broadcast_pareto_front, first_dominators
 
 # Finite doubles across the full exponent range: repr-shortest float
 # formatting (str/json) must survive every one of them exactly.
@@ -307,6 +307,109 @@ class TestVectorisedTransforms:
         ]
 
 
+def _bits(pattern: int) -> float:
+    """The double with the given IEEE-754 bit pattern."""
+    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+
+
+#: Values whose strings are easy to get wrong when formatting once per
+#: distinct value: signed zeros, NaNs of several payloads and signs,
+#: infinities, the smallest subnormal and other subnormals.
+AWKWARD_FLOATS = [
+    0.0,
+    -0.0,
+    float("nan"),
+    _bits(0xFFF8000000000000),  # negative quiet NaN
+    _bits(0x7FF0000000000001),  # signalling-payload NaN
+    _bits(0x7FF8000000000ABC),  # quiet NaN with a payload
+    float("inf"),
+    float("-inf"),
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,  # the largest subnormal
+    1e-310,
+    1.5,
+    0.1 + 0.2,
+]
+
+
+class TestFloatRendering:
+    """``rendered_columns`` formats a float column once per distinct
+    bit pattern; every cell must still be exactly ``str`` of its value."""
+
+    @staticmethod
+    def _frame(values) -> ResultFrame:
+        values = np.asarray(values, dtype=np.float64)
+        n = values.shape[0]
+        label = np.full(n, "x", dtype=object)
+        flags = np.arange(n) % 2 == 0
+        columns = {name: label for name in LABEL_COLUMNS}
+        columns.update({name: values for name in FLOAT_COLUMNS})
+        columns.update({name: flags for name in BOOL_COLUMNS})
+        return ResultFrame.from_columns(columns)
+
+    @staticmethod
+    def _assert_plain_str(frame: ResultFrame) -> None:
+        expected = [
+            [str(value) for value in frame.column(name).tolist()]
+            for name in COLUMN_ORDER
+        ]
+        assert frame.rendered_columns() == expected
+        assert frame.csv_lines() == [
+            ",".join(parts) for parts in zip(*expected)
+        ]
+        for name in COLUMN_ORDER:
+            assert frame.rendered_columns([name]) == [
+                expected[COLUMN_ORDER.index(name)]
+            ]
+
+    def test_awkward_values_side_by_side(self):
+        frame = self._frame(AWKWARD_FLOATS + AWKWARD_FLOATS[::-1])
+        self._assert_plain_str(frame)
+        rendered = frame.rendered_columns(["volume"])[0]
+        assert rendered[:2] == ["0.0", "-0.0"]
+        assert rendered[2:6] == ["nan"] * 4
+
+    def test_long_runs_of_repeats(self):
+        values = np.repeat([1e4, -0.0, 0.0, 3.5, float("nan")], 500)
+        self._assert_plain_str(self._frame(values))
+
+    def test_all_unique_column(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(1000) * 10.0 ** rng.integers(
+            -300, 300, 1000
+        )
+        assert np.unique(values).shape[0] == values.shape[0]
+        self._assert_plain_str(self._frame(values))
+
+    def test_subnormals(self):
+        values = [_bits(pattern) for pattern in (1, 2, 3, 0xFFFFF, 1 << 51)]
+        values += [-value for value in values]
+        self._assert_plain_str(self._frame(values))
+
+    def test_one_row_frame(self):
+        self._assert_plain_str(self._frame([-0.0]))
+
+    def test_empty_frame(self):
+        frame = ResultFrame.empty()
+        assert frame.rendered_columns() == [[] for _ in COLUMN_ORDER]
+        assert frame.csv_lines() == []
+        self._assert_plain_str(self._frame([]))
+
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from(AWKWARD_FLOATS),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=40,
+        )
+    )
+    def test_any_float_column(self, values):
+        self._assert_plain_str(self._frame(values))
+
+
 # Objective values drawn from a small pool force ties and duplicated
 # points — the edge cases of dominance (equal points never dominate).
 tied_floats = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.25])
@@ -329,7 +432,7 @@ class TestVectorisedPareto:
         points = [
             ParetoPoint(f"p{i}", *values) for i, values in enumerate(raw)
         ]
-        assert pareto_front(points) == pareto_front_pointwise(points)
+        assert pareto_front(points) == broadcast_pareto_front(points)
 
     @settings(max_examples=100)
     @given(
@@ -367,7 +470,7 @@ class TestVectorisedPareto:
 
     def test_blocked_sweep_covers_every_block_boundary(self):
         """Force multiple blocks through the kernel's block budget."""
-        from repro.core import pareto as pareto_module
+        import pareto_reference as pareto_module
 
         n = 64
         rng = np.random.default_rng(7)
@@ -409,7 +512,7 @@ class TestVectorisedPareto:
             ParetoPoint(f"p{i}", p, s, c)
             for i, (p, s, c) in enumerate(zip(perf, size, cost))
         ]
-        analysis = pareto_front_pointwise(points)
+        analysis = pareto_front(points)
         assert [point.name for point in analysis.front] == [
             "p0", "p1", "p2",
         ]

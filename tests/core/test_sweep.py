@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.area.substrate import MCM_D_COARSE_RULE, MCM_D_FINE_RULE
@@ -82,6 +84,26 @@ class TestGrid:
     def test_nonpositive_volume_rejected(self):
         with pytest.raises(SpecificationError):
             DesignPoint(volume=0.0)
+
+    @pytest.mark.parametrize(
+        "volume",
+        [float("nan"), float("inf"), float("-inf"), 0, 0.0, -5.0],
+        ids=["nan", "inf", "-inf", "int-0", "0.0", "negative"],
+    )
+    def test_non_finite_or_nonpositive_volume_rejected(self, volume):
+        with pytest.raises(
+            SpecificationError, match="volume must be positive"
+        ):
+            DesignPoint(volume=volume)
+
+    def test_grid_with_non_finite_volume_rejected_before_evaluation(self):
+        # Grid points are built up front, so an ``inf`` volume never
+        # reaches the cost walk (it used to emit ``inf,...`` CSV rows).
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(
+                SpecificationError, match="volume must be positive"
+            ):
+                run_gps_sweep(SweepGrid(volumes=(bad, 1e4)))
 
     def test_point_label_names_axes(self):
         label = DesignPoint(
@@ -236,6 +258,23 @@ class TestBatchedFill:
             assert len(tolerances) == 1
             volumes = [points[pos].volume for pos in family]
             assert len(set(volumes)) == 3
+
+    def test_family_runs_merges_equal_content_held_by_distinct_objects(
+        self,
+    ):
+        # Hand-built points whose tolerances are equal copies, not one
+        # shared object: still one family, positions in run order; a
+        # different tolerance starts its own family.
+        copies = [copy.deepcopy(PRECISION_CLASS) for _ in range(2)]
+        points = [
+            DesignPoint(volume=1e3, tolerance=copies[0]),
+            DesignPoint(volume=1e3, tolerance=MATCHING_CLASS),
+            DesignPoint(volume=1e4, tolerance=copies[1]),
+            DesignPoint(volume=1e5, tolerance=copies[0]),
+            DesignPoint(volume=1e4, tolerance=MATCHING_CLASS),
+        ]
+        assert copies[0] is not copies[1]
+        assert family_runs(points) == [[0, 2, 3], [1, 4]]
 
     def test_fills_produce_bit_identical_rows(self):
         batched = evaluate_cells(

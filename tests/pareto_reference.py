@@ -1,18 +1,25 @@
 """Broadcast dominance references, for differential tests.
 
 Production masks come from the sort-and-sweep
-:func:`repro.core.pareto.dominated_by`; these are the plain pairwise
-broadcasts it must match bit for bit.  ``first_dominators`` (still in
-:mod:`repro.core.pareto`, where ``pareto_front`` needs its dominator
-attribution) and ``pareto_front_pointwise`` complete the reference set.
+:func:`repro.core.pareto.dominated_by` and dominator attribution from
+the per-point loop :func:`repro.core.pareto.pareto_front`; these are
+the plain pairwise broadcasts both must match bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.core.pareto import ParetoAnalysis, ParetoPoint
 from repro.core.resultframe import ResultFrame
 from repro.errors import SpecificationError
+
+#: Upper bound on ``n_points * block`` in :func:`first_dominators` —
+#: caps the transient boolean broadcast buffers at a few megabytes
+#: however many rows a test throws at it.
+_BLOCK_BUDGET = 4_000_000
 
 
 def objective_frame(performance, size, cost) -> ResultFrame:
@@ -57,6 +64,72 @@ def broadcast_dominated_by(candidates, targets) -> np.ndarray:
     return (at_least & strictly).any(axis=0)
 
 
+def first_dominators(performance, size, cost) -> np.ndarray:
+    """Index of the first dominating point per point (``-1``: none).
+
+    Point *i* dominates point *j* when it is at least as good on every
+    objective (``performance`` maximised, ``size`` and ``cost``
+    minimised) and strictly better on one; the *lowest* dominating
+    index is reported, the order :func:`repro.core.pareto.pareto_front`
+    names dominators in.  The pairwise comparison runs in blocks of
+    columns so the broadcast buffers stay bounded; the arithmetic is
+    exact float comparison, never a tolerance.
+    """
+    perf = np.ascontiguousarray(performance, dtype=np.float64)
+    size = np.ascontiguousarray(size, dtype=np.float64)
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    if not (perf.shape == size.shape == cost.shape) or perf.ndim != 1:
+        raise SpecificationError(
+            "dominance needs three equally-long 1-D objective arrays, "
+            f"got shapes {perf.shape}, {size.shape}, {cost.shape}"
+        )
+    n = perf.shape[0]
+    dominator = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return dominator
+    block = max(1, min(n, _BLOCK_BUDGET // n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        p, s, c = perf[start:stop], size[start:stop], cost[start:stop]
+        # dominates[i, j]: row point i dominates column point start+j.
+        at_least = (
+            (perf[:, None] >= p[None, :])
+            & (size[:, None] <= s[None, :])
+            & (cost[:, None] <= c[None, :])
+        )
+        strictly = (
+            (perf[:, None] > p[None, :])
+            | (size[:, None] < s[None, :])
+            | (cost[:, None] < c[None, :])
+        )
+        dominates = at_least & strictly
+        found = dominates.any(axis=0)
+        first = dominates.argmax(axis=0)
+        view = dominator[start:stop]
+        view[found] = first[found]
+    return dominator
+
+
+def broadcast_pareto_front(points: Sequence[ParetoPoint]) -> ParetoAnalysis:
+    """:func:`repro.core.pareto.pareto_front` through
+    :func:`first_dominators`: the same partition and dominator names."""
+    if not points:
+        raise SpecificationError("pareto_front needs at least one point")
+    dominator = first_dominators(
+        [point.performance for point in points],
+        [point.size_ratio for point in points],
+        [point.cost_ratio for point in points],
+    )
+    front: list[ParetoPoint] = []
+    dominated: list[tuple[ParetoPoint, str]] = []
+    for point, index in zip(points, dominator.tolist()):
+        if index < 0:
+            front.append(point)
+        else:
+            dominated.append((point, points[index].name))
+    return ParetoAnalysis(front=tuple(front), dominated=tuple(dominated))
+
+
 def margin_dominators(
     performance, size, cost, margin: float = 0.0
 ) -> np.ndarray:
@@ -67,7 +140,7 @@ def margin_dominators(
     ratios scaled down by the same factor — and that copy is tested
     against the *original* points.  With ``margin = 0`` the boost is
     the identity and the verdicts coincide with
-    :func:`repro.core.pareto.first_dominators` bit for bit.
+    :func:`first_dominators` bit for bit.
     """
     if not np.isfinite(margin) or margin < 0.0:
         raise SpecificationError(

@@ -55,9 +55,11 @@ def assess_candidate_cached(
         )
         performance = chain.score
     area = cache.area(
-        candidate.footprints,
-        candidate.substrate_rule,
-        candidate.laminate,
+        EvaluationCache.area_key(
+            candidate.footprints,
+            candidate.substrate_rule,
+            candidate.laminate,
+        ),
         lambda: trivial_placement(
             candidate.footprints,
             candidate.substrate_rule,

@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from repro.core.pareto import first_dominators
+from repro.core.pareto import nondominated_mask
 
 VOLUMES = ",".join(repr(float(v)) for v in np.geomspace(1e2, 1e7, 128))
 
@@ -62,7 +62,7 @@ def front_lines(csv_text: str) -> list[str]:
     perf, size, cost = (
         np.array([float(row[i]) for row in rows]) for i in picks
     )
-    mask = first_dominators(perf, size, cost) < 0
+    mask = nondominated_mask(perf, size, cost)
     return [line for line, keep in zip(lines, mask) if keep]
 
 
