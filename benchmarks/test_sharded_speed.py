@@ -1,24 +1,28 @@
 """Speed gate: the sharded engine must cost ≤ 10 % over serial.
 
-The in-process :class:`~repro.core.sharding.ShardedExecutor` cuts the
-grid into the same contiguous runs the cross-host flow distributes,
-but drives them through an inner engine against the caller's *shared*
-cache — so memoisation still spans shard boundaries and the only
-added work is partition bookkeeping.  This benchmark pins that claim
-on the small GPS grid: identical rows, and wall-clock within 10 % of
-the serial engine (best-of-5 timing keeps CI noise out of the
-signal; a small absolute allowance covers timer resolution on
+The in-process ``ShardedExecutor`` (``tests/sharded_reference.py``)
+cuts the grid into the same contiguous runs the cross-host flow
+distributes, but drives them through an inner engine against the
+caller's *shared* cache — so memoisation still spans shard boundaries
+and the only added work is partition bookkeeping.  This benchmark pins
+that claim on the small GPS grid: identical rows, and wall-clock
+within 10 % of the serial engine (best-of-5 timing keeps CI noise out
+of the signal; a small absolute allowance covers timer resolution on
 sub-millisecond deltas).
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 from repro.core.executors import SerialExecutor
-from repro.core.sharding import ShardedExecutor
 from repro.core.sweep import SweepGrid
 from repro.gps.study import run_gps_sweep
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from sharded_reference import ShardedExecutor  # noqa: E402
 
 GRID = SweepGrid(volumes=(1_000.0, 10_000.0, 100_000.0))
 

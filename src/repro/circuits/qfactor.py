@@ -434,9 +434,8 @@ class TabulatedQModel:
     interpolates linearly (``numpy.interp``); outside the table it
     clamps to the end values, matching how datasheet curves are read.
 
-    Fields are tuples so the model stays hashable, picklable and
-    ``repr``-stable — the properties the sweep cache keys and the
-    process execution engine rely on.
+    Fields are tuples so the model stays hashable and ``repr``-stable
+    — the properties the sweep cache keys rely on.
     """
 
     frequencies_hz: tuple[float, ...]

@@ -10,10 +10,8 @@ Installed as ``repro-gps``.  Subcommands:
 * ``sweep`` — fan the methodology out over a design-space grid
   (volume x substrate rule x thin-film process x tolerance class x
   technology Q model x NRE scenario x FoM weight vector) and print
-  Pareto-ready rows.  ``--engine serial|process|sharded|async``
-  plus ``--jobs N`` / ``--shards K`` pick the execution engine
-  (identical rows either way); ``--cache-stats`` prints the per-table
-  memo tally, merged across workers.  Cross-host sharding:
+  Pareto-ready rows; ``--cache-stats`` prints the per-table memo
+  tally.  Cross-host sharding:
   ``--shards K --shard-index I --shard-dir DIR`` evaluates one shard
   and writes a portable artifact (``--resume`` skips the evaluation
   when a valid artifact for the same grid and shard already exists);
@@ -41,12 +39,6 @@ from typing import Optional, Sequence
 from .area.substrate import SUBSTRATE_RULES
 from .circuits.qfactor import Q_MODEL_SCENARIOS, SubstrateLossQModel
 from .core.decision import full_report
-from .core.executors import (
-    ENGINE_NAMES,
-    SHARDS_ENV,
-    resolve_executor,
-    shards_from_env,
-)
 from .core.figure_of_merit import FomWeights
 from .core.framestore import (
     MANIFEST_NAME as STORE_MANIFEST_NAME,
@@ -65,7 +57,6 @@ from .core.gather import (
 from .core.queue import manifest_for_grid, read_manifest, write_manifest
 from .core.resultframe import ResultFrame
 from .core.sharding import (
-    ShardedExecutor,
     ShardMergeError,
     artifact_matches,
     find_shard_artifacts,
@@ -186,7 +177,7 @@ def _positive_int(raw: str) -> int:
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"need a positive worker count, got {value}"
+            f"need a positive integer, got {value}"
         )
     return value
 
@@ -301,8 +292,8 @@ def _create_directory(directory) -> Path:
 def _sweep_error(message: str) -> "SystemExit":
     """Abort the sweep subcommand with argparse's exit contract.
 
-    Bad engine or worker configuration — whether it arrived via flags
-    or the ``REPRO_SWEEP_*`` environment — must exit with code 2 and a
+    Bad asks — contradictory flags, a bad shard geometry or a
+    malformed ``REPRO_SWEEP_MAX_ROWS`` — must exit with code 2 and a
     one-line message, never a traceback.
     """
     print(f"repro-gps sweep: error: {message}", file=sys.stderr)
@@ -491,8 +482,8 @@ def _resolve_max_rows(args: argparse.Namespace, error) -> Optional[int]:
     """The out-of-core row budget: --max-rows-in-memory, else the env.
 
     ``None`` means in-RAM (the reference path).  A malformed
-    ``$REPRO_SWEEP_MAX_ROWS`` exits 2 through ``error`` — the same
-    contract as every other bad ``REPRO_SWEEP_*`` default.
+    ``$REPRO_SWEEP_MAX_ROWS`` exits 2 through ``error``, never a
+    traceback.
     """
     if args.max_rows_in_memory is not None:
         return args.max_rows_in_memory
@@ -757,27 +748,16 @@ def _cmd_sweep_queue_init(args: argparse.Namespace) -> int:
             "--queue-init evaluates nothing; --csv applies to reports "
             "(gather the finished queue instead)"
         )
-    if args.engine is not None or args.jobs is not None:
-        raise _sweep_error(
-            "--queue-init evaluates nothing; give --engine/--jobs to "
-            "the workers (sweep --queue)"
-        )
     if args.max_rows_in_memory is not None or args.spill_dir is not None:
         raise _sweep_error(
             "--queue-init evaluates nothing; --max-rows-in-memory/"
             "--spill-dir apply where the report is produced "
             "(sweep --merge or gather)"
         )
-    try:
-        shards = (
-            args.shards if args.shards is not None else shards_from_env()
-        )
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
+    shards = args.shards
     if shards is None:
         raise _sweep_error(
-            f"--queue-init needs the partition geometry; give "
-            f"--shards (or ${SHARDS_ENV})"
+            "--queue-init needs the partition geometry; give --shards"
         )
     grid = SweepGrid(
         volumes=args.volumes,
@@ -859,26 +839,14 @@ def _cmd_sweep_queue(args: argparse.Namespace) -> int:
         grid = _grid_from_spec(
             manifest.grid_spec, source=f"queue manifest {args.queue}"
         )
-        # The worker's own points run through the resolved engine;
-        # the sharded engine would re-partition what the queue already
-        # partitioned, so it degrades to its inner engine (exactly as
-        # in the --shard-index path).
-        executor = resolve_executor(args.engine, args.jobs, manifest.shards)
     except SpecificationError as exc:
         raise _sweep_error(str(exc)) from None
-    inner = (
-        executor.inner
-        if isinstance(executor, ShardedExecutor)
-        else executor
-    )
 
     def on_event(kind: str, shard_index: int, detail: str) -> None:
         print(f"shard {shard_index}/{manifest.shards} {kind}: {detail}")
 
     try:
-        report = run_gps_queue_worker(
-            args.queue, grid, executor=inner, on_event=on_event
-        )
+        report = run_gps_queue_worker(args.queue, grid, on_event=on_event)
     except SpecificationError as exc:
         raise _sweep_error(str(exc)) from None
     print(
@@ -938,12 +906,6 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
         raise _sweep_error(
             "--merge reads the grid from the shard artifacts; drop "
             + ", ".join(overridden)
-        )
-    if args.engine is not None or args.jobs is not None:
-        # Merging evaluates nothing, so an engine choice here is a
-        # misunderstanding worth surfacing, not ignoring.
-        raise _sweep_error(
-            "--merge does not evaluate anything; drop --engine/--jobs"
         )
     max_rows = _resolve_max_rows(args, _sweep_error)
     if args.spill_dir is not None and max_rows is None:
@@ -1023,9 +985,7 @@ def _print_adaptive_summary(report, args) -> None:
         )
 
 
-def _cmd_sweep_adaptive(
-    args: argparse.Namespace, grid: SweepGrid, executor
-) -> int:
+def _cmd_sweep_adaptive(args: argparse.Namespace, grid: SweepGrid) -> int:
     """The --adaptive arm of the sweep subcommand.
 
     Runs the coarse → zoom driver and renders the merged canonical
@@ -1062,7 +1022,6 @@ def _cmd_sweep_adaptive(
                     grid,
                     _create_directory(args.spill_dir),
                     max_rows,
-                    executor=executor,
                     passes=args.passes,
                     budget=args.budget,
                     refine_margin=refine_margin,
@@ -1080,7 +1039,6 @@ def _cmd_sweep_adaptive(
                         grid,
                         Path(scratch) / "store",
                         max_rows,
-                        executor=executor,
                         passes=args.passes,
                         budget=args.budget,
                         refine_margin=refine_margin,
@@ -1093,7 +1051,6 @@ def _cmd_sweep_adaptive(
             return 0
         report = run_adaptive_gps_sweep(
             grid,
-            executor=executor,
             passes=args.passes,
             budget=args.budget,
             refine_margin=refine_margin,
@@ -1150,19 +1107,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         nres=args.nres,
         fom_weights=args.fom_weights,
     )
-    # Explicit flags win per argument; unset ones fall back to the
-    # REPRO_SWEEP_ENGINE / REPRO_SWEEP_JOBS / REPRO_SWEEP_SHARDS
-    # environment defaults.  A bad engine name or worker count —
-    # from either source — is a clean exit 2, not a traceback.
-    try:
-        executor = resolve_executor(args.engine, args.jobs, args.shards)
-        # The documented default for --shards is $REPRO_SWEEP_SHARDS;
-        # resolve it once so every path below honours it.
-        shards = (
-            args.shards if args.shards is not None else shards_from_env()
-        )
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
+    shards = args.shards
 
     if args.resume and args.shard_index is None:
         raise _sweep_error(
@@ -1185,9 +1130,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "report is produced (sweep --merge or gather)"
             )
         if shards is None:
-            raise _sweep_error(
-                f"--shard-index requires --shards (or ${SHARDS_ENV})"
-            )
+            raise _sweep_error("--shard-index requires --shards")
         if args.csv:
             raise _sweep_error(
                 "--csv applies to full reports; a shard run only "
@@ -1207,14 +1150,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"at {artifact_path}, skipping re-evaluation"
                 )
                 return 0
-        # The shard's own points run through the resolved engine —
-        # unless that engine is the sharded one (the partitioning is
-        # already being done here), which falls back to serial.
-        inner = (
-            executor.inner
-            if isinstance(executor, ShardedExecutor)
-            else executor
-        )
         try:
             _create_directory(args.shard_dir)
             # Shard geometry (positive count, index in range) is
@@ -1223,7 +1158,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 grid,
                 shards=shards,
                 shard_index=args.shard_index,
-                executor=inner,
             )
         except SpecificationError as exc:
             raise _sweep_error(str(exc)) from None
@@ -1245,17 +1179,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         return 0
 
-    if shards is not None and not isinstance(executor, ShardedExecutor):
-        # --shards (or its env default) without --shard-index: shard
-        # in-process, routing each shard through whichever engine was
-        # selected.
-        try:
-            executor = ShardedExecutor(shards, inner=executor)
-        except SpecificationError as exc:
-            raise _sweep_error(str(exc)) from None
+    if shards is not None:
+        raise _sweep_error(
+            "--shards partitions the grid for cross-host runs; give "
+            "--shard-index (run one shard) or --queue-init (write a "
+            "work queue)"
+        )
 
     if args.adaptive:
-        return _cmd_sweep_adaptive(args, grid, executor)
+        return _cmd_sweep_adaptive(args, grid)
 
     max_rows = _resolve_max_rows(args, _sweep_error)
     if args.spill_dir is not None and max_rows is None:
@@ -1279,7 +1211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     args.spill_dir,
                     **identity,
                     build=lambda directory: spill_gps_sweep(
-                        grid, directory, max_rows, executor=executor
+                        grid, directory, max_rows
                     ),
                 )
                 _print_store_report(store, len(grid), args)
@@ -1288,17 +1220,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     prefix="repro-spill-"
                 ) as scratch:
                     store = spill_gps_sweep(
-                        grid,
-                        Path(scratch) / "store",
-                        max_rows,
-                        executor=executor,
+                        grid, Path(scratch) / "store", max_rows
                     )
                     _print_store_report(store, len(grid), args)
         except SpecificationError as exc:
             raise _sweep_error(str(exc)) from None
         return 0
 
-    report = run_gps_sweep(grid, executor=executor)
+    report = run_gps_sweep(grid)
     _print_sweep_report(report, len(grid), args)
     return 0
 
@@ -1501,11 +1430,6 @@ def _cmd_warehouse_build(args: argparse.Namespace) -> int:
                 "--from-shards reads the grid from the shard "
                 "artifacts; drop " + ", ".join(overridden)
             )
-        if args.engine is not None or args.jobs is not None:
-            raise _warehouse_error(
-                "--from-shards ingests finished artifacts without "
-                "evaluating anything; drop --engine/--jobs"
-            )
         try:
             _create_directory(args.directory)
             manifest, appended, skipped = ingest_shard_directory(
@@ -1528,12 +1452,10 @@ def _cmd_warehouse_build(args: argparse.Namespace) -> int:
             fom_weights=args.fom_weights,
         )
         try:
-            executor = resolve_executor(args.engine, args.jobs, None)
             _create_directory(args.directory)
             manifest = build_gps_warehouse(
                 args.directory,
                 grid,
-                executor=executor,
                 grid_spec=_grid_spec_from_args(args),
             )
         except SpecificationError as exc:
@@ -1733,33 +1655,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the Pareto-ready rows as CSV instead of a table",
     )
     sweep.add_argument(
-        "--engine",
-        choices=ENGINE_NAMES,
-        default=None,
-        help=(
-            "execution engine (identical rows either way); defaults to "
-            "$REPRO_SWEEP_ENGINE or serial"
-        ),
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help=(
-            "worker processes for --engine process / concurrent tasks "
-            "for --engine async (default: CPU count or "
-            "$REPRO_SWEEP_JOBS)"
-        ),
-    )
-    sweep.add_argument(
         "--shards",
         type=_positive_int,
         default=None,
         help=(
-            "partition the grid into K content-addressed shards; "
-            "alone it runs all shards in-process (the sharded "
-            "engine), with --shard-index it runs exactly one "
-            "(default: $REPRO_SWEEP_SHARDS)"
+            "partition the grid into K content-addressed shards for "
+            "cross-host runs; needs --shard-index (run one shard) or "
+            "--queue-init (write a work queue)"
         ),
     )
     sweep.add_argument(
@@ -2040,24 +1942,6 @@ def build_parser() -> argparse.ArgumentParser:
             "append every shard-*.json artifact in SHARD_DIR instead "
             "of evaluating; resumable — already-covered shards are "
             "skipped, new ones appended atomically"
-        ),
-    )
-    build.add_argument(
-        "--engine",
-        choices=ENGINE_NAMES,
-        default=None,
-        help=(
-            "execution engine for a fresh build (identical frames "
-            "either way); defaults to $REPRO_SWEEP_ENGINE or serial"
-        ),
-    )
-    build.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help=(
-            "worker processes / concurrent tasks for the chosen "
-            "engine (default: CPU count or $REPRO_SWEEP_JOBS)"
         ),
     )
     build.set_defaults(func=_cmd_warehouse_build)

@@ -35,8 +35,8 @@ the same :func:`~repro.core.sweep.evaluate_cells` path.
 
 Each pass is an ordinary point list driven through
 :func:`~repro.core.sweep.stream_decision_frames` (serial, family-batched
-blocks by default; any executor works) with one shared memoised
-:class:`~repro.core.sweep.EvaluationCache`, so the engine machinery
+blocks) with one shared memoised
+:class:`~repro.core.sweep.EvaluationCache`, so the sweep machinery
 composes unchanged and refinement re-uses every
 sub-result the coarse pass already paid for.  All passes merge into one
 canonical :class:`~repro.core.ranking.DecisionFrame` — deduplicated

@@ -1,12 +1,11 @@
 """Cross-host sharding of design-space sweeps.
 
-The process engine (:mod:`repro.core.executors`) scales a sweep across
-the cores of *one* machine.  This module scales it across *hosts*: a
-grid is partitioned into content-addressed shards, each shard is
-executed anywhere — any machine, any inner
-:class:`~repro.core.executors.Executor` — and serialised to a portable
-JSON artifact, and the artifacts are deterministically merged back into
-the canonical row order, wherever they were produced:
+This module scales a sweep across *hosts*: a grid is partitioned into
+content-addressed shards, each shard is executed anywhere — any
+machine, through the serial engine of :mod:`repro.core.executors` —
+and serialised to a portable JSON artifact, and the artifacts are
+deterministically merged back into the canonical row order, wherever
+they were produced:
 
 * :func:`grid_fingerprint` — a stable content hash of the resolved
   grid.  It is computed over the *sorted* point representations, so
@@ -19,7 +18,7 @@ the canonical row order, wherever they were produced:
   rejected with a clear error instead of being mis-paired;
 * :func:`shard_indices` / :func:`run_shard` — partition the canonical
   point order into ``shards`` contiguous, near-even runs and evaluate
-  one of them through any existing executor, returning a
+  one of them, returning a
   :class:`ShardArtifact`;
 * :func:`write_shard_artifact` / :func:`read_shard_artifact` — the
   JSON serialisation.  Artifacts carry the shard's results as the
@@ -41,12 +40,7 @@ the canonical row order, wherever they were produced:
   single vectorised frame concatenation + stable sort into canonical
   point order, with additive cache statistics that count a sub-result
   computed by two cold shard caches only once in the merged
-  ``entries`` tally;
-* :class:`ShardedExecutor` — the same partitioning as an in-process
-  :class:`~repro.core.executors.Executor`: shards run sequentially
-  through an inner engine against the caller's shared cache, so the
-  engine is byte-identical to serial with near-zero overhead
-  (``benchmarks/test_sharded_speed.py`` gates it at ≤ 10 %).
+  ``entries`` tally.
 
 The CLI surface is ``repro-gps sweep --shards K --shard-index I
 --shard-dir DIR`` (run one shard, write the artifact; add ``--resume``
@@ -59,7 +53,6 @@ walkthrough.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -137,11 +130,10 @@ def shard_indices(total: int, shards: int, shard_index: int) -> range:
     """Canonical point indices of one shard.
 
     The canonical order is split into ``shards`` contiguous, near-even
-    runs (the same front-loaded split the process engine uses, so
-    neighbouring points — which share memoised sub-results — stay
-    together).  Shards beyond the point count are legitimately empty:
-    four shards of a three-point grid produce one empty artifact that
-    merges cleanly.
+    runs, front-loaded, so neighbouring points — which share memoised
+    sub-results — stay together.  Shards beyond the point count are
+    legitimately empty: four shards of a three-point grid produce one
+    empty artifact that merges cleanly.
     """
     if shards < 1:
         raise SpecificationError(
@@ -272,8 +264,7 @@ def run_shard(
     The full grid is resolved locally (cheap — points are tiny frozen
     dataclasses) so the shard knows its canonical indices and the
     grid fingerprint; only the shard's own points are evaluated,
-    through ``executor`` (serial by default — any engine works, the
-    rows are identical either way).
+    through ``executor`` (serial by default).
     """
     points, weights, cache = resolve_sweep(grid, weights, cache)
     if executor is None:
@@ -629,56 +620,3 @@ def merge_shard_artifacts(
         ),
     )
 
-
-class ShardedExecutor:
-    """The shard partitioning as an in-process execution engine.
-
-    Partitions the grid with :func:`shard_indices` — exactly the runs
-    the cross-host flow would distribute — and evaluates each shard
-    sequentially through an inner engine against the caller's shared
-    cache.  Because the cache is shared, memoisation still spans
-    shard boundaries and the engine is byte-identical to serial with
-    only partition bookkeeping as overhead; the cold-cache cross-host
-    behaviour is exercised by :func:`run_shard` /
-    :func:`merge_shard_artifacts` instead.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        inner: Optional[Executor] = None,
-    ) -> None:
-        if shards is None:
-            shards = os.cpu_count() or 1
-        if shards < 1:
-            raise SpecificationError(
-                f"sharded engine needs at least 1 shard, got {shards}"
-            )
-        self.shards = shards
-        self.inner = inner if inner is not None else SerialExecutor()
-
-    def run_sweep(
-        self,
-        points: Sequence[DesignPoint],
-        candidate_factory: CandidateFactory,
-        reference: int,
-        weights: FomWeights,
-        cache: EvaluationCache,
-    ) -> DecisionFrame:
-        frames = []
-        for shard_index in range(self.shards):
-            indices = shard_indices(len(points), self.shards, shard_index)
-            if not indices:
-                continue
-            frames.append(
-                self.inner.run_sweep(
-                    [points[i] for i in indices],
-                    candidate_factory,
-                    reference,
-                    weights,
-                    cache,
-                ).reindexed(indices)
-            )
-        return DecisionFrame.concat(frames)

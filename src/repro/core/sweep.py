@@ -27,17 +27,15 @@ ranked by :mod:`repro.core.ranking`, the module the warehouse re-rank
 shares, into a :class:`~repro.core.ranking.DecisionFrame` — no
 per-point study object is built.
 
-*How* the grid is evaluated is pluggable: :func:`run_design_sweep`
-delegates scheduling to an execution engine
-(:mod:`repro.core.executors`) — serial, multi-process, in-process
-sharding (:mod:`repro.core.sharding`) or asyncio-based — all of which
-produce identical decision frames.  :func:`stream_design_sweep` is the
-generator surface: it yields :class:`StreamedCell` results block by
-block instead of blocking on the whole grid.  :class:`EvaluationCache`
-is mergeable so per-worker caches fold back into one whole-sweep stats
-report, and exports a :meth:`~EvaluationCache.portable_state` payload
-so caches filled on *different hosts* can have their stats merged
-too.
+*How* the grid is scheduled is delegated to the execution engine
+(:mod:`repro.core.executors`): :func:`run_design_sweep` runs the
+serial engine unless a caller substitutes another.
+:func:`stream_design_sweep` is the generator surface: it yields
+:class:`StreamedCell` results block by block instead of blocking on
+the whole grid.  :class:`EvaluationCache` exports a
+:meth:`~EvaluationCache.portable_state` payload so caches filled on
+*different hosts* (cross-host shards, :mod:`repro.core.sharding`) can
+have their stats merged.
 
 The subsystem is application-agnostic: a *candidate factory* maps each
 :class:`DesignPoint` to the list of
@@ -85,8 +83,8 @@ class NreScenario:
     assumption: ``by_candidate`` maps a candidate identifier (the GPS
     adapter uses the implementation number 1..4) to the NRE amortised
     over shipped units.  Stored as a tuple of pairs so the scenario is
-    hashable, picklable and ``repr``-stable — the properties the sweep
-    cache keys and the process execution engine need.
+    hashable and ``repr``-stable — the properties the sweep cache keys
+    need.
     """
 
     name: str
@@ -299,7 +297,7 @@ CACHE_TABLES = ("performance", "area", "cost")
 def cache_key_digest(key: str) -> str:
     """Short content digest of one cache key.
 
-    Shard artifacts carry the *digests* of a worker cache's entry keys
+    Shard artifacts carry the *digests* of a shard cache's entry keys
     (never the cached values), so a cross-host merge can compute the
     union of distinct entries — two shards that computed the same
     sub-result count it once — without shipping the heavyweight
@@ -326,10 +324,9 @@ class EvaluationCache:
       key ``f"{volume!r}|{flow!r}"`` is spelled out only by
       :meth:`portable_state`, for its digests.
 
-    Caches are *mergeable*: every execution engine worker fills its own
-    cache and :meth:`merge` folds the workers' tables and counters back
-    into the parent, so one :meth:`stats` report covers the whole sweep
-    regardless of how it was executed.
+    One cache serves a whole sweep, so one :meth:`stats` report covers
+    it; caches filled on different hosts combine through their
+    :meth:`portable_state` payloads.
     """
 
     def __init__(self) -> None:
@@ -445,25 +442,6 @@ class EvaluationCache:
         """Total misses across all tables."""
         return sum(self._misses.values())
 
-    def merge(self, other: "EvaluationCache") -> None:
-        """Fold a worker's cache into this one.
-
-        Entries are first-wins (both sides computed from the same
-        content key, so values agree); hit/miss counters add up, making
-        the merged :meth:`stats` the whole-sweep tally.
-        """
-        for name in CACHE_TABLES:
-            table = self._tables[name]
-            for key, value in other._tables[name].items():
-                if name == "cost":
-                    costs = table.setdefault(key, {})
-                    for volume_key, cost in value.items():
-                        costs.setdefault(volume_key, cost)
-                else:
-                    table.setdefault(key, value)
-            self._hits[name] += other._hits[name]
-            self._misses[name] += other._misses[name]
-
     def _entry_keys(self, name: str) -> Iterator[str]:
         """Every entry key of one table, cost keys spelled out flat."""
         table = self._tables[name]
@@ -489,7 +467,7 @@ class EvaluationCache:
         entry key.  Merging shard artifacts sums the counters (stats
         stay additive across hosts) and unions the digests, so an
         entry computed independently by two shards — the same memoised
-        sub-result, recomputed because worker caches start cold — is
+        sub-result, recomputed because shard caches start cold — is
         counted once in the merged ``entries`` tally.
         """
         return {
@@ -542,8 +520,8 @@ class SweepReport:
 
     ``cache_stats`` carries :meth:`EvaluationCache.stats`: flat
     ``hits`` / ``misses`` totals plus a ``tables`` breakdown per
-    sub-result table, merged across workers whatever engine ran the
-    sweep.
+    sub-result table; a report merged from shard artifacts sums the
+    shards' counters.
     """
 
     frame: ResultFrame
@@ -869,9 +847,7 @@ def evaluate_cells(
     """Evaluate a run of grid points in order, sharing one cache.
 
     The serial engine's whole job (its streaming surface calls this
-    block by block), and the per-worker body of the process engine
-    (each worker runs this over its slice with a fresh cache that is
-    merged back afterwards).  Returns one decision frame with the
+    block by block).  Returns one decision frame with the
     points' cells in run order, at point indices
     ``0 .. len(points) - 1``.
 
@@ -943,28 +919,25 @@ def run_design_sweep(
         :class:`DesignPoint`.
     candidate_factory:
         Maps a grid point to the build-up candidates to study there
-        (step 1 stays the application's job).  The process engine ships
-        the factory to worker processes, so it must be picklable there
-        (a module-level function or class instance, not a lambda).
+        (step 1 stays the application's job).
     reference:
         Index of the reference candidate (the 100 % marks), per point.
     weights:
         Optional FoM weighting; the paper's plain product by default.
     cache:
         Optional pre-warmed :class:`EvaluationCache`; a fresh one is
-        created when omitted.  Worker caches are merged into it, so its
-        stats always cover the whole sweep.
+        created when omitted.  Its stats cover the whole sweep.
     executor:
         Optional :class:`~repro.core.executors.Executor`; defaults to
-        the engine named by ``$REPRO_SWEEP_ENGINE`` (serial when unset).
-        Every engine produces identical rows — they only change how the
-        grid is scheduled.
+        :class:`~repro.core.executors.SerialExecutor`.  Tests substitute
+        other engines here; every engine produces identical rows — they
+        only change how the grid is scheduled.
     """
     points, weights, cache = resolve_sweep(grid, weights, cache)
     if executor is None:
-        from .executors import default_executor  # cycle-free at import
+        from .executors import SerialExecutor  # cycle-free at import
 
-        executor = default_executor()
+        executor = SerialExecutor()
     dframe = executor.run_sweep(
         points, candidate_factory, reference, weights, cache
     )

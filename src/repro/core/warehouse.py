@@ -20,7 +20,7 @@ Design rules:
 
 * **Frames carry the re-rank basis.**  Each
   :class:`~repro.core.ranking.DecisionFrame` — the unit the sweep
-  engines produce — stores the 14 ``SweepRow`` columns *plus* the
+  engine produces — stores the 14 ``SweepRow`` columns *plus* the
   ``size_ratio`` / ``cost_ratio`` FoM inputs — the percent columns are
   ``fl(100 * ratio)`` and cannot be inverted, so without the ratios no
   stored frame could be re-ranked byte-identically to a fresh sweep.
@@ -58,7 +58,6 @@ import numpy as np
 from ..errors import SpecificationError
 from . import blobstore
 from .blobstore import canonical_json  # noqa: F401 — re-exported
-from .executors import default_executor
 from .figure_of_merit import FomWeights
 from .ranking import RATIO_COLUMNS, DecisionFrame  # noqa: F401 — re-exported
 from .resultframe import ResultFrame
@@ -564,8 +563,8 @@ def build_warehouse(
     """Run a sweep and materialise it as a one-frame warehouse.
 
     The offline indexing tier in one call: evaluates the grid through
-    any engine (the environment's by default — identical rows either
-    way) and publishes the result.  For incremental builds from many
+    the serial engine (or ``executor``, when a caller substitutes one)
+    and publishes the result.  For incremental builds from many
     hosts, run a shard queue instead and ingest the artifact directory
     (:func:`ingest_shard_directory`).
     """
@@ -576,7 +575,7 @@ def build_warehouse(
         reference=reference,
         weights=weights,
         cache=cache,
-        executor=executor if executor is not None else default_executor(),
+        executor=executor,
     )
     dframe = DecisionFrame.concat(list(blocks))
     init_warehouse(directory, points, grid_spec=grid_spec)

@@ -226,14 +226,11 @@ sweep_candidates.volume_invariant = True
 
 @dataclass(frozen=True)
 class GpsSweepFactory:
-    """Picklable candidate factory for the GPS design-space sweep.
+    """Candidate factory for the GPS design-space sweep.
 
-    The process execution engine ships the candidate factory to worker
-    processes, so it must pickle — a lambda closure cannot.  This frozen
-    dataclass captures the sweep's configuration and builds the four
-    build-up candidates locally in whichever process evaluates the grid
-    point (the candidates' own flow-factory closures therefore never
-    cross a process boundary).
+    This frozen dataclass captures the sweep's configuration and
+    builds the four build-up candidates of a grid point; unlike a
+    lambda closure it compares by value and pickles.
 
     ``volume_invariant`` declares that :func:`sweep_candidates` never
     reads ``point.volume`` (volume is consumed by the sweep's cost
@@ -264,8 +261,8 @@ def run_gps_sweep(
     """Design-space sweep over the GPS case study.
 
     The reference is implementation 1 (PCB/SMD) at every grid point, as
-    in the paper.  ``executor`` selects the execution engine
-    (:mod:`repro.core.executors`); all engines produce an identical
+    in the paper.  ``executor`` substitutes the serial execution engine
+    (:mod:`repro.core.executors`); every engine produces an identical
     columnar :attr:`~repro.core.sweep.SweepReport.frame` (and hence
     identical bridged rows).
     """
@@ -503,9 +500,9 @@ def build_gps_warehouse(
 ) -> "WarehouseManifest":
     """Sweep the GPS grid and materialise it as a frame warehouse.
 
-    The offline half of the decision service: runs the sweep (any
-    engine) and publishes the result as content-addressed frame files
-    plus a manifest under ``directory``
+    The offline half of the decision service: runs the sweep and
+    publishes the result as content-addressed frame files plus a
+    manifest under ``directory``
     (:mod:`repro.core.warehouse`), ready for O(ms) queries through
     :class:`~repro.core.queryservice.QueryService` or ``repro-gps
     warehouse serve``.  ``grid_spec`` is an optional JSON-able record

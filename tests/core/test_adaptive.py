@@ -38,7 +38,6 @@ from repro.core.adaptive import (
 from repro.core.executors import AsyncExecutor, SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
-from repro.core.sharding import ShardedExecutor
 from repro.core.sweep import (
     DesignPoint,
     SweepGrid,
@@ -53,6 +52,7 @@ from pareto_reference import (
     margin_dominators,
     objective_frame,
 )
+from sharded_reference import ShardedExecutor
 
 #: Volumes the random grids draw from — wide enough that NRE
 #: amortisation moves the cost objective across the axis.

@@ -40,6 +40,7 @@ from repro.passives.thin_film import SI3N4_PROCESS
 from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
 
 from per_point import per_point_frame
+from sharded_reference import merge_caches
 
 #: 2 substrates x 2 processes x 2 tolerances x 2 Q models, with the
 #: volumes given as an int, a float and a numpy float.
@@ -139,7 +140,7 @@ class TestKeyBytes:
         caches = [batched_cache(half) for half in halves]
         merged = EvaluationCache()
         for cache in caches:
-            merged.merge(cache)
+            merge_caches(merged, cache)
         assert key_digests(merged) == expected_digests(points)
         stats = merged.stats()
         expected = expected_keys(points)

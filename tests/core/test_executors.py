@@ -1,9 +1,8 @@
-"""The pluggable sweep execution engines.
+"""The sweep execution engines.
 
-Engine selection (names, env defaults, argument validation), the
-mergeable :class:`~repro.core.sweep.EvaluationCache`, and the engines'
-core contract: identical decision frames regardless of how the grid
-is scheduled.
+The serial engine's block streaming, the async library engine, the
+reference cache fold, and the engines' core contract: identical
+decision frames regardless of how the grid is scheduled.
 The heavyweight GPS-level identity check lives in
 ``tests/gps/test_engines.py``; here small synthetic factories keep the
 focus on the scheduling machinery itself.
@@ -19,19 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import executors
-from repro.core.executors import (
-    AsyncExecutor,
-    ENGINE_ENV,
-    ENGINE_NAMES,
-    JOBS_ENV,
-    MultiprocessExecutor,
-    SHARDS_ENV,
-    SerialExecutor,
-    _split_runs,
-    default_executor,
-    make_executor,
-    resolve_executor,
-)
+from repro.core.executors import AsyncExecutor, SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
 from repro.core.ranking import DecisionFrame
@@ -47,6 +34,8 @@ from repro.area.substrate import PCB_RULE
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
+
+from sharded_reference import merge_caches
 
 
 def _flow(area_cm2: float) -> ProductionFlow:
@@ -82,127 +71,6 @@ def fixed_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
     ]
 
 
-class TestMakeExecutor:
-    def test_names(self):
-        assert make_executor("serial").name == "serial"
-        assert make_executor("process", 2).name == "process"
-        assert make_executor("sharded", shards=2).name == "sharded"
-        assert make_executor("async", 2).name == "async"
-
-    def test_every_registered_name_constructs(self):
-        for name in ENGINE_NAMES:
-            assert make_executor(name, jobs=2, shards=2).name == name
-
-    def test_case_and_whitespace_tolerant(self):
-        assert make_executor(" Serial ").name == "serial"
-
-    def test_empty_name_defaults_to_serial(self):
-        assert make_executor("").name == "serial"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SpecificationError) as excinfo:
-            make_executor("quantum")
-        assert "serial" in str(excinfo.value)
-
-    def test_process_jobs_validated(self):
-        with pytest.raises(SpecificationError):
-            MultiprocessExecutor(0)
-        assert MultiprocessExecutor(3).jobs == 3
-        assert MultiprocessExecutor().jobs >= 1
-
-    def test_async_jobs_validated(self):
-        with pytest.raises(SpecificationError):
-            AsyncExecutor(0)
-        assert AsyncExecutor(3).jobs == 3
-        assert AsyncExecutor().jobs >= 1
-
-
-class TestDefaultExecutor:
-    def test_serial_when_unset(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert default_executor().name == "serial"
-
-    def test_env_selects_engine_and_jobs(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "process")
-        monkeypatch.setenv(JOBS_ENV, "2")
-        executor = default_executor()
-        assert executor.name == "process"
-        assert executor.jobs == 2
-
-    def test_bad_jobs_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "process")
-        monkeypatch.setenv(JOBS_ENV, "many")
-        with pytest.raises(SpecificationError):
-            default_executor()
-
-    def test_explicit_jobs_combine_with_env_engine(self, monkeypatch):
-        """`--jobs 4` under REPRO_SWEEP_ENGINE=process means 4 workers."""
-        monkeypatch.setenv(ENGINE_ENV, "process")
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        executor = resolve_executor(jobs=4)
-        assert executor.name == "process"
-        assert executor.jobs == 4
-
-    def test_explicit_engine_picks_up_env_jobs(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        monkeypatch.setenv(JOBS_ENV, "3")
-        executor = resolve_executor(engine="process")
-        assert executor.jobs == 3
-
-    def test_explicit_args_beat_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "process")
-        monkeypatch.setenv(JOBS_ENV, "7")
-        executor = resolve_executor(engine="process", jobs=2)
-        assert executor.jobs == 2
-        assert resolve_executor(engine="serial").name == "serial"
-
-    def test_env_selects_sharded_engine_and_shard_count(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "sharded")
-        monkeypatch.setenv(SHARDS_ENV, "3")
-        executor = default_executor()
-        assert executor.name == "sharded"
-        assert executor.shards == 3
-
-    def test_bad_shards_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "sharded")
-        monkeypatch.setenv(SHARDS_ENV, "many")
-        with pytest.raises(SpecificationError):
-            default_executor()
-
-    def test_explicit_shards_beat_env(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "7")
-        executor = resolve_executor(engine="sharded", shards=2)
-        assert executor.shards == 2
-
-
-class TestSplitRuns:
-    @pytest.mark.parametrize("parts", [0, -1, -100])
-    def test_nonpositive_parts_rejected(self, parts):
-        """Regression: a broken worker count must fail loudly, not clamp."""
-        with pytest.raises(ValueError) as excinfo:
-            _split_runs(list(range(4)), parts)
-        assert "positive" in str(excinfo.value)
-        assert str(parts) in str(excinfo.value)
-
-    def test_even_split(self):
-        runs = _split_runs(list(range(6)), 3)
-        assert runs == [[0, 1], [2, 3], [4, 5]]
-
-    def test_uneven_split_front_loads(self):
-        runs = _split_runs(list(range(5)), 3)
-        assert runs == [[0, 1], [2, 3], [4]]
-
-    def test_more_parts_than_points(self):
-        runs = _split_runs([1, 2], 8)
-        assert runs == [[1], [2]]
-
-    def test_order_is_preserved(self):
-        items = list(range(11))
-        runs = _split_runs(items, 4)
-        assert [x for run in runs for x in run] == items
-
-
 class TestCacheMerge:
     def test_merge_adds_counters_and_unions_tables(self):
         left = EvaluationCache()
@@ -211,7 +79,7 @@ class TestCacheMerge:
         right.cost_batch("flowA", [1.0], lambda missing: ["a"])  # same key
         right.cost_batch("flowB", [1.0], lambda missing: ["b"])
         right.cost_batch("flowB", [1.0], lambda missing: ["b"])  # a hit
-        left.merge(right)
+        merge_caches(left, right)
         stats = left.stats()
         assert stats["tables"]["cost"] == {
             "hits": 1,
@@ -225,7 +93,7 @@ class TestCacheMerge:
         right = EvaluationCache()
         left.cost_batch("flow", [1.0], lambda missing: ["mine"])
         right.cost_batch("flow", [1.0], lambda missing: ["theirs"])
-        left.merge(right)
+        merge_caches(left, right)
         assert left.cost_batch(
             "flow", [1.0], lambda missing: ["recomputed"]
         ) == ["mine"]
@@ -239,27 +107,6 @@ class TestEnginesAgree:
             self.POINTS, fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
 
-    def test_process_engine_matches_serial(self):
-        serial = self._frame(SerialExecutor())
-        assert self._frame(MultiprocessExecutor(jobs=2)) == serial
-        assert serial.indices == tuple(range(len(self.POINTS)))
-
-    def test_process_engine_merges_worker_caches(self):
-        cache = EvaluationCache()
-        run_design_sweep(
-            self.POINTS,
-            fixed_candidates,
-            cache=cache,
-            executor=MultiprocessExecutor(jobs=2),
-        )
-        stats = cache.stats()
-        # Every worker evaluated area + cost for both candidates at each
-        # of its points; the merged tally must account for all of them.
-        area = stats["tables"]["area"]
-        assert area["hits"] + area["misses"] == 2 * len(self.POINTS)
-        assert area["entries"] == 2  # two distinct footprint sets
-        assert stats["tables"]["cost"]["entries"] == 2 * len(self.POINTS)
-
     def test_async_engine_matches_serial(self):
         assert self._frame(AsyncExecutor(jobs=3)) == self._frame(
             SerialExecutor()
@@ -270,6 +117,12 @@ class TestAsyncStreaming:
     """The async engine's streaming and progress surfaces."""
 
     POINTS = TestEnginesAgree.POINTS
+
+    def test_async_jobs_validated(self):
+        with pytest.raises(SpecificationError):
+            AsyncExecutor(0)
+        assert AsyncExecutor(3).jobs == 3
+        assert AsyncExecutor().jobs >= 1
 
     def test_progress_callback_counts_every_point(self):
         events = []

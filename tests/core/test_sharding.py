@@ -29,7 +29,6 @@ from repro.core.blobstore import ArtifactState, artifact_state, pending_path
 from repro.core.queue import manifest_for_grid, run_queue_worker, write_manifest
 from repro.core.sharding import (
     SHARD_FORMAT,
-    ShardedExecutor,
     ShardMergeError,
     artifact_to_payload,
     find_pending_artifacts,
@@ -52,6 +51,8 @@ from repro.core.sweep import (
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
+
+from sharded_reference import ShardedExecutor, merge_caches
 
 POINTS = [
     DesignPoint(volume=volume)
@@ -588,7 +589,7 @@ class TestCacheStateMerge:
         )
 
     def test_merged_stats_match_in_process_merge(self):
-        """Artifact-level stats == EvaluationCache.merge of the caches."""
+        """Artifact-level stats == the reference fold of the caches."""
         caches = [EvaluationCache() for _ in range(2)]
         artifacts = [
             run_shard(
@@ -602,7 +603,7 @@ class TestCacheStateMerge:
         ]
         parent = EvaluationCache()
         for cache in caches:
-            parent.merge(cache)
+            merge_caches(parent, cache)
         via_artifacts = merge_cache_states(
             artifact.cache_state for artifact in artifacts
         )

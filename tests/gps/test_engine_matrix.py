@@ -3,7 +3,8 @@
 This is the systematic replacement for the ad-hoc per-engine
 comparisons that used to live in ``test_engines.py``: one parametrised
 matrix that runs a small GPS sweep through *every* execution engine
-(process, sharded, async — serial is the reference) under
+(the in-process sharded reference and the async engine — serial is
+the reference) under
 *every* Q-model scenario class (constant-Q, dispersive, custom
 ``tan=``) and asserts the rows are byte-identical to the serial
 engine — dataclass equality on ``SweepRow`` compares every float
@@ -24,11 +25,10 @@ from repro.circuits.qfactor import (
     MEASURED_SUMMIT_TABLE,
     SubstrateLossQModel,
 )
-from repro.core.executors import make_executor
+from repro.core.executors import AsyncExecutor, SerialExecutor
 from repro.core.gather import gather_directory
 from repro.core.queue import manifest_for_grid, write_manifest
 from repro.core.sharding import (
-    ShardedExecutor,
     artifact_to_payload,
     merge_shard_artifacts,
     payload_to_artifact,
@@ -45,12 +45,12 @@ from repro.gps.study import (
 from repro.passives.tolerance import PRECISION_CLASS
 
 from per_point import per_point_frame
+from sharded_reference import ShardedExecutor
 
 #: Engine name -> factory.  Serial is the reference, not a column.
 ENGINES = {
-    "process": lambda: make_executor("process", jobs=2),
     "sharded": lambda: ShardedExecutor(shards=3),
-    "async": lambda: make_executor("async", jobs=2),
+    "async": lambda: AsyncExecutor(jobs=2),
 }
 
 #: Scenario name -> grid.  One grid per Q-model class the engines must
@@ -76,7 +76,7 @@ SCENARIO_GRIDS = {
 def serial_reports():
     """The serial-engine reference rows, one report per scenario."""
     return {
-        scenario: run_gps_sweep(grid, executor=make_executor("serial"))
+        scenario: run_gps_sweep(grid, executor=SerialExecutor())
         for scenario, grid in SCENARIO_GRIDS.items()
     }
 
@@ -149,7 +149,7 @@ class TestChunkedStoreMatrix:
             SCENARIO_GRIDS[scenario],
             tmp_path / "store",
             max_rows_in_memory=1,
-            executor=make_executor("serial"),
+            executor=SerialExecutor(),
         )
         reference = serial_reports[scenario]
         assert store.to_frame() == reference.frame
@@ -204,7 +204,7 @@ class TestQueueFabricMatrix:
         self, serial_reports, scenario, tmp_path
     ):
         gathered = self._drain_and_gather(
-            tmp_path, SCENARIO_GRIDS[scenario], make_executor("serial")
+            tmp_path, SCENARIO_GRIDS[scenario], SerialExecutor()
         )
         assert gathered.rows == serial_reports[scenario].rows
 

@@ -3,18 +3,18 @@
 The systematic engine x scenario identity matrix lives in
 ``test_engine_matrix.py`` (every engine, every Q-model scenario,
 byte-identical rows).  What remains here is the anchor to the golden
-files and the process-engine pickling contract:
+files and the factory's pickling contract:
 
 * at the paper's own design point, every engine reproduces the
   golden-locked study numbers exactly;
-* the GPS candidate factory survives the process boundary.
+* the GPS candidate factory survives a pickle round trip.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.executors import ENGINE_NAMES, make_executor
+from repro.core.executors import AsyncExecutor, SerialExecutor
 from repro.core.sweep import DesignPoint
 from repro.gps.study import (
     GpsSweepFactory,
@@ -22,16 +22,25 @@ from repro.gps.study import (
     run_gps_sweep,
 )
 
+from sharded_reference import ShardedExecutor
+
+#: Engine name -> factory: the production engine and its substitutes.
+ENGINES = {
+    "serial": SerialExecutor,
+    "sharded": lambda: ShardedExecutor(shards=2),
+    "async": lambda: AsyncExecutor(jobs=2),
+}
+
 
 class TestPaperPointIdentity:
-    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_paper_point_matches_study_under_every_engine(self, engine):
         """Zero-NRE sweep at the paper's point == the golden-locked study."""
         study = run_gps_study()
         report = run_gps_sweep(
             [DesignPoint()],
             nre_scenario={i: 0.0 for i in (1, 2, 3, 4)},
-            executor=make_executor(engine, jobs=2, shards=2),
+            executor=ENGINES[engine](),
         )
         assert len(report.rows) == len(study.rows)
         for study_row, sweep_row in zip(study.rows, report.rows):

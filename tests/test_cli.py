@@ -7,9 +7,14 @@ captured via capsys, and every bad-argument path is pinned to argparse's
 
 from __future__ import annotations
 
+import concurrent.futures
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.sweep import SweepGrid
+from repro.gps.study import run_gps_sweep
 
 
 class TestParser:
@@ -134,6 +139,13 @@ class TestBadValuesExit2:
     def test_non_finite_or_non_positive_volume(self, argv, capsys):
         err = self._exit_2(argv, capsys)
         assert "volume must be positive" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--shards", "--max-attempts", "--passes", "--budget"]
+    )
+    def test_non_positive_count(self, flag, capsys):
+        err = self._exit_2(["sweep", flag, "0"], capsys)
+        assert f"argument {flag}: need a positive integer, got 0" in err
 
     @pytest.mark.parametrize("discount", ["2", "nan", "0", "-0.5"])
     def test_bare_discount_outside_unit_interval(self, discount, capsys):
@@ -330,34 +342,7 @@ class TestSweepCommand:
 
 
 class TestSweepEngines:
-    """The --engine / --jobs / --cache-stats surface."""
-
-    @staticmethod
-    def _table_lines(out: str) -> list[str]:
-        # The memo tally is engine-dependent by design (each process
-        # worker starts cold); everything
-        # else — every number in every row — must match exactly.
-        return [
-            line
-            for line in out.splitlines()
-            if not line.startswith("Memoised sub-results")
-        ]
-
-    @pytest.mark.parametrize(
-        "engine", ["serial", "process", "sharded", "async"]
-    )
-    def test_engines_print_identical_tables(self, engine, capsys):
-        assert main(["sweep", "--engine", "serial"]) == 0
-        reference = self._table_lines(capsys.readouterr().out)
-        argv = ["sweep", "--engine", engine]
-        if engine == "process":
-            argv += ["--jobs", "2"]
-        elif engine == "sharded":
-            argv += ["--shards", "2"]
-        elif engine == "async":
-            argv += ["--jobs", "2"]
-        assert main(argv) == 0
-        assert self._table_lines(capsys.readouterr().out) == reference
+    """The --cache-stats surface of the one sweep engine."""
 
     def test_cache_stats_prints_per_table_tally(self, capsys):
         assert main(["sweep", "--cache-stats"]) == 0
@@ -373,62 +358,130 @@ class TestSweepEngines:
         assert "Evaluation cache" not in captured.out
         assert "cache:" in captured.err
 
-    def test_unknown_engine_rejected(self):
+
+class _NoProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: any use fails the test."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a sweep started a process pool")
+
+
+def _export_stale_engine_env(monkeypatch) -> None:
+    """The engine knobs of older releases exported, process pools banned.
+
+    Every sweep must ignore the old ``REPRO_SWEEP_*`` engine, jobs and
+    shards variables and run the serial engine in this process.
+    """
+    for knob, value in (("ENGINE", "process"), ("JOBS", "2"), ("SHARDS", "2")):
+        monkeypatch.setenv(f"REPRO_SWEEP_{knob}", value)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", _NoProcessPool
+    )
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and hasattr(
+            module, "ProcessPoolExecutor"
+        ):
+            monkeypatch.setattr(
+                module, "ProcessPoolExecutor", _NoProcessPool
+            )
+
+
+@pytest.fixture
+def stale_engine_env(monkeypatch):
+    _export_stale_engine_env(monkeypatch)
+
+
+class TestOneEngine:
+    """No flag or environment variable selects a sweep engine."""
+
+    GRID = ["--volumes", "1e3,1e4"]
+
+    def test_library_sweep_ignores_engine_env(self, monkeypatch):
+        grid = SweepGrid(volumes=(1e3, 1e4, 1e5))
+        reference = run_gps_sweep(grid).frame.csv_lines()
+        with monkeypatch.context() as patch:
+            _export_stale_engine_env(patch)
+            assert run_gps_sweep(grid).frame.csv_lines() == reference
+
+    def test_sweep_csv_ignores_engine_env(self, monkeypatch, capsys):
+        assert main(["sweep", *self.GRID, "--csv"]) == 0
+        reference = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            _export_stale_engine_env(patch)
+            assert main(["sweep", *self.GRID, "--csv"]) == 0
+        assert capsys.readouterr().out == reference
+
+    def test_warehouse_build_ignores_engine_env(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        built = {}
+        for name in ("unset", "stale"):
+            with monkeypatch.context() as patch:
+                if name == "stale":
+                    _export_stale_engine_env(patch)
+                directory = tmp_path / name
+                argv = ["warehouse", "build", str(directory), *self.GRID]
+                assert main(argv) == 0
+            out = capsys.readouterr().out.replace(str(directory), "DIR")
+            files = {
+                path.relative_to(directory): path.read_bytes()
+                for path in sorted(directory.rglob("*"))
+                if path.is_file()
+            }
+            built[name] = (out, files)
+        assert built["stale"] == built["unset"]
+
+    def test_shard_index_without_shards_exits_2(
+        self, stale_engine_env, tmp_path, capsys
+    ):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--engine", "quantum"])
+            main(
+                [
+                    "sweep",
+                    *self.GRID,
+                    "--shard-index",
+                    "0",
+                    "--shard-dir",
+                    str(tmp_path),
+                ]
+            )
         assert excinfo.value.code == 2
+        assert "--shard-index requires --shards" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
-    def test_stacked_engine_rejected(self, capsys):
+    def test_shards_without_shard_run_exits_2(
+        self, stale_engine_env, capsys
+    ):
+        """--shards needs a shard run or a queue to partition for."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--engine", "stacked"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'stacked'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
-    def test_bad_jobs_rejected(self, jobs):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--jobs", jobs])
-        assert excinfo.value.code == 2
-
-
-class TestSweepEnvironmentErrors:
-    """Bad REPRO_SWEEP_* values must exit 2 with a message, not dump a
-    traceback — the regression behind the engine-resolution try/except
-    in ``_cmd_sweep``."""
-
-    def test_unknown_env_engine_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "quantum")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep"])
+            main(["sweep", *self.GRID, "--shards", "2"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "error" in err
-        assert "quantum" in err
-        assert "serial" in err  # the message names the alternatives
+        assert "--shard-index" in err
+        assert "--queue-init" in err
 
-    def test_zero_env_jobs_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "process")
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "0")
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "serial"], ["--jobs", "2"]],
+        ids=["engine", "jobs"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep"], ["warehouse", "build"]],
+        ids=["sweep", "warehouse-build"],
+    )
+    def test_engine_flags_are_gone(
+        self, stale_engine_env, command, flags, tmp_path, capsys
+    ):
+        if command[0] == "warehouse":
+            command = [*command, str(tmp_path / "wh")]
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep"])
+            main([*command, *flags])
         assert excinfo.value.code == 2
-        assert "at least 1 worker" in capsys.readouterr().err
-
-    def test_non_integer_env_jobs_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "process")
-        monkeypatch.setenv("REPRO_SWEEP_JOBS", "many")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep"])
-        assert excinfo.value.code == 2
-        assert "REPRO_SWEEP_JOBS" in capsys.readouterr().err
-
-    def test_bad_env_shards_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "sharded")
-        monkeypatch.setenv("REPRO_SWEEP_SHARDS", "abc")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep"])
-        assert excinfo.value.code == 2
-        assert "REPRO_SWEEP_SHARDS" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "wh").exists()
 
 
 class TestShardCli:
@@ -496,35 +549,11 @@ class TestShardCli:
         assert excinfo.value.code == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_shard_index_requires_shards(self, monkeypatch, capsys):
-        # With $REPRO_SWEEP_SHARDS exported, --shard-index alone is
-        # legitimate (the env supplies the count) — so clear it.
-        monkeypatch.delenv("REPRO_SWEEP_SHARDS", raising=False)
+    def test_shard_index_requires_shards(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--shard-index", "0"])
         assert excinfo.value.code == 2
         assert "--shards" in capsys.readouterr().err
-
-    def test_shard_index_honours_env_shard_count(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """--shards documents $REPRO_SWEEP_SHARDS as its default."""
-        monkeypatch.setenv("REPRO_SWEEP_SHARDS", "2")
-        assert (
-            main(
-                [
-                    "sweep",
-                    *self.GRID,
-                    "--shard-index",
-                    "1",
-                    "--shard-dir",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "Shard 1/2" in capsys.readouterr().out
-        assert (tmp_path / "shard-0001-of-0002.json").exists()
 
     def test_merge_rejects_grid_axis_flags(self, tmp_path, capsys):
         """Axis flags alongside --merge would be silently ignored."""
@@ -568,16 +597,6 @@ class TestShardCli:
             )
         assert excinfo.value.code == 2
         assert "--csv" in capsys.readouterr().err
-
-    def test_env_shards_alone_shards_in_process(
-        self, monkeypatch, capsys
-    ):
-        """$REPRO_SWEEP_SHARDS is the documented --shards default."""
-        assert main(["sweep"]) == 0
-        reference = capsys.readouterr().out
-        monkeypatch.setenv("REPRO_SWEEP_SHARDS", "2")
-        assert main(["sweep"]) == 0
-        assert capsys.readouterr().out == reference
 
     def test_shard_index_out_of_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -831,8 +850,7 @@ class TestQueueCli:
         assert '"lease_ttl": 7.5' in text
         assert '"max_attempts": 5' in text
 
-    def test_init_requires_shards(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_SWEEP_SHARDS", raising=False)
+    def test_init_requires_shards(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--queue-init", str(tmp_path / "m.json")])
         assert excinfo.value.code == 2
