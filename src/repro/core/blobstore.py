@@ -11,7 +11,8 @@ all JSON files written and read here and nowhere else:
   (:class:`ArtifactState`);
 * :func:`create_json_exclusive` — ``O_CREAT | O_EXCL``: one winner;
 * :func:`read_json` — the one strict reader: every failure raises the
-  caller's error class with the path in the message;
+  caller's error class with the path in the message (:func:`parse_json`
+  applies it to bytes a caller read with :func:`read_bytes`);
 * :func:`content_digest` / :func:`put_blob` / :func:`get_blob` —
   content addressing: a blob's file name embeds the digest of its
   canonical JSON, and it is read back only by a bare name inside its
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -100,8 +102,15 @@ def artifact_state(path: PathLike) -> ArtifactState:
 
 
 def _dump_synced(handle, payload) -> None:
-    json.dump(payload, handle)
-    handle.write("\n")
+    """Write ``payload`` as one JSON line, then flush and fsync.
+
+    The text is built by one :func:`json.dumps` call, which CPython
+    serves with its C encoder (``json.dump`` to a file always streams
+    through the pure-Python one), and lands in a single ``write``.
+    Default separators and key order, so the bytes equal the old
+    ``json.dump(payload, handle); handle.write("\\n")`` stream.
+    """
+    handle.write(json.dumps(payload) + "\n")
     handle.flush()
     os.fsync(handle.fileno())
 
@@ -186,8 +195,39 @@ def read_json(
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        handle = path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {label} {path}: {exc}") from None
+    with handle:
+        return _load_checked(handle, path, error, label, format, digest)
+
+
+def read_bytes(path: PathLike, error: ErrorClass, label: str) -> bytes:
+    """The raw bytes of ``path``, raising ``error`` when unreadable."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {label} {path}: {exc}") from None
+
+
+def parse_json(
+    raw: bytes, path: PathLike, error: ErrorClass, label: str
+) -> dict:
+    """:func:`read_json` of bytes already read from ``path``.
+
+    For a caller that compares the bytes it read before parsing them
+    (the query service's manifest memo): the bytes are decoded as the
+    UTF-8 text file they came from, so the payload and every message
+    equal a :func:`read_json` of the same file.
+    """
+    handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    return _load_checked(handle, Path(path), error, label, None, None)
+
+
+def _load_checked(handle, path: Path, error, label, format, digest) -> dict:
+    """The strict reader's parse and checks over an open text handle."""
+    try:
+        payload = json.load(handle)
     except OSError as exc:
         raise error(f"cannot read {label} {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -37,7 +37,7 @@ import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -49,12 +49,14 @@ from .ranking import (  # noqa: F401 — weighted_fom re-exported
     weighted_fom,
     winner_mask,
 )
-from .resultframe import COLUMN_ORDER, ResultFrame
+from .resultframe import COLUMN_ORDER, JsonTokenMemo, ResultFrame
 from .blobstore import canonical_json
 from .warehouse import (
     FrameCache,
     WarehouseManifest,
     load_warehouse,
+    parse_warehouse_manifest,
+    read_manifest_bytes,
     read_warehouse_manifest,
 )
 
@@ -223,6 +225,47 @@ def _where_mask(frame: ResultFrame, where: dict) -> np.ndarray:
     return mask
 
 
+class FrameRows(Mapping):
+    """The ``rows`` of a response: ``frame``'s rows under ``mask``.
+
+    A mapping equal to ``frame.filter(mask).to_json_columns()`` that
+    holds no lists: :func:`response_bytes` writes its canonical JSON
+    with :meth:`~repro.core.resultframe.ResultFrame.json_columns_bytes`,
+    taking the tokens of the stored columns from the service's
+    ``memo``, and a column list is built only when a caller reads it.
+    """
+
+    __slots__ = ("frame", "mask", "memo")
+
+    def __init__(
+        self,
+        frame: ResultFrame,
+        mask: np.ndarray,
+        memo: Optional[JsonTokenMemo] = None,
+    ) -> None:
+        self.frame = frame
+        self.mask = mask
+        self.memo = memo
+
+    def __getitem__(self, name: str) -> list:
+        if name not in COLUMN_ORDER:
+            raise KeyError(name)
+        return self.frame.column(name)[self.mask].tolist()
+
+    def __contains__(self, name) -> bool:
+        return name in COLUMN_ORDER
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(COLUMN_ORDER)
+
+    def __len__(self) -> int:
+        return len(COLUMN_ORDER)
+
+    def json_bytes(self) -> bytes:
+        """The rows' canonical JSON, encoded."""
+        return self.frame.json_columns_bytes(self.mask, self.memo)
+
+
 #: Re-ranked frames the service keeps per warehouse revision set.
 RERANK_CACHE_CAPACITY = 16
 
@@ -230,12 +273,20 @@ RERANK_CACHE_CAPACITY = 16
 class QueryService:
     """Answer decision queries against one warehouse directory.
 
-    Thread-safe: the manifest is re-read per query (so an append by a
-    concurrent writer becomes visible at the next query — never
-    mid-response), and the merged frame is memoised keyed by the
-    manifest's content-addressed frame list, backed by the
-    :class:`~repro.core.warehouse.FrameCache` LRU for the per-file
-    loads.  All query work on the hot path is numpy column ops.
+    Thread-safe: the manifest file is re-read per query (so an append
+    by a concurrent writer becomes visible at the next query — never
+    mid-response) but parsed only when its bytes change, and the
+    merged frame is memoised keyed by the manifest's content-addressed
+    frame list, backed by the :class:`~repro.core.warehouse.FrameCache`
+    LRU for the per-file loads.  All query work on the hot path is
+    numpy column ops.
+
+    Next to the merged frame sits its :class:`~repro.core.resultframe.
+    JsonTokenMemo`: each stored column's distinct JSON tokens and
+    ``int32`` codes, built the first time a response writes the column
+    and dropped with the frame, so the rows of ``pareto`` and
+    ``rerank`` answers format each stored value once per frame, not
+    once per ask.
 
     Re-ranked frames are memoised too: the scalar ``pow`` loop in
     :func:`rerank_frame` is the one non-vectorised step on the query
@@ -260,8 +311,11 @@ class QueryService:
         self.directory = Path(directory)
         self.cache = cache if cache is not None else FrameCache()
         self._lock = threading.Lock()
+        self._manifest_raw: Optional[bytes] = None
+        self._manifest: Optional[WarehouseManifest] = None
         self._memo_key: Optional[tuple] = None
         self._memo: Optional[DecisionFrame] = None
+        self._memo_tokens: Optional[JsonTokenMemo] = None
         self._rerank_capacity = rerank_cache_capacity
         self._rerank_cache: "OrderedDict[tuple, ResultFrame]" = (
             OrderedDict()
@@ -269,9 +323,34 @@ class QueryService:
         self._rerank_hits = 0
         self._rerank_misses = 0
 
+    def manifest(self) -> WarehouseManifest:
+        """The current manifest, parsed only when its bytes change.
+
+        The file is read on every call; while its raw bytes equal the
+        bytes last parsed, the parsed manifest is reused, and otherwise
+        exactly the bytes just compared are parsed (no second read, so
+        no window for a concurrent rewrite) by the one strict reader.
+        A deleted or torn manifest fails as
+        :func:`~repro.core.warehouse.read_warehouse_manifest` does.
+        """
+        raw = read_manifest_bytes(self.directory)
+        with self._lock:
+            if raw == self._manifest_raw:
+                return self._manifest
+        manifest = parse_warehouse_manifest(raw, self.directory)
+        with self._lock:
+            self._manifest_raw = raw
+            self._manifest = manifest
+        return manifest
+
     def state(self) -> tuple[WarehouseManifest, DecisionFrame]:
-        """The current manifest and its merged decision frame."""
-        manifest = read_warehouse_manifest(self.directory)
+        """The current manifest and its merged decision frame.
+
+        The manifest comes from :meth:`manifest` (parsed once per change
+        of its bytes); the frame is memoised under the manifest's frame
+        list, and a new list replaces it together with its token memo.
+        """
+        manifest = self.manifest()
         key = tuple(
             (entry.file, entry.digest) for entry in manifest.frames
         )
@@ -284,7 +363,15 @@ class QueryService:
         with self._lock:
             self._memo_key = key
             self._memo = dframe
+            self._memo_tokens = JsonTokenMemo(dframe.frame)
         return manifest, dframe
+
+    def _rows(self, dframe: DecisionFrame, frame, mask) -> FrameRows:
+        """The response rows of ``frame`` under ``mask``, with the token
+        memo of ``dframe`` when it is still the memoised frame."""
+        with self._lock:
+            memo = self._memo_tokens if self._memo is dframe else None
+        return FrameRows(frame, mask, memo)
 
     def _reranked_frame(
         self,
@@ -386,14 +473,12 @@ class QueryService:
         mask = _where_mask(effective, where)
 
         if kind == "pareto":
-            selected = effective.filter(
-                mask & effective.column("on_pareto_front")
-            )
+            front = mask & effective.column("on_pareto_front")
             return self._envelope(
                 kind,
                 manifest,
-                rows=selected.to_json_columns(),
-                count=len(selected),
+                rows=self._rows(dframe, effective, front),
+                count=int(np.count_nonzero(front)),
             )
         if kind == "rerank":
             selected = effective.filter(mask)
@@ -405,7 +490,7 @@ class QueryService:
                     weights.size,
                     weights.cost,
                 ],
-                rows=selected.to_json_columns(),
+                rows=self._rows(dframe, effective, mask),
                 count=len(selected),
                 winner_counts=selected.winner_counts(),
                 best=(
@@ -542,9 +627,24 @@ def response_bytes(payload: dict) -> bytes:
     """A response payload as the canonical wire bytes.
 
     THE byte-identity surface: the HTTP server, the CLI ``query`` verb
-    and the golden fixtures all serialise through here.
+    and the golden fixtures all serialise through here.  The bytes are
+    ``canonical_json(payload) + "\\n"`` with every :class:`FrameRows`
+    read as its dict of lists: a plain payload goes through
+    :func:`~repro.core.blobstore.canonical_json` whole, and a payload
+    carrying rows is written key by key in sorted order with the rows'
+    text from :meth:`FrameRows.json_bytes` spliced in.
     """
-    return (canonical_json(payload) + "\n").encode("utf-8")
+    if not any(isinstance(value, FrameRows) for value in payload.values()):
+        return (canonical_json(payload) + "\n").encode("utf-8")
+    parts: list[bytes] = []
+    for key, value in sorted(payload.items()):
+        parts.append(b"," if parts else b"{")
+        if isinstance(value, FrameRows):
+            parts += (canonical_json(key).encode(), b":", value.json_bytes())
+        else:
+            parts.append(canonical_json({key: value})[1:-1].encode())
+    parts.append(b"}\n")
+    return b"".join(parts)
 
 
 class _QueryHandler(BaseHTTPRequestHandler):
@@ -565,9 +665,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         if self.path == "/health":
             try:
-                manifest = read_warehouse_manifest(
-                    self.server.service.directory
-                )
+                manifest = self.server.service.manifest()
             except SpecificationError as exc:
                 self._send(500, {"status": "error", "error": str(exc)})
                 return
@@ -593,7 +691,18 @@ class _QueryHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
-            length = 0
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up.
+            self.close_connection = True
+            self._send(
+                400,
+                {
+                    "error": "Content-Length must be a non-negative "
+                    "integer"
+                },
+            )
+            return
         body = self.rfile.read(length)
         try:
             request = json.loads(body)

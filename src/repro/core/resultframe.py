@@ -34,12 +34,14 @@ an exact O(n log n) sort-and-staircase sweep).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SpecificationError
+from .blobstore import canonical_json
 from .pareto import nondominated_mask
 
 
@@ -170,6 +172,85 @@ def _rendered_floats(column: np.ndarray) -> list[str]:
         [str(value) for value in distinct.tolist()], dtype=object
     )
     return strings[inverse].tolist()
+
+
+#: The JSON tokens of a flag column, indexed by the flag (0/1).
+_FLAG_TOKENS = np.array([b"false", b"true"], dtype=object)
+
+
+def _json_float(value: float) -> bytes:
+    """``value`` as :mod:`json`'s encoder writes it (``allow_nan``)."""
+    if math.isfinite(value):
+        return repr(value).encode()
+    if value != value:
+        return b"NaN"
+    return b"Infinity" if value > 0 else b"-Infinity"
+
+
+def json_tokens(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A frame column as its distinct JSON tokens and each cell's code.
+
+    ``tokens[codes]`` lists the canonical JSON text of every value of
+    ``column.tolist()``, as ASCII bytes: floats are formatted once per
+    distinct bit pattern (:func:`distinct_values`) as ``repr`` or
+    ``NaN``/``Infinity``/``-Infinity``, labels once per distinct value
+    with :func:`~repro.core.blobstore.canonical_json`, and flags are
+    ``true``/``false``.  ``tokens`` is an object array and ``codes`` an
+    ``int32`` array of ``column``'s shape — the compact form a
+    long-lived memo keeps.
+    """
+    if column.dtype == np.bool_:
+        return _FLAG_TOKENS, column.astype(np.int32)
+    if column.dtype == np.float64:
+        distinct, inverse = distinct_values(column)
+        tokens = [_json_float(value) for value in distinct.tolist()]
+    else:
+        # Strings key themselves; any other value keys by its text (a
+        # one-tuple, so it never meets a string), keeping 1, True and
+        # 1.0 apart.
+        index: dict = {}
+        inverse = [
+            index.setdefault(
+                value if type(value) is str else (canonical_json(value),),
+                len(index),
+            )
+            for value in column.tolist()
+        ]
+        tokens = [
+            (canonical_json(key) if type(key) is str else key[0]).encode()
+            for key in index
+        ]
+    return (
+        np.array(tokens, dtype=object),
+        np.asarray(inverse, dtype=np.int32),
+    )
+
+
+class JsonTokenMemo:
+    """:func:`json_tokens` of one frame's columns, each built on first use.
+
+    :meth:`ResultFrame.json_columns_bytes` asks it for a column; only
+    the memo's own frame's arrays — by identity — are answered, so a
+    frame that shares some of its arrays (a re-ranked frame shares all
+    but ``figure_of_merit`` and ``is_winner``) reuses those tokens.
+    Two threads may build the same column at once; both results are
+    equal, and either one is kept.
+    """
+
+    __slots__ = ("frame", "_tokens")
+
+    def __init__(self, frame: "ResultFrame") -> None:
+        self.frame = frame
+        self._tokens: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def get(self, name: str, column: np.ndarray):
+        """The tokens of ``column`` if it is the frame's ``name``."""
+        if column is not self.frame.column(name):
+            return None
+        tokens = self._tokens.get(name)
+        if tokens is None:
+            tokens = self._tokens[name] = json_tokens(column)
+        return tokens
 
 
 class ResultFrame:
@@ -418,6 +499,37 @@ class ResultFrame:
         return {
             name: self._columns[name].tolist() for name in COLUMN_ORDER
         }
+
+    def json_columns_bytes(
+        self, mask, memo: Optional[JsonTokenMemo] = None
+    ) -> bytes:
+        """``canonical_json(self.filter(mask).to_json_columns())``,
+        encoded.
+
+        THE row serialiser of the query responses: the selected rows'
+        columns in sorted-name order with no whitespace, each joined
+        from :func:`json_tokens`.  A column ``memo`` holds takes its
+        tokens and codes from there; any other is tokenised for the
+        selected rows only.  The text is joined once, as bytes, so no
+        intermediate copy of a multi-megabyte answer is made.
+        """
+        parts: list[bytes] = []
+        for name in sorted(COLUMN_ORDER):
+            column = self._columns[name]
+            tokens = memo.get(name, column) if memo is not None else None
+            if tokens is None:
+                table, codes = json_tokens(column[mask])
+            else:
+                table, codes = tokens[0], tokens[1][mask]
+            parts += (
+                b',"' if parts else b'{"',
+                name.encode(),
+                b'":[',
+                b",".join(table[codes].tolist()),
+                b"]",
+            )
+        parts.append(b"}")
+        return b"".join(parts)
 
     @classmethod
     def from_json_columns(

@@ -357,11 +357,16 @@ def read_warehouse_manifest(
     directory: Union[str, Path],
 ) -> WarehouseManifest:
     """Load the manifest of a warehouse directory."""
+    return parse_warehouse_manifest(
+        read_manifest_bytes(directory), directory
+    )
+
+
+def read_manifest_bytes(directory: Union[str, Path]) -> bytes:
+    """The manifest file's raw bytes (see :func:`read_warehouse_manifest`)."""
     path = manifest_path(directory)
     try:
-        payload = blobstore.read_json(
-            path, WarehouseError, "warehouse manifest"
-        )
+        return blobstore.read_bytes(path, WarehouseError, "warehouse manifest")
     except WarehouseError as exc:
         if path.exists():
             raise
@@ -369,6 +374,16 @@ def read_warehouse_manifest(
             f"{exc} (is {directory} a warehouse? build one with "
             f"`repro-gps warehouse build`)"
         ) from None
+
+
+def parse_warehouse_manifest(
+    raw: bytes, directory: Union[str, Path]
+) -> WarehouseManifest:
+    """The manifest held in ``raw``, the bytes read from ``directory``."""
+    path = manifest_path(directory)
+    payload = blobstore.parse_json(
+        raw, path, WarehouseError, "warehouse manifest"
+    )
     return payload_to_manifest(payload, source=str(path))
 
 

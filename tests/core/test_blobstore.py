@@ -88,6 +88,30 @@ json_values = st.recursive(
 )
 json_objects = st.dictionaries(st.text(max_size=6), json_values, max_size=5)
 
+#: Payloads with everything the writer's encoder must format exactly as
+#: ``json.dump`` did: NaN, ±inf, -0.0, any float, non-ASCII text.
+wild_objects = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        st.one_of(
+            json_scalars,
+            st.floats(),
+            st.sampled_from(
+                [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
+            ),
+            st.text(
+                alphabet=st.characters(min_codepoint=0x80), max_size=6
+            ),
+        ),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        ),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
 
 def _outcome(read, error):
     """``read()``'s result, or :data:`REFUSED` when it raised ``error``.
@@ -153,6 +177,22 @@ class TestRoundTrip:
                 == payload
             )
 
+    @settings(max_examples=80, deadline=None)
+    @given(wild_objects)
+    def test_written_bytes_equal_the_streamed_encoder(self, payload):
+        """One ``json.dumps`` write gives the bytes ``json.dump``
+        streamed: same separators, key order and float text."""
+        with tempfile.TemporaryDirectory() as scratch:
+            reference = Path(scratch) / "reference.json"
+            with reference.open("w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+                handle.write("\n")
+            written = blobstore.write_json(Path(scratch) / "x.json", payload)
+            exclusive = Path(scratch) / "lease.json"
+            assert blobstore.create_json_exclusive(exclusive, payload)
+            assert written.read_bytes() == reference.read_bytes()
+            assert exclusive.read_bytes() == reference.read_bytes()
+
     def test_canonical_json_ignores_key_order(self):
         a = {"b": 1, "a": [1.5, {"z": None, "y": True}]}
         b = {"a": [1.5, {"y": True, "z": None}], "b": 1}
@@ -215,6 +255,30 @@ class TestTornAndTampered:
             # A flip that leaves the parsed object unchanged (whitespace
             # swapped for whitespace) is harmless; anything else fails.
             assert got is REFUSED or got == payload
+
+    @settings(max_examples=20, deadline=None)
+    @given(json_objects)
+    def test_parsing_read_bytes_equals_reading_the_file(self, payload):
+        """``parse_json`` of a file's bytes gives ``read_json``'s payload
+        or its exact error, at every truncation offset."""
+
+        def outcome(read):
+            try:
+                return read()
+            except BlobError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as scratch:
+            path = blobstore.write_json(Path(scratch) / "x.json", payload)
+            data = path.read_bytes()
+            for end in range(len(data) + 1):
+                path.write_bytes(data[:end] + b"\r\n")
+                raw = blobstore.read_bytes(path, BlobError, "blob")
+                assert outcome(
+                    lambda: blobstore.parse_json(raw, path, BlobError, "blob")
+                ) == outcome(
+                    lambda: blobstore.read_json(path, BlobError, "blob")
+                )
 
     def test_torn_multibyte_character_names_both_causes(self, tmp_path):
         path = tmp_path / "x.json"
@@ -319,10 +383,13 @@ class TestBlobNames:
 
 
 class _Handle:
-    """A file handle whose ``flush`` raises (a kill at flush)."""
+    """A file handle that dies at ``stage``: ``serialise`` writes the
+    first five characters of the text and raises (a kill mid-write),
+    ``flush`` raises at flush."""
 
-    def __init__(self, inner, exc):
+    def __init__(self, inner, stage, exc):
         self._inner = inner
+        self._stage = stage
         self._exc = exc
 
     def __enter__(self):
@@ -333,10 +400,15 @@ class _Handle:
         return False
 
     def write(self, text):
+        if self._stage == "serialise":
+            self._inner.write(text[:5])
+            raise self._exc
         return self._inner.write(text)
 
     def flush(self):
-        raise self._exc
+        if self._stage == "flush":
+            raise self._exc
+        return self._inner.flush()
 
     def fileno(self):
         return self._inner.fileno()
@@ -350,19 +422,11 @@ def _killed_at(stage: str, exc: BaseException):
         raise exc
 
     with pytest.MonkeyPatch.context() as patch:
-        if stage == "serialise":
-            real_dumps = json.dumps
-
-            def torn_dump(payload, handle, **kwargs):
-                handle.write(real_dumps(payload, **kwargs)[:5])
-                raise exc
-
-            patch.setattr(blobstore.json, "dump", torn_dump)
-        elif stage == "flush":
+        if stage in ("serialise", "flush"):
             real_open = Path.open
 
             def flaky_open(self, *args, **kwargs):
-                return _Handle(real_open(self, *args, **kwargs), exc)
+                return _Handle(real_open(self, *args, **kwargs), stage, exc)
 
             patch.setattr(Path, "open", flaky_open)
         elif stage == "fsync":

@@ -19,6 +19,8 @@ must only ever observe complete, canonical warehouse states.
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -32,13 +34,16 @@ from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
+from repro.core.blobstore import canonical_json, write_json
 from repro.core.queryservice import (
     QUERY_KINDS,
+    FrameRows,
     QueryError,
     QueryService,
     parse_fom_weights,
     rerank_frame,
     response_bytes,
+    WarehouseServer,
     serve_warehouse,
     weighted_fom,
 )
@@ -47,11 +52,15 @@ from repro.core.sweep import DesignPoint, SweepGrid, run_design_sweep
 from repro.core.ranking import DecisionFrame
 from repro.core.resultframe import ResultFrame
 from repro.core.warehouse import (
+    WarehouseError,
     append_decision_frame,
     append_shard_artifact,
     build_warehouse,
     init_warehouse,
     load_warehouse,
+    manifest_path,
+    manifest_to_payload,
+    read_warehouse_manifest,
 )
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
@@ -434,6 +443,30 @@ class TestHttpSurface:
             assert excinfo.value.code == 400
             assert "error" in json.loads(excinfo.value.read())
 
+    @pytest.mark.parametrize("length", [b"-1", b"-4096", b"lots", b"1.5"])
+    def test_bad_content_length_is_http_400_without_reading(
+        self, server, length
+    ):
+        """A negative length used to reach ``rfile.read(-1)``, which
+        blocks until a keep-alive client hangs up."""
+        with socket.create_connection(
+            server.server_address[:2], timeout=3
+        ) as client:
+            client.sendall(
+                b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            # The server answers and hangs up; a hang times out.
+            response = b""
+            while chunk := client.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert body.count(b"\n") == 1
+        assert json.loads(body) == {
+            "error": "Content-Length must be a non-negative integer"
+        }
+
     def test_unknown_path_is_http_404(self, server):
         host, port = server.server_address[:2]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -471,6 +504,238 @@ class TestHttpSurface:
         }
 
 
+def reference_bytes(payload: dict) -> bytes:
+    """The wire bytes by definition: ``canonical_json`` of the payload
+    with its rows read as the plain dict of lists."""
+    plain = {
+        key: dict(value) if isinstance(value, FrameRows) else value
+        for key, value in payload.items()
+    }
+    return (canonical_json(plain) + "\n").encode("utf-8")
+
+
+#: Floats whose JSON text is easy to get wrong, and labels the JSON
+#: escaper must get right.
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+AWKWARD_LABELS = ['q"uote', "back\\slash", "ctl\x01\x1f\t", "é☃𝄞"]
+
+
+def _awkward(stored: DecisionFrame) -> DecisionFrame:
+    """``stored`` with awkward floats and labels (performance stays
+    non-negative and the FoM finite, as the re-rank requires)."""
+    columns = stored.frame.to_json_columns()
+    rows = len(stored)
+    volumes = sorted(set(columns["volume"]))
+    columns["volume"] = [
+        AWKWARD_FLOATS[volumes.index(volume)] for volume in columns["volume"]
+    ]
+    non_finite = AWKWARD_FLOATS + [float("nan"), float("-inf")]
+    for shift, (name, pool) in enumerate(
+        (
+            ("performance", AWKWARD_FLOATS),
+            ("area_percent", non_finite),
+            ("cost_percent", non_finite),
+            ("figure_of_merit", AWKWARD_FLOATS),
+        )
+    ):
+        columns[name] = [pool[(i + shift) % len(pool)] for i in range(rows)]
+    columns["substrate"] = [
+        AWKWARD_LABELS[i % len(AWKWARD_LABELS)] for i in range(rows)
+    ]
+    columns["candidate"] = [
+        name + AWKWARD_LABELS[0] for name in columns["candidate"]
+    ]
+    return DecisionFrame(
+        frame=ResultFrame.from_json_columns(columns),
+        size_ratio=stored.size_ratio,
+        cost_ratio=stored.cost_ratio,
+        indices=stored.indices,
+        row_counts=stored.row_counts,
+    )
+
+
+def _points(dframe: DecisionFrame, start: int, stop: int) -> DecisionFrame:
+    """The rows of points ``indices[start:stop]`` as their own frame."""
+    first = sum(dframe.row_counts[:start])
+    last = first + sum(dframe.row_counts[start:stop])
+    return DecisionFrame(
+        frame=dframe.frame.take(np.arange(first, last)),
+        size_ratio=dframe.size_ratio[first:last],
+        cost_ratio=dframe.cost_ratio[first:last],
+        indices=dframe.indices[start:stop],
+        row_counts=dframe.row_counts[start:stop],
+    )
+
+
+class TestSplicedResponseBytes:
+    """``response_bytes`` splices the rows' text into the envelope; the
+    result must be ``canonical_json(payload) + "\\n"`` byte for byte."""
+
+    @staticmethod
+    def _requests(frame: ResultFrame) -> list[dict]:
+        front = int(np.flatnonzero(frame.column("on_pareto_front"))[0])
+        one_row = {
+            axis: frame.column(axis)[front]
+            for axis in ("volume", "candidate", "weights")
+        }
+        nothing = {"candidate": "no such candidate"}
+        return [
+            {"kind": "manifest"},
+            {"kind": "pareto"},
+            {"kind": "pareto", "where": one_row},
+            {"kind": "pareto", "where": nothing},
+            {"kind": "pareto", "where": {"substrate": AWKWARD_LABELS[0]}},
+            {"kind": "winners"},
+            {"kind": "best"},
+            {"kind": "best", "where": {"volume": -0.0}},
+            {"kind": "rerank", "fom_weights": "2:1:0.5"},
+            {"kind": "rerank", "fom_weights": "paper", "where": one_row},
+            {"kind": "rerank", "fom_weights": "1:3:2", "where": nothing},
+            {"kind": "rerank", "fom_weights": "2:1:0.5", "where": one_row},
+            {"kind": "winners", "fom_weights": "0.5:1:2"},
+            {
+                "kind": "sensitivity",
+                "axis": "volume",
+                "where": {"weights": "paper"},
+            },
+        ]
+
+    def _check(self, service: QueryService, frame: ResultFrame) -> list:
+        answers = []
+        for request_payload in self._requests(frame):
+            payload = service.execute(request_payload)
+            body = response_bytes(payload)
+            assert body == reference_bytes(payload), request_payload
+            if isinstance(payload.get("rows"), FrameRows):
+                assert payload["rows"].memo is not None
+            answers.append(body)
+        return answers
+
+    def test_awkward_values_every_kind(self, stored, tmp_path):
+        awkward = _awkward(stored)
+        init_warehouse(tmp_path, GRID)
+        append_decision_frame(tmp_path, awkward)
+        service = QueryService(tmp_path)
+        first = self._check(service, awkward.frame)
+        # Warm: the memo and the re-rank LRU answer the second round.
+        assert self._check(service, awkward.frame) == first
+        payload = service.execute({"kind": "pareto"})
+        front = awkward.frame.filter(
+            awkward.frame.column("on_pareto_front")
+        )
+        # NaN cells compare unequal as lists; their JSON text does not.
+        assert canonical_json(dict(payload["rows"])) == canonical_json(
+            front.to_json_columns()
+        )
+
+    def test_memo_follows_a_new_revision(self, stored, tmp_path):
+        awkward = _awkward(stored)
+        half = len(awkward.indices) // 2
+        init_warehouse(tmp_path, GRID)
+        append_decision_frame(tmp_path, _points(awkward, 0, half))
+        service = QueryService(tmp_path)
+        self._check(service, _points(awkward, 0, half).frame)
+        append_decision_frame(
+            tmp_path, _points(awkward, half, len(awkward.indices))
+        )
+        after = self._check(service, awkward.frame)
+        assert after == self._check(QueryService(tmp_path), awkward.frame)
+        assert service.execute({"kind": "manifest"})["revision"] == 3
+
+
+class TestManifestMemo:
+    """The manifest is parsed once per change of its bytes, and a warm
+    service never answers from a stale one."""
+
+    @pytest.fixture
+    def partial(self, stored, tmp_path):
+        init_warehouse(tmp_path, GRID)
+        append_decision_frame(tmp_path, _points(stored, 0, 4))
+        return tmp_path
+
+    def test_an_append_shows_on_the_next_ask(self, stored, partial):
+        service = QueryService(partial)
+        before = service.execute({"kind": "winners"})
+        append_decision_frame(partial, _points(stored, 4, 8))
+        after = service.execute({"kind": "winners"})
+        assert (before["revision"], after["revision"]) == (2, 3)
+        assert (before["count"], after["count"]) == (8, len(stored))
+        assert response_bytes(after) == response_bytes(
+            QueryService(partial).execute({"kind": "winners"})
+        )
+
+    def test_a_same_size_rewrite_is_seen(self, partial):
+        service = QueryService(partial)
+        manifest = service.manifest()
+        path = manifest_path(partial)
+        size = path.stat().st_size
+        payload = manifest_to_payload(manifest)
+        payload["revision"] = manifest.revision + 1
+        write_json(path, payload)
+        assert path.stat().st_size == size
+        assert service.execute({"kind": "manifest"})["revision"] == (
+            manifest.revision + 1
+        )
+        assert service.manifest() == read_warehouse_manifest(partial)
+
+    @pytest.mark.parametrize("damage", ["delete", "tear"])
+    def test_a_deleted_or_torn_manifest_fails_as_before(
+        self, partial, damage
+    ):
+        service = QueryService(partial)
+        service.execute({"kind": "winners"})
+        path = manifest_path(partial)
+        if damage == "delete":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(WarehouseError) as expected:
+            read_warehouse_manifest(partial)
+        with pytest.raises(WarehouseError) as raised:
+            service.execute({"kind": "winners"})
+        assert str(raised.value) == str(expected.value)
+
+        server = WarehouseServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            for path_name in ("/manifest", "/health"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(f"http://{host}:{port}{path_name}")
+                assert excinfo.value.code == 500
+                assert str(expected.value) in json.loads(
+                    excinfo.value.read()
+                )["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_health_agrees_on_the_revision(self, stored, partial):
+        server = serve_warehouse(partial)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+
+        def revisions():
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/health"
+            ) as response:
+                health = json.loads(response.read())["revision"]
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/manifest"
+            ) as response:
+                return health, json.loads(response.read())["revision"]
+
+        try:
+            assert revisions() == (2, 2)
+            append_decision_frame(partial, _points(stored, 4, 8))
+            assert revisions() == (3, 3)
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 class TestConcurrentAppendAndQuery:
     """The torn-state satellite: readers during a writer append."""
 
@@ -489,17 +754,17 @@ class TestConcurrentAppendAndQuery:
         for artifact in artifacts[:3]:
             append_shard_artifact(tmp_path, artifact)
 
+        asks = {
+            "winners": {"kind": "winners"},
+            "rerank": {"kind": "rerank", "fom_weights": "2:1:0.5"},
+            "pareto": {"kind": "pareto"},
+        }
+
         # The only two states any reader may ever observe.
         def canonical(service):
             return {
-                "winners": response_bytes(
-                    service.execute({"kind": "winners"})
-                ),
-                "rerank": response_bytes(
-                    service.execute(
-                        {"kind": "rerank", "fom_weights": "2:1:0.5"}
-                    )
-                ),
+                kind: response_bytes(service.execute(ask))
+                for kind, ask in asks.items()
             }
 
         before = canonical(QueryService(tmp_path))
@@ -521,16 +786,9 @@ class TestConcurrentAppendAndQuery:
         def hammer():
             start.wait()
             for index in range(self.N_QUERIES):
-                kind = ("winners", "rerank")[index % 2]
-                request_payload = (
-                    {"kind": kind}
-                    if kind == "winners"
-                    else {"kind": kind, "fom_weights": "2:1:0.5"}
-                )
+                kind = ("winners", "rerank", "pareto")[index % 3]
                 try:
-                    body = response_bytes(
-                        service.execute(request_payload)
-                    )
+                    body = response_bytes(service.execute(asks[kind]))
                 except Exception as exc:  # noqa: BLE001
                     failures.append(repr(exc))
                     continue
@@ -545,12 +803,20 @@ class TestConcurrentAppendAndQuery:
             threading.Thread(target=hammer)
             for _ in range(self.N_THREADS)
         ]
-        for thread in threads:
-            thread.start()
-        start.wait()
-        append_shard_artifact(tmp_path, artifacts[3])
-        for thread in threads:
-            thread.join()
+        # Switch threads often, so the manifest and token memos are
+        # read and replaced mid-update.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            start.wait()
+            append_shard_artifact(tmp_path, artifacts[3])
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures[:5]
         # After the append every new query reports the full grid.
         final = response_bytes(service.execute({"kind": "winners"}))

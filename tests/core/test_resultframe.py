@@ -29,13 +29,16 @@ from repro.core.pareto import (
     nondominated_mask,
     pareto_front,
 )
+from repro.core.blobstore import canonical_json
 from repro.core.resultframe import (
     BOOL_COLUMNS,
     COLUMN_ORDER,
     FLOAT_COLUMNS,
     LABEL_COLUMNS,
+    JsonTokenMemo,
     ResultFrame,
     SweepRow,
+    json_tokens,
 )
 from repro.core.sweep import DesignPoint
 from repro.errors import SpecificationError
@@ -408,6 +411,139 @@ class TestFloatRendering:
     )
     def test_any_float_column(self, values):
         self._assert_plain_str(self._frame(values))
+
+
+#: Labels the JSON escaper must get right: quotes, backslashes, control
+#: characters and non-ASCII text.
+AWKWARD_LABELS = [
+    'q"uote',
+    "back\\slash",
+    "ctl\x00\x01\x1f\t\n",
+    "é☃𝄞",
+    "",
+]
+
+
+class TestJsonColumnsBytes:
+    """``json_columns_bytes`` is ``canonical_json`` of the selected
+    rows' ``to_json_columns()``, with or without a token memo."""
+
+    @staticmethod
+    def _frame(values, labels, flags) -> ResultFrame:
+        n = len(values)
+        values = np.asarray(values, dtype=np.float64)
+        columns = {
+            name: np.roll(values, shift)
+            for shift, name in enumerate(FLOAT_COLUMNS)
+        }
+        label_column = np.array(
+            [labels[i % len(labels)] for i in range(n)], dtype=object
+        )
+        columns.update(
+            {
+                name: np.roll(label_column, shift)
+                for shift, name in enumerate(LABEL_COLUMNS)
+            }
+        )
+        flag_column = np.array(
+            [flags[i % len(flags)] for i in range(n)], dtype=bool
+        )
+        columns.update(
+            {
+                name: np.roll(flag_column, shift)
+                for shift, name in enumerate(BOOL_COLUMNS)
+            }
+        )
+        return ResultFrame.from_columns(columns)
+
+    @staticmethod
+    def _reference(frame: ResultFrame, mask) -> bytes:
+        return canonical_json(frame.filter(mask).to_json_columns()).encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from(AWKWARD_FLOATS + [1e16]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        labels=st.lists(
+            st.one_of(st.sampled_from(AWKWARD_LABELS), st.text(max_size=6)),
+            min_size=1,
+            max_size=5,
+        ),
+        flags=st.lists(st.booleans(), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_equals_canonical_json_of_the_filtered_frame(
+        self, values, labels, flags, data
+    ):
+        frame = self._frame(values, labels, flags)
+        mask = np.array(
+            data.draw(
+                st.lists(
+                    st.booleans(), min_size=len(frame), max_size=len(frame)
+                )
+            ),
+            dtype=bool,
+        )
+        memo = JsonTokenMemo(frame)
+        for selection in (mask, ~mask, np.ones(len(frame), dtype=bool)):
+            expected = self._reference(frame, selection)
+            assert frame.json_columns_bytes(selection) == expected
+            assert frame.json_columns_bytes(selection, memo) == expected
+
+    def test_empty_single_and_every_row(self):
+        frame = self._frame(AWKWARD_FLOATS, AWKWARD_LABELS, [True, False])
+        memo = JsonTokenMemo(frame)
+        n = len(frame)
+        for selection in (
+            np.zeros(n, dtype=bool),
+            np.arange(n) == 3,
+            np.ones(n, dtype=bool),
+        ):
+            assert frame.json_columns_bytes(selection, memo) == (
+                self._reference(frame, selection)
+            )
+
+    def test_a_frame_sharing_columns_uses_the_memo_for_them(self):
+        stored = self._frame(AWKWARD_FLOATS, AWKWARD_LABELS, [True, False])
+        memo = JsonTokenMemo(stored)
+        columns = {name: stored.column(name) for name in COLUMN_ORDER}
+        columns["figure_of_merit"] = -stored.column("figure_of_merit")
+        columns["is_winner"] = ~stored.column("is_winner")
+        reranked = ResultFrame.from_columns(columns)
+        mask = np.arange(len(stored)) % 3 != 0
+        assert reranked.json_columns_bytes(mask, memo) == (
+            self._reference(reranked, mask)
+        )
+        shared = [
+            name
+            for name in COLUMN_ORDER
+            if memo.get(name, reranked.column(name)) is not None
+        ]
+        assert sorted(shared) == sorted(
+            set(COLUMN_ORDER) - {"figure_of_merit", "is_winner"}
+        )
+
+    def test_tokens_are_per_distinct_value(self):
+        tokens, codes = json_tokens(
+            np.array([0.0, -0.0, 0.0, float("nan"), float("-inf")])
+        )
+        assert codes.dtype == np.int32
+        assert len(tokens) == 4
+        assert [tokens[code] for code in codes] == [
+            b"0.0", b"-0.0", b"0.0", b"NaN", b"-Infinity"
+        ]
+        tokens, codes = json_tokens(
+            np.array(['a"b', "é", 'a"b', 1, True], dtype=object)
+        )
+        assert [tokens[code] for code in codes] == [
+            b'"a\\"b"', b'"\\u00e9"', b'"a\\"b"', b"1", b"true"
+        ]
 
 
 # Objective values drawn from a small pool force ties and duplicated

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -384,18 +385,30 @@ class TestAtomicWrite:
     """
 
     def _truncating_dump(self, monkeypatch, after_chars: int):
-        """Make the artifact serialiser die mid-write (simulated kill)."""
-        import repro.core.blobstore as blobstore_module
+        """Make the artifact's single write die after ``after_chars``
+        characters (simulated kill mid-serialisation)."""
+        real_open = Path.open
 
-        real_dump = json.dump
+        class TornHandle:
+            def __init__(self, inner):
+                self._inner = inner
 
-        def torn_dump(payload, handle, **kwargs):
-            text = json.dumps(payload, **kwargs)
-            handle.write(text[:after_chars])
-            raise RuntimeError("injected kill mid-serialisation")
+            def __enter__(self):
+                return self
 
-        monkeypatch.setattr(blobstore_module.json, "dump", torn_dump)
-        return real_dump
+            def __exit__(self, *exc_info):
+                self._inner.close()
+                return False
+
+            def write(self, text):
+                self._inner.write(text[:after_chars])
+                raise RuntimeError("injected kill mid-serialisation")
+
+        def torn_open(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            return TornHandle(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(Path, "open", torn_open)
 
     def test_interrupted_write_leaves_destination_absent(
         self, tmp_path, monkeypatch

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.queryservice import QueryService
+from repro.core.queryservice import QueryService, response_bytes
 from repro.core.sweep import SweepGrid
 from repro.gps.study import build_gps_warehouse
 
@@ -49,14 +49,15 @@ def render_goldens(tmp_dir: Path) -> str:
     """Canonical JSON of every locked query response.
 
     Builds a fresh warehouse under ``tmp_dir`` and runs each query
-    through the same :class:`QueryService` the server uses; equal
-    bytes mean equal IEEE doubles in every stored and re-ranked FoM.
+    through the same :class:`QueryService` and wire serialiser the
+    server uses; equal bytes mean equal IEEE doubles in every stored
+    and re-ranked FoM.
     """
     directory = Path(tmp_dir) / "gps-warehouse"
     build_gps_warehouse(directory, GRID)
     service = QueryService(directory)
     payload = {
-        name: service.execute(request)
+        name: json.loads(response_bytes(service.execute(request)))
         for name, request in QUERIES.items()
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

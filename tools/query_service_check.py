@@ -16,9 +16,12 @@ from scratch:
 4. **replay scripted queries** — Pareto, winner counts, best
    candidate, re-ranks under three user weight vectors and a volume
    sensitivity; every HTTP response body must be **byte-identical**
-   to the envelope computed from a fresh serial
+   to ``canonical_json`` of the envelope computed from a fresh serial
    :func:`~repro.gps.study.run_gps_sweep` (re-run with the query's
-   weights where the query re-ranks).
+   weights where the query re-ranks) — the digest serialiser, not the
+   server's own ``response_bytes``;
+5. **probe a bad request** — ``Content-Length: -1`` must be answered
+   with HTTP 400 within two seconds, not left to block on the socket.
 
 Any deviation — a torn frame, a stale manifest, one float one ulp
 off the scalar formula — fails the job.
@@ -27,6 +30,7 @@ off the scalar formula — fails the job.
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import tempfile
 import threading
@@ -35,7 +39,8 @@ from pathlib import Path
 
 from repro.core.figure_of_merit import FomWeights
 from repro.core.queue import manifest_for_grid, run_queue_worker, write_manifest
-from repro.core.queryservice import response_bytes, serve_warehouse
+from repro.core.blobstore import canonical_json
+from repro.core.queryservice import serve_warehouse
 from repro.core.sweep import SweepGrid
 from repro.core.warehouse import ingest_shard_directory, read_warehouse_manifest
 from repro.gps.study import GpsSweepFactory, run_gps_sweep
@@ -137,6 +142,22 @@ def expected_envelope(name: str, request: dict, manifest) -> dict:
     return envelope
 
 
+def probe_negative_length(host: str, port: int) -> str:
+    """The status code the server sends for ``Content-Length: -1``
+    (``"timeout"`` when nothing arrives within two seconds)."""
+    with socket.create_connection((host, port), timeout=2) as client:
+        client.sendall(
+            b"POST /query HTTP/1.1\r\nHost: check\r\n"
+            b"Content-Length: -1\r\n\r\n"
+        )
+        try:
+            status_line = client.makefile("rb").readline()
+        except socket.timeout:
+            return "timeout"
+    parts = status_line.split()
+    return parts[1].decode() if len(parts) > 1 else repr(status_line)
+
+
 def main() -> int:
     directory = Path(tempfile.mkdtemp(prefix="query-service-"))
     shard_dir = directory / "shards"
@@ -196,9 +217,10 @@ def main() -> int:
             )
             with urllib.request.urlopen(http_request) as response:
                 served = response.read()
-            expected = response_bytes(
-                expected_envelope(name, request, manifest)
-            )
+            expected = (
+                canonical_json(expected_envelope(name, request, manifest))
+                + "\n"
+            ).encode("utf-8")
             if served == expected:
                 print(f"OK   {name}: {len(served)} bytes identical")
             else:
@@ -209,6 +231,13 @@ def main() -> int:
                 )
                 print(f"  served:   {served[:200]!r}")
                 print(f"  expected: {expected[:200]!r}")
+        # 5. A negative Content-Length is refused, not read to EOF.
+        status = probe_negative_length(host, port)
+        if status == "400":
+            print("OK   Content-Length: -1 answered 400")
+        else:
+            failures += 1
+            print(f"FAIL Content-Length: -1 answered {status!r}")
     finally:
         server.shutdown()
         server.server_close()
@@ -222,7 +251,10 @@ def main() -> int:
     if failures:
         print(f"{failures} scripted quer(ies) diverged")
         return 1
-    print(f"all {len(SCRIPT)} scripted queries byte-identical")
+    print(
+        f"all {len(SCRIPT)} scripted queries byte-identical; bad "
+        f"Content-Length refused"
+    )
     return 0
 
 
