@@ -1227,7 +1227,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _sweep_error(str(exc)) from None
         return 0
 
-    report = run_gps_sweep(grid)
+    try:
+        report = run_gps_sweep(grid)
+    except SpecificationError as exc:
+        raise _sweep_error(str(exc)) from None
     _print_sweep_report(report, len(grid), args)
     return 0
 

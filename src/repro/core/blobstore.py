@@ -4,8 +4,10 @@ Shard artifacts, warehouse frames and chunk-store chunks, their
 manifests, and the queue's manifest, leases and failure ledgers are
 all JSON files written and read here and nowhere else:
 
-* :func:`write_json` — atomic publication: a ``.tmp`` sibling, flushed,
-  fsynced and renamed over the destination with :func:`os.replace`.
+* :func:`publish_bytes` — atomic publication: a ``.tmp`` sibling,
+  flushed, fsynced and renamed over the destination with
+  :func:`os.replace`.  :func:`write_json` publishes a payload's JSON
+  line through it.
   A reader sees no file or a complete one, and a writer killed at any
   instant leaves the destination absent or at its previous value
   (:class:`ArtifactState`);
@@ -14,10 +16,13 @@ all JSON files written and read here and nowhere else:
   caller's error class with the path in the message (:func:`parse_json`
   applies it to bytes a caller read with :func:`read_bytes`);
 * :func:`content_digest` / :func:`put_blob` / :func:`get_blob` —
-  content addressing: a blob's file name embeds the digest of its
-  canonical JSON, and it is read back only by a bare name inside its
-  container directory, verified against the digest its manifest
-  recorded.
+  content addressing: a blob's bytes are its canonical JSON plus one
+  newline, so its digest (embedded in its file name) is the SHA-256 of
+  the stored bytes less that newline.  It is read back only by a bare
+  name inside its container directory, verified by hashing the raw
+  file against the digest its manifest recorded; a file that fails
+  the raw hash (one written before blobs were canonical) is parsed and
+  re-digested instead, the one fallback.
 
 Each container keeps its own manifest layout and revision counter and
 republishes the manifest with :func:`write_json` after its blob lands.
@@ -52,9 +57,12 @@ def canonical_json(payload) -> str:
 
 def content_digest(payload) -> str:
     """Content digest of a payload: SHA-256 of its canonical JSON, 16 hex."""
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:16]
+    return _bytes_digest(canonical_json(payload).encode("utf-8"))
+
+
+def _bytes_digest(data) -> str:
+    """16-hex SHA-256 of canonical JSON bytes (any bytes-like)."""
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 # -- the write protocol ------------------------------------------------
@@ -101,22 +109,31 @@ def artifact_state(path: PathLike) -> ArtifactState:
     return ArtifactState.ABSENT
 
 
-def _dump_synced(handle, payload) -> None:
-    """Write ``payload`` as one JSON line, then flush and fsync.
+def _json_line(payload) -> bytes:
+    """``payload`` as one JSON line, built by one :func:`json.dumps`.
 
-    The text is built by one :func:`json.dumps` call, which CPython
-    serves with its C encoder (``json.dump`` to a file always streams
-    through the pure-Python one), and lands in a single ``write``.
-    Default separators and key order, so the bytes equal the old
+    CPython serves ``json.dumps`` with its C encoder (``json.dump`` to
+    a file always streams through the pure-Python one).  Default
+    separators and key order, so the bytes equal the old
     ``json.dump(payload, handle); handle.write("\\n")`` stream.
     """
-    handle.write(json.dumps(payload) + "\n")
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def _write_synced(handle, data: bytes) -> None:
+    """Land ``data`` in a single ``write``, then flush and fsync."""
+    handle.write(data)
     handle.flush()
     os.fsync(handle.fileno())
 
 
 def write_json(path: PathLike, payload) -> Path:
-    """Atomically publish ``payload`` at ``path`` (one JSON line).
+    """Atomically publish ``payload`` at ``path`` (one JSON line)."""
+    return publish_bytes(path, _json_line(payload))
+
+
+def publish_bytes(path: PathLike, data: bytes) -> Path:
+    """Atomically publish ``data`` at ``path``: the write protocol.
 
     On any failure the temp file is removed and the exception
     propagates, leaving ``path`` absent or unchanged.
@@ -125,8 +142,8 @@ def write_json(path: PathLike, payload) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = pending_path(path)
     try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            _dump_synced(handle, payload)
+        with tmp.open("wb") as handle:
+            _write_synced(handle, data)
         os.replace(tmp, path)
     except BaseException:
         # A failed write must not leave a stale PENDING file claiming
@@ -149,8 +166,8 @@ def create_json_exclusive(path: PathLike, payload) -> bool:
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
     except FileExistsError:
         return False
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        _dump_synced(handle, payload)
+    with os.fdopen(fd, "wb") as handle:
+        _write_synced(handle, _json_line(payload))
     return True
 
 
@@ -190,16 +207,52 @@ def read_json(
 
     ``label`` names the file kind in messages ("shard artifact",
     "frame chunk", ...).  With ``format`` the payload must declare it;
-    with ``digest`` its :func:`content_digest` must equal it — a
+    with ``digest`` the file must be the blob that digest names — a
     tampered, truncated-then-repaired or mispaired file is refused.
+
+    A digest is checked on the raw bytes before parsing: a blob
+    :func:`put_blob` wrote is ``canonical_json(payload) + "\\n"``, so
+    the SHA-256 of its bytes less the final newline *is* its digest and
+    nothing is re-encoded.  Bytes that fail that hash (a blob written
+    before blobs were canonical, or a damaged one) are parsed and their
+    :func:`content_digest` compared instead, with the same message on a
+    mismatch — the one fallback.
     """
     path = Path(path)
+    if digest is not None:
+        return _read_verified(path, error, label, format, digest)
     try:
         handle = path.open("r", encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot read {label} {path}: {exc}") from None
     with handle:
+        return _load_checked(handle, path, error, label, format, None)
+
+
+def _read_verified(path: Path, error, label, format, digest: str) -> dict:
+    """:func:`read_json` with a digest: the raw hash, else the fallback."""
+    raw = read_bytes(path, error, label)
+    if not (
+        raw.endswith(b"\n") and _bytes_digest(memoryview(raw)[:-1]) == digest
+    ):
+        handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
         return _load_checked(handle, path, error, label, format, digest)
+    # The bytes are the canonical text the digest was taken of.
+    source = _DecodeOnRead(raw)
+    del raw
+    return _load_checked(source, path, error, label, format, None)
+
+
+class _DecodeOnRead:
+    """A one-shot ``read()`` of bytes as strict UTF-8 that lets go of
+    them, so only the decoded text is resident while it is parsed."""
+
+    def __init__(self, raw: bytes) -> None:
+        self._raw = raw
+
+    def read(self) -> str:
+        raw, self._raw = self._raw, b""
+        return raw.decode("utf-8")
 
 
 def read_bytes(path: PathLike, error: ErrorClass, label: str) -> bytes:
@@ -225,7 +278,8 @@ def parse_json(
 
 
 def _load_checked(handle, path: Path, error, label, format, digest) -> dict:
-    """The strict reader's parse and checks over an open text handle."""
+    """The strict reader's parse and checks over a text handle; with
+    ``digest``, the parsed payload is re-digested."""
     try:
         payload = json.load(handle)
     except OSError as exc:
@@ -274,10 +328,16 @@ def put_blob(
     directory: PathLike, name_for_digest: Callable[[str], str], payload
 ) -> tuple[str, str]:
     """Publish ``payload`` as ``name_for_digest(content_digest)``;
-    returns ``(name, digest)`` for the caller's manifest entry."""
-    digest = content_digest(payload)
+    returns ``(name, digest)`` for the caller's manifest entry.
+
+    The payload is encoded once: the blob's bytes are
+    ``canonical_json(payload) + "\\n"`` and its digest is the hash of
+    those bytes less the newline, published with :func:`publish_bytes`.
+    """
+    data = (canonical_json(payload) + "\n").encode("utf-8")
+    digest = _bytes_digest(memoryview(data)[:-1])
     name = name_for_digest(digest)
-    write_json(Path(directory) / name, payload)
+    publish_bytes(Path(directory) / name, data)
     return name, digest
 
 
@@ -290,7 +350,8 @@ def get_blob(
     *,
     format: Optional[str] = None,
 ) -> dict:
-    """Read back a blob by its bare ``name`` and verify its ``digest``."""
+    """Read back a blob by its bare ``name`` and verify its ``digest``
+    (on the raw bytes, as :func:`read_json` describes)."""
     check_blob_name(name, error, label)
     return read_json(
         Path(directory) / name, error, label, format=format, digest=digest

@@ -25,9 +25,12 @@ Design rules, all inherited from the existing tiers:
   :func:`~repro.core.blobstore.write_json` *after* each chunk lands —
   so a writer killed at any instant leaves a directory whose manifest
   references only complete chunks: absent-or-previous, never torn.
-  Chunks are read back with :func:`~repro.core.blobstore.get_blob`:
-  a truncated, foreign, mispaired or out-of-directory chunk is a loud
-  :class:`FrameStoreError` (exit 2 from the CLI).
+  Chunks are read back with :func:`~repro.core.blobstore.get_blob`,
+  which checks the digest by hashing the chunk's raw bytes (its
+  canonical JSON) before parsing, and re-digests only a chunk written
+  before blobs were canonical: a truncated, foreign, mispaired or
+  out-of-directory chunk is a loud :class:`FrameStoreError` (exit 2
+  from the CLI).
 * **Bounded memory.**  The writer never buffers more than
   ``max_rows_in_memory`` rows; the streaming merge
   (:func:`merge_artifacts_to_store`) holds one source artifact plus
@@ -398,6 +401,10 @@ class ChunkedFrameStore:
     # -- read side ----------------------------------------------------
 
     def _read_chunk(self, entry: ChunkEntry) -> ResultFrame:
+        """One chunk, verified against the manifest's digest by hashing
+        its raw bytes (:func:`~repro.core.blobstore.get_blob`; a chunk
+        written before blobs were canonical is re-digested instead) and
+        against the manifest's row count."""
         path = self._directory / entry.file
         payload = blobstore.get_blob(
             self._directory,

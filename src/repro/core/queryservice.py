@@ -175,7 +175,10 @@ def rerank_frame(
                 "stored performance column holds negative or NaN "
                 "values; the warehouse frame is corrupt"
             )
-        recomputed = fom_from_factors(dframe.fom_basis, weights)
+        try:
+            recomputed = fom_from_factors(dframe.fom_basis, weights)
+        except SpecificationError as exc:
+            raise QueryError(str(exc)) from None
         if np.all(paper):
             fom = recomputed
         else:

@@ -253,7 +253,7 @@ def fom_factors(
     )
 
 
-def _pow_factor(factor: FomFactor, exponent: float) -> np.ndarray:
+def _pow_factor(factor: FomFactor, exponent: float, axis: str) -> np.ndarray:
     """Elementwise ``base ** exponent`` with scalar-operator bits.
 
     ``np.power`` disagrees with Python's ``**`` by 1 ulp on a few
@@ -264,16 +264,23 @@ def _pow_factor(factor: FomFactor, exponent: float) -> np.ndarray:
     size ratio at every volume), so ``-0.0`` and ``0.0`` stay apart.
     Exponents ``0.0`` and ``1.0`` short-circuit exactly
     (``pow(x, 0) == 1.0`` for every double including NaN,
-    ``pow(x, 1) == x``).
+    ``pow(x, 1) == x``).  A result beyond the largest double (Python's
+    ``**`` raises :class:`OverflowError`) is refused as a
+    :class:`SpecificationError` naming the ``axis`` weight; results that
+    underflow to 0 are kept.
     """
     distinct, inverse = factor
     if exponent == 0.0:
         return np.ones(inverse.shape, dtype=np.float64)
     if exponent != 1.0:
-        distinct = np.asarray(
-            [value**exponent for value in distinct.tolist()],
-            dtype=np.float64,
-        )
+        try:
+            powers = [value**exponent for value in distinct.tolist()]
+        except OverflowError:
+            raise SpecificationError(
+                f"{axis} weight {exponent!r} overflows the figure of "
+                f"merit (a base raised to it exceeds the largest double)"
+            ) from None
+        distinct = np.asarray(powers, dtype=np.float64)
     return distinct[inverse]
 
 
@@ -283,9 +290,9 @@ def fom_from_factors(
     """:func:`weighted_fom` from its :func:`fom_factors`."""
     performance, size, cost = factors
     return (
-        _pow_factor(performance, weights.performance)
-        * _pow_factor(size, weights.size)
-        * _pow_factor(cost, weights.cost)
+        _pow_factor(performance, weights.performance, "performance")
+        * _pow_factor(size, weights.size, "size")
+        * _pow_factor(cost, weights.cost, "cost")
     )
 
 

@@ -25,11 +25,13 @@ Design rules:
   ``fl(100 * ratio)`` and cannot be inverted, so without the ratios no
   stored frame could be re-ranked byte-identically to a fresh sweep.
 * **Frame files are immutable and content-addressed.**  Frames are
-  :func:`~repro.core.blobstore.put_blob` blobs: the filename embeds the
-  :func:`~repro.core.blobstore.content_digest` of the payload, and a
-  file, once published, never changes.  That is what makes the
-  reader's LRU cache (:class:`FrameCache`) trivially coherent: a
-  cached entry can never go stale, eviction only bounds memory.
+  :func:`~repro.core.blobstore.put_blob` blobs: the file holds the
+  payload's canonical JSON, its name embeds the
+  :func:`~repro.core.blobstore.content_digest` (the hash of those
+  bytes), and a file, once published, never changes.  That is what
+  makes the reader's LRU cache (:class:`FrameCache`) trivially
+  coherent: a cached entry can never go stale, eviction only bounds
+  memory.
 * **Publication is atomic** (:mod:`repro.core.blobstore`).  An append
   writes the new frame file *first* and only then republishes the
   manifest referencing it, so a concurrent reader sees either the old
@@ -167,10 +169,13 @@ def read_warehouse_frame(
 ) -> DecisionFrame:
     """Load one frame file, verifying its content digest.
 
-    With ``expected_digest`` (what the manifest records) the payload is
-    re-digested after parsing — a frame file that was tampered with,
-    truncated by a non-atomic writer or mispaired with its name is a
-    loud :class:`WarehouseError`, never silently wrong rows.
+    With ``expected_digest`` (what the manifest records) the file's raw
+    bytes are hashed before parsing: a frame blob is its canonical JSON
+    plus a newline, so that hash is its digest.  A frame file written
+    before blobs were canonical is parsed and re-digested instead.
+    Either way a frame file that was tampered with, truncated by a
+    non-atomic writer or mispaired with its name is a loud
+    :class:`WarehouseError`, never silently wrong rows.
     """
     payload = blobstore.read_json(
         path,
@@ -534,6 +539,9 @@ def ingest_shard_directory(
         raise WarehouseError(
             f"no shard artifacts (shard-*.json) in {shard_dir}"
         )
+    # The artifact that initialises a new warehouse is also the loop's
+    # first: it is read once.
+    first = None
     if not manifest_path(directory).exists():
         first = read_shard_artifact(paths[0])
         _publish_manifest(
@@ -546,12 +554,14 @@ def ingest_shard_directory(
                 frames=(),
             ),
         )
-        del first
     manifest = read_warehouse_manifest(directory)
     appended: list[str] = []
     skipped: list[str] = []
     for path in paths:
-        artifact = read_shard_artifact(path)
+        if first is not None:
+            artifact, first = first, None
+        else:
+            artifact = read_shard_artifact(path)
         covered = {
             index for entry in manifest.frames for index in entry.indices
         }

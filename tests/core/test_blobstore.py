@@ -14,16 +14,21 @@ through one module, so crash safety is proven once, here:
   value, with no ``.tmp`` sibling behind.
 
 The truncate and tamper cases then run through each container's public
-reader to show that each one inherits the guarantee.  The last class
-guards the single-copy property: no other ``repro.core`` module may
-grow its own atomic writer, exclusive create, JSON reader or content
-digest.
+reader to show that each one inherits the guarantee.  The blob layout
+is pinned too: a blob's bytes are ``canonical_json(payload) + "\\n"``,
+its digest is the hash of those bytes less the newline, a verified read
+of such a blob re-encodes nothing, and a blob written in the old layout
+(``json.dumps`` with default separators and insertion key order) is
+still accepted through the one fallback.  The last class guards the
+single-copy property: no other ``repro.core`` module may grow its own
+atomic writer, exclusive create, JSON reader or content digest.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import json
 import os
 import tempfile
@@ -207,10 +212,230 @@ class TestRoundTrip:
         assert blobstore.read_json(path, BlobError, "lease") == {"owner": "a"}
 
 
+def _canonical_bytes(payload) -> bytes:
+    return (blobstore.canonical_json(payload) + "\n").encode("utf-8")
+
+
+def _legacy_put_blob(directory, name_for_digest, payload):
+    """``put_blob`` as it was before blob bytes were canonical: the
+    digest of the canonical JSON, the file a ``json.dumps`` line."""
+    digest = blobstore.content_digest(payload)
+    name = name_for_digest(digest)
+    path = Path(directory) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes((json.dumps(payload) + "\n").encode("utf-8"))
+    return name, digest
+
+
+class TestBlobLayout:
+    @settings(max_examples=100, deadline=None)
+    @given(wild_objects)
+    def test_blob_bytes_are_canonical_and_hash_to_the_digest(self, payload):
+        with tempfile.TemporaryDirectory() as scratch:
+            name, digest = blobstore.put_blob(
+                scratch, lambda d: f"blob-{d}.json", payload
+            )
+            data = (Path(scratch) / name).read_bytes()
+            assert data == _canonical_bytes(payload)
+            assert digest == hashlib.sha256(data[:-1]).hexdigest()[:16]
+            assert digest == blobstore.content_digest(payload)
+            got = blobstore.get_blob(scratch, name, digest, BlobError, "blob")
+            # NaN != NaN, so compare the canonical text (which keeps
+            # -0.0, int/float and every float bit apart).
+            assert blobstore.canonical_json(got) == (
+                blobstore.canonical_json(payload)
+            )
+
+
+@contextlib.contextmanager
+def _counting(*names: str):
+    """Count calls of ``blobstore``'s ``names`` (``"json.dumps"`` for the
+    encoder every JSON text comes from)."""
+    calls = dict.fromkeys(names, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            owner = json if name == "json.dumps" else blobstore
+            attribute = name.rpartition(".")[2]
+            real = getattr(owner, attribute)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            patch.setattr(owner, attribute, counted)
+        yield calls
+
+
+class TestNoReEncode:
+    """A verified read hashes the stored bytes instead of re-encoding
+    the parsed payload; a write encodes once."""
+
+    ENCODERS = ("content_digest", "canonical_json", "json.dumps")
+
+    def test_verified_reads_of_canonical_blobs_encode_nothing(self, tmp_path):
+        frame, digest = _frame_file(tmp_path / "warehouse")
+        store = _store(tmp_path / "store")
+        manifest = json.loads((store.directory / STORE_MANIFEST).read_bytes())
+        chunk = manifest["chunks"][0]
+        with _counting(*self.ENCODERS) as calls:
+            read_warehouse_frame(frame, expected_digest=digest)
+            blobstore.get_blob(
+                frame.parent, frame.name, digest, BlobError, "blob"
+            )
+            blobstore.read_json(frame, BlobError, "blob", digest=digest)
+            blobstore.get_blob(
+                store.directory,
+                chunk["file"],
+                chunk["digest"],
+                BlobError,
+                "blob",
+            )
+            ChunkedFrameStore.open(tmp_path / "store").to_frame()
+        assert calls == dict.fromkeys(self.ENCODERS, 0)
+
+    def test_only_the_fallback_re_digests(self, tmp_path):
+        """The guard sees a re-encode: a legacy blob takes the
+        fallback, which digests the parsed payload once."""
+        name, digest = _legacy_put_blob(
+            tmp_path, lambda d: f"blob-{d}.json", {"b": [1.5], "a": 1}
+        )
+        with _counting(*self.ENCODERS) as calls:
+            blobstore.get_blob(tmp_path, name, digest, BlobError, "blob")
+        assert calls == {
+            "content_digest": 1, "canonical_json": 1, "json.dumps": 1
+        }
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_put_blob_runs_the_encoder_once(self, tmp_path, rows):
+        dframe = DecisionFrame(
+            frame=_frame(rows),
+            size_ratio=np.ones(rows),
+            cost_ratio=np.ones(rows),
+            indices=tuple(range(rows)),
+            row_counts=(1,) * rows,
+        )
+        payload = frame_payload(
+            dframe, fingerprint="f" * 16, order_digest="o" * 16,
+            total_points=rows,
+        )
+        with _counting(*self.ENCODERS) as calls:
+            blobstore.put_blob(tmp_path, frame_filename, payload)
+        assert calls == {
+            "content_digest": 0, "canonical_json": 1, "json.dumps": 1
+        }
+
+
+class TestLegacyBlobs:
+    """Blobs written before blob bytes were canonical fail the raw hash
+    and are accepted through the parse-and-re-digest fallback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wild_objects)
+    def test_legacy_blob_is_accepted(self, payload):
+        with tempfile.TemporaryDirectory() as scratch:
+            name, digest = _legacy_put_blob(
+                scratch, lambda d: f"blob-{d}.json", payload
+            )
+            got = blobstore.get_blob(scratch, name, digest, BlobError, "blob")
+            assert blobstore.canonical_json(got) == (
+                blobstore.canonical_json(payload)
+            )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        json_objects,
+        st.integers(min_value=0),
+        st.integers(min_value=1, max_value=255),
+    )
+    def test_any_flipped_byte_in_a_legacy_blob(self, payload, offset, mask):
+        with tempfile.TemporaryDirectory() as scratch:
+            name, digest = _legacy_put_blob(
+                scratch, lambda d: f"blob-{d}.json", payload
+            )
+            path = Path(scratch) / name
+            data = bytearray(path.read_bytes())
+            data[offset % len(data)] ^= mask
+            path.write_bytes(bytes(data))
+            got = _outcome(
+                lambda: blobstore.get_blob(
+                    scratch, name, digest, BlobError, "blob"
+                ),
+                BlobError,
+            )
+            assert got is REFUSED or got == payload
+
+    def test_tampered_legacy_blob_gets_the_mismatch_message(self, tmp_path):
+        payload = {"format": "x/1", "values": [1.5, 2.5]}
+        name, digest = _legacy_put_blob(
+            tmp_path, lambda d: f"blob-{d}.json", payload
+        )
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"2.5", b"2.4"))
+        actual = blobstore.content_digest(
+            {"format": "x/1", "values": [1.5, 2.4]}
+        )
+        with pytest.raises(BlobError) as excinfo:
+            blobstore.get_blob(tmp_path, name, digest, BlobError, "blob")
+        assert str(excinfo.value) == (
+            f"{path}: blob content digest {actual} does not match the "
+            f"manifest's {digest} (tampered or mispaired blob file)"
+        )
+
+    def test_legacy_containers_read_equal(self, tmp_path, monkeypatch):
+        frame, digest = _frame_file(tmp_path / "new")
+        _store(tmp_path / "new" / "store")
+        monkeypatch.setattr(blobstore, "put_blob", _legacy_put_blob)
+        legacy_frame, legacy_digest = _frame_file(tmp_path / "old")
+        _store(tmp_path / "old" / "store")
+        monkeypatch.undo()
+        assert (legacy_frame.name, legacy_digest) == (frame.name, digest)
+        legacy_chunks = sorted((tmp_path / "old" / "store").glob("chunk-*"))
+        chunks = sorted((tmp_path / "new" / "store").glob("chunk-*"))
+        assert [p.name for p in legacy_chunks] == [p.name for p in chunks]
+        for old, new in zip([legacy_frame, *legacy_chunks], [frame, *chunks]):
+            assert old.read_bytes() != new.read_bytes()
+            assert json.loads(old.read_bytes()) == json.loads(new.read_bytes())
+        assert read_warehouse_frame(
+            legacy_frame, expected_digest=digest
+        ) == read_warehouse_frame(frame, expected_digest=digest)
+        assert ChunkedFrameStore.open(
+            tmp_path / "old" / "store"
+        ).to_frame() == ChunkedFrameStore.open(
+            tmp_path / "new" / "store"
+        ).to_frame()
+
+
 class TestTornAndTampered:
+    @settings(max_examples=25, deadline=None)
+    @given(json_objects)
+    def test_blob_truncation_at_every_offset_is_refused(self, payload):
+        """Canonical blobs on the raw-hash path: every cut but the final
+        newline is refused; that one takes the fallback and reads back
+        the payload."""
+        with tempfile.TemporaryDirectory() as scratch:
+            name, digest = blobstore.put_blob(
+                scratch, lambda d: f"blob-{d}.json", payload
+            )
+            path = Path(scratch) / name
+            data = path.read_bytes()
+            for cut in range(len(data)):
+                path.write_bytes(data[:cut])
+                got = _outcome(
+                    lambda: blobstore.get_blob(
+                        scratch, name, digest, BlobError, "blob"
+                    ),
+                    BlobError,
+                )
+                if cut < len(data) - 1:
+                    assert got is REFUSED, cut
+                else:
+                    assert got == payload
+
     @settings(max_examples=25, deadline=None)
     @given(json_objects, st.booleans())
     def test_truncation_at_every_offset_is_refused(self, payload, digested):
+        # ``write_json`` bytes are the old blob layout, so the digested
+        # case runs the fallback.
         with tempfile.TemporaryDirectory() as scratch:
             path = blobstore.write_json(Path(scratch) / "x.json", payload)
             data = path.read_bytes()

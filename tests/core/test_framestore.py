@@ -505,10 +505,12 @@ class TestAtomicPublication:
             ResultFrame.from_rows([_row(volume=float(i)) for i in range(2)])
         )
 
-        def explode(path, payload):
+        def explode(path, data):
             raise OSError("disk gone")
 
-        monkeypatch.setattr(blobstore, "write_json", explode)
+        # Every file (chunk blobs and manifests) lands through the one
+        # publish seam.
+        monkeypatch.setattr(blobstore, "publish_bytes", explode)
         with pytest.raises(OSError):
             store.append(
                 ResultFrame.from_rows([_row(volume=99.0)])
@@ -528,14 +530,14 @@ class TestAtomicPublication:
         store = ChunkedFrameStore.create(
             tmp_path / "s", max_rows_in_memory=3
         )
-        real = blobstore.write_json
+        real = blobstore.publish_bytes
 
-        def crash_on_manifest(path, payload):
+        def crash_on_manifest(path, data):
             if Path(path).name == MANIFEST_NAME:
                 raise OSError("killed")
-            real(path, payload)
+            real(path, data)
 
-        monkeypatch.setattr(blobstore, "write_json", crash_on_manifest)
+        monkeypatch.setattr(blobstore, "publish_bytes", crash_on_manifest)
         with pytest.raises(OSError):
             store.append(
                 ResultFrame.from_rows(

@@ -24,6 +24,7 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,6 +362,58 @@ class TestBadAsks:
             QueryService(tmp_path / "nowhere").execute(
                 {"kind": "manifest"}
             )
+
+
+def smaller_alternative(point: DesignPoint) -> list[CandidateBuildUp]:
+    """``fixed_candidates`` with the alternative half the reference's
+    area, so its ``1 / size_ratio`` base is 2."""
+    ref, alt = fixed_candidates(point)
+    return [
+        replace(ref, footprints=alt.footprints),
+        replace(alt, footprints=ref.footprints),
+    ]
+
+
+class TestOverflowingWeights:
+    """A re-rank weight whose power exceeds the largest double escaped
+    as ``OverflowError`` (not a ``QueryError``), so the CLI printed a
+    traceback and ``POST /query`` could not answer 400."""
+
+    ASK = {"kind": "rerank", "fom_weights": [1e308, 1e308, 1e308]}
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("overflow") / "wh"
+        build_warehouse(directory, GRID, smaller_alternative)
+        return directory
+
+    def test_execute_raises_query_error(self, directory):
+        with pytest.raises(QueryError) as excinfo:
+            QueryService(directory).execute(self.ASK)
+        assert str(excinfo.value) == (
+            "size weight 1e+308 overflows the figure of merit (a base "
+            "raised to it exceeds the largest double)"
+        )
+
+    def test_post_query_is_http_400(self, directory):
+        server = serve_warehouse(directory)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            request = urllib.request.Request(
+                f"http://{host}:{port}/query",
+                data=json.dumps(self.ASK).encode(),
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert excinfo.value.code == 400
+        body = excinfo.value.read()
+        assert body.count(b"\n") == 1
+        assert json.loads(body)["error"].startswith("size weight 1e+308")
 
 
 class TestHttpSurface:

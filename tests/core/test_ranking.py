@@ -29,6 +29,7 @@ from repro.core.ranking import (
     DecisionFrame,
     cell_front_mask,
     group_first_max,
+    weighted_fom,
     winner_mask,
 )
 from repro.core.sweep import EvaluationCache, SweepGrid, evaluate_cells
@@ -232,6 +233,45 @@ class TestKernels:
     def test_any_nan_in_a_group_raises(self):
         with pytest.raises(SpecificationError, match="NaN"):
             group_first_max([0, 2], [1.0, float("nan"), 2.0])
+
+    @pytest.mark.parametrize(
+        "weights, axis",
+        [
+            (FomWeights(1.0, 1000.0, 1.0), "size"),
+            (FomWeights(1.0, 1.0, 1e308), "cost"),
+            (FomWeights(1e308, 1e308, 1e308), "size"),
+        ],
+    )
+    def test_overflowing_weight_is_a_typed_error(self, weights, axis):
+        """``x ** w`` beyond the largest double raised a bare
+        ``OverflowError``; it is refused naming the weight."""
+        with pytest.raises(SpecificationError) as excinfo:
+            weighted_fom([0.5, 1.0], [0.25, 1.0], [0.5, 1.0], weights)
+        message = str(excinfo.value)
+        assert message.startswith(f"{axis} weight ")
+        assert "overflows" in message and "\n" not in message
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bases=st.lists(
+            st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=4
+        ),
+        exponent=st.one_of(
+            st.floats(min_value=0.0, max_value=1e308),
+            st.sampled_from([0.0, 1.0, 400.0, 1100.0, 1e308]),
+        ),
+    )
+    def test_finite_results_keep_scalar_bits(self, bases, exponent):
+        """Every result that fits a double, including exponents that
+        underflow to 0, keeps the scalar operator's bits."""
+        try:
+            expected = [b**exponent for b in bases]
+        except OverflowError:
+            with pytest.raises(SpecificationError, match="overflows"):
+                weighted_fom(bases, 1.0, 1.0, FomWeights(exponent, 0, 0))
+            return
+        got = weighted_fom(bases, 1.0, 1.0, FomWeights(exponent, 0, 0))
+        assert got.tobytes() == np.asarray(expected).tobytes()
 
     def test_concat_restores_point_order(self):
         factory = SpecFactory((("a", 1.0, 10.0, False, 5.0, 0.0),), True)

@@ -306,6 +306,40 @@ class TestWriter:
             serial_report.frame.to_json_columns()
         )
 
+    def test_ingest_reads_each_artifact_once(
+        self, tmp_path, artifacts, serial_report, monkeypatch
+    ):
+        """The artifact that initialises a new warehouse used to be read
+        again as the loop's first; a re-ingest reads each one once."""
+        from repro.core import warehouse
+
+        shard_dir = tmp_path / "shards"
+        for artifact in artifacts:
+            write_shard_artifact(
+                shard_dir / shard_filename(3, artifact.shard_index),
+                artifact,
+            )
+        reads = []
+        real = warehouse.read_shard_artifact
+
+        def counting(path):
+            reads.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(warehouse, "read_shard_artifact", counting)
+        names = [shard_filename(3, i) for i in range(3)]
+        for appended_names, skipped_names in ((names, []), ([], names)):
+            reads.clear()
+            manifest, appended, skipped = ingest_shard_directory(
+                tmp_path / "wh", shard_dir
+            )
+            assert reads == names
+            assert (appended, skipped) == (appended_names, skipped_names)
+        assert manifest.revision == 4 and manifest.complete
+        assert load_warehouse(tmp_path / "wh").frame.to_json_columns() == (
+            serial_report.frame.to_json_columns()
+        )
+
     def test_ingest_empty_directory_is_an_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -163,6 +163,42 @@ class TestBadValuesExit2:
     @pytest.mark.parametrize(
         "command, argv",
         [
+            ("sweep", ["sweep", "--volumes", "1000", "--fom-weights",
+                       "1:1000:1"]),
+            ("sweep", ["sweep", "--volumes", "1000", "--fom-weights",
+                       "1:1000:1", "--max-rows-in-memory", "2"]),
+            ("warehouse", ["warehouse", "build", "{out}", "--volumes",
+                           "1000", "--fom-weights", "1:1000:1"]),
+        ],
+    )
+    def test_overflowing_fom_weight(self, command, argv, tmp_path, capsys):
+        """A weight whose power exceeds the largest double raised an
+        ``OverflowError`` traceback (exit 1)."""
+        out = str(tmp_path / "wh")
+        err = self._exit_2(
+            [token.replace("{out}", out) for token in argv], capsys
+        )
+        assert err == (
+            f"repro-gps {command}: error: size weight 1000.0 overflows "
+            f"the figure of merit (a base raised to it exceeds the "
+            f"largest double)\n"
+        )
+
+    def test_overflowing_query_weight(self, tmp_path, capsys):
+        directory = str(tmp_path / "wh")
+        assert main(["warehouse", "build", directory, "--volumes", "1e3"]) == 0
+        capsys.readouterr()
+        err = self._exit_2(
+            ["warehouse", "query", directory, "--kind", "rerank",
+             "--fom-weights", "1e308:1e308:1e308"],
+            capsys,
+        )
+        assert err.count("\n") == 1
+        assert err.startswith("repro-gps warehouse: error: size weight 1e+308")
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
             (
                 "sweep",
                 ["sweep", "--volumes", "1e3", "--spill-dir", "{out}",
