@@ -10,21 +10,34 @@ Installed as ``repro-gps``.  Subcommands:
 * ``sweep`` — fan the methodology out over a design-space grid
   (volume x substrate rule x thin-film process x tolerance class x
   technology Q model x NRE scenario x FoM weight vector) and print
-  Pareto-ready rows; ``--cache-stats`` prints the per-table memo
-  tally.  Cross-host sharding:
-  ``--shards K --shard-index I --shard-dir DIR`` evaluates one shard
-  and writes a portable artifact (``--resume`` skips the evaluation
-  when a valid artifact for the same grid and shard already exists);
-  ``--merge DIR`` reassembles shard artifacts — produced on one host
-  or many — into the canonical report.  Running the sweep as a
-  *service* instead of by hand: ``--queue-init MANIFEST --shards K``
-  writes a work-queue manifest next to the shard directory, then any
-  number of ``--queue MANIFEST`` workers claim, evaluate and retry
-  shards until the queue drains;
-* ``gather DIR`` — merge the shard artifacts in DIR into the canonical
-  report; ``--watch`` keeps polling (with live progress on stderr)
-  while queue workers are still filling the directory, merging each
-  artifact the moment it atomically appears.
+  Pareto-ready rows as a table or ``--csv`` (``--cache-stats`` adds
+  the per-table memo tally).  One flag picks the run mode, in this
+  order: ``--merge DIR`` reassembles shard artifacts into the report;
+  ``--queue-init MANIFEST --shards K`` writes a work queue that any
+  number of ``--queue MANIFEST`` workers drain; ``--shards K
+  --shard-index I`` evaluates one shard into ``--shard-dir``
+  (``--resume`` skips it when a valid artifact is already there);
+  ``--adaptive`` refines a coarse subsample around the Pareto front
+  (``--passes``, ``--budget``, ``--refine-margin``, ``--coarse``);
+  otherwise the whole grid is swept;
+* ``gather DIR`` — merge the shard artifacts in DIR into the report,
+  once or ``--watch``-ing queue workers fill it;
+* ``warehouse build|serve|query`` — materialise a sweep (or
+  ``--from-shards``) into content-addressed frame files and answer
+  decision queries from them, on the command line or over HTTP.
+
+Every report mode streams through a chunked frame store under a row
+budget (``--max-rows-in-memory`` or ``$REPRO_SWEEP_MAX_ROWS``), kept
+in ``--spill-dir`` when one is given; stdout is byte-identical to the
+in-RAM report.
+
+Which flags each mode of ``sweep``, ``gather`` and ``warehouse build``
+takes is one table, :data:`MODE_TABLES`, checked before the mode runs.
+A flag counts as given when its value differs from its parser default;
+a given flag the mode refuses exits 2 with one line.  Bad asks found
+while running (unreadable files, foreign grids, a malformed budget)
+exit 2 the same way, while exit 1 means "not done yet": an incomplete
+gather or a queue shard out of attempts.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ import math
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .area.substrate import SUBSTRATE_RULES
 from .circuits.qfactor import Q_MODEL_SCENARIOS, SubstrateLossQModel
@@ -71,7 +84,6 @@ from .core.sweep import SweepGrid, SweepReport
 from .core.queryservice import (
     QUERY_KINDS,
     SENSITIVITY_AXES,
-    QueryError,
     QueryService,
     response_bytes,
     serve_warehouse,
@@ -167,94 +179,55 @@ def _axis_values(raw: str, registry: dict, axis: str) -> tuple:
     return tuple(values)
 
 
-def _positive_int(raw: str) -> int:
-    """Parse a strictly positive integer argument."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"need a positive integer, got {value}"
-        )
-    return value
+def _number(cast, ok: Callable[[float], bool], complaint: str):
+    """An argparse type: ``cast(raw)``, refused unless ``ok(value)``.
+
+    ``complaint`` is formatted with the parsed ``value`` and the
+    ``raw`` token; a token ``cast`` cannot parse is "not an integer"
+    (``int``) or "not a number" (``float``).
+    """
+    noun = "an integer" if cast is int else "a number"
+
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{raw!r} is not {noun}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                complaint.format(value=value, raw=raw)
+            )
+        return value
+
+    return parse
 
 
-def _positive_row_budget(raw: str) -> int:
-    """Parse the --max-rows-in-memory budget (a strictly positive int)."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"need a positive row budget, got {value}"
-        )
-    return value
-
-
-def _positive_float(raw: str) -> float:
-    """Parse a strictly positive, finite float argument (durations)."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not a number"
-        ) from None
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"need a positive finite number of seconds, got {raw!r}"
-        )
-    return value
-
-
-def _nonnegative_int(raw: str) -> int:
-    """Parse a non-negative integer argument (shard indices)."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not an integer"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"need a non-negative index, got {value}"
-        )
-    return value
-
-
-def _nonnegative_float(raw: str) -> float:
-    """Parse a non-negative, finite float argument (dominance margins)."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not a number"
-        ) from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"need a non-negative finite number, got {raw!r}"
-        )
-    return value
-
-
-def _coarse_rank_count(raw: str) -> int:
-    """Parse the --coarse rank count (an integer of at least 2)."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not an integer"
-        ) from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            f"the coarse pass needs at least 2 ranks per axis, got {value}"
-        )
-    return value
+_positive_int = _number(
+    int, lambda value: value >= 1, "need a positive integer, got {value}"
+)
+_positive_row_budget = _number(
+    int, lambda value: value >= 1, "need a positive row budget, got {value}"
+)
+_nonnegative_int = _number(
+    int, lambda value: value >= 0, "need a non-negative index, got {value}"
+)
+_coarse_rank_count = _number(
+    int,
+    lambda value: value >= 2,
+    "the coarse pass needs at least 2 ranks per axis, got {value}",
+)
+_positive_float = _number(
+    float,
+    lambda value: math.isfinite(value) and value > 0,
+    "need a positive finite number of seconds, got {raw!r}",
+)
+_nonnegative_float = _number(
+    float,
+    lambda value: math.isfinite(value) and value >= 0,
+    "need a non-negative finite number, got {raw!r}",
+)
 
 
 def _bare_discount(raw: str) -> float:
@@ -276,8 +249,8 @@ def _create_directory(directory) -> Path:
 
     A path that cannot be a directory (a regular file on the way, no
     permission) is a bad ask, not a crash: it raises
-    :class:`SpecificationError`, which every command maps to its
-    exit-2 message.
+    :class:`SpecificationError`, which :func:`main` maps to the
+    command's exit-2 message.
     """
     directory = Path(directory)
     try:
@@ -289,14 +262,14 @@ def _create_directory(directory) -> Path:
     return directory
 
 
-def _sweep_error(message: str) -> "SystemExit":
-    """Abort the sweep subcommand with argparse's exit contract.
+def _usage_error(command: str, message: str) -> "SystemExit":
+    """Abort ``repro-gps <command>`` with argparse's exit contract.
 
-    Bad asks — contradictory flags, a bad shard geometry or a
-    malformed ``REPRO_SWEEP_MAX_ROWS`` — must exit with code 2 and a
-    one-line message, never a traceback.
+    Bad asks — contradictory flags, a bad shard geometry, a malformed
+    ``REPRO_SWEEP_MAX_ROWS``, an unreadable manifest — exit with code 2
+    and a one-line message, never a traceback.
     """
-    print(f"repro-gps sweep: error: {message}", file=sys.stderr)
+    print(f"repro-gps {command}: error: {message}", file=sys.stderr)
     return SystemExit(2)
 
 
@@ -408,38 +381,118 @@ def _volume_values(raw: str) -> tuple:
     return tuple(values)
 
 
-def _print_cache_stats(stats: dict) -> None:
-    """Render the per-table memo tally (merged across workers)."""
-    print("Evaluation cache (merged across workers):")
-    for table, tally in stats["tables"].items():
-        print(
-            f"  {table:>12}: {tally['hits']} hits / "
-            f"{tally['misses']} misses / {tally['entries']} entries"
-        )
+def _registry_token(value, registry: dict, axis: str) -> str:
+    """The CLI token that names ``value`` on a registry-backed axis."""
+    if value is None:
+        return "paper"
+    for name, candidate in registry.items():
+        if candidate is value or candidate == value:
+            return name
+    raise SpecificationError(
+        f"cannot name {axis} value {value!r} in a queue manifest"
+    )
 
 
-def _print_sweep_report(report, n_points: int, args) -> None:
-    """Render a sweep report (table or CSV), shared with --merge."""
+def _q_model_spec(values) -> str:
+    """Q-model axis tokens; custom loss models become ``tan=<repr>``."""
+    tokens = []
+    for value in values:
+        if value is None:
+            tokens.append("paper")
+            continue
+        for name, candidate in Q_MODEL_SCENARIOS.items():
+            if candidate is value or candidate == value:
+                tokens.append(name)
+                break
+        else:
+            tokens.append(f"tan={value.tan_delta_ref!r}")
+    return ",".join(tokens)
+
+
+def _fom_weight_spec(values) -> str:
+    return ",".join(
+        "paper"
+        if value is None
+        else f"{value.performance!r}:{value.size!r}:{value.cost!r}"
+        for value in values
+    )
+
+
+def _registry_axis(registry: dict, axis: str, noun: str) -> tuple:
+    """A registry-backed axis: token parser, token writer and help."""
+    return (
+        lambda raw: _axis_values(raw, registry, axis),
+        lambda values: ",".join(
+            _registry_token(value, registry, axis) for value in values
+        ),
+        f"comma-separated {noun}: paper, " + ", ".join(sorted(registry)),
+    )
+
+
+#: The seven grid axes of ``sweep`` and ``warehouse build``: parser
+#: dest → (token parser, token writer, help).  The writer turns parsed
+#: values back into tokens for a queue manifest's ``grid_spec`` —
+#: ``repr()`` round-trips floats bit-exactly, registry values are
+#: stored by name — and the parser rebuilds the grid from them.
+_GRID_AXES = {
+    "volumes": (
+        _volume_values,
+        lambda values: ",".join(repr(volume) for volume in values),
+        "comma-separated production volumes, e.g. 1e3,1e4,1e5",
+    ),
+    "substrates": _registry_axis(
+        SUBSTRATE_RULES, "substrate", "MCM substrate rules"
+    ),
+    "processes": _registry_axis(
+        THIN_FILM_PROCESSES, "process", "thin-film processes"
+    ),
+    "tolerances": _registry_axis(
+        TOLERANCE_CLASSES, "tolerance", "tolerance classes"
+    ),
+    "q_models": (
+        _q_model_values,
+        _q_model_spec,
+        "comma-separated technology Q models: paper, tan=<value>, "
+        + ", ".join(sorted(Q_MODEL_SCENARIOS)),
+    ),
+    "nres": _registry_axis(NRE_SCENARIOS, "NRE scenario", "NRE scenarios"),
+    "fom_weights": (
+        _fom_weight_values,
+        _fom_weight_spec,
+        "comma-separated FoM weight vectors as perf:size:cost "
+        "(e.g. 1:1:1,2:1:0.5); paper = the plain product",
+    ),
+}
+
+
+def _cache_line(stats: dict) -> str:
+    """The one-line memo tally: ``cache: table=Nh/Mm ...``."""
+    return "cache: " + " ".join(
+        f"{table}={tally['hits']}h/{tally['misses']}m"
+        for table, tally in stats.get("tables", {}).items()
+    )
+
+
+def _print_csv(lines, cache_stats: dict, args) -> None:
+    """CSV rows on stdout; the --cache-stats tally goes to stderr."""
+    print(ResultFrame.csv_header())
+    for line in lines:
+        print(line)
+    if args.cache_stats:
+        # Keep stdout pure CSV; the tally goes to stderr.
+        print(_cache_line(cache_stats), file=sys.stderr)
+
+
+def _print_sweep_report(report, args) -> None:
+    """Render a sweep report: CSV, or the table with its summary."""
     if args.csv:
         # Columnar export: the frame formats whole columns at once
         # (byte-identical to the historical per-row str() path).
-        print(report.frame.csv_header())
-        for line in report.frame.csv_lines():
-            print(line)
-        if args.cache_stats:
-            # Keep stdout pure CSV; the tally goes to stderr.
-            print(
-                "cache: "
-                + " ".join(
-                    f"{table}={tally['hits']}h/{tally['misses']}m"
-                    for table, tally in report.cache_stats[
-                        "tables"
-                    ].items()
-                ),
-                file=sys.stderr,
-            )
+        _print_csv(report.frame.csv_lines(), report.cache_stats, args)
         return
 
+    # Every evaluated grid point has exactly one winning row.
+    n_points = int(report.frame.column("is_winner").sum())
     print(
         f"Design-space sweep: {n_points} points, {len(report.rows)} rows"
     )
@@ -475,188 +528,104 @@ def _print_sweep_report(report, n_points: int, args) -> None:
     hits, misses = report.cache_stats["hits"], report.cache_stats["misses"]
     print(f"Memoised sub-results: {hits} hits / {misses} misses")
     if args.cache_stats:
-        _print_cache_stats(report.cache_stats)
+        print("Evaluation cache (merged across workers):")
+        for table, tally in report.cache_stats["tables"].items():
+            print(
+                f"  {table:>12}: {tally['hits']} hits / "
+                f"{tally['misses']} misses / {tally['entries']} entries"
+            )
 
 
-def _resolve_max_rows(args: argparse.Namespace, error) -> Optional[int]:
+def _row_budget(args: argparse.Namespace) -> Optional[int]:
     """The out-of-core row budget: --max-rows-in-memory, else the env.
 
     ``None`` means in-RAM (the reference path).  A malformed
-    ``$REPRO_SWEEP_MAX_ROWS`` exits 2 through ``error``, never a
-    traceback.
+    ``$REPRO_SWEEP_MAX_ROWS`` raises :class:`SpecificationError`.
     """
     if args.max_rows_in_memory is not None:
         return args.max_rows_in_memory
-    try:
-        return max_rows_from_env()
-    except SpecificationError as exc:
-        raise error(str(exc)) from None
+    return max_rows_from_env()
 
 
-def _print_store_report(
-    store: ChunkedFrameStore, n_points: Optional[int], args
-) -> None:
-    """Render a chunked frame store, byte-identical to the in-RAM path.
+def _identity(source) -> dict:
+    """The grid a spilled store must hold to be re-read: fingerprint,
+    canonical order and size, from a shard artifact or a manifest."""
+    return {
+        "fingerprint": source.fingerprint,
+        "order_digest": source.order_digest,
+        "total_points": source.total_points,
+    }
 
-    CSV streams the store chunk by chunk — stdout is the same byte
-    stream :func:`_print_sweep_report` produces, without ever holding
-    the whole frame.  The table needs winner counts and the best row
-    anyway, so it crosses the identity bridge
-    (:meth:`~repro.core.framestore.ChunkedFrameStore.to_frame`) and
-    reuses the in-RAM renderer.
+
+def _render_spilled(args, build, identity=None) -> int:
+    """Spill through ``build(directory)``, then render the frame store.
+
+    Stdout is byte-identical to the in-RAM report: CSV streams the
+    store chunk by chunk; the table crosses the identity bridge
+    (:meth:`~repro.core.framestore.ChunkedFrameStore.to_frame`).
+    Without --spill-dir the store lives in a temporary directory for
+    as long as it is rendered.  With it, ``identity()`` names the grid
+    the run covers, and a complete store already there for exactly
+    that grid is re-read instead of rebuilt — the same discipline as
+    ``--resume``; a half-written or foreign store is refused.  A run
+    without an ``identity`` (adaptive) builds into the directory.
     """
-    if args.csv:
-        print(ResultFrame.csv_header())
-        for line in store.csv_lines():
-            print(line)
-        if args.cache_stats:
-            stats = store.meta.get("cache_stats", {})
-            print(
-                "cache: "
-                + " ".join(
-                    f"{table}={tally['hits']}h/{tally['misses']}m"
-                    for table, tally in stats.get("tables", {}).items()
-                ),
-                file=sys.stderr,
-            )
-        return
-    frame = store.to_frame()
-    report = SweepReport(
-        frame=frame,
-        cache_stats=store.meta.get("cache_stats", {}),
-    )
-    if n_points is None:
-        # Every grid point has exactly one winning row.
-        n_points = int(frame.column("is_winner").sum())
-    _print_sweep_report(report, n_points, args)
-
-
-def _reuse_or_create_store(
-    directory,
-    *,
-    fingerprint: str,
-    order_digest: str,
-    total_points: int,
-    build,
-) -> ChunkedFrameStore:
-    """A complete matching store at ``directory``, or a fresh one.
-
-    The ``--spill-dir`` contract, same discipline as ``--resume``: an
-    existing store is re-read only when it is complete and holds
-    exactly this grid (fingerprint, canonical order, size).  Anything
-    else — a half-written store, a foreign grid — is a typed refusal;
-    silently clobbering or silently re-reading the wrong results would
-    both be worse.
-    """
-    directory = Path(directory)
-    if (directory / STORE_MANIFEST_NAME).exists():
-        store = ChunkedFrameStore.open(directory)
-        if not store.complete:
-            raise SpecificationError(
-                f"spill directory {directory} holds an incomplete "
-                f"frame store (crashed run?); remove it and re-run"
-            )
-        if not store_matches(
-            store,
-            fingerprint=fingerprint,
-            order_digest=order_digest,
-            total_points=total_points,
-        ):
-            raise SpecificationError(
-                f"spill directory {directory} holds a frame store for "
-                f"a different grid; remove it or pick another "
-                f"--spill-dir"
-            )
-        # Reuse is chatter, not output: stdout stays pure table/CSV.
-        print(
-            f"reusing spilled frame store at {directory} "
-            f"({store.chunk_count} chunks, {store.total_rows} rows)",
-            file=sys.stderr,
+    if args.spill_dir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-spill-") as scratch:
+            _print_store_report(build(Path(scratch) / "store"), args)
+        return 0
+    directory = Path(args.spill_dir)
+    grid = identity() if identity is not None else None
+    if grid is None or not (directory / STORE_MANIFEST_NAME).exists():
+        _print_store_report(build(_create_directory(directory)), args)
+        return 0
+    store = ChunkedFrameStore.open(directory)
+    if not store.complete:
+        raise SpecificationError(
+            f"spill directory {directory} holds an incomplete "
+            f"frame store (crashed run?); remove it and re-run"
         )
-        return store
-    return build(_create_directory(directory))
-
-
-#: Grid-axis flags and their parser defaults: --merge takes the grid
-#: from the artifacts and --queue takes it from the manifest, so
-#: overriding any of these alongside either is a contradiction worth
-#: refusing (not silently ignoring).
-_GRID_AXIS_DEFAULTS = {
-    "volumes": (10_000.0,),
-    "substrates": (None,),
-    "processes": (None,),
-    "tolerances": (None,),
-    "q_models": (None,),
-    "nres": (None,),
-    "fom_weights": (None,),
-}
-
-
-def _registry_token(value, registry: dict, axis: str) -> str:
-    """The CLI token that names ``value`` on a registry-backed axis."""
-    if value is None:
-        return "paper"
-    for name, candidate in registry.items():
-        if candidate is value or candidate == value:
-            return name
-    raise SpecificationError(
-        f"cannot name {axis} value {value!r} in a queue manifest"
+    if not store_matches(store, **grid):
+        raise SpecificationError(
+            f"spill directory {directory} holds a frame store for "
+            f"a different grid; remove it or pick another "
+            f"--spill-dir"
+        )
+    # Reuse is chatter, not output: stdout stays pure table/CSV.
+    print(
+        f"reusing spilled frame store at {directory} "
+        f"({store.chunk_count} chunks, {store.total_rows} rows)",
+        file=sys.stderr,
     )
+    _print_store_report(store, args)
+    return 0
 
 
-def _axis_spec(values, registry: dict, axis: str) -> str:
-    return ",".join(
-        _registry_token(value, registry, axis) for value in values
-    )
+def _print_store_report(store: ChunkedFrameStore, args) -> None:
+    """Render a chunked frame store like :func:`_print_sweep_report`."""
+    stats = store.meta.get("cache_stats", {})
+    if args.csv:
+        _print_csv(store.csv_lines(), stats, args)
+    else:
+        report = SweepReport(frame=store.to_frame(), cache_stats=stats)
+        _print_sweep_report(report, args)
 
 
-def _q_model_spec(values) -> str:
-    """Q-model axis tokens; custom loss models become ``tan=<repr>``."""
-    tokens = []
-    for value in values:
-        if value is None:
-            tokens.append("paper")
-            continue
-        for name, candidate in Q_MODEL_SCENARIOS.items():
-            if candidate is value or candidate == value:
-                tokens.append(name)
-                break
-        else:
-            tokens.append(f"tan={value.tan_delta_ref!r}")
-    return ",".join(tokens)
-
-
-def _fom_weight_spec(values) -> str:
-    return ",".join(
-        "paper"
-        if value is None
-        else f"{value.performance!r}:{value.size!r}:{value.cost!r}"
-        for value in values
-    )
+def _grid_from_args(args: argparse.Namespace) -> SweepGrid:
+    """The sweep grid the seven axis flags describe."""
+    return SweepGrid(**{axis: getattr(args, axis) for axis in _GRID_AXES})
 
 
 def _grid_spec_from_args(args: argparse.Namespace) -> dict:
-    """Serialise the parsed grid axes back into their CLI token lists.
+    """The parsed grid axes as CLI tokens, for a queue manifest.
 
-    Stored in the queue manifest so every worker rebuilds *exactly*
-    the grid the queue was initialised for — ``repr()`` round-trips
-    floats bit-exactly, and registry axes are stored by name.  The
-    fingerprint check in the worker is the belt to this braces.
+    Every worker rebuilds *exactly* the grid the queue was initialised
+    for; the fingerprint check in the worker is the belt to these
+    braces.
     """
     return {
-        "volumes": ",".join(repr(volume) for volume in args.volumes),
-        "substrates": _axis_spec(
-            args.substrates, SUBSTRATE_RULES, "substrate"
-        ),
-        "processes": _axis_spec(
-            args.processes, THIN_FILM_PROCESSES, "process"
-        ),
-        "tolerances": _axis_spec(
-            args.tolerances, TOLERANCE_CLASSES, "tolerance"
-        ),
-        "q_models": _q_model_spec(args.q_models),
-        "nres": _axis_spec(args.nres, NRE_SCENARIOS, "NRE scenario"),
-        "fom_weights": _fom_weight_spec(args.fom_weights),
+        axis: write(getattr(args, axis))
+        for axis, (_, write, _) in _GRID_AXES.items()
     }
 
 
@@ -670,21 +639,10 @@ def _grid_from_spec(spec, source: str) -> SweepGrid:
         )
     try:
         return SweepGrid(
-            volumes=_volume_values(str(spec["volumes"])),
-            substrates=_axis_values(
-                str(spec["substrates"]), SUBSTRATE_RULES, "substrate"
-            ),
-            processes=_axis_values(
-                str(spec["processes"]), THIN_FILM_PROCESSES, "process"
-            ),
-            tolerances=_axis_values(
-                str(spec["tolerances"]), TOLERANCE_CLASSES, "tolerance"
-            ),
-            q_models=_q_model_values(str(spec["q_models"])),
-            nres=_axis_values(
-                str(spec["nres"]), NRE_SCENARIOS, "NRE scenario"
-            ),
-            fom_weights=_fom_weight_values(str(spec["fom_weights"])),
+            **{
+                axis: parse(str(spec[axis]))
+                for axis, (parse, _, _) in _GRID_AXES.items()
+            }
         )
     except KeyError as exc:
         raise SpecificationError(
@@ -727,65 +685,47 @@ def _resumable_artifact(
     return None
 
 
-def _cmd_sweep_queue_init(args: argparse.Namespace) -> int:
-    """The --queue-init path: write the work-queue manifest."""
-    if args.queue is not None:
-        raise _sweep_error(
-            "--queue-init writes the manifest, --queue runs a worker "
-            "against it; one invocation does one or the other"
+# -- sweep modes: each runs after the flag table accepted its flags ----
+
+
+def _run_merge(args: argparse.Namespace) -> int:
+    """--merge: reassemble shard artifacts into one report."""
+    max_rows = _row_budget(args)
+    paths = find_shard_artifacts(args.merge)
+    if not paths:
+        raise SpecificationError(
+            f"no shard artifacts (shard-*.json) in {args.merge}"
         )
-    if args.shard_index is not None:
-        raise _sweep_error(
-            "--queue-init partitions the whole grid; drop --shard-index"
-        )
-    if args.resume:
-        raise _sweep_error(
-            "the queue always skips shards with valid artifacts; "
-            "--resume does not apply to --queue-init"
-        )
-    if args.csv:
-        raise _sweep_error(
-            "--queue-init evaluates nothing; --csv applies to reports "
-            "(gather the finished queue instead)"
-        )
-    if args.max_rows_in_memory is not None or args.spill_dir is not None:
-        raise _sweep_error(
-            "--queue-init evaluates nothing; --max-rows-in-memory/"
-            "--spill-dir apply where the report is produced "
-            "(sweep --merge or gather)"
-        )
-    shards = args.shards
-    if shards is None:
-        raise _sweep_error(
-            "--queue-init needs the partition geometry; give --shards"
-        )
-    grid = SweepGrid(
-        volumes=args.volumes,
-        substrates=args.substrates,
-        processes=args.processes,
-        tolerances=args.tolerances,
-        q_models=args.q_models,
-        nres=args.nres,
-        fom_weights=args.fom_weights,
+    if max_rows is None:
+        _print_sweep_report(merge_shard_artifacts(paths), args)
+        return 0
+    # Out-of-core merge: spill to a chunked frame store and stream it
+    # out — byte-identical stdout, bounded memory.
+    return _render_spilled(
+        args,
+        lambda directory: merge_artifacts_to_store(
+            paths, directory, max_rows
+        ),
+        lambda: _identity(read_shard_artifact(paths[0])),
     )
-    try:
-        manifest = manifest_for_grid(
-            grid,
-            shards=shards,
-            lease_ttl=(
-                args.lease_ttl if args.lease_ttl is not None else 300.0
-            ),
-            max_attempts=(
-                args.max_attempts if args.max_attempts is not None else 3
-            ),
-            grid_spec=_grid_spec_from_args(args),
-        )
-        _create_directory(Path(args.queue_init).parent)
-        path = write_manifest(args.queue_init, manifest)
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
+
+
+def _run_queue_init(args: argparse.Namespace) -> int:
+    """--queue-init: write the work-queue manifest."""
+    grid = _grid_from_args(args)
+    manifest = manifest_for_grid(
+        grid,
+        shards=args.shards,
+        lease_ttl=args.lease_ttl if args.lease_ttl is not None else 300.0,
+        max_attempts=(
+            args.max_attempts if args.max_attempts is not None else 3
+        ),
+        grid_spec=_grid_spec_from_args(args),
+    )
+    _create_directory(Path(args.queue_init).parent)
+    path = write_manifest(args.queue_init, manifest)
     print(
-        f"Queue manifest: {len(grid)} points in {shards} shards "
+        f"Queue manifest: {len(grid)} points in {args.shards} shards "
         f"({manifest.fingerprint}) -> {path}"
     )
     print(
@@ -796,59 +736,17 @@ def _cmd_sweep_queue_init(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_queue(args: argparse.Namespace) -> int:
-    """The --queue path: run one worker until nothing is claimable."""
-    overridden = [
-        "--" + name.replace("_", "-")
-        for name, default in _GRID_AXIS_DEFAULTS.items()
-        if getattr(args, name) != default
-    ]
-    if overridden:
-        raise _sweep_error(
-            "--queue rebuilds the grid from the manifest; drop "
-            + ", ".join(overridden)
-        )
-    if args.shards is not None or args.shard_index is not None:
-        raise _sweep_error(
-            "--queue takes the partition geometry from the manifest; "
-            "drop --shards/--shard-index"
-        )
-    if args.resume:
-        raise _sweep_error(
-            "the queue always skips shards with valid artifacts; "
-            "--resume is implied by --queue"
-        )
-    if args.csv:
-        raise _sweep_error(
-            "a queue worker writes shard artifacts, not a report; "
-            "gather the shard directory for --csv"
-        )
-    if args.lease_ttl is not None or args.max_attempts is not None:
-        raise _sweep_error(
-            "--lease-ttl/--max-attempts are set at --queue-init time; "
-            "the manifest already records the queue policy"
-        )
-    if args.max_rows_in_memory is not None or args.spill_dir is not None:
-        raise _sweep_error(
-            "a queue worker writes shard artifacts, not a report; "
-            "--max-rows-in-memory/--spill-dir apply where the report "
-            "is produced (sweep --merge or gather)"
-        )
-    try:
-        manifest = read_manifest(args.queue)
-        grid = _grid_from_spec(
-            manifest.grid_spec, source=f"queue manifest {args.queue}"
-        )
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
+def _run_queue(args: argparse.Namespace) -> int:
+    """--queue: run one worker until nothing is claimable."""
+    manifest = read_manifest(args.queue)
+    grid = _grid_from_spec(
+        manifest.grid_spec, source=f"queue manifest {args.queue}"
+    )
 
     def on_event(kind: str, shard_index: int, detail: str) -> None:
         print(f"shard {shard_index}/{manifest.shards} {kind}: {detail}")
 
-    try:
-        report = run_gps_queue_worker(args.queue, grid, on_event=on_event)
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
+    report = run_gps_queue_worker(args.queue, grid, on_event=on_event)
     print(
         f"Queue worker done: {len(report.evaluated)} evaluated, "
         f"{len(report.skipped)} skipped, "
@@ -875,84 +773,32 @@ def _cmd_sweep_queue(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_merge(args: argparse.Namespace) -> int:
-    """The --merge path: reassemble shard artifacts into one report."""
-    if args.queue_init is not None or args.queue is not None:
-        raise _sweep_error(
-            "--merge combines finished artifacts; drop "
-            "--queue-init/--queue"
-        )
-    if args.lease_ttl is not None or args.max_attempts is not None:
-        raise _sweep_error(
-            "--lease-ttl/--max-attempts set the queue policy; they "
-            "need --queue-init"
-        )
-    if args.shards is not None or args.shard_index is not None:
-        raise _sweep_error(
-            "--merge combines existing shard artifacts; it cannot be "
-            "mixed with --shards/--shard-index"
-        )
+def _run_shard(args: argparse.Namespace) -> int:
+    """--shard-index: evaluate one shard and write its artifact."""
+    grid = _grid_from_args(args)
+    shards, index = args.shards, args.shard_index
+    shard_dir = args.shard_dir if args.shard_dir is not None else "."
+    artifact_path = Path(shard_dir) / shard_filename(shards, index)
     if args.resume:
-        raise _sweep_error(
-            "--resume skips an already-evaluated shard run; it does "
-            "not apply to --merge"
-        )
-    overridden = [
-        "--" + name.replace("_", "-")
-        for name, default in _GRID_AXIS_DEFAULTS.items()
-        if getattr(args, name) != default
-    ]
-    if overridden:
-        raise _sweep_error(
-            "--merge reads the grid from the shard artifacts; drop "
-            + ", ".join(overridden)
-        )
-    max_rows = _resolve_max_rows(args, _sweep_error)
-    if args.spill_dir is not None and max_rows is None:
-        raise _sweep_error(
-            f"--spill-dir needs a row budget; give "
-            f"--max-rows-in-memory (or ${MAX_ROWS_ENV})"
-        )
-    try:
-        paths = find_shard_artifacts(args.merge)
-        if not paths:
-            raise _sweep_error(
-                f"no shard artifacts (shard-*.json) in {args.merge}"
+        fingerprint = _resumable_artifact(artifact_path, grid, shards, index)
+        if fingerprint is not None:
+            print(
+                f"Shard {index}/{shards}: valid artifact for this grid "
+                f"({fingerprint}) already at {artifact_path}, skipping "
+                f"re-evaluation"
             )
-        if max_rows is not None:
-            # Out-of-core merge: spill to a chunked frame store and
-            # stream it out — byte-identical stdout, bounded memory.
-            first = read_shard_artifact(paths[0])
-            identity = {
-                "fingerprint": first.fingerprint,
-                "order_digest": first.order_digest,
-                "total_points": first.total_points,
-            }
-            del first
-            if args.spill_dir is not None:
-                store = _reuse_or_create_store(
-                    args.spill_dir,
-                    **identity,
-                    build=lambda directory: merge_artifacts_to_store(
-                        paths, directory, max_rows
-                    ),
-                )
-                _print_store_report(store, None, args)
-            else:
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-spill-"
-                ) as scratch:
-                    store = merge_artifacts_to_store(
-                        paths, Path(scratch) / "store", max_rows
-                    )
-                    _print_store_report(store, None, args)
             return 0
-        report = merge_shard_artifacts(paths)
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
-    # Every grid point has exactly one winning row.
-    n_points = int(report.frame.column("is_winner").sum())
-    _print_sweep_report(report, n_points, args)
+    _create_directory(shard_dir)
+    # Shard geometry (positive count, index in range) is validated by
+    # the sharding layer itself.
+    artifact = run_gps_shard(grid, shards=shards, shard_index=index)
+    path = write_shard_artifact(artifact_path, artifact)
+    print(
+        f"Shard {index}/{shards}: {len(artifact.indices)} of "
+        f"{artifact.total_points} points ({artifact.fingerprint}) -> {path}"
+    )
+    if args.cache_stats:
+        print(_cache_line(artifact.cache_state))
     return 0
 
 
@@ -985,300 +831,89 @@ def _print_adaptive_summary(report, args) -> None:
         )
 
 
-def _cmd_sweep_adaptive(args: argparse.Namespace, grid: SweepGrid) -> int:
-    """The --adaptive arm of the sweep subcommand.
+def _run_adaptive(args: argparse.Namespace) -> int:
+    """--adaptive: the coarse → zoom refinement driver.
 
-    Runs the coarse → zoom driver and renders the merged canonical
-    frame through the same table/CSV/store renderers as an exhaustive
-    sweep — the rows are byte-identical to the exhaustive rows of the
-    evaluated points, so downstream CSV consumers need no changes.
+    The merged canonical frame renders through the same table/CSV/
+    store renderers as an exhaustive sweep — its rows are
+    byte-identical to the exhaustive rows of the evaluated points.
     """
-    refine_margin = (
-        args.refine_margin if args.refine_margin is not None else 0.0
-    )
-    coarse = args.coarse if args.coarse is not None else 4
-    max_rows = _resolve_max_rows(args, _sweep_error)
-    if args.spill_dir is not None and max_rows is None:
-        raise _sweep_error(
-            f"--spill-dir needs a row budget; give "
-            f"--max-rows-in-memory (or ${MAX_ROWS_ENV})"
-        )
+    grid = _grid_from_args(args)
+    tuning = {
+        "passes": args.passes,
+        "budget": args.budget,
+        "refine_margin": (
+            args.refine_margin if args.refine_margin is not None else 0.0
+        ),
+        "coarse": args.coarse if args.coarse is not None else 4,
+    }
+    max_rows = _row_budget(args)
+    if max_rows is None:
+        report = run_adaptive_gps_sweep(grid, **tuning)
+        _print_adaptive_summary(report, args)
+        _print_sweep_report(report.report, args)
+        return 0
     if args.spill_dir is not None and (
         Path(args.spill_dir) / STORE_MANIFEST_NAME
     ).exists():
         # The exhaustive spill can verify reuse against the grid
         # identity; an adaptive run cannot — which points were
         # evaluated depends on the refinement itself.
-        raise _sweep_error(
+        raise SpecificationError(
             f"spill directory {args.spill_dir} already holds a frame "
             f"store; an adaptive run cannot verify reuse (the "
             f"evaluated subgrid depends on the refinement) — remove "
             f"it or pick another --spill-dir"
         )
-    try:
-        if max_rows is not None:
-            if args.spill_dir is not None:
-                store, report = spill_adaptive_gps_sweep(
-                    grid,
-                    _create_directory(args.spill_dir),
-                    max_rows,
-                    passes=args.passes,
-                    budget=args.budget,
-                    refine_margin=refine_margin,
-                    coarse=coarse,
-                )
-                _print_adaptive_summary(report, args)
-                _print_store_report(
-                    store, report.total_evaluations, args
-                )
-            else:
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-spill-"
-                ) as scratch:
-                    store, report = spill_adaptive_gps_sweep(
-                        grid,
-                        Path(scratch) / "store",
-                        max_rows,
-                        passes=args.passes,
-                        budget=args.budget,
-                        refine_margin=refine_margin,
-                        coarse=coarse,
-                    )
-                    _print_adaptive_summary(report, args)
-                    _print_store_report(
-                        store, report.total_evaluations, args
-                    )
-            return 0
-        report = run_adaptive_gps_sweep(
-            grid,
-            passes=args.passes,
-            budget=args.budget,
-            refine_margin=refine_margin,
-            coarse=coarse,
+
+    def build(directory):
+        store, report = spill_adaptive_gps_sweep(
+            grid, directory, max_rows, **tuning
         )
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
-    _print_adaptive_summary(report, args)
-    _print_sweep_report(report.report, report.total_evaluations, args)
-    return 0
+        _print_adaptive_summary(report, args)
+        return store
+
+    return _render_spilled(args, build)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.adaptive:
-        for value, flag in (
-            (args.passes, "--passes"),
-            (args.budget, "--budget"),
-            (args.refine_margin, "--refine-margin"),
-            (args.coarse, "--coarse"),
-        ):
-            if value is not None:
-                raise _sweep_error(
-                    f"{flag} tunes the adaptive driver; it needs "
-                    f"--adaptive"
-                )
-    elif (
-        args.merge is not None
-        or args.queue_init is not None
-        or args.queue is not None
-    ):
-        raise _sweep_error(
-            "--adaptive runs a fresh refinement sweep; it contradicts "
-            "--merge/--queue-init/--queue, which replay or coordinate "
-            "exhaustive-grid artifacts"
-        )
-    if args.merge is not None:
-        return _cmd_sweep_merge(args)
-    if args.queue_init is not None:
-        return _cmd_sweep_queue_init(args)
-    if args.queue is not None:
-        return _cmd_sweep_queue(args)
-    if args.lease_ttl is not None or args.max_attempts is not None:
-        raise _sweep_error(
-            "--lease-ttl/--max-attempts set the queue policy; they "
-            "need --queue-init"
-        )
-
-    grid = SweepGrid(
-        volumes=args.volumes,
-        substrates=args.substrates,
-        processes=args.processes,
-        tolerances=args.tolerances,
-        q_models=args.q_models,
-        nres=args.nres,
-        fom_weights=args.fom_weights,
-    )
-    shards = args.shards
-
-    if args.resume and args.shard_index is None:
-        raise _sweep_error(
-            "--resume needs a shard run to resume; give "
-            "--shard-index (and --shards)"
-        )
-
-    if args.adaptive and args.shard_index is not None:
-        raise _sweep_error(
-            "--adaptive proposes its own subgrids; cross-host shard "
-            "artifacts (--shard-index) cover the exhaustive grid"
-        )
-
-    if args.shard_index is not None:
-        # Cross-host mode: evaluate one shard, write its artifact.
-        if args.max_rows_in_memory is not None or args.spill_dir is not None:
-            raise _sweep_error(
-                "a shard run writes its artifact, not a report; "
-                "--max-rows-in-memory/--spill-dir apply where the "
-                "report is produced (sweep --merge or gather)"
-            )
-        if shards is None:
-            raise _sweep_error("--shard-index requires --shards")
-        if args.csv:
-            raise _sweep_error(
-                "--csv applies to full reports; a shard run only "
-                "writes its artifact (merge the shards, then --csv)"
-            )
-        artifact_path = Path(args.shard_dir) / shard_filename(
-            shards, args.shard_index
-        )
-        if args.resume:
-            fingerprint = _resumable_artifact(
-                artifact_path, grid, shards, args.shard_index
-            )
-            if fingerprint is not None:
-                print(
-                    f"Shard {args.shard_index}/{shards}: valid "
-                    f"artifact for this grid ({fingerprint}) already "
-                    f"at {artifact_path}, skipping re-evaluation"
-                )
-                return 0
-        try:
-            _create_directory(args.shard_dir)
-            # Shard geometry (positive count, index in range) is
-            # validated by the sharding layer itself.
-            artifact = run_gps_shard(
-                grid,
-                shards=shards,
-                shard_index=args.shard_index,
-            )
-        except SpecificationError as exc:
-            raise _sweep_error(str(exc)) from None
-        path = write_shard_artifact(artifact_path, artifact)
-        print(
-            f"Shard {args.shard_index}/{shards}: "
-            f"{len(artifact.indices)} of {artifact.total_points} "
-            f"points ({artifact.fingerprint}) -> {path}"
-        )
-        if args.cache_stats:
-            print(
-                "cache: "
-                + " ".join(
-                    f"{name}={table['hits']}h/{table['misses']}m"
-                    for name, table in artifact.cache_state[
-                        "tables"
-                    ].items()
-                )
-            )
+def _run_sweep(args: argparse.Namespace) -> int:
+    """The plain sweep: every grid point, in RAM or spilled."""
+    grid = _grid_from_args(args)
+    max_rows = _row_budget(args)
+    if max_rows is None:
+        _print_sweep_report(run_gps_sweep(grid), args)
         return 0
 
-    if shards is not None:
-        raise _sweep_error(
-            "--shards partitions the grid for cross-host runs; give "
-            "--shard-index (run one shard) or --queue-init (write a "
-            "work queue)"
-        )
-
-    if args.adaptive:
-        return _cmd_sweep_adaptive(args, grid)
-
-    max_rows = _resolve_max_rows(args, _sweep_error)
-    if args.spill_dir is not None and max_rows is None:
-        raise _sweep_error(
-            f"--spill-dir needs a row budget; give "
-            f"--max-rows-in-memory (or ${MAX_ROWS_ENV})"
-        )
-    if max_rows is not None:
-        # Out-of-core mode: spill completed rows to a chunked frame
-        # store as the sweep streams, then render from the store —
-        # stdout is byte-identical to the in-RAM path below.
+    def identity() -> dict:
         points = grid.points()
-        identity = {
+        return {
             "fingerprint": grid_fingerprint(points),
             "order_digest": grid_order_digest(points),
             "total_points": len(points),
         }
-        try:
-            if args.spill_dir is not None:
-                store = _reuse_or_create_store(
-                    args.spill_dir,
-                    **identity,
-                    build=lambda directory: spill_gps_sweep(
-                        grid, directory, max_rows
-                    ),
-                )
-                _print_store_report(store, len(grid), args)
-            else:
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-spill-"
-                ) as scratch:
-                    store = spill_gps_sweep(
-                        grid, Path(scratch) / "store", max_rows
-                    )
-                    _print_store_report(store, len(grid), args)
-        except SpecificationError as exc:
-            raise _sweep_error(str(exc)) from None
-        return 0
 
-    try:
-        report = run_gps_sweep(grid)
-    except SpecificationError as exc:
-        raise _sweep_error(str(exc)) from None
-    _print_sweep_report(report, len(grid), args)
-    return 0
+    # Out-of-core mode: spill completed rows to a chunked frame store
+    # as the sweep streams, then render from the store.
+    return _render_spilled(
+        args,
+        lambda directory: spill_gps_sweep(grid, directory, max_rows),
+        identity,
+    )
 
 
-def _gather_error(message: str) -> "SystemExit":
-    """Abort the gather subcommand with argparse's exit contract."""
-    print(f"repro-gps gather: error: {message}", file=sys.stderr)
-    return SystemExit(2)
-
-
-def _cmd_gather(args: argparse.Namespace) -> int:
+def _run_gather(args: argparse.Namespace) -> int:
     """Merge a shard directory — one-shot, or watching workers live.
 
-    Exit codes separate *asking wrong* from *not done yet*: bad flag
-    combinations or an unreadable manifest exit 2 (usage), while an
-    incomplete directory, a timeout or a rejected artifact exit 1
-    with a one-line reason — the right signal for a supervisor
-    restarting the watch.
+    Exit codes separate *asking wrong* from *not done yet*: an
+    unreadable manifest or a broken spill store (wrong grid, corrupt
+    chunk) exits 2, while an incomplete directory, a timeout or a
+    rejected artifact exit 1 with a one-line reason — the right signal
+    for a supervisor restarting the watch.
     """
-    if not args.watch:
-        if args.poll is not None:
-            raise _gather_error(
-                "--poll paces the watch loop; it needs --watch"
-            )
-        if args.timeout is not None:
-            raise _gather_error(
-                "--timeout bounds the watch loop; it needs --watch"
-            )
-    elif args.max_rows_in_memory is not None or args.spill_dir is not None:
-        raise _gather_error(
-            "--watch merges incrementally in memory; "
-            "--max-rows-in-memory/--spill-dir need the one-shot gather"
-        )
-    max_rows = None
-    if not args.watch:
-        max_rows = _resolve_max_rows(args, _gather_error)
-        if args.spill_dir is not None and max_rows is None:
-            raise _gather_error(
-                f"--spill-dir needs a row budget; give "
-                f"--max-rows-in-memory (or ${MAX_ROWS_ENV})"
-            )
+    max_rows = None if args.watch else _row_budget(args)
     expected = None
     if args.manifest is not None:
-        try:
-            expected = read_manifest(args.manifest)
-        except SpecificationError as exc:
-            raise _gather_error(str(exc)) from None
-
+        expected = read_manifest(args.manifest)
     last_progress: list = [None]
 
     def on_snapshot(snapshot) -> None:
@@ -1309,10 +944,25 @@ def _cmd_gather(args: argparse.Namespace) -> int:
         # final table/CSV.
         print(line, file=sys.stderr)
 
-    if max_rows is not None:
-        return _gather_spilled(args, expected, max_rows)
+    def identity() -> dict:
+        if expected is not None:
+            return _identity(expected)
+        paths = find_shard_artifacts(args.directory)
+        if not paths:
+            raise GatherError(
+                f"no shard artifacts (shard-*.json) in {args.directory}"
+            )
+        return _identity(read_shard_artifact(paths[0]))
 
     try:
+        if max_rows is not None:
+            return _render_spilled(
+                args,
+                lambda directory: gather_directory_to_store(
+                    args.directory, directory, max_rows, expected=expected
+                ),
+                identity,
+            )
         if args.watch:
             report = watch_directory(
                 args.directory,
@@ -1323,146 +973,32 @@ def _cmd_gather(args: argparse.Namespace) -> int:
             )
         else:
             report = gather_directory(args.directory, expected=expected)
-    except GatherError as exc:
+    except (GatherError, ShardMergeError) as exc:
+        # An incomplete directory, or one that cannot be listed or
+        # read: not done yet, exit 1.
         print(f"repro-gps gather: {exc}", file=sys.stderr)
         return 1
-    # Every grid point has exactly one winning row.
-    n_points = int(report.frame.column("is_winner").sum())
-    _print_sweep_report(report, n_points, args)
+    _print_sweep_report(report, args)
     return 0
 
 
-def _gather_spilled(args: argparse.Namespace, expected, max_rows: int) -> int:
-    """The out-of-core gather: merge the directory through a store.
-
-    Exit codes keep the gather contract: a directory that is not done
-    yet (missing shards, rejected artifacts) exits 1, while a broken
-    spill store — wrong grid, corrupt chunk — is *asking wrong* and
-    exits 2.  Stdout is byte-identical to the in-RAM gather.
-    """
-    try:
-        if args.spill_dir is not None:
-            if expected is not None:
-                identity = {
-                    "fingerprint": expected.fingerprint,
-                    "order_digest": expected.order_digest,
-                    "total_points": expected.total_points,
-                }
-            else:
-                paths = find_shard_artifacts(args.directory)
-                if not paths:
-                    raise GatherError(
-                        f"no shard artifacts (shard-*.json) in "
-                        f"{args.directory}"
-                    )
-                first = read_shard_artifact(paths[0])
-                identity = {
-                    "fingerprint": first.fingerprint,
-                    "order_digest": first.order_digest,
-                    "total_points": first.total_points,
-                }
-                del first
-            store = _reuse_or_create_store(
-                args.spill_dir,
-                **identity,
-                build=lambda directory: gather_directory_to_store(
-                    args.directory, directory, max_rows, expected=expected
-                ),
-            )
-            _print_store_report(store, None, args)
-        else:
-            with tempfile.TemporaryDirectory(
-                prefix="repro-spill-"
-            ) as scratch:
-                store = gather_directory_to_store(
-                    args.directory,
-                    Path(scratch) / "store",
-                    max_rows,
-                    expected=expected,
-                )
-                _print_store_report(store, None, args)
-    except GatherError as exc:
-        print(f"repro-gps gather: {exc}", file=sys.stderr)
-        return 1
-    except ShardMergeError as exc:
-        # Listing/reading the shard directory fails the same way it
-        # would in the in-RAM gather: not done yet, exit 1.
-        print(f"repro-gps gather: {exc}", file=sys.stderr)
-        return 1
-    except SpecificationError as exc:
-        raise _gather_error(str(exc)) from None
-    return 0
-
-
-def _warehouse_error(message: str) -> "SystemExit":
-    """Abort a warehouse subcommand with argparse's exit contract.
-
-    Bad asks — contradictory flags, a missing manifest, a fingerprint
-    that does not match the warehouse — exit 2 with a one-line
-    message, never a traceback.
-    """
-    print(f"repro-gps warehouse: error: {message}", file=sys.stderr)
-    return SystemExit(2)
-
-
-def _check_warehouse_fingerprint(directory, pin: Optional[str]):
-    """The warehouse manifest, with an optional ``--fingerprint`` pin."""
-    try:
-        manifest = read_warehouse_manifest(directory)
-    except SpecificationError as exc:
-        raise _warehouse_error(str(exc)) from None
-    if pin is not None and manifest.fingerprint != pin:
-        raise _warehouse_error(
-            f"warehouse {directory} holds grid fingerprint "
-            f"{manifest.fingerprint}, not {pin}; point at the right "
-            f"warehouse or drop --fingerprint"
-        )
-    return manifest
-
-
-def _cmd_warehouse_build(args: argparse.Namespace) -> int:
+def _run_warehouse_build(args: argparse.Namespace) -> int:
     """Materialise a sweep into frame files (fresh run or shard ingest)."""
     if args.from_shards is not None:
-        overridden = [
-            "--" + name.replace("_", "-")
-            for name, default in _GRID_AXIS_DEFAULTS.items()
-            if getattr(args, name) != default
-        ]
-        if overridden:
-            raise _warehouse_error(
-                "--from-shards reads the grid from the shard "
-                "artifacts; drop " + ", ".join(overridden)
-            )
-        try:
-            _create_directory(args.directory)
-            manifest, appended, skipped = ingest_shard_directory(
-                args.directory, args.from_shards
-            )
-        except SpecificationError as exc:
-            raise _warehouse_error(str(exc)) from None
+        _create_directory(args.directory)
+        manifest, appended, skipped = ingest_shard_directory(
+            args.directory, args.from_shards
+        )
         for name in appended:
             print(f"appended {name}")
         for name in skipped:
             print(f"skipped {name} (already covered)")
     else:
-        grid = SweepGrid(
-            volumes=args.volumes,
-            substrates=args.substrates,
-            processes=args.processes,
-            tolerances=args.tolerances,
-            q_models=args.q_models,
-            nres=args.nres,
-            fom_weights=args.fom_weights,
+        grid = _grid_from_args(args)
+        _create_directory(args.directory)
+        manifest = build_gps_warehouse(
+            args.directory, grid, grid_spec=_grid_spec_from_args(args)
         )
-        try:
-            _create_directory(args.directory)
-            manifest = build_gps_warehouse(
-                args.directory,
-                grid,
-                grid_spec=_grid_spec_from_args(args),
-            )
-        except SpecificationError as exc:
-            raise _warehouse_error(str(exc)) from None
     rows = sum(entry.rows for entry in manifest.frames)
     state = "complete" if manifest.complete else "partial"
     print(
@@ -1474,6 +1010,394 @@ def _cmd_warehouse_build(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- the flag table ----------------------------------------------------
+
+#: A pseudo-flag for :attr:`_Rule.needs`: a row budget, from
+#: --max-rows-in-memory or ``$REPRO_SWEEP_MAX_ROWS``.
+_ROW_BUDGET = "row budget"
+
+
+class _Rule(NamedTuple):
+    """Refuse any of ``flags`` that is given unless one of ``needs`` is.
+
+    With no ``needs`` the flags are refused outright.  ``message`` may
+    name the given flags through ``{flags}``.
+    """
+
+    flags: tuple
+    message: str
+    needs: tuple = ()
+
+
+class _Mode(NamedTuple):
+    """One run mode of a command: the flag that selects it, the flags it
+    uses, the refusals and requirements checked in order, its runner.
+
+    ``accepts`` is the mode's documentation (the guide's mode x flag
+    table); with the rules and the earlier modes' selectors it covers
+    every flag of the command, which the tests check.
+    """
+
+    name: str
+    selector: Optional[str]
+    accepts: frozenset
+    rules: tuple
+    run: Callable[[argparse.Namespace], int]
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+_SPILL = ("max_rows_in_memory", "spill_dir")
+_REPORT = frozenset({"csv", "cache_stats", *_SPILL})
+_TUNING = ("passes", "budget", "refine_margin", "coarse")
+_TUNING_NEEDS_ADAPTIVE = tuple(
+    _Rule(
+        (name,),
+        f"{_flag(name)} tunes the adaptive driver; it needs --adaptive",
+        ("adaptive",),
+    )
+    for name in _TUNING
+)
+_ADAPTIVE_REFUSED = _Rule(
+    ("adaptive",),
+    "--adaptive runs a fresh refinement sweep; it contradicts "
+    "--merge/--queue-init/--queue, which replay or coordinate "
+    "exhaustive-grid artifacts",
+)
+_POLICY_NEEDS_QUEUE_INIT = _Rule(
+    ("lease_ttl", "max_attempts"),
+    "--lease-ttl/--max-attempts set the queue policy; they need "
+    "--queue-init",
+    ("queue_init",),
+)
+_RESUME_NEEDS_SHARD_RUN = _Rule(
+    ("resume",),
+    "--resume needs a shard run to resume; give --shard-index "
+    "(and --shards)",
+    ("shard_index",),
+)
+_SHARDS_NEED_A_RUN = _Rule(
+    ("shards",),
+    "--shards partitions the grid for cross-host runs; give "
+    "--shard-index (run one shard) or --queue-init (write a work queue)",
+    ("shard_index", "queue_init"),
+)
+_SHARD_DIR_NEEDS_SHARD_RUN = _Rule(
+    ("shard_dir",),
+    "--shard-dir names where a shard run writes its artifact; it needs "
+    "--shard-index",
+    ("shard_index",),
+)
+_SPILL_DIR_NEEDS_BUDGET = _Rule(
+    ("spill_dir",),
+    f"--spill-dir needs a row budget; give --max-rows-in-memory "
+    f"(or ${MAX_ROWS_ENV})",
+    (_ROW_BUDGET,),
+)
+_FRESH_SWEEP_RULES = (
+    *_TUNING_NEEDS_ADAPTIVE,
+    _POLICY_NEEDS_QUEUE_INIT,
+    _RESUME_NEEDS_SHARD_RUN,
+    _SHARDS_NEED_A_RUN,
+    _SHARD_DIR_NEEDS_SHARD_RUN,
+    _SPILL_DIR_NEEDS_BUDGET,
+)
+
+#: The run modes of each multi-mode command, in precedence order: the
+#: first mode whose selector flag is given runs (``None`` = fallback),
+#: after its rules pass.  The rule order fixes which refusal an argv
+#: with several faults gets.
+MODE_TABLES = {
+    "sweep": (
+        _Mode(
+            "--merge",
+            "merge",
+            frozenset({"merge", *_REPORT}),
+            (
+                *_TUNING_NEEDS_ADAPTIVE,
+                _ADAPTIVE_REFUSED,
+                _Rule(
+                    ("queue_init", "queue"),
+                    "--merge combines finished artifacts; drop "
+                    "--queue-init/--queue",
+                ),
+                _POLICY_NEEDS_QUEUE_INIT,
+                _Rule(
+                    ("shards", "shard_index"),
+                    "--merge combines existing shard artifacts; it cannot "
+                    "be mixed with --shards/--shard-index",
+                ),
+                _Rule(
+                    ("resume",),
+                    "--resume skips an already-evaluated shard run; it "
+                    "does not apply to --merge",
+                ),
+                _Rule(
+                    tuple(_GRID_AXES),
+                    "--merge reads the grid from the shard artifacts; "
+                    "drop {flags}",
+                ),
+                _SHARD_DIR_NEEDS_SHARD_RUN,
+                _SPILL_DIR_NEEDS_BUDGET,
+            ),
+            _run_merge,
+        ),
+        _Mode(
+            "--queue-init",
+            "queue_init",
+            frozenset(
+                {"queue_init", "shards", "lease_ttl", "max_attempts",
+                 *_GRID_AXES}
+            ),
+            (
+                *_TUNING_NEEDS_ADAPTIVE,
+                _ADAPTIVE_REFUSED,
+                _Rule(
+                    ("queue",),
+                    "--queue-init writes the manifest, --queue runs a "
+                    "worker against it; one invocation does one or the "
+                    "other",
+                ),
+                _Rule(
+                    ("shard_index",),
+                    "--queue-init partitions the whole grid; drop "
+                    "--shard-index",
+                ),
+                _Rule(
+                    ("resume",),
+                    "the queue always skips shards with valid artifacts; "
+                    "--resume does not apply to --queue-init",
+                ),
+                _Rule(
+                    ("csv",),
+                    "--queue-init evaluates nothing; --csv applies to "
+                    "reports (gather the finished queue instead)",
+                ),
+                _Rule(
+                    _SPILL,
+                    "--queue-init evaluates nothing; --max-rows-in-memory/"
+                    "--spill-dir apply where the report is produced "
+                    "(sweep --merge or gather)",
+                ),
+                _Rule(
+                    ("queue_init",),
+                    "--queue-init needs the partition geometry; give "
+                    "--shards",
+                    ("shards",),
+                ),
+                _SHARD_DIR_NEEDS_SHARD_RUN,
+                _Rule(
+                    ("cache_stats",),
+                    "--queue-init evaluates nothing; --cache-stats "
+                    "applies where shards are evaluated",
+                ),
+            ),
+            _run_queue_init,
+        ),
+        _Mode(
+            "--queue",
+            "queue",
+            frozenset({"queue"}),
+            (
+                *_TUNING_NEEDS_ADAPTIVE,
+                _ADAPTIVE_REFUSED,
+                _Rule(
+                    tuple(_GRID_AXES),
+                    "--queue rebuilds the grid from the manifest; drop "
+                    "{flags}",
+                ),
+                _Rule(
+                    ("shards", "shard_index"),
+                    "--queue takes the partition geometry from the "
+                    "manifest; drop --shards/--shard-index",
+                ),
+                _Rule(
+                    ("resume",),
+                    "the queue always skips shards with valid artifacts; "
+                    "--resume is implied by --queue",
+                ),
+                _Rule(
+                    ("csv",),
+                    "a queue worker writes shard artifacts, not a report; "
+                    "gather the shard directory for --csv",
+                ),
+                _Rule(
+                    ("lease_ttl", "max_attempts"),
+                    "--lease-ttl/--max-attempts are set at --queue-init "
+                    "time; the manifest already records the queue policy",
+                ),
+                _Rule(
+                    _SPILL,
+                    "a queue worker writes shard artifacts, not a report; "
+                    "--max-rows-in-memory/--spill-dir apply where the "
+                    "report is produced (sweep --merge or gather)",
+                ),
+                _Rule(
+                    ("shard_dir",),
+                    "a queue worker publishes into its manifest's "
+                    "directory; drop --shard-dir",
+                ),
+                _Rule(
+                    ("cache_stats",),
+                    "a queue worker writes shard artifacts, not a report; "
+                    "gather the shard directory for --cache-stats",
+                ),
+            ),
+            _run_queue,
+        ),
+        _Mode(
+            "--shard-index",
+            "shard_index",
+            frozenset(
+                {"shard_index", "shards", "shard_dir", "resume",
+                 "cache_stats", *_GRID_AXES}
+            ),
+            (
+                *_TUNING_NEEDS_ADAPTIVE,
+                _POLICY_NEEDS_QUEUE_INIT,
+                _Rule(
+                    ("adaptive",),
+                    "--adaptive proposes its own subgrids; cross-host "
+                    "shard artifacts (--shard-index) cover the exhaustive "
+                    "grid",
+                ),
+                _Rule(
+                    _SPILL,
+                    "a shard run writes its artifact, not a report; "
+                    "--max-rows-in-memory/--spill-dir apply where the "
+                    "report is produced (sweep --merge or gather)",
+                ),
+                _Rule(
+                    ("shard_index",),
+                    "--shard-index requires --shards",
+                    ("shards",),
+                ),
+                _Rule(
+                    ("csv",),
+                    "--csv applies to full reports; a shard run only "
+                    "writes its artifact (merge the shards, then --csv)",
+                ),
+            ),
+            _run_shard,
+        ),
+        _Mode(
+            "--adaptive",
+            "adaptive",
+            frozenset({"adaptive", *_TUNING, *_REPORT, *_GRID_AXES}),
+            _FRESH_SWEEP_RULES,
+            _run_adaptive,
+        ),
+        _Mode(
+            "plain",
+            None,
+            frozenset({*_REPORT, *_GRID_AXES}),
+            _FRESH_SWEEP_RULES,
+            _run_sweep,
+        ),
+    ),
+    "gather": (
+        _Mode(
+            "--watch",
+            "watch",
+            frozenset({"watch", "poll", "timeout", "manifest", "csv",
+                       "cache_stats"}),
+            (
+                _Rule(
+                    _SPILL,
+                    "--watch merges incrementally in memory; "
+                    "--max-rows-in-memory/--spill-dir need the one-shot "
+                    "gather",
+                ),
+            ),
+            _run_gather,
+        ),
+        _Mode(
+            "one-shot",
+            None,
+            frozenset({"manifest", *_REPORT}),
+            (
+                _Rule(
+                    ("poll",),
+                    "--poll paces the watch loop; it needs --watch",
+                    ("watch",),
+                ),
+                _Rule(
+                    ("timeout",),
+                    "--timeout bounds the watch loop; it needs --watch",
+                    ("watch",),
+                ),
+                _SPILL_DIR_NEEDS_BUDGET,
+            ),
+            _run_gather,
+        ),
+    ),
+    "warehouse build": (
+        _Mode(
+            "--from-shards",
+            "from_shards",
+            frozenset({"from_shards"}),
+            (
+                _Rule(
+                    tuple(_GRID_AXES),
+                    "--from-shards reads the grid from the shard "
+                    "artifacts; drop {flags}",
+                ),
+            ),
+            _run_warehouse_build,
+        ),
+        _Mode(
+            "fresh",
+            None,
+            frozenset(_GRID_AXES),
+            (),
+            _run_warehouse_build,
+        ),
+    ),
+}
+
+
+def _multi_mode(parser: argparse.ArgumentParser, modes: tuple):
+    """The ``func`` of a multi-mode command: pick the mode, walk its
+    rules, run it.  A flag is given when its value differs from its
+    ``parser`` default."""
+
+    def given(args: argparse.Namespace, name: str) -> bool:
+        if name == _ROW_BUDGET:
+            return _row_budget(args) is not None
+        return getattr(args, name) != parser.get_default(name)
+
+    def run(args: argparse.Namespace) -> int:
+        mode = next(
+            mode
+            for mode in modes
+            if mode.selector is None or given(args, mode.selector)
+        )
+        for rule in mode.rules:
+            named = [name for name in rule.flags if given(args, name)]
+            if named and not any(given(args, need) for need in rule.needs):
+                flags = ", ".join(_flag(name) for name in named)
+                raise _usage_error(
+                    args.command, rule.message.format(flags=flags)
+                )
+        return mode.run(args)
+
+    return run
+
+
+def _check_warehouse_fingerprint(directory, pin: Optional[str]):
+    """The warehouse manifest, with an optional ``--fingerprint`` pin."""
+    manifest = read_warehouse_manifest(directory)
+    if pin is not None and manifest.fingerprint != pin:
+        raise SpecificationError(
+            f"warehouse {directory} holds grid fingerprint "
+            f"{manifest.fingerprint}, not {pin}; point at the right "
+            f"warehouse or drop --fingerprint"
+        )
+    return manifest
+
+
 def _cmd_warehouse_serve(args: argparse.Namespace) -> int:
     """Put a warehouse behind ``POST /query`` until interrupted."""
     _check_warehouse_fingerprint(args.directory, args.fingerprint)
@@ -1481,10 +1405,8 @@ def _cmd_warehouse_serve(args: argparse.Namespace) -> int:
         server = serve_warehouse(
             args.directory, host=args.host, port=args.port
         )
-    except SpecificationError as exc:
-        raise _warehouse_error(str(exc)) from None
     except OSError as exc:
-        raise _warehouse_error(
+        raise SpecificationError(
             f"cannot bind {args.host}:{args.port}: {exc}"
         ) from None
     host, port = server.server_address[:2]
@@ -1530,12 +1452,7 @@ def _cmd_warehouse_query(args: argparse.Namespace) -> int:
         request["fom_weights"] = args.query_fom_weights
     if args.axis is not None:
         request["axis"] = args.axis
-    try:
-        payload = QueryService(args.directory).execute(request)
-    except QueryError as exc:
-        raise _warehouse_error(str(exc)) from None
-    except SpecificationError as exc:
-        raise _warehouse_error(str(exc)) from None
+    payload = QueryService(args.directory).execute(request)
     sys.stdout.write(response_bytes(payload).decode("utf-8"))
     return 0
 
@@ -1543,66 +1460,13 @@ def _cmd_warehouse_query(args: argparse.Namespace) -> int:
 def _add_grid_axis_arguments(parser: argparse.ArgumentParser) -> None:
     """The seven sweep-grid axis flags, shared verbatim by ``sweep``
     and ``warehouse build`` (same tokens, same defaults, same grid)."""
-    parser.add_argument(
-        "--volumes",
-        type=_volume_values,
-        default=(10_000.0,),
-        help="comma-separated production volumes, e.g. 1e3,1e4,1e5",
-    )
-    parser.add_argument(
-        "--substrates",
-        type=lambda raw: _axis_values(raw, SUBSTRATE_RULES, "substrate"),
-        default=(None,),
-        help=(
-            "comma-separated MCM substrate rules: paper, "
-            + ", ".join(sorted(SUBSTRATE_RULES))
-        ),
-    )
-    parser.add_argument(
-        "--processes",
-        type=lambda raw: _axis_values(raw, THIN_FILM_PROCESSES, "process"),
-        default=(None,),
-        help=(
-            "comma-separated thin-film processes: paper, "
-            + ", ".join(sorted(THIN_FILM_PROCESSES))
-        ),
-    )
-    parser.add_argument(
-        "--tolerances",
-        type=lambda raw: _axis_values(raw, TOLERANCE_CLASSES, "tolerance"),
-        default=(None,),
-        help=(
-            "comma-separated tolerance classes: paper, "
-            + ", ".join(sorted(TOLERANCE_CLASSES))
-        ),
-    )
-    parser.add_argument(
-        "--q-models",
-        type=_q_model_values,
-        default=(None,),
-        help=(
-            "comma-separated technology Q models: paper, tan=<value>, "
-            + ", ".join(sorted(Q_MODEL_SCENARIOS))
-        ),
-    )
-    parser.add_argument(
-        "--nres",
-        type=lambda raw: _axis_values(raw, NRE_SCENARIOS, "NRE scenario"),
-        default=(None,),
-        help=(
-            "comma-separated NRE scenarios: paper, "
-            + ", ".join(sorted(NRE_SCENARIOS))
-        ),
-    )
-    parser.add_argument(
-        "--fom-weights",
-        type=_fom_weight_values,
-        default=(None,),
-        help=(
-            "comma-separated FoM weight vectors as perf:size:cost "
-            "(e.g. 1:1:1,2:1:0.5); paper = the plain product"
-        ),
-    )
+    for axis, (parse, _, help_text) in _GRID_AXES.items():
+        parser.add_argument(
+            _flag(axis),
+            type=parse,
+            default=(10_000.0,) if axis == "volumes" else (None,),
+            help=help_text,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1678,7 +1542,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--shard-dir",
-        default=".",
+        default=None,
         help=(
             "directory shard artifacts are written to "
             "(default: current directory)"
@@ -1828,7 +1692,7 @@ def build_parser() -> argparse.ArgumentParser:
             "refinable axis, endpoints always included (default 4)"
         ),
     )
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(func=_multi_mode(sweep, MODE_TABLES["sweep"]))
 
     gather = sub.add_parser(
         "gather",
@@ -1911,7 +1775,7 @@ def build_parser() -> argparse.ArgumentParser:
             "$REPRO_SWEEP_MAX_ROWS"
         ),
     )
-    gather.set_defaults(func=_cmd_gather)
+    gather.set_defaults(func=_multi_mode(gather, MODE_TABLES["gather"]))
 
     warehouse = sub.add_parser(
         "warehouse",
@@ -1947,7 +1811,9 @@ def build_parser() -> argparse.ArgumentParser:
             "skipped, new ones appended atomically"
         ),
     )
-    build.set_defaults(func=_cmd_warehouse_build)
+    build.set_defaults(
+        func=_multi_mode(build, MODE_TABLES["warehouse build"])
+    )
 
     serve = warehouse_sub.add_parser(
         "serve",
@@ -2057,7 +1923,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         args = parser.parse_args(["study"])
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpecificationError as exc:
+        # A bad ask found while running (an unreadable file, a foreign
+        # grid, an overflowing weight) is a usage error, not a crash.
+        raise _usage_error(args.command, str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -65,6 +65,23 @@ class FomEntry:
         return 1.0 / self.cost_ratio
 
 
+def weighted_power(base: float, exponent: float, axis: str) -> float:
+    """One FoM factor, ``base ** exponent``, with Python's ``**`` bits.
+
+    A result beyond the largest double (``**`` raises
+    :class:`OverflowError`) is a weight no FoM can carry: it is refused
+    as a :class:`SpecificationError` naming the ``axis`` weight.  Every
+    finite result, underflow to 0 included, is the operator's own.
+    """
+    try:
+        return base**exponent
+    except OverflowError:
+        raise SpecificationError(
+            f"{axis} weight {exponent!r} overflows the figure of "
+            f"merit (a base raised to it exceeds the largest double)"
+        ) from None
+
+
 def figure_of_merit(
     performance: float,
     size_ratio: float,
@@ -96,9 +113,9 @@ def figure_of_merit(
     if weights is None:
         weights = FomWeights()
     return (
-        performance**weights.performance
-        * (1.0 / size_ratio) ** weights.size
-        * (1.0 / cost_ratio) ** weights.cost
+        weighted_power(performance, weights.performance, "performance")
+        * weighted_power(1.0 / size_ratio, weights.size, "size")
+        * weighted_power(1.0 / cost_ratio, weights.cost, "cost")
     )
 
 

@@ -587,14 +587,14 @@ def run_queue_worker(
                 weights=weights,
                 executor=executor,
             )
-        except SpecificationError:
-            # A mis-specified sweep (bad geometry, empty candidate
-            # list) fails identically on every retry: surface it.
-            queue.fail(claim, "specification error")
-            raise
         except Exception as exc:  # noqa: BLE001 — the retry ledger
             message = f"{type(exc).__name__}: {exc}"
             queue.fail(claim, message)
+            if isinstance(exc, SpecificationError):
+                # A mis-specified sweep (bad geometry, empty candidate
+                # list, an overflowing weight) fails identically on
+                # every retry: surface it.
+                raise
             failures.append((claim.shard_index, message))
             emit("fail", claim.shard_index, message)
             continue

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import SpecificationError
-from .figure_of_merit import FomWeights
+from .figure_of_merit import FomWeights, weighted_power
 from .resultframe import ResultFrame, distinct_values
 
 #: The auxiliary ratio columns every decision frame carries.
@@ -264,23 +264,21 @@ def _pow_factor(factor: FomFactor, exponent: float, axis: str) -> np.ndarray:
     size ratio at every volume), so ``-0.0`` and ``0.0`` stay apart.
     Exponents ``0.0`` and ``1.0`` short-circuit exactly
     (``pow(x, 0) == 1.0`` for every double including NaN,
-    ``pow(x, 1) == x``).  A result beyond the largest double (Python's
-    ``**`` raises :class:`OverflowError`) is refused as a
-    :class:`SpecificationError` naming the ``axis`` weight; results that
-    underflow to 0 are kept.
+    ``pow(x, 1) == x``).  Overflow is refused by
+    :func:`~repro.core.figure_of_merit.weighted_power`, the scalar
+    formula's own rule, naming the ``axis`` weight.
     """
     distinct, inverse = factor
     if exponent == 0.0:
         return np.ones(inverse.shape, dtype=np.float64)
     if exponent != 1.0:
-        try:
-            powers = [value**exponent for value in distinct.tolist()]
-        except OverflowError:
-            raise SpecificationError(
-                f"{axis} weight {exponent!r} overflows the figure of "
-                f"merit (a base raised to it exceeds the largest double)"
-            ) from None
-        distinct = np.asarray(powers, dtype=np.float64)
+        distinct = np.asarray(
+            [
+                weighted_power(value, exponent, axis)
+                for value in distinct.tolist()
+            ],
+            dtype=np.float64,
+        )
     return distinct[inverse]
 
 

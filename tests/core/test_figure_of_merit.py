@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.figure_of_merit import (
@@ -12,6 +14,7 @@ from repro.core.figure_of_merit import (
     figure_of_merit,
     rank_buildups,
 )
+from repro.core.ranking import weighted_fom
 from repro.errors import SpecificationError
 
 
@@ -105,3 +108,57 @@ class TestRanking:
         entry = FomEntry("d", 0.7, 0.37, 1.06, 1.8)
         assert entry.size_reciprocal == pytest.approx(1 / 0.37)
         assert entry.cost_reciprocal == pytest.approx(1 / 1.06)
+
+
+class TestOverflow:
+    """One overflow rule for the scalar FoM and the column kernels."""
+
+    def test_scalar_overflow_names_the_weight(self):
+        """``(1/0.001) ** 1000`` raised a bare ``OverflowError``."""
+        with pytest.raises(SpecificationError) as excinfo:
+            figure_of_merit(0.5, 0.001, 1.0, FomWeights(1, 1000, 1))
+        assert str(excinfo.value) == (
+            "size weight 1000 overflows the figure of merit (a base "
+            "raised to it exceeds the largest double)"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        performance=st.floats(min_value=0.0, max_value=1.0),
+        size=st.floats(min_value=1e-3, max_value=10.0),
+        cost=st.floats(min_value=1e-3, max_value=10.0),
+        weights=st.tuples(
+            *[
+                st.one_of(
+                    st.floats(min_value=0.0, max_value=2000.0),
+                    st.sampled_from([0.0, 1.0, 400.0, 1100.0, 1e308]),
+                )
+            ]
+            * 3
+        ),
+    )
+    def test_scalar_and_column_share_bits_and_refusals(
+        self, performance, size, cost, weights
+    ):
+        """Every finite result (underflow to 0 included) keeps the
+        plain formula's bits on both paths; an overflow is the same
+        refusal on both."""
+        weights = FomWeights(*weights)
+        try:
+            expected = (
+                performance**weights.performance
+                * (1.0 / size) ** weights.size
+                * (1.0 / cost) ** weights.cost
+            )
+        except OverflowError:
+            with pytest.raises(SpecificationError) as scalar:
+                figure_of_merit(performance, size, cost, weights)
+            with pytest.raises(SpecificationError) as column:
+                weighted_fom([performance], [size], [cost], weights)
+            assert str(scalar.value) == str(column.value)
+            assert "overflows" in str(scalar.value)
+            return
+        scalar = figure_of_merit(performance, size, cost, weights)
+        column = weighted_fom([performance], [size], [cost], weights)
+        assert struct.pack("<d", scalar) == struct.pack("<d", expected)
+        assert column.tobytes() == struct.pack("<d", expected)

@@ -8,6 +8,7 @@ captured via capsys, and every bad-argument path is pinned to argparse's
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import sys
 
 import pytest
@@ -768,6 +769,61 @@ class TestShardCli:
         assert "performance=" in out
 
 
+class TestIgnoredFlagsRefused:
+    """Flags a run mode used to ignore without a word exit 2 naming them."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--shard-dir", "zz"], "--shard-dir"),
+            (["sweep", "--adaptive", "--shard-dir", "zz"], "--shard-dir"),
+            (["sweep", "--merge", "shards", "--shard-dir", "zz"],
+             "--shard-dir"),
+            (["sweep", "--queue-init", "q/m.json", "--shards", "2",
+              "--shard-dir", "zz"], "--shard-dir"),
+            (["sweep", "--queue", "q/m.json", "--shard-dir", "zz"],
+             "--shard-dir"),
+            (["sweep", "--queue-init", "q/m.json", "--shards", "2",
+              "--cache-stats"], "--cache-stats"),
+            (["sweep", "--queue", "q/m.json", "--cache-stats"],
+             "--cache-stats"),
+        ],
+    )
+    def test_refused_with_one_line(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-gps sweep: error: ")
+        assert err.count("\n") == 1 and flag in err
+        assert not any(tmp_path.iterdir())
+
+    def test_queue_worker_publishes_nowhere_else(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--queue q/m.json --shard-dir zz`` used to publish into q/."""
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            ["sweep", "--queue-init", "q/m.json", "--shards", "1"]
+        ) == 0
+        with pytest.raises(SystemExit):
+            main(["sweep", "--queue", "q/m.json", "--shard-dir", "zz"])
+        assert not (tmp_path / "zz").exists()
+        assert not list((tmp_path / "q").glob("shard-*.json"))
+        capsys.readouterr()
+
+    def test_shard_dir_defaults_to_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--shards", "1", "--shard-index", "0"]) == 0
+        assert "-> shard-0000-of-0001.json" in capsys.readouterr().out
+        assert (tmp_path / "shard-0000-of-0001.json").is_file()
+
+
 class TestMergeTornArtifact:
     """--merge on damaged artifacts: one-line exit 2, never a traceback."""
 
@@ -969,6 +1025,25 @@ class TestQueueCli:
             main(["sweep", "--queue", str(tmp_path / "nope.json")])
         assert excinfo.value.code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_failed_ledger_names_the_cause(self, tmp_path, capsys):
+        """A specification error used to land in the failure ledger as
+        a bare "specification error"; it now carries the message."""
+        manifest = self._init(
+            tmp_path, capsys, extra=["--fom-weights", "1:1000:1"]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--queue", str(manifest)])
+        assert excinfo.value.code == 2
+        cause = (
+            "size weight 1000.0 overflows the figure of merit (a base "
+            "raised to it exceeds the largest double)"
+        )
+        assert capsys.readouterr().err == f"repro-gps sweep: error: {cause}\n"
+        ledger = json.loads(
+            (tmp_path / "failed-0000-of-0002.json").read_text()
+        )
+        assert ledger["errors"] == [f"SpecificationError: {cause}"]
 
     def test_worker_refuses_manifest_without_grid_spec(
         self, tmp_path, capsys
