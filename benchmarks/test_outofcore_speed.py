@@ -34,8 +34,13 @@ import tracemalloc
 import numpy as np
 
 from repro.core.framestore import merge_artifacts_to_store
+from repro.core.ranking import DecisionFrame
 from repro.core.resultframe import ResultFrame
-from repro.core.sharding import ShardArtifact, merge_shard_artifacts
+from repro.core.sharding import (
+    GridIdentity,
+    ShardArtifact,
+    merge_shard_artifacts,
+)
 
 N_POINTS = 1_000_000
 N_SHARDS = 8
@@ -100,14 +105,16 @@ def _synthetic_artifacts() -> list[ShardArtifact]:
         stop = N_POINTS if shard == N_SHARDS - 1 else start + per_shard
         artifacts.append(
             ShardArtifact(
-                fingerprint="bench-grid",
-                order_digest="bench-order",
+                grid=GridIdentity("bench-grid", "bench-order", N_POINTS),
                 shards=N_SHARDS,
                 shard_index=shard,
-                total_points=N_POINTS,
-                indices=tuple(range(start, stop)),
-                row_counts=(1,) * (stop - start),
-                frame=frame.take(np.arange(start, stop)),
+                dframe=DecisionFrame(
+                    frame=frame.take(np.arange(start, stop)),
+                    size_ratio=np.ones(stop - start),
+                    cost_ratio=np.ones(stop - start),
+                    indices=tuple(range(start, stop)),
+                    row_counts=(1,) * (stop - start),
+                ),
                 cache_state={"tables": {}},
             )
         )

@@ -59,7 +59,6 @@ from .core.framestore import (
     ChunkedFrameStore,
     max_rows_from_env,
     merge_artifacts_to_store,
-    store_matches,
 )
 from .core.gather import (
     GatherError,
@@ -70,11 +69,9 @@ from .core.gather import (
 from .core.queue import manifest_for_grid, read_manifest, write_manifest
 from .core.resultframe import ResultFrame
 from .core.sharding import (
+    GridIdentity,
     ShardMergeError,
-    artifact_matches,
     find_shard_artifacts,
-    grid_fingerprint,
-    grid_order_digest,
     merge_shard_artifacts,
     read_shard_artifact,
     shard_filename,
@@ -212,6 +209,11 @@ _positive_row_budget = _number(
 )
 _nonnegative_int = _number(
     int, lambda value: value >= 0, "need a non-negative index, got {value}"
+)
+_port = _number(
+    int,
+    lambda value: 0 <= value <= 65535,
+    "need a TCP port in 0-65535 (0 picks an ephemeral port), got {value}",
 )
 _coarse_rank_count = _number(
     int,
@@ -547,16 +549,6 @@ def _row_budget(args: argparse.Namespace) -> Optional[int]:
     return max_rows_from_env()
 
 
-def _identity(source) -> dict:
-    """The grid a spilled store must hold to be re-read: fingerprint,
-    canonical order and size, from a shard artifact or a manifest."""
-    return {
-        "fingerprint": source.fingerprint,
-        "order_digest": source.order_digest,
-        "total_points": source.total_points,
-    }
-
-
 def _render_spilled(args, build, identity=None) -> int:
     """Spill through ``build(directory)``, then render the frame store.
 
@@ -585,7 +577,7 @@ def _render_spilled(args, build, identity=None) -> int:
             f"spill directory {directory} holds an incomplete "
             f"frame store (crashed run?); remove it and re-run"
         )
-    if not store_matches(store, **grid):
+    if GridIdentity.from_payload(store.meta) != grid:
         raise SpecificationError(
             f"spill directory {directory} holds a frame store for "
             f"a different grid; remove it or pick another "
@@ -672,16 +664,10 @@ def _resumable_artifact(
         artifact = read_shard_artifact(path)
     except ShardMergeError:
         return None
-    points = grid.points()
-    if artifact_matches(
-        artifact,
-        fingerprint=grid_fingerprint(points),
-        order_digest=grid_order_digest(points),
-        shards=shards,
-        shard_index=shard_index,
-        total_points=len(points),
+    if (artifact.grid, artifact.shards, artifact.shard_index) == (
+        GridIdentity.of(grid.points()), shards, shard_index
     ):
-        return artifact.fingerprint
+        return artifact.grid.fingerprint
     return None
 
 
@@ -706,7 +692,7 @@ def _run_merge(args: argparse.Namespace) -> int:
         lambda directory: merge_artifacts_to_store(
             paths, directory, max_rows
         ),
-        lambda: _identity(read_shard_artifact(paths[0])),
+        lambda: read_shard_artifact(paths[0]).grid,
     )
 
 
@@ -794,8 +780,9 @@ def _run_shard(args: argparse.Namespace) -> int:
     artifact = run_gps_shard(grid, shards=shards, shard_index=index)
     path = write_shard_artifact(artifact_path, artifact)
     print(
-        f"Shard {index}/{shards}: {len(artifact.indices)} of "
-        f"{artifact.total_points} points ({artifact.fingerprint}) -> {path}"
+        f"Shard {index}/{shards}: {len(artifact.dframe.indices)} of "
+        f"{artifact.grid.total_points} points ({artifact.grid.fingerprint}) "
+        f"-> {path}"
     )
     if args.cache_stats:
         print(_cache_line(artifact.cache_state))
@@ -884,20 +871,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
         _print_sweep_report(run_gps_sweep(grid), args)
         return 0
 
-    def identity() -> dict:
-        points = grid.points()
-        return {
-            "fingerprint": grid_fingerprint(points),
-            "order_digest": grid_order_digest(points),
-            "total_points": len(points),
-        }
-
     # Out-of-core mode: spill completed rows to a chunked frame store
     # as the sweep streams, then render from the store.
     return _render_spilled(
         args,
         lambda directory: spill_gps_sweep(grid, directory, max_rows),
-        identity,
+        lambda: GridIdentity.of(grid.points()),
     )
 
 
@@ -944,15 +923,15 @@ def _run_gather(args: argparse.Namespace) -> int:
         # final table/CSV.
         print(line, file=sys.stderr)
 
-    def identity() -> dict:
+    def identity() -> GridIdentity:
         if expected is not None:
-            return _identity(expected)
+            return expected.grid
         paths = find_shard_artifacts(args.directory)
         if not paths:
             raise GatherError(
                 f"no shard artifacts (shard-*.json) in {args.directory}"
             )
-        return _identity(read_shard_artifact(paths[0]))
+        return read_shard_artifact(paths[0]).grid
 
     try:
         if max_rows is not None:
@@ -1829,7 +1808,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=_nonnegative_int,
+        type=_port,
         default=8527,
         help="bind port; 0 picks an ephemeral port (default 8527)",
     )

@@ -559,7 +559,7 @@ def spill_adaptive_sweep(
     bookkeeping, the store the durable rows.
     """
     from .framestore import ChunkedFrameStore
-    from .sharding import grid_fingerprint, grid_order_digest
+    from .sharding import GridIdentity
 
     report = run_adaptive_sweep(
         grid,
@@ -580,9 +580,7 @@ def spill_adaptive_sweep(
         max_rows_in_memory=max_rows_in_memory,
         meta={
             **(meta or {}),
-            "fingerprint": grid_fingerprint(evaluated_points),
-            "order_digest": grid_order_digest(evaluated_points),
-            "total_points": len(evaluated_points),
+            **GridIdentity.of(evaluated_points).payload(),
             "adaptive": {
                 "grid_points": report.grid_points,
                 "total_evaluations": report.total_evaluations,

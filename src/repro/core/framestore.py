@@ -59,9 +59,8 @@ from .pareto import dominated_by
 from .resultframe import ResultFrame
 from .sharding import (
     ArtifactLike,
+    GridIdentity,
     check_shard_cover,
-    grid_fingerprint,
-    grid_order_digest,
     load_artifact,
     merge_cache_states,
 )
@@ -494,29 +493,6 @@ class ChunkedFrameStore:
         )
 
 
-def store_matches(
-    store: ChunkedFrameStore,
-    *,
-    fingerprint: str,
-    order_digest: str,
-    total_points: int,
-) -> bool:
-    """Does a complete store hold exactly this grid's results?
-
-    The ``--spill-dir`` reuse predicate: a store spilled from the same
-    grid in the same canonical order can be re-read instead of
-    re-merged, the same discipline as
-    :func:`~repro.core.sharding.artifact_matches`.
-    """
-    meta = store.meta
-    return (
-        store.complete
-        and meta.get("fingerprint") == fingerprint
-        and meta.get("order_digest") == order_digest
-        and meta.get("total_points") == total_points
-    )
-
-
 # -- chunked Pareto ---------------------------------------------------
 
 
@@ -606,21 +582,22 @@ def merge_artifacts_to_store(
     (validate, then copy); in-memory artifacts are kept by reference.
     """
     records: list[tuple[ArtifactLike, tuple[int, ...], tuple[int, ...]]] = []
-    identities = []
+    covers = []
     states: list[dict] = []
     for source in artifacts:
         artifact = load_artifact(source)
+        indices = artifact.dframe.indices
         records.append(
             (
                 source if isinstance(source, (str, Path)) else artifact,
-                artifact.indices,
-                artifact.row_counts,
+                indices,
+                artifact.dframe.row_counts,
             )
         )
-        identities.append(artifact.identity)
+        covers.append((artifact.label, artifact.grid, indices))
         states.append(artifact.cache_state)
         del artifact  # free the frame before loading the next source
-    reference = check_shard_cover(identities)
+    reference = check_shard_cover(covers)
     total = reference.total_points
 
     # The merge plan, one int64 per point instead of a dict of Python
@@ -640,12 +617,7 @@ def merge_artifacts_to_store(
     store = ChunkedFrameStore.create(
         directory,
         max_rows_in_memory=max_rows_in_memory,
-        meta={
-            **(meta or {}),
-            "fingerprint": reference.fingerprint,
-            "order_digest": reference.order_digest,
-            "total_points": total,
-        },
+        meta={**(meta or {}), **reference.payload()},
     )
 
     # Copy pass: walk points in canonical order, coalescing maximal
@@ -657,7 +629,7 @@ def merge_artifacts_to_store(
     def _frame_of(record_index: int) -> ResultFrame:
         nonlocal loaded_index, loaded_frame
         if loaded_index != record_index:
-            loaded_frame = load_artifact(records[record_index][0]).frame
+            loaded_frame = load_artifact(records[record_index][0]).dframe.frame
             loaded_index = record_index
         return loaded_frame
 
@@ -722,19 +694,14 @@ def spill_design_sweep(
     reorder window empty.
 
     The finished store's ``meta`` carries the grid identity
-    (fingerprint, order digest, point count — see
-    :func:`store_matches`) and the sweep's ``cache_stats``.
+    (:class:`~repro.core.sharding.GridIdentity` fields, which
+    ``--spill-dir`` reuse compares) and the sweep's ``cache_stats``.
     """
     points, weights, cache = resolve_sweep(grid, weights, cache)
     store = ChunkedFrameStore.create(
         directory,
         max_rows_in_memory=max_rows_in_memory,
-        meta={
-            **(meta or {}),
-            "fingerprint": grid_fingerprint(points),
-            "order_digest": grid_order_digest(points),
-            "total_points": len(points),
-        },
+        meta={**(meta or {}), **GridIdentity.of(points).payload()},
     )
     pending: dict[int, ResultFrame] = {}
     next_index = 0

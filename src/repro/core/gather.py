@@ -4,10 +4,12 @@
 operation — it wants every artifact up front and refuses gaps.  The
 gather tier is its *streaming* counterpart: a watcher polls a shard
 directory while a fleet of queue workers (:mod:`repro.core.queue`) is
-still filling it, validates and concat-merges
-:class:`~repro.core.resultframe.ResultFrame` payloads as each artifact
-appears, and publishes a live partial report — progress, merged cache
-statistics, current winner counts — long before the sweep finishes.
+still filling it, validates each artifact as it appears (one
+:meth:`~repro.core.sharding.GridIdentity.check` plus the shard
+partition), concat-merges their
+:class:`~repro.core.ranking.DecisionFrame` results, and publishes a
+live partial report — progress, merged cache statistics, current
+winner counts — long before the sweep finishes.
 
 Safe concurrent reading is what the atomic artifact write protocol
 buys: an artifact path either does not exist, is a ``.tmp``
@@ -27,7 +29,8 @@ fully readable — a poll can never observe a torn file.
   (and retried next scan — a corrupt leftover is healed the moment a
   queue retry atomically replaces it);
 * :meth:`~IncrementalGather.snapshot` / :meth:`~IncrementalGather.report`
-  — the live partial view (canonically-sorted partial frame) and the
+  — the live partial view (the artifacts'
+  :meth:`~repro.core.ranking.DecisionFrame.concat`) and the
   final :class:`~repro.core.sweep.SweepReport`, which is assembled by
   :func:`~repro.core.sharding.merge_shard_artifacts` itself, so a
   gathered sweep is *byte-identical* to ``--merge`` and hence to the
@@ -45,18 +48,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from ..errors import SpecificationError
 from .queue import QueueManifest
+from .ranking import DecisionFrame
 from .resultframe import ResultFrame
 from .sharding import (
     ArtifactLike,
+    GridIdentity,
     ShardArtifact,
     ShardMergeError,
     find_pending_artifacts,
     find_shard_artifacts,
-    frame_in_point_order,
     load_artifact,
     merge_cache_states,
     merge_shard_artifacts,
@@ -118,42 +122,23 @@ class IncrementalGather:
         self._rejected: dict[str, str] = {}
         self._pending: tuple[str, ...] = ()
         self._covered: set[int] = set()
-        self._fingerprint: Optional[str] = None
-        self._order_digest: Optional[str] = None
-        self._total_points: Optional[int] = None
+        self._grid: Optional[GridIdentity] = None
+        self._grid_source = "the queue manifest"
         self._total_shards: Optional[int] = None
         if expected is not None:
-            self._fingerprint = expected.fingerprint
-            self._order_digest = expected.order_digest
-            self._total_points = expected.total_points
+            self._grid = expected.grid
             self._total_shards = expected.shards
 
     # -- ingestion ----------------------------------------------------
 
     def _check(self, artifact: ShardArtifact, source: str) -> None:
-        if self._fingerprint is None:
-            self._fingerprint = artifact.fingerprint
-            self._order_digest = artifact.order_digest
-            self._total_points = artifact.total_points
+        if self._grid is None:
+            self._grid, self._grid_source = artifact.grid, source
             self._total_shards = artifact.shards
             return
-        if artifact.fingerprint != self._fingerprint:
-            raise GatherError(
-                f"{source}: artifact fingerprints a different grid "
-                f"({artifact.fingerprint} vs {self._fingerprint})"
-            )
-        if artifact.order_digest != self._order_digest:
-            raise GatherError(
-                f"{source}: artifact enumerates the grid in a "
-                f"different point order (order digest "
-                f"{artifact.order_digest} vs {self._order_digest})"
-            )
-        if artifact.total_points != self._total_points:
-            raise GatherError(
-                f"{source}: artifact disagrees on the grid size "
-                f"({artifact.total_points} vs {self._total_points} "
-                f"points)"
-            )
+        self._grid.check(
+            artifact.grid, GatherError, source, self._grid_source
+        )
         if artifact.shards != self._total_shards:
             raise GatherError(
                 f"{source}: artifact cut from a different partition "
@@ -189,7 +174,7 @@ class IncrementalGather:
         self._check(loaded, source)
         if loaded.shard_index in self._artifacts:
             return False
-        indices = set(loaded.indices)
+        indices = set(loaded.dframe.indices)
         overlap = indices & self._covered
         if overlap:
             raise GatherError(
@@ -235,41 +220,35 @@ class IncrementalGather:
     @property
     def total_points(self) -> Optional[int]:
         """The grid size, once known (manifest or first artifact)."""
-        return self._total_points
+        return None if self._grid is None else self._grid.total_points
 
     @property
     def complete(self) -> bool:
         """True when every canonical point index has been gathered."""
         return (
-            self._total_points is not None
-            and len(self._covered) == self._total_points
+            self.total_points is not None
+            and len(self._covered) == self.total_points
         )
 
     def missing_indices(self) -> list[int]:
         """Canonical point indices not covered yet (empty when done)."""
-        if self._total_points is None:
+        if self.total_points is None:
             return []
-        return sorted(set(range(self._total_points)) - self._covered)
-
-    def _partial_frame(self) -> ResultFrame:
-        artifacts = [
-            self._artifacts[index] for index in sorted(self._artifacts)
-        ]
-        if not artifacts:
-            return ResultFrame.empty()
-        return frame_in_point_order(artifacts)
+        return sorted(set(range(self.total_points)) - self._covered)
 
     def snapshot(self) -> GatherSnapshot:
         """The current partial view (sorted frame, merged cache stats)."""
         return GatherSnapshot(
-            total_points=self._total_points,
+            total_points=self.total_points,
             covered_points=len(self._covered),
             shards_seen=tuple(sorted(self._artifacts)),
             total_shards=self._total_shards,
             pending=self._pending,
             rejected=tuple(sorted(self._rejected.items())),
             complete=self.complete,
-            frame=self._partial_frame(),
+            frame=DecisionFrame.concat(
+                [self._artifacts[i].dframe for i in sorted(self._artifacts)]
+            ).frame,
             cache_stats=merge_cache_states(
                 self._artifacts[index].cache_state
                 for index in sorted(self._artifacts)
@@ -288,7 +267,7 @@ class IncrementalGather:
             raise GatherError(
                 f"gather is incomplete: missing point indices "
                 f"{summarise_indices(self.missing_indices())} of "
-                f"{self._total_points if self._total_points else '?'}"
+                f"{self.total_points if self.total_points else '?'}"
             )
         return merge_shard_artifacts(
             [self._artifacts[index] for index in sorted(self._artifacts)]
@@ -348,34 +327,7 @@ def gather_directory_to_store(
             f"no shard artifacts (shard-*.json) in {directory}"
         )
     if expected is not None:
-        try:
-            first = load_artifact(paths[0])
-        except ShardMergeError as exc:
-            raise GatherError(str(exc)) from None
-        source = paths[0].name
-        if first.fingerprint != expected.fingerprint:
-            raise GatherError(
-                f"{source}: artifact fingerprints a different grid "
-                f"({first.fingerprint} vs {expected.fingerprint})"
-            )
-        if first.order_digest != expected.order_digest:
-            raise GatherError(
-                f"{source}: artifact enumerates the grid in a "
-                f"different point order (order digest "
-                f"{first.order_digest} vs {expected.order_digest})"
-            )
-        if first.total_points != expected.total_points:
-            raise GatherError(
-                f"{source}: artifact disagrees on the grid size "
-                f"({first.total_points} vs {expected.total_points} "
-                f"points)"
-            )
-        if first.shards != expected.shards:
-            raise GatherError(
-                f"{source}: artifact cut from a different partition "
-                f"({first.shards} vs {expected.shards} shards)"
-            )
-        del first
+        IncrementalGather(expected).ingest(paths[0], source=paths[0].name)
     try:
         return merge_artifacts_to_store(
             paths, store_dir, max_rows_in_memory

@@ -101,6 +101,18 @@ class QueryError(SpecificationError):
     """The query asks something the warehouse cannot answer."""
 
 
+def _as_float(value, what: str) -> float:
+    """A JSON number as a float; an integer beyond the double range
+    (JSON allows any number of digits) is refused, not an
+    ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise QueryError(
+            f"{what} is an integer out of the float range"
+        ) from None
+
+
 def parse_fom_weights(value) -> FomWeights:
     """User FoM weights from a request value.
 
@@ -134,7 +146,7 @@ def parse_fom_weights(value) -> FomWeights:
                 raise QueryError(
                     f"fom_weights entries must be numbers, got {part!r}"
                 )
-            numbers.append(float(part))
+            numbers.append(_as_float(part, "fom_weights entry"))
     else:
         raise QueryError(
             f"fom_weights must be 'perf:size:cost' or a three-number "
@@ -210,7 +222,7 @@ def _validate_where(where) -> dict:
                 raise QueryError(
                     f"volume filter must be a number, got {value!r}"
                 )
-            normalised[axis] = float(value)
+            normalised[axis] = _as_float(value, "volume filter")
         else:
             if not isinstance(value, str):
                 raise QueryError(
@@ -709,7 +721,9 @@ class _QueryHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             request = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, bad UTF-8 and integers past
+            # Python's digit limit; RecursionError, absurd nesting.
             self._send(
                 400, {"error": f"request body is not valid JSON: {exc}"}
             )

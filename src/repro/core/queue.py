@@ -8,8 +8,8 @@ infrastructure a fleet of workers needs:
 
 * :class:`QueueManifest` — the queue's contract, written once next to
   the shard artifacts.  It is keyed by the grid's
-  :func:`~repro.core.sharding.grid_fingerprint` (plus the
-  order-sensitive digest), names the partition geometry, and sets the
+  :class:`~repro.core.sharding.GridIdentity` (fingerprint, order
+  digest, point count), names the partition geometry, and sets the
   lease/retry policy.  Workers refuse a manifest whose fingerprint
   does not match the grid they resolved locally, so a stale manifest
   can never silently evaluate the wrong grid;
@@ -57,10 +57,8 @@ from . import blobstore
 from .executors import CandidateFactory, Executor
 from .figure_of_merit import FomWeights
 from .sharding import (
+    GridIdentity,
     ShardMergeError,
-    artifact_matches,
-    grid_fingerprint,
-    grid_order_digest,
     read_shard_artifact,
     run_shard,
     shard_filename,
@@ -140,6 +138,13 @@ class QueueManifest:
                 f"got {self.max_attempts!r}"
             )
 
+    @property
+    def grid(self) -> GridIdentity:
+        """The queue's grid identity."""
+        return GridIdentity(
+            self.fingerprint, self.order_digest, self.total_points
+        )
+
 
 def manifest_for_grid(
     grid: Union[SweepGrid, Iterable[DesignPoint]],
@@ -151,10 +156,8 @@ def manifest_for_grid(
     """Build the manifest of a queue over ``grid`` cut into ``shards``."""
     points, _, _ = resolve_sweep(grid)
     return QueueManifest(
-        fingerprint=grid_fingerprint(points),
-        order_digest=grid_order_digest(points),
+        **GridIdentity.of(points).payload(),
         shards=shards,
-        total_points=len(points),
         lease_ttl=lease_ttl,
         max_attempts=max_attempts,
         grid_spec=grid_spec,
@@ -297,13 +300,8 @@ class ShardQueue:
             artifact = read_shard_artifact(self.artifact_path(shard_index))
         except ShardMergeError:
             return False
-        return artifact_matches(
-            artifact,
-            fingerprint=self.manifest.fingerprint,
-            order_digest=self.manifest.order_digest,
-            shards=self.manifest.shards,
-            shard_index=shard_index,
-            total_points=self.manifest.total_points,
+        return (artifact.grid, artifact.shards, artifact.shard_index) == (
+            self.manifest.grid, self.manifest.shards, shard_index
         )
 
     def _read_json(self, path: Path) -> Optional[dict]:
@@ -532,27 +530,12 @@ def run_queue_worker(
     """
     queue = ShardQueue(manifest_path, owner=owner, clock=clock)
     points, weights, _ = resolve_sweep(grid, weights)
-    fingerprint = grid_fingerprint(points)
-    order_digest = grid_order_digest(points)
-    if fingerprint != queue.manifest.fingerprint:
-        raise QueueError(
-            f"queue manifest {queue.manifest_path} fingerprints grid "
-            f"{queue.manifest.fingerprint} but the resolved grid is "
-            f"{fingerprint}: refusing to evaluate the wrong sweep"
-        )
-    if order_digest != queue.manifest.order_digest:
-        raise QueueError(
-            f"queue manifest {queue.manifest_path} enumerates the grid "
-            f"in a different canonical order (order digest "
-            f"{queue.manifest.order_digest} vs {order_digest}): "
-            f"re-init the queue or fix the axis order"
-        )
-    if len(points) != queue.manifest.total_points:
-        raise QueueError(
-            f"queue manifest {queue.manifest_path} covers "
-            f"{queue.manifest.total_points} points but the resolved "
-            f"grid has {len(points)}"
-        )
+    queue.manifest.grid.check(
+        GridIdentity.of(points),
+        QueueError,
+        "the resolved grid",
+        f"queue manifest {queue.manifest_path}",
+    )
 
     def emit(kind: str, shard_index: int, detail: str) -> None:
         if on_event is not None:
@@ -603,7 +586,7 @@ def run_queue_worker(
         emit(
             "complete",
             claim.shard_index,
-            f"{len(artifact.indices)} points -> "
+            f"{len(artifact.dframe.indices)} points -> "
             f"{queue.artifact_path(claim.shard_index).name}",
         )
 

@@ -34,43 +34,6 @@ from .resultframe import ResultFrame, distinct_values
 RATIO_COLUMNS = ("size_ratio", "cost_ratio")
 
 
-def point_of_row(indices, row_counts) -> np.ndarray:
-    """Canonical point index of every row of a ``row_counts`` run."""
-    return np.repeat(
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(row_counts, dtype=np.int64),
-    )
-
-
-def check_point_runs(label: str, indices, row_counts, rows: int) -> None:
-    """Refuse ``row_counts[k]`` runs for points ``indices[k]`` that do
-    not tile ``rows`` frame rows (a decision frame, a shard artifact)."""
-    if len(indices) != len(row_counts):
-        raise SpecificationError(
-            f"{label} carries {len(indices)} indices but "
-            f"{len(row_counts)} row counts"
-        )
-    for name, values in (("index", indices), ("row count", row_counts)):
-        for value in values:
-            # Exact non-negative ints only: a float would silently
-            # truncate (and a negative count crash) in the int64 cast
-            # :func:`point_of_row` feeds to ``np.repeat``.
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                raise SpecificationError(
-                    f"{label} {name}s must be non-negative integers, "
-                    f"got {value!r}"
-                )
-    if sum(row_counts) != rows:
-        raise SpecificationError(
-            f"{label} row counts sum to {sum(row_counts)} but the frame "
-            f"carries {rows} rows"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionFrame:
     """Sweep rows plus their re-rank basis columns.
@@ -80,8 +43,10 @@ class DecisionFrame:
     percent columns cannot recover (``fl(100 * ratio)`` is not
     invertible), so a stored frame can be re-ranked byte-identically
     to a fresh sweep.  ``indices`` / ``row_counts`` assign runs of
-    rows to canonical grid points, exactly like a shard artifact —
-    ``row_counts[k]`` consecutive rows belong to point ``indices[k]``.
+    rows to canonical grid points — ``row_counts[k]`` consecutive rows
+    belong to point ``indices[k]``.  The unit a shard artifact carries
+    and a warehouse frame file stores, through one codec
+    (:meth:`to_payload` / :meth:`from_payload`).
     """
 
     frame: ResultFrame
@@ -117,9 +82,33 @@ class DecisionFrame:
                 array = array.copy()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        check_point_runs(
-            "decision frame", self.indices, self.row_counts, len(self.frame)
-        )
+        if len(self.indices) != len(self.row_counts):
+            raise SpecificationError(
+                f"decision frame carries {len(self.indices)} indices but "
+                f"{len(self.row_counts)} row counts"
+            )
+        for name, values in (
+            ("index", self.indices),
+            ("row count", self.row_counts),
+        ):
+            for value in values:
+                # Exact non-negative ints only: a float would silently
+                # truncate (and a negative count crash) in the int64
+                # cast :meth:`point_of_row` feeds to ``np.repeat``.
+                if (
+                    not isinstance(value, int)
+                    or isinstance(value, bool)
+                    or value < 0
+                ):
+                    raise SpecificationError(
+                        f"decision frame {name}s must be non-negative "
+                        f"integers, got {value!r}"
+                    )
+        if sum(self.row_counts) != len(self.frame):
+            raise SpecificationError(
+                f"decision frame row counts sum to {sum(self.row_counts)} "
+                f"but the frame carries {len(self.frame)} rows"
+            )
 
     @classmethod
     def empty(cls) -> "DecisionFrame":
@@ -139,7 +128,9 @@ class DecisionFrame:
         frames = list(frames)
         if not frames:
             return cls.empty()
-        if len(frames) == 1:
+        if len(frames) == 1 and all(
+            a < b for a, b in zip(frames[0].indices, frames[0].indices[1:])
+        ):
             return frames[0]
         pairs = sorted(
             (index, count)
@@ -167,6 +158,75 @@ class DecisionFrame:
             row_counts=tuple(count for _, count in pairs),
         )
 
+    def to_payload(self) -> dict:
+        """The frame as JSON-ready lists: THE on-disk codec of decision
+        frames, embedded by shard artifacts and warehouse frame files.
+
+        Floats are emitted with ``repr`` by the JSON encoder, so
+        :meth:`from_payload` rebuilds every double exactly.
+        """
+        return {
+            "indices": list(self.indices),
+            "row_counts": list(self.row_counts),
+            "columns": self.frame.to_json_columns(),
+            "ratios": {
+                name: getattr(self, name).tolist() for name in RATIO_COLUMNS
+            },
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "DecisionFrame":
+        """Rebuild a frame from its :meth:`to_payload` dict.
+
+        Everything malformed is a :class:`SpecificationError`: a missing
+        key, a ratio section without exactly the two ratio lists, a
+        string or bool ratio (the re-rank divides by them), non-list
+        indices or row counts, ragged or wrong-typed columns, and every
+        refusal of the constructor.
+        """
+        try:
+            ratios = payload["ratios"]
+            if not isinstance(ratios, dict) or set(ratios) != set(
+                RATIO_COLUMNS
+            ):
+                raise SpecificationError(
+                    f"decision frame ratios must map exactly "
+                    f"{' and '.join(RATIO_COLUMNS)} to value lists, got "
+                    f"{ratios!r:.120}"
+                )
+            for name, values in (
+                *ratios.items(),
+                ("indices", payload["indices"]),
+                ("row_counts", payload["row_counts"]),
+            ):
+                if not isinstance(values, list):
+                    raise SpecificationError(
+                        f"decision frame {name} must be a list, got "
+                        f"{values!r:.60}"
+                    )
+                if name in RATIO_COLUMNS and not (
+                    set(map(type, values)) <= {int, float}
+                ):
+                    raise SpecificationError(
+                        f"decision frame {name} values must be numbers"
+                    )
+            return cls(
+                frame=ResultFrame.from_json_columns(payload["columns"]),
+                size_ratio=np.asarray(ratios["size_ratio"], dtype=np.float64),
+                cost_ratio=np.asarray(ratios["cost_ratio"], dtype=np.float64),
+                indices=tuple(payload["indices"]),
+                row_counts=tuple(payload["row_counts"]),
+            )
+        except KeyError as exc:
+            raise SpecificationError(
+                f"decision frame payload has no {exc} section"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            # ValueError covers numpy's cast failures on column values.
+            raise SpecificationError(
+                f"decision frame payload: {exc}"
+            ) from None
+
     def __len__(self) -> int:
         return len(self.frame)
 
@@ -183,7 +243,10 @@ class DecisionFrame:
 
     def point_of_row(self) -> np.ndarray:
         """Canonical point index of every frame row (vectorised)."""
-        return point_of_row(self.indices, self.row_counts)
+        return np.repeat(
+            np.asarray(self.indices, dtype=np.int64),
+            np.asarray(self.row_counts, dtype=np.int64),
+        )
 
     @cached_property
     def starts(self) -> np.ndarray:

@@ -7,23 +7,22 @@ and serialised to a portable JSON artifact, and the artifacts are
 deterministically merged back into the canonical row order, wherever
 they were produced:
 
-* :func:`grid_fingerprint` — a stable content hash of the resolved
-  grid.  It is computed over the *sorted* point representations, so
-  the same set of design points yields the same fingerprint no matter
-  how the grid's axes were ordered when it was built; every shard
-  artifact carries it, and merge refuses to combine artifacts from
-  different grids.  Because shard *indices* are order-dependent,
-  artifacts also carry an order-sensitive :func:`grid_order_digest`:
-  shards of the same grid enumerated in different axis orders are
-  rejected with a clear error instead of being mis-paired;
+* :class:`GridIdentity` — which grid, in which canonical order, of how
+  many points: :func:`grid_fingerprint` (a content hash over the
+  *sorted* point representations, so it survives axis reordering), the
+  order-sensitive :func:`grid_order_digest` (shard *indices* depend on
+  the order) and the point count.  Artifacts, queue manifests,
+  warehouses and spilled stores all carry it, and
+  :meth:`GridIdentity.check` is the one rule that compares two;
 * :func:`shard_indices` / :func:`run_shard` — partition the canonical
   point order into ``shards`` contiguous, near-even runs and evaluate
-  one of them, returning a
-  :class:`ShardArtifact`;
+  one of them, returning a :class:`ShardArtifact`: a grid identity,
+  the shard geometry, the shard's
+  :class:`~repro.core.ranking.DecisionFrame` and its cache state;
 * :func:`write_shard_artifact` / :func:`read_shard_artifact` — the
-  JSON serialisation.  Artifacts carry the shard's results as the
-  *columnar* payload of a :class:`~repro.core.resultframe.ResultFrame`
-  (one list per typed column, not one object per row); Python's JSON
+  JSON serialisation.  The results travel through the decision
+  frame's own codec (:meth:`~repro.core.ranking.DecisionFrame.
+  to_payload`), the one warehouse frame files use; Python's JSON
   round-trips floats exactly (``repr``-based), so frames reassembled
   from artifacts are *byte-identical* to what the serial engine would
   have produced in-process.  Artifacts are published and read through
@@ -36,11 +35,11 @@ they were produced:
   indices must cover it exactly once (a missing or doubled shard is a
   loud :class:`ShardMergeError`, never a silently wrong report);
 * :func:`merge_shard_artifacts` — reassemble any combination of
-  artifacts into one :class:`~repro.core.sweep.SweepReport` with a
-  single vectorised frame concatenation + stable sort into canonical
-  point order, with additive cache statistics that count a sub-result
-  computed by two cold shard caches only once in the merged
-  ``entries`` tally.
+  artifacts into one :class:`~repro.core.sweep.SweepReport` through
+  :meth:`~repro.core.ranking.DecisionFrame.concat` (one vectorised
+  concatenation + stable sort into canonical point order), with
+  additive cache statistics that count a sub-result computed by two
+  cold shard caches only once in the merged ``entries`` tally.
 
 The CLI surface is ``repro-gps sweep --shards K --shard-index I
 --shard-dir DIR`` (run one shard, write the artifact; add ``--resume``
@@ -63,8 +62,7 @@ from ..errors import SpecificationError
 from . import blobstore
 from .executors import CandidateFactory, Executor, SerialExecutor
 from .figure_of_merit import FomWeights
-from .ranking import DecisionFrame, check_point_runs, point_of_row
-from .resultframe import ResultFrame
+from .ranking import DecisionFrame
 from .sweep import (
     CACHE_TABLES,
     DesignPoint,
@@ -76,7 +74,7 @@ from .sweep import (
 
 #: Artifact format identifier; bumped on incompatible payload changes.
 #: Version 2 replaced the per-row ``cells`` objects with the columnar
-#: :class:`~repro.core.resultframe.ResultFrame` payload.
+#: frame payload; the ``ratios`` section it later gained is required.
 SHARD_FORMAT = "repro-sweep-shard/2"
 
 
@@ -84,46 +82,101 @@ class ShardMergeError(SpecificationError):
     """A shard artifact set cannot be (safely) merged."""
 
 
-def _point_reprs(points: Sequence[DesignPoint]) -> list[str]:
-    return [repr(point) for point in points]
+def grid_order_digest(point_reprs: Iterable[str]) -> str:
+    """Hash of point ``repr`` strings, in the order given.
+
+    Over the grid's canonical order this is the order digest of
+    :class:`GridIdentity`: two hosts that build the same point set with
+    axes in different orders share a :func:`grid_fingerprint` but
+    disagree on which canonical index names which point — merging their
+    shards index-wise would assemble a silently wrong report.  The
+    order digest catches exactly that.
+    """
+    digest = hashlib.sha256()
+    for text in point_reprs:
+        digest.update(text.encode("utf-8"))
+        digest.update(b"\x00")
+    return digest.hexdigest()[:16]
 
 
 def grid_fingerprint(points: Sequence[DesignPoint]) -> str:
     """Stable content hash of a resolved grid.
 
-    Hashes the *sorted* ``repr`` of every design point (the same
-    content key discipline :class:`~repro.core.sweep.EvaluationCache`
-    relies on), so the fingerprint identifies the grid's content
-    independently of axis ordering: a host that builds the same set of
-    points with its volume axis reversed still addresses the same
-    shard family.  Shard *indices* do depend on the order, which is
-    why artifacts additionally carry :func:`grid_order_digest` — merge
-    uses the fingerprint to recognise the grid and the order digest to
-    refuse index spaces that do not line up.
+    The :func:`grid_order_digest` of the *sorted* ``repr`` of every
+    design point (the same content key discipline
+    :class:`~repro.core.sweep.EvaluationCache` relies on), so the
+    fingerprint identifies the grid's content independently of axis
+    ordering: a host that builds the same set of points with its volume
+    axis reversed still addresses the same shard family.
     """
-    digest = hashlib.sha256()
-    for text in sorted(_point_reprs(points)):
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()[:16]
+    return grid_order_digest(sorted(repr(point) for point in points))
 
 
-def grid_order_digest(points: Sequence[DesignPoint]) -> str:
-    """Hash of the grid's *canonical order* (order-sensitive).
+#: :class:`GridIdentity`'s fields, in the order payloads write them.
+IDENTITY_FIELDS = ("fingerprint", "order_digest", "total_points")
 
-    Two hosts that build the same point set with axes in different
-    orders share a :func:`grid_fingerprint` but disagree on which
-    canonical index names which point — merging their shards
-    index-wise would assemble a silently wrong report.  The order
-    digest catches exactly that: merge demands it match across
-    artifacts, so an axis-order mismatch is a loud error naming the
-    cause instead of a duplicated/missing design point.
+
+@dataclass(frozen=True)
+class GridIdentity:
+    """Which grid, in which canonical order, of how many points.
+
+    The one value every shard artifact, queue manifest, warehouse and
+    spilled frame store carries, and :meth:`check` is the one rule that
+    compares two of them.
     """
-    digest = hashlib.sha256()
-    for text in _point_reprs(points):
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()[:16]
+
+    fingerprint: str
+    order_digest: str
+    total_points: int
+
+    @classmethod
+    def of(cls, points: Sequence[DesignPoint]) -> "GridIdentity":
+        """The identity of resolved ``points`` (each ``repr`` once)."""
+        reprs = [repr(point) for point in points]
+        return cls(
+            grid_order_digest(sorted(reprs)),
+            grid_order_digest(reprs),
+            len(reprs),
+        )
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "GridIdentity":
+        """The identity fields of a JSON payload (``None`` if absent)."""
+        return cls(*(payload.get(name) for name in IDENTITY_FIELDS))
+
+    def payload(self) -> dict:
+        """The identity fields, in their on-disk order."""
+        return {name: getattr(self, name) for name in IDENTITY_FIELDS}
+
+    def check(
+        self, found: "GridIdentity", error: type, subject: str, against: str
+    ) -> None:
+        """Raise ``error`` unless ``found`` (what ``subject`` carries) is
+        this identity (what ``against`` carries).
+
+        Fingerprint first (another grid), then the order digest (the
+        same grid enumerated in another order: index-wise merging would
+        pair rows with the wrong points), then the point count.
+        """
+        pair = f"{subject} and {against}"
+        if found.fingerprint != self.fingerprint:
+            raise error(
+                f"{pair} fingerprint different grids "
+                f"({found.fingerprint} vs {self.fingerprint}): refusing "
+                f"the wrong sweep"
+            )
+        if found.order_digest != self.order_digest:
+            raise error(
+                f"{pair} enumerate the same grid in a different point "
+                f"order (different canonical order digests "
+                f"{found.order_digest} vs {self.order_digest}): re-run "
+                f"with identically-ordered axes"
+            )
+        if found.total_points != self.total_points:
+            raise error(
+                f"{pair} disagree on the grid size "
+                f"({found.total_points} vs {self.total_points} points)"
+            )
 
 
 def shard_indices(total: int, shards: int, shard_index: int) -> range:
@@ -150,52 +203,37 @@ def shard_indices(total: int, shards: int, shard_index: int) -> range:
 
 
 @dataclass(frozen=True)
-class ShardIdentity:
-    """What a merge validates about one artifact: no rows, no cache."""
-
-    fingerprint: str
-    order_digest: str
-    total_points: int
-    shards: int
-    shard_index: int
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ShardArtifact:
     """One shard's results, ready to travel between hosts.
 
-    Carries everything a merge needs and nothing it does not: the grid
-    fingerprint (content addressing), the shard geometry, the shard's
-    results as one columnar
-    :class:`~repro.core.resultframe.ResultFrame` (``frame``, with
-    ``row_counts[k]`` rows belonging to canonical point
-    ``indices[k]``, in order), and the worker cache's
+    A :class:`GridIdentity` (content addressing), the shard geometry,
+    the shard's :class:`~repro.core.ranking.DecisionFrame` — rows, FoM
+    ratios and the canonical point index of every run of rows — and
+    the worker cache's
     :meth:`~repro.core.sweep.EvaluationCache.portable_state` (hit/miss
     counters plus entry-key digests — never cached values).
     """
 
-    fingerprint: str
-    order_digest: str
+    grid: GridIdentity
     shards: int
     shard_index: int
-    total_points: int
-    indices: tuple[int, ...]
-    row_counts: tuple[int, ...]
-    frame: ResultFrame
+    dframe: DecisionFrame
     cache_state: dict
-    #: Optional per-row FoM input ratios (``size_ratio`` /
-    #: ``cost_ratio`` → one float tuple each, aligned with the frame).
-    #: Written by every current :func:`run_shard`; ``None`` on
-    #: artifacts produced before the warehouse tier existed — merge
-    #: does not need them, the warehouse appender does.
-    ratios: Optional[dict] = None
 
     def __post_init__(self) -> None:
+        for label, value in (
+            ("fingerprint", self.grid.fingerprint),
+            ("order_digest", self.grid.order_digest),
+        ):
+            if not isinstance(value, str):
+                raise SpecificationError(
+                    f"shard artifact {label} must be a string, got "
+                    f"{value!r}"
+                )
         for label, value, minimum in (
             ("shards", self.shards, 1),
             ("shard_index", self.shard_index, 0),
-            ("total_points", self.total_points, 0),
+            ("total_points", self.grid.total_points, 0),
         ):
             # Exact ints only: a string would crash the merge's index
             # comparisons with a raw numpy error, a float pass silently.
@@ -208,45 +246,38 @@ class ShardArtifact:
                     f"shard artifact {label} must be an integer "
                     f">= {minimum}, got {value!r}"
                 )
-        check_point_runs(
-            "shard artifact", self.indices, self.row_counts, len(self.frame)
-        )
-        if self.ratios is not None:
-            if not isinstance(self.ratios, dict) or set(self.ratios) != {
-                "size_ratio",
-                "cost_ratio",
-            }:
-                raise SpecificationError(
-                    "shard artifact ratios must map exactly "
-                    "size_ratio and cost_ratio to value lists, got "
-                    f"{self.ratios!r:.120}"
-                )
-            for name, values in self.ratios.items():
-                if len(values) != len(self.frame):
-                    raise SpecificationError(
-                        f"shard artifact {name} carries {len(values)} "
-                        f"values but the frame carries "
-                        f"{len(self.frame)} rows"
-                    )
-                for value in values:
-                    # Exact floats only: the warehouse re-rank kernel
-                    # divides by these, so a string or bool must fail
-                    # here, not as a numpy cast surprise later.
-                    if isinstance(value, bool) or not isinstance(
-                        value, (int, float)
-                    ):
-                        raise SpecificationError(
-                            f"shard artifact {name} values must be "
-                            f"numbers, got {value!r}"
-                        )
+        _check_cache_state(self.cache_state)
 
     @property
-    def identity(self) -> ShardIdentity:
-        """The artifact's grid identity and indices, frame dropped."""
-        return ShardIdentity(
-            self.fingerprint, self.order_digest, self.total_points,
-            self.shards, self.shard_index, self.indices,
+    def label(self) -> str:
+        """``shard I/K``, how messages name the artifact."""
+        return f"shard {self.shard_index}/{self.shards}"
+
+
+def _check_cache_state(state) -> None:
+    """Refuse a cache section that is not a
+    :meth:`~repro.core.sweep.EvaluationCache.portable_state`: an object
+    whose ``tables`` map to ``{hits: int, misses: int, keys: [str]}``."""
+    tables = state.get("tables", {}) if isinstance(state, dict) else None
+    if not isinstance(tables, dict):
+        raise SpecificationError(
+            f"shard artifact cache must be an object with a tables "
+            f"object, got {state!r:.60}"
         )
+    for name, table in tables.items():
+        if not (
+            isinstance(table, dict)
+            and set(table) == {"hits", "misses", "keys"}
+            and type(table["hits"]) is int
+            and type(table["misses"]) is int
+            and isinstance(table["keys"], list)
+            and set(map(type, table["keys"])) <= {str}
+        ):
+            raise SpecificationError(
+                f"shard artifact cache table {name!r} must be "
+                f"{{hits: int, misses: int, keys: [str]}}, got "
+                f"{table!r:.60}"
+            )
 
 
 def run_shard(
@@ -263,7 +294,7 @@ def run_shard(
 
     The full grid is resolved locally (cheap — points are tiny frozen
     dataclasses) so the shard knows its canonical indices and the
-    grid fingerprint; only the shard's own points are evaluated,
+    grid identity; only the shard's own points are evaluated,
     through ``executor`` (serial by default).
     """
     points, weights, cache = resolve_sweep(grid, weights, cache)
@@ -277,87 +308,66 @@ def run_shard(
             shard_points, candidate_factory, reference, weights, cache
         )
     return ShardArtifact(
-        fingerprint=grid_fingerprint(points),
-        order_digest=grid_order_digest(points),
+        grid=GridIdentity.of(points),
         shards=shards,
         shard_index=shard_index,
-        total_points=len(points),
-        indices=tuple(indices),
-        row_counts=dframe.row_counts,
-        frame=dframe.frame,
+        dframe=dframe.reindexed(indices),
         cache_state=cache.portable_state(),
-        ratios={
-            name: tuple(getattr(dframe, name).tolist())
-            for name in ("size_ratio", "cost_ratio")
-        },
     )
 
 
 def artifact_to_payload(artifact: ShardArtifact) -> dict:
     """The artifact as a JSON-ready dict (see :data:`SHARD_FORMAT`).
 
-    The shard's results travel as the frame's columnar payload —
-    ``columns`` maps each :class:`~repro.core.resultframe.SweepRow`
-    field to one flat value list — plus ``indices``/``row_counts``
-    assigning runs of rows to canonical grid points.  Floats are
-    emitted with ``repr`` by the JSON encoder, so the round-trip is
-    exact.
+    The grid identity and shard geometry, then the decision frame's
+    :meth:`~repro.core.ranking.DecisionFrame.to_payload` with the cache
+    state between its columns and its ratios (the key order is part of
+    the artifact's bytes).
     """
-    payload = {
+    body = artifact.dframe.to_payload()
+    ratios = body.pop("ratios")
+    grid = artifact.grid
+    return {
         "format": SHARD_FORMAT,
-        "fingerprint": artifact.fingerprint,
-        "order_digest": artifact.order_digest,
+        "fingerprint": grid.fingerprint,
+        "order_digest": grid.order_digest,
         "shards": artifact.shards,
         "shard_index": artifact.shard_index,
-        "total_points": artifact.total_points,
-        "indices": list(artifact.indices),
-        "row_counts": list(artifact.row_counts),
-        "columns": artifact.frame.to_json_columns(),
+        "total_points": grid.total_points,
+        **body,
         "cache": artifact.cache_state,
+        "ratios": ratios,
     }
-    if artifact.ratios is not None:
-        # Additive, still format 2: readers without warehouse support
-        # ignore the key, old artifacts without it stay loadable.
-        payload["ratios"] = {
-            name: list(values) for name, values in artifact.ratios.items()
-        }
-    return payload
 
 
 def payload_to_artifact(payload: dict, source: str = "<payload>") -> ShardArtifact:
     """Rebuild a :class:`ShardArtifact` from its JSON payload.
 
     ``source`` names the artifact in error messages (the file path
-    when loaded from disk).
+    when loaded from disk).  Everything malformed — the decision
+    frame's refusals, a wrong-typed identity or geometry, a cache
+    section that is not a cache state — is a :class:`ShardMergeError`;
+    so is an artifact written before artifacts carried FoM ratios,
+    which names the re-run.
     """
     blobstore.check_payload(
         payload, ShardMergeError, "shard artifact", source, SHARD_FORMAT
     )
+    if "ratios" not in payload:
+        raise ShardMergeError(
+            f"{source}: shard artifact carries no size/cost ratio "
+            f"columns (written before the warehouse tier existed?); "
+            f"re-run the shard to regenerate the artifact"
+        )
     try:
-        raw_ratios = payload.get("ratios")
-        ratios = None
-        if raw_ratios is not None:
-            if not isinstance(raw_ratios, dict):
-                raise TypeError("ratios must be an object")
-            ratios = {
-                str(name): tuple(values)
-                for name, values in raw_ratios.items()
-            }
         return ShardArtifact(
-            fingerprint=payload["fingerprint"],
-            order_digest=payload["order_digest"],
+            grid=GridIdentity.from_payload(payload),
             shards=payload["shards"],
             shard_index=payload["shard_index"],
-            total_points=payload["total_points"],
-            indices=tuple(payload["indices"]),
-            row_counts=tuple(payload["row_counts"]),
-            frame=ResultFrame.from_json_columns(payload["columns"]),
+            dframe=DecisionFrame.from_payload(payload),
             cache_state=payload.get("cache", {}),
-            ratios=ratios,
         )
-    except (KeyError, TypeError, ValueError, SpecificationError) as exc:
-        # ValueError covers wrong-typed column values (numpy's cast
-        # failures); everything malformed surfaces as ShardMergeError.
+    except (KeyError, SpecificationError) as exc:
         raise ShardMergeError(
             f"{source}: malformed shard artifact ({exc})"
         ) from None
@@ -385,32 +395,6 @@ def read_shard_artifact(path: Union[str, Path]) -> ShardArtifact:
     """Load one shard artifact, with path context on every failure."""
     payload = blobstore.read_json(path, ShardMergeError, "shard artifact")
     return payload_to_artifact(payload, source=str(path))
-
-
-def artifact_matches(
-    artifact: ShardArtifact,
-    *,
-    fingerprint: str,
-    order_digest: str,
-    shards: int,
-    shard_index: int,
-    total_points: int,
-) -> bool:
-    """Does an artifact cover exactly this shard of this grid?
-
-    The single validity predicate behind ``--resume``'s skip-if-valid,
-    the work queue's "already done" check and the gather service's
-    artifact validation: the artifact must fingerprint the same grid in
-    the same canonical order and describe exactly the requested shard
-    of the requested partition.
-    """
-    return (
-        artifact.fingerprint == fingerprint
-        and artifact.order_digest == order_digest
-        and artifact.shards == shards
-        and artifact.shard_index == shard_index
-        and artifact.total_points == total_points
-    )
 
 
 def find_pending_artifacts(directory: Union[str, Path]) -> list[Path]:
@@ -492,57 +476,38 @@ def load_artifact(artifact: ArtifactLike) -> ShardArtifact:
     return read_shard_artifact(artifact)
 
 
-def check_shard_cover(identities: Sequence[ShardIdentity]) -> ShardIdentity:
-    """Refuse shard identities that do not tile one grid exactly once.
+def check_shard_cover(
+    shards: Sequence[tuple[str, GridIdentity, Sequence[int]]],
+) -> GridIdentity:
+    """Refuse shards that do not tile one grid exactly once.
 
     The single validator behind both merges — the in-RAM
     :func:`merge_shard_artifacts` and the streaming
     :func:`~repro.core.framestore.merge_artifacts_to_store`.  It sees
-    only identities and indices, never frames, so the streaming merge
-    can validate while holding one artifact at a time.  Returns the
-    first identity (the grid every other one matched).
+    each artifact's ``(label, grid, indices)`` only, never frames, so
+    the streaming merge can validate while holding one artifact at a
+    time.  Returns the first grid identity (the one every other
+    matched).
 
     Raises
     ------
     ShardMergeError
-        If no artifacts are given, the artifacts fingerprint different
-        grids, enumerate them in different orders, disagree on the
-        grid size, carry an index outside the grid, cover a canonical
-        index twice (duplicated shard), or leave indices uncovered
-        (missing shard).  The message names the offending indices so
-        the operator knows which shard to re-run or drop.
+        If no artifacts are given, their identities differ
+        (:meth:`GridIdentity.check`), an index falls outside the grid,
+        a canonical index is covered twice (duplicated shard), or
+        indices are left uncovered (missing shard).  The message names
+        the offending indices so the operator knows which shard to
+        re-run or drop.
     """
-    if not identities:
+    if not shards:
         raise ShardMergeError("no shard artifacts to merge")
-    reference = identities[0]
-    for identity in identities[1:]:
-        if identity.fingerprint != reference.fingerprint:
-            raise ShardMergeError(
-                f"shard artifacts fingerprint different grids: "
-                f"{reference.fingerprint} (shard "
-                f"{reference.shard_index}/{reference.shards}) vs "
-                f"{identity.fingerprint} (shard "
-                f"{identity.shard_index}/{identity.shards})"
-            )
-        if identity.order_digest != reference.order_digest:
-            # Same point set, different canonical order: index-wise
-            # merging would pair rows with the wrong points.
-            raise ShardMergeError(
-                f"shard artifacts enumerate the same grid in a "
-                f"different point order (order digest "
-                f"{reference.order_digest} vs {identity.order_digest}): "
-                f"re-run the shards with identically-ordered axes"
-            )
-        if identity.total_points != reference.total_points:
-            raise ShardMergeError(
-                f"shard artifacts disagree on the grid size: "
-                f"{reference.total_points} vs {identity.total_points} "
-                f"points"
-            )
+    first_label, reference, _ = shards[0]
+    for label, grid, _ in shards[1:]:
+        reference.check(grid, ShardMergeError, label, first_label)
 
     total = reference.total_points
-    for identity in identities:
-        indices = np.asarray(identity.indices, dtype=np.int64)
+    for label, _, indices in shards:
+        indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (
             indices.min() < 0 or indices.max() >= total
         ):
@@ -550,13 +515,12 @@ def check_shard_cover(identities: Sequence[ShardIdentity]) -> ShardIdentity:
                 indices[(indices < 0) | (indices >= total)][0]
             )
             raise ShardMergeError(
-                f"shard {identity.shard_index}/{identity.shards} "
-                f"carries point index {outside}, outside the "
+                f"{label} carries point index {outside}, outside the "
                 f"{total}-point grid"
             )
 
     all_indices = np.concatenate(
-        [np.asarray(i.indices, dtype=np.int64) for i in identities]
+        [np.asarray(indices, dtype=np.int64) for _, _, indices in shards]
     )
     covered, counts = np.unique(all_indices, return_counts=True)
     duplicates = covered[counts > 1]
@@ -577,21 +541,6 @@ def check_shard_cover(identities: Sequence[ShardIdentity]) -> ShardIdentity:
     return reference
 
 
-def frame_in_point_order(artifacts: Sequence[ShardArtifact]) -> ResultFrame:
-    """The artifacts' rows in canonical point order (at least one).
-
-    Concatenates the shard frames, whatever order they arrived in, then
-    stable-sorts rows by their canonical point index.  Each point lives
-    in one artifact with its rows contiguous there, so the stable sort
-    reproduces the serial row order exactly.
-    """
-    point = np.concatenate(
-        [point_of_row(a.indices, a.row_counts) for a in artifacts]
-    )
-    merged = ResultFrame.concat([a.frame for a in artifacts])
-    return merged.take(np.argsort(point, kind="stable"))
-
-
 def merge_shard_artifacts(
     artifacts: Iterable[ArtifactLike],
 ) -> SweepReport:
@@ -601,22 +550,22 @@ def merge_shard_artifacts(
     — produced by one host or many.  The merge is deterministic: rows
     come back in the canonical grid order whatever order the shards
     ran or arrived in, byte-identical to a serial in-process sweep of
-    the same grid.  Reassembly is columnar: one vectorised
-    :meth:`~repro.core.resultframe.ResultFrame.concat` over the shard
-    frames followed by a stable sort on the canonical point index —
-    no per-row object is ever materialised, so merging hundreds of
-    10k-row artifacts costs numpy passes, not Python loops.
+    the same grid.  Reassembly is columnar —
+    :meth:`~repro.core.ranking.DecisionFrame.concat`, one vectorised
+    frame concatenation plus a stable sort on the canonical point
+    index — so merging hundreds of 10k-row artifacts costs numpy
+    passes, not Python loops.
 
     Raises :class:`ShardMergeError` for any set that
     :func:`check_shard_cover` refuses.
     """
     loaded = [load_artifact(artifact) for artifact in artifacts]
-    check_shard_cover([artifact.identity for artifact in loaded])
-
+    check_shard_cover(
+        [(a.label, a.grid, a.dframe.indices) for a in loaded]
+    )
     return SweepReport(
-        frame=frame_in_point_order(loaded),
+        frame=DecisionFrame.concat([a.dframe for a in loaded]).frame,
         cache_stats=merge_cache_states(
             artifact.cache_state for artifact in loaded
         ),
     )
-

@@ -24,6 +24,14 @@ Design rules:
   ``size_ratio`` / ``cost_ratio`` FoM inputs — the percent columns are
   ``fl(100 * ratio)`` and cannot be inverted, so without the ratios no
   stored frame could be re-ranked byte-identically to a fresh sweep.
+* **One container.**  A frame file is the grid identity fields plus
+  the decision frame's own codec
+  (:meth:`~repro.core.ranking.DecisionFrame.to_payload` /
+  :meth:`~repro.core.ranking.DecisionFrame.from_payload`), the one
+  shard artifacts embed too: ingesting a shard appends the artifact's
+  decision frame as read, after one
+  :meth:`~repro.core.sharding.GridIdentity.check` against the
+  manifest.
 * **Frame files are immutable and content-addressed.**  Frames are
   :func:`~repro.core.blobstore.put_blob` blobs: the file holds the
   payload's canonical JSON, its name embeds the
@@ -55,19 +63,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from ..errors import SpecificationError
 from . import blobstore
 from .blobstore import canonical_json  # noqa: F401 — re-exported
 from .figure_of_merit import FomWeights
 from .ranking import RATIO_COLUMNS, DecisionFrame  # noqa: F401 — re-exported
-from .resultframe import ResultFrame
 from .sharding import (
+    GridIdentity,
     ShardArtifact,
     find_shard_artifacts,
-    grid_fingerprint,
-    grid_order_digest,
     read_shard_artifact,
 )
 from .sweep import (
@@ -95,34 +99,6 @@ class WarehouseError(SpecificationError):
 # -- the decision frame -----------------------------------------------
 
 
-def decision_frame_from_artifact(artifact: ShardArtifact) -> DecisionFrame:
-    """Adopt a shard artifact's results as a decision frame.
-
-    Requires the artifact's optional ``ratios`` section (every current
-    :func:`~repro.core.sharding.run_shard` writes it); an old artifact
-    without it cannot support byte-exact re-ranking, so the refusal
-    names the fix instead of degrading silently.
-    """
-    if artifact.ratios is None:
-        raise WarehouseError(
-            f"shard artifact {artifact.shard_index}/{artifact.shards} "
-            f"carries no size/cost ratio columns (written before the "
-            f"warehouse tier existed?); re-run the shard to regenerate "
-            f"the artifact"
-        )
-    return DecisionFrame(
-        frame=artifact.frame,
-        size_ratio=np.asarray(
-            artifact.ratios["size_ratio"], dtype=np.float64
-        ),
-        cost_ratio=np.asarray(
-            artifact.ratios["cost_ratio"], dtype=np.float64
-        ),
-        indices=artifact.indices,
-        row_counts=artifact.row_counts,
-    )
-
-
 def merge_decision_frames(
     frames: Sequence[DecisionFrame],
 ) -> DecisionFrame:
@@ -143,19 +119,15 @@ def frame_payload(
     order_digest: str,
     total_points: int,
 ) -> dict:
-    """One frame file's JSON payload (exact floats, no timestamps)."""
+    """One frame file's JSON payload: the grid identity plus the
+    :meth:`~repro.core.ranking.DecisionFrame.to_payload` codec (exact
+    floats, no timestamps)."""
     return {
         "format": FRAME_FORMAT,
         "fingerprint": fingerprint,
         "order_digest": order_digest,
         "total_points": total_points,
-        "indices": list(dframe.indices),
-        "row_counts": list(dframe.row_counts),
-        "columns": dframe.frame.to_json_columns(),
-        "ratios": {
-            "size_ratio": dframe.size_ratio.tolist(),
-            "cost_ratio": dframe.cost_ratio.tolist(),
-        },
+        **dframe.to_payload(),
     }
 
 
@@ -185,19 +157,8 @@ def read_warehouse_frame(
         digest=expected_digest,
     )
     try:
-        ratios = payload["ratios"]
-        return DecisionFrame(
-            frame=ResultFrame.from_json_columns(payload["columns"]),
-            size_ratio=np.asarray(
-                ratios["size_ratio"], dtype=np.float64
-            ),
-            cost_ratio=np.asarray(
-                ratios["cost_ratio"], dtype=np.float64
-            ),
-            indices=tuple(payload["indices"]),
-            row_counts=tuple(payload["row_counts"]),
-        )
-    except (KeyError, TypeError, ValueError, SpecificationError) as exc:
+        return DecisionFrame.from_payload(payload)
+    except SpecificationError as exc:
         raise WarehouseError(
             f"{path}: malformed warehouse frame ({exc})"
         ) from None
@@ -283,6 +244,13 @@ class WarehouseManifest:
                         f"{index}"
                     )
                 seen.add(index)
+
+    @property
+    def grid(self) -> GridIdentity:
+        """The warehouse's grid identity."""
+        return GridIdentity(
+            self.fingerprint, self.order_digest, self.total_points
+        )
 
     @property
     def covered_points(self) -> int:
@@ -426,9 +394,7 @@ def init_warehouse(
     return _publish_manifest(
         directory,
         WarehouseManifest(
-            fingerprint=grid_fingerprint(points),
-            order_digest=grid_order_digest(points),
-            total_points=len(points),
+            **GridIdentity.of(points).payload(),
             revision=1,
             frames=(),
             grid_spec=grid_spec,
@@ -462,12 +428,7 @@ def append_decision_frame(
                 f"warehouse already covers point index {index}; "
                 f"appending the same shard twice?"
             )
-    payload = frame_payload(
-        dframe,
-        fingerprint=manifest.fingerprint,
-        order_digest=manifest.order_digest,
-        total_points=manifest.total_points,
-    )
+    payload = frame_payload(dframe, **manifest.grid.payload())
     name, digest = blobstore.put_blob(directory, frame_filename, payload)
     entry = FrameEntry(
         file=name,
@@ -489,28 +450,10 @@ def append_shard_artifact(
     directory: Union[str, Path], artifact: ShardArtifact
 ) -> WarehouseManifest:
     """Append one shard artifact's results to a warehouse."""
-    manifest = read_warehouse_manifest(directory)
-    if artifact.fingerprint != manifest.fingerprint:
-        raise WarehouseError(
-            f"shard artifact fingerprints grid {artifact.fingerprint}, "
-            f"but the warehouse holds {manifest.fingerprint}"
-        )
-    if artifact.order_digest != manifest.order_digest:
-        raise WarehouseError(
-            f"shard artifact enumerates the grid in a different point "
-            f"order (order digest {artifact.order_digest} vs "
-            f"{manifest.order_digest}); re-run the shard with "
-            f"identically-ordered axes"
-        )
-    if artifact.total_points != manifest.total_points:
-        raise WarehouseError(
-            f"shard artifact covers a {artifact.total_points}-point "
-            f"grid, but the warehouse holds {manifest.total_points} "
-            f"points"
-        )
-    return append_decision_frame(
-        directory, decision_frame_from_artifact(artifact)
+    read_warehouse_manifest(directory).grid.check(
+        artifact.grid, WarehouseError, artifact.label, "the warehouse"
     )
+    return append_decision_frame(directory, artifact.dframe)
 
 
 def ingest_shard_directory(
@@ -547,9 +490,7 @@ def ingest_shard_directory(
         _publish_manifest(
             directory,
             WarehouseManifest(
-                fingerprint=first.fingerprint,
-                order_digest=first.order_digest,
-                total_points=first.total_points,
+                **first.grid.payload(),
                 revision=1,
                 frames=(),
             ),
@@ -562,10 +503,15 @@ def ingest_shard_directory(
             artifact, first = first, None
         else:
             artifact = read_shard_artifact(path)
+        # A foreign artifact is refused even where its points are
+        # covered: skipping it would hide a mixed-up shard directory.
+        manifest.grid.check(
+            artifact.grid, WarehouseError, artifact.label, "the warehouse"
+        )
         covered = {
             index for entry in manifest.frames for index in entry.indices
         }
-        if set(artifact.indices) <= covered:
+        if set(artifact.dframe.indices) <= covered:
             # Fully covered (or legitimately empty) artifact: nothing
             # new to publish.
             skipped.append(path.name)

@@ -55,6 +55,7 @@ from repro.core.queue import (
 )
 from repro.core.resultframe import ResultFrame, SweepRow
 from repro.core.sharding import (
+    GridIdentity,
     ShardArtifact,
     ShardMergeError,
     read_shard_artifact,
@@ -706,18 +707,18 @@ class TestKilledWriter:
 
 
 def _shard_file(directory: Path) -> Path:
-    frame = _frame(3)
     artifact = ShardArtifact(
-        fingerprint="f" * 16,
-        order_digest="o" * 16,
+        grid=GridIdentity("f" * 16, "o" * 16, 4),
         shards=2,
         shard_index=0,
-        total_points=4,
-        indices=(0, 1),
-        row_counts=(2, 1),
-        frame=frame,
+        dframe=DecisionFrame(
+            frame=_frame(3),
+            size_ratio=np.array([1.0, 0.5, 2.0]),
+            cost_ratio=np.array([1.0, 1.5, 0.25]),
+            indices=(0, 1),
+            row_counts=(2, 1),
+        ),
         cache_state={},
-        ratios={"size_ratio": (1.0, 0.5, 2.0), "cost_ratio": (1.0, 1.5, 0.25)},
     )
     return write_shard_artifact(
         directory / "shard-0000-of-0002.json", artifact

@@ -48,12 +48,12 @@ from repro.core.framestore import (
     max_rows_from_env,
     merge_artifacts_to_store,
     spill_design_sweep,
-    store_matches,
 )
 from repro.core.methodology import CandidateBuildUp
 from repro.core.pareto import nondominated_mask
 from repro.core.resultframe import ResultFrame, SweepRow
 from repro.core.sharding import (
+    GridIdentity,
     ShardMergeError,
     merge_shard_artifacts,
     run_shard,
@@ -382,12 +382,8 @@ class TestStreamingMerge:
         store = merge_artifacts_to_store(paths, tmp_path / "store", 4)
         assert store.to_frame() == reference.frame
         assert store.meta["cache_stats"] == reference.cache_stats
-        assert store_matches(
-            store,
-            fingerprint=artifacts[0].fingerprint,
-            order_digest=artifacts[0].order_digest,
-            total_points=artifacts[0].total_points,
-        )
+        assert store.complete
+        assert GridIdentity.from_payload(store.meta) == artifacts[0].grid
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ShardMergeError, match="no shard artifacts"):

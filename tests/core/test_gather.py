@@ -129,8 +129,8 @@ class TestIncrementalIngest:
         assert volumes == sorted(volumes)
         assert 0.0 < snapshot.progress < 1.0
         assert sum(snapshot.winner_counts().values()) == len(
-            artifacts[0].indices
-        ) + len(artifacts[2].indices)
+            artifacts[0].dframe.indices
+        ) + len(artifacts[2].dframe.indices)
 
     def test_foreign_artifact_rejected(self):
         other_points = POINTS[:-1] + [DesignPoint(volume=7e7)]

@@ -18,6 +18,7 @@ must only ever observe complete, canonical warehouse states.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import sys
@@ -555,6 +556,180 @@ class TestHttpSurface:
             "error": "stored performance column holds negative or NaN "
             "values; the warehouse frame is corrupt"
         }
+
+
+def _raw_post(address, request: bytes, shut_write: bool = False):
+    """Send raw bytes to the server and read its first response:
+    ``(status, body)``.  ``shut_write`` half-closes the socket so a
+    server reading a too-long ``Content-Length`` sees the end."""
+    with socket.create_connection(address[:2], timeout=10) as client:
+        client.sendall(request)
+        if shut_write:
+            client.shutdown(socket.SHUT_WR)
+        response = http.client.HTTPResponse(client)
+        response.begin()
+        return response.status, response.read()
+
+
+def _post_body(body: bytes, length=None) -> bytes:
+    """A ``POST /query`` request carrying ``body``."""
+    length = str(len(body)).encode() if length is None else length
+    return (
+        b"POST /query HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: " + length + b"\r\n\r\n" + body
+    )
+
+
+def _assert_answer(status: int, body: bytes) -> None:
+    """200 with a JSON answer, or 400 with one one-line ``error``."""
+    assert status in (200, 400), (status, body[:200])
+    assert body.count(b"\n") == 1
+    payload = json.loads(body)
+    if status == 400:
+        assert set(payload) == {"error"}
+        assert "\n" not in payload["error"]
+
+
+class TestHugeAndDeepBodies:
+    """Bodies that used to drop the connection (``RemoteDisconnected``
+    plus a server-side traceback) must be answered with HTTP 400."""
+
+    HUGE = 10**400
+
+    @pytest.fixture(scope="class")
+    def server(self, warehouse_dir):
+        server = serve_warehouse(warehouse_dir)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            {"kind": "pareto", "where": {"volume": HUGE}},
+            {"kind": "rerank", "fom_weights": [HUGE, 1, 1]},
+        ],
+        ids=["volume", "fom_weights"],
+    )
+    def test_huge_integer_is_a_query_error(self, service, server, ask):
+        with pytest.raises(QueryError, match="out of the float range"):
+            service.execute(ask)
+        status, body = _raw_post(
+            server.server_address, _post_body(json.dumps(ask).encode())
+        )
+        _assert_answer(status, body)
+        assert status == 400
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"kind": "pareto", "where": {"volume": ' + b"7" * 5000 + b"}}",
+            b"[" * 100_000,
+        ],
+        ids=["5000-digit-int", "deep-nesting"],
+    )
+    def test_unparseable_body_is_http_400(self, server, body):
+        status, answer = _raw_post(server.server_address, _post_body(body))
+        _assert_answer(status, answer)
+        assert status == 400
+        assert json.loads(answer)["error"].startswith(
+            "request body is not valid JSON"
+        )
+
+
+#: JSON values: scalars (huge ints, NaN and infinities included) nested
+#: in lists and objects.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**300, max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(QUERY_KINDS),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+#: Request-shaped objects, so the fuzz reaches the executor.
+query_asks = st.fixed_dictionaries(
+    {"kind": st.sampled_from(QUERY_KINDS) | json_values},
+    optional={
+        "where": st.dictionaries(
+            st.sampled_from(["volume", "candidate", "substrate", "bogus"]),
+            json_values,
+            max_size=3,
+        )
+        | json_values,
+        "fom_weights": st.lists(json_values, min_size=3, max_size=3)
+        | st.sampled_from(["2:1:1", "paper", "1:x:1", "1e999:1:1"])
+        | json_values,
+        "axis": st.sampled_from(["volume", "weights", "candidate"])
+        | json_values,
+    },
+)
+
+
+@st.composite
+def post_requests(draw):
+    """``(request bytes, half-close?)`` of a ``POST /query``."""
+    kind = draw(
+        st.sampled_from(["json", "ask", "digits", "nesting", "binary"])
+    )
+    if kind == "json":
+        body = json.dumps(draw(json_values)).encode()
+    elif kind == "ask":
+        body = json.dumps(draw(query_asks)).encode()
+    elif kind == "digits":
+        body = b'{"kind": "best", "fom_weights": [1, 1, ' + b"9" * draw(
+            st.integers(300, 6000)
+        ) + b"]}"
+    elif kind == "nesting":
+        depth = draw(st.integers(1, 120_000))
+        body = draw(st.sampled_from([b"[", b'{"a":'])) * depth
+    else:
+        body = draw(st.binary(max_size=64))
+    length = draw(
+        st.sampled_from(["exact", "short", "long", "negative", "junk"])
+    )
+    if length == "exact":
+        return _post_body(body), False
+    if length == "short":
+        return _post_body(body, str(len(body) // 2).encode()), False
+    if length == "long":
+        return _post_body(body, str(len(body) + 7).encode()), True
+    if length == "negative":
+        return _post_body(body, b"-3"), False
+    return _post_body(body, b"12abc"), False
+
+
+class TestPostQueryFuzz:
+    """Any ``POST /query`` body is answered: 200, or 400 with a one-line
+    JSON ``error`` — never a dropped connection — and the server keeps
+    answering good queries."""
+
+    @pytest.fixture(scope="class")
+    def server(self, warehouse_dir):
+        server = WarehouseServer(("127.0.0.1", 0), QueryService(warehouse_dir))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+
+    @settings(max_examples=150, deadline=None)
+    @given(request=post_requests())
+    def test_every_body_is_answered(self, server, request):
+        raw, shut_write = request
+        status, body = _raw_post(server.server_address, raw, shut_write)
+        _assert_answer(status, body)
+        status, body = _raw_post(
+            server.server_address, _post_body(b'{"kind": "winners"}')
+        )
+        assert status == 200
 
 
 def reference_bytes(payload: dict) -> bytes:

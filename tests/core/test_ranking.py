@@ -315,7 +315,7 @@ class TestNoPerCellObjects:
             self.GRID, tmp_path / "store", max_rows_in_memory=5
         )
         assert store.total_rows == rows
-        assert len(run_gps_shard(self.GRID, 2, 0).frame) > 0
+        assert len(run_gps_shard(self.GRID, 2, 0).dframe) > 0
         manifest = build_gps_warehouse(tmp_path / "warehouse", self.GRID)
         assert manifest.complete
         assert run_adaptive_gps_sweep(self.GRID).total_evaluations > 0

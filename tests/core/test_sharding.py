@@ -167,6 +167,25 @@ class TestMergeIdentity:
         merged = merge_shard_artifacts(artifacts)
         assert merged.rows == serial_rows()
 
+    def test_single_artifact_out_of_point_order_is_sorted(self):
+        """One artifact listing its points in reverse still merges into
+        canonical point order."""
+        payload = artifact_to_payload(make_artifacts(1)[0])
+        counts = payload["row_counts"]
+        starts = [sum(counts[:k]) for k in range(len(counts))]
+        rows = [
+            row
+            for start, count in reversed(list(zip(starts, counts)))
+            for row in range(start, start + count)
+        ]
+        for section in (payload["columns"], payload["ratios"]):
+            for name, values in section.items():
+                section[name] = [values[row] for row in rows]
+        payload["indices"].reverse()
+        counts.reverse()
+        merged = merge_shard_artifacts([payload_to_artifact(payload)])
+        assert merged.rows == serial_rows()
+
     def test_mixed_producers_merge(self):
         """Shards cut with different executors still merge identically."""
         first = run_shard(
@@ -205,7 +224,7 @@ class TestMergeIdentity:
             run_shard(two_points, fixed_candidates, shards=4, shard_index=i)
             for i in range(4)
         ]
-        assert [len(a.indices) for a in artifacts] == [1, 1, 0, 0]
+        assert [len(a.dframe.indices) for a in artifacts] == [1, 1, 0, 0]
         merged = merge_shard_artifacts(artifacts)
         reference = run_design_sweep(
             two_points, fixed_candidates, executor=SerialExecutor()
@@ -224,7 +243,7 @@ class TestMergeRejection:
             merge_shard_artifacts([artifacts[0], artifacts[2]])
         message = str(excinfo.value)
         assert "missing" in message
-        missing = list(artifacts[1].indices)
+        missing = list(artifacts[1].dframe.indices)
         assert ", ".join(str(i) for i in missing) in message
 
     def test_duplicated_shard_names_the_indices(self):
@@ -235,7 +254,7 @@ class TestMergeRejection:
             )
         message = str(excinfo.value)
         assert "duplicated" in message
-        assert str(artifacts[0].indices[0]) in message
+        assert str(artifacts[0].dframe.indices[0]) in message
 
     def test_reordered_grid_rejected_by_order_digest(self):
         """Same point set, different axis order: indices don't line up.
@@ -249,7 +268,7 @@ class TestMergeRejection:
         theirs = run_shard(
             reordered, fixed_candidates, shards=2, shard_index=1
         )
-        assert ours.fingerprint == theirs.fingerprint
+        assert ours.grid.fingerprint == theirs.grid.fingerprint
         with pytest.raises(ShardMergeError, match="different point order"):
             merge_shard_artifacts([ours, theirs])
 
@@ -268,8 +287,8 @@ class TestMergeRejection:
         artifacts = make_artifacts(2)
         payload = artifact_to_payload(artifacts[1])
         payload["total_points"] = 99
-        payload["fingerprint"] = artifacts[0].fingerprint
-        payload["order_digest"] = artifacts[0].order_digest
+        payload["fingerprint"] = artifacts[0].grid.fingerprint
+        payload["order_digest"] = artifacts[0].grid.order_digest
         with pytest.raises(ShardMergeError, match="grid size"):
             merge_shard_artifacts(
                 [artifacts[0], payload_to_artifact(payload)]
@@ -355,6 +374,27 @@ class TestMergeRejection:
         ]
         with pytest.raises(ShardMergeError, match="malformed"):
             payload_to_artifact(payload)
+
+    @pytest.mark.parametrize(
+        "cache",
+        [
+            [],
+            {"tables": []},
+            {"tables": {"area": []}},
+            {"tables": {"area": {"hits": "x", "misses": 0, "keys": []}}},
+            {"tables": {"area": {"hits": 0, "misses": True, "keys": []}}},
+            {"tables": {"cost": {"hits": 0, "misses": 0, "keys": 5}}},
+            {"tables": {"cost": {"hits": 0, "misses": 0, "keys": [7]}}},
+            {"tables": {"cost": {"hits": 0, "keys": []}}},
+        ],
+    )
+    def test_malformed_cache_section_rejected(self, cache):
+        """The cache section must be a portable cache state; anything
+        else used to crash merge_cache_states with a raw error."""
+        payload = artifact_to_payload(make_artifacts(1)[0])
+        payload["cache"] = cache
+        with pytest.raises(ShardMergeError, match="malformed shard artifact"):
+            merge_shard_artifacts([payload_to_artifact(payload)])
 
     def test_unknown_format_rejected(self):
         payload = artifact_to_payload(make_artifacts(1)[0])
@@ -467,7 +507,9 @@ class TestAtomicWrite:
             write_shard_artifact(path, artifact)
         monkeypatch.undo()
         write_shard_artifact(path, artifact)
-        assert read_shard_artifact(path).indices == artifact.indices
+        assert read_shard_artifact(path).dframe.indices == (
+            artifact.dframe.indices
+        )
 
     def test_torn_multibyte_utf8_is_merge_error(self, tmp_path):
         """A file cut mid multi-byte character (legacy torn write) must

@@ -23,6 +23,7 @@ from repro.core.figure_of_merit import FomWeights
 from repro.core.blobstore import content_digest
 from repro.core.methodology import CandidateBuildUp
 from repro.core.sharding import (
+    ShardMergeError,
     payload_to_artifact,
     artifact_to_payload,
     run_shard,
@@ -41,7 +42,6 @@ from repro.core.warehouse import (
     append_shard_artifact,
     build_warehouse,
     canonical_json,
-    decision_frame_from_artifact,
     frame_filename,
     frame_payload,
     ingest_shard_directory,
@@ -142,14 +142,12 @@ class TestDecisionFrame:
     def test_from_artifact_needs_ratios(self, artifacts):
         payload = artifact_to_payload(artifacts[0])
         del payload["ratios"]
-        legacy = payload_to_artifact(payload)
-        assert legacy.ratios is None
-        with pytest.raises(WarehouseError) as excinfo:
-            decision_frame_from_artifact(legacy)
+        with pytest.raises(ShardMergeError) as excinfo:
+            payload_to_artifact(payload)
         assert "re-run" in str(excinfo.value)
 
     def test_merge_is_order_independent(self, artifacts, serial_report):
-        frames = [decision_frame_from_artifact(a) for a in artifacts]
+        frames = [a.dframe for a in artifacts]
         merged = merge_decision_frames(frames)
         shuffled = merge_decision_frames(frames[::-1])
         assert merged == shuffled
@@ -158,7 +156,7 @@ class TestDecisionFrame:
         )
 
     def test_merge_rejects_overlap(self, artifacts):
-        frame = decision_frame_from_artifact(artifacts[0])
+        frame = artifacts[0].dframe
         with pytest.raises(WarehouseError) as excinfo:
             merge_decision_frames([frame, frame])
         assert "overlap" in str(excinfo.value)
@@ -166,7 +164,7 @@ class TestDecisionFrame:
 
 class TestFrameFiles:
     def test_payload_round_trips(self, artifacts, tmp_path):
-        dframe = decision_frame_from_artifact(artifacts[0])
+        dframe = artifacts[0].dframe
         payload = frame_payload(
             dframe,
             fingerprint="f" * 16,
@@ -180,7 +178,7 @@ class TestFrameFiles:
         assert loaded == dframe
 
     def test_digest_mismatch_is_refused(self, artifacts, tmp_path):
-        dframe = decision_frame_from_artifact(artifacts[0])
+        dframe = artifacts[0].dframe
         payload = frame_payload(
             dframe,
             fingerprint="f" * 16,
@@ -194,7 +192,7 @@ class TestFrameFiles:
         assert "tampered or mispaired" in str(excinfo.value)
 
     def test_torn_file_is_refused(self, artifacts, tmp_path):
-        dframe = decision_frame_from_artifact(artifacts[0])
+        dframe = artifacts[0].dframe
         payload = frame_payload(
             dframe,
             fingerprint="f" * 16,
@@ -305,6 +303,29 @@ class TestWriter:
         assert dframe.frame.to_json_columns() == (
             serial_report.frame.to_json_columns()
         )
+
+    def test_ingest_refuses_a_foreign_artifact_on_covered_points(
+        self, tmp_path, artifacts
+    ):
+        """A foreign artifact whose point indices the warehouse already
+        covers used to be skipped as "already covered"."""
+        shard_dir = tmp_path / "shards"
+        for artifact in artifacts:
+            write_shard_artifact(
+                shard_dir / shard_filename(3, artifact.shard_index),
+                artifact,
+            )
+        wh = tmp_path / "wh"
+        ingest_shard_directory(wh, shard_dir)
+        foreign = run_shard(
+            SweepGrid(volumes=(123.0, 456.0)),
+            fixed_candidates,
+            shards=3,
+            shard_index=0,
+        )
+        write_shard_artifact(shard_dir / shard_filename(3, 0), foreign)
+        with pytest.raises(WarehouseError, match="different grids"):
+            ingest_shard_directory(wh, shard_dir)
 
     def test_ingest_reads_each_artifact_once(
         self, tmp_path, artifacts, serial_report, monkeypatch

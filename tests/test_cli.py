@@ -885,6 +885,35 @@ class TestMergeTornArtifact:
         assert excinfo.value.code == 2
         assert "alien-format/7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda cache: [],
+            lambda cache: cache["tables"]["area"].update(hits="x"),
+            lambda cache: cache["tables"]["cost"].update(keys=5),
+        ],
+        ids=["cache-list", "hits-string", "keys-int"],
+    )
+    def test_malformed_cache_section_exits_2(self, tmp_path, capsys, mangle):
+        """A hand-edited cache section used to escape merge_cache_states
+        as an AttributeError/ValueError/TypeError traceback (exit 1)."""
+        import json
+
+        self._shards(tmp_path, capsys)
+        path = tmp_path / "shard-0001-of-0002.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        replaced = mangle(payload["cache"])
+        if replaced is not None:
+            payload["cache"] = replaced
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--merge", str(tmp_path), "--cache-stats"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "malformed shard artifact" in err
+        assert path.name in err
+        assert "Traceback" not in err
+
 
 class TestQueueCli:
     """The service surface: sweep --queue-init / --queue."""
@@ -1499,6 +1528,25 @@ class TestWarehouseCli:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "cannot read warehouse manifest" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_refuses_a_port_outside_0_65535(
+        self, tmp_path, capsys, port
+    ):
+        """70000 used to pass the parser and die in bind() with an
+        OverflowError traceback; -1 was told it needs an index."""
+        warehouse = tmp_path / "wh"
+        assert (
+            main(["warehouse", "build", str(warehouse), "--volumes", "1e3"])
+            == 0
+        )
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["warehouse", "serve", str(warehouse), "--port", port])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "need a TCP port in 0-65535" in err
         assert "Traceback" not in err
 
     def test_queue_to_warehouse_walkthrough(self, tmp_path, capsys):

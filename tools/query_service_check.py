@@ -20,8 +20,10 @@ from scratch:
    :func:`~repro.gps.study.run_gps_sweep` (re-run with the query's
    weights where the query re-ranks) — the digest serialiser, not the
    server's own ``response_bytes``;
-5. **probe a bad request** — ``Content-Length: -1`` must be answered
-   with HTTP 400 within two seconds, not left to block on the socket.
+5. **probe bad requests** — ``Content-Length: -1``, a 400-digit
+   integer as a volume filter or FoM weight, a 5000-digit integer and
+   100 000 nested ``[`` must each be answered with HTTP 400 within
+   two seconds, never left to block on the socket or dropped.
 
 Any deviation — a torn frame, a stale manifest, one float one ulp
 off the scalar formula — fails the job.
@@ -142,20 +144,42 @@ def expected_envelope(name: str, request: dict, manifest) -> dict:
     return envelope
 
 
-def probe_negative_length(host: str, port: int) -> str:
-    """The status code the server sends for ``Content-Length: -1``
-    (``"timeout"`` when nothing arrives within two seconds)."""
+#: Bad ``POST /query`` requests: (name, Content-Length, body).  Each
+#: must be answered 400.
+BAD_REQUESTS = (
+    ("Content-Length: -1", b"-1", b""),
+    (
+        "400-digit volume filter",
+        None,
+        b'{"kind": "pareto", "where": {"volume": 1' + b"0" * 400 + b"}}",
+    ),
+    (
+        "400-digit FoM weight",
+        None,
+        b'{"kind": "rerank", "fom_weights": [1' + b"0" * 400 + b", 1, 1]}",
+    ),
+    ("5000-digit integer", None, b'{"kind": ' + b"7" * 5000 + b"}"),
+    ("100 000 nested [", None, b"[" * 100_000),
+)
+
+
+def probe(host: str, port: int, length, body: bytes) -> str:
+    """The status code the server sends for one raw ``POST /query``
+    (``"timeout"`` when nothing arrives within two seconds,
+    ``"dropped"`` when the server hangs up without answering)."""
+    if length is None:
+        length = str(len(body)).encode()
     with socket.create_connection((host, port), timeout=2) as client:
         client.sendall(
             b"POST /query HTTP/1.1\r\nHost: check\r\n"
-            b"Content-Length: -1\r\n\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n" + body
         )
         try:
             status_line = client.makefile("rb").readline()
         except socket.timeout:
             return "timeout"
     parts = status_line.split()
-    return parts[1].decode() if len(parts) > 1 else repr(status_line)
+    return parts[1].decode() if len(parts) > 1 else "dropped"
 
 
 def main() -> int:
@@ -231,13 +255,14 @@ def main() -> int:
                 )
                 print(f"  served:   {served[:200]!r}")
                 print(f"  expected: {expected[:200]!r}")
-        # 5. A negative Content-Length is refused, not read to EOF.
-        status = probe_negative_length(host, port)
-        if status == "400":
-            print("OK   Content-Length: -1 answered 400")
-        else:
-            failures += 1
-            print(f"FAIL Content-Length: -1 answered {status!r}")
+        # 5. Bad requests are refused, not read to EOF or dropped.
+        for name, length, body in BAD_REQUESTS:
+            status = probe(host, port, length, body)
+            if status == "400":
+                print(f"OK   {name} answered 400")
+            else:
+                failures += 1
+                print(f"FAIL {name} answered {status!r}")
     finally:
         server.shutdown()
         server.server_close()
@@ -249,11 +274,11 @@ def main() -> int:
         failures += 1
 
     if failures:
-        print(f"{failures} scripted quer(ies) diverged")
+        print(f"{failures} check(s) failed")
         return 1
     print(
-        f"all {len(SCRIPT)} scripted queries byte-identical; bad "
-        f"Content-Length refused"
+        f"all {len(SCRIPT)} scripted queries byte-identical; "
+        f"{len(BAD_REQUESTS)} bad requests refused"
     )
     return 0
 
