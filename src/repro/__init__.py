@@ -23,44 +23,41 @@ Quickstart::
     for row in summary_rows(result):
         print(row.name, row.area_percent, row.cost_percent,
               row.figure_of_merit)
+
+Every package re-exports lazily (:mod:`repro._lazy`): a subpackage or
+name loads on first access.
 """
 
-from . import area, circuits, core, cost, gps, passives, reporting, units
-from .errors import (
-    CalibrationError,
-    CircuitError,
-    ComponentError,
-    CostModelError,
-    FlowError,
-    PlacementError,
-    ReproError,
-    SpecificationError,
-    SynthesisError,
-    TechnologyError,
-    UnitError,
-)
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CalibrationError",
-    "CircuitError",
-    "ComponentError",
-    "CostModelError",
-    "FlowError",
-    "PlacementError",
-    "ReproError",
-    "SpecificationError",
-    "SynthesisError",
-    "TechnologyError",
-    "UnitError",
-    "__version__",
-    "area",
-    "circuits",
-    "core",
-    "cost",
-    "gps",
-    "passives",
-    "reporting",
-    "units",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "errors": [
+            "CalibrationError",
+            "CircuitError",
+            "ComponentError",
+            "CostModelError",
+            "FlowError",
+            "PlacementError",
+            "ReproError",
+            "SpecificationError",
+            "SynthesisError",
+            "TechnologyError",
+            "UnitError",
+        ],
+    },
+    submodules=[
+        "area",
+        "circuits",
+        "core",
+        "cost",
+        "gps",
+        "passives",
+        "reporting",
+        "units",
+    ],
+)
+__all__ += ["__version__"]

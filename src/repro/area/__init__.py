@@ -1,59 +1,39 @@
 """Area estimation substrate (methodology step 3, Table 1 rules, Fig. 3)."""
 
-from .footprint import (
-    CHIP_AREAS,
-    ChipAreas,
-    Footprint,
-    MountKind,
-    TABLE1_FILTER_AREAS,
-    TABLE1_IP_AREAS,
-)
-from .placement import (
-    AreaReport,
-    PlacedRect,
-    ShelfLayout,
-    ShelfPlacer,
-    area_breakdown,
-    area_ratio,
-    trivial_placement,
-    trivial_placement_batch,
-)
-from .substrate import (
-    LAMINATE_RULE,
-    LaminateRule,
-    MCM_D_COARSE_RULE,
-    MCM_D_FINE_RULE,
-    MCM_D_RULE,
-    PCB_RULE,
-    PackageSize,
-    SUBSTRATE_RULES,
-    SubstrateRule,
-    SubstrateSize,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AreaReport",
-    "CHIP_AREAS",
-    "ChipAreas",
-    "Footprint",
-    "LAMINATE_RULE",
-    "LaminateRule",
-    "MCM_D_COARSE_RULE",
-    "MCM_D_FINE_RULE",
-    "MCM_D_RULE",
-    "MountKind",
-    "PCB_RULE",
-    "PackageSize",
-    "PlacedRect",
-    "SUBSTRATE_RULES",
-    "ShelfLayout",
-    "ShelfPlacer",
-    "SubstrateRule",
-    "SubstrateSize",
-    "TABLE1_FILTER_AREAS",
-    "TABLE1_IP_AREAS",
-    "area_breakdown",
-    "area_ratio",
-    "trivial_placement",
-    "trivial_placement_batch",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "footprint": [
+            "CHIP_AREAS",
+            "ChipAreas",
+            "Footprint",
+            "MountKind",
+            "TABLE1_FILTER_AREAS",
+            "TABLE1_IP_AREAS",
+        ],
+        "placement": [
+            "AreaReport",
+            "PlacedRect",
+            "ShelfLayout",
+            "ShelfPlacer",
+            "area_breakdown",
+            "area_ratio",
+            "trivial_placement",
+            "trivial_placement_batch",
+        ],
+        "substrate": [
+            "LAMINATE_RULE",
+            "LaminateRule",
+            "MCM_D_COARSE_RULE",
+            "MCM_D_FINE_RULE",
+            "MCM_D_RULE",
+            "PCB_RULE",
+            "PackageSize",
+            "SUBSTRATE_RULES",
+            "SubstrateRule",
+            "SubstrateSize",
+        ],
+    },
+)

@@ -12,172 +12,101 @@ A small but complete AC analysis stack:
 * :mod:`~repro.circuits.performance` — spec scoring (paper step 2).
 """
 
-from .elements import (
-    Capacitor,
-    DispersiveCapacitor,
-    DispersiveInductor,
-    Element,
-    GROUND,
-    Inductor,
-    Port,
-    Resistor,
-    dispersive_capacitor,
-    dispersive_inductor,
-    lossy_capacitor,
-    lossy_inductor,
-)
-from .approximation import (
-    bandpass_selectivity,
-    butterworth_attenuation_db,
-    chebyshev_attenuation_db,
-    elliptic_attenuation_db,
-    minimum_order,
-    required_order,
-)
-from .matching import (
-    LMatchDesign,
-    LNetworkTopology,
-    build_l_match_circuit,
-    design_l_match,
-    match_return_loss_db,
-    matching_network_area_mm2,
-)
-from .mna import (
-    AcAnalysis,
-    StampPlan,
-    batch_admittance_matrix,
-    batch_solve_nodal,
-    node_admittance_matrix,
-    node_index,
-    solve_nodal,
-)
-from .netlist import Circuit
-from .performance import (
-    ChainPerformance,
-    FilterPerformance,
-    analyze_filter,
-    assess_chain,
-    loss_score,
-    measure_filter,
-)
-from .qfactor import (
-    ConstantQModel,
-    DiscreteFilterBlockQModel,
-    DispersiveQModel,
-    IdealQModel,
-    MEASURED_SUMMIT_TABLE,
-    MixedQModel,
-    SkinEffectQModel,
-    SmdQModel,
-    SubstrateLossQModel,
-    SummitQModel,
-    TabulatedQModel,
-    capacitor_q_profile,
-    combined_q_profile,
-    combined_unloaded_q,
-    inductor_q_profile,
-    is_dispersive,
-    process_q_model,
-)
-from .synthesis import (
-    BandpassDesign,
-    QModel,
-    ResonatorElements,
-    TrapElements,
-    build_bandpass_circuit,
-    butterworth_g_values,
-    chebyshev_g_values,
-    dissipation_loss_db,
-    prototype_g_values,
-    synthesize_bandpass,
-)
-from .twoport import (
-    SParameters,
-    SweepResult,
-    input_impedance,
-    measure_insertion_loss,
-    measure_insertion_loss_many,
-    measure_rejection,
-    sweep,
-    sweep_grid,
-    sweep_pointwise,
-    two_port_sparameters,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AcAnalysis",
-    "BandpassDesign",
-    "Capacitor",
-    "DispersiveCapacitor",
-    "DispersiveInductor",
-    "DispersiveQModel",
-    "ChainPerformance",
-    "Circuit",
-    "ConstantQModel",
-    "DiscreteFilterBlockQModel",
-    "Element",
-    "FilterPerformance",
-    "GROUND",
-    "IdealQModel",
-    "MEASURED_SUMMIT_TABLE",
-    "Inductor",
-    "LMatchDesign",
-    "LNetworkTopology",
-    "MixedQModel",
-    "Port",
-    "QModel",
-    "Resistor",
-    "ResonatorElements",
-    "SParameters",
-    "SkinEffectQModel",
-    "SmdQModel",
-    "SubstrateLossQModel",
-    "StampPlan",
-    "SummitQModel",
-    "TabulatedQModel",
-    "SweepResult",
-    "TrapElements",
-    "analyze_filter",
-    "assess_chain",
-    "bandpass_selectivity",
-    "batch_admittance_matrix",
-    "batch_solve_nodal",
-    "build_l_match_circuit",
-    "build_bandpass_circuit",
-    "butterworth_g_values",
-    "butterworth_attenuation_db",
-    "capacitor_q_profile",
-    "chebyshev_attenuation_db",
-    "chebyshev_g_values",
-    "combined_q_profile",
-    "combined_unloaded_q",
-    "design_l_match",
-    "dispersive_capacitor",
-    "dispersive_inductor",
-    "elliptic_attenuation_db",
-    "dissipation_loss_db",
-    "inductor_q_profile",
-    "input_impedance",
-    "is_dispersive",
-    "loss_score",
-    "lossy_capacitor",
-    "lossy_inductor",
-    "match_return_loss_db",
-    "matching_network_area_mm2",
-    "measure_filter",
-    "measure_insertion_loss",
-    "measure_insertion_loss_many",
-    "minimum_order",
-    "measure_rejection",
-    "node_admittance_matrix",
-    "node_index",
-    "process_q_model",
-    "prototype_g_values",
-    "required_order",
-    "solve_nodal",
-    "sweep",
-    "sweep_grid",
-    "sweep_pointwise",
-    "synthesize_bandpass",
-    "two_port_sparameters",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "elements": [
+            "Capacitor",
+            "DispersiveCapacitor",
+            "DispersiveInductor",
+            "Element",
+            "GROUND",
+            "Inductor",
+            "Port",
+            "Resistor",
+            "dispersive_capacitor",
+            "dispersive_inductor",
+            "lossy_capacitor",
+            "lossy_inductor",
+        ],
+        "approximation": [
+            "bandpass_selectivity",
+            "butterworth_attenuation_db",
+            "chebyshev_attenuation_db",
+            "elliptic_attenuation_db",
+            "minimum_order",
+            "required_order",
+        ],
+        "matching": [
+            "LMatchDesign",
+            "LNetworkTopology",
+            "build_l_match_circuit",
+            "design_l_match",
+            "match_return_loss_db",
+            "matching_network_area_mm2",
+        ],
+        "mna": [
+            "AcAnalysis",
+            "StampPlan",
+            "batch_admittance_matrix",
+            "batch_solve_nodal",
+            "node_admittance_matrix",
+            "node_index",
+            "solve_nodal",
+        ],
+        "netlist": ["Circuit"],
+        "performance": [
+            "ChainPerformance",
+            "FilterPerformance",
+            "analyze_filter",
+            "assess_chain",
+            "loss_score",
+            "measure_filter",
+        ],
+        "qfactor": [
+            "ConstantQModel",
+            "DiscreteFilterBlockQModel",
+            "DispersiveQModel",
+            "IdealQModel",
+            "MEASURED_SUMMIT_TABLE",
+            "MixedQModel",
+            "SkinEffectQModel",
+            "SmdQModel",
+            "SubstrateLossQModel",
+            "SummitQModel",
+            "TabulatedQModel",
+            "capacitor_q_profile",
+            "combined_q_profile",
+            "combined_unloaded_q",
+            "inductor_q_profile",
+            "is_dispersive",
+            "process_q_model",
+        ],
+        "synthesis": [
+            "BandpassDesign",
+            "QModel",
+            "ResonatorElements",
+            "TrapElements",
+            "build_bandpass_circuit",
+            "butterworth_g_values",
+            "chebyshev_g_values",
+            "dissipation_loss_db",
+            "prototype_g_values",
+            "synthesize_bandpass",
+        ],
+        "twoport": [
+            "SParameters",
+            "SweepResult",
+            "input_impedance",
+            "measure_insertion_loss",
+            "measure_insertion_loss_many",
+            "measure_rejection",
+            "sweep",
+            "sweep_grid",
+            "sweep_pointwise",
+            "two_port_sparameters",
+        ],
+    },
+)

@@ -38,6 +38,10 @@ a given flag the mode refuses exits 2 with one line.  Bad asks found
 while running (unreadable files, foreign grids, a malformed budget)
 exit 2 the same way, while exit 1 means "not done yet": an incomplete
 gather or a queue shard out of attempts.
+
+A module that only some commands run is imported inside the function
+that runs it: every ``repro-gps`` start pays for the modules it loads
+(``docs/architecture.md``, "Import budget").
 """
 
 from __future__ import annotations
@@ -51,46 +55,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .area.substrate import SUBSTRATE_RULES
 from .circuits.qfactor import Q_MODEL_SCENARIOS, SubstrateLossQModel
-from .core.decision import full_report
 from .core.figure_of_merit import FomWeights
-from .core.framestore import (
-    MANIFEST_NAME as STORE_MANIFEST_NAME,
-    MAX_ROWS_ENV,
-    ChunkedFrameStore,
-    max_rows_from_env,
-    merge_artifacts_to_store,
-)
-from .core.gather import (
-    GatherError,
-    gather_directory,
-    gather_directory_to_store,
-    watch_directory,
-)
-from .core.queue import manifest_for_grid, read_manifest, write_manifest
+from .core.queryvocab import QUERY_KINDS, SENSITIVITY_AXES
 from .core.resultframe import ResultFrame
-from .core.sharding import (
-    GridIdentity,
-    ShardMergeError,
-    find_shard_artifacts,
-    merge_shard_artifacts,
-    read_shard_artifact,
-    shard_filename,
-    write_shard_artifact,
+from .core.sweep import (
+    MAX_ROWS_ENV,
+    SweepGrid,
+    SweepReport,
+    max_rows_from_env,
 )
-from .core.sweep import SweepGrid, SweepReport
-from .core.queryservice import (
-    QUERY_KINDS,
-    SENSITIVITY_AXES,
-    QueryService,
-    response_bytes,
-    serve_warehouse,
-)
-from .core.warehouse import (
-    ingest_shard_directory,
-    read_warehouse_manifest,
-)
-from .cost.calibration import calibrate_chip_costs, check_bare_discount
-from .cost.moe.builder import render_flow
 from .errors import CalibrationError, SpecificationError
 from .gps.buildups import flow_for
 from .gps.study import (
@@ -110,12 +83,16 @@ from .passives.tolerance import TOLERANCE_CLASSES
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from .core.decision import full_report
+
     result = run_gps_study(volume=args.volume)
     print(full_report(result))
     return 0
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
+    from .cost.moe.builder import render_flow
+
     flow = flow_for(args.implementation)
     print(render_flow(flow))
     return 0
@@ -136,6 +113,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .cost.calibration import calibrate_chip_costs
+
     result = calibrate_chip_costs(bare_discount=args.bare_discount)
     print(
         f"RF chip:  packaged {result.rf_packaged:.1f}, "
@@ -234,6 +213,8 @@ _nonnegative_float = _number(
 
 def _bare_discount(raw: str) -> float:
     """Parse --bare-discount: a fraction in (0, 1], checked at parse time."""
+    from .cost.calibration import check_bare_discount
+
     try:
         value = float(raw)
     except ValueError:
@@ -562,13 +543,16 @@ def _render_spilled(args, build, identity=None) -> int:
     ``--resume``; a half-written or foreign store is refused.  A run
     without an ``identity`` (adaptive) builds into the directory.
     """
+    from .core.framestore import MANIFEST_NAME, ChunkedFrameStore
+    from .core.sharding import GridIdentity
+
     if args.spill_dir is None:
         with tempfile.TemporaryDirectory(prefix="repro-spill-") as scratch:
             _print_store_report(build(Path(scratch) / "store"), args)
         return 0
     directory = Path(args.spill_dir)
     grid = identity() if identity is not None else None
-    if grid is None or not (directory / STORE_MANIFEST_NAME).exists():
+    if grid is None or not (directory / MANIFEST_NAME).exists():
         _print_store_report(build(_create_directory(directory)), args)
         return 0
     store = ChunkedFrameStore.open(directory)
@@ -658,6 +642,12 @@ def _resumable_artifact(
     grid, different shard geometry — means the shard must be
     (re-)evaluated; resuming never risks a silently wrong artifact.
     """
+    from .core.sharding import (
+        GridIdentity,
+        ShardMergeError,
+        read_shard_artifact,
+    )
+
     if not path.exists():
         return None
     try:
@@ -676,6 +666,13 @@ def _resumable_artifact(
 
 def _run_merge(args: argparse.Namespace) -> int:
     """--merge: reassemble shard artifacts into one report."""
+    from .core.framestore import merge_artifacts_to_store
+    from .core.sharding import (
+        find_shard_artifacts,
+        merge_shard_artifacts,
+        read_shard_artifact,
+    )
+
     max_rows = _row_budget(args)
     paths = find_shard_artifacts(args.merge)
     if not paths:
@@ -698,6 +695,8 @@ def _run_merge(args: argparse.Namespace) -> int:
 
 def _run_queue_init(args: argparse.Namespace) -> int:
     """--queue-init: write the work-queue manifest."""
+    from .core.queue import manifest_for_grid, write_manifest
+
     grid = _grid_from_args(args)
     manifest = manifest_for_grid(
         grid,
@@ -724,6 +723,8 @@ def _run_queue_init(args: argparse.Namespace) -> int:
 
 def _run_queue(args: argparse.Namespace) -> int:
     """--queue: run one worker until nothing is claimable."""
+    from .core.queue import read_manifest
+
     manifest = read_manifest(args.queue)
     grid = _grid_from_spec(
         manifest.grid_spec, source=f"queue manifest {args.queue}"
@@ -761,6 +762,8 @@ def _run_queue(args: argparse.Namespace) -> int:
 
 def _run_shard(args: argparse.Namespace) -> int:
     """--shard-index: evaluate one shard and write its artifact."""
+    from .core.sharding import shard_filename, write_shard_artifact
+
     grid = _grid_from_args(args)
     shards, index = args.shards, args.shard_index
     shard_dir = args.shard_dir if args.shard_dir is not None else "."
@@ -840,8 +843,10 @@ def _run_adaptive(args: argparse.Namespace) -> int:
         _print_adaptive_summary(report, args)
         _print_sweep_report(report.report, args)
         return 0
+    from .core.framestore import MANIFEST_NAME
+
     if args.spill_dir is not None and (
-        Path(args.spill_dir) / STORE_MANIFEST_NAME
+        Path(args.spill_dir) / MANIFEST_NAME
     ).exists():
         # The exhaustive spill can verify reuse against the grid
         # identity; an adaptive run cannot — which points were
@@ -873,6 +878,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     # Out-of-core mode: spill completed rows to a chunked frame store
     # as the sweep streams, then render from the store.
+    from .core.sharding import GridIdentity
+
     return _render_spilled(
         args,
         lambda directory: spill_gps_sweep(grid, directory, max_rows),
@@ -889,6 +896,19 @@ def _run_gather(args: argparse.Namespace) -> int:
     rejected artifact exit 1 with a one-line reason — the right signal
     for a supervisor restarting the watch.
     """
+    from .core.gather import (
+        GatherError,
+        gather_directory,
+        gather_directory_to_store,
+        watch_directory,
+    )
+    from .core.queue import read_manifest
+    from .core.sharding import (
+        ShardMergeError,
+        find_shard_artifacts,
+        read_shard_artifact,
+    )
+
     max_rows = None if args.watch else _row_budget(args)
     expected = None
     if args.manifest is not None:
@@ -964,6 +984,8 @@ def _run_gather(args: argparse.Namespace) -> int:
 def _run_warehouse_build(args: argparse.Namespace) -> int:
     """Materialise a sweep into frame files (fresh run or shard ingest)."""
     if args.from_shards is not None:
+        from .core.warehouse import ingest_shard_directory
+
         _create_directory(args.directory)
         manifest, appended, skipped = ingest_shard_directory(
             args.directory, args.from_shards
@@ -1367,6 +1389,8 @@ def _multi_mode(parser: argparse.ArgumentParser, modes: tuple):
 
 def _check_warehouse_fingerprint(directory, pin: Optional[str]):
     """The warehouse manifest, with an optional ``--fingerprint`` pin."""
+    from .core.warehouse import read_warehouse_manifest
+
     manifest = read_warehouse_manifest(directory)
     if pin is not None and manifest.fingerprint != pin:
         raise SpecificationError(
@@ -1379,6 +1403,8 @@ def _check_warehouse_fingerprint(directory, pin: Optional[str]):
 
 def _cmd_warehouse_serve(args: argparse.Namespace) -> int:
     """Put a warehouse behind ``POST /query`` until interrupted."""
+    from .core.queryservice import serve_warehouse
+
     _check_warehouse_fingerprint(args.directory, args.fingerprint)
     try:
         server = serve_warehouse(
@@ -1409,6 +1435,8 @@ def _cmd_warehouse_query(args: argparse.Namespace) -> int:
     The same bytes the HTTP server would send for the equivalent
     ``POST /query`` — scripts can mix both surfaces and diff freely.
     """
+    from .core.queryservice import QueryService, response_bytes
+
     _check_warehouse_fingerprint(args.directory, args.fingerprint)
     request: dict = {"kind": args.kind}
     where: dict = {}

@@ -29,11 +29,8 @@ discipline and error transparency — are spelled out on the
 
 from __future__ import annotations
 
-import asyncio
 import os
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
     Iterator,
@@ -195,6 +192,10 @@ class AsyncExecutor:
     * ``progress`` (a ``callback(done, total, dframe)``, ``dframe``
       the finished point's one-point frame) fires after every
       completed point, whichever entry point drove the sweep.
+
+    ``asyncio`` and the thread pool are imported by the methods that
+    run them, so importing this module (every sweep does) never loads
+    them.
     """
 
     name = "async"
@@ -242,6 +243,9 @@ class AsyncExecutor:
         emit: Optional[Callable[[DecisionFrame], None]],
         cancel: Optional[threading.Event] = None,
     ) -> list[DecisionFrame]:
+        import asyncio
+        from concurrent.futures import ThreadPoolExecutor
+
         loop = asyncio.get_running_loop()
         frames: list[DecisionFrame] = []
         pool = ThreadPoolExecutor(max_workers=self.jobs)
@@ -287,6 +291,8 @@ class AsyncExecutor:
         weights: FomWeights,
         cache: EvaluationCache,
     ) -> DecisionFrame:
+        import asyncio
+
         return DecisionFrame.concat(
             asyncio.run(
                 self._run(
@@ -315,6 +321,9 @@ class AsyncExecutor:
         generator early (``break``) likewise abandons the queued
         remainder of the sweep instead of silently finishing it.
         """
+        import asyncio
+        import queue
+
         results: queue.SimpleQueue = queue.SimpleQueue()
         abandoned = threading.Event()
 

@@ -44,7 +44,6 @@ land; see ``docs/sweep-guide.md``, "Sweeping beyond RAM".
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
@@ -81,33 +80,9 @@ CHUNK_FORMAT = "repro-framestore-chunk/1"
 #: The manifest filename inside a frame store directory.
 MANIFEST_NAME = "framestore.json"
 
-#: Environment switch for the out-of-core row budget (unset: in-RAM).
-MAX_ROWS_ENV = "REPRO_SWEEP_MAX_ROWS"
 
 class FrameStoreError(SpecificationError):
     """A chunked frame store cannot be (safely) read or written."""
-
-
-def max_rows_from_env() -> Optional[int]:
-    """The :envvar:`REPRO_SWEEP_MAX_ROWS` row budget, validated.
-
-    Unset or empty means "no budget" (the in-RAM path); anything else
-    must be a positive integer, so a typo exits the CLI with status 2
-    instead of silently sweeping in RAM.
-    """
-    raw = os.environ.get(MAX_ROWS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise SpecificationError(
-            f"{MAX_ROWS_ENV} must be a positive integer row budget, "
-            f"got {os.environ[MAX_ROWS_ENV]!r}"
-        )
-    return value
 
 
 def chunk_filename(sequence: int, digest: str) -> str:

@@ -51,6 +51,7 @@ from .ranking import (  # noqa: F401 — weighted_fom re-exported
 )
 from .resultframe import COLUMN_ORDER, JsonTokenMemo, ResultFrame
 from .blobstore import canonical_json
+from .queryvocab import FILTER_AXES, QUERY_KINDS, SENSITIVITY_AXES
 from .warehouse import (
     FrameCache,
     WarehouseManifest,
@@ -58,39 +59,6 @@ from .warehouse import (
     parse_warehouse_manifest,
     read_manifest_bytes,
     read_warehouse_manifest,
-)
-
-#: Every query kind the service answers.
-QUERY_KINDS = (
-    "manifest",
-    "pareto",
-    "rerank",
-    "winners",
-    "best",
-    "sensitivity",
-)
-
-#: Axes a ``where`` filter may pin (frame columns).
-FILTER_AXES = (
-    "volume",
-    "substrate",
-    "process",
-    "tolerance",
-    "q_model",
-    "nre",
-    "weights",
-    "candidate",
-)
-
-#: Axes a sensitivity query may slice along (grid axes, not candidate).
-SENSITIVITY_AXES = (
-    "volume",
-    "substrate",
-    "process",
-    "tolerance",
-    "q_model",
-    "nre",
-    "weights",
 )
 
 #: Top-level request keys the service understands.

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -550,6 +551,32 @@ class SweepReport:
     def best_row(self) -> SweepRow:
         """The single highest-FoM row of the whole sweep."""
         return self.frame.row(self.frame.best_index())
+
+
+#: Environment switch for the out-of-core row budget (unset: in-RAM).
+MAX_ROWS_ENV = "REPRO_SWEEP_MAX_ROWS"
+
+
+def max_rows_from_env() -> Optional[int]:
+    """The :envvar:`REPRO_SWEEP_MAX_ROWS` row budget, validated.
+
+    Unset or empty means "no budget" (the in-RAM path); anything else
+    must be a positive integer, so a typo exits the CLI with status 2
+    instead of silently sweeping in RAM.
+    """
+    raw = os.environ.get(MAX_ROWS_ENV, "").strip()
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SpecificationError(
+            f"{MAX_ROWS_ENV} must be a positive integer row budget, "
+            f"got {os.environ[MAX_ROWS_ENV]!r}"
+        )
+    return value
 
 
 def assess_candidate_family_cached(

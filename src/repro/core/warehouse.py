@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -214,6 +214,9 @@ class WarehouseManifest:
     revision: int
     frames: tuple[FrameEntry, ...] = ()
     grid_spec: Optional[dict] = None
+    #: The point indices the frames cover, built by the overlap check
+    #: so that an appender never rebuilds it.
+    covered: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label, value, minimum in (
@@ -244,6 +247,7 @@ class WarehouseManifest:
                         f"{index}"
                     )
                 seen.add(index)
+        object.__setattr__(self, "covered", frozenset(seen))
 
     @property
     def grid(self) -> GridIdentity:
@@ -255,7 +259,7 @@ class WarehouseManifest:
     @property
     def covered_points(self) -> int:
         """How many canonical grid points the frames cover."""
-        return sum(len(entry.indices) for entry in self.frames)
+        return len(self.covered)
 
     @property
     def complete(self) -> bool:
@@ -402,28 +406,18 @@ def init_warehouse(
     )
 
 
-def append_decision_frame(
-    directory: Union[str, Path], dframe: DecisionFrame
+def _append_frame(
+    directory: Path, manifest: WarehouseManifest, dframe: DecisionFrame
 ) -> WarehouseManifest:
-    """Publish one decision frame into an initialised warehouse.
-
-    The frame file lands first (atomic write, content-addressed name),
-    then the manifest is atomically republished with the revision
-    bumped — the ordering a concurrent reader relies on.  Overlapping
-    or out-of-range points are refused before anything is written.
-    """
-    directory = Path(directory)
-    manifest = read_warehouse_manifest(directory)
-    covered = {
-        index for entry in manifest.frames for index in entry.indices
-    }
+    """The append step of :func:`append_decision_frame`, given the
+    warehouse's current ``manifest``; returns the republished one."""
     for index in dframe.indices:
         if index >= manifest.total_points:
             raise WarehouseError(
                 f"frame carries point index {index}, outside the "
                 f"{manifest.total_points}-point grid"
             )
-        if index in covered:
+        if index in manifest.covered:
             raise WarehouseError(
                 f"warehouse already covers point index {index}; "
                 f"appending the same shard twice?"
@@ -446,14 +440,40 @@ def append_decision_frame(
     )
 
 
-def append_shard_artifact(
-    directory: Union[str, Path], artifact: ShardArtifact
+def append_decision_frame(
+    directory: Union[str, Path], dframe: DecisionFrame
 ) -> WarehouseManifest:
-    """Append one shard artifact's results to a warehouse."""
-    read_warehouse_manifest(directory).grid.check(
+    """Publish one decision frame into an initialised warehouse.
+
+    The frame file lands first (atomic write, content-addressed name),
+    then the manifest is atomically republished with the revision
+    bumped — the ordering a concurrent reader relies on.  Overlapping
+    or out-of-range points are refused before anything is written.
+    """
+    directory = Path(directory)
+    return _append_frame(
+        directory, read_warehouse_manifest(directory), dframe
+    )
+
+
+def append_shard_artifact(
+    directory: Union[str, Path],
+    artifact: ShardArtifact,
+    manifest: Optional[WarehouseManifest] = None,
+) -> WarehouseManifest:
+    """Append one shard artifact's results to a warehouse.
+
+    ``manifest`` is the warehouse's current manifest when the caller
+    already holds it — :func:`ingest_shard_directory` passes the one
+    the previous append returned — and is read from disk otherwise.
+    """
+    directory = Path(directory)
+    if manifest is None:
+        manifest = read_warehouse_manifest(directory)
+    manifest.grid.check(
         artifact.grid, WarehouseError, artifact.label, "the warehouse"
     )
-    return append_decision_frame(directory, artifact.dframe)
+    return _append_frame(directory, manifest, artifact.dframe)
 
 
 def ingest_shard_directory(
@@ -474,7 +494,8 @@ def ingest_shard_directory(
     artifact therefore surfaces when its turn comes, after earlier
     artifacts were already published; re-running the ingest after
     fixing it skips those and continues — the idempotency the
-    covered-points check provides.
+    covered-points check provides.  The manifest is read once: each
+    append returns the next one, covered set included.
     """
     directory = Path(directory)
     paths = find_shard_artifacts(shard_dir)
@@ -508,15 +529,12 @@ def ingest_shard_directory(
         manifest.grid.check(
             artifact.grid, WarehouseError, artifact.label, "the warehouse"
         )
-        covered = {
-            index for entry in manifest.frames for index in entry.indices
-        }
-        if set(artifact.dframe.indices) <= covered:
+        if manifest.covered.issuperset(artifact.dframe.indices):
             # Fully covered (or legitimately empty) artifact: nothing
             # new to publish.
             skipped.append(path.name)
             continue
-        manifest = append_shard_artifact(directory, artifact)
+        manifest = append_shard_artifact(directory, artifact, manifest)
         appended.append(path.name)
     return manifest, appended, skipped
 

@@ -7,48 +7,31 @@ Eq. (1) cost roll-up, evaluated either analytically
 (:func:`~repro.cost.moe.simulate.simulate`).
 """
 
-from .analytic import (
-    CostReportBatch,
-    evaluate,
-    evaluate_batch,
-    final_costs_for_variants,
-)
-from .builder import FlowBuilder, flow_node_summary, render_flow
-from .flow import ProductionFlow
-from .nodes import (
-    AttachStep,
-    CarrierStep,
-    CostTag,
-    InspectStep,
-    ProcessStep,
-    ReworkPolicy,
-    Step,
-    TestStep,
-    UnitState,
-)
-from .report import CostReport, StepReport, fig5_row
-from .simulate import simulate
+from ..._lazy import attach
 
-__all__ = [
-    "AttachStep",
-    "CarrierStep",
-    "CostReport",
-    "CostReportBatch",
-    "CostTag",
-    "FlowBuilder",
-    "InspectStep",
-    "ProcessStep",
-    "ProductionFlow",
-    "ReworkPolicy",
-    "Step",
-    "StepReport",
-    "TestStep",
-    "UnitState",
-    "evaluate",
-    "evaluate_batch",
-    "fig5_row",
-    "final_costs_for_variants",
-    "flow_node_summary",
-    "render_flow",
-    "simulate",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "analytic": [
+            "CostReportBatch",
+            "evaluate",
+            "evaluate_batch",
+            "final_costs_for_variants",
+        ],
+        "builder": ["FlowBuilder", "flow_node_summary", "render_flow"],
+        "flow": ["ProductionFlow"],
+        "nodes": [
+            "AttachStep",
+            "CarrierStep",
+            "CostTag",
+            "InspectStep",
+            "ProcessStep",
+            "ReworkPolicy",
+            "Step",
+            "TestStep",
+            "UnitState",
+        ],
+        "report": ["CostReport", "StepReport", "fig5_row"],
+        "simulate": ["simulate"],
+    },
+)

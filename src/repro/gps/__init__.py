@@ -1,67 +1,45 @@
 """The GPS receiver front-end case study (paper §3-4)."""
 
-from . import data
-from .bom import (
-    GPS_BOM_SUMMARY,
-    GpsBomSummary,
-    build_gps_bom,
-    validate_against_paper,
-)
-from .buildups import (
-    BUILDUPS,
-    BuildUp,
-    area_for,
-    flow_for,
-    footprints_for,
-    get_buildup,
-    smd_count_for,
-)
-from .filters_chain import (
-    filter_chain_specs,
-    if_filter_spec,
-    rf_image_reject_spec,
-    technology_assignments,
-)
-from .schematic import (
-    Block,
-    BlockKind,
-    ON_MODULE_FILTERS,
-    SignalChain,
-    build_gps_chain,
-)
-from .study import (
-    GpsStudyRow,
-    candidates,
-    paper_comparison,
-    run_gps_study,
-    summary_rows,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BUILDUPS",
-    "Block",
-    "BlockKind",
-    "BuildUp",
-    "GPS_BOM_SUMMARY",
-    "GpsBomSummary",
-    "GpsStudyRow",
-    "ON_MODULE_FILTERS",
-    "SignalChain",
-    "area_for",
-    "build_gps_bom",
-    "build_gps_chain",
-    "candidates",
-    "data",
-    "filter_chain_specs",
-    "flow_for",
-    "footprints_for",
-    "get_buildup",
-    "if_filter_spec",
-    "paper_comparison",
-    "rf_image_reject_spec",
-    "run_gps_study",
-    "smd_count_for",
-    "summary_rows",
-    "technology_assignments",
-    "validate_against_paper",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "bom": [
+            "GPS_BOM_SUMMARY",
+            "GpsBomSummary",
+            "build_gps_bom",
+            "validate_against_paper",
+        ],
+        "buildups": [
+            "BUILDUPS",
+            "BuildUp",
+            "area_for",
+            "flow_for",
+            "footprints_for",
+            "get_buildup",
+            "smd_count_for",
+        ],
+        "filters_chain": [
+            "filter_chain_specs",
+            "if_filter_spec",
+            "rf_image_reject_spec",
+            "technology_assignments",
+        ],
+        "schematic": [
+            "Block",
+            "BlockKind",
+            "ON_MODULE_FILTERS",
+            "SignalChain",
+            "build_gps_chain",
+        ],
+        "study": [
+            "GpsStudyRow",
+            "candidates",
+            "paper_comparison",
+            "run_gps_study",
+            "summary_rows",
+        ],
+    },
+    submodules=["data"],
+)

@@ -19,9 +19,6 @@ from ..core.methodology import (
     run_study,
 )
 from ..core.figure_of_merit import FomWeights
-from ..core.queue import QueueWorkerReport, run_queue_worker
-from ..core.sharding import ShardArtifact, run_shard
-from ..core.warehouse import WarehouseManifest, build_warehouse
 from ..core.sweep import (
     DesignPoint,
     EvaluationCache,
@@ -444,6 +441,8 @@ def run_gps_shard(
     ``repro-gps sweep --shards K --shard-index I --shard-dir DIR`` then
     ``repro-gps sweep --merge DIR``).
     """
+    from ..core.sharding import run_shard
+
     return run_shard(
         grid,
         GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
@@ -478,6 +477,8 @@ def run_gps_queue_worker(
     ``repro-gps sweep --queue MANIFEST`` on every worker host, with
     ``repro-gps gather DIR --watch`` merging results as they land.
     """
+    from ..core.queue import run_queue_worker
+
     return run_queue_worker(
         manifest_path,
         grid,
@@ -509,6 +510,8 @@ def build_gps_warehouse(
     of how the grid was specified (the CLI stores its axis flags) —
     documentation for readers of the manifest, not used for lookup.
     """
+    from ..core.warehouse import build_warehouse
+
     return build_warehouse(
         directory,
         grid,

@@ -10,132 +10,79 @@ Public surface:
 * :mod:`repro.passives.filters` — filter-block components.
 """
 
-from .component import (
-    BillOfMaterials,
-    BomLine,
-    MountingStyle,
-    PassiveKind,
-    PassiveRealization,
-    PassiveRequirement,
-    PassiveRole,
-)
-from .eseries import (
-    E_SERIES_BASES,
-    SERIES_TOLERANCE,
-    SnappedValue,
-    max_snap_error,
-    series_values,
-    snap,
-    snap_all,
-)
-from .filters import (
-    FilterBank,
-    FilterBlock,
-    FilterFamily,
-    FilterSpec,
-    realize_integrated_filter,
-    realize_smd_filter,
-)
-from .smd import (
-    CASE_SIZES,
-    FIG1_ORDER,
-    SMD_FILTER_AREA_MM2,
-    SmdCaseSize,
-    fig1_series,
-    get_case,
-    realize_smd,
-)
-from .thin_film import (
-    INTEGRATED_FILTER_AREA_MM2,
-    NICR_PROCESS,
-    SI3N4_PROCESS,
-    SUMMIT_PROCESS,
-    THIN_FILM_PROCESSES,
-    SpiralInductorDesign,
-    ThinFilmProcess,
-    capacitor_area_mm2,
-    design_spiral_inductor,
-    inductor_area_mm2,
-    realize_capacitor,
-    realize_inductor,
-    realize_integrated,
-    realize_resistor,
-    resistor_area_mm2,
-    resistor_squares,
-    with_cap_density,
-    with_loss,
-)
-from .tolerance import (
-    MATCHING_CLASS,
-    PRECISION_CLASS,
-    TOLERANCE_CLASSES,
-    ToleranceClass,
-    ToleranceModel,
-    TrimDecision,
-    TrimPlan,
-    UNCRITICAL_CLASS,
-    monte_carlo_network_yield,
-    network_value_yield,
-    trim_plan,
-    value_yield,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BillOfMaterials",
-    "BomLine",
-    "CASE_SIZES",
-    "E_SERIES_BASES",
-    "FIG1_ORDER",
-    "FilterBank",
-    "FilterBlock",
-    "FilterFamily",
-    "FilterSpec",
-    "INTEGRATED_FILTER_AREA_MM2",
-    "MATCHING_CLASS",
-    "MountingStyle",
-    "NICR_PROCESS",
-    "PRECISION_CLASS",
-    "PassiveKind",
-    "PassiveRealization",
-    "PassiveRequirement",
-    "PassiveRole",
-    "SI3N4_PROCESS",
-    "SERIES_TOLERANCE",
-    "SMD_FILTER_AREA_MM2",
-    "SUMMIT_PROCESS",
-    "THIN_FILM_PROCESSES",
-    "SnappedValue",
-    "SmdCaseSize",
-    "SpiralInductorDesign",
-    "ThinFilmProcess",
-    "TOLERANCE_CLASSES",
-    "ToleranceClass",
-    "ToleranceModel",
-    "UNCRITICAL_CLASS",
-    "TrimDecision",
-    "TrimPlan",
-    "capacitor_area_mm2",
-    "design_spiral_inductor",
-    "fig1_series",
-    "get_case",
-    "inductor_area_mm2",
-    "max_snap_error",
-    "monte_carlo_network_yield",
-    "network_value_yield",
-    "realize_capacitor",
-    "realize_inductor",
-    "realize_integrated",
-    "realize_integrated_filter",
-    "realize_resistor",
-    "realize_smd",
-    "realize_smd_filter",
-    "resistor_area_mm2",
-    "series_values",
-    "snap",
-    "snap_all",
-    "resistor_squares",
-    "trim_plan",
-    "value_yield",
-    "with_cap_density",
-    "with_loss",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "component": [
+            "BillOfMaterials",
+            "BomLine",
+            "MountingStyle",
+            "PassiveKind",
+            "PassiveRealization",
+            "PassiveRequirement",
+            "PassiveRole",
+        ],
+        "eseries": [
+            "E_SERIES_BASES",
+            "SERIES_TOLERANCE",
+            "SnappedValue",
+            "max_snap_error",
+            "series_values",
+            "snap",
+            "snap_all",
+        ],
+        "filters": [
+            "FilterBank",
+            "FilterBlock",
+            "FilterFamily",
+            "FilterSpec",
+            "realize_integrated_filter",
+            "realize_smd_filter",
+        ],
+        "smd": [
+            "CASE_SIZES",
+            "FIG1_ORDER",
+            "SMD_FILTER_AREA_MM2",
+            "SmdCaseSize",
+            "fig1_series",
+            "get_case",
+            "realize_smd",
+        ],
+        "thin_film": [
+            "INTEGRATED_FILTER_AREA_MM2",
+            "NICR_PROCESS",
+            "SI3N4_PROCESS",
+            "SUMMIT_PROCESS",
+            "THIN_FILM_PROCESSES",
+            "SpiralInductorDesign",
+            "ThinFilmProcess",
+            "capacitor_area_mm2",
+            "design_spiral_inductor",
+            "inductor_area_mm2",
+            "realize_capacitor",
+            "realize_inductor",
+            "realize_integrated",
+            "realize_resistor",
+            "resistor_area_mm2",
+            "resistor_squares",
+            "with_cap_density",
+            "with_loss",
+        ],
+        "tolerance": [
+            "MATCHING_CLASS",
+            "PRECISION_CLASS",
+            "TOLERANCE_CLASSES",
+            "ToleranceClass",
+            "ToleranceModel",
+            "TrimDecision",
+            "TrimPlan",
+            "UNCRITICAL_CLASS",
+            "monte_carlo_network_yield",
+            "network_value_yield",
+            "trim_plan",
+            "value_yield",
+        ],
+    },
+)

@@ -40,12 +40,10 @@ from repro.core.figure_of_merit import FomWeights
 from repro.core.framestore import (
     CHUNK_FORMAT,
     MANIFEST_NAME,
-    MAX_ROWS_ENV,
     STORE_FORMAT,
     ChunkedFrameStore,
     FrameStoreError,
     chunked_nondominated_mask,
-    max_rows_from_env,
     merge_artifacts_to_store,
     spill_design_sweep,
 )
@@ -61,9 +59,11 @@ from repro.core.sharding import (
     write_shard_artifact,
 )
 from repro.core.sweep import (
+    MAX_ROWS_ENV,
     DesignPoint,
     SweepGrid,
     family_runs,
+    max_rows_from_env,
     run_design_sweep,
 )
 from repro.cost.moe.flow import ProductionFlow

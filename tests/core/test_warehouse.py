@@ -39,6 +39,7 @@ from repro.core.sweep import (
 from repro.core.warehouse import (
     FrameCache,
     WarehouseError,
+    append_decision_frame,
     append_shard_artifact,
     build_warehouse,
     canonical_json,
@@ -359,6 +360,87 @@ class TestWriter:
         assert manifest.revision == 4 and manifest.complete
         assert load_warehouse(tmp_path / "wh").frame.to_json_columns() == (
             serial_report.frame.to_json_columns()
+        )
+
+    @pytest.mark.parametrize("shards", [1, 3, 6])
+    def test_ingest_reads_the_manifest_once(
+        self, tmp_path, shards, monkeypatch
+    ):
+        """Each append used to re-read the manifest twice and rebuild
+        the covered set from every frame entry; an ingest of K shards
+        now reads it once, and writes the bytes one-by-one appends
+        write."""
+        from repro.core import warehouse
+
+        shard_dir = tmp_path / "shards"
+        for index in range(shards):
+            write_shard_artifact(
+                shard_dir / shard_filename(shards, index),
+                run_shard(
+                    GRID, fixed_candidates, shards=shards, shard_index=index
+                ),
+            )
+        reference = tmp_path / "reference"
+        init_warehouse(reference, GRID)
+        for path in sorted(shard_dir.iterdir()):
+            append_shard_artifact(
+                reference, warehouse.read_shard_artifact(path)
+            )
+
+        reads = []
+        real = warehouse.read_warehouse_manifest
+
+        def counting(directory):
+            reads.append(directory)
+            return real(directory)
+
+        monkeypatch.setattr(warehouse, "read_warehouse_manifest", counting)
+        wh = tmp_path / "wh"
+        manifest, appended, skipped = ingest_shard_directory(wh, shard_dir)
+        assert len(reads) == 1
+        assert (len(appended), skipped) == (shards, [])
+        assert manifest == real(reference)
+        assert manifest.covered == frozenset(range(len(GRID)))
+        assert sorted(path.name for path in wh.iterdir()) == sorted(
+            path.name for path in reference.iterdir()
+        )
+        written = manifest_path(wh).read_bytes()
+        assert written == manifest_path(reference).read_bytes()
+
+        reads.clear()
+        manifest, appended, skipped = ingest_shard_directory(wh, shard_dir)
+        assert len(reads) == 1
+        assert (appended, len(skipped)) == ([], shards)
+        assert manifest_path(wh).read_bytes() == written
+
+    def test_append_reads_the_manifest_once(
+        self, tmp_path, artifacts, monkeypatch
+    ):
+        from repro.core import warehouse
+
+        init_warehouse(tmp_path, GRID)
+        reads = []
+        real = warehouse.read_warehouse_manifest
+
+        def counting(directory):
+            reads.append(directory)
+            return real(directory)
+
+        monkeypatch.setattr(warehouse, "read_warehouse_manifest", counting)
+        manifest = append_shard_artifact(tmp_path, artifacts[0])
+        assert len(reads) == 1
+        assert manifest == real(tmp_path)
+        assert manifest.covered == frozenset(artifacts[0].dframe.indices)
+        # Handing the manifest over skips the read.
+        append_shard_artifact(tmp_path, artifacts[1], manifest)
+        assert len(reads) == 1
+
+    def test_append_refuses_out_of_range_points(self, tmp_path, artifacts):
+        init_warehouse(tmp_path, SweepGrid(volumes=GRID.volumes[:2]))
+        with pytest.raises(WarehouseError) as excinfo:
+            append_decision_frame(tmp_path, artifacts[2].dframe)
+        assert str(excinfo.value) == (
+            "frame carries point index 4, outside the 2-point grid"
         )
 
     def test_ingest_empty_directory_is_an_error(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Cold-start guard: scipy stays off the ``repro-gps`` import path.
+"""Cold-start guard: a ``repro-gps`` command loads only what it runs.
 
 ``scipy.signal`` alone costs most of a second to import, and only two
 functions need scipy at all: ``elliptic_attenuation_db`` (the elliptic
@@ -7,6 +7,11 @@ Both import it inside the function.  These tests run each scenario in
 a fresh interpreter, because the test process itself may already have
 loaded scipy, and fail if any module named ``scipy`` or ``scipy.*``
 appears where it should not.
+
+The same holds one level up: packages re-export lazily, so ``import
+repro`` loads no subpackage, and the queue, gather, warehouse, query
+service, adaptive driver, calibration, ``asyncio`` and ``http.server``
+load only in the commands that use them.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import pytest
 
 import repro
 from repro.circuits.approximation import elliptic_attenuation_db
+from repro.core.sweep import MAX_ROWS_ENV
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
@@ -37,6 +43,9 @@ def scipy_loaded():
         if name == "scipy" or name.startswith("scipy.")
     )
 
+def loaded(names):
+    return sorted(name for name in names if name in sys.modules)
+
 def quiet(argv):
     from repro.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
@@ -47,14 +56,36 @@ def quiet(argv):
 """
 
 
-def run_cold(body: str) -> dict:
-    """Run ``body`` in a fresh interpreter; it prints one JSON object."""
+#: Modules only some commands need: none may load for ``import
+#: repro.cli``, ``sweep --csv`` or ``study``.
+COMMAND_ONLY = (
+    "asyncio",
+    "http.server",
+    "repro.core.adaptive",
+    "repro.core.framestore",
+    "repro.core.gather",
+    "repro.core.queryservice",
+    "repro.core.queue",
+    "repro.core.sharding",
+    "repro.core.warehouse",
+    "repro.cost.calibration",
+)
+
+
+def run_cold(body: str, cwd=None) -> dict:
+    """Run ``body`` in a fresh interpreter; it prints one JSON object.
+
+    The probes test the in-RAM command path, so a row budget set for
+    the whole suite (``$REPRO_SWEEP_MAX_ROWS``) is not passed on.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(MAX_ROWS_ENV, None)
     completed = subprocess.run(
         [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
@@ -144,4 +175,92 @@ def test_calibration_imports_the_optimiser_on_first_call():
         "ordering": True,
         "optimize": True,
         "signal": False,
+    }
+
+
+def test_importing_the_package_loads_no_subpackage():
+    seen = run_cold(
+        """
+        import repro
+        print(json.dumps(sorted(
+            name for name in sys.modules if name.startswith("repro")
+        )))
+        """
+    )
+    assert seen == ["repro", "repro._lazy"]
+
+
+def test_sweep_and_study_load_no_command_only_module():
+    seen = run_cold(
+        f"""
+        seen = {{}}
+        import repro.cli
+        seen["import repro.cli"] = loaded({COMMAND_ONLY!r})
+        for argv in (
+            ["sweep", "--volumes", "1e3,1e4,1e5", "--csv"],
+            ["study"],
+        ):
+            code = quiet(argv)
+            seen[" ".join(argv)] = [code, loaded({COMMAND_ONLY!r})]
+        print(json.dumps(seen))
+        """
+    )
+    assert seen == {
+        "import repro.cli": [],
+        "sweep --volumes 1e3,1e4,1e5 --csv": [0, []],
+        "study": [0, []],
+    }
+
+
+#: Commands that need modules ``import repro.cli`` does not load, run in
+#: order (each reads what the one before wrote), with the exact set of
+#: command-only modules each loads.
+SHARDS = ["repro.core.queue", "repro.core.sharding"]
+SERVICE = [
+    "http.server",
+    "repro.core.queryservice",
+    "repro.core.sharding",
+    "repro.core.warehouse",
+]
+GRID = ["--volumes", "1e3,1e4"]
+COMMANDS = (
+    ("queue-init",
+     ["sweep", *GRID, "--queue-init", "q/manifest.json", "--shards", "2"],
+     SHARDS),
+    ("queue", ["sweep", "--queue", "q/manifest.json"], SHARDS),
+    ("gather", ["gather", "q", "--csv"], ["repro.core.gather", *SHARDS]),
+    ("build", ["warehouse", "build", "wh", "--from-shards", "q"],
+     ["repro.core.sharding", "repro.core.warehouse"]),
+    ("serve", ["warehouse", "serve", "wh", "--port", "0"], SERVICE),
+    ("query", ["warehouse", "query", "wh", "--kind", "winners"], SERVICE),
+    ("adaptive", ["sweep", *GRID, "--adaptive", "--csv"],
+     ["repro.core.adaptive"]),
+)
+
+
+def test_queue_and_warehouse_commands_load_what_they_run(tmp_path):
+    """The per-command imports still happen: each command runs in its
+    own interpreter, after ``import repro.cli``, and must load its own
+    modules there (and never ``asyncio``).  ``warehouse serve`` binds a
+    real server (on an ephemeral localhost port) whose loop is stopped
+    at once."""
+    seen = {}
+    for label, argv, modules in COMMANDS:
+        seen[label] = run_cold(
+            f"""
+            import socketserver
+
+            def interrupted(self, *args, **kwargs):
+                raise KeyboardInterrupt
+
+            socketserver.BaseServer.serve_forever = interrupted
+            import repro.cli
+            before = loaded({COMMAND_ONLY!r})
+            code = quiet({argv!r})
+            print(json.dumps([code, before, loaded({COMMAND_ONLY!r})]))
+            """,
+            cwd=tmp_path,
+        )
+    assert seen == {
+        label: [0, [], sorted(modules)] for label, _, modules in COMMANDS
     }
