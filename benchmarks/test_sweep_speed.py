@@ -99,15 +99,8 @@ def test_batched_sweep_benchmark(benchmark):
 
 def test_design_sweep_memoization(benchmark):
     """A volume axis must not re-solve circuits or re-place substrates."""
-    from repro.core.executors import SerialExecutor
-
     grid = SweepGrid(volumes=(1_000.0, 10_000.0, 100_000.0))
-
-    # The hit-count assertion is about one shared cache: pin the serial
-    # engine so an environment-selected engine cannot skew the tally.
-    report = benchmark(
-        lambda: run_gps_sweep(grid, executor=SerialExecutor())
-    )
+    report = benchmark(lambda: run_gps_sweep(grid))
     # Three volumes share performance and placement: after the first
     # point, both steps hit for all four candidates.  Only the cost
     # step (which genuinely depends on volume) re-evaluates.

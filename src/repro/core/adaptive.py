@@ -390,7 +390,6 @@ def run_adaptive_sweep(
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
     *,
     passes: Optional[int] = None,
     budget: Optional[int] = None,
@@ -400,8 +399,7 @@ def run_adaptive_sweep(
     """Sweep a grid adaptively: coarse pass, then zoom on the front.
 
     Parameters beyond :func:`~repro.core.sweep.run_design_sweep`'s
-    (which keep their meaning — any executor, shared cache, per-point
-    weights):
+    (which keep their meaning — shared cache, per-point weights):
 
     passes:
         Maximum number of passes, the coarse pass included.  ``None``
@@ -483,7 +481,6 @@ def run_adaptive_sweep(
                 reference,
                 weights,
                 cache,
-                executor,
             ):
                 blocks.append(
                     block.reindexed([chosen[i] for i in block.indices])
@@ -535,7 +532,6 @@ def spill_adaptive_sweep(
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
     *,
     passes: Optional[int] = None,
     budget: Optional[int] = None,
@@ -567,7 +563,6 @@ def spill_adaptive_sweep(
         reference=reference,
         weights=weights,
         cache=cache,
-        executor=executor,
         passes=passes,
         budget=budget,
         refine_margin=refine_margin,

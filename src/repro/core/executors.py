@@ -1,49 +1,36 @@
 """The sweep execution engine.
 
-:func:`~repro.core.sweep.run_design_sweep` separates *what* a sweep
-computes (grid points through the methodology) from *how* the grid is
-scheduled.  The "how" is an :class:`Executor`, and every production
-path runs :class:`SerialExecutor`: one process, one shared cache, grid
-points in order through the family-batched fill
+Every sweep runs one engine, :class:`SerialExecutor`: one process, one
+shared cache, grid points in order through the family-batched fill
 (:func:`~repro.core.sweep.evaluate_cells`), streamed in
-:data:`STREAM_BLOCK`-point blocks by
-:func:`~repro.core.sweep.stream_design_sweep`.  Cross-host scale-out
-partitions the grid *outside* the engine: each shard run
-(:mod:`repro.core.sharding`, the queue workers of
-:mod:`repro.core.queue`) evaluates its points through the serial
-engine.
+:data:`STREAM_BLOCK`-point blocks.
+:func:`~repro.core.sweep.run_design_sweep` calls the fill directly;
+:func:`~repro.core.sweep.stream_decision_frames` and everything built
+on it (streaming, spilling, the adaptive driver, the warehouse build)
+stream through :meth:`SerialExecutor.iter_cells`.  There is no engine
+parameter: cross-host scale-out partitions the grid *outside* the
+engine — each shard run (:mod:`repro.core.sharding`, the queue workers
+of :mod:`repro.core.queue`) evaluates its points through the same
+fill.
 
-The ``executor=`` parameter of the sweep entry points is the seam for
-substituting another scheduling strategy.
-:class:`AsyncExecutor` is one, kept as a library class: it schedules
-every grid point as an asyncio task over a thread pool and streams
-results back in completion order.  It is slower than the serial
-engine on every measured grid, so no flag or environment variable
-selects it.
-
-The full obligations an engine implementation takes on — completeness,
-result identity with the serial engine, cache folding, factory
-discipline and error transparency — are spelled out on the
-:class:`Executor` protocol itself.
+:class:`AsyncExecutor` is a standalone library class that no sweep
+entry point accepts: it schedules every grid point as an asyncio task
+over a thread pool and yields results in completion order.  It is
+slower than the serial engine on every measured grid and stays only
+until the benchmark stops tracing it by name.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import (
-    Callable,
-    Iterator,
-    Optional,
-    Protocol,
-    Sequence,
-)
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
-from .methodology import CandidateBuildUp
 from .ranking import DecisionFrame
 from .sweep import (
+    CandidateFactory,
     DesignPoint,
     EvaluationCache,
     evaluate_cell,
@@ -57,82 +44,10 @@ from .sweep import (
 #: more than one block of results.
 STREAM_BLOCK = 256
 
-CandidateFactory = Callable[
-    [DesignPoint], Sequence[CandidateBuildUp]
-]
-
-
-class Executor(Protocol):
-    """Scheduling strategy of one design-space sweep.
-
-    The protocol contract, in full — every implementation (and any
-    third-party engine plugged into
-    :func:`~repro.core.sweep.run_design_sweep`) must satisfy all of it:
-
-    * **Completeness and order** — ``run_sweep`` evaluates *every*
-      point in ``points`` exactly once and returns one
-      :class:`~repro.core.ranking.DecisionFrame` holding every point's
-      cell in the input order, at point indices
-      ``0 .. len(points) - 1``, regardless of the internal evaluation
-      order.
-    * **Result identity** — the returned frame must equal what
-      :class:`SerialExecutor` produces for the same inputs, float for
-      float: every result and ratio column byte-identical.  Engines are
-      pure scheduling decisions; they may not change *what* is
-      computed (``tests/gps/test_engine_matrix.py`` pins frame/row
-      byte identity on the GPS study for every engine × scenario).
-    * **Cache folding** — any batch-local
-      :class:`~repro.core.sweep.EvaluationCache` state must be folded
-      back into the ``cache`` argument before ``run_sweep`` returns,
-      so ``cache.stats()`` always tallies the whole sweep.  Hit/miss
-      *counts* may legitimately differ between engines (completion
-      order, pre-seeding); cached *values* may not.
-    * **Factory discipline** — ``candidate_factory`` may be called at
-      most once per point; when the factory declares
-      ``volume_invariant = True`` (see
-      :func:`~repro.core.sweep.evaluate_cells`) an engine may instead
-      call it once per *volume family* and share the result across
-      the family's points.
-    * **Error transparency** — exceptions raised by the factory or the
-      evaluation propagate to the caller; an engine must not swallow a
-      failed point and return a partial result.
-
-    An engine may also stream: ``iter_cells`` (same arguments) yields
-    decision-frame blocks at canonical point indices as they finish,
-    which :func:`~repro.core.sweep.stream_decision_frames` prefers
-    over ``run_sweep``.
-    """
-
-    name: str
-
-    def run_sweep(
-        self,
-        points: Sequence[DesignPoint],
-        candidate_factory: CandidateFactory,
-        reference: int,
-        weights: FomWeights,
-        cache: EvaluationCache,
-    ) -> DecisionFrame:
-        """Evaluate all grid points; their cells in order, one frame."""
-        ...
-
 
 class SerialExecutor:
-    """The one production engine: in-process, in-order, one shared cache."""
-
-    name = "serial"
-
-    def run_sweep(
-        self,
-        points: Sequence[DesignPoint],
-        candidate_factory: CandidateFactory,
-        reference: int,
-        weights: FomWeights,
-        cache: EvaluationCache,
-    ) -> DecisionFrame:
-        return evaluate_cells(
-            points, candidate_factory, reference, weights, cache
-        )
+    """The one sweep engine's streaming surface: in-process, in-order,
+    one shared cache."""
 
     def iter_cells(
         self,
@@ -145,7 +60,7 @@ class SerialExecutor:
         """Stream decision-frame blocks in canonical order.
 
         The streaming surface of
-        :func:`~repro.core.sweep.stream_design_sweep` and its
+        :func:`~repro.core.sweep.stream_decision_frames` and its
         constant-memory consumers (the chunked frame store's
         :func:`~repro.core.framestore.spill_design_sweep`, the adaptive
         driver): contiguous blocks of :data:`STREAM_BLOCK` points go
@@ -155,7 +70,8 @@ class SerialExecutor:
         whatever the block boundaries, and the batched fill's
         :meth:`EvaluationCache.count_reuse` discipline keeps the
         per-block cache stats summing to the whole-run tally — so the
-        streamed sweep matches :meth:`run_sweep` rows *and* stats
+        streamed sweep matches
+        :func:`~repro.core.sweep.run_design_sweep` rows *and* stats
         exactly.
         """
         for start in range(0, len(points), STREAM_BLOCK):
@@ -179,26 +95,20 @@ class AsyncExecutor:
     are identical to the serial engine's: evaluation is deterministic
     per point, so only the shared cache's hit/miss *tally* can vary
     with completion order — two tasks racing on a cold key both
-    compute the same value — which the :class:`Executor` contract
-    explicitly permits.
+    compute the same value.
 
-    The engine also streams, when passed to
-    :func:`~repro.core.sweep.stream_design_sweep`:
-
-    * :meth:`iter_cells` yields one-point
-      :class:`~repro.core.ranking.DecisionFrame` blocks at their
-      canonical index in *completion* order while the sweep is still
-      running;
+    * :meth:`run_sweep` returns every point's cell in input order, one
+      :class:`~repro.core.ranking.DecisionFrame`;
+    * :meth:`iter_cells` yields one-point frames at their canonical
+      index in *completion* order while the sweep is still running;
     * ``progress`` (a ``callback(done, total, dframe)``, ``dframe``
       the finished point's one-point frame) fires after every
-      completed point, whichever entry point drove the sweep.
+      completed point, through either method.
 
     ``asyncio`` and the thread pool are imported by the methods that
-    run them, so importing this module (every sweep does) never loads
-    them.
+    run them, so importing this module (every streaming sweep does)
+    never loads them.
     """
-
-    name = "async"
 
     def __init__(
         self,

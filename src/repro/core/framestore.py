@@ -52,7 +52,6 @@ import numpy as np
 
 from ..errors import SpecificationError
 from . import blobstore
-from .executors import CandidateFactory, Executor
 from .figure_of_merit import FomWeights
 from .pareto import dominated_by
 from .resultframe import ResultFrame
@@ -64,11 +63,12 @@ from .sharding import (
     merge_cache_states,
 )
 from .sweep import (
+    CandidateFactory,
     DesignPoint,
     EvaluationCache,
     SweepGrid,
     resolve_sweep,
-    stream_design_sweep,
+    stream_decision_frames,
 )
 
 #: Store manifest format identifier; bumped on incompatible changes.
@@ -652,7 +652,6 @@ def spill_design_sweep(
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor: Optional[Executor] = None,
     meta: Optional[dict] = None,
 ) -> ChunkedFrameStore:
     """Run a design sweep, spilling completed cells to a chunk store.
@@ -661,12 +660,11 @@ def spill_design_sweep(
     :func:`~repro.core.sweep.run_design_sweep`: the row stream (and
     hence the store's chunks, CSV and Pareto mask) is byte-identical
     to the in-RAM report's frame, with never more than
-    ``max_rows_in_memory`` rows buffered.  Cells stream out of
-    :func:`~repro.core.sweep.stream_design_sweep` through a reorder
-    window, so any engine works: a streaming engine's completion order
-    is rewound to canonical order before rows touch the store.  The
-    default serial engine streams in canonical order, keeping the
-    reorder window empty.
+    ``max_rows_in_memory`` rows buffered beyond the block being
+    evaluated.  Blocks stream out of
+    :func:`~repro.core.sweep.stream_decision_frames` in canonical
+    order and are appended whole: the store cuts chunks by its row
+    budget alone, so block boundaries never show in the chunks.
 
     The finished store's ``meta`` carries the grid identity
     (:class:`~repro.core.sharding.GridIdentity` fields, which
@@ -678,23 +676,8 @@ def spill_design_sweep(
         max_rows_in_memory=max_rows_in_memory,
         meta={**(meta or {}), **GridIdentity.of(points).payload()},
     )
-    pending: dict[int, ResultFrame] = {}
-    next_index = 0
-    for streamed in stream_design_sweep(
-        points,
-        candidate_factory,
-        reference=reference,
-        weights=weights,
-        cache=cache,
-        executor=executor,
+    for block in stream_decision_frames(
+        points, candidate_factory, reference, weights, cache
     ):
-        pending[streamed.index] = streamed.frame
-        while next_index in pending:
-            store.append(pending.pop(next_index))
-            next_index += 1
-    if next_index != len(points) or pending:
-        raise FrameStoreError(
-            f"streamed sweep delivered {next_index + len(pending)} of "
-            f"{len(points)} points"
-        )
+        store.append(block.frame)
     return store.finish(meta={"cache_stats": cache.stats()})

@@ -65,6 +65,7 @@ from .sharding import (
     merge_cache_states,
     merge_shard_artifacts,
     summarise_indices,
+    summarise_missing,
 )
 from .sweep import SweepReport
 
@@ -230,11 +231,12 @@ class IncrementalGather:
             and len(self._covered) == self.total_points
         )
 
-    def missing_indices(self) -> list[int]:
-        """Canonical point indices not covered yet (empty when done)."""
-        if self.total_points is None:
-            return []
-        return sorted(set(range(self.total_points)) - self._covered)
+    def missing_summary(self) -> str:
+        """The canonical point indices not covered yet, summarised
+        (empty when done or while the grid size is unknown)."""
+        if self.total_points is None or self.complete:
+            return ""
+        return summarise_missing(sorted(self._covered), self.total_points)
 
     def snapshot(self) -> GatherSnapshot:
         """The current partial view (sorted frame, merged cache stats)."""
@@ -266,7 +268,7 @@ class IncrementalGather:
         if not self.complete:
             raise GatherError(
                 f"gather is incomplete: missing point indices "
-                f"{summarise_indices(self.missing_indices())} of "
+                f"{self.missing_summary()} of "
                 f"{self.total_points if self.total_points else '?'}"
             )
         return merge_shard_artifacts(
@@ -373,16 +375,13 @@ def watch_directory(
                 f"; rejected {name}: {reason}"
                 for name, reason in snapshot.rejected
             )
+            missing = gather.missing_summary()
             raise GatherError(
                 f"gather timed out after {timeout:g}s with "
                 f"{snapshot.covered_points} of "
                 f"{snapshot.total_points if snapshot.total_points else '?'} "
                 f"points gathered"
-                + (
-                    f" (missing {summarise_indices(gather.missing_indices())})"
-                    if gather.missing_indices()
-                    else ""
-                )
+                + (f" (missing {missing})" if missing else "")
                 + rejected
             )
         sleep(poll)

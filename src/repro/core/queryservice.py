@@ -43,12 +43,7 @@ import numpy as np
 
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
-from .ranking import (  # noqa: F401 — weighted_fom re-exported
-    DecisionFrame,
-    fom_from_factors,
-    weighted_fom,
-    winner_mask,
-)
+from .ranking import DecisionFrame, fom_from_factors, winner_mask
 from .resultframe import COLUMN_ORDER, JsonTokenMemo, ResultFrame
 from .blobstore import canonical_json
 from .queryvocab import FILTER_AXES, QUERY_KINDS, SENSITIVITY_AXES

@@ -23,8 +23,8 @@ infrastructure a fleet of workers needs:
   "done" marker to get out of sync; the manifest and failure ledgers
   are published with :func:`~repro.core.blobstore.write_json`;
 * :func:`run_queue_worker` — the worker loop: claim a shard, evaluate
-  it through any :class:`~repro.core.executors.Executor`, write the
-  artifact atomically, repeat until nothing is claimable.  A failed
+  it (:func:`~repro.core.sharding.run_shard`), write the artifact
+  atomically, repeat until nothing is claimable.  A failed
   evaluation releases the lease with a recorded attempt, so the shard
   is retried (by this worker or any other) up to
   :attr:`~QueueManifest.max_attempts` times before it is declared
@@ -54,7 +54,6 @@ from typing import Callable, Iterable, Optional, Union
 
 from ..errors import SpecificationError
 from . import blobstore
-from .executors import CandidateFactory, Executor
 from .figure_of_merit import FomWeights
 from .sharding import (
     GridIdentity,
@@ -64,7 +63,7 @@ from .sharding import (
     shard_filename,
     write_shard_artifact,
 )
-from .sweep import DesignPoint, SweepGrid, resolve_sweep
+from .sweep import CandidateFactory, DesignPoint, SweepGrid, resolve_sweep
 
 #: Manifest format identifier; bumped on incompatible changes.
 QUEUE_FORMAT = "repro-sweep-queue/1"
@@ -500,7 +499,6 @@ def run_queue_worker(
     candidate_factory: CandidateFactory,
     reference: int = 0,
     weights: Optional[FomWeights] = None,
-    executor: Optional[Executor] = None,
     owner: Optional[str] = None,
     clock: Callable[[], float] = time.time,
     on_event: Optional[Callable[[str, int, str], None]] = None,
@@ -510,8 +508,7 @@ def run_queue_worker(
     The worker resolves the grid locally and refuses a manifest whose
     fingerprint/order/point count disagree (:class:`QueueError`) — the
     manifest names *which* sweep this queue belongs to, it never
-    defines it.  Each claimed shard runs through ``executor`` (any
-    engine; serial by default) via
+    defines it.  Each claimed shard runs through
     :func:`~repro.core.sharding.run_shard` and is published with the
     atomic write protocol, so a worker killed at any instant leaves
     either nothing or a complete artifact — never a torn one — and its
@@ -568,7 +565,6 @@ def run_queue_worker(
                 shard_index=claim.shard_index,
                 reference=reference,
                 weights=weights,
-                executor=executor,
             )
         except Exception as exc:  # noqa: BLE001 — the retry ledger
             message = f"{type(exc).__name__}: {exc}"

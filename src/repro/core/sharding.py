@@ -2,10 +2,10 @@
 
 This module scales a sweep across *hosts*: a grid is partitioned into
 content-addressed shards, each shard is executed anywhere — any
-machine, through the serial engine of :mod:`repro.core.executors` —
-and serialised to a portable JSON artifact, and the artifacts are
-deterministically merged back into the canonical row order, wherever
-they were produced:
+machine, through the one sweep engine
+(:func:`~repro.core.sweep.evaluate_cells`) — and serialised to a
+portable JSON artifact, and the artifacts are deterministically merged
+back into the canonical row order, wherever they were produced:
 
 * :class:`GridIdentity` — which grid, in which canonical order, of how
   many points: :func:`grid_fingerprint` (a content hash over the
@@ -60,15 +60,16 @@ import numpy as np
 
 from ..errors import SpecificationError
 from . import blobstore
-from .executors import CandidateFactory, Executor, SerialExecutor
 from .figure_of_merit import FomWeights
 from .ranking import DecisionFrame
 from .sweep import (
     CACHE_TABLES,
+    CandidateFactory,
     DesignPoint,
     EvaluationCache,
     SweepGrid,
     SweepReport,
+    evaluate_cells,
     resolve_sweep,
 )
 
@@ -288,23 +289,19 @@ def run_shard(
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor: Optional[Executor] = None,
 ) -> ShardArtifact:
     """Evaluate one shard of a grid and package it for merging.
 
     The full grid is resolved locally (cheap — points are tiny frozen
     dataclasses) so the shard knows its canonical indices and the
-    grid identity; only the shard's own points are evaluated,
-    through ``executor`` (serial by default).
+    grid identity; only the shard's own points are evaluated.
     """
     points, weights, cache = resolve_sweep(grid, weights, cache)
-    if executor is None:
-        executor = SerialExecutor()
     indices = shard_indices(len(points), shards, shard_index)
     shard_points = [points[i] for i in indices]
     dframe = DecisionFrame.empty()
     if shard_points:
-        dframe = executor.run_sweep(
+        dframe = evaluate_cells(
             shard_points, candidate_factory, reference, weights, cache
         )
     return ShardArtifact(
@@ -466,6 +463,30 @@ def summarise_indices(indices: Sequence[int], limit: int = 20) -> str:
     return listed
 
 
+def summarise_missing(
+    covered: Sequence[int], total: int, limit: int = 20
+) -> str:
+    """:func:`summarise_indices` of the indices of ``range(total)`` not
+    in ``covered`` (sorted, distinct, all inside the range).
+
+    The listed head is read off the gaps between covered indices, so
+    the cost is O(len(covered)) whatever ``total`` claims — a foreign
+    artifact's point count never sizes an allocation.
+    """
+    head: list[int] = []
+    previous = -1
+    for index in [*covered, total]:
+        room = limit - len(head)
+        head.extend(range(previous + 1, min(index, previous + 1 + room)))
+        if len(head) == limit:
+            break
+        previous = index
+    more = total - len(covered) - limit
+    return summarise_indices(head, limit) + (
+        f", … and {more} more" if more > 0 else ""
+    )
+
+
 ArtifactLike = Union[ShardArtifact, str, Path]
 
 
@@ -531,11 +552,9 @@ def check_shard_cover(
             f"(the same shard was merged twice?)"
         )
     if covered.size != total:
-        coverage = np.zeros(total, dtype=bool)
-        coverage[covered] = True
-        missing = np.flatnonzero(~coverage).tolist()
         raise ShardMergeError(
-            f"missing point indices {summarise_indices(missing)} of "
+            f"missing point indices "
+            f"{summarise_missing(covered.tolist(), total)} of "
             f"{total}: a shard artifact was not merged"
         )
     return reference

@@ -27,11 +27,11 @@ ranked by :mod:`repro.core.ranking`, the module the warehouse re-rank
 shares, into a :class:`~repro.core.ranking.DecisionFrame` — no
 per-point study object is built.
 
-*How* the grid is scheduled is delegated to the execution engine
-(:mod:`repro.core.executors`): :func:`run_design_sweep` runs the
-serial engine unless a caller substitutes another.
+One engine runs every sweep: :func:`run_design_sweep` evaluates the
+grid through the family-batched fill (:func:`evaluate_cells`), and
 :func:`stream_design_sweep` is the generator surface: it yields
-:class:`StreamedCell` results block by block instead of blocking on
+:class:`StreamedCell` results block by block
+(:class:`~repro.core.executors.SerialExecutor`) instead of blocking on
 the whole grid.  :class:`EvaluationCache` exports a
 :meth:`~EvaluationCache.portable_state` payload so caches filled on
 *different hosts* (cross-host shards, :mod:`repro.core.sharding`) can
@@ -781,12 +781,8 @@ def evaluate_cell(
     weights: FomWeights,
     cache: EvaluationCache,
 ) -> DecisionFrame:
-    """Evaluate one grid point over ready-made candidates.
-
-    The one-point family (:func:`evaluate_family`): the unit the async
-    engine schedules and the path of a factory that is not
-    volume-invariant.
-    """
+    """Evaluate one grid point over ready-made candidates: the
+    one-point family (:func:`evaluate_family`)."""
     candidates = list(candidates)
     (area_keys,) = candidate_area_keys([candidates])
     return evaluate_family(
@@ -864,17 +860,22 @@ def _seed_family_placements(
             cache.seed_area(key, report)
 
 
+#: Maps a grid point to the build-up candidates to study there.
+CandidateFactory = Callable[[DesignPoint], Sequence[CandidateBuildUp]]
+
+
 def evaluate_cells(
     points: Sequence[DesignPoint],
-    candidate_factory: Callable[[DesignPoint], Sequence[CandidateBuildUp]],
+    candidate_factory: CandidateFactory,
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
 ) -> DecisionFrame:
     """Evaluate a run of grid points in order, sharing one cache.
 
-    The serial engine's whole job (its streaming surface calls this
-    block by block).  Returns one decision frame with the
+    The sweep engine's whole job (its streaming surface,
+    :meth:`~repro.core.executors.SerialExecutor.iter_cells`, calls
+    this block by block).  Returns one decision frame with the
     points' cells in run order, at point indices
     ``0 .. len(points) - 1``.
 
@@ -931,11 +932,10 @@ def resolve_sweep(
 
 def run_design_sweep(
     grid: SweepGrid | Iterable[DesignPoint],
-    candidate_factory: Callable[[DesignPoint], Sequence[CandidateBuildUp]],
+    candidate_factory: CandidateFactory,
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
 ) -> SweepReport:
     """Fan the methodology out over a design-space grid.
 
@@ -954,18 +954,9 @@ def run_design_sweep(
     cache:
         Optional pre-warmed :class:`EvaluationCache`; a fresh one is
         created when omitted.  Its stats cover the whole sweep.
-    executor:
-        Optional :class:`~repro.core.executors.Executor`; defaults to
-        :class:`~repro.core.executors.SerialExecutor`.  Tests substitute
-        other engines here; every engine produces identical rows — they
-        only change how the grid is scheduled.
     """
     points, weights, cache = resolve_sweep(grid, weights, cache)
-    if executor is None:
-        from .executors import SerialExecutor  # cycle-free at import
-
-        executor = SerialExecutor()
-    dframe = executor.run_sweep(
+    dframe = evaluate_cells(
         points, candidate_factory, reference, weights, cache
     )
     return SweepReport(frame=dframe.frame, cache_stats=cache.stats())
@@ -975,14 +966,11 @@ def run_design_sweep(
 class StreamedCell:
     """One grid cell as it streams out of :func:`stream_design_sweep`.
 
-    ``index`` is the cell's canonical position in the grid.  The
-    default serial engine yields cells in canonical order; an engine
-    that streams in *completion* order (the async engine) yields them
-    out of order, so a consumer that needs canonical order under any
-    engine sorts or reorders by index.
-    ``frame`` carries the cell's results columnar (concatenate streamed
-    frames with :meth:`ResultFrame.concat` for an incremental report);
-    :attr:`rows` is the row-object bridge.
+    ``index`` is the cell's canonical position in the grid; cells
+    stream in canonical order.  ``frame`` carries the cell's results
+    columnar (concatenate streamed frames with
+    :meth:`ResultFrame.concat` for an incremental report); :attr:`rows`
+    is the row-object bridge.
     """
 
     index: int
@@ -996,55 +984,42 @@ class StreamedCell:
 
 def stream_decision_frames(
     grid: SweepGrid | Iterable[DesignPoint],
-    candidate_factory: Callable[[DesignPoint], Sequence[CandidateBuildUp]],
+    candidate_factory: CandidateFactory,
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
 ) -> Iterator[DecisionFrame]:
-    """Decision-frame blocks at canonical point indices, as they finish.
+    """Decision-frame blocks at canonical point indices, in canonical
+    order: :meth:`~repro.core.executors.SerialExecutor.iter_cells`'s
+    batched blocks."""
+    from .executors import SerialExecutor  # cycle-free at import
 
-    Streams through the engine's ``iter_cells`` — the default
-    :class:`~repro.core.executors.SerialExecutor`'s batched blocks in
-    canonical order, the async engine's single points in completion
-    order; any other engine's whole frame is one block.
-    """
     points, weights, cache = resolve_sweep(grid, weights, cache)
-    if executor is None:
-        from .executors import SerialExecutor  # cycle-free at import
-
-        executor = SerialExecutor()
-    iter_cells = getattr(executor, "iter_cells", None)
-    if iter_cells is not None:
-        yield from iter_cells(
-            points, candidate_factory, reference, weights, cache
-        )
-    else:
-        yield executor.run_sweep(
-            points, candidate_factory, reference, weights, cache
-        )
+    yield from SerialExecutor().iter_cells(
+        points, candidate_factory, reference, weights, cache
+    )
 
 
 def stream_design_sweep(
     grid: SweepGrid | Iterable[DesignPoint],
-    candidate_factory: Callable[[DesignPoint], Sequence[CandidateBuildUp]],
+    candidate_factory: CandidateFactory,
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
 ) -> Iterator[StreamedCell]:
     """The generator surface of :func:`run_design_sweep`.
 
-    Yields one :class:`StreamedCell` per grid point as results become
-    available instead of blocking until the whole grid is done: the
-    blocks of :func:`stream_decision_frames`, split per point.
+    Yields one :class:`StreamedCell` per grid point, in canonical
+    order, as results become available instead of blocking until the
+    whole grid is done: the blocks of :func:`stream_decision_frames`,
+    split per point.
 
     The rows of every yielded cell are byte-identical to the rows
     :func:`run_design_sweep` would report for the same grid — streaming
     changes *when* results become visible, never *what* they are.
     """
     for block in stream_decision_frames(
-        grid, candidate_factory, reference, weights, cache, executor
+        grid, candidate_factory, reference, weights, cache
     ):
         for index, frame in block.cells():
             yield StreamedCell(index=index, frame=frame)

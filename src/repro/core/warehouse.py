@@ -57,17 +57,19 @@ Design rules:
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import SpecificationError
 from . import blobstore
-from .blobstore import canonical_json  # noqa: F401 — re-exported
+# Re-exported: perfbench/workloads.py imports canonical_json from here.
+from .blobstore import canonical_json  # noqa: F401
 from .figure_of_merit import FomWeights
-from .ranking import RATIO_COLUMNS, DecisionFrame  # noqa: F401 — re-exported
+from .ranking import DecisionFrame
 from .sharding import (
     GridIdentity,
     ShardArtifact,
@@ -215,7 +217,8 @@ class WarehouseManifest:
     frames: tuple[FrameEntry, ...] = ()
     grid_spec: Optional[dict] = None
     #: The point indices the frames cover, built by the overlap check
-    #: so that an appender never rebuilds it.
+    #: and carried forward by :meth:`appended`, so that an appender
+    #: never rebuilds it.
     covered: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -248,6 +251,23 @@ class WarehouseManifest:
                     )
                 seen.add(index)
         object.__setattr__(self, "covered", frozenset(seen))
+
+    def appended(self, entry: FrameEntry) -> "WarehouseManifest":
+        """This manifest plus one frame, the revision bumped.
+
+        The caller has checked ``entry.indices`` against the grid and
+        :attr:`covered` (:func:`append_decision_frame` does), so the
+        new manifest carries ``covered`` forward instead of walking
+        every frame again: an append costs O(shard), not O(warehouse).
+        """
+        manifest = copy.copy(self)
+        for name, value in (
+            ("revision", self.revision + 1),
+            ("frames", self.frames + (entry,)),
+            ("covered", self.covered.union(entry.indices)),
+        ):
+            object.__setattr__(manifest, name, value)
+        return manifest
 
     @property
     def grid(self) -> GridIdentity:
@@ -411,6 +431,7 @@ def _append_frame(
 ) -> WarehouseManifest:
     """The append step of :func:`append_decision_frame`, given the
     warehouse's current ``manifest``; returns the republished one."""
+    fresh: set[int] = set()
     for index in dframe.indices:
         if index >= manifest.total_points:
             raise WarehouseError(
@@ -422,6 +443,11 @@ def _append_frame(
                 f"warehouse already covers point index {index}; "
                 f"appending the same shard twice?"
             )
+        if index in fresh:
+            raise WarehouseError(
+                f"warehouse frames overlap on point index {index}"
+            )
+        fresh.add(index)
     payload = frame_payload(dframe, **manifest.grid.payload())
     name, digest = blobstore.put_blob(directory, frame_filename, payload)
     entry = FrameEntry(
@@ -430,14 +456,7 @@ def _append_frame(
         indices=dframe.indices,
         rows=len(dframe),
     )
-    return _publish_manifest(
-        directory,
-        replace(
-            manifest,
-            revision=manifest.revision + 1,
-            frames=manifest.frames + (entry,),
-        ),
-    )
+    return _publish_manifest(directory, manifest.appended(entry))
 
 
 def append_decision_frame(
@@ -546,14 +565,12 @@ def build_warehouse(
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
     grid_spec: Optional[dict] = None,
 ) -> WarehouseManifest:
     """Run a sweep and materialise it as a one-frame warehouse.
 
-    The offline indexing tier in one call: evaluates the grid through
-    the serial engine (or ``executor``, when a caller substitutes one)
-    and publishes the result.  For incremental builds from many
+    The offline indexing tier in one call: evaluates the grid and
+    publishes the result.  For incremental builds from many
     hosts, run a shard queue instead and ingest the artifact directory
     (:func:`ingest_shard_directory`).
     """
@@ -564,7 +581,6 @@ def build_warehouse(
         reference=reference,
         weights=weights,
         cache=cache,
-        executor=executor,
     )
     dframe = DecisionFrame.concat(list(blocks))
     init_warehouse(directory, points, grid_spec=grid_spec)

@@ -253,15 +253,11 @@ def run_gps_sweep(
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
 ) -> SweepReport:
     """Design-space sweep over the GPS case study.
 
     The reference is implementation 1 (PCB/SMD) at every grid point, as
-    in the paper.  ``executor`` substitutes the serial execution engine
-    (:mod:`repro.core.executors`); every engine produces an identical
-    columnar :attr:`~repro.core.sweep.SweepReport.frame` (and hence
-    identical bridged rows).
+    in the paper.
     """
     return run_design_sweep(
         grid,
@@ -269,7 +265,6 @@ def run_gps_sweep(
         reference=0,
         weights=weights,
         cache=cache,
-        executor=executor,
     )
 
 
@@ -279,13 +274,11 @@ def stream_gps_sweep(
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
 ) -> Iterator[StreamedCell]:
     """Streaming variant of :func:`run_gps_sweep`.
 
     Yields one :class:`~repro.core.sweep.StreamedCell` per grid point,
-    block by block in canonical order under the default serial engine
-    (completion order under the async engine).  Each carries its
+    block by block in canonical order.  Each carries its
     results as a per-cell
     :class:`~repro.core.resultframe.ResultFrame` (plus the bridged
     ``rows``), byte-identical to the slice :func:`run_gps_sweep`
@@ -297,7 +290,6 @@ def stream_gps_sweep(
         reference=0,
         weights=weights,
         cache=cache,
-        executor=executor,
     )
 
 
@@ -309,7 +301,6 @@ def spill_gps_sweep(
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
 ) -> "ChunkedFrameStore":
     """Out-of-core variant of :func:`run_gps_sweep`.
 
@@ -331,7 +322,6 @@ def spill_gps_sweep(
         reference=0,
         weights=weights,
         cache=cache,
-        executor=executor,
     )
 
 
@@ -341,7 +331,6 @@ def run_adaptive_gps_sweep(
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
     *,
     passes: Optional[int] = None,
     budget: Optional[int] = None,
@@ -370,7 +359,6 @@ def run_adaptive_gps_sweep(
         reference=0,
         weights=weights,
         cache=cache,
-        executor=executor,
         passes=passes,
         budget=budget,
         refine_margin=refine_margin,
@@ -386,7 +374,6 @@ def spill_adaptive_gps_sweep(
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
-    executor=None,
     *,
     passes: Optional[int] = None,
     budget: Optional[int] = None,
@@ -411,7 +398,6 @@ def spill_adaptive_gps_sweep(
         reference=0,
         weights=weights,
         cache=cache,
-        executor=executor,
         passes=passes,
         budget=budget,
         refine_margin=refine_margin,
@@ -426,7 +412,6 @@ def run_gps_shard(
     chip_costs: Optional[data.ChipCosts] = None,
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
-    executor=None,
 ) -> ShardArtifact:
     """Evaluate one cross-host shard of a GPS design-space sweep.
 
@@ -450,7 +435,6 @@ def run_gps_shard(
         shard_index=shard_index,
         reference=0,
         weights=weights,
-        executor=executor,
     )
 
 
@@ -460,7 +444,6 @@ def run_gps_queue_worker(
     chip_costs: Optional[data.ChipCosts] = None,
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
-    executor=None,
     **queue_options,
 ) -> QueueWorkerReport:
     """Drain one GPS sweep work queue as a resumable worker.
@@ -485,7 +468,6 @@ def run_gps_queue_worker(
         GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
         reference=0,
         weights=weights,
-        executor=executor,
         **queue_options,
     )
 
@@ -496,7 +478,6 @@ def build_gps_warehouse(
     chip_costs: Optional[data.ChipCosts] = None,
     weights: Optional[FomWeights] = None,
     nre_scenario: Optional[Mapping[int, float]] = None,
-    executor=None,
     grid_spec=None,
 ) -> "WarehouseManifest":
     """Sweep the GPS grid and materialise it as a frame warehouse.
@@ -518,7 +499,6 @@ def build_gps_warehouse(
         GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
         reference=0,
         weights=weights,
-        executor=executor,
         grid_spec=grid_spec,
     )
 

@@ -6,10 +6,10 @@ The load-bearing properties, checked with hypothesis on random grids:
   restricted to the evaluated points — in fact the two fronts are
   byte-identical over that restriction;
 * the merged adaptive frame is byte-identical to the exhaustive frame
-  filtered to the evaluated points, whatever engine ran the passes and
-  in whatever order cells streamed in;
-* the evaluated subset never depends on the engine, only on the grid,
-  the coarse sampling and the margin.
+  filtered to the evaluated points, whatever blocks the passes
+  streamed in;
+* the evaluated subset never depends on the stream's blocks, only on
+  the grid, the coarse sampling and the margin.
 
 Around it: the margin front (``margin = 0`` coincides with
 the ``first_dominators`` reference bit for bit, a positive
@@ -20,6 +20,8 @@ the parameter-validation matrix.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from repro.core.adaptive import (
     run_adaptive_sweep,
     spill_adaptive_sweep,
 )
-from repro.core.executors import AsyncExecutor, SerialExecutor
+from repro.core import executors
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
 from repro.core.sweep import (
@@ -52,7 +54,6 @@ from pareto_reference import (
     margin_dominators,
     objective_frame,
 )
-from sharded_reference import ShardedExecutor
 
 #: Volumes the random grids draw from — wide enough that NRE
 #: amortisation moves the cost objective across the axis.
@@ -176,15 +177,12 @@ class TestDifferentialAdaptive:
 
     @settings(max_examples=10, deadline=None)
     @given(grid=grids)
-    def test_engine_and_interleaving_invariance(self, grid):
-        reports = [
-            run_adaptive_sweep(grid, toy_candidates, executor=executor)
-            for executor in (
-                SerialExecutor(),
-                AsyncExecutor(jobs=3),
-                ShardedExecutor(shards=2),
-            )
-        ]
+    def test_stream_block_invariance(self, grid):
+        """Where the stream cuts each pass into blocks moves nothing."""
+        reports = []
+        for block in (executors.STREAM_BLOCK, 1, 2):
+            with mock.patch.object(executors, "STREAM_BLOCK", block):
+                reports.append(run_adaptive_sweep(grid, toy_candidates))
         baseline = reports[0]
         for other in reports[1:]:
             assert other.evaluated_indices == baseline.evaluated_indices

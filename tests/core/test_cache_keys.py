@@ -25,7 +25,6 @@ from repro.area.footprint import Footprint
 from repro.area.placement import trivial_placement
 from repro.area.substrate import MCM_D_FINE_RULE
 from repro.circuits.qfactor import SkinEffectQModel
-from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.sweep import (
     CACHE_TABLES,
@@ -85,9 +84,7 @@ def expected_digests(points) -> dict[str, list[str]]:
 
 def batched_cache(points) -> EvaluationCache:
     cache = EvaluationCache()
-    run_design_sweep(
-        points, GpsSweepFactory(), cache=cache, executor=SerialExecutor()
-    )
+    run_design_sweep(points, GpsSweepFactory(), cache=cache)
     return cache
 
 

@@ -1,7 +1,7 @@
 """The sweep execution engines.
 
 The serial engine's block streaming, the async library engine, the
-reference cache fold, and the engines' core contract: identical
+reference cache fold, and the engines' shared result: identical
 decision frames regardless of how the grid is scheduled.
 The heavyweight GPS-level identity check lives in
 ``tests/gps/test_engines.py``; here small synthetic factories keep the
@@ -26,6 +26,7 @@ from repro.core.sweep import (
     DesignPoint,
     EvaluationCache,
     SweepGrid,
+    evaluate_cells,
     run_design_sweep,
     stream_design_sweep,
 )
@@ -102,14 +103,14 @@ class TestCacheMerge:
 class TestEnginesAgree:
     POINTS = [DesignPoint(volume=v) for v in (1e3, 1e4, 1e5, 1e6, 1e7)]
 
-    def _frame(self, executor):
-        return executor.run_sweep(
+    def _frame(self, run_sweep):
+        return run_sweep(
             self.POINTS, fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
 
     def test_async_engine_matches_serial(self):
-        assert self._frame(AsyncExecutor(jobs=3)) == self._frame(
-            SerialExecutor()
+        assert self._frame(AsyncExecutor(jobs=3).run_sweep) == self._frame(
+            evaluate_cells
         )
 
 
@@ -132,8 +133,8 @@ class TestAsyncStreaming:
                 (done, total, dframe.indices)
             ),
         )
-        run_design_sweep(
-            self.POINTS, fixed_candidates, executor=executor
+        executor.run_sweep(
+            self.POINTS, fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
         assert [done for done, _, _ in events] == list(
             range(1, len(self.POINTS) + 1)
@@ -145,8 +146,6 @@ class TestAsyncStreaming:
 
     def test_iter_cells_yields_every_index_exactly_once(self):
         executor = AsyncExecutor(jobs=3)
-        from repro.core.figure_of_merit import FomWeights
-
         streamed = list(
             executor.iter_cells(
                 self.POINTS,
@@ -158,7 +157,7 @@ class TestAsyncStreaming:
         )
         indices = [index for block in streamed for index in block.indices]
         assert sorted(indices) == list(range(len(self.POINTS)))
-        serial = SerialExecutor().run_sweep(
+        serial = evaluate_cells(
             self.POINTS,
             fixed_candidates,
             0,
@@ -168,68 +167,45 @@ class TestAsyncStreaming:
         assert DecisionFrame.concat(streamed) == serial
 
     def test_stream_design_sweep_rows_match_run_design_sweep(self):
-        from repro.core.sweep import stream_design_sweep
-
-        report = run_design_sweep(
-            self.POINTS, fixed_candidates, executor=SerialExecutor()
-        )
-        streamed = sorted(
-            stream_design_sweep(
-                self.POINTS,
-                fixed_candidates,
-                executor=AsyncExecutor(jobs=2),
+        """Completion-order cells, put back in canonical order, carry
+        the rows of the whole-grid sweep."""
+        report = run_design_sweep(self.POINTS, fixed_candidates)
+        cells = sorted(
+            (
+                cell
+                for block in AsyncExecutor(jobs=2).iter_cells(
+                    self.POINTS,
+                    fixed_candidates,
+                    0,
+                    FomWeights(),
+                    EvaluationCache(),
+                )
+                for cell in block.cells()
             ),
-            key=lambda item: item.index,
+            key=lambda cell: cell[0],
         )
-        rows = tuple(row for item in streamed for row in item.rows)
-        assert rows == report.rows
-
-    def test_stream_design_sweep_falls_back_to_plain_executors(self):
-        from repro.core.sweep import stream_design_sweep
-
-        report = run_design_sweep(
-            self.POINTS, fixed_candidates, executor=SerialExecutor()
-        )
-        streamed = list(
-            stream_design_sweep(
-                self.POINTS, fixed_candidates, executor=SerialExecutor()
-            )
-        )
-        # Non-streaming engines yield in canonical order.
-        assert [item.index for item in streamed] == list(
-            range(len(self.POINTS))
-        )
-        rows = tuple(row for item in streamed for row in item.rows)
+        rows = tuple(row for _, frame in cells for row in frame.to_rows())
         assert rows == report.rows
 
     def test_errors_propagate_through_both_surfaces(self):
-        from repro.core.figure_of_merit import FomWeights
-        from repro.core.sweep import stream_design_sweep
-
         def exploding_factory(point):
             raise RuntimeError("boom at " + point.label())
 
+        engine = AsyncExecutor(jobs=2)
+        arguments = (
+            self.POINTS[:2],
+            exploding_factory,
+            0,
+            FomWeights(),
+            EvaluationCache(),
+        )
         with pytest.raises(RuntimeError, match="boom"):
-            AsyncExecutor(jobs=2).run_sweep(
-                self.POINTS[:2],
-                exploding_factory,
-                0,
-                FomWeights(),
-                EvaluationCache(),
-            )
+            engine.run_sweep(*arguments)
         with pytest.raises(RuntimeError, match="boom"):
-            list(
-                stream_design_sweep(
-                    self.POINTS[:2],
-                    exploding_factory,
-                    executor=AsyncExecutor(jobs=2),
-                )
-            )
+            list(engine.iter_cells(*arguments))
 
     def test_failure_does_not_run_the_whole_queue(self):
         """An early error drops not-yet-started points before raising."""
-        from repro.core.figure_of_merit import FomWeights
-
         import time
 
         calls = []
@@ -250,8 +226,6 @@ class TestAsyncStreaming:
 
     def test_breaking_out_of_iter_cells_abandons_the_rest(self):
         """A consumer that stops early must not drag the sweep along."""
-        from repro.core.figure_of_merit import FomWeights
-
         import time
 
         calls = []
@@ -331,7 +305,7 @@ class TestSerialBlockStreaming:
         ).points()
         assert len(points) > block
         run_cache = EvaluationCache()
-        whole = SerialExecutor().run_sweep(
+        whole = evaluate_cells(
             points, family_candidates, 0, FomWeights(), run_cache
         )
         stream_cache = EvaluationCache()

@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
 from repro.core import blobstore, executors
-from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.framestore import (
     CHUNK_FORMAT,
@@ -408,15 +407,9 @@ class TestStreamingMerge:
 
 class TestSpillDesignSweep:
     def test_matches_run_design_sweep(self, tmp_path):
-        report = run_design_sweep(
-            POINTS, fixed_candidates, executor=SerialExecutor()
-        )
+        report = run_design_sweep(POINTS, fixed_candidates)
         store = spill_design_sweep(
-            POINTS,
-            fixed_candidates,
-            tmp_path / "store",
-            max_rows_in_memory=3,
-            executor=SerialExecutor(),
+            POINTS, fixed_candidates, tmp_path / "store", max_rows_in_memory=3
         )
         assert store.to_frame() == report.frame
         assert store.meta["cache_stats"] == report.cache_stats
@@ -433,23 +426,20 @@ class TestSpillDesignSweep:
     ):
         """Streaming blocks that cut volume families in two must spill
         the same files — chunks and manifest with its cache stats — as
-        spilling the whole grid evaluated in RAM first."""
+        spilling the whole grid evaluated as one block."""
         grid = SweepGrid(
             volumes=(1e3, 1e4, 1e5), fom_weights=(None, FomWeights(cost=2.0))
         )
         # Volume-major order interleaves the two families; a 3-point
         # block ends mid-way through both of them.
         assert family_runs(grid.points()) == [[0, 2, 4], [1, 3, 5]]
+        assert executors.STREAM_BLOCK >= len(grid.points())
+        in_ram = spill_design_sweep(
+            grid, volume_invariant_candidates, tmp_path / "in-ram", 5
+        )
         monkeypatch.setattr(executors, "STREAM_BLOCK", 3)
         blocked = spill_design_sweep(
             grid, volume_invariant_candidates, tmp_path / "blocked", 5
-        )
-        in_ram = spill_design_sweep(
-            grid,
-            volume_invariant_candidates,
-            tmp_path / "in-ram",
-            5,
-            executor=_WholeGridExecutor(),
         )
         assert blocked.meta["cache_stats"] == in_ram.meta["cache_stats"]
         assert _tree_bytes(tmp_path / "blocked") == _tree_bytes(
@@ -463,16 +453,6 @@ def volume_invariant_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
 
 
 volume_invariant_candidates.volume_invariant = True
-
-
-class _WholeGridExecutor:
-    """An engine without ``iter_cells``: the stream evaluates the whole
-    grid in one serial call before it yields any cell."""
-
-    name = "whole-grid"
-
-    def run_sweep(self, *args):
-        return SerialExecutor().run_sweep(*args)
 
 
 def _tree_bytes(directory: Path) -> dict:

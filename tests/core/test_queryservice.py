@@ -47,11 +47,10 @@ from repro.core.queryservice import (
     response_bytes,
     WarehouseServer,
     serve_warehouse,
-    weighted_fom,
 )
 from repro.core.sharding import run_shard
 from repro.core.sweep import DesignPoint, SweepGrid, run_design_sweep
-from repro.core.ranking import DecisionFrame
+from repro.core.ranking import DecisionFrame, weighted_fom
 from repro.core.resultframe import ResultFrame
 from repro.core.warehouse import (
     WarehouseError,

@@ -3,8 +3,8 @@
 The load-bearing property, checked exhaustively with hypothesis: for
 *any* shard count and *any* order the shard artifacts come back in —
 including a round-trip through their JSON serialisation — the merged
-rows are byte-identical to what :class:`SerialExecutor` produces on
-the same grid.  Around it: content addressing (grid fingerprints),
+rows are byte-identical to what
+:func:`~repro.core.sweep.run_design_sweep` produces on the same grid.  Around it: content addressing (grid fingerprints),
 merge rejection of missing/duplicated/foreign shards with actionable
 messages, and the shard-merge semantics of the
 :class:`~repro.core.sweep.EvaluationCache` statistics (counters
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
-from repro.core.executors import SerialExecutor
+from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
 from repro.core.gather import gather_directory
 from repro.core.blobstore import ArtifactState, artifact_state, pending_path
@@ -42,6 +42,8 @@ from repro.core.sharding import (
     run_shard,
     shard_filename,
     shard_indices,
+    summarise_indices,
+    summarise_missing,
     write_shard_artifact,
 )
 from repro.core.sweep import (
@@ -93,10 +95,7 @@ def fixed_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
 @functools.lru_cache(maxsize=1)
 def serial_rows() -> tuple:
     """The reference rows every shard/merge combination must hit."""
-    report = run_design_sweep(
-        POINTS, fixed_candidates, executor=SerialExecutor()
-    )
-    return report.rows
+    return run_design_sweep(POINTS, fixed_candidates).rows
 
 
 def make_artifacts(shards: int) -> list:
@@ -187,10 +186,12 @@ class TestMergeIdentity:
         assert merged.rows == serial_rows()
 
     def test_mixed_producers_merge(self):
-        """Shards cut with different executors still merge identically."""
+        """Shards cut by hosts with different cache histories still
+        merge identically."""
+        warm = EvaluationCache()
+        run_design_sweep(POINTS, fixed_candidates, cache=warm)
         first = run_shard(
-            POINTS, fixed_candidates, shards=2, shard_index=0,
-            executor=ShardedExecutor(shards=2),
+            POINTS, fixed_candidates, shards=2, shard_index=0, cache=warm
         )
         second = run_shard(
             POINTS, fixed_candidates, shards=2, shard_index=1
@@ -226,10 +227,27 @@ class TestMergeIdentity:
         ]
         assert [len(a.dframe.indices) for a in artifacts] == [1, 1, 0, 0]
         merged = merge_shard_artifacts(artifacts)
-        reference = run_design_sweep(
-            two_points, fixed_candidates, executor=SerialExecutor()
-        )
+        reference = run_design_sweep(two_points, fixed_candidates)
         assert merged.rows == reference.rows
+
+
+class TestSummariseMissing:
+    """Missing indices are read off the gaps between covered ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        total=st.integers(min_value=1, max_value=80),
+        limit=st.integers(min_value=1, max_value=25),
+        data=st.data(),
+    )
+    def test_matches_listing_every_missing_index(self, total, limit, data):
+        covered = sorted(
+            data.draw(st.sets(st.integers(min_value=0, max_value=total - 1)))
+        )
+        missing = sorted(set(range(total)) - set(covered))
+        assert summarise_missing(covered, total, limit) == (
+            summarise_indices(missing, limit)
+        )
 
 
 class TestMergeRejection:
@@ -679,29 +697,19 @@ class TestCacheStateMerge:
 class TestShardedExecutor:
     def test_matches_serial_for_every_shard_count(self):
         for shards in (1, 2, 3, 7, 12):
-            report = run_design_sweep(
-                POINTS,
-                fixed_candidates,
-                executor=ShardedExecutor(shards=shards),
+            dframe = ShardedExecutor(shards=shards).run_sweep(
+                POINTS, fixed_candidates, 0, FomWeights(), EvaluationCache()
             )
-            assert report.rows == serial_rows()
+            assert dframe.frame.to_rows() == serial_rows()
 
     def test_shared_cache_spans_shard_boundaries(self):
         """In-process sharding keeps memoisation across shards."""
         cache = EvaluationCache()
-        run_design_sweep(
-            POINTS,
-            fixed_candidates,
-            cache=cache,
-            executor=ShardedExecutor(shards=3),
+        ShardedExecutor(shards=3).run_sweep(
+            POINTS, fixed_candidates, 0, FomWeights(), cache
         )
         serial_cache = EvaluationCache()
-        run_design_sweep(
-            POINTS,
-            fixed_candidates,
-            cache=serial_cache,
-            executor=SerialExecutor(),
-        )
+        run_design_sweep(POINTS, fixed_candidates, cache=serial_cache)
         assert cache.stats() == serial_cache.stats()
 
     def test_shard_count_validated(self):
@@ -709,8 +717,3 @@ class TestShardedExecutor:
             ShardedExecutor(shards=0)
         assert ShardedExecutor(shards=5).shards == 5
         assert ShardedExecutor().shards >= 1
-
-    def test_inner_engine_is_pluggable(self):
-        inner = SerialExecutor()
-        executor = ShardedExecutor(shards=2, inner=inner)
-        assert executor.inner is inner

@@ -11,7 +11,6 @@ from repro.circuits.qfactor import (
     SkinEffectQModel,
     SubstrateLossQModel,
 )
-from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.sweep import (
     DesignPoint,
@@ -187,15 +186,8 @@ class TestRunDesignSweep:
             )
 
     def test_memoisation_shares_performance_and_area(self):
-        # Hit/miss counts are a property of *one* shared cache, so this
-        # pins the serial engine (workers of the process engine each
-        # start cold and would tally differently).
         cache = EvaluationCache()
-        run_gps_sweep(
-            SweepGrid(volumes=(1e3, 1e4, 1e5)),
-            cache=cache,
-            executor=SerialExecutor(),
-        )
+        run_gps_sweep(SweepGrid(volumes=(1e3, 1e4, 1e5)), cache=cache)
         # Two follow-up volume points hit performance and area for all
         # four candidates (build-ups 1 and 2 even share one performance
         # key: identical discrete-filter assignments).

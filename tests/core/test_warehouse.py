@@ -18,10 +18,11 @@ import pytest
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
-from repro.core.executors import SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.blobstore import content_digest
 from repro.core.methodology import CandidateBuildUp
+from repro.core.ranking import DecisionFrame
+from repro.core.resultframe import ResultFrame
 from repro.core.sharding import (
     ShardMergeError,
     payload_to_artifact,
@@ -34,11 +35,13 @@ from repro.core.sweep import (
     DesignPoint,
     EvaluationCache,
     SweepGrid,
+    evaluate_cells,
     run_design_sweep,
 )
 from repro.core.warehouse import (
     FrameCache,
     WarehouseError,
+    WarehouseManifest,
     append_decision_frame,
     append_shard_artifact,
     build_warehouse,
@@ -89,9 +92,7 @@ def fixed_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
 
 @pytest.fixture(scope="module")
 def serial_report():
-    return run_design_sweep(
-        GRID, fixed_candidates, executor=SerialExecutor()
-    )
+    return run_design_sweep(GRID, fixed_candidates)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ def artifacts():
 
 class TestDecisionFrame:
     def test_from_cells_carries_ratio_columns(self, serial_report):
-        dframe = SerialExecutor().run_sweep(
+        dframe = evaluate_cells(
             GRID.points(), fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
         assert dframe.frame == serial_report.frame
@@ -130,7 +131,7 @@ class TestDecisionFrame:
         )
 
     def test_point_of_row_repeats_indices(self, serial_report):
-        dframe = SerialExecutor().run_sweep(
+        dframe = evaluate_cells(
             GRID.points(), fixed_candidates, 0, FomWeights(), EvaluationCache()
         )
         point = dframe.point_of_row()
@@ -442,6 +443,54 @@ class TestWriter:
         assert str(excinfo.value) == (
             "frame carries point index 4, outside the 2-point grid"
         )
+
+    def test_ingest_validates_each_frame_once(self, tmp_path, monkeypatch):
+        """A K-shard ingest checks each new frame's indices on append
+        and carries the covered set forward: it never re-walks every
+        frame already in the warehouse (O(shard) per append, not
+        O(K·N)).  A manifest read from disk is still fully checked."""
+        grid = SweepGrid(volumes=tuple(1e3 * (i + 1) for i in range(64)))
+        shard_dir = tmp_path / "shards"
+        shard_dir.mkdir()
+        for index in range(32):
+            write_shard_artifact(
+                shard_dir / shard_filename(32, index),
+                run_shard(grid, fixed_candidates, shards=32, shard_index=index),
+            )
+        visits = []
+        validate = WarehouseManifest.__post_init__
+
+        def counting(manifest):
+            visits.append(sum(len(entry.indices) for entry in manifest.frames))
+            validate(manifest)
+
+        monkeypatch.setattr(WarehouseManifest, "__post_init__", counting)
+        manifest, appended, _ = ingest_shard_directory(
+            tmp_path / "wh", shard_dir
+        )
+        assert manifest.complete and len(appended) == 32
+        assert sum(visits) == 0
+        on_disk = read_warehouse_manifest(tmp_path / "wh")
+        assert visits[-1] == 64
+        assert on_disk == manifest
+        assert on_disk.covered == manifest.covered == frozenset(range(64))
+
+    def test_append_refuses_a_frame_overlapping_itself(self, tmp_path):
+        init_warehouse(tmp_path, GRID)
+        dframe = evaluate_cells(
+            GRID.points()[:1], fixed_candidates, 0, FomWeights(),
+            EvaluationCache(),
+        )
+        doubled = DecisionFrame(
+            ResultFrame.concat([dframe.frame, dframe.frame]),
+            np.concatenate([dframe.size_ratio, dframe.size_ratio]),
+            np.concatenate([dframe.cost_ratio, dframe.cost_ratio]),
+            (0, 0),
+            dframe.row_counts * 2,
+        )
+        with pytest.raises(WarehouseError, match="overlap on point index 0"):
+            append_decision_frame(tmp_path, doubled)
+        assert read_warehouse_manifest(tmp_path).frames == ()
 
     def test_ingest_empty_directory_is_an_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -2,17 +2,17 @@
 
 This is the systematic replacement for the ad-hoc per-engine
 comparisons that used to live in ``test_engines.py``: one parametrised
-matrix that runs a small GPS sweep through *every* execution engine
-(the in-process sharded reference and the async engine — serial is
-the reference) under
+matrix that runs a small GPS sweep through *every* reference engine
+(the in-process sharded reference and the async library engine, each
+driven directly — the production sweep is the reference) under
 *every* Q-model scenario class (constant-Q, dispersive, custom
-``tan=``) and asserts the rows are byte-identical to the serial
-engine — dataclass equality on ``SweepRow`` compares every float
+``tan=``) and asserts the rows are byte-identical to the production
+sweep's — dataclass equality on ``SweepRow`` compares every float
 exactly, not approximately.
 
-The cross-host path gets the same treatment: shard artifacts cut from
-the scenario grids, round-tripped through JSON, must merge back to the
-serial bytes.
+The out-of-core, cross-host and queue paths get the same treatment per
+scenario: a spilled store, shard artifacts round-tripped through JSON
+and a drained queue must all come back to the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.circuits.qfactor import (
     MEASURED_SUMMIT_TABLE,
     SubstrateLossQModel,
 )
-from repro.core.executors import AsyncExecutor, SerialExecutor
+from repro.core.executors import AsyncExecutor
 from repro.core.gather import gather_directory
 from repro.core.queue import manifest_for_grid, write_manifest
 from repro.core.sharding import (
@@ -47,7 +47,8 @@ from repro.passives.tolerance import PRECISION_CLASS
 from per_point import per_point_frame
 from sharded_reference import ShardedExecutor
 
-#: Engine name -> factory.  Serial is the reference, not a column.
+#: Engine name -> factory.  The production sweep is the reference,
+#: not a column.
 ENGINES = {
     "sharded": lambda: ShardedExecutor(shards=3),
     "async": lambda: AsyncExecutor(jobs=2),
@@ -74,9 +75,9 @@ SCENARIO_GRIDS = {
 
 @pytest.fixture(scope="module")
 def serial_reports():
-    """The serial-engine reference rows, one report per scenario."""
+    """The production sweep's reference rows, one report per scenario."""
     return {
-        scenario: run_gps_sweep(grid, executor=SerialExecutor())
+        scenario: run_gps_sweep(grid)
         for scenario, grid in SCENARIO_GRIDS.items()
     }
 
@@ -87,12 +88,16 @@ class TestEngineMatrix:
     def test_rows_byte_identical_to_serial(
         self, serial_reports, engine, scenario
     ):
-        report = run_gps_sweep(
-            SCENARIO_GRIDS[scenario], executor=ENGINES[engine]()
+        dframe = ENGINES[engine]().run_sweep(
+            SCENARIO_GRIDS[scenario].points(),
+            GpsSweepFactory(),
+            0,
+            FomWeights(),
+            EvaluationCache(),
         )
         reference = serial_reports[scenario]
-        assert report.rows == reference.rows
-        assert report.frame == reference.frame
+        assert dframe.frame.to_rows() == reference.rows
+        assert dframe.frame == reference.frame
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_GRIDS))
     def test_scalar_fill_byte_identical_to_batched(
@@ -123,19 +128,15 @@ class TestEngineMatrix:
 
 class TestChunkedStoreMatrix:
     """The out-of-core column: spilling through the chunked frame
-    store under every engine x scenario must stream back the exact
-    serial bytes — frame, CSV lines and cache statistics alike."""
+    store under every scenario must stream back the exact in-RAM
+    bytes — frame, CSV lines and cache statistics alike."""
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_GRIDS))
     def test_spilled_store_byte_identical_to_serial(
-        self, serial_reports, engine, scenario, tmp_path
+        self, serial_reports, scenario, tmp_path
     ):
         store = spill_gps_sweep(
-            SCENARIO_GRIDS[scenario],
-            tmp_path / "store",
-            max_rows_in_memory=3,
-            executor=ENGINES[engine](),
+            SCENARIO_GRIDS[scenario], tmp_path / "store", max_rows_in_memory=3
         )
         reference = serial_reports[scenario]
         assert store.to_frame() == reference.frame
@@ -146,10 +147,7 @@ class TestChunkedStoreMatrix:
         self, serial_reports, scenario, tmp_path
     ):
         store = spill_gps_sweep(
-            SCENARIO_GRIDS[scenario],
-            tmp_path / "store",
-            max_rows_in_memory=1,
-            executor=SerialExecutor(),
+            SCENARIO_GRIDS[scenario], tmp_path / "store", max_rows_in_memory=1
         )
         reference = serial_reports[scenario]
         assert store.to_frame() == reference.frame
@@ -183,36 +181,19 @@ class TestCrossHostMatrix:
 class TestQueueFabricMatrix:
     """Queue worker + incremental gather must hit the serial bytes.
 
-    The service tier gets the same differential treatment as the
-    engines: a manifest-driven queue drained through each engine,
-    gathered from the shard directory, must reproduce the serial rows
-    exactly — scenario coverage rides on the serial column, engine
-    coverage on the smallest dispersive grid.
+    The service tier gets the same differential treatment: a
+    manifest-driven queue drained by a worker, gathered from the shard
+    directory, must reproduce the in-RAM rows exactly under every
+    scenario.
     """
-
-    def _drain_and_gather(self, tmp_path, grid, executor):
-        manifest = manifest_for_grid(grid, shards=2)
-        manifest_path = write_manifest(tmp_path / "manifest.json", manifest)
-        report = run_gps_queue_worker(
-            manifest_path, grid, executor=executor
-        )
-        assert report.queue_drained
-        return gather_directory(tmp_path, expected=manifest)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIO_GRIDS))
     def test_gathered_queue_byte_identical_per_scenario(
         self, serial_reports, scenario, tmp_path
     ):
-        gathered = self._drain_and_gather(
-            tmp_path, SCENARIO_GRIDS[scenario], SerialExecutor()
-        )
+        grid = SCENARIO_GRIDS[scenario]
+        manifest = manifest_for_grid(grid, shards=2)
+        manifest_path = write_manifest(tmp_path / "manifest.json", manifest)
+        assert run_gps_queue_worker(manifest_path, grid).queue_drained
+        gathered = gather_directory(tmp_path, expected=manifest)
         assert gathered.rows == serial_reports[scenario].rows
-
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_gathered_queue_byte_identical_per_engine(
-        self, serial_reports, engine, tmp_path
-    ):
-        gathered = self._drain_and_gather(
-            tmp_path, SCENARIO_GRIDS["dispersive"], ENGINES[engine]()
-        )
-        assert gathered.rows == serial_reports["dispersive"].rows

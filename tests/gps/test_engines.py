@@ -5,8 +5,8 @@ The systematic engine x scenario identity matrix lives in
 byte-identical rows).  What remains here is the anchor to the golden
 files and the factory's pickling contract:
 
-* at the paper's own design point, every engine reproduces the
-  golden-locked study numbers exactly;
+* at the paper's own design point, the production sweep and each
+  reference engine reproduce the golden-locked study numbers exactly;
 * the GPS candidate factory survives a pickle round trip.
 """
 
@@ -14,21 +14,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.executors import AsyncExecutor, SerialExecutor
-from repro.core.sweep import DesignPoint
-from repro.gps.study import (
-    GpsSweepFactory,
-    run_gps_study,
-    run_gps_sweep,
-)
+from repro.core.executors import AsyncExecutor
+from repro.core.figure_of_merit import FomWeights
+from repro.core.sweep import DesignPoint, EvaluationCache, evaluate_cells
+from repro.gps.study import GpsSweepFactory, run_gps_study
 
 from sharded_reference import ShardedExecutor
 
-#: Engine name -> factory: the production engine and its substitutes.
+#: Engine name -> ``run_sweep(points, factory, reference, weights,
+#: cache)``: the production fill and the reference engines.
 ENGINES = {
-    "serial": SerialExecutor,
-    "sharded": lambda: ShardedExecutor(shards=2),
-    "async": lambda: AsyncExecutor(jobs=2),
+    "serial": evaluate_cells,
+    "sharded": ShardedExecutor(shards=2).run_sweep,
+    "async": AsyncExecutor(jobs=2).run_sweep,
 }
 
 
@@ -37,13 +35,16 @@ class TestPaperPointIdentity:
     def test_paper_point_matches_study_under_every_engine(self, engine):
         """Zero-NRE sweep at the paper's point == the golden-locked study."""
         study = run_gps_study()
-        report = run_gps_sweep(
+        dframe = ENGINES[engine](
             [DesignPoint()],
-            nre_scenario={i: 0.0 for i in (1, 2, 3, 4)},
-            executor=ENGINES[engine](),
+            GpsSweepFactory(nre_scenario={i: 0.0 for i in (1, 2, 3, 4)}),
+            0,
+            FomWeights(),
+            EvaluationCache(),
         )
-        assert len(report.rows) == len(study.rows)
-        for study_row, sweep_row in zip(study.rows, report.rows):
+        rows = dframe.frame.to_rows()
+        assert len(rows) == len(study.rows)
+        for study_row, sweep_row in zip(study.rows, rows):
             assert (
                 sweep_row.figure_of_merit
                 == study_row.fom.figure_of_merit

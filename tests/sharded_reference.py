@@ -1,17 +1,15 @@
 """Reference engines and cache folds the production surface dropped.
 
-Production sweeps run one engine,
-:class:`~repro.core.executors.SerialExecutor`, and cross-host
-scale-out partitions the grid outside it
-(:func:`~repro.core.sharding.run_shard`, the queue workers).  The tests
-keep two references here:
+Production sweeps run one engine, the family-batched fill
+(:func:`~repro.core.sweep.evaluate_cells`), and cross-host scale-out
+partitions the grid outside it (:func:`~repro.core.sharding.run_shard`,
+the queue workers).  The tests keep two references here:
 
 * :class:`ShardedExecutor` — the cross-host partitioning as an
-  in-process engine: shards run one after another through an inner
-  engine against the caller's shared cache.  The engine matrix, the
-  adaptive driver's engine-invariance test and
-  ``benchmarks/test_sharded_speed.py`` use it to check that shard
-  boundaries move no byte.
+  in-process engine: shards run one after another through the fill
+  against the caller's shared cache.  The engine matrix and
+  ``benchmarks/test_sharded_speed.py`` call its :meth:`run_sweep`
+  directly to check that shard boundaries move no byte.
 * :func:`merge_caches` — fold one :class:`~repro.core.sweep.EvaluationCache`
   into another, entry by entry.  The reference for
   :func:`~repro.core.sharding.merge_cache_states`, which merges the
@@ -23,11 +21,16 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-from repro.core.executors import CandidateFactory, Executor, SerialExecutor
 from repro.core.figure_of_merit import FomWeights
 from repro.core.ranking import DecisionFrame
 from repro.core.sharding import shard_indices
-from repro.core.sweep import CACHE_TABLES, DesignPoint, EvaluationCache
+from repro.core.sweep import (
+    CACHE_TABLES,
+    CandidateFactory,
+    DesignPoint,
+    EvaluationCache,
+    evaluate_cells,
+)
 from repro.errors import SpecificationError
 
 
@@ -36,20 +39,15 @@ class ShardedExecutor:
 
     Partitions the grid with :func:`~repro.core.sharding.shard_indices`
     — exactly the runs the cross-host flow would distribute — and
-    evaluates each shard sequentially through an inner engine against
-    the caller's shared cache.  Because the cache is shared,
+    evaluates each shard sequentially through
+    :func:`~repro.core.sweep.evaluate_cells` against the caller's
+    shared cache.  Because the cache is shared,
     memoisation still spans shard boundaries and the engine is
     byte-identical to serial with only partition bookkeeping as
     overhead.
     """
 
-    name = "sharded"
-
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        inner: Optional[Executor] = None,
-    ) -> None:
+    def __init__(self, shards: Optional[int] = None) -> None:
         if shards is None:
             shards = os.cpu_count() or 1
         if shards < 1:
@@ -57,7 +55,6 @@ class ShardedExecutor:
                 f"sharded engine needs at least 1 shard, got {shards}"
             )
         self.shards = shards
-        self.inner = inner if inner is not None else SerialExecutor()
 
     def run_sweep(
         self,
@@ -73,7 +70,7 @@ class ShardedExecutor:
             if not indices:
                 continue
             frames.append(
-                self.inner.run_sweep(
+                evaluate_cells(
                     [points[i] for i in indices],
                     candidate_factory,
                     reference,

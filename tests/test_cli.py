@@ -915,6 +915,79 @@ class TestMergeTornArtifact:
         assert "Traceback" not in err
 
 
+
+class TestForeignPointCount:
+    """A foreign artifact's ``total_points`` must not size an
+    allocation.  A one-shard directory whose artifact claims 10^12 (or
+    10^20) points ends in the usual missing-indices message, listed
+    from the gaps in the covered set, with the usual exit code.  Each
+    probe runs the CLI in a child process with a capped address space,
+    so a regression fails fast instead of filling the machine's
+    memory."""
+
+    #: Address-space cap of a probe process, in bytes.
+    LIMIT = 1 << 30
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        from repro.core.sharding import artifact_to_payload
+        from repro.gps.study import run_gps_shard
+
+        grid = SweepGrid(volumes=(1e3, 1e4))
+        return artifact_to_payload(run_gps_shard(grid, 1, 0))
+
+    def _probe(self, argv):
+        import os
+        import resource
+        import subprocess
+        from pathlib import Path
+
+        import repro
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
+
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        env.pop("REPRO_SWEEP_MAX_ROWS", None)
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap,
+        )
+
+    @pytest.mark.parametrize("total", [10**12, 10**20], ids=["1e12", "1e20"])
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["sweep", "--merge"], 2),
+            (["sweep", "--max-rows-in-memory", "4", "--merge"], 2),
+            (["gather"], 1),
+            (["gather", "--max-rows-in-memory", "4"], 1),
+        ],
+        ids=["merge", "merge-spill", "gather", "gather-spill"],
+    )
+    def test_missing_indices_listed_in_bounded_memory(
+        self, tmp_path, payload, total, command, code
+    ):
+        directory = tmp_path / "shards"
+        directory.mkdir()
+        (directory / "shard-0000-of-0001.json").write_text(
+            json.dumps({**payload, "total_points": total}), encoding="utf-8"
+        )
+        completed = self._probe([*command, str(directory), "--csv"])
+        assert "Traceback" not in completed.stderr
+        assert completed.returncode == code
+        assert "missing point indices 2, 3, 4," in completed.stderr
+        assert f"… and {total - 22} more of {total}" in completed.stderr
+
+
 class TestQueueCli:
     """The service surface: sweep --queue-init / --queue."""
 
