@@ -20,9 +20,8 @@ all JSON files written and read here and nowhere else:
   newline, so its digest (embedded in its file name) is the SHA-256 of
   the stored bytes less that newline.  It is read back only by a bare
   name inside its container directory, verified by hashing the raw
-  file against the digest its manifest recorded; a file that fails
-  the raw hash (one written before blobs were canonical) is parsed and
-  re-digested instead, the one fallback.
+  file against the digest its manifest recorded: a file that fails the
+  hash is tampered, torn or mispaired, and is refused.
 
 Each container keeps its own manifest layout and revision counter and
 republishes the manifest with :func:`write_json` after its blob lands.
@@ -180,9 +179,12 @@ def check_payload(
     label: str,
     source: str,
     format: Optional[str] = None,
+    remedy: Optional[str] = None,
 ) -> dict:
     """``payload`` if it is an object declaring ``format`` (when given);
-    also the check of the ``payload_to_*`` rebuilders."""
+    also the check of the ``payload_to_*`` rebuilders.  ``remedy``, when
+    given, ends the message of a format refusal: how to regenerate a
+    file an older release wrote."""
     if not isinstance(payload, dict):
         raise error(f"{source}: {label} is not an object")
     if format is not None:
@@ -191,6 +193,7 @@ def check_payload(
             raise error(
                 f"{source}: unsupported {label} format {declared!r} "
                 f"(expected {format!r})"
+                + (f"; {remedy}" if remedy else "")
             )
     return payload
 
@@ -202,21 +205,20 @@ def read_json(
     *,
     format: Optional[str] = None,
     digest: Optional[str] = None,
+    remedy: Optional[str] = None,
 ) -> dict:
     """Load one JSON object, raising ``error`` on every failure.
 
     ``label`` names the file kind in messages ("shard artifact",
-    "frame chunk", ...).  With ``format`` the payload must declare it;
-    with ``digest`` the file must be the blob that digest names — a
-    tampered, truncated-then-repaired or mispaired file is refused.
+    "frame chunk", ...).  With ``format`` the payload must declare it
+    (``remedy`` as :func:`check_payload` takes it); with ``digest`` the
+    file must be the blob that digest names — a tampered, truncated or
+    mispaired file is refused.
 
     A digest is checked on the raw bytes before parsing: a blob
     :func:`put_blob` wrote is ``canonical_json(payload) + "\\n"``, so
     the SHA-256 of its bytes less the final newline *is* its digest and
-    nothing is re-encoded.  Bytes that fail that hash (a blob written
-    before blobs were canonical, or a damaged one) are parsed and their
-    :func:`content_digest` compared instead, with the same message on a
-    mismatch — the one fallback.
+    nothing is re-encoded.
     """
     path = Path(path)
     if digest is not None:
@@ -226,17 +228,25 @@ def read_json(
     except OSError as exc:
         raise error(f"cannot read {label} {path}: {exc}") from None
     with handle:
-        return _load_checked(handle, path, error, label, format, None)
+        return _load_checked(handle, path, error, label, format, remedy)
 
 
 def _read_verified(path: Path, error, label, format, digest: str) -> dict:
-    """:func:`read_json` with a digest: the raw hash, else the fallback."""
+    """:func:`read_json` with a digest: the raw bytes must hash to it."""
     raw = read_bytes(path, error, label)
-    if not (
-        raw.endswith(b"\n") and _bytes_digest(memoryview(raw)[:-1]) == digest
-    ):
+    body = memoryview(raw)[:-1] if raw.endswith(b"\n") else raw
+    actual = _bytes_digest(body)
+    del body
+    if actual != digest:
+        # Parsed only to name the failure: a torn write, a foreign
+        # format, or else tampered or mispaired bytes.
         handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-        return _load_checked(handle, path, error, label, format, digest)
+        _load_checked(handle, path, error, label, format, None)
+        raise error(
+            f"{path}: {label} content digest {actual} does not "
+            f"match the manifest's {digest} (tampered or mispaired "
+            f"{label} file)"
+        )
     # The bytes are the canonical text the digest was taken of.
     source = _DecodeOnRead(raw)
     del raw
@@ -277,9 +287,8 @@ def parse_json(
     return _load_checked(handle, Path(path), error, label, None, None)
 
 
-def _load_checked(handle, path: Path, error, label, format, digest) -> dict:
-    """The strict reader's parse and checks over a text handle; with
-    ``digest``, the parsed payload is re-digested."""
+def _load_checked(handle, path: Path, error, label, format, remedy) -> dict:
+    """The strict reader's parse and checks over a text handle."""
     try:
         payload = json.load(handle)
     except OSError as exc:
@@ -295,16 +304,7 @@ def _load_checked(handle, path: Path, error, label, format, digest) -> dict:
             f"{label} {path} is not valid JSON: not valid UTF-8 "
             f"(truncated write?): {exc}"
         ) from None
-    check_payload(payload, error, label, str(path), format)
-    if digest is not None:
-        actual = content_digest(payload)
-        if actual != digest:
-            raise error(
-                f"{path}: {label} content digest {actual} does not "
-                f"match the manifest's {digest} (tampered or mispaired "
-                f"{label} file)"
-            )
-    return payload
+    return check_payload(payload, error, label, str(path), format, remedy)
 
 
 # -- content-addressed blobs ------------------------------------------

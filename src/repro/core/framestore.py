@@ -27,10 +27,10 @@ Design rules, all inherited from the existing tiers:
   references only complete chunks: absent-or-previous, never torn.
   Chunks are read back with :func:`~repro.core.blobstore.get_blob`,
   which checks the digest by hashing the chunk's raw bytes (its
-  canonical JSON) before parsing, and re-digests only a chunk written
-  before blobs were canonical: a truncated, foreign, mispaired or
+  canonical JSON) before parsing: a truncated, foreign, mispaired or
   out-of-directory chunk is a loud :class:`FrameStoreError` (exit 2
-  from the CLI).
+  from the CLI).  A chunk's numeric columns are packed
+  (:meth:`~repro.core.resultframe.ResultFrame.to_stored_columns`).
 * **Bounded memory.**  The writer never buffers more than
   ``max_rows_in_memory`` rows; the streaming merge
   (:func:`merge_artifacts_to_store`) holds one source artifact plus
@@ -71,11 +71,15 @@ from .sweep import (
     stream_decision_frames,
 )
 
-#: Store manifest format identifier; bumped on incompatible changes.
-STORE_FORMAT = "repro-framestore/1"
+#: Store manifest format identifier; bumped on incompatible changes
+#: (version 2: chunks whose numeric columns are packed).
+STORE_FORMAT = "repro-framestore/2"
 
 #: Chunk file format identifier.
-CHUNK_FORMAT = "repro-framestore-chunk/1"
+CHUNK_FORMAT = "repro-framestore-chunk/2"
+
+#: How a refusal of an older release's store ends.
+RESPILL_STORE = "remove the directory and re-run the sweep to spill it again"
 
 #: The manifest filename inside a frame store directory.
 MANIFEST_NAME = "framestore.json"
@@ -150,6 +154,8 @@ class ChunkedFrameStore:
         self._meta = dict(meta)
         self._revision = int(revision)
         self._buffer: list[ResultFrame] = []
+        #: Rows of ``_buffer[0]`` already flushed into chunks.
+        self._head = 0
         self._buffered_rows = 0
 
     # -- construction -------------------------------------------------
@@ -201,7 +207,11 @@ class ChunkedFrameStore:
         directory = Path(directory)
         path = directory / MANIFEST_NAME
         payload = blobstore.read_json(
-            path, FrameStoreError, "frame store", format=STORE_FORMAT
+            path,
+            FrameStoreError,
+            "frame store",
+            format=STORE_FORMAT,
+            remedy=RESPILL_STORE,
         )
         try:
             entries = [
@@ -301,19 +311,27 @@ class ChunkedFrameStore:
         )
 
     def _take_buffered(self, count: int) -> ResultFrame:
-        """Pop exactly ``count`` rows off the head of the buffer."""
+        """Pop exactly ``count`` rows off the head of the buffer.
+
+        The head frame is consumed through an offset, so each buffered
+        row is copied once however many chunks it is cut into.
+        """
         taken: list[ResultFrame] = []
         need = count
         while need > 0:
-            frame = self._buffer[0]
-            n = len(frame)
-            if n <= need:
-                taken.append(self._buffer.pop(0))
-                need -= n
+            frame, start = self._buffer[0], self._head
+            stop = min(len(frame), start + need)
+            taken.append(
+                frame
+                if (start, stop) == (0, len(frame))
+                else frame.take(np.arange(start, stop))
+            )
+            need -= stop - start
+            if stop == len(frame):
+                self._buffer.pop(0)
+                self._head = 0
             else:
-                taken.append(frame.take(np.arange(need)))
-                self._buffer[0] = frame.take(np.arange(need, n))
-                need = 0
+                self._head = stop
         self._buffered_rows -= count
         return ResultFrame.concat(taken)
 
@@ -323,7 +341,7 @@ class ChunkedFrameStore:
             "format": CHUNK_FORMAT,
             "sequence": len(self._entries),
             "rows": len(chunk),
-            "columns": chunk.to_json_columns(),
+            "columns": chunk.to_stored_columns(),
         }
         # The chunk file lands (atomically) before the manifest that
         # references it: a crash between the two leaves an orphan chunk
@@ -376,8 +394,7 @@ class ChunkedFrameStore:
 
     def _read_chunk(self, entry: ChunkEntry) -> ResultFrame:
         """One chunk, verified against the manifest's digest by hashing
-        its raw bytes (:func:`~repro.core.blobstore.get_blob`; a chunk
-        written before blobs were canonical is re-digested instead) and
+        its raw bytes (:func:`~repro.core.blobstore.get_blob`) and
         against the manifest's row count."""
         path = self._directory / entry.file
         payload = blobstore.get_blob(
@@ -389,7 +406,7 @@ class ChunkedFrameStore:
             format=CHUNK_FORMAT,
         )
         try:
-            frame = ResultFrame.from_json_columns(payload["columns"])
+            frame = ResultFrame.from_stored_columns(payload["columns"])
         except (KeyError, TypeError, ValueError, SpecificationError) as exc:
             raise FrameStoreError(
                 f"{path}: malformed frame chunk ({exc})"

@@ -28,7 +28,12 @@ import numpy as np
 
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights, weighted_power
-from .resultframe import ResultFrame, distinct_values
+from .resultframe import (
+    ResultFrame,
+    distinct_values,
+    pack_column,
+    unpack_column,
+)
 
 #: The auxiliary ratio columns every decision frame carries.
 RATIO_COLUMNS = ("size_ratio", "cost_ratio")
@@ -159,18 +164,21 @@ class DecisionFrame:
         )
 
     def to_payload(self) -> dict:
-        """The frame as JSON-ready lists: THE on-disk codec of decision
+        """The frame as stored columns: THE on-disk codec of decision
         frames, embedded by shard artifacts and warehouse frame files.
 
-        Floats are emitted with ``repr`` by the JSON encoder, so
-        :meth:`from_payload` rebuilds every double exactly.
+        Labels are JSON lists and every numeric column — the ratios
+        included — is packed
+        (:meth:`~repro.core.resultframe.ResultFrame.to_stored_columns`),
+        so :meth:`from_payload` rebuilds every double bit for bit.
         """
         return {
             "indices": list(self.indices),
             "row_counts": list(self.row_counts),
-            "columns": self.frame.to_json_columns(),
+            "columns": self.frame.to_stored_columns(),
             "ratios": {
-                name: getattr(self, name).tolist() for name in RATIO_COLUMNS
+                name: pack_column(getattr(self, name))
+                for name in RATIO_COLUMNS
             },
         }
 
@@ -179,10 +187,10 @@ class DecisionFrame:
         """Rebuild a frame from its :meth:`to_payload` dict.
 
         Everything malformed is a :class:`SpecificationError`: a missing
-        key, a ratio section without exactly the two ratio lists, a
-        string or bool ratio (the re-rank divides by them), non-list
-        indices or row counts, ragged or wrong-typed columns, and every
-        refusal of the constructor.
+        key, a ratio section without exactly the two packed ratio
+        columns, non-list indices or row counts, every refusal of the
+        column codec (:func:`~repro.core.resultframe.unpack_column`)
+        and every refusal of the constructor.
         """
         try:
             ratios = payload["ratios"]
@@ -191,29 +199,24 @@ class DecisionFrame:
             ):
                 raise SpecificationError(
                     f"decision frame ratios must map exactly "
-                    f"{' and '.join(RATIO_COLUMNS)} to value lists, got "
-                    f"{ratios!r:.120}"
+                    f"{' and '.join(RATIO_COLUMNS)} to packed columns, "
+                    f"got {ratios!r:.120}"
                 )
-            for name, values in (
-                *ratios.items(),
-                ("indices", payload["indices"]),
-                ("row_counts", payload["row_counts"]),
-            ):
-                if not isinstance(values, list):
+            for name in ("indices", "row_counts"):
+                if not isinstance(payload[name], list):
                     raise SpecificationError(
                         f"decision frame {name} must be a list, got "
-                        f"{values!r:.60}"
+                        f"{payload[name]!r:.60}"
                     )
-                if name in RATIO_COLUMNS and not (
-                    set(map(type, values)) <= {int, float}
-                ):
-                    raise SpecificationError(
-                        f"decision frame {name} values must be numbers"
-                    )
+            frame = ResultFrame.from_stored_columns(payload["columns"])
+            size_ratio, cost_ratio = (
+                unpack_column(ratios[name], np.float64, len(frame), name)
+                for name in RATIO_COLUMNS
+            )
             return cls(
-                frame=ResultFrame.from_json_columns(payload["columns"]),
-                size_ratio=np.asarray(ratios["size_ratio"], dtype=np.float64),
-                cost_ratio=np.asarray(ratios["cost_ratio"], dtype=np.float64),
+                frame=frame,
+                size_ratio=size_ratio,
+                cost_ratio=cost_ratio,
                 indices=tuple(payload["indices"]),
                 row_counts=tuple(payload["row_counts"]),
             )
@@ -222,7 +225,6 @@ class DecisionFrame:
                 f"decision frame payload has no {exc} section"
             ) from None
         except (TypeError, ValueError) as exc:
-            # ValueError covers numpy's cast failures on column values.
             raise SpecificationError(
                 f"decision frame payload: {exc}"
             ) from None

@@ -24,6 +24,12 @@ Design rules the rest of the stack relies on:
   ``csv_lines`` formats with ``str(float)`` — byte-identical to what
   the row-object path printed, locked by
   ``tests/core/test_resultframe.py``.
+* **Stored columns are packed.**  On disk (shard artifacts, warehouse
+  frames, chunk-store chunks) every numeric column is the base64 text
+  of its little-endian bytes (:func:`pack_column`), labels stay JSON
+  lists: :meth:`ResultFrame.to_stored_columns` /
+  :meth:`ResultFrame.from_stored_columns` are the one column codec,
+  and the bits of every double — NaN payloads included — survive.
 * **Column order is :class:`SweepRow` field order**, so a frame's CSV
   header matches the historical ``SweepRow.as_dict`` key order.
 
@@ -34,6 +40,7 @@ an exact O(n log n) sort-and-staircase sweep).
 
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence
@@ -147,6 +154,65 @@ def _check_bool_values(name: str, values) -> None:
         f"result frame column {name!r} must hold booleans, got "
         f"dtype {raw.dtype}"
     )
+
+
+#: The stored dtype of each numeric column dtype: little-endian doubles,
+#: one byte per flag.  The column schema fixes which a column uses, so
+#: a packed column carries no header.
+_PACKED_DTYPES: dict[np.dtype, np.dtype] = {
+    np.dtype(np.float64): np.dtype("<f8"),
+    np.dtype(np.bool_): np.dtype("u1"),
+}
+
+
+def pack_column(column: np.ndarray) -> str:
+    """A float64 or flag column as stored text: the RFC 4648 base64 of
+    its little-endian bytes (eight per float, one per flag)."""
+    data = np.ascontiguousarray(column, dtype=_PACKED_DTYPES[column.dtype])
+    return binascii.b2a_base64(data.tobytes(), newline=False).decode("ascii")
+
+
+def unpack_column(text, dtype, rows: int, name: str) -> np.ndarray:
+    """The ``dtype`` column of ``rows`` values :func:`pack_column` stored
+    as ``text``; ``name`` labels the refusals.
+
+    Everything is checked before an array is built: ``text`` must be a
+    string of strict base64 whose byte length is a whole number of
+    values and exactly ``rows`` of them, and a flag byte must be 0 or 1.
+    Each failure is a :class:`~repro.errors.SpecificationError`.
+    """
+    stored = _PACKED_DTYPES[np.dtype(dtype)]
+    if not isinstance(text, str):
+        raise SpecificationError(
+            f"packed column {name!r} must be base64 text, got "
+            f"{type(text).__name__}"
+        )
+    try:
+        data = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:
+        # binascii.Error, and the ValueError of a non-ASCII string.
+        raise SpecificationError(
+            f"packed column {name!r} is not valid base64 ({exc})"
+        ) from None
+    if len(data) % stored.itemsize:
+        raise SpecificationError(
+            f"packed column {name!r} holds {len(data)} bytes, not a "
+            f"whole number of {stored.itemsize}-byte values"
+        )
+    if len(data) != rows * stored.itemsize:
+        raise SpecificationError(
+            f"packed column {name!r} holds {len(data) // stored.itemsize} "
+            f"values but the label columns hold {rows} rows"
+        )
+    array = np.frombuffer(data, dtype=stored)
+    if stored.kind == "u":
+        if array.size and array.max() > 1:
+            raise SpecificationError(
+                f"packed flag column {name!r} holds a byte other than "
+                f"0 or 1"
+            )
+        return array.view(np.bool_)
+    return array.astype(np.float64, copy=False)
 
 
 def distinct_values(values) -> tuple[np.ndarray, np.ndarray]:
@@ -541,6 +607,47 @@ class ResultFrame:
                 "result frame payload must be a column mapping"
             )
         return cls({name: payload[name] for name in payload})
+
+    def to_stored_columns(self) -> dict[str, object]:
+        """The columns as stored on disk: labels as JSON lists, every
+        numeric column as :func:`pack_column` text."""
+        return {
+            name: self._columns[name].tolist()
+            if name in LABEL_COLUMNS
+            else pack_column(self._columns[name])
+            for name in COLUMN_ORDER
+        }
+
+    @classmethod
+    def from_stored_columns(cls, payload) -> "ResultFrame":
+        """Rebuild a frame from its :meth:`to_stored_columns` payload.
+
+        The label columns, which must be lists, give the row count every
+        packed column must match (:func:`unpack_column`); any malformed
+        payload is a :class:`~repro.errors.SpecificationError`.
+        """
+        if not isinstance(payload, Mapping):
+            raise SpecificationError(
+                "result frame payload must be a column mapping"
+            )
+        missing = [name for name in COLUMN_ORDER if name not in payload]
+        if missing:
+            raise SpecificationError(
+                f"stored result frame has no {', '.join(missing)} column"
+            )
+        for name in LABEL_COLUMNS:
+            if not isinstance(payload[name], list):
+                raise SpecificationError(
+                    f"stored label column {name!r} must be a list, got "
+                    f"{type(payload[name]).__name__}"
+                )
+        rows = len(payload[LABEL_COLUMNS[0]])
+        columns = dict(payload)
+        for name in (*FLOAT_COLUMNS, *BOOL_COLUMNS):
+            columns[name] = unpack_column(
+                payload[name], _COLUMN_DTYPES[name], rows, name
+            )
+        return cls(columns)
 
     @staticmethod
     def csv_header() -> str:

@@ -22,10 +22,10 @@ back into the canonical row order, wherever they were produced:
 * :func:`write_shard_artifact` / :func:`read_shard_artifact` — the
   JSON serialisation.  The results travel through the decision
   frame's own codec (:meth:`~repro.core.ranking.DecisionFrame.
-  to_payload`), the one warehouse frame files use; Python's JSON
-  round-trips floats exactly (``repr``-based), so frames reassembled
-  from artifacts are *byte-identical* to what the serial engine would
-  have produced in-process.  Artifacts are published and read through
+  to_payload`), the one warehouse frame files use; its numeric columns
+  are packed IEEE doubles, so frames reassembled from artifacts are
+  *byte-identical* to what the serial engine would have produced
+  in-process.  Artifacts are published and read through
   :mod:`repro.core.blobstore` (atomic ``.tmp`` + fsync +
   :func:`os.replace` writes, strict reads), so a concurrent reader —
   the incremental gather service polls shard directories — never
@@ -75,8 +75,13 @@ from .sweep import (
 
 #: Artifact format identifier; bumped on incompatible payload changes.
 #: Version 2 replaced the per-row ``cells`` objects with the columnar
-#: frame payload; the ``ratios`` section it later gained is required.
-SHARD_FORMAT = "repro-sweep-shard/2"
+#: frame payload; version 3 packs its numeric columns
+#: (:func:`~repro.core.resultframe.pack_column`).
+SHARD_FORMAT = "repro-sweep-shard/3"
+
+#: How every refusal of a shard artifact ends: the artifact is derived
+#: data, and the shard run regenerates it.
+RERUN_SHARD = "re-run the shard to regenerate the artifact"
 
 
 class ShardMergeError(SpecificationError):
@@ -341,21 +346,20 @@ def payload_to_artifact(payload: dict, source: str = "<payload>") -> ShardArtifa
     """Rebuild a :class:`ShardArtifact` from its JSON payload.
 
     ``source`` names the artifact in error messages (the file path
-    when loaded from disk).  Everything malformed — the decision
+    when loaded from disk).  Everything malformed — another
+    :data:`SHARD_FORMAT` (an older release's artifact), the decision
     frame's refusals, a wrong-typed identity or geometry, a cache
-    section that is not a cache state — is a :class:`ShardMergeError`;
-    so is an artifact written before artifacts carried FoM ratios,
-    which names the re-run.
+    section that is not a cache state — is a one-line
+    :class:`ShardMergeError` that names the re-run.
     """
     blobstore.check_payload(
-        payload, ShardMergeError, "shard artifact", source, SHARD_FORMAT
+        payload,
+        ShardMergeError,
+        "shard artifact",
+        source,
+        SHARD_FORMAT,
+        RERUN_SHARD,
     )
-    if "ratios" not in payload:
-        raise ShardMergeError(
-            f"{source}: shard artifact carries no size/cost ratio "
-            f"columns (written before the warehouse tier existed?); "
-            f"re-run the shard to regenerate the artifact"
-        )
     try:
         return ShardArtifact(
             grid=GridIdentity.from_payload(payload),
@@ -366,7 +370,7 @@ def payload_to_artifact(payload: dict, source: str = "<payload>") -> ShardArtifa
         )
     except (KeyError, SpecificationError) as exc:
         raise ShardMergeError(
-            f"{source}: malformed shard artifact ({exc})"
+            f"{source}: malformed shard artifact ({exc}); {RERUN_SHARD}"
         ) from None
 
 
@@ -378,7 +382,7 @@ def shard_filename(shards: int, shard_index: int) -> str:
 def write_shard_artifact(
     path: Union[str, Path], artifact: ShardArtifact
 ) -> Path:
-    """Serialise a shard artifact to ``path`` (JSON, exact floats).
+    """Serialise a shard artifact to ``path`` (one JSON line).
 
     Published with :func:`repro.core.blobstore.write_json`: a reader
     polling the directory sees either no artifact or a complete one,

@@ -47,9 +47,10 @@ Design rules:
   already durable) — never a torn state.
 * **Appends are incremental and idempotent.**  Shard artifacts from a
   queue run (:func:`append_shard_artifact`,
-  :func:`ingest_shard_directory`) land one frame file each; an
-  artifact whose points are already covered is skipped, overlapping
-  or foreign-grid artifacts are refused loudly.
+  :func:`ingest_shard_directory`) land one frame file each, and an
+  ingest publishes the manifest once, after all of them; an artifact
+  whose points are already covered is skipped, overlapping or
+  foreign-grid artifacts are refused loudly.
 * **Nothing in a warehouse is time-stamped or host-stamped.**  The
   same sweep produces byte-identical warehouse bytes anywhere, which
   is what lets the golden-response tests pin whole query payloads.
@@ -84,11 +85,18 @@ from .sweep import (
     stream_decision_frames,
 )
 
-#: Manifest format identifier; bumped on incompatible layout changes.
-WAREHOUSE_FORMAT = "repro-warehouse/1"
+#: Manifest format identifier; bumped on incompatible layout changes
+#: (version 2: frame files whose numeric columns are packed).
+WAREHOUSE_FORMAT = "repro-warehouse/2"
 
 #: Frame-file format identifier.
-FRAME_FORMAT = "repro-warehouse-frame/1"
+FRAME_FORMAT = "repro-warehouse-frame/2"
+
+#: How a refusal of an older release's warehouse ends.
+REBUILD_WAREHOUSE = (
+    "rebuild the warehouse into a fresh directory (`repro-gps warehouse "
+    "build`, or re-run the shards and `--from-shards` them)"
+)
 
 #: The manifest filename inside a warehouse directory.
 MANIFEST_NAME = "warehouse.json"
@@ -122,8 +130,8 @@ def frame_payload(
     total_points: int,
 ) -> dict:
     """One frame file's JSON payload: the grid identity plus the
-    :meth:`~repro.core.ranking.DecisionFrame.to_payload` codec (exact
-    floats, no timestamps)."""
+    :meth:`~repro.core.ranking.DecisionFrame.to_payload` codec (packed
+    numeric columns, no timestamps)."""
     return {
         "format": FRAME_FORMAT,
         "fingerprint": fingerprint,
@@ -145,11 +153,10 @@ def read_warehouse_frame(
 
     With ``expected_digest`` (what the manifest records) the file's raw
     bytes are hashed before parsing: a frame blob is its canonical JSON
-    plus a newline, so that hash is its digest.  A frame file written
-    before blobs were canonical is parsed and re-digested instead.
-    Either way a frame file that was tampered with, truncated by a
-    non-atomic writer or mispaired with its name is a loud
-    :class:`WarehouseError`, never silently wrong rows.
+    plus a newline, so that hash is its digest.  A frame file that was
+    tampered with, truncated by a non-atomic writer or mispaired with
+    its name is a loud :class:`WarehouseError`, never silently wrong
+    rows.
     """
     payload = blobstore.read_json(
         path,
@@ -315,7 +322,12 @@ def payload_to_manifest(
 ) -> WarehouseManifest:
     """Rebuild a :class:`WarehouseManifest` from its JSON payload."""
     blobstore.check_payload(
-        payload, WarehouseError, "warehouse manifest", source, WAREHOUSE_FORMAT
+        payload,
+        WarehouseError,
+        "warehouse manifest",
+        source,
+        WAREHOUSE_FORMAT,
+        REBUILD_WAREHOUSE,
     )
     grid_spec = payload.get("grid_spec")
     if grid_spec is not None and not isinstance(grid_spec, dict):
@@ -429,8 +441,9 @@ def init_warehouse(
 def _append_frame(
     directory: Path, manifest: WarehouseManifest, dframe: DecisionFrame
 ) -> WarehouseManifest:
-    """The append step of :func:`append_decision_frame`, given the
-    warehouse's current ``manifest``; returns the republished one."""
+    """Publish ``dframe``'s frame file into the warehouse whose current
+    manifest is ``manifest``; returns that manifest plus the frame, not
+    yet published."""
     fresh: set[int] = set()
     for index in dframe.indices:
         if index >= manifest.total_points:
@@ -456,7 +469,7 @@ def _append_frame(
         indices=dframe.indices,
         rows=len(dframe),
     )
-    return _publish_manifest(directory, manifest.appended(entry))
+    return manifest.appended(entry)
 
 
 def append_decision_frame(
@@ -470,8 +483,9 @@ def append_decision_frame(
     or out-of-range points are refused before anything is written.
     """
     directory = Path(directory)
-    return _append_frame(
-        directory, read_warehouse_manifest(directory), dframe
+    return _publish_manifest(
+        directory,
+        _append_frame(directory, read_warehouse_manifest(directory), dframe),
     )
 
 
@@ -482,17 +496,24 @@ def append_shard_artifact(
 ) -> WarehouseManifest:
     """Append one shard artifact's results to a warehouse.
 
-    ``manifest`` is the warehouse's current manifest when the caller
-    already holds it — :func:`ingest_shard_directory` passes the one
-    the previous append returned — and is read from disk otherwise.
+    Without ``manifest`` the current one is read from disk, and the
+    manifest with the new frame is published after the frame file.
+    A caller that passes the warehouse's current ``manifest`` —
+    :func:`ingest_shard_directory` passes the one the previous append
+    returned — gets the next manifest back unpublished, with the frame
+    file already durable, and publishes it itself.
     """
     directory = Path(directory)
-    if manifest is None:
+    publish = manifest is None
+    if publish:
         manifest = read_warehouse_manifest(directory)
     manifest.grid.check(
         artifact.grid, WarehouseError, artifact.label, "the warehouse"
     )
-    return _append_frame(directory, manifest, artifact.dframe)
+    manifest = _append_frame(directory, manifest, artifact.dframe)
+    if publish:
+        _publish_manifest(directory, manifest)
+    return manifest
 
 
 def ingest_shard_directory(
@@ -509,12 +530,13 @@ def ingest_shard_directory(
 
     Artifacts are read **one at a time** — only the artifact currently
     being appended is ever resident, so ingesting a thousand-shard run
-    costs one artifact of memory, not the whole sweep.  A malformed
-    artifact therefore surfaces when its turn comes, after earlier
-    artifacts were already published; re-running the ingest after
-    fixing it skips those and continues — the idempotency the
-    covered-points check provides.  The manifest is read once: each
-    append returns the next one, covered set included.
+    costs one artifact of memory, not the whole sweep.  Each append
+    publishes its frame file and bumps the revision in memory; the
+    manifest is read at most once and published once, last, so its
+    bytes equal those of one-by-one appends.  An ingest that stops
+    early — killed, or refusing a malformed or foreign artifact —
+    leaves the previous manifest and orphan frame files, which the
+    re-run republishes with identical bytes.
     """
     directory = Path(directory)
     paths = find_shard_artifacts(shard_dir)
@@ -525,17 +547,14 @@ def ingest_shard_directory(
     # The artifact that initialises a new warehouse is also the loop's
     # first: it is read once.
     first = None
-    if not manifest_path(directory).exists():
+    fresh = not manifest_path(directory).exists()
+    if fresh:
         first = read_shard_artifact(paths[0])
-        _publish_manifest(
-            directory,
-            WarehouseManifest(
-                **first.grid.payload(),
-                revision=1,
-                frames=(),
-            ),
+        manifest = WarehouseManifest(
+            **first.grid.payload(), revision=1, frames=()
         )
-    manifest = read_warehouse_manifest(directory)
+    else:
+        manifest = read_warehouse_manifest(directory)
     appended: list[str] = []
     skipped: list[str] = []
     for path in paths:
@@ -555,6 +574,8 @@ def ingest_shard_directory(
             continue
         manifest = append_shard_artifact(directory, artifact, manifest)
         appended.append(path.name)
+    if fresh or appended:
+        _publish_manifest(directory, manifest)
     return manifest, appended, skipped
 
 

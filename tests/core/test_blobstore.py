@@ -17,9 +17,9 @@ The truncate and tamper cases then run through each container's public
 reader to show that each one inherits the guarantee.  The blob layout
 is pinned too: a blob's bytes are ``canonical_json(payload) + "\\n"``,
 its digest is the hash of those bytes less the newline, a verified read
-of such a blob re-encodes nothing, and a blob written in the old layout
-(``json.dumps`` with default separators and insertion key order) is
-still accepted through the one fallback.  The last class guards the
+re-encodes nothing, and a blob written in the old layout (``json.dumps``
+with default separators and insertion key order) fails the raw hash
+and is refused as tampered.  The last class guards the
 single-copy property: no other ``repro.core`` module may grow its own
 atomic writer, exclusive create, JSON reader or content digest.
 """
@@ -294,17 +294,16 @@ class TestNoReEncode:
             ChunkedFrameStore.open(tmp_path / "store").to_frame()
         assert calls == dict.fromkeys(self.ENCODERS, 0)
 
-    def test_only_the_fallback_re_digests(self, tmp_path):
-        """The guard sees a re-encode: a legacy blob takes the
-        fallback, which digests the parsed payload once."""
+    def test_a_refused_read_re_digests_nothing(self, tmp_path):
+        """A legacy blob fails the raw hash and is refused; nothing is
+        re-encoded to decide that."""
         name, digest = _legacy_put_blob(
             tmp_path, lambda d: f"blob-{d}.json", {"b": [1.5], "a": 1}
         )
         with _counting(*self.ENCODERS) as calls:
-            blobstore.get_blob(tmp_path, name, digest, BlobError, "blob")
-        assert calls == {
-            "content_digest": 1, "canonical_json": 1, "json.dumps": 1
-        }
+            with pytest.raises(BlobError, match="tampered or mispaired"):
+                blobstore.get_blob(tmp_path, name, digest, BlobError, "blob")
+        assert calls == dict.fromkeys(self.ENCODERS, 0)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_put_blob_runs_the_encoder_once(self, tmp_path, rows):
@@ -328,19 +327,27 @@ class TestNoReEncode:
 
 class TestLegacyBlobs:
     """Blobs written before blob bytes were canonical fail the raw hash
-    and are accepted through the parse-and-re-digest fallback."""
+    and are refused: there is no parse-and-re-digest fallback."""
 
     @settings(max_examples=60, deadline=None)
     @given(wild_objects)
-    def test_legacy_blob_is_accepted(self, payload):
+    def test_legacy_blob_is_refused(self, payload):
         with tempfile.TemporaryDirectory() as scratch:
             name, digest = _legacy_put_blob(
                 scratch, lambda d: f"blob-{d}.json", payload
             )
-            got = blobstore.get_blob(scratch, name, digest, BlobError, "blob")
-            assert blobstore.canonical_json(got) == (
-                blobstore.canonical_json(payload)
+            legacy = (Path(scratch) / name).read_bytes()
+            got = _outcome(
+                lambda: blobstore.get_blob(
+                    scratch, name, digest, BlobError, "blob"
+                ),
+                BlobError,
             )
+            # Only a payload whose two layouts coincide ({}) is read.
+            if legacy == _canonical_bytes(payload):
+                assert got == payload
+            else:
+                assert got is REFUSED
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -363,7 +370,7 @@ class TestLegacyBlobs:
                 ),
                 BlobError,
             )
-            assert got is REFUSED or got == payload
+            assert got is REFUSED
 
     def test_tampered_legacy_blob_gets_the_mismatch_message(self, tmp_path):
         payload = {"format": "x/1", "values": [1.5, 2.5]}
@@ -372,9 +379,7 @@ class TestLegacyBlobs:
         )
         path = tmp_path / name
         path.write_bytes(path.read_bytes().replace(b"2.5", b"2.4"))
-        actual = blobstore.content_digest(
-            {"format": "x/1", "values": [1.5, 2.4]}
-        )
+        actual = hashlib.sha256(path.read_bytes()[:-1]).hexdigest()[:16]
         with pytest.raises(BlobError) as excinfo:
             blobstore.get_blob(tmp_path, name, digest, BlobError, "blob")
         assert str(excinfo.value) == (
@@ -382,7 +387,9 @@ class TestLegacyBlobs:
             f"manifest's {digest} (tampered or mispaired blob file)"
         )
 
-    def test_legacy_containers_read_equal(self, tmp_path, monkeypatch):
+    def test_legacy_containers_are_refused(self, tmp_path, monkeypatch):
+        """A frame file and chunks in the old layout keep their names
+        (the digest is still the canonical JSON's) and are refused."""
         frame, digest = _frame_file(tmp_path / "new")
         _store(tmp_path / "new" / "store")
         monkeypatch.setattr(blobstore, "put_blob", _legacy_put_blob)
@@ -396,14 +403,10 @@ class TestLegacyBlobs:
         for old, new in zip([legacy_frame, *legacy_chunks], [frame, *chunks]):
             assert old.read_bytes() != new.read_bytes()
             assert json.loads(old.read_bytes()) == json.loads(new.read_bytes())
-        assert read_warehouse_frame(
-            legacy_frame, expected_digest=digest
-        ) == read_warehouse_frame(frame, expected_digest=digest)
-        assert ChunkedFrameStore.open(
-            tmp_path / "old" / "store"
-        ).to_frame() == ChunkedFrameStore.open(
-            tmp_path / "new" / "store"
-        ).to_frame()
+        with pytest.raises(WarehouseError, match="tampered or mispaired"):
+            read_warehouse_frame(legacy_frame, expected_digest=digest)
+        with pytest.raises(FrameStoreError, match="tampered or mispaired"):
+            ChunkedFrameStore.open(tmp_path / "old" / "store").to_frame()
 
 
 class TestTornAndTampered:
@@ -435,12 +438,15 @@ class TestTornAndTampered:
     @settings(max_examples=25, deadline=None)
     @given(json_objects, st.booleans())
     def test_truncation_at_every_offset_is_refused(self, payload, digested):
-        # ``write_json`` bytes are the old blob layout, so the digested
-        # case runs the fallback.
+        # A digested read is of a blob, so the digested case writes the
+        # blob layout; the other a ``write_json`` line.
         with tempfile.TemporaryDirectory() as scratch:
             path = blobstore.write_json(Path(scratch) / "x.json", payload)
+            digest = None
+            if digested:
+                path.write_bytes(_canonical_bytes(payload))
+                digest = blobstore.content_digest(payload)
             data = path.read_bytes()
-            digest = blobstore.content_digest(payload) if digested else None
             for cut in range(len(data)):
                 path.write_bytes(data[:cut])
                 got = _outcome(

@@ -48,7 +48,12 @@ from repro.core.framestore import (
 )
 from repro.core.methodology import CandidateBuildUp
 from repro.core.pareto import nondominated_mask
-from repro.core.resultframe import ResultFrame, SweepRow
+from repro.core.resultframe import (
+    ResultFrame,
+    SweepRow,
+    pack_column,
+    unpack_column,
+)
 from repro.core.sharding import (
     GridIdentity,
     ShardMergeError,
@@ -571,7 +576,11 @@ class TestChunkRefusals:
         store = _spilled_store(tmp_path / "s")
         chunk = sorted((tmp_path / "s").glob("chunk-*.json"))[0]
         payload = json.loads(chunk.read_text(encoding="utf-8"))
-        payload["columns"]["volume"][0] = 123456.0
+        volume = unpack_column(
+            payload["columns"]["volume"], np.float64, payload["rows"], "v"
+        ).copy()
+        volume[0] = 123456.0
+        payload["columns"]["volume"] = pack_column(volume)
         chunk.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FrameStoreError, match="digest"):
             store.to_frame()
@@ -689,6 +698,54 @@ class TestStoreContracts:
         manifest.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FrameStoreError, match="total_rows"):
             ChunkedFrameStore.open(tmp_path / "s")
+
+
+class TestBufferCopies:
+    """The writer copies each buffered row once: cutting one large frame
+    into many chunks used to re-copy its unflushed tail at every chunk,
+    O(F²/B) rows for an F-row frame at budget B."""
+
+    ROWS, BUDGET = 10_000, 64
+
+    @classmethod
+    def _frame(cls) -> ResultFrame:
+        rows = [_row(volume=float(i)) for i in range(8)]
+        return ResultFrame.from_rows(rows).take(
+            np.arange(cls.ROWS) % 8
+        )
+
+    def test_one_large_frame_is_copied_once(self, tmp_path, monkeypatch):
+        frame = self._frame()
+        taken = []
+        real = ResultFrame.take
+
+        def counting(self, indices):
+            taken.append(len(indices))
+            return real(self, indices)
+
+        monkeypatch.setattr(ResultFrame, "take", counting)
+        store = ChunkedFrameStore.create(
+            tmp_path / "one", max_rows_in_memory=self.BUDGET
+        )
+        store.append(frame)
+        store.finish()
+        monkeypatch.undo()
+        assert sum(taken) <= self.ROWS
+        assert store.chunk_count == -(-self.ROWS // self.BUDGET)
+        assert store.to_frame() == frame
+
+    def test_chunk_bytes_do_not_depend_on_append_size(self, tmp_path):
+        frame = self._frame()
+        one = _spill(frame, tmp_path / "one", self.BUDGET, [self.ROWS])
+        pieces = _spill(frame, tmp_path / "pieces", self.BUDGET, [37] * 300)
+        names = sorted(path.name for path in one.directory.iterdir())
+        assert names == sorted(
+            path.name for path in pieces.directory.iterdir()
+        )
+        for name in names:
+            assert (one.directory / name).read_bytes() == (
+                pieces.directory / name
+            ).read_bytes()
 
 
 class TestMaxRowsEnv:

@@ -17,6 +17,7 @@ import functools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,11 @@ from repro.core.methodology import CandidateBuildUp
 from repro.core.gather import gather_directory
 from repro.core.blobstore import ArtifactState, artifact_state, pending_path
 from repro.core.queue import manifest_for_grid, run_queue_worker, write_manifest
+from repro.core.resultframe import (
+    BOOL_COLUMNS,
+    pack_column,
+    unpack_column,
+)
 from repro.core.sharding import (
     SHARD_FORMAT,
     ShardMergeError,
@@ -179,7 +185,12 @@ class TestMergeIdentity:
         ]
         for section in (payload["columns"], payload["ratios"]):
             for name, values in section.items():
-                section[name] = [values[row] for row in rows]
+                if isinstance(values, list):
+                    section[name] = [values[row] for row in rows]
+                else:
+                    dtype = bool if name in BOOL_COLUMNS else np.float64
+                    column = unpack_column(values, dtype, len(rows), name)
+                    section[name] = pack_column(column[rows])
         payload["indices"].reverse()
         counts.reverse()
         merged = merge_shard_artifacts([payload_to_artifact(payload)])
@@ -338,7 +349,10 @@ class TestMergeRejection:
     def test_ragged_columns_rejected(self):
         artifact = make_artifacts(1)[0]
         payload = artifact_to_payload(artifact)
-        payload["columns"]["volume"].append(1.0)
+        volume = unpack_column(
+            payload["columns"]["volume"], np.float64, len(artifact.dframe), "v"
+        )
+        payload["columns"]["volume"] = pack_column(np.append(volume, 1.0))
         with pytest.raises(ShardMergeError, match="malformed"):
             payload_to_artifact(payload)
 
@@ -347,7 +361,7 @@ class TestMergeRejection:
         numpy ValueError traceback."""
         artifact = make_artifacts(1)[0]
         payload = artifact_to_payload(artifact)
-        payload["columns"]["volume"][0] = "abc"
+        payload["columns"]["volume"] = ["abc"] * len(artifact.dframe)
         with pytest.raises(ShardMergeError, match="malformed"):
             payload_to_artifact(payload)
 

@@ -12,6 +12,7 @@ The reader/query semantics live in ``test_queryservice.py``.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,8 +370,8 @@ class TestWriter:
     ):
         """Each append used to re-read the manifest twice and rebuild
         the covered set from every frame entry; an ingest of K shards
-        now reads it once, and writes the bytes one-by-one appends
-        write."""
+        now reads it at most once, and writes the bytes one-by-one
+        appends write."""
         from repro.core import warehouse
 
         shard_dir = tmp_path / "shards"
@@ -398,7 +399,8 @@ class TestWriter:
         monkeypatch.setattr(warehouse, "read_warehouse_manifest", counting)
         wh = tmp_path / "wh"
         manifest, appended, skipped = ingest_shard_directory(wh, shard_dir)
-        assert len(reads) == 1
+        # A fresh warehouse's manifest is built in memory, never read.
+        assert len(reads) == 0
         assert (len(appended), skipped) == (shards, [])
         assert manifest == real(reference)
         assert manifest.covered == frozenset(range(len(GRID)))
@@ -413,6 +415,100 @@ class TestWriter:
         assert len(reads) == 1
         assert (appended, len(skipped)) == ([], shards)
         assert manifest_path(wh).read_bytes() == written
+
+    @pytest.mark.parametrize("existing", [0, 1], ids=["fresh", "existing"])
+    def test_ingest_publishes_the_manifest_once(
+        self, tmp_path, artifacts, existing, monkeypatch
+    ):
+        """Each append used to republish (and fsync) the manifest; an
+        ingest of K shards now publishes it once, after every frame."""
+        from repro.core import blobstore
+
+        shard_dir = tmp_path / "shards"
+        for artifact in artifacts[:existing]:
+            write_shard_artifact(
+                shard_dir / shard_filename(3, artifact.shard_index), artifact
+            )
+        wh = tmp_path / "wh"
+        if existing:
+            ingest_shard_directory(wh, shard_dir)
+        for artifact in artifacts[existing:]:
+            write_shard_artifact(
+                shard_dir / shard_filename(3, artifact.shard_index), artifact
+            )
+        published = []
+        real = blobstore.publish_bytes
+
+        def recording(path, data):
+            published.append(Path(path).name)
+            return real(path, data)
+
+        monkeypatch.setattr(blobstore, "publish_bytes", recording)
+        manifest, appended, _ = ingest_shard_directory(wh, shard_dir)
+        assert len(appended) == 3 - existing
+        assert published.count("warehouse.json") == 1
+        assert published[-1] == "warehouse.json"
+        assert manifest.revision == 4
+
+    @pytest.mark.parametrize("existing", [0, 1], ids=["fresh", "existing"])
+    def test_killed_ingest_leaves_the_previous_manifest(
+        self, tmp_path, artifacts, existing
+    ):
+        """A process killed between two frame publishes leaves the
+        previous manifest (or none) and an orphan frame; the re-run
+        leaves the bytes an uninterrupted ingest leaves."""
+        import os
+        import subprocess
+        import sys
+
+        shard_dir = tmp_path / "shards"
+        for artifact in artifacts[:existing]:
+            write_shard_artifact(
+                shard_dir / shard_filename(3, artifact.shard_index), artifact
+            )
+        wh, reference = tmp_path / "wh", tmp_path / "reference"
+        if existing:
+            ingest_shard_directory(wh, shard_dir)
+        for artifact in artifacts[existing:]:
+            write_shard_artifact(
+                shard_dir / shard_filename(3, artifact.shard_index), artifact
+            )
+        before = (
+            manifest_path(wh).read_bytes() if existing else None
+        )
+        child = (
+            "import os, signal, sys\n"
+            "from repro.core import blobstore, warehouse\n"
+            "real, calls = blobstore.put_blob, []\n"
+            "def put_blob(*args):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(*args)\n"
+            "blobstore.put_blob = put_blob\n"
+            "warehouse.ingest_shard_directory(sys.argv[1], sys.argv[2])\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(wh), str(shard_dir)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+        )
+        assert result.returncode == -9, result.stderr
+        frames = sorted(wh.glob("frame-*.json"))
+        assert len(frames) == existing + 1
+        if existing:
+            assert manifest_path(wh).read_bytes() == before
+        else:
+            assert not manifest_path(wh).exists()
+
+        ingest_shard_directory(wh, shard_dir)
+        ingest_shard_directory(reference, shard_dir)
+        assert sorted(path.name for path in wh.iterdir()) == sorted(
+            path.name for path in reference.iterdir()
+        )
+        for path in reference.iterdir():
+            assert (wh / path.name).read_bytes() == path.read_bytes()
 
     def test_append_reads_the_manifest_once(
         self, tmp_path, artifacts, monkeypatch

@@ -874,10 +874,12 @@ class TestMergeTornArtifact:
         assert "Traceback" not in err
 
     def test_foreign_format_artifact_exits_2(self, tmp_path, capsys):
+        from repro.core.sharding import SHARD_FORMAT
+
         self._shards(tmp_path, capsys)
         path = tmp_path / "shard-0000-of-0002.json"
         payload = path.read_text(encoding="utf-8").replace(
-            "repro-sweep-shard/2", "alien-format/7"
+            SHARD_FORMAT, "alien-format/7"
         )
         path.write_text(payload, encoding="utf-8")
         with pytest.raises(SystemExit) as excinfo:
@@ -1815,13 +1817,21 @@ class TestOutOfCoreCli:
     ):
         import json
 
+        import numpy as np
+
+        from repro.core.resultframe import pack_column, unpack_column
+
         monkeypatch.delenv("REPRO_SWEEP_MAX_ROWS", raising=False)
         spill = ["--max-rows-in-memory", "5", "--spill-dir", str(tmp_path / "sp")]
         assert main(["sweep", *self.GRID, "--csv", *spill]) == 0
         capsys.readouterr()
         chunk = sorted((tmp_path / "sp").glob("chunk-*.json"))[0]
         payload = json.loads(chunk.read_text(encoding="utf-8"))
-        payload["columns"]["volume"][0] = 1e9
+        volume = unpack_column(
+            payload["columns"]["volume"], np.float64, payload["rows"], "v"
+        ).copy()
+        volume[0] = 1e9
+        payload["columns"]["volume"] = pack_column(volume)
         chunk.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", *self.GRID, "--csv", *spill])
