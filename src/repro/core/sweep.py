@@ -124,6 +124,13 @@ def _weights_label(weights: Optional[FomWeights]) -> str:
     return f"{weights.performance:g}:{weights.size:g}:{weights.cost:g}"
 
 
+def _check_volume(volume) -> None:
+    if not (math.isfinite(volume) and volume > 0):
+        raise SpecificationError(
+            f"volume must be positive and finite, got {volume}"
+        )
+
+
 @dataclass(frozen=True)
 class DesignPoint:
     """One coordinate of the design space.
@@ -151,10 +158,7 @@ class DesignPoint:
     weights: Optional[FomWeights] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.volume) and self.volume > 0):
-            raise SpecificationError(
-                f"volume must be positive and finite, got {self.volume}"
-            )
+        _check_volume(self.volume)
 
     def q_model_label(self) -> str:
         """The Q-model axis value as a short string (``paper`` default)."""
@@ -188,17 +192,43 @@ class DesignPoint:
         return " ".join(parts)
 
 
+#: :class:`SweepGrid`'s axes in canonical (volume-major) order, one per
+#: :class:`DesignPoint` field in field order.
+GRID_AXES = (
+    "volumes",
+    "substrates",
+    "processes",
+    "tolerances",
+    "q_models",
+    "nres",
+    "fom_weights",
+)
+
+
 def _dedupe_axis(values) -> tuple:
     """Order-preserving removal of equal axis values.
 
-    Equality-based (not hash-based) so axis values only need ``__eq__``
-    — the scenario axes carry arbitrary objects — and a linear scan per
-    value, which is irrelevant at axis lengths.
+    A value is dropped when it equals (``==``) an earlier one.  Hashable
+    values are looked up in a set (equal values hash alike), so a
+    32768-value volume axis dedupes in linear time; the scenario axes
+    may carry arbitrary objects, and an unhashable one is compared with
+    every kept value instead.
     """
     kept: list = []
+    hashed: set = set()
+    unhashable: list = []
     for value in values:
-        if not any(value == existing for existing in kept):
-            kept.append(value)
+        try:
+            hash(value)
+        except TypeError:
+            if not any(value == existing for existing in kept):
+                kept.append(value)
+                unhashable.append(value)
+            continue
+        if value in hashed or any(value == other for other in unhashable):
+            continue
+        hashed.add(value)
+        kept.append(value)
     return tuple(kept)
 
 
@@ -222,15 +252,7 @@ class SweepGrid:
     fom_weights: tuple[Optional[FomWeights], ...] = (None,)
 
     def __post_init__(self) -> None:
-        for name in (
-            "volumes",
-            "substrates",
-            "processes",
-            "tolerances",
-            "q_models",
-            "nres",
-            "fom_weights",
-        ):
+        for name in GRID_AXES:
             values = getattr(self, name)
             if not values:
                 raise SpecificationError(f"grid axis {name!r} is empty")
@@ -242,6 +264,10 @@ class SweepGrid:
             # collapse.  Order-preserving: the surviving values keep
             # their original relative order.
             object.__setattr__(self, name, _dedupe_axis(values))
+        # Checked here, not only as each point is built: an adaptive
+        # sweep builds just the points it evaluates.
+        for volume in self.volumes:
+            _check_volume(volume)
 
     def __len__(self) -> int:
         return (
@@ -262,33 +288,30 @@ class SweepGrid:
         order they always did.
         """
         return [
-            DesignPoint(
-                volume=volume,
-                substrate=substrate,
-                process=process,
-                tolerance=tolerance,
-                q_model=q_model,
-                nre=nre,
-                weights=weights,
-            )
-            for (
-                volume,
-                substrate,
-                process,
-                tolerance,
-                q_model,
-                nre,
-                weights,
-            ) in product(
-                self.volumes,
-                self.substrates,
-                self.processes,
-                self.tolerances,
-                self.q_models,
-                self.nres,
-                self.fom_weights,
-            )
+            DesignPoint(*values)
+            for values in product(*(getattr(self, a) for a in GRID_AXES))
         ]
+
+    def point_at(self, index: int) -> DesignPoint:
+        """The coordinate :meth:`points` lists at ``index``.
+
+        Unravels ``index`` over the axes, last axis fastest, and builds
+        the point from the grid's own axis values, so it equals
+        ``self.points()[index]`` — sharing its axis objects — without
+        enumerating the grid.  An index outside ``0 .. len(self) - 1``
+        is an error, never wrapped around.
+        """
+        if not 0 <= index < len(self):
+            raise SpecificationError(
+                f"grid index {index} is out of range for a "
+                f"{len(self)}-point grid"
+            )
+        values = []
+        for name in reversed(GRID_AXES):
+            axis = getattr(self, name)
+            index, position = divmod(index, len(axis))
+            values.append(axis[position])
+        return DesignPoint(*reversed(values))
 
 
 #: The cache's sub-result tables, in reporting order.
@@ -318,8 +341,10 @@ class EvaluationCache:
     key is built once per *distinct* input, never once per lookup:
 
     * performance: ``repr`` of a chain's technology assignments;
-    * area: :meth:`area_key`, rendered by the caller once per distinct
-      ``(footprints, rule, laminate)`` and handed to :meth:`area`;
+    * area: :meth:`area_key`, rendered by :func:`candidate_area_keys`
+      once per distinct ``(footprints, rule, laminate)`` object triple
+      for the cache's whole life — across calls, passes and stream
+      blocks — and handed to :meth:`area`;
     * cost: nested ``repr(flow)`` → ``repr(volume)`` → final cost per
       shipped unit, the only cost figure the ranking reads.  The flat
       key ``f"{volume!r}|{flow!r}"`` is spelled out only by
@@ -338,6 +363,10 @@ class EvaluationCache:
         }
         self._hits: dict[str, int] = {name: 0 for name in CACHE_TABLES}
         self._misses: dict[str, int] = {name: 0 for name in CACHE_TABLES}
+        # ``id`` s of ``(footprints, rule, laminate)`` → (those inputs,
+        # their rendered area key).  Holding the inputs keeps their ids
+        # from being reused while the cache lives.
+        self._area_keys: dict[tuple[int, int, int], tuple[tuple, str]] = {}
 
     def _get(self, name: str, key: str, compute: Callable):
         table = self._tables[name]
@@ -688,21 +717,32 @@ def frame_for_cells(
     )
 
 
+#: Most ``(footprints, rule, laminate)`` triples one cache keeps rendered
+#: area keys for (see :func:`candidate_area_keys`).
+AREA_KEY_MEMO_SIZE = 1024
+
+
 def candidate_area_keys(
     family_candidates: Sequence[Sequence[CandidateBuildUp]],
+    cache: EvaluationCache,
 ) -> list[list[str]]:
     """Every candidate's :meth:`EvaluationCache.area_key`, per family.
 
     A key runs to several kilobytes (one ``repr`` per footprint), and
-    candidate factories share their inputs across families — the GPS
-    factory's footprint tuples come memoised from
+    candidate factories share their inputs across families and calls —
+    the GPS factory's footprint tuples come memoised from
     :func:`repro.gps.buildups.footprints_for` and its rules are module
     constants or grid axis values.  So each key is rendered once per
-    distinct ``(footprints, rule, laminate)`` object triple of the call
-    and shared by every candidate carrying that triple; the call holds
-    the candidates, so the objects' ``id`` s stay unique throughout.
+    distinct ``(footprints, rule, laminate)`` object triple per
+    ``cache`` and shared by every candidate carrying that triple, in
+    this call and every later one (the next stream block, the next
+    adaptive pass).  The cache holds the triple beside its key, so the
+    objects' ``id`` s stay unique while it lives.  A factory that builds
+    fresh footprint objects per call gains nothing from the memo, so it
+    is emptied whenever it reaches :data:`AREA_KEY_MEMO_SIZE` triples
+    rather than pinning every such object for the cache's life.
     """
-    rendered: dict[tuple[int, int, int], str] = {}
+    rendered = cache._area_keys
     keys = []
     for candidates in family_candidates:
         family_keys = []
@@ -713,10 +753,15 @@ def candidate_area_keys(
                 candidate.laminate,
             )
             identity = (id(inputs[0]), id(inputs[1]), id(inputs[2]))
-            key = rendered.get(identity)
-            if key is None:
-                key = rendered[identity] = EvaluationCache.area_key(*inputs)
-            family_keys.append(key)
+            entry = rendered.get(identity)
+            if entry is None:
+                if len(rendered) >= AREA_KEY_MEMO_SIZE:
+                    rendered.clear()
+                entry = rendered[identity] = (
+                    inputs,
+                    EvaluationCache.area_key(*inputs),
+                )
+            family_keys.append(entry[1])
         keys.append(family_keys)
     return keys
 
@@ -784,7 +829,7 @@ def evaluate_cell(
     """Evaluate one grid point over ready-made candidates: the
     one-point family (:func:`evaluate_family`)."""
     candidates = list(candidates)
-    (area_keys,) = candidate_area_keys([candidates])
+    (area_keys,) = candidate_area_keys([candidates], cache)
     return evaluate_family(
         [point], candidates, area_keys, reference, weights, cache
     )
@@ -888,7 +933,7 @@ def evaluate_cells(
     is assessed with one batched flow walk per (candidate, flow).  Any
     other factory is called per point, each point its own family.  Both
     produce bit-identical frames.  Either way each distinct area key is
-    rendered once for the whole run (:func:`candidate_area_keys`).
+    rendered once per cache (:func:`candidate_area_keys`).
     """
     batched = getattr(candidate_factory, "volume_invariant", False)
     if batched:
@@ -899,7 +944,7 @@ def evaluate_cells(
     family_candidates = [
         list(candidate_factory(family[0])) for family in families
     ]
-    area_keys = candidate_area_keys(family_candidates)
+    area_keys = candidate_area_keys(family_candidates, cache)
     if batched:
         _seed_family_placements(family_candidates, area_keys, cache)
     return DecisionFrame.concat(

@@ -11,12 +11,15 @@ The load-bearing properties, checked with hypothesis on random grids:
 * the evaluated subset never depends on the stream's blocks, only on
   the grid, the coarse sampling and the margin.
 
-Around it: the margin front (``margin = 0`` coincides with
+Around it: the zoom's proposals (identical to the full-axis scan in
+``tests/zoom_reference.py`` on random grids, evaluated sets and front
+sets), the margin front (``margin = 0`` coincides with
 the ``first_dominators`` reference bit for bit, a positive
 margin with the broadcast ``margin_dominators`` reference, growing
 margins only widen survival), budget exhaustion, the single-pass
-"coarse covers everything = plain sweep" edge, spill integration and
-the parameter-validation matrix.
+"coarse covers everything = plain sweep" edge, spill integration, a
+guard that no pass enumerates the whole grid and the
+parameter-validation matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from hypothesis import strategies as st
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
-from repro.circuits.qfactor import SubstrateLossQModel
+from repro.circuits.qfactor import Q_MODEL_SCENARIOS, SubstrateLossQModel
 from repro.core.adaptive import (
     AdaptiveReport,
+    _GridIndex,
     global_front_mask,
     run_adaptive_sweep,
     spill_adaptive_sweep,
@@ -48,12 +52,14 @@ from repro.core.sweep import (
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
+from repro.passives.tolerance import PRECISION_CLASS
 
 from pareto_reference import (
     first_dominators,
     margin_dominators,
     objective_frame,
 )
+from zoom_reference import reference_zoom_indices
 
 #: Volumes the random grids draw from — wide enough that NRE
 #: amortisation moves the cost objective across the axis.
@@ -273,6 +279,109 @@ class TestRefinableAxes:
         labels = set(report.frame.column("weights").tolist())
         assert "paper" in labels
         assert "0.5:1:1" in labels and "4:1:1" in labels
+
+
+#: Q-model values for the zoom grids: ``tan=<x>`` models (refinable,
+#: ordered by loss tangent) mixed with named scenarios and the paper
+#: default (categorical).
+ZOOM_Q_POOL = (
+    None,
+    Q_MODEL_SCENARIOS["skin"],
+    Q_MODEL_SCENARIOS["measured"],
+) + tuple(
+    SubstrateLossQModel(tan_delta_ref=t)
+    for t in (0.001, 0.002, 0.004, 0.008, 0.016, 0.032)
+)
+
+#: Weight triples (refinable, ordered by exponents) plus the default.
+ZOOM_WEIGHT_POOL = (None,) + tuple(
+    FomWeights(performance=p, size=s)
+    for p in (0.5, 1.0, 2.0)
+    for s in (0.5, 2.0)
+)
+
+zoom_grids = st.builds(
+    SweepGrid,
+    volumes=st.lists(
+        st.sampled_from(VOLUME_POOL), min_size=1, max_size=11, unique=True
+    ).map(tuple),
+    tolerances=st.sampled_from([(None,), (None, PRECISION_CLASS)]),
+    q_models=st.lists(
+        st.sampled_from(ZOOM_Q_POOL), min_size=1, max_size=5, unique_by=id
+    ).map(tuple),
+    fom_weights=st.lists(
+        st.sampled_from(ZOOM_WEIGHT_POOL),
+        min_size=1,
+        max_size=4,
+        unique_by=id,
+    ).map(tuple),
+)
+
+
+class TestZoomProposals:
+    """The evaluated-set index proposes exactly what the full-axis scan
+    of ``tests/zoom_reference.py`` proposes."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_axis_scan(self, data):
+        grid = data.draw(zoom_grids)
+        index = _GridIndex(grid)
+        evaluated = data.draw(
+            st.sets(
+                st.integers(0, len(grid) - 1),
+                min_size=1,
+                max_size=min(len(grid), 40),
+            )
+        )
+        if data.draw(st.booleans()):
+            # A coarse pass's dense lines under the random cells.
+            coarse = data.draw(st.sampled_from((2, 3, 4)))
+            evaluated |= set(index.coarse_indices(coarse))
+        refine = data.draw(st.sets(st.sampled_from(sorted(evaluated))))
+        assert index.zoom_indices(refine, evaluated) == (
+            reference_zoom_indices(index, refine, evaluated)
+        )
+
+    def test_single_cell_line_bisects_towards_both_ends(self):
+        # Nine ascending volumes, only rank 4 evaluated: both endpoints
+        # are starved, so each side proposes its end and the midpoint.
+        grid = SweepGrid(volumes=VOLUME_POOL[:9])
+        index = _GridIndex(grid)
+        assert index.zoom_indices({4}, {4}) == [0, 2, 6, 8]
+        assert reference_zoom_indices(index, {4}, {4}) == [0, 2, 6, 8]
+
+    def test_resolved_line_proposes_nothing(self):
+        grid = SweepGrid(volumes=VOLUME_POOL[:3])
+        index = _GridIndex(grid)
+        assert index.zoom_indices({1}, {0, 1, 2}) == []
+
+
+class TestWholeGridNeverEnumerated:
+    """A pass resolves only the points it evaluates
+    (:meth:`SweepGrid.point_at`), never the whole grid."""
+
+    @pytest.fixture(autouse=True)
+    def no_points(self, monkeypatch):
+        def points(self):
+            raise AssertionError("SweepGrid.points called")
+
+        monkeypatch.setattr(SweepGrid, "points", points)
+
+    GRID = SweepGrid(
+        volumes=VOLUME_POOL, fom_weights=(None, FomWeights(cost=0.5))
+    )
+
+    def test_run(self):
+        report = run_adaptive_sweep(self.GRID, toy_candidates)
+        assert report.grid_points == len(self.GRID)
+        assert report.total_evaluations < len(self.GRID)
+
+    def test_spill(self, tmp_path):
+        store, report = spill_adaptive_sweep(
+            self.GRID, toy_candidates, tmp_path / "store", 8
+        )
+        assert store.to_frame() == report.frame
 
 
 class TestSpill:

@@ -11,12 +11,21 @@ The expected keys here are spelled out with the plain formulas:
 and compared with what the batched fill (``run_design_sweep``) and the
 per-point reference (``tests/per_point.py``, single-volume
 ``cost_batch`` calls) leave in the cache.  A regression guard then
-counts the key *builds* on a 256-point grid: every key is rendered once
-per distinct input, never once per lookup, and no per-volume cost key
-string exists until ``portable_state()`` spells it out.
+counts the key *builds* on a 256-point grid, a grid streamed in several
+blocks and an adaptive run: every key is rendered once per distinct
+input and cache, never once per lookup, block or pass, and no
+per-volume cost key string exists until ``portable_state()`` spells it
+out.  ``cache_state_golden.json`` pins ``portable_state()`` of fixed
+runs byte for byte (``python tests/core/test_cache_keys.py --write``
+rewrites it, for an intended key change only).
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,21 +34,32 @@ from repro.area.footprint import Footprint
 from repro.area.placement import trivial_placement
 from repro.area.substrate import MCM_D_FINE_RULE
 from repro.circuits.qfactor import SkinEffectQModel
+from repro.core.adaptive import run_adaptive_sweep
 from repro.core.figure_of_merit import FomWeights
+from repro.core.executors import STREAM_BLOCK
 from repro.core.sweep import (
+    AREA_KEY_MEMO_SIZE,
     CACHE_TABLES,
     DesignPoint,
     EvaluationCache,
     SweepGrid,
     cache_key_digest,
     run_design_sweep,
+    stream_design_sweep,
 )
-from repro.gps.study import GpsSweepFactory, sweep_candidates
+from repro.gps.study import (
+    GpsSweepFactory,
+    run_adaptive_gps_sweep,
+    sweep_candidates,
+)
 from repro.passives.thin_film import SI3N4_PROCESS
 from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
 
 from per_point import per_point_frame
 from sharded_reference import merge_caches
+
+#: ``portable_state()`` of the :func:`cache_states` runs.
+GOLDEN = Path(__file__).with_name("cache_state_golden.json")
 
 #: 2 substrates x 2 processes x 2 tolerances x 2 Q models, with the
 #: volumes given as an int, a float and a numpy float.
@@ -158,6 +178,51 @@ def test_volume_spellings_stay_distinct_cost_entries():
     assert stats["misses"] == 4 * 3
 
 
+#: More than one stream block: 96 volumes x 2 tolerances x 2 Q models.
+STREAM_GRID = SweepGrid(
+    volumes=tuple(np.geomspace(1e2, 1e7, 96)),
+    tolerances=(None, MATCHING_CLASS),
+    q_models=(None, SkinEffectQModel()),
+)
+
+#: A grid the adaptive driver zooms on for several passes.
+ADAPTIVE_GRID = SweepGrid(
+    volumes=tuple(np.geomspace(1e2, 1e7, 64)),
+    tolerances=(None, MATCHING_CLASS),
+)
+
+
+def streamed_cache(grid, factory=None) -> EvaluationCache:
+    cache = EvaluationCache()
+    for _ in stream_design_sweep(
+        grid, factory or GpsSweepFactory(), cache=cache
+    ):
+        pass
+    return cache
+
+
+class FreshFootprints:
+    """The GPS factory, with every candidate's footprints copied into a
+    fresh tuple per call and dropped with the candidates.
+
+    Freed tuples leave their ``id`` s to the next call's allocations, so
+    a key memo that forgot the objects behind an ``id`` would hand one
+    build-up another's area key.  ``volume_invariant=False`` makes the
+    sweep call it once per point.
+    """
+
+    def __init__(self, volume_invariant: bool = True):
+        self.volume_invariant = volume_invariant
+
+    def __call__(self, point):
+        return [
+            dataclasses.replace(
+                candidate, footprints=tuple(list(candidate.footprints))
+            )
+            for candidate in GpsSweepFactory()(point)
+        ]
+
+
 class _VolumeKey(str):
     """A volume's ``repr``, counting the strings built from it."""
 
@@ -184,7 +249,9 @@ class _Volume(float):
 
 class TestKeysBuiltOncePerDistinctInput:
     """Deterministic stand-in for a timing gate: a per-lookup ``repr``
-    creeping back into the sweep shows up as a count, not a clock."""
+    creeping back into the sweep shows up as a count, not a clock — in
+    one call, across the blocks of a stream and across the passes of an
+    adaptive run sharing one cache."""
 
     GRID = SweepGrid(
         volumes=tuple(_Volume(v) for v in np.geomspace(1e2, 1e7, 64)),
@@ -239,3 +306,65 @@ class TestKeysBuiltOncePerDistinctInput:
         # which also shows the counter sees such a build.
         cache.portable_state()
         assert _VolumeKey.builds == tables["cost"]["entries"]
+
+    def test_stream_grid_spans_blocks(self):
+        assert len(STREAM_GRID) > STREAM_BLOCK
+
+    def test_multi_block_stream(self, counted):
+        cache = streamed_cache(STREAM_GRID)
+        entries = cache.stats()["tables"]["area"]["entries"]
+        assert 0 < counted["area_key"] <= entries
+
+    def test_adaptive_run(self, counted):
+        cache = EvaluationCache()
+        report = run_adaptive_gps_sweep(ADAPTIVE_GRID, cache=cache)
+        assert len(report.passes) > 2
+        entries = cache.stats()["tables"]["area"]["entries"]
+        assert 0 < counted["area_key"] <= entries
+
+    def test_fresh_footprints_stream_keys_match_their_inputs(self):
+        cache = streamed_cache(STREAM_GRID, FreshFootprints())
+        assert key_digests(cache) == expected_digests(STREAM_GRID.points())
+
+    def test_per_point_fresh_footprints_stay_within_the_memo_bound(self):
+        # Four fresh triples per point: more than the memo keeps.
+        assert 4 * len(STREAM_GRID) > AREA_KEY_MEMO_SIZE
+        cache = streamed_cache(STREAM_GRID, FreshFootprints(False))
+        assert key_digests(cache) == expected_digests(STREAM_GRID.points())
+        assert len(cache._area_keys) <= AREA_KEY_MEMO_SIZE
+
+    def test_fresh_footprints_adaptive_keys_match_their_inputs(self):
+        cache = EvaluationCache()
+        report = run_adaptive_sweep(
+            ADAPTIVE_GRID, FreshFootprints(), cache=cache
+        )
+        points = ADAPTIVE_GRID.points()
+        evaluated = [points[index] for index in report.evaluated_indices]
+        assert key_digests(cache) == expected_digests(evaluated)
+        plain = run_adaptive_gps_sweep(ADAPTIVE_GRID)
+        assert report.frame.csv_lines() == plain.frame.csv_lines()
+
+
+def cache_states() -> dict:
+    """``portable_state()`` after a plain sweep and an adaptive run."""
+    adaptive = EvaluationCache()
+    run_adaptive_gps_sweep(ADAPTIVE_GRID, cache=adaptive)
+    return {
+        "sweep": batched_cache(MIXED_GRID.points()).portable_state(),
+        "adaptive": adaptive.portable_state(),
+    }
+
+
+def render_cache_states() -> str:
+    return json.dumps(cache_states(), indent=1, sort_keys=True) + "\n"
+
+
+def test_portable_state_matches_the_golden():
+    assert render_cache_states() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_cache_keys.py --write")
+    GOLDEN.write_text(render_cache_states())
+    print(f"wrote {GOLDEN}")

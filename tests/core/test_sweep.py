@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.area.substrate import MCM_D_COARSE_RULE, MCM_D_FINE_RULE
 from repro.circuits.qfactor import (
@@ -13,6 +16,7 @@ from repro.circuits.qfactor import (
 )
 from repro.core.figure_of_merit import FomWeights
 from repro.core.sweep import (
+    GRID_AXES,
     DesignPoint,
     EvaluationCache,
     NreScenario,
@@ -80,6 +84,13 @@ class TestGrid:
         assert grid.tolerances == (None, PRECISION_CLASS)
         assert len(grid.points()) == 2
 
+    def test_dedup_of_unhashable_axis_values(self):
+        # Equality decides for values a set cannot hold, too.
+        first, again = [1.5], [1.5]
+        grid = SweepGrid(q_models=(first, None, again, (1.5,), None))
+        assert grid.q_models == (first, None, (1.5,))
+        assert grid.q_models[0] is first
+
     def test_nonpositive_volume_rejected(self):
         with pytest.raises(SpecificationError):
             DesignPoint(volume=0.0)
@@ -103,6 +114,17 @@ class TestGrid:
                 SpecificationError, match="volume must be positive"
             ):
                 run_gps_sweep(SweepGrid(volumes=(bad, 1e4)))
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), 0.0, -5.0]
+    )
+    def test_grid_with_bad_volume_rejected_at_construction(self, bad):
+        # An adaptive sweep builds only the points it evaluates, so the
+        # grid itself refuses a volume no point could carry.
+        with pytest.raises(
+            SpecificationError, match="volume must be positive"
+        ):
+            SweepGrid(volumes=(1e4, bad))
 
     def test_point_label_names_axes(self):
         label = DesignPoint(
@@ -150,6 +172,57 @@ class TestGrid:
     def test_negative_nre_rejected(self):
         with pytest.raises(SpecificationError):
             NreScenario(name="bad", by_candidate=((1, -5.0),))
+
+
+#: Axis value pools for the random grids of :class:`TestPointAt`.
+POINT_AT_AXES = {
+    "volumes": (1e3, 2.5e4, 4e5, 1e6),
+    "substrates": (None, MCM_D_FINE_RULE, MCM_D_COARSE_RULE),
+    "processes": (None, SI3N4_PROCESS),
+    "tolerances": (None, PRECISION_CLASS, MATCHING_CLASS),
+    "q_models": (
+        None,
+        SkinEffectQModel(),
+        SubstrateLossQModel(tan_delta_ref=0.02),
+    ),
+    "nres": (None, NRE_SCENARIOS["zero"], NRE_SCENARIOS["mask-heavy"]),
+    "fom_weights": (None, FomWeights(performance=2.0), FomWeights(cost=0.5)),
+}
+
+point_at_grids = st.fixed_dictionaries(
+    {
+        axis: st.lists(
+            st.sampled_from(pool), min_size=1, max_size=3, unique_by=id
+        ).map(tuple)
+        for axis, pool in POINT_AT_AXES.items()
+    }
+).map(lambda axes: SweepGrid(**axes))
+
+
+class TestPointAt:
+    """:meth:`SweepGrid.point_at` is the inverse of the volume-major
+    enumeration :meth:`SweepGrid.points` makes."""
+
+    @given(grid=point_at_grids)
+    @settings(max_examples=100, deadline=None)
+    def test_every_index_is_the_enumerated_point(self, grid):
+        points = grid.points()
+        for index, expected in enumerate(points):
+            point = grid.point_at(index)
+            assert point == expected
+            # The grid's own axis objects, so family_runs' identity
+            # grouping batches resolved points like enumerated ones.
+            for axis, field in zip(GRID_AXES, dataclasses.fields(point)):
+                value = getattr(point, field.name)
+                assert value is getattr(expected, field.name)
+                assert any(value is own for own in getattr(grid, axis))
+
+    @given(grid=point_at_grids, overshoot=st.integers(0, 10))
+    @settings(max_examples=50, deadline=None)
+    def test_out_of_range_is_refused_never_wrapped(self, grid, overshoot):
+        for index in (len(grid) + overshoot, -1 - overshoot):
+            with pytest.raises(SpecificationError, match="out of range"):
+                grid.point_at(index)
 
 
 class TestRunDesignSweep:
