@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.core.figure_of_merit import FomWeights
 from repro.core.sweep import EvaluationCache, SweepGrid, evaluate_cells
-from repro.gps.study import GpsSweepFactory
+from repro.gps.study import sweep_candidates
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from sharded_reference import ShardedExecutor  # noqa: E402
@@ -48,12 +48,12 @@ def test_sharded_engine_overhead_and_identity():
 
     def serial():
         return evaluate_cells(
-            POINTS, GpsSweepFactory(), 0, FomWeights(), EvaluationCache()
+            POINTS, sweep_candidates, 0, FomWeights(), EvaluationCache()
         )
 
     def sharded():
         return ShardedExecutor(2).run_sweep(
-            POINTS, GpsSweepFactory(), 0, FomWeights(), EvaluationCache()
+            POINTS, sweep_candidates, 0, FomWeights(), EvaluationCache()
         )
 
     assert sharded().frame.to_rows() == serial().frame.to_rows()

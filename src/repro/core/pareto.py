@@ -26,12 +26,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import SpecificationError
-from .methodology import StudyResult, StudyRow
+
+if TYPE_CHECKING:
+    from .methodology import StudyResult, StudyRow
+
 
 @dataclass(frozen=True)
 class ParetoPoint:

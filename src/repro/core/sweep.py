@@ -40,7 +40,7 @@ have their stats merged.
 The subsystem is application-agnostic: a *candidate factory* maps each
 :class:`DesignPoint` to the list of
 :class:`~repro.core.methodology.CandidateBuildUp` to study there.  The
-GPS adapter lives in :func:`repro.gps.study.sweep_candidates`.
+one GPS factory is :func:`repro.gps.study.sweep_candidates`.
 """
 
 from __future__ import annotations
@@ -926,7 +926,8 @@ def evaluate_cells(
 
     A candidate factory that declares ``volume_invariant = True``
     (it returns equal candidates for points differing only in volume —
-    :class:`~repro.gps.study.GpsSweepFactory` does) gets the batched
+    :func:`~repro.gps.study.sweep_candidates`, the one GPS factory,
+    does) gets the batched
     fill: points are grouped into volume families
     (:func:`family_runs`), the factory runs **once per family**,
     placements are broadcast ahead of the evaluation, and each family

@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = attach(
         ],
         "study": [
             "GpsStudyRow",
-            "candidates",
             "paper_comparison",
             "run_gps_study",
             "summary_rows",

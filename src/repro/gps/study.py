@@ -1,10 +1,12 @@
 """End-to-end reproduction of the paper's GPS case study (§4).
 
-:func:`run_gps_study` assembles the four build-ups into methodology
-candidates and executes steps 2-5, producing the quantities behind
-Fig. 3 (area), Fig. 5 (cost), Fig. 6 (figure of merit) and the §4.1
-performance scores in one call.  The benchmarks and examples all go
-through this function.
+:func:`sweep_candidates` is step 1 of the methodology: it turns the
+four build-ups into candidates at one design point, and it is the only
+code that does.  :func:`run_gps_study` evaluates it at the paper's own
+point (:data:`PAPER_POINT`) and executes steps 2-5, producing the
+quantities behind Fig. 3 (area), Fig. 5 (cost), Fig. 6 (figure of
+merit) and the §4.1 performance scores in one call; every GPS sweep
+entry point hands :func:`sweep_candidates` to its core engine.
 """
 
 from __future__ import annotations
@@ -52,49 +54,6 @@ class GpsStudyRow:
     figure_of_merit: float
 
 
-def candidates(
-    chip_costs: Optional[data.ChipCosts] = None,
-) -> list[CandidateBuildUp]:
-    """The four GPS build-ups as methodology candidates (step 1)."""
-    result = []
-    for implementation in (1, 2, 3, 4):
-        buildup = get_buildup(implementation)
-
-        def factory(
-            area_cm2: float, _implementation: int = implementation
-        ):
-            return flow_for(_implementation, area_cm2, chip_costs)
-
-        result.append(
-            CandidateBuildUp(
-                name=buildup.name,
-                footprints=footprints_for(implementation),
-                substrate_rule=MCM_D_RULE if buildup.is_mcm else PCB_RULE,
-                laminate=LAMINATE_RULE if buildup.is_mcm else None,
-                flow_factory=factory,
-                filter_assignments=technology_assignments(implementation),
-            )
-        )
-    return result
-
-
-def run_gps_study(
-    chip_costs: Optional[data.ChipCosts] = None,
-    weights: Optional[FomWeights] = None,
-    volume: float = 10_000.0,
-) -> StudyResult:
-    """Run the complete GPS trade-off study.
-
-    The reference is implementation 1 (PCB/SMD), as in the paper.
-    """
-    return run_study(
-        candidates(chip_costs),
-        reference=0,
-        weights=weights,
-        volume=volume,
-    )
-
-
 #: Extension-scenario NRE per build-up for the design-space sweep: PCB
 #: tooling, MCM-D mask set, plus the integrated-passive layers of 3/4.
 #: The paper publishes no NRE figures; without one the volume axis would
@@ -133,15 +92,12 @@ NRE_SCENARIOS: dict[str, NreScenario] = {
 }
 
 
-def sweep_candidates(
-    point: DesignPoint,
-    chip_costs: Optional[data.ChipCosts] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
-) -> list[CandidateBuildUp]:
+def sweep_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
     """The four GPS build-ups instantiated at one design point.
 
-    This is the GPS adapter for :mod:`repro.core.sweep`: the point's
-    axes are mapped onto the paper's knobs —
+    This is the GPS candidate factory for :mod:`repro.core.sweep` and
+    the study alike: the point's axes are mapped onto the paper's
+    knobs —
 
     * ``process`` re-sizes the integrated passives (area step) and
       re-models the integrated filters' Q (performance step) of
@@ -151,22 +107,19 @@ def sweep_candidates(
     * ``tolerance`` folds its module yield and trim cost into the
       substrate carrier of build-ups 3 and 4;
     * ``volume`` is consumed by the sweep's cost evaluation, made
-      meaningful by the NRE scenario (``SWEEP_NRE_SCENARIO`` unless
-      overridden);
+      meaningful by the NRE scenario;
     * ``q_model`` replaces the integrated-passives technology Q model
       of build-ups 3 and 4 (possibly with a frequency-dependent one —
       the Q-model axis);
-    * ``nre`` replaces the NRE assumption with a named
-      :class:`~repro.core.sweep.NreScenario` (the NRE axis; it wins
-      over the factory-level ``nre_scenario`` argument);
+    * ``nre`` replaces the NRE assumption (:data:`SWEEP_NRE_SCENARIO`)
+      with a named :class:`~repro.core.sweep.NreScenario` (the NRE
+      axis);
     * ``weights`` is consumed by the sweep's ranking step (the FoM
       weights axis — not this factory's business).
     """
     process = point.process if point.process is not None else SUMMIT_PROCESS
     if point.nre is not None:
         nre_by_impl: Mapping[int, float] = point.nre.as_mapping()
-    elif nre_scenario is not None:
-        nre_by_impl = dict(nre_scenario)
     else:
         nre_by_impl = SWEEP_NRE_SCENARIO
     result = []
@@ -194,7 +147,6 @@ def sweep_candidates(
             return flow_for(
                 _implementation,
                 area_cm2,
-                chip_costs,
                 nre=nre_by_impl.get(_implementation, 0.0),
                 substrate_yield_factor=_yield_factor,
                 extra_substrate_cost=_trim_cost,
@@ -216,42 +168,36 @@ def sweep_candidates(
 
 
 #: ``sweep_candidates`` never reads ``point.volume``, so the batched
-#: fill may call it once per volume family (it is also usable directly
-#: as a candidate factory in serial sweeps).
+#: fill may call it once per volume family (see
+#: :func:`repro.core.sweep.evaluate_cells`).
 sweep_candidates.volume_invariant = True
 
+#: The paper's own design point: default axes and no NRE, which is what
+#: §4 assumes.
+PAPER_POINT = DesignPoint(nre=NRE_SCENARIOS["zero"])
 
-@dataclass(frozen=True)
-class GpsSweepFactory:
-    """Candidate factory for the GPS design-space sweep.
 
-    This frozen dataclass captures the sweep's configuration and
-    builds the four build-up candidates of a grid point; unlike a
-    lambda closure it compares by value and pickles.
+def run_gps_study(
+    *,
+    weights: Optional[FomWeights] = None,
+    volume: float = 10_000.0,
+) -> StudyResult:
+    """Run the complete GPS trade-off study at :data:`PAPER_POINT`.
 
-    ``volume_invariant`` declares that :func:`sweep_candidates` never
-    reads ``point.volume`` (volume is consumed by the sweep's cost
-    step, not by candidate construction), which lets
-    :func:`~repro.core.sweep.evaluate_cells` run the factory once per
-    volume family and batch the cost evaluation across the family.
+    The reference is implementation 1 (PCB/SMD), as in the paper.
     """
-
-    #: Candidates depend on every axis except the volume — the batched
-    #: fill contract (see :func:`repro.core.sweep.evaluate_cells`).
-    volume_invariant = True
-
-    chip_costs: Optional[data.ChipCosts] = None
-    nre_scenario: Optional[Mapping[int, float]] = None
-
-    def __call__(self, point: DesignPoint) -> list[CandidateBuildUp]:
-        return sweep_candidates(point, self.chip_costs, self.nre_scenario)
+    return run_study(
+        sweep_candidates(PAPER_POINT),
+        reference=0,
+        weights=weights,
+        volume=volume,
+    )
 
 
 def run_gps_sweep(
     grid: SweepGrid | Iterable[DesignPoint],
-    chip_costs: Optional[data.ChipCosts] = None,
+    *,
     weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
 ) -> SweepReport:
     """Design-space sweep over the GPS case study.
@@ -261,7 +207,7 @@ def run_gps_sweep(
     """
     return run_design_sweep(
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         reference=0,
         weights=weights,
         cache=cache,
@@ -270,9 +216,8 @@ def run_gps_sweep(
 
 def stream_gps_sweep(
     grid: SweepGrid | Iterable[DesignPoint],
-    chip_costs: Optional[data.ChipCosts] = None,
+    *,
     weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
 ) -> Iterator[StreamedCell]:
     """Streaming variant of :func:`run_gps_sweep`.
@@ -286,7 +231,7 @@ def stream_gps_sweep(
     """
     yield from stream_design_sweep(
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         reference=0,
         weights=weights,
         cache=cache,
@@ -297,9 +242,8 @@ def spill_gps_sweep(
     grid: SweepGrid | Iterable[DesignPoint],
     directory,
     max_rows_in_memory: int,
-    chip_costs: Optional[data.ChipCosts] = None,
+    *,
     weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
     cache: Optional[EvaluationCache] = None,
 ) -> "ChunkedFrameStore":
     """Out-of-core variant of :func:`run_gps_sweep`.
@@ -316,7 +260,7 @@ def spill_gps_sweep(
 
     return spill_design_sweep(
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         directory,
         max_rows_in_memory,
         reference=0,
@@ -327,11 +271,9 @@ def spill_gps_sweep(
 
 def run_adaptive_gps_sweep(
     grid: SweepGrid,
-    chip_costs: Optional[data.ChipCosts] = None,
-    weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
-    cache: Optional[EvaluationCache] = None,
     *,
+    weights: Optional[FomWeights] = None,
+    cache: Optional[EvaluationCache] = None,
     passes: Optional[int] = None,
     budget: Optional[int] = None,
     refine_margin: float = 0.0,
@@ -355,7 +297,7 @@ def run_adaptive_gps_sweep(
 
     return run_adaptive_sweep(
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         reference=0,
         weights=weights,
         cache=cache,
@@ -370,11 +312,9 @@ def spill_adaptive_gps_sweep(
     grid: SweepGrid,
     directory,
     max_rows_in_memory: int,
-    chip_costs: Optional[data.ChipCosts] = None,
-    weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
-    cache: Optional[EvaluationCache] = None,
     *,
+    weights: Optional[FomWeights] = None,
+    cache: Optional[EvaluationCache] = None,
     passes: Optional[int] = None,
     budget: Optional[int] = None,
     refine_margin: float = 0.0,
@@ -392,7 +332,7 @@ def spill_adaptive_gps_sweep(
 
     return spill_adaptive_sweep(
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         directory,
         max_rows_in_memory,
         reference=0,
@@ -409,9 +349,8 @@ def run_gps_shard(
     grid: SweepGrid | Iterable[DesignPoint],
     shards: int,
     shard_index: int,
-    chip_costs: Optional[data.ChipCosts] = None,
+    *,
     weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
 ) -> ShardArtifact:
     """Evaluate one cross-host shard of a GPS design-space sweep.
 
@@ -430,7 +369,7 @@ def run_gps_shard(
 
     return run_shard(
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         shards=shards,
         shard_index=shard_index,
         reference=0,
@@ -441,9 +380,8 @@ def run_gps_shard(
 def run_gps_queue_worker(
     manifest_path,
     grid: SweepGrid | Iterable[DesignPoint],
-    chip_costs: Optional[data.ChipCosts] = None,
+    *,
     weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
     **queue_options,
 ) -> QueueWorkerReport:
     """Drain one GPS sweep work queue as a resumable worker.
@@ -465,7 +403,7 @@ def run_gps_queue_worker(
     return run_queue_worker(
         manifest_path,
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         reference=0,
         weights=weights,
         **queue_options,
@@ -475,9 +413,8 @@ def run_gps_queue_worker(
 def build_gps_warehouse(
     directory,
     grid: SweepGrid | Iterable[DesignPoint],
-    chip_costs: Optional[data.ChipCosts] = None,
+    *,
     weights: Optional[FomWeights] = None,
-    nre_scenario: Optional[Mapping[int, float]] = None,
     grid_spec=None,
 ) -> "WarehouseManifest":
     """Sweep the GPS grid and materialise it as a frame warehouse.
@@ -496,7 +433,7 @@ def build_gps_warehouse(
     return build_warehouse(
         directory,
         grid,
-        GpsSweepFactory(chip_costs=chip_costs, nre_scenario=nre_scenario),
+        sweep_candidates,
         reference=0,
         weights=weights,
         grid_spec=grid_spec,

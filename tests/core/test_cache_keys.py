@@ -47,11 +47,7 @@ from repro.core.sweep import (
     run_design_sweep,
     stream_design_sweep,
 )
-from repro.gps.study import (
-    GpsSweepFactory,
-    run_adaptive_gps_sweep,
-    sweep_candidates,
-)
+from repro.gps.study import run_adaptive_gps_sweep, sweep_candidates
 from repro.passives.thin_film import SI3N4_PROCESS
 from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
 
@@ -104,13 +100,13 @@ def expected_digests(points) -> dict[str, list[str]]:
 
 def batched_cache(points) -> EvaluationCache:
     cache = EvaluationCache()
-    run_design_sweep(points, GpsSweepFactory(), cache=cache)
+    run_design_sweep(points, sweep_candidates, cache=cache)
     return cache
 
 
 def per_point_cache(points) -> EvaluationCache:
     cache = EvaluationCache()
-    per_point_frame(points, GpsSweepFactory(), 0, FomWeights(), cache)
+    per_point_frame(points, sweep_candidates, 0, FomWeights(), cache)
     return cache
 
 
@@ -195,7 +191,7 @@ ADAPTIVE_GRID = SweepGrid(
 def streamed_cache(grid, factory=None) -> EvaluationCache:
     cache = EvaluationCache()
     for _ in stream_design_sweep(
-        grid, factory or GpsSweepFactory(), cache=cache
+        grid, factory or sweep_candidates, cache=cache
     ):
         pass
     return cache
@@ -219,7 +215,7 @@ class FreshFootprints:
             dataclasses.replace(
                 candidate, footprints=tuple(list(candidate.footprints))
             )
-            for candidate in GpsSweepFactory()(point)
+            for candidate in sweep_candidates(point)
         ]
 
 

@@ -28,6 +28,7 @@ from repro.core.sweep import (
 from repro.errors import SpecificationError
 from repro.gps.study import (
     NRE_SCENARIOS,
+    PAPER_POINT,
     run_gps_study,
     run_gps_sweep,
     sweep_candidates,
@@ -241,11 +242,9 @@ class TestRunDesignSweep:
             run_design_sweep([DesignPoint()], empty_factory)
 
     def test_matches_run_study_at_paper_point(self):
-        """One sweep point with zero NRE must equal the plain study."""
+        """The paper's point (zero NRE) must equal the plain study."""
         study = run_gps_study()
-        report = run_gps_sweep(
-            [DesignPoint()], nre_scenario={i: 0.0 for i in (1, 2, 3, 4)}
-        )
+        report = run_gps_sweep([PAPER_POINT])
         assert len(report.rows) == len(study.rows)
         for study_row, sweep_row in zip(study.rows, report.rows):
             assert sweep_row.figure_of_merit == pytest.approx(
@@ -562,27 +561,6 @@ class TestGpsAxes:
         # a perfect-performance candidate wins instead.
         assert row(IMPL4, "paper").is_winner
         assert not row(IMPL4, "4:1:1").is_winner
-
-    def test_point_nre_wins_over_factory_scenario(self):
-        explicit = {i: 10_000.0 for i in (1, 2, 3, 4)}
-        report = run_gps_sweep(
-            [
-                DesignPoint(volume=500.0),
-                DesignPoint(volume=500.0, nre=NRE_SCENARIOS["zero"]),
-            ],
-            nre_scenario=explicit,
-        )
-
-        def cost(nre):
-            return next(
-                r.cost_percent
-                for r in report.rows
-                if r.candidate == IMPL3 and r.nre == nre
-            )
-
-        # The explicit factory scenario applies at the plain point; the
-        # point's own scenario overrides it.
-        assert cost("zero") < cost("paper")
 
     def test_dispersive_q_axis_runs_through_the_circuit_engine(self):
         """A dispersive model on the axis reaches the MNA solves."""

@@ -36,11 +36,11 @@ from repro.core.sharding import (
 from repro.core.figure_of_merit import FomWeights
 from repro.core.sweep import EvaluationCache, SweepGrid
 from repro.gps.study import (
-    GpsSweepFactory,
     run_gps_queue_worker,
     run_gps_shard,
     run_gps_sweep,
     spill_gps_sweep,
+    sweep_candidates,
 )
 from repro.passives.tolerance import PRECISION_CLASS
 
@@ -90,7 +90,7 @@ class TestEngineMatrix:
     ):
         dframe = ENGINES[engine]().run_sweep(
             SCENARIO_GRIDS[scenario].points(),
-            GpsSweepFactory(),
+            sweep_candidates,
             0,
             FomWeights(),
             EvaluationCache(),
@@ -108,7 +108,7 @@ class TestEngineMatrix:
         class."""
         dframe = per_point_frame(
             SCENARIO_GRIDS[scenario].points(),
-            GpsSweepFactory(),
+            sweep_candidates,
             0,
             FomWeights(),
             EvaluationCache(),

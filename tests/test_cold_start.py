@@ -190,6 +190,30 @@ def test_importing_the_package_loads_no_subpackage():
     assert seen == ["repro", "repro._lazy"]
 
 
+#: Model packages the frame, ranking and Pareto kernels never call.
+MODEL_PACKAGES = ("area", "circuits", "cost", "passives")
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.core.resultframe", "repro.core.ranking", "repro.core.pareto"],
+)
+def test_frame_kernels_load_no_model_package(module):
+    """The columnar kernels name ``StudyResult`` only in annotations, so
+    importing one loads no circuit, area, cost or passives module."""
+    seen = run_cold(
+        f"""
+        import {module}
+        print(json.dumps(sorted(
+            name for name in sys.modules
+            if name.startswith("repro.")
+            and name.split(".")[1] in {MODEL_PACKAGES!r}
+        )))
+        """
+    )
+    assert seen == []
+
+
 def test_sweep_and_study_load_no_command_only_module():
     seen = run_cold(
         f"""

@@ -45,7 +45,7 @@ from repro.core.blobstore import canonical_json
 from repro.core.queryservice import serve_warehouse
 from repro.core.sweep import SweepGrid
 from repro.core.warehouse import ingest_shard_directory, read_warehouse_manifest
-from repro.gps.study import GpsSweepFactory, run_gps_sweep
+from repro.gps.study import run_gps_sweep, sweep_candidates
 
 SHARDS = 4
 GRID = SweepGrid(volumes=(1e3, 1e4, 1e5, 1e6))
@@ -193,7 +193,7 @@ def main() -> int:
         manifest_for_grid(GRID, shards=SHARDS),
     )
     report = run_queue_worker(
-        manifest_path, GRID, GpsSweepFactory(), reference=0
+        manifest_path, GRID, sweep_candidates, reference=0
     )
     if len(report.evaluated) != SHARDS:
         print(

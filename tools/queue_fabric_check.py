@@ -35,7 +35,7 @@ from repro.core.queue import (
 )
 from repro.core.sharding import shard_filename
 from repro.core.sweep import SweepGrid
-from repro.gps.study import GpsSweepFactory, run_gps_sweep
+from repro.gps.study import run_gps_sweep, sweep_candidates
 
 SHARDS = 4
 GRID = SweepGrid(volumes=(1e3, 1e4, 1e5, 1e6))
@@ -51,13 +51,12 @@ class FlakyOnce:
 
     def __init__(self, marker: Path):
         self.marker = marker
-        self.inner = GpsSweepFactory()
 
     def __call__(self, point):
         if not self.marker.exists():
             self.marker.write_text("tripped", encoding="utf-8")
             raise RuntimeError("injected transient fault")
-        return self.inner(point)
+        return sweep_candidates(point)
 
 
 def report_csv(report) -> str:
