@@ -233,10 +233,6 @@ class SweepResult:
         """Lowest insertion loss across the sweep (the passband floor)."""
         return float(np.min(self.insertion_loss_db))
 
-    def loss_at(self, frequency_hz: float) -> float:
-        """Insertion loss in dB at the nearest sweep point."""
-        return self.at(frequency_hz).insertion_loss_db
-
 
 def _validate_grid(frequencies_hz) -> np.ndarray:
     """Coerce an explicit grid to a 1-D array of positive frequencies.

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -451,15 +451,6 @@ class ChunkedFrameStore:
         """
         for chunk in self.iter_chunks():
             yield from chunk.csv_lines()
-
-    def write_csv(self, handle: IO[str]) -> int:
-        """Stream header + rows to a text handle; returns rows written."""
-        handle.write(ResultFrame.csv_header() + "\n")
-        rows = 0
-        for line in self.csv_lines():
-            handle.write(line + "\n")
-            rows += 1
-        return rows
 
     def winner_points(self) -> int:
         """How many rows carry ``is_winner`` (one per grid point)."""

@@ -572,11 +572,6 @@ class SweepReport:
         """
         return self.frame.winner_counts()
 
-    def rows_for(self, candidate: str) -> list[SweepRow]:
-        """All grid rows of one candidate (vectorised filter)."""
-        mask = self.frame.column("candidate") == candidate
-        return list(self.frame.filter(mask).to_rows())
-
     def best_row(self) -> SweepRow:
         """The single highest-FoM row of the whole sweep."""
         return self.frame.row(self.frame.best_index())

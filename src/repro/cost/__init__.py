@@ -15,7 +15,6 @@ __getattr__, __dir__, __all__ = attach(
             "Knob",
             "Sensitivity",
             "rank_cost_drivers",
-            "rank_cost_drivers_pointwise",
             "sensitivity_of",
         ],
         "yieldmodels": [

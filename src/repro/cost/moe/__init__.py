@@ -16,7 +16,6 @@ __getattr__, __dir__, __all__ = attach(
             "CostReportBatch",
             "evaluate",
             "evaluate_batch",
-            "final_costs_for_variants",
         ],
         "builder": ["FlowBuilder", "flow_node_summary", "render_flow"],
         "flow": ["ProductionFlow"],

@@ -18,20 +18,15 @@ At a test with coverage ``c``: the detected fraction ``faulty * c`` of
 survivors is scrapped, losing ``accumulated`` each (test cost included —
 the test was performed).
 
-Two batched fast paths live next to the scalar reference:
-
-* :func:`evaluate_batch` — the key observation is that the whole
-  recurrence above is *volume-independent*: volume enters Eq. (1) only
-  through the absolute unit counts and the NRE amortisation.  One walk
-  of the flow therefore serves every volume of a family at once,
-  returning a columnar :class:`CostReportBatch` whose
-  :meth:`~CostReportBatch.to_reports` bridge is bit-identical to
-  looping :func:`evaluate` (float64 elementwise arithmetic performs the
-  same IEEE-754 operations as Python floats).
-* :func:`final_costs_for_variants` — evaluates ``K`` single-step
-  variants of one flow with ``(K,)``-shaped state, one step loop for
-  all of them; this is the kernel behind the batched sensitivity
-  ranking (:mod:`repro.cost.sensitivity`).
+The whole recurrence is *volume-independent*: volume enters Eq. (1)
+only through the absolute unit counts and the NRE amortisation.
+:func:`evaluate_batch` therefore walks the flow **once** for a whole
+family of volumes and returns a columnar :class:`CostReportBatch`; it
+is the one walk of the recurrence in the package.  :func:`evaluate` is
+its one-volume case, and every other cost consumer (the sweep's cost
+table, :mod:`repro.cost.sensitivity`) calls one of the two.  The plain
+scalar walk lives in ``tests/moe_reference.py`` as the reference the
+test suite checks this one against, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,12 +38,15 @@ import numpy as np
 
 from ...errors import FlowError
 from .flow import ProductionFlow
-from .nodes import AttachStep, CostTag, Step, TestStep
+from .nodes import AttachStep, CostTag, TestStep
 from .report import CostReport, StepReport
 
 
 def evaluate(flow: ProductionFlow, volume: float = 10_000.0) -> CostReport:
     """Evaluate a flow analytically.
+
+    The one-volume case of :func:`evaluate_batch`; the report's
+    ``started_units`` is the ``volume`` object as given.
 
     Parameters
     ----------
@@ -58,96 +56,7 @@ def evaluate(flow: ProductionFlow, volume: float = 10_000.0) -> CostReport:
         Number of started units; only affects the absolute unit counts
         and the NRE amortisation (Eq. (1) divides NRE by shipped units).
     """
-    flow.validate()
-    if volume <= 0:
-        raise FlowError(f"volume must be positive, got {volume}")
-
-    alive = 1.0
-    faulty = 0.0
-    accumulated = 0.0
-    spend = 0.0
-    scrap_cost_total = 0.0
-    cost_by_tag: dict[CostTag, float] = {}
-    step_reports: list[StepReport] = []
-
-    def charge(amount: float, tag: CostTag) -> None:
-        nonlocal accumulated, spend
-        accumulated += amount
-        spend += alive * amount
-        cost_by_tag[tag] = cost_by_tag.get(tag, 0.0) + amount
-
-    for step in flow.steps:
-        scrap_units = 0.0
-        scrap_cost = 0.0
-        processed = alive
-        if isinstance(step, TestStep):
-            charge(step.cost, step.cost_tag)
-            detected = faulty * step.coverage
-            if step.rework is None:
-                lost = detected
-                sunk_extra = 0.0
-            else:
-                policy = step.rework
-                lost = detected * (1.0 - policy.recovery_fraction)
-                # Expected rework spend over all detected units
-                # (repaired ones and eventual scrap alike).
-                spend += alive * detected * policy.expected_cost
-                sunk_extra = policy.max_attempts * policy.attempt_cost
-            scrap_units = alive * lost
-            scrap_cost = scrap_units * (accumulated + sunk_extra)
-            scrap_cost_total += scrap_cost
-            alive *= 1.0 - lost
-            if lost < 1.0:
-                # Survivors: never-detected escapes stay faulty;
-                # reworked units are repaired.
-                faulty = faulty * (1.0 - step.coverage) / (1.0 - lost)
-            else:
-                faulty = 0.0
-        elif isinstance(step, AttachStep):
-            charge(step.material_cost, step.component_tag)
-            charge(step.operation_cost, CostTag.ASSEMBLY)
-            faulty = 1.0 - (1.0 - faulty) * step.yield_
-        else:
-            charge(step.cost, step.cost_tag)
-            faulty = 1.0 - (1.0 - faulty) * step.yield_
-        step_reports.append(
-            StepReport(
-                node_id=step.node_id,
-                name=step.name,
-                unit_cost=step.cost,
-                units_processed=processed * volume,
-                scrap_units=scrap_units * volume,
-                scrap_cost=scrap_cost * volume,
-            )
-        )
-
-    shipped = alive
-    if shipped <= 0:
-        raise FlowError(
-            f"flow {flow.name!r} ships no units (everything scrapped)"
-        )
-    direct = accumulated
-    chip_cost = cost_by_tag.get(CostTag.CHIP, 0.0)
-    # Eq. (1): everything spent, over everything shipped.  Without
-    # rework this reduces to direct + scrap/shipped; with rework it also
-    # carries the repair spend.
-    yield_loss = spend / shipped - direct
-    nre_per_shipped = flow.nre / (shipped * volume)
-    final = direct + yield_loss + nre_per_shipped
-    return CostReport(
-        flow_name=flow.name,
-        started_units=volume,
-        shipped_units=shipped * volume,
-        scrapped_units=(1.0 - shipped) * volume,
-        direct_cost_per_unit=direct,
-        chip_cost_per_unit=chip_cost,
-        yield_loss_per_shipped=yield_loss,
-        nre_per_shipped=nre_per_shipped,
-        final_cost_per_shipped=final,
-        escape_fraction=faulty,
-        cost_by_tag=cost_by_tag,
-        steps=tuple(step_reports),
-    )
+    return evaluate_batch(flow, (volume,)).report_at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +71,9 @@ class CostReportBatch:
     once as Python-float scalars (``shipped_fraction``,
     ``direct_cost_per_unit``, per-step fractions); the volume axis only
     scales unit counts and amortises NRE, so the per-volume columns are
-    derived properties.  :meth:`to_reports` bridges back to scalar
-    :class:`~repro.cost.moe.report.CostReport` objects bit-identical to
-    looping :func:`evaluate` over the same volumes.
+    derived properties.  :meth:`report_at` builds the scalar
+    :class:`~repro.cost.moe.report.CostReport` of one volume, which is
+    what :func:`evaluate` returns.
     """
 
     flow_name: str
@@ -213,30 +122,6 @@ class CostReportBatch:
             self.direct_cost_per_unit + self.yield_loss_per_shipped
         ) + self.nre_per_shipped
 
-    @property
-    def step_units_processed(self) -> np.ndarray:
-        """``(S, V)`` units entering each step at each volume."""
-        return np.multiply.outer(
-            np.asarray(self.step_processed_fractions, dtype=np.float64),
-            self.started_units,
-        )
-
-    @property
-    def step_scrap_units(self) -> np.ndarray:
-        """``(S, V)`` units scrapped at each step at each volume."""
-        return np.multiply.outer(
-            np.asarray(self.step_scrap_unit_fractions, dtype=np.float64),
-            self.started_units,
-        )
-
-    @property
-    def step_scrap_costs(self) -> np.ndarray:
-        """``(S, V)`` cost scrapped at each step at each volume."""
-        return np.multiply.outer(
-            np.asarray(self.step_scrap_cost_fractions, dtype=np.float64),
-            self.started_units,
-        )
-
     def report_at(self, index: int) -> CostReport:
         """The scalar :class:`CostReport` of one volume of the family."""
         volume = self.volumes[index]
@@ -279,12 +164,6 @@ class CostReportBatch:
             steps=steps,
         )
 
-    def to_reports(self) -> tuple[CostReport, ...]:
-        """Scalar reports for every volume, bit-identical to the loop."""
-        return tuple(
-            self.report_at(index) for index in range(len(self.volumes))
-        )
-
 
 def evaluate_batch(
     flow: ProductionFlow, volumes: Sequence[float]
@@ -294,12 +173,12 @@ def evaluate_batch(
     The alive/faulty/accumulated/spend recurrence is walked **once**
     (it never sees the volume), recording the per-step fractions; the
     returned :class:`CostReportBatch` broadcasts them over the volume
-    axis.  Bit-identical to ``[evaluate(flow, v) for v in volumes]``
-    via :meth:`CostReportBatch.to_reports`, at the cost of a single
-    step loop.
+    axis.  The batch keeps the caller's volume objects, so
+    :meth:`CostReportBatch.report_at` does the same arithmetic on the
+    same operands as a walk of that one volume would.
     """
     flow.validate()
-    volume_list = tuple(float(volume) for volume in volumes)
+    volume_list = tuple(volumes)
     if not volume_list:
         raise FlowError("evaluate_batch needs at least one volume")
     for volume in volume_list:
@@ -337,12 +216,16 @@ def evaluate_batch(
             else:
                 policy = step.rework
                 lost = detected * (1.0 - policy.recovery_fraction)
+                # Expected rework spend over all detected units
+                # (repaired ones and eventual scrap alike).
                 spend += alive * detected * policy.expected_cost
                 sunk_extra = policy.max_attempts * policy.attempt_cost
             scrap_units = alive * lost
             scrap_cost = scrap_units * (accumulated + sunk_extra)
             alive *= 1.0 - lost
             if lost < 1.0:
+                # Survivors: never-detected escapes stay faulty;
+                # reworked units are repaired.
                 faulty = faulty * (1.0 - step.coverage) / (1.0 - lost)
             else:
                 faulty = 0.0
@@ -366,6 +249,9 @@ def evaluate_batch(
             f"flow {flow.name!r} ships no units (everything scrapped)"
         )
     direct = accumulated
+    # Eq. (1): everything spent, over everything shipped.  Without
+    # rework this reduces to direct + scrap/shipped; with rework it also
+    # carries the repair spend.
     yield_loss = spend / shipped - direct
     return CostReportBatch(
         flow_name=flow.name,
@@ -384,114 +270,3 @@ def evaluate_batch(
         step_scrap_unit_fractions=tuple(scrap_unit_fractions),
         step_scrap_cost_fractions=tuple(scrap_cost_fractions),
     )
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation over single-step flow variants
-# ---------------------------------------------------------------------------
-
-def final_costs_for_variants(
-    flow: ProductionFlow,
-    variants: Sequence[tuple[int, Step]],
-    volume: float = 10_000.0,
-) -> np.ndarray:
-    """Final cost per shipped unit of ``K`` single-step flow variants.
-
-    ``variants`` is a list of ``(step_index, replacement_step)`` pairs;
-    variant ``k`` is ``flow`` with step ``step_index`` swapped for
-    ``replacement_step``.  All variants are evaluated together with
-    ``(K,)``-shaped alive/faulty/accumulated/spend state — one step
-    loop instead of ``K`` — performing exactly the scalar recurrence
-    elementwise, so each entry is bit-identical to rebuilding the
-    variant flow and calling :func:`evaluate` on it.
-
-    Every replacement must keep the original step's type and (for test
-    steps) its rework policy — the batch shares one control flow across
-    the lanes, only the step *scalars* may differ.  This is precisely
-    the contract of the sensitivity knobs.
-    """
-    flow.validate()
-    if volume <= 0:
-        raise FlowError(f"volume must be positive, got {volume}")
-    lanes = len(variants)
-    if lanes == 0:
-        return np.zeros(0, dtype=np.float64)
-    by_index: dict[int, list[tuple[int, Step]]] = {}
-    for lane, (index, replacement) in enumerate(variants):
-        if not 0 <= index < len(flow.steps):
-            raise FlowError(
-                f"variant step index {index} out of range for flow "
-                f"{flow.name!r} with {len(flow.steps)} steps"
-            )
-        original = flow.steps[index]
-        if type(replacement) is not type(original):
-            raise FlowError(
-                f"variant for step {original.name!r} must keep its type, "
-                f"got {type(replacement).__name__}"
-            )
-        if (
-            isinstance(original, TestStep)
-            and replacement.rework != original.rework
-        ):
-            raise FlowError(
-                f"variant for test step {original.name!r} must keep its "
-                "rework policy"
-            )
-        by_index.setdefault(index, []).append((lane, replacement))
-
-    alive = np.ones(lanes, dtype=np.float64)
-    faulty = np.zeros(lanes, dtype=np.float64)
-    accumulated = np.zeros(lanes, dtype=np.float64)
-    spend = np.zeros(lanes, dtype=np.float64)
-
-    for index, step in enumerate(flow.steps):
-        replacements = by_index.get(index, ())
-
-        def column(read) -> np.ndarray:
-            lane_values = np.full(lanes, read(step), dtype=np.float64)
-            for lane, replacement in replacements:
-                lane_values[lane] = read(replacement)
-            return lane_values
-
-        if isinstance(step, TestStep):
-            cost = column(lambda s: s.cost)
-            accumulated += cost
-            spend += alive * cost
-            coverage = column(lambda s: s.coverage)
-            detected = faulty * coverage
-            if step.rework is None:
-                lost = detected
-            else:
-                policy = step.rework
-                lost = detected * (1.0 - policy.recovery_fraction)
-                spend += alive * detected * policy.expected_cost
-            alive = alive * (1.0 - lost)
-            survivors = lost < 1.0
-            escaped = np.zeros(lanes, dtype=np.float64)
-            escaped[survivors] = (
-                faulty[survivors] * (1.0 - coverage[survivors])
-            ) / (1.0 - lost[survivors])
-            faulty = escaped
-        elif isinstance(step, AttachStep):
-            material = column(lambda s: s.material_cost)
-            accumulated += material
-            spend += alive * material
-            operation = column(lambda s: s.operation_cost)
-            accumulated += operation
-            spend += alive * operation
-            faulty = 1.0 - (1.0 - faulty) * column(lambda s: s.yield_)
-        else:
-            cost = column(lambda s: s.cost)
-            accumulated += cost
-            spend += alive * cost
-            faulty = 1.0 - (1.0 - faulty) * column(lambda s: s.yield_)
-
-    shipped = alive
-    if np.any(shipped <= 0):
-        raise FlowError(
-            f"flow {flow.name!r} ships no units (everything scrapped)"
-        )
-    direct = accumulated
-    yield_loss = spend / shipped - direct
-    nre_per_shipped = flow.nre / (shipped * volume)
-    return direct + yield_loss + nre_per_shipped

@@ -85,19 +85,6 @@ class CostReport:
             return 0.0
         return self.shipped_units / self.started_units
 
-    @property
-    def non_chip_direct_cost(self) -> float:
-        """Direct cost excluding the chip material portion."""
-        return self.direct_cost_per_unit - self.chip_cost_per_unit
-
-    def relative_to(self, reference: "CostReport") -> float:
-        """Final-cost ratio against a reference flow (Fig. 5's x-axis)."""
-        if reference.final_cost_per_shipped <= 0:
-            raise CostModelError(
-                "reference flow has non-positive final cost"
-            )
-        return self.final_cost_per_shipped / reference.final_cost_per_shipped
-
 
 def fig5_row(report: CostReport, reference: CostReport) -> dict[str, float]:
     """One Fig. 5 bar: percentages of the reference final cost.

@@ -12,13 +12,12 @@ computed by central finite differences over the analytic evaluator.
 Applied to the GPS build-ups it quantifies the paper's §4.3 narrative —
 e.g. that build-up 3's final cost is dominated by the substrate yield.
 
-:func:`rank_cost_drivers` evaluates all ``K`` knobs with **one batched
-flow walk per finite-difference side**
-(:func:`~repro.cost.moe.analytic.final_costs_for_variants` with
-``(K,)``-shaped state) instead of ``2 * K`` scalar re-evaluations;
-:func:`rank_cost_drivers_pointwise` keeps the scalar loop as the
-bit-identical reference, mirroring the ``sweep_pointwise``
-discipline.
+:func:`rank_cost_drivers` calls :func:`sensitivity_of` for every
+knob, which re-walks the flow once per finite-difference side.  Every
+final cost comes from the package's one walk of the Eq. (1)
+recurrence, :func:`~repro.cost.moe.analytic.evaluate_batch`, at a
+single volume; the scalar reference walk lives in
+``tests/moe_reference.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..errors import CostModelError
-from .moe.analytic import evaluate, final_costs_for_variants
+from .moe.analytic import evaluate_batch
 from .moe.flow import ProductionFlow
 from .moe.nodes import AttachStep, CarrierStep, ProcessStep, Step, TestStep
 
@@ -109,13 +108,18 @@ def _read_knob(step: Step, knob: Knob) -> Optional[float]:
     return None
 
 
+def _final_cost(flow: ProductionFlow) -> float:
+    """Eq. (1) final cost per shipped unit at the default volume."""
+    return float(evaluate_batch(flow, (10_000.0,)).final_cost_per_shipped[0])
+
+
 def _evaluate_with(
     flow: ProductionFlow, index: int, step: Step
 ) -> float:
     modified = ProductionFlow(name=flow.name, nre=flow.nre)
     modified.steps = list(flow.steps)
     modified.steps[index] = step
-    return evaluate(modified).final_cost_per_shipped
+    return _final_cost(modified)
 
 
 def sensitivity_of(
@@ -153,7 +157,7 @@ def sensitivity_of(
     upper, lower = _perturbation_bounds(base, knob, relative_step)
     f_upper = _evaluate_with(flow, index, _with_knob(step, knob, upper))
     f_lower = _evaluate_with(flow, index, _with_knob(step, knob, lower))
-    f_base = evaluate(flow).final_cost_per_shipped
+    f_base = _final_cost(flow)
     derivative = (f_upper - f_lower) / (upper - lower)
     return Sensitivity(
         node_id=node_id,
@@ -205,68 +209,14 @@ def rank_cost_drivers(
     """All applicable (step, knob) elasticities, largest magnitude first.
 
     Knobs at trivial values (zero cost, perfect yield) are skipped —
-    their elasticity is zero or undefined.  All ``K`` knobs are
-    evaluated with one batched flow walk per finite-difference side
-    (``(K,)``-shaped state in
-    :func:`~repro.cost.moe.analytic.final_costs_for_variants`) instead
-    of ``2 * K`` scalar evaluations; the result is bit-identical to
-    :func:`rank_cost_drivers_pointwise`.
+    their elasticity is zero or undefined.  Each knob is one
+    :func:`sensitivity_of` call, which re-walks the flow once per
+    finite-difference side.
     """
     if not (0.0 < relative_step < 0.5):
         raise CostModelError(
             f"relative step must lie in (0, 0.5), got {relative_step}"
         )
-    knobs = _applicable_knobs(flow)
-    if not knobs:
-        return []
-    bounds = [
-        _perturbation_bounds(base, knob, relative_step)
-        for _, _, knob, base in knobs
-    ]
-    f_upper = final_costs_for_variants(
-        flow,
-        [
-            (index, _with_knob(step, knob, upper))
-            for (index, step, knob, _), (upper, _) in zip(knobs, bounds)
-        ],
-    )
-    f_lower = final_costs_for_variants(
-        flow,
-        [
-            (index, _with_knob(step, knob, lower))
-            for (index, step, knob, _), (_, lower) in zip(knobs, bounds)
-        ],
-    )
-    f_base = evaluate(flow).final_cost_per_shipped
-    results: list[Sensitivity] = []
-    for lane, ((_, step, knob, base), (upper, lower)) in enumerate(
-        zip(knobs, bounds)
-    ):
-        derivative = (float(f_upper[lane]) - float(f_lower[lane])) / (
-            upper - lower
-        )
-        results.append(
-            Sensitivity(
-                node_id=step.node_id,
-                step_name=step.name,
-                knob=knob,
-                base_value=base,
-                elasticity=derivative * base / f_base,
-            )
-        )
-    results.sort(key=lambda s: abs(s.elasticity), reverse=True)
-    return results
-
-
-def rank_cost_drivers_pointwise(
-    flow: ProductionFlow, relative_step: float = 0.01
-) -> list[Sensitivity]:
-    """Scalar reference for :func:`rank_cost_drivers`.
-
-    One full flow re-evaluation per knob per finite-difference side,
-    exactly as the batched ranking performs them elementwise — the test
-    suite asserts the two agree bit-for-bit.
-    """
     results = [
         sensitivity_of(flow, step.node_id, knob, relative_step)
         for _, step, knob, _ in _applicable_knobs(flow)

@@ -1,11 +1,14 @@
 """Batch/scalar equivalence of the vectorised assessment spine.
 
-The batched fast paths (`evaluate_batch`, `final_costs_for_variants`,
-array yield laws) must be **bit-identical** to the scalar references —
-not approximately equal.  Hypothesis generates random production flows
-(every step type, optional rework), random volume families and random
-area arrays; every `CostReport` field (including `cost_by_tag` and the
-per-step reports) is compared with exact dataclass equality.
+`evaluate_batch` is the package's one walk of the MOE cost recurrence,
+and `evaluate` is its one-volume case.  Both must be **bit-identical**
+to the independent scalar walk in ``tests/moe_reference.py`` — not
+approximately equal — and must refuse what it refuses with the same
+message; the array yield laws must equal their scalar forms the same
+way.  Hypothesis generates random production flows (every step type,
+optional rework), random volume families and random area arrays; every
+`CostReport` field (including `cost_by_tag` and the per-step reports)
+is compared with exact dataclass equality.
 """
 
 from __future__ import annotations
@@ -15,11 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost.moe.analytic import (
-    evaluate,
-    evaluate_batch,
-    final_costs_for_variants,
-)
+from repro.cost.moe.analytic import evaluate, evaluate_batch
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import (
     AttachStep,
@@ -37,6 +36,8 @@ from repro.cost.yieldmodels import (
     compound_yield,
 )
 from repro.errors import FlowError
+
+from moe_reference import evaluate as reference_evaluate
 
 # Yields and coverages stay off the degenerate corners so nearly every
 # generated flow ships units (lost == 1 needs faulty == coverage == 1
@@ -119,11 +120,11 @@ def flows(draw) -> ProductionFlow:
 
 def _assert_looped_refuses(flow, family, exc: FlowError) -> None:
     """The batch refused ``flow`` (it scraps every unit): the looped
-    scalar path must refuse it too, with the same message."""
+    scalar reference must refuse it too, with the same message."""
     refusals = []
     for volume in family:
         try:
-            evaluate(flow, volume)
+            reference_evaluate(flow, volume)
         except FlowError as scalar:
             refusals.append(str(scalar))
     assert str(exc) in refusals
@@ -138,11 +139,13 @@ class TestEvaluateBatch:
         except FlowError as exc:
             _assert_looped_refuses(flow, family, exc)
             return
-        looped = tuple(evaluate(flow, volume) for volume in family)
+        looped = tuple(reference_evaluate(flow, volume) for volume in family)
         # Frozen-dataclass equality compares every CostReport field —
         # cost_by_tag dicts and the per-step StepReport tuples included
         # — with exact float equality.
-        assert batch.to_reports() == looped
+        assert tuple(
+            batch.report_at(index) for index in range(len(family))
+        ) == looped
 
     @settings(max_examples=60, deadline=None)
     @given(flows(), volumes)
@@ -154,7 +157,7 @@ class TestEvaluateBatch:
             return
         assert len(batch) == len(family)
         for column, volume in enumerate(family):
-            report = evaluate(flow, volume)
+            report = reference_evaluate(flow, volume)
             assert batch.started_units[column] == report.started_units
             assert batch.shipped_units[column] == report.shipped_units
             assert batch.scrapped_units[column] == report.scrapped_units
@@ -163,11 +166,6 @@ class TestEvaluateBatch:
                 batch.final_cost_per_shipped[column]
                 == report.final_cost_per_shipped
             )
-            step_matrix = batch.step_units_processed
-            for row, step_report in enumerate(report.steps):
-                assert step_matrix[row, column] == (
-                    step_report.units_processed
-                )
 
     def test_rejects_empty_family(self):
         flow = ProductionFlow(name="empty-family")
@@ -188,48 +186,53 @@ class TestEvaluateBatch:
             evaluate_batch(flow, [1e3, 0.0])
 
 
-class TestVariantBatch:
-    @settings(max_examples=60, deadline=None)
-    @given(flows(), st.floats(min_value=1.0, max_value=1e6))
-    def test_bit_identical_to_rebuilt_flows(self, flow, volume):
-        from dataclasses import replace
+#: Volumes of every type a caller may pass, bad ones included: the
+#: report keeps the caller's object and a refusal names it unchanged.
+single_volumes = st.one_of(
+    st.floats(min_value=-1e9, max_value=1e9),
+    st.integers(min_value=-10**6, max_value=10**12),
+    st.floats(min_value=1e-3, max_value=1e9).map(np.float64),
+)
 
-        variants = []
-        for index, step in enumerate(flow.steps):
-            if isinstance(step, CarrierStep):
-                variants.append(
-                    (index, replace(step, unit_cost=step.unit_cost + 1.0))
-                )
-            elif isinstance(step, TestStep):
-                variants.append(
-                    (index, replace(step, coverage=step.coverage / 2.0))
-                )
-        batched = final_costs_for_variants(flow, variants, volume=volume)
-        for lane, (index, replacement) in enumerate(variants):
-            modified = ProductionFlow(name=flow.name, nre=flow.nre)
-            modified.steps = list(flow.steps)
-            modified.steps[index] = replacement
-            scalar = evaluate(modified, volume=volume)
-            assert float(batched[lane]) == scalar.final_cost_per_shipped
 
-    def test_rejects_type_change(self):
-        flow = ProductionFlow(name="typed")
-        flow.steps = [
+def _outcome(walk, flow, volume):
+    """``repr`` of a walk's report, or its exception's type and message.
+
+    ``ZeroDivisionError`` counts as well as ``FlowError``: a volume so
+    small that ``shipped * volume`` underflows to zero divides by zero
+    in both walks alike.
+    """
+    try:
+        return repr(walk(flow, volume))
+    except (FlowError, ZeroDivisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestEvaluate:
+    @settings(max_examples=120, deadline=None)
+    @given(flows(), single_volumes)
+    def test_bit_identical_to_reference(self, flow, volume):
+        # ``repr`` also tells an int from a float and a numpy float from
+        # a Python one, which equality would not.
+        assert _outcome(evaluate, flow, volume) == _outcome(
+            reference_evaluate, flow, volume
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(single_volumes)
+    def test_refuses_invalid_flows_like_reference(self, volume):
+        no_test = ProductionFlow(name="no-test")
+        no_test.steps = [CarrierStep("ID0", "carrier", 1.0, 0.9)]
+        negative_nre = ProductionFlow(name="negative-nre", nre=-1.0)
+        negative_nre.steps = [
             CarrierStep("ID0", "carrier", 1.0, 0.9),
             TestStep("ID1", "test", 1.0, 1.0),
         ]
-        with pytest.raises(FlowError, match="keep its type"):
-            final_costs_for_variants(
-                flow, [(0, ProcessStep("ID0", "carrier", 1.0, 0.9))]
+        for flow in (ProductionFlow(name="empty"), no_test, negative_nre):
+            assert _outcome(evaluate, flow, volume) == _outcome(
+                reference_evaluate, flow, volume
             )
-
-    def test_empty_variant_list(self):
-        flow = ProductionFlow(name="empty")
-        flow.steps = [
-            CarrierStep("ID0", "carrier", 1.0, 0.9),
-            TestStep("ID1", "test", 1.0, 1.0),
-        ]
-        assert final_costs_for_variants(flow, []).shape == (0,)
+            assert _outcome(evaluate, flow, volume)[0] == "FlowError"
 
 
 #: Edge areas the array laws must agree on: denormal-adjacent, tiny,

@@ -1,18 +1,28 @@
-"""Cost-driver sensitivity analysis."""
+"""Cost-driver sensitivity analysis.
+
+The ranking's final costs come from the production walk
+(``evaluate_batch``); ``reference_ranking`` below recomputes every
+elasticity from the independent scalar walk in
+``tests/moe_reference.py``, and the two must agree bit for bit.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cost.moe import FlowBuilder
+from repro.cost.moe import CarrierStep, FlowBuilder, ProductionFlow, TestStep
 from repro.cost.sensitivity import (
     Knob,
+    _applicable_knobs,
+    _perturbation_bounds,
+    _with_knob,
     rank_cost_drivers,
-    rank_cost_drivers_pointwise,
     sensitivity_of,
 )
 from repro.errors import CostModelError
 from repro.gps.buildups import flow_for
+
+from moe_reference import evaluate as reference_evaluate
 
 
 def toy_flow():
@@ -23,6 +33,34 @@ def toy_flow():
         .test("final", cost=5.0, coverage=0.99)
         .build()
     )
+
+
+def reference_ranking(flow, relative_step=0.01):
+    """``(node_id, knob, base, elasticity)`` of every knob, ranked, from
+    central differences over the scalar reference walk."""
+    if not 0.0 < relative_step < 0.5:
+        raise CostModelError(f"bad relative step {relative_step}")
+    f_base = reference_evaluate(flow).final_cost_per_shipped
+    ranking = []
+    for index, step, knob, base in _applicable_knobs(flow):
+        upper, lower = _perturbation_bounds(base, knob, relative_step)
+        finals = []
+        for value in (upper, lower):
+            variant = ProductionFlow(name=flow.name, nre=flow.nre)
+            variant.steps = list(flow.steps)
+            variant.steps[index] = _with_knob(step, knob, value)
+            finals.append(reference_evaluate(variant).final_cost_per_shipped)
+        derivative = (finals[0] - finals[1]) / (upper - lower)
+        ranking.append((step.node_id, knob, base, derivative * base / f_base))
+    ranking.sort(key=lambda entry: abs(entry[3]), reverse=True)
+    return ranking
+
+
+def ranked(drivers):
+    """A ranking as ``reference_ranking`` lays it out; every elasticity
+    must be a Python float, as the scalar walk gives it."""
+    assert all(type(d.elasticity) is float for d in drivers)
+    return [(d.node_id, d.knob, d.base_value, d.elasticity) for d in drivers]
 
 
 class TestSensitivityOf:
@@ -125,29 +163,30 @@ class TestZeroBaseline:
 
 class TestBatchedRankingEquivalence:
     def test_toy_flow_matches_pointwise_exactly(self):
-        batched = rank_cost_drivers(toy_flow())
-        pointwise = rank_cost_drivers_pointwise(toy_flow())
-        assert len(batched) == len(pointwise)
-        for fast, slow in zip(batched, pointwise):
-            assert fast.node_id == slow.node_id
-            assert fast.knob is slow.knob
-            assert fast.base_value == slow.base_value
-            assert fast.elasticity == slow.elasticity
+        drivers = rank_cost_drivers(toy_flow())
+        assert drivers
+        assert ranked(drivers) == reference_ranking(toy_flow())
 
     def test_gps_flows_match_pointwise_exactly(self):
         for implementation in (1, 2, 3, 4):
-            batched = rank_cost_drivers(flow_for(implementation))
-            pointwise = rank_cost_drivers_pointwise(
-                flow_for(implementation)
-            )
-            assert [
-                (d.node_id, d.knob, d.elasticity) for d in batched
-            ] == [(d.node_id, d.knob, d.elasticity) for d in pointwise]
+            assert ranked(
+                rank_cost_drivers(flow_for(implementation))
+            ) == reference_ranking(flow_for(implementation))
 
     def test_bad_step_size_rejected_by_both(self):
-        for ranker in (rank_cost_drivers, rank_cost_drivers_pointwise):
+        for ranker in (rank_cost_drivers, reference_ranking):
             with pytest.raises(CostModelError):
                 ranker(toy_flow(), relative_step=0.9)
+        # Also for a flow with no knob to perturb, where no
+        # sensitivity_of call would reach its own check.
+        knobless = ProductionFlow(name="knobless")
+        knobless.steps = [
+            CarrierStep("ID0", "carrier", 0.0, 1.0),
+            TestStep("ID1", "test", 0.0, 1.0),
+        ]
+        assert rank_cost_drivers(knobless) == []
+        with pytest.raises(CostModelError, match="relative step"):
+            rank_cost_drivers(knobless, relative_step=0.9)
 
 
 class TestGpsDrivers:

@@ -1,9 +1,10 @@
 """The study commands' printed report, locked byte for byte.
 
 ``goldens/gps_study.json`` pins the study's numbers; this file pins what
-``repro-gps study``, ``study --volume 1234`` and ``compare`` print: the
-per-step cost report, the signal-chain text, the rounding of every
-figure and the paper-vs-measured lines.  ``study_output_golden.json``
+``repro-gps study``, ``study --volume 1234``, ``compare`` and
+``calibrate`` print: the per-step cost report, the signal-chain text,
+the rounding of every figure, the paper-vs-measured lines and the
+fitted chip costs.  ``study_output_golden.json``
 maps each argv (space-joined) to its exact stdout.
 
 Regenerate after an *intentional* change of the printed report with::
@@ -30,6 +31,7 @@ COMMANDS = (
     ("study",),
     ("study", "--volume", "1234"),
     ("compare",),
+    ("calibrate",),
 )
 
 

@@ -4,10 +4,11 @@ Production sweeps assess and rank each volume family as columns
 (:func:`repro.core.sweep.evaluate_family`).  This module keeps the
 plain one-point-at-a-time object path that spine must match bit for
 bit: every candidate assessed into a
-:class:`~repro.core.methodology.BuildUpAssessment` (scalar
-:class:`~repro.cost.moe.report.CostReport` included), every point
-ranked into a :class:`~repro.core.methodology.StudyResult` and
-analysed with :func:`~repro.core.pareto.analyze_study`.
+:class:`~repro.core.methodology.BuildUpAssessment` (its scalar
+:class:`~repro.cost.moe.report.CostReport` from the scalar walk in
+``tests/moe_reference.py``), every point ranked into a
+:class:`~repro.core.methodology.StudyResult` and analysed with
+:func:`~repro.core.pareto.analyze_study`.
 
 Give the reference its own :class:`~repro.core.sweep.EvaluationCache`:
 its cost table holds whole reports, the spine's holds final costs.
@@ -30,8 +31,9 @@ from repro.core.pareto import analyze_study
 from repro.core.ranking import DecisionFrame
 from repro.core.resultframe import COLUMN_ORDER, ResultFrame
 from repro.core.sweep import EvaluationCache
-from repro.cost.moe.analytic import evaluate
 from repro.errors import SpecificationError
+
+from moe_reference import evaluate
 
 
 def assess_candidate_cached(
