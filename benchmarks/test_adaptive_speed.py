@@ -22,10 +22,12 @@ answer on the clock**.  This benchmark pins the claims, in that order:
 
 Evaluation count alone does not show a win: the exhaustive sweep
 amortises a volume axis through the batched family fill, so on the
-256-point grid the adaptive run is still *slower* on the clock (~0.5x,
-its eight passes each pay fixed costs) despite 15x fewer evaluations.
-Each pass costs only the cells it evaluates, so the driver pulls ahead
-as the grid grows (~8x at 32768 points); the clock gate pins that.
+256-point grid the adaptive run is still *slower* on the clock (~0.7x:
+its eight passes share the cache's candidates, flows and cost walks,
+but each still re-ranks, re-concatenates and re-masks) despite 15x
+fewer evaluations.  Each pass costs only the cells it evaluates, so
+the driver pulls ahead as the grid grows (~12x at 32768 points); the
+clock gate pins that.
 """
 
 from __future__ import annotations

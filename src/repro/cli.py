@@ -64,7 +64,7 @@ from .core.sweep import (
     SweepReport,
     max_rows_from_env,
 )
-from .errors import CalibrationError, SpecificationError
+from .errors import CalibrationError, FlowError, SpecificationError
 from .gps.buildups import flow_for
 from .gps.study import (
     NRE_SCENARIOS,
@@ -1932,9 +1932,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(["study"])
     try:
         return args.func(args)
-    except SpecificationError as exc:
+    except (SpecificationError, FlowError) as exc:
         # A bad ask found while running (an unreadable file, a foreign
-        # grid, an overflowing weight) is a usage error, not a crash.
+        # grid, an overflowing weight, a volume too small to ship a
+        # unit) is a usage error, not a crash.
         raise _usage_error(args.command, str(exc)) from None
 
 

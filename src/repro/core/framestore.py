@@ -58,6 +58,7 @@ from .resultframe import ResultFrame
 from .sharding import (
     ArtifactLike,
     GridIdentity,
+    ShardMergeError,
     check_shard_cover,
     load_artifact,
     merge_cache_states,
@@ -562,7 +563,10 @@ def merge_artifacts_to_store(
     store's ``max_rows_in_memory`` buffer: validation scans the sources
     one at a time keeping only their index metadata, and the copy pass
     reloads one artifact at a time.  Path sources are read twice
-    (validate, then copy); in-memory artifacts are kept by reference.
+    (validate, then copy), and a reloaded artifact whose point indices
+    or row counts differ from what validation read (the file changed
+    between the passes) is refused; in-memory artifacts are kept by
+    reference.
     """
     records: list[tuple[ArtifactLike, tuple[int, ...], tuple[int, ...]]] = []
     covers = []
@@ -612,7 +616,15 @@ def merge_artifacts_to_store(
     def _frame_of(record_index: int) -> ResultFrame:
         nonlocal loaded_index, loaded_frame
         if loaded_index != record_index:
-            loaded_frame = load_artifact(records[record_index][0]).dframe.frame
+            source, indices, row_counts = records[record_index]
+            dframe = load_artifact(source).dframe
+            if (dframe.indices, dframe.row_counts) != (indices, row_counts):
+                raise ShardMergeError(
+                    f"shard artifact {source} changed while it was being "
+                    f"merged: it no longer holds the points it was "
+                    f"validated with"
+                )
+            loaded_frame = dframe.frame
             loaded_index = record_index
         return loaded_frame
 

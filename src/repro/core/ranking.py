@@ -287,11 +287,13 @@ class DecisionFrame:
         return replace(self, indices=tuple(indices))
 
     def cells(self) -> Iterator[tuple[int, ResultFrame]]:
-        """``(index, frame)`` per point, in row order."""
+        """``(index, frame)`` per point, in row order; each cell's frame
+        is a view of this frame's rows
+        (:meth:`~repro.core.resultframe.ResultFrame.rows_between`)."""
         stop = 0
         for index, count in zip(self.indices, self.row_counts):
             start, stop = stop, stop + count
-            yield index, self.frame.take(np.arange(start, stop))
+            yield index, self.frame.rows_between(start, stop)
 
 
 #: One FoM factor's base as :func:`~repro.core.resultframe.distinct_values`:

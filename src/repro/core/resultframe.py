@@ -499,6 +499,22 @@ class ResultFrame:
             }
         )
 
+    def rows_between(self, start: int, stop: int) -> "ResultFrame":
+        """Rows ``start`` to ``stop`` as a new frame of views.
+
+        Basic slices of the read-only columns, so no row is copied:
+        the result shares this frame's memory, and neither can change
+        under the other.  A view of a read-only array is read-only
+        itself, so :meth:`_wrap`'s flag pass is not needed.
+        """
+        frame = object.__new__(ResultFrame)
+        object.__setattr__(
+            frame,
+            "_columns",
+            {name: self._columns[name][start:stop] for name in COLUMN_ORDER},
+        )
+        return frame
+
     def filter(self, mask) -> "ResultFrame":
         """Rows where the boolean ``mask`` is true, original order."""
         mask = np.asarray(mask, dtype=bool)

@@ -340,15 +340,25 @@ class EvaluationCache:
     so two grid points that share an input share the computation; each
     key is built once per *distinct* input, never once per lookup:
 
-    * performance: ``repr`` of a chain's technology assignments;
-    * area: :meth:`area_key`, rendered by :func:`candidate_area_keys`
-      once per distinct ``(footprints, rule, laminate)`` object triple
-      for the cache's whole life — across calls, passes and stream
-      blocks — and handed to :meth:`area`;
+    * performance: ``repr`` of a chain's technology assignments, handed
+      to :meth:`performance`;
+    * area: :meth:`area_key`, handed to :meth:`area`;
     * cost: nested ``repr(flow)`` → ``repr(volume)`` → final cost per
-      shipped unit, the only cost figure the ranking reads.  The flat
-      key ``f"{volume!r}|{flow!r}"`` is spelled out only by
-      :meth:`portable_state`, for its digests.
+      shipped unit, the only cost figure the ranking reads, resolved by
+      :meth:`cost_batch`.  The flat key ``f"{volume!r}|{flow!r}"`` is
+      spelled out only by :meth:`portable_state`, for its digests.
+
+    Beside the tables sits one bounded memo of what the sweep derives
+    from the candidate *objects* (:meth:`memo`): a volume-invariant
+    factory's candidates per volume family, each candidate's
+    performance key, each ``(footprints, rule, laminate)`` triple's
+    area key, each ``(candidate, area key)``'s production flow with its
+    cost key, and each distinct flow's recurrence walk.  So across the
+    calls, stream blocks and adaptive passes sharing one cache, the
+    factory runs once per family, each key is rendered once, and each
+    flow is built and walked once — a later call pays only for binding
+    its new volumes.  The memo never changes a table entry or a
+    hit/miss count.
 
     One cache serves a whole sweep, so one :meth:`stats` report covers
     it; caches filled on different hosts combine through their
@@ -363,10 +373,9 @@ class EvaluationCache:
         }
         self._hits: dict[str, int] = {name: 0 for name in CACHE_TABLES}
         self._misses: dict[str, int] = {name: 0 for name in CACHE_TABLES}
-        # ``id`` s of ``(footprints, rule, laminate)`` → (those inputs,
-        # their rendered area key).  Holding the inputs keeps their ids
-        # from being reused while the cache lives.
-        self._area_keys: dict[tuple[int, int, int], tuple[tuple, str]] = {}
+        # Tagged tuples of ``id`` s → (the objects behind them, the
+        # value derived from them); see :meth:`memo`.
+        self._memo: dict[tuple, tuple[object, object]] = {}
 
     def _get(self, name: str, key: str, compute: Callable):
         table = self._tables[name]
@@ -378,11 +387,29 @@ class EvaluationCache:
         table[key] = value
         return value
 
-    def performance(self, assignments, compute) -> ChainPerformance:
-        """One chain's performance, keyed by ``repr(assignments)``."""
-        return self._get(
-            "performance", repr(assignments), compute
-        )
+    def memo(self, key: tuple, holds, build: Callable):
+        """A value derived from live objects, built once per cache.
+
+        ``key`` carries the ``id`` s of the objects the value derives
+        from (plus a tag telling the kinds of entry apart, and any
+        content key) and ``holds`` the objects themselves, kept beside
+        the value so their ids stay unique while the entry lives.  The objects must not change
+        while the cache lives.  A caller that hands over fresh objects
+        per call gains nothing here, so the memo is emptied whenever it
+        reaches :data:`OBJECT_MEMO_SIZE` entries rather than pinning
+        every such object for the cache's life.
+        """
+        entry = self._memo.get(key)
+        if entry is None:
+            if len(self._memo) >= OBJECT_MEMO_SIZE:
+                self._memo.clear()
+            entry = self._memo[key] = (holds, build())
+        return entry[1]
+
+    def performance(self, key: str, compute) -> ChainPerformance:
+        """One chain's performance under ``repr`` of its technology
+        assignments."""
+        return self._get("performance", key, compute)
 
     @staticmethod
     def area_key(footprints, rule, laminate) -> str:
@@ -416,24 +443,23 @@ class EvaluationCache:
 
     def cost_batch(
         self,
-        flow,
+        flow_key: str,
         volumes: Sequence[float],
         compute_missing,
         volume_keys: Optional[Sequence[str]] = None,
     ):
         """Resolve one flow's final costs at many volumes together.
 
-        Counts a hit per already-cached volume and a miss per computed
-        one, exactly as one lookup per volume would, but all missing
-        volumes are produced by a single
-        ``compute_missing(missing_volumes)`` call (one batched flow
-        walk) instead of one evaluation each.  ``repr(flow)`` is built
-        once per call; volumes are keyed by their own ``repr``, so
-        ``10000``, ``10000.0`` and ``np.float64(10000.0)`` stay distinct
-        entries.  A caller resolving many flows at the same volumes
-        passes those reprs once as ``volume_keys``.
+        ``flow_key`` is ``repr`` of the flow.  Counts a hit per
+        already-cached volume and a miss per computed one, exactly as
+        one lookup per volume would, but all missing volumes are
+        produced by a single ``compute_missing(missing_volumes)`` call
+        instead of one evaluation each.  Volumes are keyed by their own
+        ``repr``, so ``10000``, ``10000.0`` and ``np.float64(10000.0)``
+        stay distinct entries.  A caller resolving many flows at the
+        same volumes passes those reprs once as ``volume_keys``.
         """
-        table = self._tables["cost"].setdefault(repr(flow), {})
+        table = self._tables["cost"].setdefault(flow_key, {})
         keys = (
             [repr(volume) for volume in volumes]
             if volume_keys is None
@@ -603,6 +629,40 @@ def max_rows_from_env() -> Optional[int]:
     return value
 
 
+class _Flow:
+    """A production flow as the cache keeps it: the flow, its cost key
+    (``repr(flow)``) and, once taken, its recurrence walk."""
+
+    __slots__ = ("flow", "key", "walk")
+
+    def __init__(self, flow, key: str) -> None:
+        self.flow = flow
+        self.key = key
+        self.walk = None
+
+    @staticmethod
+    def of(flow, cache: EvaluationCache) -> "_Flow":
+        """``cache``'s one entry for the flows equal to ``flow`` (by
+        ``repr``), so equal flows built for different candidates share
+        one walk."""
+        key = repr(flow)
+        return cache.memo(("walk", key), None, lambda: _Flow(flow, key))
+
+    def final_costs(self, volumes: Sequence[float]) -> list[float]:
+        """Final cost per shipped unit at ``volumes``.
+
+        The first call walks the flow (:func:`evaluate_batch`); later
+        ones bind the kept walk to their volumes
+        (:meth:`~repro.cost.moe.analytic.CostReportBatch.bind`), with
+        the same bits.
+        """
+        if self.walk is None:
+            self.walk = batch = evaluate_batch(self.flow, volumes)
+        else:
+            batch = self.walk.bind(volumes)
+        return batch.final_cost_per_shipped.tolist()
+
+
 def assess_candidate_family_cached(
     candidate: CandidateBuildUp,
     area_key: str,
@@ -620,15 +680,21 @@ def assess_candidate_family_cached(
     Performance and placement are resolved **once** and re-counted as
     hits for the remaining volumes (:meth:`EvaluationCache.count_reuse`,
     so the stats match a per-point evaluation); all volumes' costs come
-    from one :meth:`EvaluationCache.cost_batch` call backed by a single
-    batched flow walk's ``final_cost_per_shipped`` column.
+    from one :meth:`EvaluationCache.cost_batch` call.  The candidate's
+    performance key and its flow — built, keyed and walked — come from
+    :meth:`EvaluationCache.memo`, so a candidate seen before costs only
+    its new volumes.
     """
     reuse = len(volumes) - 1
     if candidate.fixed_performance is not None:
         performance = candidate.fixed_performance
     else:
         chain = cache.performance(
-            candidate.filter_assignments,
+            cache.memo(
+                ("performance", id(candidate)),
+                candidate,
+                lambda: repr(candidate.filter_assignments),
+            ),
             lambda: assess_chain(candidate.filter_assignments),
         )
         cache.count_reuse("performance", reuse)
@@ -642,14 +708,15 @@ def assess_candidate_family_cached(
         ),
     )
     cache.count_reuse("area", reuse)
-    flow = candidate.flow_factory(area.substrate_area_cm2)
+    flow = cache.memo(
+        ("flow", id(candidate), area_key),
+        candidate,
+        lambda: _Flow.of(
+            candidate.flow_factory(area.substrate_area_cm2), cache
+        ),
+    )
     costs = cache.cost_batch(
-        flow,
-        volumes,
-        lambda missing: evaluate_batch(
-            flow, missing
-        ).final_cost_per_shipped.tolist(),
-        volume_keys,
+        flow.key, volumes, flow.final_costs, volume_keys
     )
     return performance, area.final_area_mm2, costs
 
@@ -712,9 +779,13 @@ def frame_for_cells(
     )
 
 
-#: Most ``(footprints, rule, laminate)`` triples one cache keeps rendered
-#: area keys for (see :func:`candidate_area_keys`).
-AREA_KEY_MEMO_SIZE = 1024
+#: Most entries one cache's object memo keeps (see
+#: :meth:`EvaluationCache.memo`).
+OBJECT_MEMO_SIZE = 1024
+
+
+#: A candidate's placement inputs, the triple its area key renders.
+_area_inputs = attrgetter("footprints", "substrate_rule", "laminate")
 
 
 def candidate_area_keys(
@@ -729,36 +800,21 @@ def candidate_area_keys(
     :func:`repro.gps.buildups.footprints_for` and its rules are module
     constants or grid axis values.  So each key is rendered once per
     distinct ``(footprints, rule, laminate)`` object triple per
-    ``cache`` and shared by every candidate carrying that triple, in
-    this call and every later one (the next stream block, the next
-    adaptive pass).  The cache holds the triple beside its key, so the
-    objects' ``id`` s stay unique while it lives.  A factory that builds
-    fresh footprint objects per call gains nothing from the memo, so it
-    is emptied whenever it reaches :data:`AREA_KEY_MEMO_SIZE` triples
-    rather than pinning every such object for the cache's life.
+    ``cache`` (:meth:`EvaluationCache.memo`) and shared by every
+    candidate carrying that triple, in this call and every later one
+    (the next stream block, the next adaptive pass).
     """
-    rendered = cache._area_keys
-    keys = []
-    for candidates in family_candidates:
-        family_keys = []
-        for candidate in candidates:
-            inputs = (
-                candidate.footprints,
-                candidate.substrate_rule,
-                candidate.laminate,
+    return [
+        [
+            cache.memo(
+                ("area", *map(id, inputs)),
+                inputs,
+                lambda: EvaluationCache.area_key(*inputs),
             )
-            identity = (id(inputs[0]), id(inputs[1]), id(inputs[2]))
-            entry = rendered.get(identity)
-            if entry is None:
-                if len(rendered) >= AREA_KEY_MEMO_SIZE:
-                    rendered.clear()
-                entry = rendered[identity] = (
-                    inputs,
-                    EvaluationCache.area_key(*inputs),
-                )
-            family_keys.append(entry[1])
-        keys.append(family_keys)
-    return keys
+            for inputs in map(_area_inputs, candidates)
+        ]
+        for candidates in family_candidates
+    ]
 
 
 def evaluate_family(
@@ -837,6 +893,25 @@ _family_axes = attrgetter(
 )
 
 
+def _families(points: Sequence[DesignPoint]) -> dict[tuple, list[int]]:
+    """:func:`family_runs`, each run under its family key: the ``repr``
+    of every axis but the volume."""
+    by_identity: dict[tuple[int, ...], list[int]] = {}
+    for position, point in enumerate(points):
+        identity = tuple(map(id, _family_axes(point)))
+        by_identity.setdefault(identity, []).append(position)
+    families: dict[tuple[str, ...], list[int]] = {}
+    for run in by_identity.values():
+        key = tuple(map(repr, _family_axes(points[run[0]])))
+        family = families.get(key)
+        if family is None:
+            families[key] = run
+        else:
+            family.extend(run)
+            family.sort()
+    return families
+
+
 def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
     """Group point positions into volume families.
 
@@ -852,20 +927,7 @@ def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
     is ``repr`` ed; groups with equal reprs (equal content held by
     distinct objects) merge into one family.
     """
-    by_identity: dict[tuple[int, ...], list[int]] = {}
-    for position, point in enumerate(points):
-        identity = tuple(map(id, _family_axes(point)))
-        by_identity.setdefault(identity, []).append(position)
-    families: dict[tuple[str, ...], list[int]] = {}
-    for run in by_identity.values():
-        key = tuple(map(repr, _family_axes(points[run[0]])))
-        family = families.get(key)
-        if family is None:
-            families[key] = run
-        else:
-            family.extend(run)
-            family.sort()
-    return list(families.values())
+    return list(_families(points).values())
 
 
 def _seed_family_placements(
@@ -924,32 +986,49 @@ def evaluate_cells(
     :func:`~repro.gps.study.sweep_candidates`, the one GPS factory,
     does) gets the batched
     fill: points are grouped into volume families
-    (:func:`family_runs`), the factory runs **once per family**,
-    placements are broadcast ahead of the evaluation, and each family
-    is assessed with one batched flow walk per (candidate, flow).  Any
-    other factory is called per point, each point its own family.  Both
+    (:func:`family_runs`), the factory runs **once per family and
+    cache** — later calls on the same cache (the next stream block or
+    adaptive pass) reuse its candidates through
+    :meth:`EvaluationCache.memo` — placements are broadcast ahead of
+    the evaluation, and each family is assessed with one
+    :meth:`EvaluationCache.cost_batch` per (candidate, flow), which
+    walks a flow only the first time the cache sees it.  Any other
+    factory is called per point, each point its own family.  Both
     produce bit-identical frames.  Either way each distinct area key is
     rendered once per cache (:func:`candidate_area_keys`).
     """
     batched = getattr(candidate_factory, "volume_invariant", False)
     if batched:
-        runs = family_runs(points)
+        families = _families(points)
+        runs = list(families.values())
+        family_candidates = [
+            cache.memo(
+                ("candidates", id(candidate_factory), key),
+                candidate_factory,
+                lambda: list(candidate_factory(points[run[0]])),
+            )
+            for key, run in families.items()
+        ]
     else:
         runs = [[position] for position in range(len(points))]
-    families = [[points[position] for position in run] for run in runs]
-    family_candidates = [
-        list(candidate_factory(family[0])) for family in families
-    ]
+        family_candidates = [
+            list(candidate_factory(point)) for point in points
+        ]
     area_keys = candidate_area_keys(family_candidates, cache)
     if batched:
         _seed_family_placements(family_candidates, area_keys, cache)
     return DecisionFrame.concat(
         [
             evaluate_family(
-                family, candidates, keys, reference, weights, cache
+                [points[position] for position in run],
+                candidates,
+                keys,
+                reference,
+                weights,
+                cache,
             ).reindexed(run)
-            for run, family, candidates, keys in zip(
-                runs, families, family_candidates, area_keys
+            for run, candidates, keys in zip(
+                runs, family_candidates, area_keys
             )
         ]
     )

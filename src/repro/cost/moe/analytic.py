@@ -20,18 +20,21 @@ the test was performed).
 
 The whole recurrence is *volume-independent*: volume enters Eq. (1)
 only through the absolute unit counts and the NRE amortisation.
-:func:`evaluate_batch` therefore walks the flow **once** for a whole
-family of volumes and returns a columnar :class:`CostReportBatch`; it
-is the one walk of the recurrence in the package.  :func:`evaluate` is
-its one-volume case, and every other cost consumer (the sweep's cost
-table, :mod:`repro.cost.sensitivity`) calls one of the two.  The plain
-scalar walk lives in ``tests/moe_reference.py`` as the reference the
-test suite checks this one against, bit for bit.
+:func:`evaluate_batch` therefore works in two steps: it walks the flow
+**once**, the one walk of the recurrence in the package, and binds a
+whole family of volumes to the walk
+(:meth:`CostReportBatch.bind`), returning a columnar
+:class:`CostReportBatch`.  A caller holding a batch binds further
+volumes without walking again — the sweep's cost table walks each flow
+once per cache that way.  :func:`evaluate` is the one-volume case, and
+every other cost consumer (:mod:`repro.cost.sensitivity`) calls one of
+the two.  The plain scalar walk lives in ``tests/moe_reference.py`` as
+the reference the test suite checks this one against, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -71,7 +74,8 @@ class CostReportBatch:
     once as Python-float scalars (``shipped_fraction``,
     ``direct_cost_per_unit``, per-step fractions); the volume axis only
     scales unit counts and amortises NRE, so the per-volume columns are
-    derived properties.  :meth:`report_at` builds the scalar
+    derived properties.  :meth:`bind` puts the same walk at other
+    volumes; :meth:`report_at` builds the scalar
     :class:`~repro.cost.moe.report.CostReport` of one volume, which is
     what :func:`evaluate` returns.
     """
@@ -122,6 +126,32 @@ class CostReportBatch:
             self.direct_cost_per_unit + self.yield_loss_per_shipped
         ) + self.nre_per_shipped
 
+    def bind(self, volumes: Sequence[float]) -> "CostReportBatch":
+        """The same walk at ``volumes``: step two of :func:`evaluate_batch`.
+
+        Validates the volumes as :func:`evaluate_batch` does and keeps
+        the caller's volume objects, so every per-volume column is the
+        same arithmetic on the same operands as a fresh walk would
+        give.  A volume is also refused when ``shipped_fraction *
+        volume`` is not positive (a denormal volume underflows to zero
+        shipped units) or the NRE share per shipped unit is not finite,
+        rather than handing a NaN or an infinity on to the ranking.
+        """
+        volume_list = _positive_volumes(volumes)
+        shipped = self.shipped_fraction * np.asarray(
+            volume_list, dtype=np.float64
+        )
+        with np.errstate(all="ignore"):
+            amortised = (shipped > 0.0) & np.isfinite(self.nre / shipped)
+        if not amortised.all():
+            volume = volume_list[int(np.argmin(amortised))]
+            raise FlowError(
+                f"volume {volume} is too small for flow "
+                f"{self.flow_name!r}: its NRE per shipped unit is not "
+                f"a finite number"
+            )
+        return replace(self, volumes=volume_list)
+
     def report_at(self, index: int) -> CostReport:
         """The scalar :class:`CostReport` of one volume of the family."""
         volume = self.volumes[index]
@@ -165,26 +195,38 @@ class CostReportBatch:
         )
 
 
-def evaluate_batch(
-    flow: ProductionFlow, volumes: Sequence[float]
-) -> CostReportBatch:
-    """Evaluate a flow analytically at a whole family of volumes.
-
-    The alive/faulty/accumulated/spend recurrence is walked **once**
-    (it never sees the volume), recording the per-step fractions; the
-    returned :class:`CostReportBatch` broadcasts them over the volume
-    axis.  The batch keeps the caller's volume objects, so
-    :meth:`CostReportBatch.report_at` does the same arithmetic on the
-    same operands as a walk of that one volume would.
-    """
-    flow.validate()
+def _positive_volumes(volumes: Sequence[float]) -> tuple:
+    """``volumes`` as a tuple, refused when empty or not all positive."""
     volume_list = tuple(volumes)
     if not volume_list:
         raise FlowError("evaluate_batch needs at least one volume")
     for volume in volume_list:
         if volume <= 0:
             raise FlowError(f"volume must be positive, got {volume}")
+    return volume_list
 
+
+def evaluate_batch(
+    flow: ProductionFlow, volumes: Sequence[float]
+) -> CostReportBatch:
+    """Evaluate a flow analytically at a whole family of volumes.
+
+    Step one walks the alive/faulty/accumulated/spend recurrence
+    **once** (it never sees the volume), recording the per-step
+    fractions; step two, :meth:`CostReportBatch.bind`, broadcasts them
+    over the volume axis.  The batch keeps the caller's volume objects,
+    so :meth:`CostReportBatch.report_at` does the same arithmetic on
+    the same operands as a walk of that one volume would.  Volumes are
+    checked for sign before the walk and for amortisation after it.
+    """
+    flow.validate()
+    volume_list = _positive_volumes(volumes)
+    return _walk(flow).bind(volume_list)
+
+
+def _walk(flow: ProductionFlow) -> CostReportBatch:
+    """The volume-free recurrence walk of a validated flow, bound to no
+    volume yet."""
     alive = 1.0
     faulty = 0.0
     accumulated = 0.0
@@ -255,7 +297,7 @@ def evaluate_batch(
     yield_loss = spend / shipped - direct
     return CostReportBatch(
         flow_name=flow.name,
-        volumes=volume_list,
+        volumes=(),
         shipped_fraction=shipped,
         escape_fraction=faulty,
         direct_cost_per_unit=direct,

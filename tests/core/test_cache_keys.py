@@ -38,8 +38,8 @@ from repro.core.adaptive import run_adaptive_sweep
 from repro.core.figure_of_merit import FomWeights
 from repro.core.executors import STREAM_BLOCK
 from repro.core.sweep import (
-    AREA_KEY_MEMO_SIZE,
     CACHE_TABLES,
+    OBJECT_MEMO_SIZE,
     DesignPoint,
     EvaluationCache,
     SweepGrid,
@@ -324,10 +324,10 @@ class TestKeysBuiltOncePerDistinctInput:
 
     def test_per_point_fresh_footprints_stay_within_the_memo_bound(self):
         # Four fresh triples per point: more than the memo keeps.
-        assert 4 * len(STREAM_GRID) > AREA_KEY_MEMO_SIZE
+        assert 4 * len(STREAM_GRID) > OBJECT_MEMO_SIZE
         cache = streamed_cache(STREAM_GRID, FreshFootprints(False))
         assert key_digests(cache) == expected_digests(STREAM_GRID.points())
-        assert len(cache._area_keys) <= AREA_KEY_MEMO_SIZE
+        assert len(cache._memo) <= OBJECT_MEMO_SIZE
 
     def test_fresh_footprints_adaptive_keys_match_their_inputs(self):
         cache = EvaluationCache()

@@ -389,6 +389,24 @@ class TestStreamingMerge:
         assert store.complete
         assert GridIdentity.from_payload(store.meta) == artifacts[0].grid
 
+    def test_file_swapped_between_passes_is_refused(self, tmp_path):
+        artifacts = make_artifacts(3)
+        paths = [
+            write_shard_artifact(
+                tmp_path / shard_filename(3, artifact.shard_index), artifact
+            )
+            for artifact in artifacts
+        ]
+
+        def sources():
+            # Runs once validation has read every path, before the copy
+            # pass reloads them.
+            yield from paths
+            paths[0].write_bytes(paths[1].read_bytes())
+
+        with pytest.raises(ShardMergeError, match="changed while"):
+            merge_artifacts_to_store(sources(), tmp_path / "store", 4)
+
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ShardMergeError, match="no shard artifacts"):
             merge_artifacts_to_store([], tmp_path / "store", 4)

@@ -196,15 +196,10 @@ single_volumes = st.one_of(
 
 
 def _outcome(walk, flow, volume):
-    """``repr`` of a walk's report, or its exception's type and message.
-
-    ``ZeroDivisionError`` counts as well as ``FlowError``: a volume so
-    small that ``shipped * volume`` underflows to zero divides by zero
-    in both walks alike.
-    """
+    """``repr`` of a walk's report, or its refusal's type and message."""
     try:
         return repr(walk(flow, volume))
-    except (FlowError, ZeroDivisionError) as exc:
+    except FlowError as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -233,6 +228,68 @@ class TestEvaluate:
                 reference_evaluate, flow, volume
             )
             assert _outcome(evaluate, flow, volume)[0] == "FlowError"
+
+    @pytest.mark.parametrize("volume", [5e-324, np.float64(5e-324)])
+    def test_refuses_a_volume_that_ships_no_units(self, volume):
+        # Half the units ship, and half of the smallest denormal rounds
+        # to zero: the NRE share would be 0 / 0.
+        flow = ProductionFlow(name="half")
+        flow.steps = [
+            CarrierStep("ID0", "carrier", 1.0, 0.5),
+            TestStep("ID1", "test", 1.0, 1.0),
+        ]
+        assert _outcome(evaluate, flow, volume) == (
+            "FlowError",
+            "volume 5e-324 is too small for flow 'half': its NRE per "
+            "shipped unit is not a finite number",
+        )
+        assert _outcome(evaluate, flow, volume) == _outcome(
+            reference_evaluate, flow, volume
+        )
+
+    def test_refuses_a_volume_whose_nre_share_overflows(self):
+        flow = ProductionFlow(name="overflow", nre=1.0)
+        flow.steps = [
+            CarrierStep("ID0", "carrier", 1.0, 1.0),
+            TestStep("ID1", "test", 1.0, 1.0),
+        ]
+        assert _outcome(evaluate, flow, 1e-310) == (
+            "FlowError",
+            "volume 1e-310 is too small for flow 'overflow': its NRE per "
+            "shipped unit is not a finite number",
+        )
+        assert _outcome(evaluate, flow, 1e-310) == _outcome(
+            reference_evaluate, flow, 1e-310
+        )
+        with pytest.raises(FlowError, match="volume 1e-310 is too small"):
+            evaluate_batch(flow, [1e3, 1e-310])
+
+
+class TestBind:
+    """Step two of `evaluate_batch` on its own: a kept walk bound to
+    other volumes must give what a fresh walk at those volumes gives,
+    and refuse what it refuses."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(flows(), volumes, st.lists(single_volumes, min_size=1, max_size=8))
+    def test_bound_walk_matches_a_fresh_walk(self, flow, first, family):
+        try:
+            walk = evaluate_batch(flow, first)
+        except FlowError:
+            return
+        try:
+            fresh = evaluate_batch(flow, family)
+        except FlowError as exc:
+            with pytest.raises(FlowError) as bound:
+                walk.bind(family)
+            assert str(bound.value) == str(exc)
+            return
+        bound = walk.bind(family)
+        assert bound == fresh
+        assert bound.volumes == tuple(family)
+        assert np.array_equal(
+            bound.final_cost_per_shipped, fresh.final_cost_per_shipped
+        )
 
 
 #: Edge areas the array laws must agree on: denormal-adjacent, tiny,

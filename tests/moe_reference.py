@@ -12,6 +12,8 @@ differential tests compare two independent walks.
 
 from __future__ import annotations
 
+import math
+
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import AttachStep, CostTag, TestStep
 from repro.cost.moe.report import CostReport, StepReport
@@ -103,6 +105,13 @@ def evaluate(flow: ProductionFlow, volume: float = 10_000.0) -> CostReport:
     # rework this reduces to direct + scrap/shipped; with rework it also
     # carries the repair spend.
     yield_loss = spend / shipped - direct
+    shipped_units = shipped * volume
+    if not (shipped_units > 0 and math.isfinite(flow.nre / shipped_units)):
+        # e.g. volume=5e-324: half a unit shipped underflows to zero.
+        raise FlowError(
+            f"volume {volume} is too small for flow {flow.name!r}: its "
+            f"NRE per shipped unit is not a finite number"
+        )
     nre_per_shipped = flow.nre / (shipped * volume)
     final = direct + yield_loss + nre_per_shipped
     return CostReport(

@@ -52,7 +52,7 @@ def assess_candidate_cached(
         chain: Optional[ChainPerformance] = None
     else:
         chain = cache.performance(
-            candidate.filter_assignments,
+            repr(candidate.filter_assignments),
             lambda: assess_chain(candidate.filter_assignments),
         )
         performance = chain.score
@@ -70,7 +70,7 @@ def assess_candidate_cached(
     )
     flow = candidate.flow_factory(area.substrate_area_cm2)
     (cost,) = cache.cost_batch(
-        flow, [volume], lambda missing: [evaluate(flow, volume=volume)]
+        repr(flow), [volume], lambda missing: [evaluate(flow, volume=volume)]
     )
     return BuildUpAssessment(
         name=candidate.name,

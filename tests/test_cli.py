@@ -10,6 +10,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -140,6 +141,25 @@ class TestBadValuesExit2:
     def test_non_finite_or_non_positive_volume(self, argv, capsys):
         err = self._exit_2(argv, capsys)
         assert "volume must be positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--volumes", "5e-324", "--csv"],
+            ["sweep", "--volumes", "1e3,5e-324", "--adaptive"],
+        ],
+    )
+    def test_volume_too_small_to_ship_a_unit(self, argv, capsys):
+        """Positive and finite, yet the NRE share per shipped unit is
+        not: refused by the cost step, before any numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self._exit_2(argv, capsys)
+        assert err == (
+            "repro-gps sweep: error: volume 5e-324 is too small for flow "
+            "'PCB/SMD (reference)': its NRE per shipped unit is not a "
+            "finite number\n"
+        )
 
     @pytest.mark.parametrize(
         "flag", ["--shards", "--max-attempts", "--passes", "--budget"]
