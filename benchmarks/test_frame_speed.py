@@ -8,8 +8,8 @@ instead of per-object speed.  This benchmark pins that claim on a
 * **row-object path** (the pre-frame implementation, reconstructed
   here): deserialise every row dict into a ``SweepRow``, merge the
   shards point-index-wise through a Python dict, run the pointwise
-  O(n²) Pareto loop (:func:`repro.core.pareto.pareto_front`), and
-  format the CSV row by row through ``as_dict``.  The row path's Pareto scan grows
+  O(n²) Pareto loop (``pareto_front``, ``tests/pareto_reference.py``),
+  and format the CSV row by row through ``as_dict``.  The row path's Pareto scan grows
   quadratically while the frame path's exact sort-and-sweep is
   O(n log n); at this grid size (20k rows) the pipeline measures
   ~18x against the 5x gate, and the best-of-N timing keeps runner
@@ -27,12 +27,17 @@ faster end to end.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.core.pareto import ParetoPoint, pareto_front
+from repro.core.pareto import ParetoPoint
 from repro.core.resultframe import COLUMN_ORDER, ResultFrame, SweepRow
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from pareto_reference import pareto_front  # noqa: E402
 
 #: The acceptance criterion: columnar vs row-object speedup.
 MIN_SPEEDUP = 5.0

@@ -1,4 +1,4 @@
-"""Figure-of-merit computation (paper §4.4, Fig. 6).
+"""Figure-of-merit inputs and outputs (paper §4.4, Fig. 6).
 
 The paper folds the three assessment axes into one number::
 
@@ -9,6 +9,12 @@ area and the less cost, the better, therefore the reciprocal values are
 used".  For more complicated cases the paper mentions weighting factors;
 :class:`FomWeights` provides them as exponents, so the unweighted product
 is the all-ones case and a weight of zero removes an axis entirely.
+
+The FoM itself is computed over columns by
+:func:`repro.core.ranking.weighted_fom`, each factor through
+:func:`weighted_power`; :class:`FomEntry` is one build-up's Fig. 6 row
+of a study.  The scalar formula it replaced is the test reference in
+``tests/study_reference.py``.
 """
 
 from __future__ import annotations
@@ -80,47 +86,3 @@ def weighted_power(base: float, exponent: float, axis: str) -> float:
             f"{axis} weight {exponent!r} overflows the figure of "
             f"merit (a base raised to it exceeds the largest double)"
         ) from None
-
-
-def figure_of_merit(
-    performance: float,
-    size_ratio: float,
-    cost_ratio: float,
-    weights: FomWeights | None = None,
-) -> float:
-    """Compute the paper's figure of merit for one build-up.
-
-    Parameters
-    ----------
-    performance:
-        Performance score in ``[0, 1]`` (1 = fully meets spec).
-    size_ratio:
-        Area relative to the reference (Fig. 3 value / 100).
-    cost_ratio:
-        Final cost relative to the reference (Fig. 5 value / 100).
-    weights:
-        Optional exponents; defaults to the plain product.
-    """
-    if not performance >= 0:
-        raise SpecificationError(
-            f"performance cannot be negative or NaN, got {performance}"
-        )
-    if size_ratio <= 0 or cost_ratio <= 0:
-        raise SpecificationError(
-            "size and cost ratios must be positive, got "
-            f"{size_ratio} and {cost_ratio}"
-        )
-    if weights is None:
-        weights = FomWeights()
-    return (
-        weighted_power(performance, weights.performance, "performance")
-        * weighted_power(1.0 / size_ratio, weights.size, "size")
-        * weighted_power(1.0 / cost_ratio, weights.cost, "cost")
-    )
-
-
-def rank_buildups(entries: list[FomEntry]) -> list[FomEntry]:
-    """Sort build-ups by descending figure of merit (best first)."""
-    if not entries:
-        raise SpecificationError("cannot rank an empty list")
-    return sorted(entries, key=lambda e: e.figure_of_merit, reverse=True)

@@ -12,6 +12,9 @@ candidates and returns a :class:`StudyResult` whose rows reproduce
 Fig. 3 (area), Fig. 5 (cost) and Fig. 6 (figure of merit) for the
 application under study.
 
+A study is a one-point sweep; the per-candidate object path it
+replaced is the test reference in ``tests/study_reference.py``.
+
 The methodology is application-agnostic: the GPS case study
 (:mod:`repro.gps.study`) and the generic examples both drive it.
 """
@@ -20,19 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from ..area.placement import AreaReport, trivial_placement
+from ..area.placement import AreaReport
 from ..area.substrate import LaminateRule, SubstrateRule
 from ..area.footprint import Footprint
-from ..circuits.performance import ChainPerformance, assess_chain
+from ..circuits.performance import ChainPerformance
 from ..circuits.synthesis import QModel
-from ..cost.moe.analytic import evaluate
 from ..cost.moe.flow import ProductionFlow
 from ..cost.moe.report import CostReport
 from ..errors import SpecificationError
 from ..passives.filters import FilterSpec
-from .figure_of_merit import FomEntry, FomWeights, figure_of_merit, rank_buildups
+from .figure_of_merit import FomEntry, FomWeights
+
+if TYPE_CHECKING:
+    from .ranking import DecisionFrame
 
 
 @dataclass
@@ -141,39 +146,16 @@ class StudyResult:
         raise SpecificationError(f"no build-up named {name!r} in study")
 
     def ranked(self) -> list[StudyRow]:
-        """Rows sorted by descending figure of merit (the decision)."""
-        entries = {id(row.fom): row for row in self.rows}
-        order = rank_buildups([row.fom for row in self.rows])
-        return [entries[id(entry)] for entry in order]
+        """Rows sorted by descending figure of merit (the decision);
+        stable, so of tied rows the first wins, as in a sweep."""
+        return sorted(
+            self.rows, key=lambda row: row.fom.figure_of_merit, reverse=True
+        )
 
     @property
     def winner(self) -> StudyRow:
         """The build-up the methodology selects (step 5)."""
         return self.ranked()[0]
-
-
-def assess_candidate(
-    candidate: CandidateBuildUp, volume: float = 10_000.0
-) -> BuildUpAssessment:
-    """Run methodology steps 2-4 for one candidate."""
-    if candidate.fixed_performance is not None:
-        performance = candidate.fixed_performance
-        chain: Optional[ChainPerformance] = None
-    else:
-        chain = assess_chain(candidate.filter_assignments)
-        performance = chain.score
-    area = trivial_placement(
-        candidate.footprints, candidate.substrate_rule, candidate.laminate
-    )
-    flow = candidate.flow_factory(area.substrate_area_cm2)
-    cost = evaluate(flow, volume=volume)
-    return BuildUpAssessment(
-        name=candidate.name,
-        performance=performance,
-        chain=chain,
-        area=area,
-        cost=cost,
-    )
 
 
 def run_study(
@@ -182,7 +164,9 @@ def run_study(
     weights: Optional[FomWeights] = None,
     volume: float = 10_000.0,
 ) -> StudyResult:
-    """Execute the methodology over all candidates (steps 2-5).
+    """Execute the methodology over all candidates (steps 2-5): a
+    one-point sweep (:func:`~repro.core.sweep.evaluate_cells`) on a
+    fresh cache, read back by :func:`study_from_assessments`.
 
     Parameters
     ----------
@@ -193,58 +177,64 @@ def run_study(
     weights:
         Optional FoM weighting; defaults to the paper's plain product.
     volume:
-        Production volume for NRE amortisation.
+        Production volume for NRE amortisation; positive and finite,
+        as a sweep's design point requires.
     """
+    # Imported here: the sweep module imports this one.
+    from .sweep import (
+        DesignPoint,
+        EvaluationCache,
+        cached_assessment,
+        candidate_area_keys,
+        evaluate_cells,
+    )
+
     if not candidates:
         raise SpecificationError("run_study needs at least one candidate")
-    if not (0 <= reference < len(candidates)):
-        raise SpecificationError(
-            f"reference index {reference} out of range for "
-            f"{len(candidates)} candidates"
-        )
-    if weights is None:
-        weights = FomWeights()
+    candidates = list(candidates)
+    point = DesignPoint(volume=volume)
+    weights = weights if weights is not None else FomWeights()
+    cache = EvaluationCache()
+    cell = evaluate_cells(
+        [point], lambda _: candidates, reference, weights, cache
+    )
+    (keys,) = candidate_area_keys([candidates], cache)
     assessments = [
-        assess_candidate(candidate, volume) for candidate in candidates
+        cached_assessment(candidate, key, volume, cache)
+        for candidate, key in zip(candidates, keys)
     ]
-    return study_from_assessments(assessments, reference, weights)
+    return study_from_assessments(assessments, reference, weights, cell)
 
 
 def study_from_assessments(
     assessments: Sequence[BuildUpAssessment],
     reference: int,
     weights: FomWeights,
+    cell: DecisionFrame,
 ) -> StudyResult:
-    """Normalise and rank ready-made assessments (methodology step 5).
+    """The study of ready-made assessments (methodology step 5).
 
-    The object path of :func:`run_study` and the ``study`` command; the
-    design-space sweep runs the same step as columns
-    (:func:`repro.core.sweep.evaluate_family`).
+    ``cell`` is the one-point decision frame :func:`run_study` ranked,
+    a row per assessment in order; its columns give each row's ratios
+    to the reference, percentages and figure of merit.
     """
-    ref = assessments[reference]
-    rows = []
-    for assessment in assessments:
-        size_ratio = assessment.final_area_mm2 / ref.final_area_mm2
-        cost_ratio = assessment.final_cost / ref.final_cost
-        fom_value = figure_of_merit(
-            assessment.performance, size_ratio, cost_ratio, weights
-        )
-        rows.append(
-            StudyRow(
-                assessment=assessment,
-                area_percent=100.0 * size_ratio,
-                cost_percent=100.0 * cost_ratio,
-                fom=FomEntry(
-                    name=assessment.name,
-                    performance=assessment.performance,
-                    size_ratio=size_ratio,
-                    cost_ratio=cost_ratio,
-                    figure_of_merit=fom_value,
-                ),
-            )
-        )
-    return StudyResult(
-        rows=tuple(rows),
-        reference_name=ref.name,
-        weights=weights,
+    frame = cell.frame
+    columns = zip(
+        frame.column("area_percent").tolist(),
+        frame.column("cost_percent").tolist(),
+        cell.size_ratio.tolist(),
+        cell.cost_ratio.tolist(),
+        frame.column("figure_of_merit").tolist(),
     )
+    rows = tuple(
+        StudyRow(
+            assessment,
+            area_percent,
+            cost_percent,
+            FomEntry(assessment.name, assessment.performance, *fom),
+        )
+        for assessment, (area_percent, cost_percent, *fom) in zip(
+            assessments, columns
+        )
+    )
+    return StudyResult(rows, assessments[reference].name, weights)

@@ -14,10 +14,10 @@ answers "which targets does some candidate dominate" in O(n log n).
 Every mask — :func:`nondominated_mask` behind
 :meth:`repro.core.resultframe.ResultFrame.pareto_mask`, the adaptive
 driver's margin front and the out-of-core chunked front — is built on
-it.  :func:`pareto_front` is the plain per-point loop that names each
-dominated point's first dominator; it runs once per study on four
-candidates.  The kernels are locked equivalent to the broadcast
-references in ``tests/pareto_reference.py`` by hypothesis in
+it, and so is :func:`analyze_study`'s attribution of each dominated
+build-up to its first dominator.  The kernels are locked equivalent to
+the scalar definition, the per-point loop and the broadcast references
+in ``tests/pareto_reference.py`` by hypothesis in
 ``tests/core/test_pareto_kernel.py`` and
 ``tests/core/test_resultframe.py``.
 """
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import SpecificationError
 
 if TYPE_CHECKING:
-    from .methodology import StudyResult, StudyRow
+    from .methodology import StudyResult
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,6 @@ class ParetoPoint:
     performance: float
     size_ratio: float
     cost_ratio: float
-
-    def dominates(self, other: "ParetoPoint") -> bool:
-        """True if this point is at least as good everywhere and
-        strictly better somewhere."""
-        at_least_as_good = (
-            self.performance >= other.performance
-            and self.size_ratio <= other.size_ratio
-            and self.cost_ratio <= other.cost_ratio
-        )
-        strictly_better = (
-            self.performance > other.performance
-            or self.size_ratio < other.size_ratio
-            or self.cost_ratio < other.cost_ratio
-        )
-        return at_least_as_good and strictly_better
 
 
 @dataclass(frozen=True)
@@ -91,20 +76,6 @@ class ParetoAnalysis:
         raise SpecificationError(
             f"{name!r} is Pareto-optimal or unknown"
         )
-
-
-def pareto_points(result: StudyResult) -> list[ParetoPoint]:
-    """Extract the objective-space points from a study result."""
-    return [_to_point(row) for row in result.rows]
-
-
-def _to_point(row: StudyRow) -> ParetoPoint:
-    return ParetoPoint(
-        name=row.assessment.name,
-        performance=row.fom.performance,
-        size_ratio=row.fom.size_ratio,
-        cost_ratio=row.fom.cost_ratio,
-    )
 
 
 def dominated_by(candidates, targets) -> np.ndarray:
@@ -200,11 +171,10 @@ def nondominated_mask(performance, size, cost) -> np.ndarray:
     """Boolean mask of the Pareto-optimal points.
 
     ``~dominated_by(X, X)`` over the objectives oriented for
-    minimisation (performance negated): O(n log n), exact, and
-    bit-identical to :func:`pareto_front`'s verdicts — exact duplicates
-    of a front point and NaN-bearing rows survive, matching the scalar
-    definition.  Equivalence with the per-point loop and the broadcast
-    references is hypothesis-locked in
+    minimisation (performance negated): O(n log n) and exact — exact
+    duplicates of a front point and NaN-bearing rows survive, matching
+    the scalar definition.  Equivalence with the per-point loop and the
+    broadcast references is hypothesis-locked in
     ``tests/core/test_pareto_kernel.py``.
     """
     perf = np.asarray(performance, dtype=np.float64)
@@ -219,32 +189,33 @@ def nondominated_mask(performance, size, cost) -> np.ndarray:
     return ~dominated_by(objectives, objectives)
 
 
-def pareto_front(points: Sequence[ParetoPoint]) -> ParetoAnalysis:
-    """Partition points into the Pareto front and the dominated set.
+def analyze_study(result: StudyResult) -> ParetoAnalysis:
+    """Pareto analysis of a complete study, on its rows' FoM entries.
 
-    The per-point loop: each dominated point is reported with the
-    *first* point (in input order) that dominates it.
+    Membership is per row, and each dominated row is reported with the
+    *first* row dominating it; :func:`dominated_by` answers, one row at
+    a time, which rows that row dominates.
     """
-    if not points:
-        raise SpecificationError("pareto_front needs at least one point")
+    if not result.rows:
+        raise SpecificationError("pareto analysis needs at least one row")
+    points = [
+        ParetoPoint(fom.name, fom.performance, fom.size_ratio, fom.cost_ratio)
+        for fom in (row.fom for row in result.rows)
+    ]
+    objectives = np.array(
+        [(-p.performance, p.size_ratio, p.cost_ratio) for p in points]
+    )
+    # beats[i, j]: row i dominates row j.
+    beats = np.array(
+        [dominated_by(row[None], objectives) for row in objectives]
+    )
     front: list[ParetoPoint] = []
     dominated: list[tuple[ParetoPoint, str]] = []
-    for point in points:
-        dominator = next(
-            (
-                other
-                for other in points
-                if other is not point and other.dominates(point)
-            ),
-            None,
-        )
-        if dominator is None:
-            front.append(point)
+    for point, beaten, first in zip(
+        points, beats.any(axis=0).tolist(), beats.argmax(axis=0).tolist()
+    ):
+        if beaten:
+            dominated.append((point, points[first].name))
         else:
-            dominated.append((point, dominator.name))
+            front.append(point)
     return ParetoAnalysis(front=tuple(front), dominated=tuple(dominated))
-
-
-def analyze_study(result: StudyResult) -> ParetoAnalysis:
-    """Pareto analysis of a complete study."""
-    return pareto_front(pareto_points(result))

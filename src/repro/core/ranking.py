@@ -15,7 +15,7 @@ by 1 ulp on a few percent of inputs); reciprocals and products
 vectorise safely (they are correctly rounded).  Every output double
 therefore equals the per-candidate object path's —
 ``tests/core/test_ranking.py`` locks that against the reference kept
-in ``tests/per_point.py``.
+in ``tests/study_reference.py``.
 """
 
 from __future__ import annotations
@@ -325,8 +325,8 @@ def _pow_factor(factor: FomFactor, exponent: float, axis: str) -> np.ndarray:
 
     ``np.power`` disagrees with Python's ``**`` by 1 ulp on a few
     percent of inputs (different libm paths), which would break the
-    byte-identity contract with :func:`~repro.core.figure_of_merit.
-    figure_of_merit`.  The scalar operator runs once per distinct bit
+    byte-identity contract with ``tests/study_reference.py``'s scalar
+    ``figure_of_merit``.  The scalar operator runs once per distinct bit
     pattern (a stored column repeats each candidate's performance and
     size ratio at every volume), so ``-0.0`` and ``0.0`` stay apart.
     Exponents ``0.0`` and ``1.0`` short-circuit exactly
@@ -367,7 +367,7 @@ def weighted_fom(
     cost_ratio,
     weights: FomWeights,
 ) -> np.ndarray:
-    """Vector twin of :func:`~repro.core.figure_of_merit.figure_of_merit`.
+    """Vector twin of ``tests/study_reference.py``'s ``figure_of_merit``.
 
     Same operations in the same order per element — scalar ``pow``
     bits, correctly-rounded elementwise reciprocal and product — so
@@ -395,7 +395,7 @@ def group_first_max(starts, values) -> np.ndarray:
     ``values`` (a decision frame's :attr:`DecisionFrame.starts`).  The
     vectorised twin of a per-group ``max()`` scan with first-wins
     tie-breaking — exactly the winner selection
-    :func:`repro.core.figure_of_merit.rank_buildups` performs per cell
+    ``tests/study_reference.py``'s ``rank_buildups`` performs per cell
     (stable descending sort, take the head).  Equal-sized runs are one
     ``argmax`` over a reshaped view; ragged runs take their maxima with
     ``np.maximum.reduceat`` and the first row matching each.  No
@@ -446,7 +446,7 @@ def cell_front_mask(performance, size_ratio, cost_ratio, names) -> np.ndarray:
     Candidate *i* dominates *j* within one cell when it is at least as
     good on every objective (performance maximised, ratios minimised)
     and strictly better on one — the exact comparisons of
-    :meth:`~repro.core.pareto.ParetoPoint.dominates`, so NaN never
+    ``tests/pareto_reference.py``'s ``dominates``, so NaN never
     dominates nor is dominated.  Evaluated as one ``(cells, k, k)``
     broadcast; the arguments broadcast to ``(cells, k)``.  Membership
     is broadcast by name like

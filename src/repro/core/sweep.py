@@ -64,7 +64,7 @@ from ..errors import SpecificationError
 from ..passives.thin_film import ThinFilmProcess
 from ..passives.tolerance import ToleranceClass
 from .figure_of_merit import FomWeights
-from .methodology import CandidateBuildUp
+from .methodology import BuildUpAssessment, CandidateBuildUp
 from .ranking import (
     DecisionFrame,
     cell_front_mask,
@@ -719,6 +719,47 @@ def assess_candidate_family_cached(
         flow.key, volumes, flow.final_costs, volume_keys
     )
     return performance, area.final_area_mm2, costs
+
+
+def cached_assessment(
+    candidate: CandidateBuildUp,
+    area_key: str,
+    volume: float,
+    cache: EvaluationCache,
+) -> BuildUpAssessment:
+    """Steps 2-4's objects, as a study reports them, for a candidate
+    :func:`assess_candidate_family_cached` costed at ``volume``: the
+    cached chain and placement, and Fig. 5's cost report from the
+    flow's kept walk bound to ``volume`` (the bits of
+    :func:`~repro.cost.moe.analytic.evaluate`).  What the bounded
+    object memo has dropped meanwhile is built again."""
+    chain = None
+    if candidate.fixed_performance is None:
+        chain = cache.performance(
+            repr(candidate.filter_assignments),
+            lambda: assess_chain(candidate.filter_assignments),
+        )
+    area = cache.area(
+        area_key, lambda: trivial_placement(*_area_inputs(candidate))
+    )
+    flow = cache.memo(
+        ("flow", id(candidate), area_key),
+        candidate,
+        lambda: _Flow.of(
+            candidate.flow_factory(area.substrate_area_cm2), cache
+        ),
+    )
+    if flow.walk is None:
+        flow.walk = evaluate_batch(flow.flow, (volume,))
+    return BuildUpAssessment(
+        name=candidate.name,
+        performance=(
+            candidate.fixed_performance if chain is None else chain.score
+        ),
+        chain=chain,
+        area=area,
+        cost=flow.walk.bind((volume,)).report_at(0),
+    )
 
 
 def frame_for_cells(

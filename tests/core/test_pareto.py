@@ -1,4 +1,5 @@
-"""Pareto-front analysis of build-ups."""
+"""Pareto-front analysis of build-ups: ``analyze_study``, and the
+scalar dominance definition of ``tests/pareto_reference.py``."""
 
 from __future__ import annotations
 
@@ -6,13 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.pareto import (
-    ParetoPoint,
-    analyze_study,
-    pareto_front,
-)
+from repro.core.pareto import ParetoPoint, analyze_study
 from repro.errors import SpecificationError
 from repro.gps import data
+
+from pareto_reference import dominates, study_of
 
 
 def point(name="p", perf=1.0, size=1.0, cost=1.0):
@@ -23,43 +22,43 @@ class TestDomination:
     def test_strictly_better_dominates(self):
         better = point("a", 1.0, 0.5, 0.9)
         worse = point("b", 0.8, 0.7, 1.0)
-        assert better.dominates(worse)
-        assert not worse.dominates(better)
+        assert dominates(better, worse)
+        assert not dominates(worse, better)
 
     def test_equal_points_do_not_dominate(self):
         a, b = point("a"), point("b")
-        assert not a.dominates(b)
-        assert not b.dominates(a)
+        assert not dominates(a, b)
+        assert not dominates(b, a)
 
     def test_tradeoff_points_incomparable(self):
         small = point("small", 0.7, 0.4, 1.1)
         cheap = point("cheap", 1.0, 1.0, 1.0)
-        assert not small.dominates(cheap)
-        assert not cheap.dominates(small)
+        assert not dominates(small, cheap)
+        assert not dominates(cheap, small)
 
 
 class TestFront:
     def test_single_point_is_front(self):
-        analysis = pareto_front([point()])
+        analysis = analyze_study(study_of([point()]))
         assert len(analysis.front) == 1
         assert analysis.dominated == ()
 
     def test_dominated_point_removed(self):
         a = point("a", 1.0, 0.5, 0.9)
         b = point("b", 0.8, 0.7, 1.0)
-        analysis = pareto_front([a, b])
+        analysis = analyze_study(study_of([a, b]))
         assert analysis.is_on_front("a")
         assert not analysis.is_on_front("b")
         assert analysis.dominator_of("b") == "a"
 
     def test_dominator_of_front_point_raises(self):
-        analysis = pareto_front([point("a")])
+        analysis = analyze_study(study_of([point("a")]))
         with pytest.raises(SpecificationError):
             analysis.dominator_of("a")
 
     def test_empty_rejected(self):
         with pytest.raises(SpecificationError):
-            pareto_front([])
+            analyze_study(study_of([]))
 
     @given(
         st.lists(
@@ -76,12 +75,12 @@ class TestFront:
         points = [
             point(f"p{i}", *values) for i, values in enumerate(raw)
         ]
-        analysis = pareto_front(points)
+        analysis = analyze_study(study_of(points))
         assert len(analysis.front) >= 1
         for a in analysis.front:
             for b in analysis.front:
                 if a is not b:
-                    assert not a.dominates(b)
+                    assert not dominates(a, b)
 
 
 class TestGpsPareto:

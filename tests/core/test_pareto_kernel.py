@@ -4,8 +4,7 @@ Every front mask in the library comes from
 :func:`~repro.core.pareto.dominated_by`.  Each mask-only caller is
 checked bit for bit against the broadcast references (``tests/
 pareto_reference.py``), the attribution kernel
-``first_dominators`` and the per-point loop
-:func:`~repro.core.pareto.pareto_front`:
+``first_dominators`` and the per-point loop ``pareto_front``:
 
 * ``dominated_by`` for arbitrary candidate and target sets;
 * ``nondominated_mask`` (and so ``ResultFrame.pareto_mask``);
@@ -27,12 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.adaptive import global_front_mask
 from repro.core.framestore import chunked_nondominated_mask
-from repro.core.pareto import (
-    ParetoPoint,
-    dominated_by,
-    nondominated_mask,
-    pareto_front,
-)
+from repro.core.pareto import ParetoPoint, dominated_by, nondominated_mask
 from repro.errors import SpecificationError
 
 from pareto_reference import (
@@ -40,6 +34,7 @@ from pareto_reference import (
     first_dominators,
     margin_dominators,
     objective_frame,
+    pareto_front,
 )
 
 INF = float("inf")

@@ -159,7 +159,7 @@ class TestDifferentialRerank:
         )
 
     def test_weighted_fom_matches_the_scalar_formula(self, stored):
-        from repro.core.figure_of_merit import figure_of_merit
+        from study_reference import figure_of_merit
 
         weights = FomWeights(performance=1.7, size=0.3, cost=2.9)
         vector = weighted_fom(

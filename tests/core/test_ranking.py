@@ -4,7 +4,8 @@ The sweep assesses and ranks whole volume families as columns
 (:func:`repro.core.sweep.evaluate_family` on the kernels of
 :mod:`repro.core.ranking`); ``tests/per_point.py`` keeps the
 one-point-at-a-time path through ``BuildUpAssessment``,
-``StudyResult`` and ``analyze_study``.  The hypothesis harness here
+``StudyResult`` and the scalar references of
+``tests/study_reference.py``.  The hypothesis harness here
 runs both over random grids — 1 to 8 candidates, exact FoM and
 objective ties, duplicate candidate names, any reference index, a
 weights axis with non-unit exponents, with and without the batched

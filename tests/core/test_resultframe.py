@@ -7,9 +7,9 @@ The load-bearing properties, checked with hypothesis:
   ``to_rows(from_rows(rows)) == rows`` bit for bit;
 * floats survive the JSON column payload and the CSV formatting
   *exactly* (repr round-trip, never a tolerance);
-* the Pareto dominance (`pareto_front`, `ResultFrame.pareto_mask`)
-  is equivalent to the broadcast references in
-  `tests/pareto_reference.py`, including dominator attribution.
+* the Pareto dominance (`analyze_study`, `ResultFrame.pareto_mask`)
+  is equivalent to the references in `tests/pareto_reference.py`,
+  including dominator attribution.
 
 Around them: the frame-vs-row byte-identical CSV on the GPS study and
 unit coverage of the vectorised transforms and their error paths.
@@ -24,11 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pareto import (
-    ParetoPoint,
-    nondominated_mask,
-    pareto_front,
-)
+from repro.core.pareto import ParetoPoint, analyze_study, nondominated_mask
 from repro.core.blobstore import canonical_json
 from repro.core.resultframe import (
     BOOL_COLUMNS,
@@ -43,7 +39,13 @@ from repro.core.resultframe import (
 from repro.core.sweep import DesignPoint
 from repro.errors import SpecificationError
 
-from pareto_reference import broadcast_pareto_front, first_dominators
+from pareto_reference import (
+    broadcast_pareto_front,
+    dominates,
+    first_dominators,
+    pareto_front,
+    study_of,
+)
 
 # Finite doubles across the full exponent range: repr-shortest float
 # formatting (str/json) must survive every one of them exactly.
@@ -564,11 +566,13 @@ class TestVectorisedPareto:
         )
     )
     def test_vectorised_front_equals_pointwise_loop(self, raw):
-        """The tentpole equivalence: pareto_front == the O(n²) loop."""
+        """``analyze_study`` == the per-point loop == its broadcast."""
         points = [
             ParetoPoint(f"p{i}", *values) for i, values in enumerate(raw)
         ]
-        assert pareto_front(points) == broadcast_pareto_front(points)
+        analysis = analyze_study(study_of(points))
+        assert analysis == pareto_front(points)
+        assert analysis == broadcast_pareto_front(points)
 
     @settings(max_examples=100)
     @given(
@@ -592,7 +596,7 @@ class TestVectorisedPareto:
                 (
                     i
                     for i, other in enumerate(points)
-                    if other.dominates(point)
+                    if dominates(other, point)
                 ),
                 -1,
             )
@@ -648,7 +652,10 @@ class TestVectorisedPareto:
             ParetoPoint(f"p{i}", p, s, c)
             for i, (p, s, c) in enumerate(zip(perf, size, cost))
         ]
-        analysis = pareto_front(points)
-        assert [point.name for point in analysis.front] == [
-            "p0", "p1", "p2",
-        ]
+        for analysis in (
+            analyze_study(study_of(points)),
+            pareto_front(points),
+        ):
+            assert [point.name for point in analysis.front] == [
+                "p0", "p1", "p2",
+            ]

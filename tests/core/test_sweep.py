@@ -15,6 +15,7 @@ from repro.circuits.qfactor import (
     SubstrateLossQModel,
 )
 from repro.core.figure_of_merit import FomWeights
+from repro.core.pareto import analyze_study
 from repro.core.sweep import (
     GRID_AXES,
     DesignPoint,
@@ -242,20 +243,25 @@ class TestRunDesignSweep:
             run_design_sweep([DesignPoint()], empty_factory)
 
     def test_matches_run_study_at_paper_point(self):
-        """The paper's point (zero NRE) must equal the plain study."""
+        """The paper's point (zero NRE) must equal the plain study
+        exactly: every double, the winner and the front."""
         study = run_gps_study()
+        front = analyze_study(study)
         report = run_gps_sweep([PAPER_POINT])
         assert len(report.rows) == len(study.rows)
         for study_row, sweep_row in zip(study.rows, report.rows):
-            assert sweep_row.figure_of_merit == pytest.approx(
-                study_row.fom.figure_of_merit, rel=1e-12
+            name = study_row.assessment.name
+            assert sweep_row.candidate == name
+            assert sweep_row.performance == study_row.fom.performance
+            assert sweep_row.area_percent == study_row.area_percent
+            assert sweep_row.cost_percent == study_row.cost_percent
+            assert sweep_row.figure_of_merit == (
+                study_row.fom.figure_of_merit
             )
-            assert sweep_row.area_percent == pytest.approx(
-                study_row.area_percent, rel=1e-12
+            assert sweep_row.is_winner == (
+                name == study.winner.assessment.name
             )
-            assert sweep_row.cost_percent == pytest.approx(
-                study_row.cost_percent, rel=1e-12
-            )
+            assert sweep_row.on_pareto_front == front.is_on_front(name)
 
     def test_memoisation_shares_performance_and_area(self):
         cache = EvaluationCache()

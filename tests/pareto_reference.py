@@ -1,9 +1,11 @@
-"""Broadcast dominance references, for differential tests.
+"""Dominance references, for differential tests.
 
-Production masks come from the sort-and-sweep
-:func:`repro.core.pareto.dominated_by` and dominator attribution from
-the per-point loop :func:`repro.core.pareto.pareto_front`; these are
-the plain pairwise broadcasts both must match bit for bit.
+Production masks and dominator attribution
+(:func:`repro.core.pareto.analyze_study`) all come from the
+sort-and-sweep :func:`repro.core.pareto.dominated_by`.  This module
+keeps what they must match bit for bit: the scalar definition
+(:func:`dominates`), the per-point loop over it (:func:`pareto_front`)
+and the plain pairwise broadcasts.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.figure_of_merit import FomEntry, FomWeights
+from repro.core.methodology import StudyResult, StudyRow
 from repro.core.pareto import ParetoAnalysis, ParetoPoint
 from repro.core.resultframe import ResultFrame
 from repro.errors import SpecificationError
@@ -48,6 +52,74 @@ def objective_frame(performance, size, cost) -> ResultFrame:
     )
 
 
+def dominates(point: ParetoPoint, other: ParetoPoint) -> bool:
+    """True if ``point`` is at least as good as ``other`` everywhere and
+    strictly better somewhere (performance maximised, ratios
+    minimised)."""
+    at_least_as_good = (
+        point.performance >= other.performance
+        and point.size_ratio <= other.size_ratio
+        and point.cost_ratio <= other.cost_ratio
+    )
+    strictly_better = (
+        point.performance > other.performance
+        or point.size_ratio < other.size_ratio
+        or point.cost_ratio < other.cost_ratio
+    )
+    return at_least_as_good and strictly_better
+
+
+def pareto_front(points: Sequence[ParetoPoint]) -> ParetoAnalysis:
+    """Partition points into the Pareto front and the dominated set.
+
+    The per-point loop: each dominated point is reported with the
+    *first* point (in input order) that dominates it.
+    """
+    if not points:
+        raise SpecificationError("pareto_front needs at least one point")
+    front: list[ParetoPoint] = []
+    dominated: list[tuple[ParetoPoint, str]] = []
+    for point in points:
+        dominator = next(
+            (
+                other
+                for other in points
+                if other is not point and dominates(other, point)
+            ),
+            None,
+        )
+        if dominator is None:
+            front.append(point)
+        else:
+            dominated.append((point, dominator.name))
+    return ParetoAnalysis(front=tuple(front), dominated=tuple(dominated))
+
+
+def study_of(points: Sequence[ParetoPoint]) -> StudyResult:
+    """A study whose rows carry ``points``' objectives: what
+    :func:`repro.core.pareto.analyze_study` reads (each row's
+    :class:`~repro.core.figure_of_merit.FomEntry`), and nothing else."""
+    return StudyResult(
+        rows=tuple(
+            StudyRow(
+                assessment=None,
+                area_percent=100.0 * point.size_ratio,
+                cost_percent=100.0 * point.cost_ratio,
+                fom=FomEntry(
+                    point.name,
+                    point.performance,
+                    point.size_ratio,
+                    point.cost_ratio,
+                    figure_of_merit=0.0,
+                ),
+            )
+            for point in points
+        ),
+        reference_name=points[0].name if points else "",
+        weights=FomWeights(),
+    )
+
+
 def broadcast_dominated_by(candidates, targets) -> np.ndarray:
     """Which ``targets`` rows some ``candidates`` row dominates.
 
@@ -70,8 +142,8 @@ def first_dominators(performance, size, cost) -> np.ndarray:
     Point *i* dominates point *j* when it is at least as good on every
     objective (``performance`` maximised, ``size`` and ``cost``
     minimised) and strictly better on one; the *lowest* dominating
-    index is reported, the order :func:`repro.core.pareto.pareto_front`
-    names dominators in.  The pairwise comparison runs in blocks of
+    index is reported, the order :func:`pareto_front` names dominators
+    in.  The pairwise comparison runs in blocks of
     columns so the broadcast buffers stay bounded; the arithmetic is
     exact float comparison, never a tolerance.
     """
@@ -111,8 +183,8 @@ def first_dominators(performance, size, cost) -> np.ndarray:
 
 
 def broadcast_pareto_front(points: Sequence[ParetoPoint]) -> ParetoAnalysis:
-    """:func:`repro.core.pareto.pareto_front` through
-    :func:`first_dominators`: the same partition and dominator names."""
+    """:func:`pareto_front` through :func:`first_dominators`: the same
+    partition and dominator names."""
     if not points:
         raise SpecificationError("pareto_front needs at least one point")
     dominator = first_dominators(

@@ -6,9 +6,9 @@ plain one-point-at-a-time object path that spine must match bit for
 bit: every candidate assessed into a
 :class:`~repro.core.methodology.BuildUpAssessment` (its scalar
 :class:`~repro.cost.moe.report.CostReport` from the scalar walk in
-``tests/moe_reference.py``), every point ranked into a
-:class:`~repro.core.methodology.StudyResult` and analysed with
-:func:`~repro.core.pareto.analyze_study`.
+``tests/moe_reference.py``), every point scored into a
+:class:`~repro.core.methodology.StudyResult`, ranked and analysed by
+the references in ``tests/study_reference.py``.
 
 Give the reference its own :class:`~repro.core.sweep.EvaluationCache`:
 its cost table holds whole reports, the spine's holds final costs.
@@ -22,18 +22,14 @@ import numpy as np
 
 from repro.area.placement import trivial_placement
 from repro.circuits.performance import ChainPerformance, assess_chain
-from repro.core.methodology import (
-    BuildUpAssessment,
-    CandidateBuildUp,
-    study_from_assessments,
-)
-from repro.core.pareto import analyze_study
+from repro.core.methodology import BuildUpAssessment, CandidateBuildUp
 from repro.core.ranking import DecisionFrame
 from repro.core.resultframe import COLUMN_ORDER, ResultFrame
 from repro.core.sweep import EvaluationCache
 from repro.errors import SpecificationError
 
 from moe_reference import evaluate
+from study_reference import analyze_study, study_from_assessments, winner_name
 
 
 def assess_candidate_cached(
@@ -43,7 +39,7 @@ def assess_candidate_cached(
 ) -> BuildUpAssessment:
     """Methodology steps 2-4 for one candidate, through the memo.
 
-    Mirrors :func:`repro.core.methodology.assess_candidate` exactly,
+    Mirrors ``tests/study_reference.py``'s ``assess_candidate`` exactly,
     with each sub-result resolved through the
     :class:`EvaluationCache`.
     """
@@ -109,7 +105,7 @@ def per_point_studies(points, candidate_factory, reference, weights, cache):
 
 def _row_values(point, result):
     """Per-candidate values of one study, in SweepRow field order."""
-    winner = result.winner.assessment.name
+    winner = winner_name(result)
     pareto = analyze_study(result)
     substrate = point.substrate.name if point.substrate else "paper"
     process = point.process.name if point.process else "paper"

@@ -94,17 +94,12 @@ def test_unknown_name_is_an_attribute_error(name):
 
 
 def test_a_name_shared_with_its_submodule_stays_the_function():
-    """Importing ``repro.core.figure_of_merit`` (the module) must not
-    rebind the package attribute ``figure_of_merit`` (the function)."""
-    import repro.core
-    import repro.core.figure_of_merit
+    """Importing ``repro.cost.moe.simulate`` (the module) must not
+    rebind the package attribute ``simulate`` (the function)."""
     import repro.cost.moe
     import repro.cost.moe.simulate
 
-    assert callable(repro.core.figure_of_merit)
-    assert repro.core.figure_of_merit is (
-        importlib.import_module("repro.core.figure_of_merit").figure_of_merit
-    )
+    assert callable(repro.cost.moe.simulate)
     assert repro.cost.moe.simulate is (
         importlib.import_module("repro.cost.moe.simulate").simulate
     )
