@@ -630,37 +630,6 @@ def _grid_from_spec(spec, source: str) -> SweepGrid:
         ) from None
 
 
-def _resumable_artifact(
-    path: Path, grid: SweepGrid, shards: int, shard_index: int
-) -> Optional[str]:
-    """Fingerprint of a valid, matching artifact at ``path`` (or None).
-
-    The ``--resume`` check: an artifact counts as "already evaluated"
-    only when it parses, fingerprints the *same resolved grid* in the
-    same canonical order, and covers exactly the requested shard of
-    the requested partition.  Anything else — unreadable file, foreign
-    grid, different shard geometry — means the shard must be
-    (re-)evaluated; resuming never risks a silently wrong artifact.
-    """
-    from .core.sharding import (
-        GridIdentity,
-        ShardMergeError,
-        read_shard_artifact,
-    )
-
-    if not path.exists():
-        return None
-    try:
-        artifact = read_shard_artifact(path)
-    except ShardMergeError:
-        return None
-    if (artifact.grid, artifact.shards, artifact.shard_index) == (
-        GridIdentity.of(grid.points()), shards, shard_index
-    ):
-        return artifact.grid.fingerprint
-    return None
-
-
 # -- sweep modes: each runs after the flag table accepted its flags ----
 
 
@@ -762,19 +731,28 @@ def _run_queue(args: argparse.Namespace) -> int:
 
 def _run_shard(args: argparse.Namespace) -> int:
     """--shard-index: evaluate one shard and write its artifact."""
-    from .core.sharding import shard_filename, write_shard_artifact
+    from .core.sharding import (
+        GridIdentity,
+        matching_artifact,
+        shard_filename,
+        write_shard_artifact,
+    )
 
     grid = _grid_from_args(args)
     shards, index = args.shards, args.shard_index
     shard_dir = args.shard_dir if args.shard_dir is not None else "."
     artifact_path = Path(shard_dir) / shard_filename(shards, index)
     if args.resume:
-        fingerprint = _resumable_artifact(artifact_path, grid, shards, index)
-        if fingerprint is not None:
+        # An artifact counts as evaluated only when it is this shard of
+        # this partition of the same resolved grid in the same order.
+        done = matching_artifact(
+            artifact_path, GridIdentity.of(grid.points()), shards, index
+        )
+        if done is not None:
             print(
                 f"Shard {index}/{shards}: valid artifact for this grid "
-                f"({fingerprint}) already at {artifact_path}, skipping "
-                f"re-evaluation"
+                f"({done.grid.fingerprint}) already at {artifact_path}, "
+                f"skipping re-evaluation"
             )
             return 0
     _create_directory(shard_dir)

@@ -34,8 +34,11 @@ Design rules, all inherited from the existing tiers:
 * **Bounded memory.**  The writer never buffers more than
   ``max_rows_in_memory`` rows; the streaming merge
   (:func:`merge_artifacts_to_store`) holds one source artifact plus
-  the buffer; the chunked Pareto kernel holds one block plus the
-  carried front (which is the answer itself, so it must fit).
+  the buffer, checking the sources through the same
+  :class:`~repro.core.sharding.ShardCover` as the in-RAM merge (or the
+  gather's, for ``gather --max-rows-in-memory``); the chunked Pareto
+  kernel holds one block plus the carried front (which is the answer
+  itself, so it must fit).
 
 CLI surface: ``repro-gps sweep/gather --max-rows-in-memory N`` (or
 ``$REPRO_SWEEP_MAX_ROWS``) with ``--spill-dir`` choosing where chunks
@@ -56,10 +59,11 @@ from .figure_of_merit import FomWeights
 from .pareto import dominated_by
 from .resultframe import ResultFrame
 from .sharding import (
+    MERGE_COVER,
     ArtifactLike,
     GridIdentity,
+    ShardCover,
     ShardMergeError,
-    check_shard_cover,
     load_artifact,
     merge_cache_states,
 )
@@ -544,23 +548,25 @@ def merge_artifacts_to_store(
     directory: Union[str, Path],
     max_rows_in_memory: int,
     meta: Optional[dict] = None,
+    cover: Optional[ShardCover] = None,
 ) -> ChunkedFrameStore:
     """Spill-to-disk merge: shard artifacts to a chunked frame store.
 
     The out-of-core twin of
     :func:`~repro.core.sharding.merge_shard_artifacts` — the same
-    validator (:func:`~repro.core.sharding.check_shard_cover`, so the
-    same :class:`~repro.core.sharding.ShardMergeError` for foreign
-    grids, wrong orders, duplicated or missing indices), the same
-    canonical result: the store's row stream is
-    byte-identical to the in-RAM merge's frame.  The stable in-RAM sort
-    groups rows by ascending canonical point index with each point's
-    rows in artifact order; every point lives in exactly one artifact,
-    so replaying the points in ascending order and copying each point's
-    row run reproduces that order exactly.
+    :class:`~repro.core.sharding.ShardCover` (by default a
+    :data:`~repro.core.sharding.MERGE_COVER` one, so the same
+    :class:`~repro.core.sharding.ShardMergeError` for foreign grids,
+    wrong orders, duplicated or missing indices), the same canonical
+    result: the store's row stream is byte-identical to the in-RAM
+    merge's frame, and the gather passes its own cover here too.  The
+    stable in-RAM sort groups rows by ascending canonical point index
+    with each point's rows in artifact order; every point lives in
+    exactly one artifact, so replaying the points in ascending order
+    and copying each point's row run reproduces that order exactly.
 
     Memory never holds more than one source artifact's frame plus the
-    store's ``max_rows_in_memory`` buffer: validation scans the sources
+    store's ``max_rows_in_memory`` buffer: the cover takes the sources
     one at a time keeping only their index metadata, and the copy pass
     reloads one artifact at a time.  Path sources are read twice
     (validate, then copy), and a reloaded artifact whose point indices
@@ -568,24 +574,25 @@ def merge_artifacts_to_store(
     between the passes) is refused; in-memory artifacts are kept by
     reference.
     """
+    if cover is None:
+        cover = ShardCover(MERGE_COVER)
     records: list[tuple[ArtifactLike, tuple[int, ...], tuple[int, ...]]] = []
-    covers = []
     states: list[dict] = []
     for source in artifacts:
         artifact = load_artifact(source)
-        indices = artifact.dframe.indices
+        if not cover.add_artifact(artifact, source):
+            continue
         records.append(
             (
                 source if isinstance(source, (str, Path)) else artifact,
-                indices,
+                artifact.dframe.indices,
                 artifact.dframe.row_counts,
             )
         )
-        covers.append((artifact.label, artifact.grid, indices))
         states.append(artifact.cache_state)
         del artifact  # free the frame before loading the next source
-    reference = check_shard_cover(covers)
-    total = reference.total_points
+    cover.require_complete()
+    total = cover.total_points
 
     # The merge plan, one int64 per point instead of a dict of Python
     # tuples (which would cost ~200 bytes/point — more than the rows
@@ -604,7 +611,7 @@ def merge_artifacts_to_store(
     store = ChunkedFrameStore.create(
         directory,
         max_rows_in_memory=max_rows_in_memory,
-        meta={**(meta or {}), **reference.payload()},
+        meta={**(meta or {}), **cover.grid.payload()},
     )
 
     # Copy pass: walk points in canonical order, coalescing maximal

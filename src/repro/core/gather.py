@@ -4,9 +4,10 @@
 operation — it wants every artifact up front and refuses gaps.  The
 gather tier is its *streaming* counterpart: a watcher polls a shard
 directory while a fleet of queue workers (:mod:`repro.core.queue`) is
-still filling it, validates each artifact as it appears (one
-:meth:`~repro.core.sharding.GridIdentity.check` plus the shard
-partition), concat-merges their
+still filling it, adds each artifact as it appears to a
+:class:`~repro.core.sharding.ShardCover` with the gather's policy
+(:data:`GATHER_COVER`: grid and partition pinned, a repeated shard
+index dropped, any other overlap refused), concat-merges their
 :class:`~repro.core.ranking.DecisionFrame` results, and publishes a
 live partial report — progress, merged cache statistics, current
 winner counts — long before the sweep finishes.
@@ -35,6 +36,10 @@ fully readable — a poll can never observe a torn file.
   :func:`~repro.core.sharding.merge_shard_artifacts` itself, so a
   gathered sweep is *byte-identical* to ``--merge`` and hence to the
   serial engine;
+* :func:`gather_directory` / :func:`gather_directory_to_store` — the
+  one-shot gather of a finished directory, in RAM or spilled to a
+  chunked frame store, both under the same cover: the same rules and
+  the same refusals, word for word, with or without the spill;
 * :func:`watch_directory` — the service loop: poll, publish a
   snapshot, repeat until the grid is covered (or a timeout names what
   is missing).
@@ -56,16 +61,15 @@ from .ranking import DecisionFrame
 from .resultframe import ResultFrame
 from .sharding import (
     ArtifactLike,
-    GridIdentity,
+    CoverPolicy,
     ShardArtifact,
+    ShardCover,
     ShardMergeError,
     find_pending_artifacts,
     find_shard_artifacts,
     load_artifact,
     merge_cache_states,
     merge_shard_artifacts,
-    summarise_indices,
-    summarise_missing,
 )
 from .sweep import SweepReport
 
@@ -107,14 +111,40 @@ class GatherSnapshot:
         return self.frame.winner_counts()
 
 
+#: The gather: artifacts named by file, the partition pinned, a repeated
+#: shard index dropped (the lease-expiry race), any other overlap refused.
+GATHER_COVER = CoverPolicy(
+    GatherError,
+    overlap=(
+        "{label}: artifact covers already-gathered point indices "
+        "{indices}"
+    ),
+    incomplete=(
+        "gather is incomplete: missing point indices {missing} of "
+        "{total}"
+    ),
+    by_shard=True,
+)
+
+
+def gather_cover(expected: Optional[QueueManifest] = None) -> ShardCover:
+    """A :data:`GATHER_COVER` cover, pinned to ``expected``'s grid and
+    partition when a queue manifest is given."""
+    if expected is None:
+        return ShardCover(GATHER_COVER)
+    return ShardCover(
+        GATHER_COVER, expected.grid, "the queue manifest", expected.shards
+    )
+
+
 class IncrementalGather:
     """Accumulate shard artifacts into a live, then final, report.
 
     Pass ``expected`` (a queue manifest) to pin the grid up front;
     otherwise the first ingested artifact becomes the reference every
-    later one must match — the same fingerprint/order/size discipline
-    as :func:`~repro.core.sharding.merge_shard_artifacts`, applied
-    artifact by artifact as they arrive.
+    later one must match — the :class:`~repro.core.sharding.ShardCover`
+    the merges use, with the gather's policy (:data:`GATHER_COVER`),
+    applied artifact by artifact as they arrive.
     """
 
     def __init__(self, expected: Optional[QueueManifest] = None) -> None:
@@ -122,29 +152,9 @@ class IncrementalGather:
         self._ingested_names: set[str] = set()
         self._rejected: dict[str, str] = {}
         self._pending: tuple[str, ...] = ()
-        self._covered: set[int] = set()
-        self._grid: Optional[GridIdentity] = None
-        self._grid_source = "the queue manifest"
-        self._total_shards: Optional[int] = None
-        if expected is not None:
-            self._grid = expected.grid
-            self._total_shards = expected.shards
+        self._cover = gather_cover(expected)
 
     # -- ingestion ----------------------------------------------------
-
-    def _check(self, artifact: ShardArtifact, source: str) -> None:
-        if self._grid is None:
-            self._grid, self._grid_source = artifact.grid, source
-            self._total_shards = artifact.shards
-            return
-        self._grid.check(
-            artifact.grid, GatherError, source, self._grid_source
-        )
-        if artifact.shards != self._total_shards:
-            raise GatherError(
-                f"{source}: artifact cut from a different partition "
-                f"({artifact.shards} vs {self._total_shards} shards)"
-            )
 
     def ingest(
         self, artifact: ArtifactLike, source: Optional[str] = None
@@ -159,31 +169,17 @@ class IncrementalGather:
         identical, so dropping it is lossless.
 
         Raises :class:`GatherError` for an artifact that cannot belong
-        to this gather (foreign grid, wrong order, wrong partition) or
-        cannot be read.
+        to this gather (foreign grid, wrong order, wrong partition,
+        points outside the grid or already gathered) or cannot be read.
         """
-        if source is None:
-            source = (
-                str(artifact)
-                if isinstance(artifact, (str, Path))
-                else "<memory>"
-            )
         try:
             loaded = load_artifact(artifact)
         except ShardMergeError as exc:
             raise GatherError(str(exc)) from None
-        self._check(loaded, source)
-        if loaded.shard_index in self._artifacts:
+        source = artifact if source is None else source
+        if not self._cover.add_artifact(loaded, source):
             return False
-        indices = set(loaded.dframe.indices)
-        overlap = indices & self._covered
-        if overlap:
-            raise GatherError(
-                f"{source}: artifact covers already-gathered point "
-                f"indices {summarise_indices(sorted(overlap))}"
-            )
         self._artifacts[loaded.shard_index] = loaded
-        self._covered |= indices
         return True
 
     def scan(self, directory: Union[str, Path]) -> int:
@@ -221,30 +217,25 @@ class IncrementalGather:
     @property
     def total_points(self) -> Optional[int]:
         """The grid size, once known (manifest or first artifact)."""
-        return None if self._grid is None else self._grid.total_points
+        return self._cover.total_points
 
     @property
     def complete(self) -> bool:
         """True when every canonical point index has been gathered."""
-        return (
-            self.total_points is not None
-            and len(self._covered) == self.total_points
-        )
+        return self._cover.complete
 
     def missing_summary(self) -> str:
         """The canonical point indices not covered yet, summarised
         (empty when done or while the grid size is unknown)."""
-        if self.total_points is None or self.complete:
-            return ""
-        return summarise_missing(sorted(self._covered), self.total_points)
+        return self._cover.missing_summary()
 
     def snapshot(self) -> GatherSnapshot:
         """The current partial view (sorted frame, merged cache stats)."""
         return GatherSnapshot(
             total_points=self.total_points,
-            covered_points=len(self._covered),
+            covered_points=len(self._cover.covered),
             shards_seen=tuple(sorted(self._artifacts)),
-            total_shards=self._total_shards,
+            total_shards=self._cover.shards,
             pending=self._pending,
             rejected=tuple(sorted(self._rejected.items())),
             complete=self.complete,
@@ -265,15 +256,27 @@ class IncrementalGather:
         result carries every one of its guarantees — byte-identical
         rows to a serial in-process sweep of the same grid.
         """
-        if not self.complete:
-            raise GatherError(
-                f"gather is incomplete: missing point indices "
-                f"{self.missing_summary()} of "
-                f"{self.total_points if self.total_points else '?'}"
-            )
+        self._cover.require_complete()
         return merge_shard_artifacts(
             [self._artifacts[index] for index in sorted(self._artifacts)]
         )
+
+
+def _gather_once(
+    directory: Union[str, Path], expected: Optional[QueueManifest], merge
+):
+    """``merge(paths, cover)`` the shard directory under the gather's
+    cover (:func:`gather_cover`); every failure a :class:`GatherError`."""
+    directory = Path(directory)
+    try:
+        paths = find_shard_artifacts(directory)
+        if not paths and expected is None:
+            raise GatherError(
+                f"no shard artifacts (shard-*.json) in {directory}"
+            )
+        return merge(paths, gather_cover(expected))
+    except ShardMergeError as exc:
+        raise GatherError(str(exc)) from None
 
 
 def gather_directory(
@@ -282,20 +285,12 @@ def gather_directory(
 ) -> SweepReport:
     """One-shot strict gather of a finished shard directory.
 
-    Unlike the watch loop, nothing is tolerated: an unreadable or
-    foreign artifact raises (with the file named), and an incomplete
-    directory raises naming the missing indices.
+    Unlike the watch loop, nothing is tolerated: the first artifact
+    (in name order) that cannot be read or that :class:`IncrementalGather`
+    would refuse raises, naming its file, and an incomplete directory
+    raises naming the missing indices.
     """
-    gather = IncrementalGather(expected=expected)
-    gather.scan(directory)
-    snapshot = gather.snapshot()
-    if snapshot.rejected:
-        raise GatherError(snapshot.rejected[0][1])
-    if not gather.complete and gather.total_points is None:
-        raise GatherError(
-            f"no shard artifacts (shard-*.json) in {directory}"
-        )
-    return gather.report()
+    return _gather_once(directory, expected, merge_shard_artifacts)
 
 
 def gather_directory_to_store(
@@ -306,36 +301,22 @@ def gather_directory_to_store(
 ):
     """Strict one-shot gather spilled to a chunked frame store.
 
-    The out-of-core twin of :func:`gather_directory`: the finished
-    shard directory is merged through
+    The out-of-core twin of :func:`gather_directory`, under the same
+    cover: the finished shard directory is merged through
     :func:`~repro.core.framestore.merge_artifacts_to_store`, never
     holding more than one artifact plus the store's row buffer — the
-    store's row stream is byte-identical to the in-RAM gather's frame.
-    With ``expected`` (a queue manifest) the first artifact is checked
-    against the pinned grid identity up front, the same discipline as
-    :class:`IncrementalGather`; cross-artifact consistency, duplicate
-    and gap detection come from the merge itself.  Every failure is a
-    :class:`GatherError` naming the cause.
+    store's row stream is byte-identical to the in-RAM gather's frame,
+    and every refusal is the in-RAM gather's, word for word.
     """
     from .framestore import merge_artifacts_to_store  # cycle-free here
 
-    directory = Path(directory)
-    try:
-        paths = find_shard_artifacts(directory)
-    except ShardMergeError as exc:
-        raise GatherError(str(exc)) from None
-    if not paths:
-        raise GatherError(
-            f"no shard artifacts (shard-*.json) in {directory}"
-        )
-    if expected is not None:
-        IncrementalGather(expected).ingest(paths[0], source=paths[0].name)
-    try:
-        return merge_artifacts_to_store(
-            paths, store_dir, max_rows_in_memory
-        )
-    except ShardMergeError as exc:
-        raise GatherError(str(exc)) from None
+    return _gather_once(
+        directory,
+        expected,
+        lambda paths, cover: merge_artifacts_to_store(
+            paths, store_dir, max_rows_in_memory, cover=cover
+        ),
+    )
 
 
 def watch_directory(

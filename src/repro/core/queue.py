@@ -57,8 +57,7 @@ from . import blobstore
 from .figure_of_merit import FomWeights
 from .sharding import (
     GridIdentity,
-    ShardMergeError,
-    read_shard_artifact,
+    matching_artifact,
     run_shard,
     shard_filename,
     write_shard_artifact,
@@ -295,12 +294,14 @@ class ShardQueue:
         count — the shard stays claimable and the next completion
         atomically replaces the junk.
         """
-        try:
-            artifact = read_shard_artifact(self.artifact_path(shard_index))
-        except ShardMergeError:
-            return False
-        return (artifact.grid, artifact.shards, artifact.shard_index) == (
-            self.manifest.grid, self.manifest.shards, shard_index
+        return (
+            matching_artifact(
+                self.artifact_path(shard_index),
+                self.manifest.grid,
+                self.manifest.shards,
+                shard_index,
+            )
+            is not None
         )
 
     def _read_json(self, path: Path) -> Optional[dict]:

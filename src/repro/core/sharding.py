@@ -30,10 +30,16 @@ back into the canonical row order, wherever they were produced:
   :func:`os.replace` writes, strict reads), so a concurrent reader —
   the incremental gather service polls shard directories — never
   observes a half-written artifact;
-* :func:`check_shard_cover` — the one validator both merges share: the
-  artifacts' identities must name one grid in one order, and their
-  indices must cover it exactly once (a missing or doubled shard is a
-  loud :class:`ShardMergeError`, never a silently wrong report);
+* :class:`ShardCover` — the one account every consumer of artifacts
+  (both merges, both gathers, the warehouse) adds them to, one at a
+  time: one grid in one order, the pinned partition, the index range,
+  the overlaps and the final gaps.  Each consumer holds only its
+  :class:`CoverPolicy` — the merges' :data:`MERGE_COVER` refuses any
+  overlap (a missing or doubled shard is a loud
+  :class:`ShardMergeError`, never a silently wrong report), the gather
+  drops a repeated shard index and pins the partition, the warehouse
+  refuses points it already covers.  :func:`matching_artifact` is the
+  one "is this shard I/K of grid G" check (``--resume``, the queue);
 * :func:`merge_shard_artifacts` — reassemble any combination of
   artifacts into one :class:`~repro.core.sweep.SweepReport` through
   :meth:`~repro.core.ranking.DecisionFrame.concat` (one vectorised
@@ -55,8 +61,6 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 from ..errors import SpecificationError
 from . import blobstore
@@ -501,71 +505,186 @@ def load_artifact(artifact: ArtifactLike) -> ShardArtifact:
     return read_shard_artifact(artifact)
 
 
-def check_shard_cover(
-    shards: Sequence[tuple[str, GridIdentity, Sequence[int]]],
-) -> GridIdentity:
-    """Refuse shards that do not tile one grid exactly once.
+@dataclass(frozen=True)
+class CoverPolicy:
+    """One consumer's rules on top of a :class:`ShardCover`.
 
-    The single validator behind both merges — the in-RAM
-    :func:`merge_shard_artifacts` and the streaming
-    :func:`~repro.core.framestore.merge_artifacts_to_store`.  It sees
-    each artifact's ``(label, grid, indices)`` only, never frames, so
-    the streaming merge can validate while holding one artifact at a
-    time.  Returns the first grid identity (the one every other
-    matched).
-
-    Raises
-    ------
-    ShardMergeError
-        If no artifacts are given, their identities differ
-        (:meth:`GridIdentity.check`), an index falls outside the grid,
-        a canonical index is covered twice (duplicated shard), or
-        indices are left uncovered (missing shard).  The message names
-        the offending indices so the operator knows which shard to
-        re-run or drop.
+    ``by_shard``: artifacts are named by their file, the first pins the
+    partition and a shard index seen before is a repeat, dropped
+    unchecked.  Every other overlap is refused.  Refusals are ``error``
+    worded by
+    ``overlap`` (``{label}``, ``{first}``, the sorted ``{indices}``),
+    ``self_overlap`` (one artifact naming a point twice; default
+    ``overlap``) and ``incomplete`` (``{missing}`` of ``{total}``).
     """
-    if not shards:
-        raise ShardMergeError("no shard artifacts to merge")
-    first_label, reference, _ = shards[0]
-    for label, grid, _ in shards[1:]:
-        reference.check(grid, ShardMergeError, label, first_label)
 
-    total = reference.total_points
-    for label, _, indices in shards:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= total
-        ):
-            outside = int(
-                indices[(indices < 0) | (indices >= total)][0]
+    error: type
+    overlap: str
+    incomplete: str = ""
+    self_overlap: Optional[str] = None
+    by_shard: bool = False
+
+
+class ShardCover:
+    """Which points of one grid a stream of artifacts covers.
+
+    Each artifact (or warehouse frame) is added on its own, so a
+    streaming consumer holds only indices.  :meth:`add` checks it
+    against the grid (``grid``, else the first one added;
+    :meth:`GridIdentity.check`), the pinned partition and the index
+    range, then classifies its overlap; :meth:`require_complete`
+    refuses the gaps (:func:`summarise_missing`, so a claimed
+    ``total_points`` never sizes an allocation).  A refused artifact
+    leaves the cover as it was.
+    """
+
+    def __init__(
+        self,
+        policy: CoverPolicy,
+        grid: Optional[GridIdentity] = None,
+        source: str = "",
+        shards: Optional[int] = None,
+        covered: Iterable[int] = (),
+    ) -> None:
+        self.policy = policy
+        self.grid, self._source, self.shards = grid, source, shards
+        self.covered: set[int] = set(covered)
+        self._shard_indices: set[int] = set()
+
+    def add_artifact(
+        self, artifact: ShardArtifact, source: ArtifactLike
+    ) -> bool:
+        """:meth:`add` ``artifact``, read from ``source`` (its path or
+        file name, or the artifact itself)."""
+        label = artifact.label
+        if self.policy.by_shard:
+            label = (
+                Path(source).name
+                if isinstance(source, (str, Path))
+                else "<memory>"
             )
-            raise ShardMergeError(
+        return self.add(
+            label,
+            artifact.dframe.indices,
+            artifact.grid,
+            artifact.shards,
+            artifact.shard_index,
+        )
+
+    def add(
+        self,
+        label: str,
+        indices: Sequence[int],
+        grid: Optional[GridIdentity] = None,
+        shards: Optional[int] = None,
+        shard_index: Optional[int] = None,
+    ) -> bool:
+        """Take the points ``label`` carries (``False``: a repeat,
+        dropped), or raise the policy's error."""
+        policy, error = self.policy, self.policy.error
+        if grid is not None and self.grid is not None:
+            self.grid.check(grid, error, label, self._source)
+        pinned = shards if self.shards is None else self.shards
+        if policy.by_shard:
+            if shards != pinned:
+                raise error(
+                    f"{label}: artifact cut from a different partition "
+                    f"({shards} vs {pinned} shards)"
+                )
+            if shard_index in self._shard_indices:
+                return False
+        total = (self.grid or grid).total_points
+        outside = next((i for i in indices if not 0 <= i < total), None)
+        if outside is not None:
+            raise error(
                 f"{label} carries point index {outside}, outside the "
                 f"{total}-point grid"
             )
+        fresh: set[int] = set()
+        overlap: list[int] = []  # covered before, or named twice
+        for index in indices:
+            if index in self.covered or index in fresh:
+                overlap.append(index)
+            else:
+                fresh.add(index)
+        if overlap:
+            first = overlap[0]
+            wording = policy.overlap
+            if first not in self.covered and policy.self_overlap:
+                wording = policy.self_overlap
+            raise error(
+                wording.format(
+                    label=label,
+                    first=first,
+                    indices=summarise_indices(sorted(set(overlap))),
+                )
+            )
+        if self.grid is None:
+            self.grid, self._source = grid, label
+        self.shards = pinned
+        self.covered |= fresh
+        self._shard_indices.add(shard_index)
+        return True
 
-    all_indices = np.concatenate(
-        [np.asarray(indices, dtype=np.int64) for _, _, indices in shards]
-    )
-    covered, counts = np.unique(all_indices, return_counts=True)
-    duplicates = covered[counts > 1]
-    if duplicates.size:
-        raise ShardMergeError(
-            f"duplicated point indices across shard artifacts: "
-            f"{summarise_indices(duplicates.tolist())} "
-            f"(the same shard was merged twice?)"
-        )
-    if covered.size != total:
-        raise ShardMergeError(
-            f"missing point indices "
-            f"{summarise_missing(covered.tolist(), total)} of "
-            f"{total}: a shard artifact was not merged"
-        )
-    return reference
+    @property
+    def total_points(self) -> Optional[int]:
+        """The grid size, once known."""
+        return None if self.grid is None else self.grid.total_points
+
+    @property
+    def complete(self) -> bool:
+        """True when every point of a known grid is covered."""
+        return len(self.covered) == self.total_points
+
+    def missing_summary(self) -> str:
+        """The uncovered point indices, summarised (empty when complete
+        or while the grid is unknown)."""
+        if self.grid is None or self.complete:
+            return ""
+        return summarise_missing(sorted(self.covered), self.total_points)
+
+    def require_complete(self) -> None:
+        """Refuse an empty cover, and the gaps in the policy's words."""
+        if self.grid is None:
+            raise self.policy.error("no shard artifacts to merge")
+        if not self.complete:
+            raise self.policy.error(
+                self.policy.incomplete.format(
+                    missing=self.missing_summary(), total=self.total_points
+                )
+            )
+
+
+#: The merges: one grid, every point exactly once.
+MERGE_COVER = CoverPolicy(
+    ShardMergeError,
+    overlap=(
+        "duplicated point indices across shard artifacts: {indices} "
+        "(the same shard was merged twice?)"
+    ),
+    incomplete=(
+        "missing point indices {missing} of {total}: a shard artifact "
+        "was not merged"
+    ),
+)
+
+
+def matching_artifact(
+    path: Union[str, Path], grid: GridIdentity, shards: int, shard_index: int
+) -> Optional[ShardArtifact]:
+    """The artifact at ``path`` if it reads and is shard ``shard_index``
+    of ``shards`` of ``grid``, else ``None``."""
+    try:
+        artifact = read_shard_artifact(path)
+    except ShardMergeError:
+        return None
+    found = (artifact.grid, artifact.shards, artifact.shard_index)
+    return artifact if found == (grid, shards, shard_index) else None
 
 
 def merge_shard_artifacts(
     artifacts: Iterable[ArtifactLike],
+    cover: Optional[ShardCover] = None,
 ) -> SweepReport:
     """Reassemble shard artifacts into one canonical sweep report.
 
@@ -579,13 +698,19 @@ def merge_shard_artifacts(
     index — so merging hundreds of 10k-row artifacts costs numpy
     passes, not Python loops.
 
-    Raises :class:`ShardMergeError` for any set that
-    :func:`check_shard_cover` refuses.
+    Raises :class:`ShardMergeError` for any set that a
+    :data:`MERGE_COVER` :class:`ShardCover` refuses.  The gather passes
+    its own ``cover``; an artifact it drops adds neither rows nor cache
+    state.
     """
-    loaded = [load_artifact(artifact) for artifact in artifacts]
-    check_shard_cover(
-        [(a.label, a.grid, a.dframe.indices) for a in loaded]
-    )
+    if cover is None:
+        cover = ShardCover(MERGE_COVER)
+    loaded = []
+    for source in artifacts:
+        artifact = load_artifact(source)
+        if cover.add_artifact(artifact, source):
+            loaded.append(artifact)
+    cover.require_complete()
     return SweepReport(
         frame=DecisionFrame.concat([a.dframe for a in loaded]).frame,
         cache_stats=merge_cache_states(

@@ -72,8 +72,10 @@ from .blobstore import canonical_json  # noqa: F401
 from .figure_of_merit import FomWeights
 from .ranking import DecisionFrame
 from .sharding import (
+    CoverPolicy,
     GridIdentity,
     ShardArtifact,
+    ShardCover,
     find_shard_artifacts,
     read_shard_artifact,
 )
@@ -104,6 +106,21 @@ MANIFEST_NAME = "warehouse.json"
 
 class WarehouseError(SpecificationError):
     """The warehouse cannot be (safely) read or written."""
+
+
+#: The manifest's own frames cover each point once at most.
+FRAMES_COVER = CoverPolicy(
+    WarehouseError, overlap="warehouse frames overlap on point index {first}"
+)
+#: An append refuses every point the warehouse already covers.
+APPEND_COVER = CoverPolicy(
+    WarehouseError,
+    overlap=(
+        "warehouse already covers point index {first}; appending the "
+        "same shard twice?"
+    ),
+    self_overlap=FRAMES_COVER.overlap,
+)
 
 
 # -- the decision frame -----------------------------------------------
@@ -242,22 +259,10 @@ class WarehouseManifest:
                     f"warehouse manifest {label} must be an integer "
                     f">= {minimum}, got {value!r}"
                 )
-        seen: set[int] = set()
+        cover = ShardCover(FRAMES_COVER, self.grid)
         for entry in self.frames:
-            for index in entry.indices:
-                if index >= self.total_points:
-                    raise WarehouseError(
-                        f"warehouse frame {entry.file} carries point "
-                        f"index {index}, outside the "
-                        f"{self.total_points}-point grid"
-                    )
-                if index in seen:
-                    raise WarehouseError(
-                        f"warehouse frames overlap on point index "
-                        f"{index}"
-                    )
-                seen.add(index)
-        object.__setattr__(self, "covered", frozenset(seen))
+            cover.add(f"warehouse frame {entry.file}", entry.indices)
+        object.__setattr__(self, "covered", frozenset(cover.covered))
 
     def appended(self, entry: FrameEntry) -> "WarehouseManifest":
         """This manifest plus one frame, the revision bumped.
@@ -444,23 +449,9 @@ def _append_frame(
     """Publish ``dframe``'s frame file into the warehouse whose current
     manifest is ``manifest``; returns that manifest plus the frame, not
     yet published."""
-    fresh: set[int] = set()
-    for index in dframe.indices:
-        if index >= manifest.total_points:
-            raise WarehouseError(
-                f"frame carries point index {index}, outside the "
-                f"{manifest.total_points}-point grid"
-            )
-        if index in manifest.covered:
-            raise WarehouseError(
-                f"warehouse already covers point index {index}; "
-                f"appending the same shard twice?"
-            )
-        if index in fresh:
-            raise WarehouseError(
-                f"warehouse frames overlap on point index {index}"
-            )
-        fresh.add(index)
+    ShardCover(APPEND_COVER, manifest.grid, covered=manifest.covered).add(
+        "frame", dframe.indices
+    )
     payload = frame_payload(dframe, **manifest.grid.payload())
     name, digest = blobstore.put_blob(directory, frame_filename, payload)
     entry = FrameEntry(

@@ -2002,3 +2002,95 @@ class TestOutOfCoreCli:
             main(argv)
         assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestSpilledGatherAgrees:
+    """``gather DIR`` with and without ``--max-rows-in-memory`` give one
+    answer: exit code, stdout and stderr.  The in-RAM gather's rules
+    are the contract — a shard index gathered twice is dropped (its
+    cache state counted once), a shard of another partition is refused
+    — and with ``--manifest`` every artifact is checked against it."""
+
+    GRID = ["--volumes", "1e3,1e4,1e5"]
+
+    def _shard(self, directory, shards, index):
+        assert (
+            main(
+                [
+                    "sweep",
+                    *self.GRID,
+                    "--shards",
+                    str(shards),
+                    "--shard-index",
+                    str(index),
+                    "--shard-dir",
+                    str(directory),
+                ]
+            )
+            == 0
+        )
+
+    def _copied_shard(self, directory):
+        self._shard(directory, 2, 0)
+        self._shard(directory, 2, 1)
+        original = directory / "shard-0000-of-0002.json"
+        (directory / "shard-0000-of-0002-copy.json").write_bytes(
+            original.read_bytes()
+        )
+
+    def _two_partitions(self, directory):
+        self._shard(directory, 2, 0)
+        self._shard(directory, 3, 2)
+
+    @staticmethod
+    def _gather(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "build, accepted",
+        [("_copied_shard", True), ("_two_partitions", False)],
+    )
+    @pytest.mark.parametrize("with_manifest", [False, True])
+    def test_spilled_gather_gives_the_in_ram_answer(
+        self, tmp_path, capsys, monkeypatch, build, accepted, with_manifest
+    ):
+        monkeypatch.delenv("REPRO_SWEEP_MAX_ROWS", raising=False)
+        directory = tmp_path / "shards"
+        getattr(self, build)(directory)
+        argv = ["gather", str(directory), "--csv", "--cache-stats"]
+        if with_manifest:
+            manifest = tmp_path / "queue" / "manifest.json"
+            assert (
+                main(
+                    [
+                        "sweep",
+                        *self.GRID,
+                        "--queue-init",
+                        str(manifest),
+                        "--shards",
+                        "2",
+                    ]
+                )
+                == 0
+            )
+            argv += ["--manifest", str(manifest)]
+        capsys.readouterr()
+        in_ram = self._gather(argv, capsys)
+        spilled = self._gather(argv + ["--max-rows-in-memory", "4"], capsys)
+        assert spilled == in_ram
+        code, out, err = in_ram
+        if accepted:
+            assert code == 0
+            self._shard(tmp_path / "clean", 2, 0)
+            self._shard(tmp_path / "clean", 2, 1)
+            capsys.readouterr()
+            clean = self._gather(
+                ["gather", str(tmp_path / "clean"), "--csv", "--cache-stats"],
+                capsys,
+            )
+            assert in_ram == clean
+        else:
+            assert code == 1 and out == ""
+            assert "cut from a different partition (3 vs 2 shards)" in err
