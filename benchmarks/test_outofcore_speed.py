@@ -46,13 +46,13 @@ N_POINTS = 1_000_000
 N_SHARDS = 8
 CHUNK_ROWS = 50_000
 
-#: Peak traced allocation allowed for the chunked pipeline: the merge
-#: plan (three int64 arrays over 1M points, 24 MB) plus one resident
-#: chunk with its JSON transients plus the carried Pareto front.
-#: Measured peak is ~85 MB; 128 MB leaves slack for allocator and
-#: interpreter variance while staying far below the ~237 MB the
-#: in-RAM merge alone allocates for the same rows.
-CEILING_BYTES = 128 * 1024 * 1024
+#: Peak traced allocation allowed for the chunked pipeline: one
+#: resident shard artifact's frame plus one chunk with its JSON
+#: transients plus the carried Pareto front.  Measured peak is ~58 MB;
+#: 96 MiB leaves slack for allocator and interpreter variance while
+#: staying below the ~132 MB the in-RAM merge alone allocates for the
+#: same rows.
+CEILING_BYTES = 96 * 1024 * 1024
 
 CANDIDATES = ("PCB/SMD", "MCM-D/WB", "MCM-D/IP", "MCM-D/IP&SMD")
 

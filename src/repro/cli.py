@@ -537,11 +537,12 @@ def _render_spilled(args, build, identity=None) -> int:
     store chunk by chunk; the table crosses the identity bridge
     (:meth:`~repro.core.framestore.ChunkedFrameStore.to_frame`).
     Without --spill-dir the store lives in a temporary directory for
-    as long as it is rendered.  With it, ``identity()`` names the grid
-    the run covers, and a complete store already there for exactly
-    that grid is re-read instead of rebuilt — the same discipline as
-    ``--resume``; a half-written or foreign store is refused.  A run
-    without an ``identity`` (adaptive) builds into the directory.
+    as long as it is rendered.  With it, a complete store already
+    there for exactly the grid ``identity()`` names (called only then;
+    a merge or gather runs its cover over the shard directory) is
+    re-read instead of rebuilt — the same discipline as ``--resume``;
+    a half-written or foreign store is refused.  A run without an
+    ``identity`` (adaptive) builds into the directory.
     """
     from .core.framestore import MANIFEST_NAME, ChunkedFrameStore
     from .core.sharding import GridIdentity
@@ -551,10 +552,10 @@ def _render_spilled(args, build, identity=None) -> int:
             _print_store_report(build(Path(scratch) / "store"), args)
         return 0
     directory = Path(args.spill_dir)
-    grid = identity() if identity is not None else None
-    if grid is None or not (directory / MANIFEST_NAME).exists():
+    if identity is None or not (directory / MANIFEST_NAME).exists():
         _print_store_report(build(_create_directory(directory)), args)
         return 0
+    grid = identity()
     store = ChunkedFrameStore.open(directory)
     if not store.complete:
         raise SpecificationError(
@@ -637,9 +638,9 @@ def _run_merge(args: argparse.Namespace) -> int:
     """--merge: reassemble shard artifacts into one report."""
     from .core.framestore import merge_artifacts_to_store
     from .core.sharding import (
+        covered_grid,
         find_shard_artifacts,
         merge_shard_artifacts,
-        read_shard_artifact,
     )
 
     max_rows = _row_budget(args)
@@ -658,7 +659,7 @@ def _run_merge(args: argparse.Namespace) -> int:
         lambda directory: merge_artifacts_to_store(
             paths, directory, max_rows
         ),
-        lambda: read_shard_artifact(paths[0]).grid,
+        lambda: covered_grid(paths),
     )
 
 
@@ -878,14 +879,11 @@ def _run_gather(args: argparse.Namespace) -> int:
         GatherError,
         gather_directory,
         gather_directory_to_store,
+        gather_grid,
         watch_directory,
     )
     from .core.queue import read_manifest
-    from .core.sharding import (
-        ShardMergeError,
-        find_shard_artifacts,
-        read_shard_artifact,
-    )
+    from .core.sharding import ShardMergeError
 
     max_rows = None if args.watch else _row_budget(args)
     expected = None
@@ -921,16 +919,6 @@ def _run_gather(args: argparse.Namespace) -> int:
         # final table/CSV.
         print(line, file=sys.stderr)
 
-    def identity() -> GridIdentity:
-        if expected is not None:
-            return expected.grid
-        paths = find_shard_artifacts(args.directory)
-        if not paths:
-            raise GatherError(
-                f"no shard artifacts (shard-*.json) in {args.directory}"
-            )
-        return read_shard_artifact(paths[0]).grid
-
     try:
         if max_rows is not None:
             return _render_spilled(
@@ -938,7 +926,7 @@ def _run_gather(args: argparse.Namespace) -> int:
                 lambda directory: gather_directory_to_store(
                     args.directory, directory, max_rows, expected=expected
                 ),
-                identity,
+                lambda: gather_grid(args.directory, expected=expected),
             )
         if args.watch:
             report = watch_directory(

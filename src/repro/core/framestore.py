@@ -33,12 +33,12 @@ Design rules, all inherited from the existing tiers:
   (:meth:`~repro.core.resultframe.ResultFrame.to_stored_columns`).
 * **Bounded memory.**  The writer never buffers more than
   ``max_rows_in_memory`` rows; the streaming merge
-  (:func:`merge_artifacts_to_store`) holds one source artifact plus
-  the buffer, checking the sources through the same
-  :class:`~repro.core.sharding.ShardCover` as the in-RAM merge (or the
-  gather's, for ``gather --max-rows-in-memory``); the chunked Pareto
-  kernel holds one block plus the carried front (which is the answer
-  itself, so it must fit).
+  (:func:`merge_artifacts_to_store`) appends the in-RAM merge's
+  ordered pass (:func:`~repro.core.sharding.frames_in_point_order`,
+  under the same :class:`~repro.core.sharding.ShardCover`, or the
+  gather's for ``gather --max-rows-in-memory``), holding one source
+  artifact plus the buffer; the chunked Pareto kernel holds one block
+  plus the carried front (which is the answer itself, so it must fit).
 
 CLI surface: ``repro-gps sweep/gather --max-rows-in-memory N`` (or
 ``$REPRO_SWEEP_MAX_ROWS``) with ``--spill-dir`` choosing where chunks
@@ -47,6 +47,7 @@ land; see ``docs/sweep-guide.md``, "Sweeping beyond RAM".
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -63,8 +64,7 @@ from .sharding import (
     ArtifactLike,
     GridIdentity,
     ShardCover,
-    ShardMergeError,
-    load_artifact,
+    frames_in_point_order,
     merge_cache_states,
 )
 from .sweep import (
@@ -254,10 +254,6 @@ class ChunkedFrameStore:
         return self._directory
 
     @property
-    def max_rows_in_memory(self) -> int:
-        return self._max_rows
-
-    @property
     def complete(self) -> bool:
         """True once :meth:`finish` published the final manifest."""
         return self._complete
@@ -394,6 +390,12 @@ class ChunkedFrameStore:
         self._complete = True
         self._publish()
         return self
+
+    def discard(self) -> None:
+        """Remove what this store published (an abandoned write)."""
+        for entry in self._entries:
+            (self._directory / entry.file).unlink(missing_ok=True)
+        (self._directory / MANIFEST_NAME).unlink(missing_ok=True)
 
     # -- read side ----------------------------------------------------
 
@@ -553,119 +555,40 @@ def merge_artifacts_to_store(
     """Spill-to-disk merge: shard artifacts to a chunked frame store.
 
     The out-of-core twin of
-    :func:`~repro.core.sharding.merge_shard_artifacts` — the same
-    :class:`~repro.core.sharding.ShardCover` (by default a
-    :data:`~repro.core.sharding.MERGE_COVER` one, so the same
-    :class:`~repro.core.sharding.ShardMergeError` for foreign grids,
-    wrong orders, duplicated or missing indices), the same canonical
-    result: the store's row stream is byte-identical to the in-RAM
-    merge's frame, and the gather passes its own cover here too.  The
-    stable in-RAM sort groups rows by ascending canonical point index
-    with each point's rows in artifact order; every point lives in
-    exactly one artifact, so replaying the points in ascending order
-    and copying each point's row run reproduces that order exactly.
-
-    Memory never holds more than one source artifact's frame plus the
-    store's ``max_rows_in_memory`` buffer: the cover takes the sources
-    one at a time keeping only their index metadata, and the copy pass
-    reloads one artifact at a time.  Path sources are read twice
-    (validate, then copy), and a reloaded artifact whose point indices
-    or row counts differ from what validation read (the file changed
-    between the passes) is refused; in-memory artifacts are kept by
-    reference.
+    :func:`~repro.core.sharding.merge_shard_artifacts`: the same pass
+    (:func:`~repro.core.sharding.frames_in_point_order`) under the same
+    :class:`~repro.core.sharding.ShardCover` (a
+    :data:`~repro.core.sharding.MERGE_COVER` one by default; the gather
+    passes its own), so the same refusals and a row stream
+    byte-identical to the in-RAM merge's frame.  Memory holds one
+    source artifact's frame (plus the indices of any parked early) and
+    the ``max_rows_in_memory`` buffer; a refused merge removes what it
+    wrote, leaving ``directory`` as it was found.
     """
     if cover is None:
         cover = ShardCover(MERGE_COVER)
-    records: list[tuple[ArtifactLike, tuple[int, ...], tuple[int, ...]]] = []
-    states: list[dict] = []
-    for source in artifacts:
-        artifact = load_artifact(source)
-        if not cover.add_artifact(artifact, source):
-            continue
-        records.append(
-            (
-                source if isinstance(source, (str, Path)) else artifact,
-                artifact.dframe.indices,
-                artifact.dframe.row_counts,
-            )
-        )
-        states.append(artifact.cache_state)
-        del artifact  # free the frame before loading the next source
-    cover.require_complete()
-    total = cover.total_points
-
-    # The merge plan, one int64 per point instead of a dict of Python
-    # tuples (which would cost ~200 bytes/point — more than the rows
-    # it schedules): which record holds the point, where its rows
-    # start in that record's frame, and how many there are.
-    point_record = np.empty(total, dtype=np.int64)
-    point_offset = np.empty(total, dtype=np.int64)
-    point_count = np.empty(total, dtype=np.int64)
-    for record_index, (_, indices, row_counts) in enumerate(records):
-        idx = np.asarray(indices, dtype=np.int64)
-        cnt = np.asarray(row_counts, dtype=np.int64)
-        point_record[idx] = record_index
-        point_count[idx] = cnt
-        point_offset[idx] = np.cumsum(cnt) - cnt
-
+    directory = Path(directory)
+    made = [d for d in (directory, *directory.parents) if not d.exists()]
     store = ChunkedFrameStore.create(
-        directory,
-        max_rows_in_memory=max_rows_in_memory,
-        meta={**(meta or {}), **cover.grid.payload()},
+        directory, max_rows_in_memory=max_rows_in_memory, meta=meta
     )
-
-    # Copy pass: walk points in canonical order, coalescing maximal
-    # same-artifact contiguous row runs (with contiguous sharding each
-    # artifact is exactly one run), loading one artifact at a time.
-    loaded_index: Optional[int] = None
-    loaded_frame: Optional[ResultFrame] = None
-
-    def _frame_of(record_index: int) -> ResultFrame:
-        nonlocal loaded_index, loaded_frame
-        if loaded_index != record_index:
-            source, indices, row_counts = records[record_index]
-            dframe = load_artifact(source).dframe
-            if (dframe.indices, dframe.row_counts) != (indices, row_counts):
-                raise ShardMergeError(
-                    f"shard artifact {source} changed while it was being "
-                    f"merged: it no longer holds the points it was "
-                    f"validated with"
-                )
-            loaded_frame = dframe.frame
-            loaded_index = record_index
-        return loaded_frame
-
-    def _copy_run(record_index: int, start: int, stop: int) -> None:
-        frame = _frame_of(record_index)
-        budget = store.max_rows_in_memory
-        for piece_start in range(start, stop, budget):
-            piece_stop = min(piece_start + budget, stop)
-            store.append(frame.take(np.arange(piece_start, piece_stop)))
-
-    if total:
-        # Run boundaries, vectorised: a new run starts where the record
-        # changes or the next point's rows are not the continuation of
-        # the previous point's.
-        breaks = (
-            np.flatnonzero(
-                (point_record[1:] != point_record[:-1])
-                | (
-                    point_offset[1:]
-                    != point_offset[:-1] + point_count[:-1]
-                )
-            )
-            + 1
-        )
-        starts = np.concatenate([[0], breaks])
-        stops = np.concatenate([breaks, [total]])
-        for first, last in zip(starts.tolist(), stops.tolist()):
-            _copy_run(
-                int(point_record[first]),
-                int(point_offset[first]),
-                int(point_offset[last - 1] + point_count[last - 1]),
-            )
-
-    return store.finish(meta={"cache_stats": merge_cache_states(states)})
+    states = []
+    try:
+        for dframe, state in frames_in_point_order(artifacts, cover):
+            store.append(dframe.frame)
+            states.append(state)
+    except BaseException:
+        store.discard()
+        for path in made:  # deepest first
+            with contextlib.suppress(OSError):  # someone else's files
+                path.rmdir()
+        raise
+    return store.finish(
+        meta={
+            **cover.grid.payload(),
+            "cache_stats": merge_cache_states(states),
+        }
+    )
 
 
 # -- streaming sweep to a store ---------------------------------------

@@ -32,14 +32,14 @@ fully readable — a poll can never observe a torn file.
 * :meth:`~IncrementalGather.snapshot` / :meth:`~IncrementalGather.report`
   — the live partial view (the artifacts'
   :meth:`~repro.core.ranking.DecisionFrame.concat`) and the
-  final :class:`~repro.core.sweep.SweepReport`, which is assembled by
-  :func:`~repro.core.sharding.merge_shard_artifacts` itself, so a
-  gathered sweep is *byte-identical* to ``--merge`` and hence to the
-  serial engine;
+  final :class:`~repro.core.sweep.SweepReport`, the snapshot's once
+  the gather's cover is complete, so a gathered sweep is
+  *byte-identical* to ``--merge`` and hence to the serial engine;
 * :func:`gather_directory` / :func:`gather_directory_to_store` — the
   one-shot gather of a finished directory, in RAM or spilled to a
-  chunked frame store, both under the same cover: the same rules and
-  the same refusals, word for word, with or without the spill;
+  chunked frame store, both under the same cover (:func:`gather_grid`
+  runs it alone): the same rules and the same refusals, word for
+  word, with or without the spill;
 * :func:`watch_directory` — the service loop: poll, publish a
   snapshot, repeat until the grid is covered (or a timeout names what
   is missing).
@@ -62,9 +62,11 @@ from .resultframe import ResultFrame
 from .sharding import (
     ArtifactLike,
     CoverPolicy,
+    GridIdentity,
     ShardArtifact,
     ShardCover,
     ShardMergeError,
+    covered_grid,
     find_pending_artifacts,
     find_shard_artifacts,
     load_artifact,
@@ -249,17 +251,13 @@ class IncrementalGather:
         )
 
     def report(self) -> SweepReport:
-        """The final canonical report; the gather must be complete.
-
-        Delegates the assembly to
-        :func:`~repro.core.sharding.merge_shard_artifacts`, so the
-        result carries every one of its guarantees — byte-identical
-        rows to a serial in-process sweep of the same grid.
-        """
+        """The final canonical report: the snapshot's rows and cache
+        statistics once the gather's cover is complete (every point
+        once, each artifact holding its shard's points) — byte-identical
+        to ``--merge`` and to a serial in-process sweep of the grid."""
         self._cover.require_complete()
-        return merge_shard_artifacts(
-            [self._artifacts[index] for index in sorted(self._artifacts)]
-        )
+        snapshot = self.snapshot()
+        return SweepReport(snapshot.frame, snapshot.cache_stats)
 
 
 def _gather_once(
@@ -277,6 +275,14 @@ def _gather_once(
         return merge(paths, gather_cover(expected))
     except ShardMergeError as exc:
         raise GatherError(str(exc)) from None
+
+
+def gather_grid(
+    directory: Union[str, Path], expected: Optional[QueueManifest] = None
+) -> GridIdentity:
+    """The grid :func:`gather_directory`'s cover finds ``directory``
+    covers, with its refusals, keeping no frame."""
+    return _gather_once(directory, expected, covered_grid)
 
 
 def gather_directory(

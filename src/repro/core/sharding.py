@@ -33,7 +33,8 @@ back into the canonical row order, wherever they were produced:
 * :class:`ShardCover` — the one account every consumer of artifacts
   (both merges, both gathers, the warehouse) adds them to, one at a
   time: one grid in one order, the pinned partition, the index range,
-  the overlaps and the final gaps.  Each consumer holds only its
+  the overlaps, the final gaps and that each artifact holds its
+  shard's points (:func:`shard_misfit`).  Each consumer holds only its
   :class:`CoverPolicy` — the merges' :data:`MERGE_COVER` refuses any
   overlap (a missing or doubled shard is a loud
   :class:`ShardMergeError`, never a silently wrong report), the gather
@@ -41,11 +42,11 @@ back into the canonical row order, wherever they were produced:
   refuses points it already covers.  :func:`matching_artifact` is the
   one "is this shard I/K of grid G" check (``--resume``, the queue);
 * :func:`merge_shard_artifacts` — reassemble any combination of
-  artifacts into one :class:`~repro.core.sweep.SweepReport` through
-  :meth:`~repro.core.ranking.DecisionFrame.concat` (one vectorised
-  concatenation + stable sort into canonical point order), with
-  additive cache statistics that count a sub-result computed by two
-  cold shard caches only once in the merged ``entries`` tally.
+  artifacts into one :class:`~repro.core.sweep.SweepReport` from
+  :func:`frames_in_point_order`, the one ordered pass both merges read
+  artifacts through (once each, in shard order), with additive cache
+  statistics that count a sub-result computed by two cold shard
+  caches only once in the merged ``entries`` tally.
 
 The CLI surface is ``repro-gps sweep --shards K --shard-index I
 --shard-dir DIR`` (run one shard, write the artifact; add ``--resume``
@@ -60,12 +61,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ..errors import SpecificationError
 from . import blobstore
 from .figure_of_merit import FomWeights
 from .ranking import DecisionFrame
+from .resultframe import ResultFrame
 from .sweep import (
     CACHE_TABLES,
     CandidateFactory,
@@ -210,6 +212,27 @@ def shard_indices(total: int, shards: int, shard_index: int) -> range:
     start = shard_index * base + min(shard_index, extra)
     stop = start + base + (1 if shard_index < extra else 0)
     return range(start, stop)
+
+
+def shard_misfit(
+    indices: Sequence[int], total: int, shards: int, shard_index: int
+) -> str:
+    """Why ``indices`` are not shard ``shard_index`` of ``shards`` of a
+    ``total``-point grid (``""``: they are).  Compares the smallest and
+    largest index and the count — O(len(indices)), never sized by
+    ``total``; for indices named once each, a match is the same set."""
+    want = range(0)
+    if shard_index < shards:
+        want = shard_indices(total, shards, shard_index)
+    size = want.stop - want.start  # len() overflows on a claimed 10^20
+    ends = (min(indices), max(indices) + 1) if indices else ()
+    if len(indices) == size and ends in ((), (want.start, want.stop)):
+        return ""
+    return (
+        f"holds point indices {summarise_indices(sorted(indices))} where "
+        f"shard {shard_index}/{shards} of a {total}-point grid holds "
+        f"{size} from {want.start}"
+    )
 
 
 @dataclass(frozen=True)
@@ -409,22 +432,19 @@ def find_pending_artifacts(directory: Union[str, Path]) -> list[Path]:
     a writer is (or was) mid-serialisation; its content is unreadable
     by contract.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise ShardMergeError(
-            f"shard directory {directory} does not exist"
-        )
-    return sorted(directory.glob("shard-*.json.tmp"))
+    return _listed(directory, "shard-*.json.tmp")
 
 
 def find_shard_artifacts(directory: Union[str, Path]) -> list[Path]:
     """All ``shard-*.json`` artifacts in a directory, sorted by name."""
+    return _listed(directory, "shard-*.json")
+
+
+def _listed(directory: Union[str, Path], pattern: str) -> list[Path]:
     directory = Path(directory)
     if not directory.is_dir():
-        raise ShardMergeError(
-            f"shard directory {directory} does not exist"
-        )
-    return sorted(directory.glob("shard-*.json"))
+        raise ShardMergeError(f"shard directory {directory} does not exist")
+    return sorted(directory.glob(pattern))
 
 
 def merge_cache_states(states: Iterable[dict]) -> dict:
@@ -534,8 +554,10 @@ class ShardCover:
     :meth:`GridIdentity.check`), the pinned partition and the index
     range, then classifies its overlap; :meth:`require_complete`
     refuses the gaps (:func:`summarise_missing`, so a claimed
-    ``total_points`` never sizes an allocation).  A refused artifact
-    leaves the cover as it was.
+    ``total_points`` never sizes an allocation), then the first
+    artifact not holding its shard's points (:func:`shard_misfit`, named
+    last so a forged header keeps any older refusal).  A refused
+    artifact leaves the cover as it was.
     """
 
     def __init__(
@@ -550,6 +572,7 @@ class ShardCover:
         self.grid, self._source, self.shards = grid, source, shards
         self.covered: set[int] = set(covered)
         self._shard_indices: set[int] = set()
+        self._misfit = ""
 
     def add_artifact(
         self, artifact: ShardArtifact, source: ArtifactLike
@@ -619,6 +642,9 @@ class ShardCover:
                     indices=summarise_indices(sorted(set(overlap))),
                 )
             )
+        if shards is not None and not self._misfit:
+            misfit = shard_misfit(indices, total, shards, shard_index)
+            self._misfit = misfit and f"{label} {misfit}"
         if self.grid is None:
             self.grid, self._source = grid, label
         self.shards = pinned
@@ -644,7 +670,8 @@ class ShardCover:
         return summarise_missing(sorted(self.covered), self.total_points)
 
     def require_complete(self) -> None:
-        """Refuse an empty cover, and the gaps in the policy's words."""
+        """Refuse an empty cover, the gaps in the policy's words, then
+        the first artifact whose points are not its shard's."""
         if self.grid is None:
             raise self.policy.error("no shard artifacts to merge")
         if not self.complete:
@@ -653,6 +680,8 @@ class ShardCover:
                     missing=self.missing_summary(), total=self.total_points
                 )
             )
+        if self._misfit:
+            raise self.policy.error(f"{self._misfit}; {RERUN_SHARD}")
 
 
 #: The merges: one grid, every point exactly once.
@@ -672,14 +701,72 @@ MERGE_COVER = CoverPolicy(
 def matching_artifact(
     path: Union[str, Path], grid: GridIdentity, shards: int, shard_index: int
 ) -> Optional[ShardArtifact]:
-    """The artifact at ``path`` if it reads and is shard ``shard_index``
-    of ``shards`` of ``grid``, else ``None``."""
+    """The artifact at ``path`` if it reads, is shard ``shard_index`` of
+    ``shards`` of ``grid`` and holds that shard's points
+    (:func:`shard_misfit`), else ``None``."""
     try:
         artifact = read_shard_artifact(path)
     except ShardMergeError:
         return None
     found = (artifact.grid, artifact.shards, artifact.shard_index)
-    return artifact if found == (grid, shards, shard_index) else None
+    if found != (grid, shards, shard_index) or shard_misfit(
+        artifact.dframe.indices, grid.total_points, shards, shard_index
+    ):
+        return None
+    return artifact
+
+
+def frames_in_point_order(
+    artifacts: Iterable[ArtifactLike], cover: ShardCover
+) -> Iterator[tuple[DecisionFrame, dict]]:
+    """Each source's frame (sorted within itself) and cache state, in
+    canonical point order: added to ``cover`` as it arrives, yielded
+    once it continues the order.  One that arrives early is parked (an
+    artifact by reference, a path by its points) and reloaded in its
+    turn, so a path is read once in shard order, as
+    :func:`find_shard_artifacts` lists them, else at most twice.  Ends
+    with :meth:`ShardCover.require_complete`, whose geometry rule makes
+    whole artifacts in order the canonical row order."""
+    parked: dict[int, tuple[ArtifactLike, tuple]] = {}
+    start = 0  # the next canonical point index
+    for source in artifacts:
+        artifact = load_artifact(source)
+        if not cover.add_artifact(artifact, source):
+            continue
+        dframe = artifact.dframe
+        first = min(dframe.indices, default=start)
+        if first != start:
+            kept = source if isinstance(source, (str, Path)) else artifact
+            parked[first] = (kept, (dframe.indices, dframe.row_counts))
+            continue
+        yield DecisionFrame.concat([dframe]), artifact.cache_state
+        if dframe.indices:
+            start = max(dframe.indices) + 1
+        while start in parked:  # never an empty artifact
+            kept, points = parked.pop(start)
+            artifact = load_artifact(kept)
+            dframe = artifact.dframe
+            if (dframe.indices, dframe.row_counts) != points:
+                raise ShardMergeError(
+                    f"shard artifact {kept} changed while it was being "
+                    f"merged: it no longer holds the points it was "
+                    f"validated with"
+                )
+            yield DecisionFrame.concat([dframe]), artifact.cache_state
+            start = max(dframe.indices) + 1
+    cover.require_complete()
+
+
+def covered_grid(
+    artifacts: Iterable[ArtifactLike], cover: Optional[ShardCover] = None
+) -> GridIdentity:
+    """The grid :func:`frames_in_point_order` finds ``artifacts`` cover
+    (under a :data:`MERGE_COVER` by default), keeping no frame."""
+    if cover is None:
+        cover = ShardCover(MERGE_COVER)
+    for _ in frames_in_point_order(artifacts, cover):
+        pass
+    return cover.grid
 
 
 def merge_shard_artifacts(
@@ -692,11 +779,9 @@ def merge_shard_artifacts(
     — produced by one host or many.  The merge is deterministic: rows
     come back in the canonical grid order whatever order the shards
     ran or arrived in, byte-identical to a serial in-process sweep of
-    the same grid.  Reassembly is columnar —
-    :meth:`~repro.core.ranking.DecisionFrame.concat`, one vectorised
-    frame concatenation plus a stable sort on the canonical point
-    index — so merging hundreds of 10k-row artifacts costs numpy
-    passes, not Python loops.
+    the same grid.  Reassembly concatenates the frames
+    :func:`frames_in_point_order` yields, so merging hundreds of
+    10k-row artifacts costs numpy passes, not Python loops.
 
     Raises :class:`ShardMergeError` for any set that a
     :data:`MERGE_COVER` :class:`ShardCover` refuses.  The gather passes
@@ -705,15 +790,11 @@ def merge_shard_artifacts(
     """
     if cover is None:
         cover = ShardCover(MERGE_COVER)
-    loaded = []
-    for source in artifacts:
-        artifact = load_artifact(source)
-        if cover.add_artifact(artifact, source):
-            loaded.append(artifact)
-    cover.require_complete()
+    frames, states = [], []
+    for dframe, state in frames_in_point_order(artifacts, cover):
+        frames.append(dframe.frame)
+        states.append(state)
     return SweepReport(
-        frame=DecisionFrame.concat([a.dframe for a in loaded]).frame,
-        cache_stats=merge_cache_states(
-            artifact.cache_state for artifact in loaded
-        ),
+        frame=ResultFrame.concat(frames),
+        cache_stats=merge_cache_states(states),
     )

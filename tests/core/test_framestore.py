@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
-from repro.core import blobstore, executors
+from repro.core import blobstore, executors, sharding
 from repro.core.figure_of_merit import FomWeights
 from repro.core.framestore import (
     CHUNK_FORMAT,
@@ -399,10 +400,13 @@ class TestStreamingMerge:
         ]
 
         def sources():
-            # Runs once validation has read every path, before the copy
-            # pass reloads them.
-            yield from paths
-            paths[0].write_bytes(paths[1].read_bytes())
+            # Shards 2 and 1 arrive early and are parked by their
+            # points; shard 1's file changes before shard 0 lets the
+            # merge reload it.
+            yield paths[2]
+            yield paths[1]
+            paths[1].write_bytes(paths[2].read_bytes())
+            yield paths[0]
 
         with pytest.raises(ShardMergeError, match="changed while"):
             merge_artifacts_to_store(sources(), tmp_path / "store", 4)
@@ -426,6 +430,61 @@ class TestStreamingMerge:
                 tmp_path / "store",
                 4,
             )
+
+
+class TestOneReadPerArtifact:
+    """Both merges read a name-ordered shard directory once per
+    artifact; sources out of point order are parked by their points
+    and read at most twice."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts: Counter = Counter()
+        read = sharding.read_shard_artifact
+
+        def counting(path):
+            counts[Path(path).name] += 1
+            return read(path)
+
+        monkeypatch.setattr(sharding, "read_shard_artifact", counting)
+        return counts
+
+    @staticmethod
+    def _directory(tmp_path, shards=4):
+        directory = tmp_path / "shards"
+        for artifact in make_artifacts(shards):
+            name = shard_filename(shards, artifact.shard_index)
+            write_shard_artifact(directory / name, artifact)
+        return sharding.find_shard_artifacts(directory)
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_name_order_reads_each_artifact_once(
+        self, tmp_path, reads, spill
+    ):
+        paths = self._directory(tmp_path)
+        if spill:
+            merge_artifacts_to_store(paths, tmp_path / "store", 3)
+        else:
+            merge_shard_artifacts(paths)
+        assert reads == {path.name: 1 for path in paths}
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_reversed_order_reads_each_artifact_at_most_twice(
+        self, tmp_path, reads, spill
+    ):
+        paths = self._directory(tmp_path)
+        reference = merge_shard_artifacts(paths)
+        reads.clear()
+        if spill:
+            store = merge_artifacts_to_store(
+                paths[::-1], tmp_path / "store", 3
+            )
+            assert list(store.csv_lines()) == reference.frame.csv_lines()
+        else:
+            assert merge_shard_artifacts(paths[::-1]) == reference
+        assert set(reads) == {path.name for path in paths}
+        assert max(reads.values()) == 2
+        assert reads[paths[0].name] == 1
 
 
 class TestSpillDesignSweep:

@@ -263,6 +263,23 @@ class TestShardQueue:
         assert not queue.valid_artifact(1)
         assert queue.claim(1) is not None
 
+    def test_misplaced_artifact_does_not_count_as_complete(
+        self, manifest_path
+    ):
+        """An artifact named shard 1 of the grid that carries shard 2's
+        points must not satisfy the queue either."""
+        import dataclasses
+
+        from repro.core.sharding import write_shard_artifact
+
+        queue = ShardQueue(manifest_path, owner="a", clock=FakeClock())
+        other = run_shard(POINTS, fixed_candidates, shards=3, shard_index=2)
+        write_shard_artifact(
+            queue.artifact_path(1), dataclasses.replace(other, shard_index=1)
+        )
+        assert not queue.valid_artifact(1)
+        assert queue.claim(1) is not None
+
     def test_stale_torn_lease_is_expired(self, tmp_path):
         """A claimant killed between the exclusive create and the write
         leaves an empty lease; once older than the TTL it must not

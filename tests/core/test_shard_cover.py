@@ -7,7 +7,8 @@ the spilled gather (``gather_directory_to_store``) and the warehouse
 ingest (``ingest_shard_directory``).  The hypothesis test below draws
 shard directories with exactly one fault — a subset of the shards, a
 renamed copy, a shard of another partition, a foreign, reordered or
-resized grid, out-of-range point indices — runs every consumer on the
+resized grid, out-of-range point indices, two files that swapped their
+frames but kept their headers — runs every consumer on the
 same directory and checks each against a small model of its documented
 rules: accept or refuse, the exception class and a message substring.
 Consumers that promise the same answer must give it: the two merges
@@ -140,6 +141,7 @@ def shard_directories(draw):
                 "reordered",
                 "resized",
                 "outside",
+                "misplaced",
             ]
         )
     )
@@ -180,6 +182,20 @@ def shard_directories(draw):
         filled = [name for name in names if files[name].dframe.indices]
         name = draw(st.sampled_from(filled))
         files[name] = shifted(files[name])
+    elif fault == "misplaced":
+        pairs = [
+            (first, second)
+            for first in names
+            for second in names
+            if first < second
+            and files[first].dframe.indices != files[second].dframe.indices
+        ]
+        if pairs:  # one shard has nothing to swap with
+            first, second = draw(st.sampled_from(pairs))
+            files[first], files[second] = (
+                dataclasses.replace(files[first], dframe=files[second].dframe),
+                dataclasses.replace(files[second], dframe=files[first].dframe),
+            )
     manifest = draw(st.sampled_from([None, shards]))
     return files, manifest
 
@@ -208,6 +224,14 @@ def grid_fault(found: GridIdentity, reference: GridIdentity) -> Optional[str]:
     return None
 
 
+def misplaced(artifact) -> bool:
+    """The artifact does not hold the points its header names."""
+    shard = shard_indices(
+        artifact.grid.total_points, artifact.shards, artifact.shard_index
+    )
+    return set(artifact.dframe.indices) != set(shard)
+
+
 def merge_model(artifacts) -> Outcome:
     """Both merges: one grid, every point exactly once."""
     if not artifacts:
@@ -226,6 +250,8 @@ def merge_model(artifacts) -> Outcome:
         return Outcome("ShardMergeError", "duplicated point indices")
     if len(counts) != total:
         return Outcome("ShardMergeError", "missing point indices")
+    if any(map(misplaced, artifacts)):
+        return Outcome("ShardMergeError", "where shard")
     return ACCEPTED
 
 
@@ -238,7 +264,7 @@ def gather_model(artifacts, manifest_shards) -> Outcome:
         reference = GridIdentity.of(POINTS)
     seen: set[int] = set()
     covered: set[int] = set()
-    refusals = []
+    taken, refusals = [], []
     for artifact in artifacts:
         indices = artifact.dframe.indices
         fault = reference and grid_fault(artifact.grid, reference)
@@ -258,12 +284,15 @@ def gather_model(artifacts, manifest_shards) -> Outcome:
             reference, shards = artifact.grid, artifact.shards
         seen.add(artifact.shard_index)
         covered.update(indices)
+        taken.append(artifact)
     if refusals:
         return Outcome("GatherError", refusals[0])
     if reference is None:
         return Outcome("GatherError", "no shard artifacts")
     if len(covered) != reference.total_points:
         return Outcome("GatherError", "missing point indices")
+    if any(map(misplaced, taken)):
+        return Outcome("GatherError", "where shard")
     return ACCEPTED
 
 
@@ -334,10 +363,14 @@ def test_every_consumer_follows_its_rules(directory):
 
         merged, report = run(lambda: merge_shard_artifacts(paths))
         spilled, store = run(
-            lambda: merge_artifacts_to_store(paths, scratch / "merge", 3)
+            lambda: merge_artifacts_to_store(
+                paths, scratch / "merge" / "store", 3
+            )
         )
         assert_matches(merged, merge_model(artifacts), "merge")
         assert spilled == merged
+        if store is None:  # a refused spill leaves no file or directory
+            assert not (scratch / "merge").exists()
         if report is not None:
             assert list(store.csv_lines()) == report.frame.csv_lines()
             assert store.meta["cache_stats"] == report.cache_stats

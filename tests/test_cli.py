@@ -729,6 +729,39 @@ class TestShardCli:
         assert "skipping" not in out
         assert "Shard 0/2" in out
 
+    def test_resume_reevaluates_a_misplaced_artifact(self, tmp_path, capsys):
+        """An artifact whose header says shard 0/2 but which carries
+        shard 1's points is re-run, not trusted."""
+        import dataclasses
+
+        from repro.core.sharding import (
+            read_shard_artifact,
+            write_shard_artifact,
+        )
+
+        self._shard(tmp_path, 1, capsys)
+        path = tmp_path / "shard-0000-of-0002.json"
+        other = read_shard_artifact(tmp_path / "shard-0001-of-0002.json")
+        write_shard_artifact(path, dataclasses.replace(other, shard_index=0))
+        assert (
+            main(
+                [
+                    "sweep",
+                    *self.GRID,
+                    "--shards",
+                    "2",
+                    "--shard-index",
+                    "0",
+                    "--shard-dir",
+                    str(tmp_path),
+                    "--resume",
+                ]
+            )
+            == 0
+        )
+        assert "skipping" not in capsys.readouterr().out
+        assert read_shard_artifact(path).dframe.indices == (0,)
+
     def test_resume_reevaluates_a_corrupt_artifact(self, tmp_path, capsys):
         path = tmp_path / "shard-0000-of-0002.json"
         path.write_text("not json{", encoding="utf-8")
@@ -2009,7 +2042,9 @@ class TestSpilledGatherAgrees:
     answer: exit code, stdout and stderr.  The in-RAM gather's rules
     are the contract — a shard index gathered twice is dropped (its
     cache state counted once), a shard of another partition is refused
-    — and with ``--manifest`` every artifact is checked against it."""
+    — and with ``--manifest`` every artifact is checked against it.  A
+    ``--spill-dir`` store is reused for ``gather`` and ``sweep --merge``
+    only when the shard directory still passes the command's cover."""
 
     GRID = ["--volumes", "1e3,1e4,1e5"]
 
@@ -2094,3 +2129,80 @@ class TestSpilledGatherAgrees:
         else:
             assert code == 1 and out == ""
             assert "cut from a different partition (3 vs 2 shards)" in err
+
+    # -- --spill-dir reuse re-checks the shard directory ----------------
+
+    @staticmethod
+    def _merge(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_gather_reuse_refuses_a_shard_of_another_partition(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SWEEP_MAX_ROWS", raising=False)
+        directory = tmp_path / "d"
+        self._shard(directory, 2, 0)
+        self._shard(directory, 2, 1)
+        argv = ["gather", str(directory), "--csv"]
+        spilled = argv + [
+            "--max-rows-in-memory", "4", "--spill-dir", str(tmp_path / "keep")
+        ]
+        capsys.readouterr()
+        assert self._gather(spilled, capsys)[0] == 0
+        self._shard(directory, 3, 2)
+        capsys.readouterr()
+        in_ram = self._gather(argv, capsys)
+        assert in_ram[0] == 1
+        assert "cut from a different partition (3 vs 2 shards)" in in_ram[2]
+        assert self._gather(spilled, capsys) == in_ram
+
+    def test_merge_reuse_refuses_a_renamed_copy(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SWEEP_MAX_ROWS", raising=False)
+        directory = tmp_path / "d"
+        self._shard(directory, 2, 0)
+        self._shard(directory, 2, 1)
+        argv = ["sweep", "--merge", str(directory), "--csv"]
+        spilled = argv + [
+            "--max-rows-in-memory", "4", "--spill-dir", str(tmp_path / "keep")
+        ]
+        capsys.readouterr()
+        assert self._merge(spilled, capsys)[0] == 0
+        original = directory / "shard-0000-of-0002.json"
+        (directory / "shard-0000-of-0002-copy.json").write_bytes(
+            original.read_bytes()
+        )
+        in_ram = self._merge(argv, capsys)
+        assert in_ram[0] == 2
+        assert "duplicated point indices" in in_ram[2]
+        assert self._merge(spilled, capsys) == in_ram
+
+    def test_gather_reuse_waits_for_the_last_shard(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """An incomplete directory spills nothing to reuse; once the
+        last shard lands the same command answers as ``gather DIR``."""
+        monkeypatch.delenv("REPRO_SWEEP_MAX_ROWS", raising=False)
+        directory = tmp_path / "d"
+        keep = tmp_path / "keep"
+        self._shard(directory, 2, 0)
+        argv = ["gather", str(directory), "--csv"]
+        spilled = argv + [
+            "--max-rows-in-memory", "4", "--spill-dir", str(keep)
+        ]
+        capsys.readouterr()
+        code, out, err = self._gather(spilled, capsys)
+        assert (code, out) == (1, "")
+        assert "gather is incomplete" in err
+        assert list(keep.iterdir()) == []
+        self._shard(directory, 2, 1)
+        capsys.readouterr()
+        code, out, _ = self._gather(spilled, capsys)
+        assert code == 0
+        assert (code, out) == self._gather(argv, capsys)[:2]
