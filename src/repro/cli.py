@@ -41,13 +41,20 @@ gather or a queue shard out of attempts.
 
 A module that only some commands run is imported inside the function
 that runs it: every ``repro-gps`` start pays for the modules it loads
-(``docs/architecture.md``, "Import budget").
+(``docs/architecture.md``, "Import budget").  At module level this
+parser needs only the model-free grid (:mod:`repro.core.grid`) and
+the registries its help text names (substrate rules, Q models,
+thin-film processes, tolerance classes, NRE scenarios); the GPS study
+and build-ups — and through them the evaluation engine — load only in
+the commands that evaluate, so ``sweep --merge``, ``gather`` and
+``warehouse build --from-shards|serve|query`` never load them.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -56,34 +63,43 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .area.substrate import SUBSTRATE_RULES
 from .circuits.qfactor import Q_MODEL_SCENARIOS, SubstrateLossQModel
 from .core.figure_of_merit import FomWeights
+from .core.grid import GridIdentity, SweepGrid, SweepReport
 from .core.queryvocab import QUERY_KINDS, SENSITIVITY_AXES
 from .core.resultframe import ResultFrame
-from .core.sweep import (
-    MAX_ROWS_ENV,
-    SweepGrid,
-    SweepReport,
-    max_rows_from_env,
-)
 from .errors import CalibrationError, FlowError, SpecificationError
-from .gps.buildups import flow_for
-from .gps.study import (
-    NRE_SCENARIOS,
-    build_gps_warehouse,
-    paper_comparison,
-    run_adaptive_gps_sweep,
-    run_gps_queue_worker,
-    run_gps_shard,
-    run_gps_study,
-    run_gps_sweep,
-    spill_adaptive_gps_sweep,
-    spill_gps_sweep,
-)
+from .gps.data import NRE_SCENARIOS
 from .passives.thin_film import THIN_FILM_PROCESSES
 from .passives.tolerance import TOLERANCE_CLASSES
+
+#: Environment switch for the out-of-core row budget (unset: in-RAM).
+MAX_ROWS_ENV = "REPRO_SWEEP_MAX_ROWS"
+
+
+def max_rows_from_env() -> Optional[int]:
+    """The :envvar:`REPRO_SWEEP_MAX_ROWS` row budget, validated.
+
+    Unset or empty means "no budget" (the in-RAM path); anything else
+    must be a positive integer, so a typo exits the CLI with status 2
+    instead of silently sweeping in RAM.
+    """
+    raw = os.environ.get(MAX_ROWS_ENV, "").strip()
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SpecificationError(
+            f"{MAX_ROWS_ENV} must be a positive integer row budget, "
+            f"got {os.environ[MAX_ROWS_ENV]!r}"
+        )
+    return value
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
     from .core.decision import full_report
+    from .gps.study import run_gps_study
 
     result = run_gps_study(volume=args.volume)
     print(full_report(result))
@@ -92,6 +108,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     from .cost.moe.builder import render_flow
+    from .gps.buildups import flow_for
 
     flow = flow_for(args.implementation)
     print(render_flow(flow))
@@ -99,6 +116,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .gps.study import paper_comparison, run_gps_study
+
     del args
     result = run_gps_study()
     comparison = paper_comparison(result)
@@ -545,7 +564,6 @@ def _render_spilled(args, build, identity=None) -> int:
     ``identity`` (adaptive) builds into the directory.
     """
     from .core.framestore import MANIFEST_NAME, ChunkedFrameStore
-    from .core.sharding import GridIdentity
 
     if args.spill_dir is None:
         with tempfile.TemporaryDirectory(prefix="repro-spill-") as scratch:
@@ -636,7 +654,6 @@ def _grid_from_spec(spec, source: str) -> SweepGrid:
 
 def _run_merge(args: argparse.Namespace) -> int:
     """--merge: reassemble shard artifacts into one report."""
-    from .core.framestore import merge_artifacts_to_store
     from .core.sharding import (
         covered_grid,
         find_shard_artifacts,
@@ -654,6 +671,8 @@ def _run_merge(args: argparse.Namespace) -> int:
         return 0
     # Out-of-core merge: spill to a chunked frame store and stream it
     # out — byte-identical stdout, bounded memory.
+    from .core.framestore import merge_artifacts_to_store
+
     return _render_spilled(
         args,
         lambda directory: merge_artifacts_to_store(
@@ -694,6 +713,7 @@ def _run_queue_init(args: argparse.Namespace) -> int:
 def _run_queue(args: argparse.Namespace) -> int:
     """--queue: run one worker until nothing is claimable."""
     from .core.queue import read_manifest
+    from .gps.study import run_gps_queue_worker
 
     manifest = read_manifest(args.queue)
     grid = _grid_from_spec(
@@ -733,11 +753,11 @@ def _run_queue(args: argparse.Namespace) -> int:
 def _run_shard(args: argparse.Namespace) -> int:
     """--shard-index: evaluate one shard and write its artifact."""
     from .core.sharding import (
-        GridIdentity,
         matching_artifact,
         shard_filename,
         write_shard_artifact,
     )
+    from .gps.study import run_gps_shard
 
     grid = _grid_from_args(args)
     shards, index = args.shards, args.shard_index
@@ -747,7 +767,7 @@ def _run_shard(args: argparse.Namespace) -> int:
         # An artifact counts as evaluated only when it is this shard of
         # this partition of the same resolved grid in the same order.
         done = matching_artifact(
-            artifact_path, GridIdentity.of(grid.points()), shards, index
+            artifact_path, GridIdentity.of(grid), shards, index
         )
         if done is not None:
             print(
@@ -807,6 +827,8 @@ def _run_adaptive(args: argparse.Namespace) -> int:
     store renderers as an exhaustive sweep — its rows are
     byte-identical to the exhaustive rows of the evaluated points.
     """
+    from .gps.study import run_adaptive_gps_sweep, spill_adaptive_gps_sweep
+
     grid = _grid_from_args(args)
     tuning = {
         "passes": args.passes,
@@ -849,6 +871,8 @@ def _run_adaptive(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     """The plain sweep: every grid point, in RAM or spilled."""
+    from .gps.study import run_gps_sweep, spill_gps_sweep
+
     grid = _grid_from_args(args)
     max_rows = _row_budget(args)
     if max_rows is None:
@@ -857,12 +881,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     # Out-of-core mode: spill completed rows to a chunked frame store
     # as the sweep streams, then render from the store.
-    from .core.sharding import GridIdentity
-
     return _render_spilled(
         args,
         lambda directory: spill_gps_sweep(grid, directory, max_rows),
-        lambda: GridIdentity.of(grid.points()),
+        lambda: GridIdentity.of(grid),
     )
 
 
@@ -961,6 +983,8 @@ def _run_warehouse_build(args: argparse.Namespace) -> int:
         for name in skipped:
             print(f"skipped {name} (already covered)")
     else:
+        from .gps.study import build_gps_warehouse
+
         grid = _grid_from_args(args)
         _create_directory(args.directory)
         manifest = build_gps_warehouse(

@@ -35,12 +35,15 @@ __getattr__, __dir__, __all__ = attach(
             "select_technology",
         ],
         "executors": ["AsyncExecutor", "SerialExecutor"],
-        "sweep": [
+        "grid": [
             "DesignPoint",
-            "EvaluationCache",
-            "StreamedCell",
             "SweepGrid",
             "SweepReport",
+            "grid_fingerprint",
+        ],
+        "sweep": [
+            "EvaluationCache",
+            "StreamedCell",
             "SweepRow",
             "assess_candidate_family_cached",
             "candidate_area_keys",
@@ -55,7 +58,6 @@ __getattr__, __dir__, __all__ = attach(
         "sharding": [
             "ShardArtifact",
             "ShardMergeError",
-            "grid_fingerprint",
             "merge_shard_artifacts",
             "read_shard_artifact",
             "run_shard",

@@ -34,7 +34,7 @@ evaluated point is an exhaustive-grid point evaluated through exactly
 the same :func:`~repro.core.sweep.evaluate_cells` path.
 
 Each pass is an ordinary point list — only the points it evaluates,
-resolved with :meth:`~repro.core.sweep.SweepGrid.point_at` — driven
+resolved with :meth:`~repro.core.grid.SweepGrid.point_at` — driven
 through :func:`~repro.core.sweep.stream_decision_frames` (serial,
 family-batched blocks) with one shared memoised
 :class:`~repro.core.sweep.EvaluationCache`, so the sweep machinery
@@ -67,17 +67,17 @@ import numpy as np
 from ..circuits.qfactor import SubstrateLossQModel
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
+from .grid import (
+    GRID_AXES,
+    DesignPoint,
+    GridIdentity,
+    SweepGrid,
+    SweepReport,
+)
 from .pareto import dominated_by
 from .ranking import DecisionFrame
 from .resultframe import ResultFrame
-from .sweep import (
-    GRID_AXES,
-    DesignPoint,
-    EvaluationCache,
-    SweepGrid,
-    SweepReport,
-    stream_decision_frames,
-)
+from .sweep import EvaluationCache, stream_decision_frames
 
 
 def _refinable_order(axis: str, values: Sequence) -> list[int]:
@@ -572,7 +572,6 @@ def spill_adaptive_sweep(
     bookkeeping, the store the durable rows.
     """
     from .framestore import ChunkedFrameStore
-    from .sharding import GridIdentity
 
     report = run_adaptive_sweep(
         grid,

@@ -28,10 +28,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
+from .grid import DesignPoint
 from .ranking import DecisionFrame
 from .sweep import (
     CandidateFactory,
-    DesignPoint,
     EvaluationCache,
     evaluate_cell,
     evaluate_cells,

@@ -50,31 +50,34 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
 from ..errors import SpecificationError
 from . import blobstore
 from .figure_of_merit import FomWeights
+from .grid import GridIdentity
 from .pareto import dominated_by
 from .resultframe import ResultFrame
 from .sharding import (
     MERGE_COVER,
     ArtifactLike,
-    GridIdentity,
     ShardCover,
     frames_in_point_order,
     merge_cache_states,
 )
-from .sweep import (
-    CandidateFactory,
-    DesignPoint,
-    EvaluationCache,
-    SweepGrid,
-    resolve_sweep,
-    stream_decision_frames,
-)
+
+if TYPE_CHECKING:
+    from .grid import DesignPoint, SweepGrid
+    from .sweep import CandidateFactory, EvaluationCache
 
 #: Store manifest format identifier; bumped on incompatible changes
 #: (version 2: chunks whose numeric columns are packed).
@@ -617,9 +620,11 @@ def spill_design_sweep(
     budget alone, so block boundaries never show in the chunks.
 
     The finished store's ``meta`` carries the grid identity
-    (:class:`~repro.core.sharding.GridIdentity` fields, which
+    (:class:`~repro.core.grid.GridIdentity` fields, which
     ``--spill-dir`` reuse compares) and the sweep's ``cache_stats``.
     """
+    from .sweep import resolve_sweep, stream_decision_frames  # the engine
+
     points, weights, cache = resolve_sweep(grid, weights, cache)
     store = ChunkedFrameStore.create(
         directory,

@@ -26,13 +26,14 @@ fully readable — a poll can never observe a torn file.
   counters and entry tallies count each shard exactly once;
 * :meth:`~IncrementalGather.scan` — one poll of a directory: new
   ``COMPLETE`` artifacts are ingested, ``PENDING`` temp files are
-  noted for progress display, unreadable/foreign files are recorded
-  (and retried next scan — a corrupt leftover is healed the moment a
-  queue retry atomically replaces it);
+  noted for progress display, unreadable, foreign or misplaced files
+  (one holding another shard's points) are recorded and retried next
+  scan — a corrupt leftover is healed the moment a queue retry
+  atomically replaces it;
 * :meth:`~IncrementalGather.snapshot` / :meth:`~IncrementalGather.report`
   — the live partial view (the artifacts'
   :meth:`~repro.core.ranking.DecisionFrame.concat`) and the
-  final :class:`~repro.core.sweep.SweepReport`, the snapshot's once
+  final :class:`~repro.core.grid.SweepReport`, the snapshot's once
   the gather's cover is complete, so a gathered sweep is
   *byte-identical* to ``--merge`` and hence to the serial engine;
 * :func:`gather_directory` / :func:`gather_directory_to_store` — the
@@ -51,18 +52,18 @@ CLI surface: ``repro-gps gather DIR [--watch]``; see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 from ..errors import SpecificationError
+from .grid import GridIdentity, SweepReport
 from .queue import QueueManifest
 from .ranking import DecisionFrame
 from .resultframe import ResultFrame
 from .sharding import (
     ArtifactLike,
     CoverPolicy,
-    GridIdentity,
     ShardArtifact,
     ShardCover,
     ShardMergeError,
@@ -73,7 +74,6 @@ from .sharding import (
     merge_cache_states,
     merge_shard_artifacts,
 )
-from .sweep import SweepReport
 
 
 class GatherError(SpecificationError):
@@ -129,13 +129,22 @@ GATHER_COVER = CoverPolicy(
 )
 
 
-def gather_cover(expected: Optional[QueueManifest] = None) -> ShardCover:
-    """A :data:`GATHER_COVER` cover, pinned to ``expected``'s grid and
-    partition when a queue manifest is given."""
+#: The incremental gather: :data:`GATHER_COVER`, but an artifact whose
+#: points are another shard's is refused as it is scanned, so it is
+#: not remembered and the scan after the queue rewrites it takes it.
+WATCH_COVER = replace(GATHER_COVER, refuse_misfit=True)
+
+
+def gather_cover(
+    expected: Optional[QueueManifest] = None,
+    policy: CoverPolicy = GATHER_COVER,
+) -> ShardCover:
+    """A ``policy`` cover, pinned to ``expected``'s grid and partition
+    when a queue manifest is given."""
     if expected is None:
-        return ShardCover(GATHER_COVER)
+        return ShardCover(policy)
     return ShardCover(
-        GATHER_COVER, expected.grid, "the queue manifest", expected.shards
+        policy, expected.grid, "the queue manifest", expected.shards
     )
 
 
@@ -145,7 +154,7 @@ class IncrementalGather:
     Pass ``expected`` (a queue manifest) to pin the grid up front;
     otherwise the first ingested artifact becomes the reference every
     later one must match — the :class:`~repro.core.sharding.ShardCover`
-    the merges use, with the gather's policy (:data:`GATHER_COVER`),
+    the merges use, with the watch policy (:data:`WATCH_COVER`),
     applied artifact by artifact as they arrive.
     """
 
@@ -154,7 +163,7 @@ class IncrementalGather:
         self._ingested_names: set[str] = set()
         self._rejected: dict[str, str] = {}
         self._pending: tuple[str, ...] = ()
-        self._cover = gather_cover(expected)
+        self._cover = gather_cover(expected, WATCH_COVER)
 
     # -- ingestion ----------------------------------------------------
 
@@ -172,7 +181,8 @@ class IncrementalGather:
 
         Raises :class:`GatherError` for an artifact that cannot belong
         to this gather (foreign grid, wrong order, wrong partition,
-        points outside the grid or already gathered) or cannot be read.
+        points outside the grid or already gathered, points that are
+        not its shard's) or cannot be read.
         """
         try:
             loaded = load_artifact(artifact)

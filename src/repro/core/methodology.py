@@ -180,9 +180,10 @@ def run_study(
         Production volume for NRE amortisation; positive and finite,
         as a sweep's design point requires.
     """
+    from .grid import DesignPoint
+
     # Imported here: the sweep module imports this one.
     from .sweep import (
-        DesignPoint,
         EvaluationCache,
         cached_assessment,
         candidate_area_keys,

@@ -8,7 +8,7 @@ infrastructure a fleet of workers needs:
 
 * :class:`QueueManifest` — the queue's contract, written once next to
   the shard artifacts.  It is keyed by the grid's
-  :class:`~repro.core.sharding.GridIdentity` (fingerprint, order
+  :class:`~repro.core.grid.GridIdentity` (fingerprint, order
   digest, point count), names the partition geometry, and sets the
   lease/retry policy.  Workers refuse a manifest whose fingerprint
   does not match the grid they resolved locally, so a stale manifest
@@ -47,22 +47,26 @@ from __future__ import annotations
 
 import os
 import socket
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 from ..errors import SpecificationError
 from . import blobstore
 from .figure_of_merit import FomWeights
+from .grid import GridIdentity, grid_points
 from .sharding import (
-    GridIdentity,
     matching_artifact,
     run_shard,
     shard_filename,
     write_shard_artifact,
 )
-from .sweep import CandidateFactory, DesignPoint, SweepGrid, resolve_sweep
+
+if TYPE_CHECKING:
+    from .grid import DesignPoint, SweepGrid
+    from .sweep import CandidateFactory
 
 #: Manifest format identifier; bumped on incompatible changes.
 QUEUE_FORMAT = "repro-sweep-queue/1"
@@ -119,9 +123,14 @@ class QueueManifest:
                 f"queue manifest needs a positive integer point count, "
                 f"got {self.total_points!r}"
             )
-        if not isinstance(self.lease_ttl, (int, float)) or isinstance(
-            self.lease_ttl, bool
-        ) or not self.lease_ttl > 0:
+        # Finite, as a double: an infinite TTL (JSON reads ``1e999``
+        # and ``Infinity`` as ``inf``, an integer past the largest
+        # double overflows it) is a lease that never expires.
+        if (
+            not isinstance(self.lease_ttl, (int, float))
+            or isinstance(self.lease_ttl, bool)
+            or not 0 < self.lease_ttl <= sys.float_info.max
+        ):
             raise SpecificationError(
                 f"queue manifest needs a positive lease TTL, "
                 f"got {self.lease_ttl!r}"
@@ -152,9 +161,8 @@ def manifest_for_grid(
     grid_spec: Optional[dict] = None,
 ) -> QueueManifest:
     """Build the manifest of a queue over ``grid`` cut into ``shards``."""
-    points, _, _ = resolve_sweep(grid)
     return QueueManifest(
-        **GridIdentity.of(points).payload(),
+        **GridIdentity.of(grid).payload(),
         shards=shards,
         lease_ttl=lease_ttl,
         max_attempts=max_attempts,
@@ -527,7 +535,7 @@ def run_queue_worker(
     done.
     """
     queue = ShardQueue(manifest_path, owner=owner, clock=clock)
-    points, weights, _ = resolve_sweep(grid, weights)
+    points = grid_points(grid)
     queue.manifest.grid.check(
         GridIdentity.of(points),
         QueueError,

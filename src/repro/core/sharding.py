@@ -5,15 +5,13 @@ content-addressed shards, each shard is executed anywhere — any
 machine, through the one sweep engine
 (:func:`~repro.core.sweep.evaluate_cells`) — and serialised to a
 portable JSON artifact, and the artifacts are deterministically merged
-back into the canonical row order, wherever they were produced:
+back into the canonical row order, wherever they were produced.
+Every artifact names its grid by a
+:class:`~repro.core.grid.GridIdentity` (fingerprint, order digest,
+point count); only :func:`run_shard` evaluates, and it alone imports
+the engine, so reading, checking and merging artifacts loads no model
+module:
 
-* :class:`GridIdentity` — which grid, in which canonical order, of how
-  many points: :func:`grid_fingerprint` (a content hash over the
-  *sorted* point representations, so it survives axis reordering), the
-  order-sensitive :func:`grid_order_digest` (shard *indices* depend on
-  the order) and the point count.  Artifacts, queue manifests,
-  warehouses and spilled stores all carry it, and
-  :meth:`GridIdentity.check` is the one rule that compares two;
 * :func:`shard_indices` / :func:`run_shard` — partition the canonical
   point order into ``shards`` contiguous, near-even runs and evaluate
   one of them, returning a :class:`ShardArtifact`: a grid identity,
@@ -42,7 +40,7 @@ back into the canonical row order, wherever they were produced:
   refuses points it already covers.  :func:`matching_artifact` is the
   one "is this shard I/K of grid G" check (``--resume``, the queue);
 * :func:`merge_shard_artifacts` — reassemble any combination of
-  artifacts into one :class:`~repro.core.sweep.SweepReport` from
+  artifacts into one :class:`~repro.core.grid.SweepReport` from
   :func:`frames_in_point_order`, the one ordered pass both merges read
   artifacts through (once each, in shard order), with additive cache
   statistics that count a sub-result computed by two cold shard
@@ -58,26 +56,27 @@ walkthrough.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..errors import SpecificationError
 from . import blobstore
-from .figure_of_merit import FomWeights
+from .grid import CACHE_TABLES, GridIdentity, SweepReport
 from .ranking import DecisionFrame
 from .resultframe import ResultFrame
-from .sweep import (
-    CACHE_TABLES,
-    CandidateFactory,
-    DesignPoint,
-    EvaluationCache,
-    SweepGrid,
-    SweepReport,
-    evaluate_cells,
-    resolve_sweep,
-)
+
+if TYPE_CHECKING:
+    from .figure_of_merit import FomWeights
+    from .grid import DesignPoint, SweepGrid
+    from .sweep import CandidateFactory, EvaluationCache
 
 #: Artifact format identifier; bumped on incompatible payload changes.
 #: Version 2 replaced the per-row ``cells`` objects with the columnar
@@ -92,103 +91,6 @@ RERUN_SHARD = "re-run the shard to regenerate the artifact"
 
 class ShardMergeError(SpecificationError):
     """A shard artifact set cannot be (safely) merged."""
-
-
-def grid_order_digest(point_reprs: Iterable[str]) -> str:
-    """Hash of point ``repr`` strings, in the order given.
-
-    Over the grid's canonical order this is the order digest of
-    :class:`GridIdentity`: two hosts that build the same point set with
-    axes in different orders share a :func:`grid_fingerprint` but
-    disagree on which canonical index names which point — merging their
-    shards index-wise would assemble a silently wrong report.  The
-    order digest catches exactly that.
-    """
-    digest = hashlib.sha256()
-    for text in point_reprs:
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()[:16]
-
-
-def grid_fingerprint(points: Sequence[DesignPoint]) -> str:
-    """Stable content hash of a resolved grid.
-
-    The :func:`grid_order_digest` of the *sorted* ``repr`` of every
-    design point (the same content key discipline
-    :class:`~repro.core.sweep.EvaluationCache` relies on), so the
-    fingerprint identifies the grid's content independently of axis
-    ordering: a host that builds the same set of points with its volume
-    axis reversed still addresses the same shard family.
-    """
-    return grid_order_digest(sorted(repr(point) for point in points))
-
-
-#: :class:`GridIdentity`'s fields, in the order payloads write them.
-IDENTITY_FIELDS = ("fingerprint", "order_digest", "total_points")
-
-
-@dataclass(frozen=True)
-class GridIdentity:
-    """Which grid, in which canonical order, of how many points.
-
-    The one value every shard artifact, queue manifest, warehouse and
-    spilled frame store carries, and :meth:`check` is the one rule that
-    compares two of them.
-    """
-
-    fingerprint: str
-    order_digest: str
-    total_points: int
-
-    @classmethod
-    def of(cls, points: Sequence[DesignPoint]) -> "GridIdentity":
-        """The identity of resolved ``points`` (each ``repr`` once)."""
-        reprs = [repr(point) for point in points]
-        return cls(
-            grid_order_digest(sorted(reprs)),
-            grid_order_digest(reprs),
-            len(reprs),
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GridIdentity":
-        """The identity fields of a JSON payload (``None`` if absent)."""
-        return cls(*(payload.get(name) for name in IDENTITY_FIELDS))
-
-    def payload(self) -> dict:
-        """The identity fields, in their on-disk order."""
-        return {name: getattr(self, name) for name in IDENTITY_FIELDS}
-
-    def check(
-        self, found: "GridIdentity", error: type, subject: str, against: str
-    ) -> None:
-        """Raise ``error`` unless ``found`` (what ``subject`` carries) is
-        this identity (what ``against`` carries).
-
-        Fingerprint first (another grid), then the order digest (the
-        same grid enumerated in another order: index-wise merging would
-        pair rows with the wrong points), then the point count.
-        """
-        pair = f"{subject} and {against}"
-        if found.fingerprint != self.fingerprint:
-            raise error(
-                f"{pair} fingerprint different grids "
-                f"({found.fingerprint} vs {self.fingerprint}): refusing "
-                f"the wrong sweep"
-            )
-        if found.order_digest != self.order_digest:
-            raise error(
-                f"{pair} enumerate the same grid in a different point "
-                f"order (different canonical order digests "
-                f"{found.order_digest} vs {self.order_digest}): re-run "
-                f"with identically-ordered axes"
-            )
-        if found.total_points != self.total_points:
-            raise error(
-                f"{pair} disagree on the grid size "
-                f"({found.total_points} vs {self.total_points} points)"
-            )
 
 
 def shard_indices(total: int, shards: int, shard_index: int) -> range:
@@ -239,8 +141,9 @@ def shard_misfit(
 class ShardArtifact:
     """One shard's results, ready to travel between hosts.
 
-    A :class:`GridIdentity` (content addressing), the shard geometry,
-    the shard's :class:`~repro.core.ranking.DecisionFrame` — rows, FoM
+    A :class:`~repro.core.grid.GridIdentity` (content addressing), the
+    shard geometry, the shard's
+    :class:`~repro.core.ranking.DecisionFrame` — rows, FoM
     ratios and the canonical point index of every run of rows — and
     the worker cache's
     :meth:`~repro.core.sweep.EvaluationCache.portable_state` (hit/miss
@@ -328,6 +231,8 @@ def run_shard(
     dataclasses) so the shard knows its canonical indices and the
     grid identity; only the shard's own points are evaluated.
     """
+    from .sweep import evaluate_cells, resolve_sweep  # the engine
+
     points, weights, cache = resolve_sweep(grid, weights, cache)
     indices = shard_indices(len(points), shards, shard_index)
     shard_points = [points[i] for i in indices]
@@ -536,6 +441,11 @@ class CoverPolicy:
     ``overlap`` (``{label}``, ``{first}``, the sorted ``{indices}``),
     ``self_overlap`` (one artifact naming a point twice; default
     ``overlap``) and ``incomplete`` (``{missing}`` of ``{total}``).
+
+    ``refuse_misfit``: an artifact whose points are not its shard's
+    (:func:`shard_misfit`) is refused when it is added, after every
+    other check, instead of when the cover is required complete — for
+    a consumer that retries a refused file once it is rewritten.
     """
 
     error: type
@@ -543,6 +453,7 @@ class CoverPolicy:
     incomplete: str = ""
     self_overlap: Optional[str] = None
     by_shard: bool = False
+    refuse_misfit: bool = False
 
 
 class ShardCover:
@@ -551,13 +462,14 @@ class ShardCover:
     Each artifact (or warehouse frame) is added on its own, so a
     streaming consumer holds only indices.  :meth:`add` checks it
     against the grid (``grid``, else the first one added;
-    :meth:`GridIdentity.check`), the pinned partition and the index
-    range, then classifies its overlap; :meth:`require_complete`
-    refuses the gaps (:func:`summarise_missing`, so a claimed
-    ``total_points`` never sizes an allocation), then the first
-    artifact not holding its shard's points (:func:`shard_misfit`, named
-    last so a forged header keeps any older refusal).  A refused
-    artifact leaves the cover as it was.
+    :meth:`~repro.core.grid.GridIdentity.check`), the pinned partition
+    and the index range, then classifies its overlap;
+    :meth:`require_complete` refuses the gaps (:func:`summarise_missing`,
+    so a claimed ``total_points`` never sizes an allocation), then the
+    first artifact not holding its shard's points (:func:`shard_misfit`,
+    named last so a forged header keeps any older refusal) — unless the
+    policy refuses such an artifact as it is added.  A refused artifact
+    leaves the cover as it was.
     """
 
     def __init__(
@@ -644,7 +556,10 @@ class ShardCover:
             )
         if shards is not None and not self._misfit:
             misfit = shard_misfit(indices, total, shards, shard_index)
-            self._misfit = misfit and f"{label} {misfit}"
+            misfit = misfit and f"{label} {misfit}"
+            if misfit and policy.refuse_misfit:
+                raise error(f"{misfit}; {RERUN_SHARD}")
+            self._misfit = misfit
         if self.grid is None:
             self.grid, self._source = grid, label
         self.shards = pinned

@@ -1,25 +1,22 @@
-"""Design-space sweep subsystem (grids over the methodology's knobs).
+"""Design-space sweep evaluation (the methodology over a grid).
 
 The paper runs its five-step methodology once, for one production
 volume, one substrate rule, one thin-film process and one tolerance
-discipline.  This module fans the methodology out over a *grid* of those
-choices:
+discipline.  This module fans the methodology out over a *grid* of
+those choices — the grid itself, its points and its identity live in
+the model-free :mod:`repro.core.grid`, which everything that stores
+or queries results imports instead of this module:
 
-* :class:`DesignPoint` — one coordinate in the design space (volume,
-  substrate rule, thin-film process, tolerance class, technology
-  Q model, NRE scenario, FoM weight vector);
-* :class:`SweepGrid` — the cartesian product of per-axis value lists;
 * :func:`run_design_sweep` — evaluates every grid point through the
   methodology (steps 2-5) with **memoised sub-results**: the performance
   assessment (the MNA-heavy part), the placement and the cost evaluation
-  are each cached by content key, so e.g. a volume axis of five values
-  re-solves no circuit and re-places no substrate;
-* :class:`SweepReport` — the sweep's results as a columnar
+  are each cached by content key (:class:`EvaluationCache`), so e.g. a
+  volume axis of five values re-solves no circuit and re-places no
+  substrate;
+* the result is a :class:`~repro.core.grid.SweepReport` — a columnar
   :class:`~repro.core.resultframe.ResultFrame` (one row per candidate
-  per grid point, with per-point winners and Pareto-front membership),
-  consumed by the ``repro-gps sweep`` CLI subcommand; the
-  :attr:`~SweepReport.rows` property bridges back to
-  :class:`~repro.core.resultframe.SweepRow` objects bit-for-bit.
+  per grid point, with per-point winners and Pareto-front membership)
+  plus the cache's stats.
 
 Evaluation is columnar end to end: each volume family's candidates
 are assessed as columns (one batched flow walk per candidate) and
@@ -38,7 +35,7 @@ the whole grid.  :class:`EvaluationCache` exports a
 have their stats merged.
 
 The subsystem is application-agnostic: a *candidate factory* maps each
-:class:`DesignPoint` to the list of
+:class:`~repro.core.grid.DesignPoint` to the list of
 :class:`~repro.core.methodology.CandidateBuildUp` to study there.  The
 one GPS factory is :func:`repro.gps.study.sweep_candidates`.
 """
@@ -46,24 +43,25 @@ one GPS factory is :func:`repro.gps.study.sweep_candidates`.
 from __future__ import annotations
 
 import hashlib
-import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..area.placement import trivial_placement, trivial_placement_batch
-from ..area.substrate import SubstrateRule
 from ..circuits.performance import ChainPerformance, assess_chain
 from ..cost.moe.analytic import evaluate_batch
 from ..errors import SpecificationError
-from ..passives.thin_film import ThinFilmProcess
-from ..passives.tolerance import ToleranceClass
 from .figure_of_merit import FomWeights
+from .grid import (
+    CACHE_TABLES,
+    DesignPoint,
+    SweepGrid,
+    SweepReport,
+    grid_points,
+)
 from .methodology import BuildUpAssessment, CandidateBuildUp
 from .ranking import (
     DecisionFrame,
@@ -73,249 +71,6 @@ from .ranking import (
     winner_mask,
 )
 from .resultframe import ResultFrame, SweepRow
-
-
-@dataclass(frozen=True)
-class NreScenario:
-    """A named non-recurring-engineering cost assumption.
-
-    The paper publishes no NRE figures, so the volume axis only bites
-    under an *assumed* NRE per candidate.  A scenario names one such
-    assumption: ``by_candidate`` maps a candidate identifier (the GPS
-    adapter uses the implementation number 1..4) to the NRE amortised
-    over shipped units.  Stored as a tuple of pairs so the scenario is
-    hashable and ``repr``-stable — the properties the sweep cache keys
-    need.
-    """
-
-    name: str
-    by_candidate: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        for key, nre in self.by_candidate:
-            if not math.isfinite(nre) or nre < 0:
-                raise SpecificationError(
-                    f"NRE scenario {self.name!r}: candidate {key} needs "
-                    f"a non-negative finite NRE, got {nre}"
-                )
-
-    def as_mapping(self) -> dict[int, float]:
-        """The scenario as a plain candidate-id → NRE mapping."""
-        return dict(self.by_candidate)
-
-
-def _q_model_label(q_model) -> str:
-    """Compact axis label of a Q-model override (``paper`` for None)."""
-    if q_model is None:
-        return "paper"
-    label = getattr(q_model, "label", None)
-    if label is not None:
-        return str(label)
-    name = getattr(q_model, "name", None)
-    if name is not None:
-        return str(name)
-    return type(q_model).__name__
-
-
-def _weights_label(weights: Optional[FomWeights]) -> str:
-    """Compact ``perf:size:cost`` label of a FoM weight vector."""
-    if weights is None:
-        return "paper"
-    return f"{weights.performance:g}:{weights.size:g}:{weights.cost:g}"
-
-
-def _check_volume(volume) -> None:
-    if not (math.isfinite(volume) and volume > 0):
-        raise SpecificationError(
-            f"volume must be positive and finite, got {volume}"
-        )
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One coordinate of the design space.
-
-    ``None`` on an axis means "the candidate factory's default" — the
-    paper's choice for that knob.  The three scenario axes added on top
-    of the physical ones:
-
-    * ``q_model`` — a technology Q model (possibly frequency-dependent,
-      see :mod:`repro.circuits.qfactor`) overriding the candidate
-      factory's integrated-passives model;
-    * ``nre`` — an :class:`NreScenario` replacing the factory's NRE
-      assumption (what the volume axis amortises);
-    * ``weights`` — a per-point
-      :class:`~repro.core.figure_of_merit.FomWeights` vector used when
-      ranking this point (overrides the sweep-wide weights).
-    """
-
-    volume: float = 10_000.0
-    substrate: Optional[SubstrateRule] = None
-    process: Optional[ThinFilmProcess] = None
-    tolerance: Optional[ToleranceClass] = None
-    q_model: Optional[object] = None
-    nre: Optional[NreScenario] = None
-    weights: Optional[FomWeights] = None
-
-    def __post_init__(self) -> None:
-        _check_volume(self.volume)
-
-    def q_model_label(self) -> str:
-        """The Q-model axis value as a short string (``paper`` default)."""
-        return _q_model_label(self.q_model)
-
-    def nre_label(self) -> str:
-        """The NRE-scenario axis value as a short string."""
-        return self.nre.name if self.nre is not None else "paper"
-
-    def weights_label(self) -> str:
-        """The FoM-weights axis value as ``perf:size:cost``."""
-        return _weights_label(self.weights)
-
-    def axis_labels(self) -> dict[str, str]:
-        """Every axis but the volume as a short string (``paper`` for
-        the factory default), keyed by result-frame column."""
-        return {
-            "substrate": self.substrate.name if self.substrate else "paper",
-            "process": self.process.name if self.process else "paper",
-            "tolerance": self.tolerance.name if self.tolerance else "paper",
-            "q_model": self.q_model_label(),
-            "nre": self.nre_label(),
-            "weights": self.weights_label(),
-        }
-
-    def label(self) -> str:
-        """Compact human-readable coordinate label."""
-        parts = [f"volume={self.volume:g}"]
-        for column, value in self.axis_labels().items():
-            parts.append(f"{'q' if column == 'q_model' else column}={value}")
-        return " ".join(parts)
-
-
-#: :class:`SweepGrid`'s axes in canonical (volume-major) order, one per
-#: :class:`DesignPoint` field in field order.
-GRID_AXES = (
-    "volumes",
-    "substrates",
-    "processes",
-    "tolerances",
-    "q_models",
-    "nres",
-    "fom_weights",
-)
-
-
-def _dedupe_axis(values) -> tuple:
-    """Order-preserving removal of equal axis values.
-
-    A value is dropped when it equals (``==``) an earlier one.  Hashable
-    values are looked up in a set (equal values hash alike), so a
-    32768-value volume axis dedupes in linear time; the scenario axes
-    may carry arbitrary objects, and an unhashable one is compared with
-    every kept value instead.
-    """
-    kept: list = []
-    hashed: set = set()
-    unhashable: list = []
-    for value in values:
-        try:
-            hash(value)
-        except TypeError:
-            if not any(value == existing for existing in kept):
-                kept.append(value)
-                unhashable.append(value)
-            continue
-        if value in hashed or any(value == other for other in unhashable):
-            continue
-        hashed.add(value)
-        kept.append(value)
-    return tuple(kept)
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cartesian product of per-axis value lists.
-
-    Every axis defaults to a single ``None`` (= paper default), so a
-    grid is built by overriding only the axes under study::
-
-        SweepGrid(volumes=(1e3, 1e4, 1e5),
-                  tolerances=(None, PRECISION_CLASS))
-    """
-
-    volumes: tuple[float, ...] = (10_000.0,)
-    substrates: tuple[Optional[SubstrateRule], ...] = (None,)
-    processes: tuple[Optional[ThinFilmProcess], ...] = (None,)
-    tolerances: tuple[Optional[ToleranceClass], ...] = (None,)
-    q_models: tuple[Optional[object], ...] = (None,)
-    nres: tuple[Optional[NreScenario], ...] = (None,)
-    fom_weights: tuple[Optional[FomWeights], ...] = (None,)
-
-    def __post_init__(self) -> None:
-        for name in GRID_AXES:
-            values = getattr(self, name)
-            if not values:
-                raise SpecificationError(f"grid axis {name!r} is empty")
-            # Duplicate axis values would double-evaluate and
-            # double-count the same cell (and adaptive zoom passes
-            # naturally re-propose coordinates they already hold), so
-            # each axis keeps only the first occurrence of equal
-            # values — equality, not identity, so 1e4 and 10000.0
-            # collapse.  Order-preserving: the surviving values keep
-            # their original relative order.
-            object.__setattr__(self, name, _dedupe_axis(values))
-        # Checked here, not only as each point is built: an adaptive
-        # sweep builds just the points it evaluates.
-        for volume in self.volumes:
-            _check_volume(volume)
-
-    def __len__(self) -> int:
-        return (
-            len(self.volumes)
-            * len(self.substrates)
-            * len(self.processes)
-            * len(self.tolerances)
-            * len(self.q_models)
-            * len(self.nres)
-            * len(self.fom_weights)
-        )
-
-    def points(self) -> list[DesignPoint]:
-        """All grid coordinates, volume-major.
-
-        The scenario axes (Q model, NRE, weights) vary fastest, so
-        grids that only use the physical axes enumerate in the same
-        order they always did.
-        """
-        return [
-            DesignPoint(*values)
-            for values in product(*(getattr(self, a) for a in GRID_AXES))
-        ]
-
-    def point_at(self, index: int) -> DesignPoint:
-        """The coordinate :meth:`points` lists at ``index``.
-
-        Unravels ``index`` over the axes, last axis fastest, and builds
-        the point from the grid's own axis values, so it equals
-        ``self.points()[index]`` — sharing its axis objects — without
-        enumerating the grid.  An index outside ``0 .. len(self) - 1``
-        is an error, never wrapped around.
-        """
-        if not 0 <= index < len(self):
-            raise SpecificationError(
-                f"grid index {index} is out of range for a "
-                f"{len(self)}-point grid"
-            )
-        values = []
-        for name in reversed(GRID_AXES):
-            axis = getattr(self, name)
-            index, position = divmod(index, len(axis))
-            values.append(axis[position])
-        return DesignPoint(*reversed(values))
-
-
-#: The cache's sub-result tables, in reporting order.
-CACHE_TABLES = ("performance", "area", "cost")
 
 
 def cache_key_digest(key: str) -> str:
@@ -560,73 +315,6 @@ class EvaluationCache:
                 for name in CACHE_TABLES
             },
         }
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Everything a design-space sweep produced.
-
-    Results live in a columnar
-    :class:`~repro.core.resultframe.ResultFrame` (``frame``): winner
-    counts, best-row lookup and candidate filters are vectorised
-    column operations, so they stay cheap on reports merged from
-    hundreds of shards.  The :attr:`rows` property is the row-object
-    bridge — bit-identical :class:`~repro.core.resultframe.SweepRow`
-    tuples, materialised on first use — kept for per-row consumers.
-
-    ``cache_stats`` carries :meth:`EvaluationCache.stats`: flat
-    ``hits`` / ``misses`` totals plus a ``tables`` breakdown per
-    sub-result table; a report merged from shard artifacts sums the
-    shards' counters.
-    """
-
-    frame: ResultFrame
-    cache_stats: dict = field(default_factory=dict)
-
-    @cached_property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """The frame as row objects (bit-exact bridge, memoised)."""
-        return self.frame.to_rows()
-
-    def winner_counts(self) -> dict[str, int]:
-        """How often each candidate wins across the grid.
-
-        A vectorised count over the frame's ``is_winner`` /
-        ``candidate`` columns (every grid point has exactly one winning
-        row), so it also works for reports reassembled from shard
-        artifacts.
-        """
-        return self.frame.winner_counts()
-
-    def best_row(self) -> SweepRow:
-        """The single highest-FoM row of the whole sweep."""
-        return self.frame.row(self.frame.best_index())
-
-
-#: Environment switch for the out-of-core row budget (unset: in-RAM).
-MAX_ROWS_ENV = "REPRO_SWEEP_MAX_ROWS"
-
-
-def max_rows_from_env() -> Optional[int]:
-    """The :envvar:`REPRO_SWEEP_MAX_ROWS` row budget, validated.
-
-    Unset or empty means "no budget" (the in-RAM path); anything else
-    must be a positive integer, so a typo exits the CLI with status 2
-    instead of silently sweeping in RAM.
-    """
-    raw = os.environ.get(MAX_ROWS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise SpecificationError(
-            f"{MAX_ROWS_ENV} must be a positive integer row budget, "
-            f"got {os.environ[MAX_ROWS_ENV]!r}"
-        )
-    return value
 
 
 class _Flow:
@@ -1081,11 +769,8 @@ def resolve_sweep(
     cache: Optional[EvaluationCache] = None,
 ) -> tuple[list[DesignPoint], FomWeights, EvaluationCache]:
     """A sweep's points (at least one), weights and cache, defaulted."""
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
-    if not points:
-        raise SpecificationError("design sweep needs at least one point")
     return (
-        points,
+        grid_points(grid),
         weights if weights is not None else FomWeights(),
         cache if cache is not None else EvaluationCache(),
     )

@@ -30,7 +30,7 @@ Design rules:
   :meth:`~repro.core.ranking.DecisionFrame.from_payload`), the one
   shard artifacts embed too: ingesting a shard appends the artifact's
   decision frame as read, after one
-  :meth:`~repro.core.sharding.GridIdentity.check` against the
+  :meth:`~repro.core.grid.GridIdentity.check` against the
   manifest.
 * **Frame files are immutable and content-addressed.**  Frames are
   :func:`~repro.core.blobstore.put_blob` blobs: the file holds the
@@ -63,29 +63,26 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from ..errors import SpecificationError
 from . import blobstore
 # Re-exported: perfbench/workloads.py imports canonical_json from here.
 from .blobstore import canonical_json  # noqa: F401
 from .figure_of_merit import FomWeights
+from .grid import GridIdentity, grid_points
 from .ranking import DecisionFrame
 from .sharding import (
     CoverPolicy,
-    GridIdentity,
     ShardArtifact,
     ShardCover,
     find_shard_artifacts,
     read_shard_artifact,
 )
-from .sweep import (
-    DesignPoint,
-    EvaluationCache,
-    SweepGrid,
-    resolve_sweep,
-    stream_decision_frames,
-)
+
+if TYPE_CHECKING:
+    from .grid import DesignPoint, SweepGrid
+    from .sweep import EvaluationCache
 
 #: Manifest format identifier; bumped on incompatible layout changes
 #: (version 2: frame files whose numeric columns are packed).
@@ -424,7 +421,7 @@ def init_warehouse(
     Refuses to re-initialise an existing warehouse: frames already
     published there would silently become unreachable orphans.
     """
-    points, _, _ = resolve_sweep(grid)
+    identity = GridIdentity.of(grid)
     path = manifest_path(directory)
     if path.exists():
         raise WarehouseError(
@@ -435,7 +432,7 @@ def init_warehouse(
     return _publish_manifest(
         directory,
         WarehouseManifest(
-            **GridIdentity.of(points).payload(),
+            **identity.payload(),
             revision=1,
             frames=(),
             grid_spec=grid_spec,
@@ -586,7 +583,9 @@ def build_warehouse(
     hosts, run a shard queue instead and ingest the artifact directory
     (:func:`ingest_shard_directory`).
     """
-    points, _, _ = resolve_sweep(grid)
+    from .sweep import stream_decision_frames  # the engine
+
+    points = grid_points(grid)
     blocks = stream_decision_frames(
         points,
         candidate_factory,

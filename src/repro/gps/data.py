@@ -12,11 +12,16 @@ documented substitutions (see DESIGN.md):
 * the detailed bill of materials (the paper publishes only aggregates:
   ~60 filter-network passives, 112 SMDs in build-ups 1/2, 12 SMDs kept
   in build-up 4) — synthesised in :mod:`repro.gps.bom`.
+
+The sweep's NRE scenarios at the end are a third, purely assumed group:
+the paper publishes no NRE at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from ..core.grid import NreScenario
 
 # ---------------------------------------------------------------------------
 # Table 1 — area-relevant data
@@ -173,4 +178,45 @@ IMPLEMENTATION_NAMES = {
     2: "MCM-D(Si)/WB/SMD",
     3: "MCM-D(Si)/FC/IP",
     4: "MCM-D(Si)/FC/IP&SMD",
+}
+
+# ---------------------------------------------------------------------------
+# Sweep NRE scenarios — an assumption, not a published value
+# ---------------------------------------------------------------------------
+
+#: Extension-scenario NRE per build-up for the design-space sweep: PCB
+#: tooling, MCM-D mask set, plus the integrated-passive layers of 3/4.
+#: The paper publishes no NRE figures; without one the volume axis would
+#: be a no-op (Eq. (1) amortises only NRE over shipped units).
+SWEEP_NRE_SCENARIO: dict[int, float] = {
+    1: 5_000.0,
+    2: 30_000.0,
+    3: 45_000.0,
+    4: 45_000.0,
+}
+
+#: Named NRE scenarios for the sweep's NRE axis (CLI
+#: ``repro-gps sweep --nres``).  ``paper`` (= None) keeps
+#: :data:`SWEEP_NRE_SCENARIO`; the others bracket it: no NRE at all,
+#: a lean flow that halves every figure, and a mask-heavy flow where
+#: the MCM-D mask set and integrated-passive layers cost double.
+NRE_SCENARIOS: dict[str, NreScenario] = {
+    "zero": NreScenario(
+        name="zero", by_candidate=((1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0))
+    ),
+    "lean": NreScenario(
+        name="lean",
+        by_candidate=tuple(
+            (i, 0.5 * SWEEP_NRE_SCENARIO[i]) for i in (1, 2, 3, 4)
+        ),
+    ),
+    "mask-heavy": NreScenario(
+        name="mask-heavy",
+        by_candidate=(
+            (1, SWEEP_NRE_SCENARIO[1]),
+            (2, 2.0 * SWEEP_NRE_SCENARIO[2]),
+            (3, 2.0 * SWEEP_NRE_SCENARIO[3]),
+            (4, 2.0 * SWEEP_NRE_SCENARIO[4]),
+        ),
+    ),
 }

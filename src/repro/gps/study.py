@@ -21,18 +21,16 @@ from ..core.methodology import (
     run_study,
 )
 from ..core.figure_of_merit import FomWeights
+from ..core.grid import DesignPoint, SweepGrid, SweepReport
 from ..core.sweep import (
-    DesignPoint,
     EvaluationCache,
-    NreScenario,
     StreamedCell,
-    SweepGrid,
-    SweepReport,
     run_design_sweep,
     stream_design_sweep,
 )
 from ..passives.thin_film import SUMMIT_PROCESS
 from . import data
+from .data import NRE_SCENARIOS, SWEEP_NRE_SCENARIO
 from .buildups import (
     flow_for,
     footprints_for,
@@ -52,44 +50,6 @@ class GpsStudyRow:
     area_percent: float
     cost_percent: float
     figure_of_merit: float
-
-
-#: Extension-scenario NRE per build-up for the design-space sweep: PCB
-#: tooling, MCM-D mask set, plus the integrated-passive layers of 3/4.
-#: The paper publishes no NRE figures; without one the volume axis would
-#: be a no-op (Eq. (1) amortises only NRE over shipped units).
-SWEEP_NRE_SCENARIO: dict[int, float] = {
-    1: 5_000.0,
-    2: 30_000.0,
-    3: 45_000.0,
-    4: 45_000.0,
-}
-
-#: Named NRE scenarios for the sweep's NRE axis (CLI
-#: ``repro-gps sweep --nres``).  ``paper`` (= None) keeps
-#: :data:`SWEEP_NRE_SCENARIO`; the others bracket it: no NRE at all,
-#: a lean flow that halves every figure, and a mask-heavy flow where
-#: the MCM-D mask set and integrated-passive layers cost double.
-NRE_SCENARIOS: dict[str, NreScenario] = {
-    "zero": NreScenario(
-        name="zero", by_candidate=((1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0))
-    ),
-    "lean": NreScenario(
-        name="lean",
-        by_candidate=tuple(
-            (i, 0.5 * SWEEP_NRE_SCENARIO[i]) for i in (1, 2, 3, 4)
-        ),
-    ),
-    "mask-heavy": NreScenario(
-        name="mask-heavy",
-        by_candidate=(
-            (1, SWEEP_NRE_SCENARIO[1]),
-            (2, 2.0 * SWEEP_NRE_SCENARIO[2]),
-            (3, 2.0 * SWEEP_NRE_SCENARIO[3]),
-            (4, 2.0 * SWEEP_NRE_SCENARIO[4]),
-        ),
-    ),
-}
 
 
 def sweep_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
@@ -112,7 +72,7 @@ def sweep_candidates(point: DesignPoint) -> list[CandidateBuildUp]:
       of build-ups 3 and 4 (possibly with a frequency-dependent one —
       the Q-model axis);
     * ``nre`` replaces the NRE assumption (:data:`SWEEP_NRE_SCENARIO`)
-      with a named :class:`~repro.core.sweep.NreScenario` (the NRE
+      with a named :class:`~repro.core.grid.NreScenario` (the NRE
       axis);
     * ``weights`` is consumed by the sweep's ranking step (the FoM
       weights axis — not this factory's business).
@@ -289,7 +249,7 @@ def run_adaptive_gps_sweep(
     returned :class:`~repro.core.adaptive.AdaptiveReport` carries the
     merged canonical frame plus the per-pass counters behind that
     claim; its ``report`` property is an ordinary
-    :class:`~repro.core.sweep.SweepReport`.  CLI flow:
+    :class:`~repro.core.grid.SweepReport`.  CLI flow:
     ``repro-gps sweep --adaptive [--passes N --budget K
     --refine-margin X --coarse C]``.
     """

@@ -839,8 +839,8 @@ CORE = Path(core_package.__file__).parent
 
 #: Functions that hash something other than a published payload.
 NOT_PUBLICATION = {
-    ("sharding.py", "grid_fingerprint"),
-    ("sharding.py", "grid_order_digest"),
+    ("grid.py", "grid_fingerprint"),
+    ("grid.py", "grid_order_digest"),
     ("sweep.py", "cache_key_digest"),
 }
 

@@ -63,14 +63,9 @@ from repro.core.sharding import (
     shard_filename,
     write_shard_artifact,
 )
-from repro.core.sweep import (
-    MAX_ROWS_ENV,
-    DesignPoint,
-    SweepGrid,
-    family_runs,
-    max_rows_from_env,
-    run_design_sweep,
-)
+from repro.cli import MAX_ROWS_ENV, max_rows_from_env
+from repro.core.grid import DesignPoint, SweepGrid
+from repro.core.sweep import family_runs, run_design_sweep
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError

@@ -6,10 +6,14 @@ both publish identical artifacts — must be ingested exactly once, so
 frame rows *and* merged cache hit/miss counters stay correct; (2) a
 PENDING temp file is progress display, never data; (3) a rejected file
 is retried on the next scan, so the queue's atomic retry heals a
-corrupt leftover without restarting the watcher.
+corrupt leftover without restarting the watcher — a misplaced one too
+(a file holding another shard's points), which the watcher refuses as
+it scans instead of ingesting it for good.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -70,6 +74,29 @@ def make_artifacts(shards: int) -> list:
         run_shard(POINTS, fixed_candidates, shards=shards, shard_index=i)
         for i in range(shards)
     ]
+
+
+def swapped_shards() -> tuple[list, list]:
+    """The two shards of a 3-point grid, and the same two artifacts
+    with their frames swapped and their headers kept."""
+    artifacts = [
+        run_shard(POINTS[:3], fixed_candidates, shards=2, shard_index=i)
+        for i in range(2)
+    ]
+    first, second = artifacts
+    swapped = [
+        dataclasses.replace(first, dframe=second.dframe),
+        dataclasses.replace(second, dframe=first.dframe),
+    ]
+    return artifacts, swapped
+
+
+def write_all(directory, artifacts) -> None:
+    for artifact in artifacts:
+        write_shard_artifact(
+            directory / shard_filename(artifact.shards, artifact.shard_index),
+            artifact,
+        )
 
 
 class TestIncrementalIngest:
@@ -232,6 +259,29 @@ class TestDirectoryScan:
         assert gather.snapshot().rejected == ()
         assert gather.complete
 
+    def test_misplaced_artifact_is_retried_and_healed(self, tmp_path):
+        """Two files that swapped frames are refused, not remembered:
+        once the queue rewrites them, the next scan takes both and the
+        report is the serial one."""
+        artifacts, swapped = swapped_shards()
+        write_all(tmp_path, swapped)
+        gather = IncrementalGather()
+        assert gather.scan(tmp_path) == 0
+        rejected = gather.snapshot().rejected
+        assert [name for name, _ in rejected] == [
+            shard_filename(2, 0),
+            shard_filename(2, 1),
+        ]
+        for _, reason in rejected:
+            assert "where shard" in reason
+            assert "re-run the shard" in reason
+        assert not gather.complete
+        write_all(tmp_path, artifacts)
+        assert gather.scan(tmp_path) == 2
+        assert gather.snapshot().rejected == ()
+        serial = run_design_sweep(POINTS[:3], fixed_candidates)
+        assert gather.report().rows == serial.rows
+
     def test_missing_directory_is_gather_error(self, tmp_path):
         gather = IncrementalGather()
         with pytest.raises(GatherError, match="does not exist"):
@@ -291,6 +341,27 @@ class TestWatch:
         assert [s.covered_points for s in snapshots] == sorted(
             s.covered_points for s in snapshots
         )
+
+    def test_watch_heals_a_misplaced_artifact(self, tmp_path):
+        """The watch loop outlives two swapped files: the first scan
+        rejects both, the rewrite lands during the sleep, the second
+        scan completes the gather."""
+        artifacts, swapped = swapped_shards()
+        write_all(tmp_path, swapped)
+        snapshots = []
+        clock = iter(range(100))
+        report = watch_directory(
+            tmp_path,
+            poll=1.0,
+            timeout=10.0,
+            clock=lambda: float(next(clock)),
+            sleep=lambda seconds: write_all(tmp_path, artifacts),
+            on_snapshot=snapshots.append,
+        )
+        serial = run_design_sweep(POINTS[:3], fixed_candidates)
+        assert report.rows == serial.rows
+        assert [len(s.rejected) for s in snapshots] == [2, 0]
+        assert [s.covered_points for s in snapshots] == [0, 3]
 
     def test_timeout_names_whats_missing(self, tmp_path):
         artifacts = make_artifacts(3)

@@ -140,6 +140,8 @@ class TestManifest:
             {"total_points": 0},
             {"lease_ttl": 0.0},
             {"lease_ttl": -5},
+            {"lease_ttl": float("inf")},
+            {"lease_ttl": float("nan")},
             {"max_attempts": 0},
         ):
             fields = {

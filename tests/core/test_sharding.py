@@ -40,7 +40,6 @@ from repro.core.sharding import (
     artifact_to_payload,
     find_pending_artifacts,
     find_shard_artifacts,
-    grid_fingerprint,
     merge_cache_states,
     merge_shard_artifacts,
     payload_to_artifact,
@@ -52,11 +51,8 @@ from repro.core.sharding import (
     summarise_missing,
     write_shard_artifact,
 )
-from repro.core.sweep import (
-    DesignPoint,
-    EvaluationCache,
-    run_design_sweep,
-)
+from repro.core.grid import DesignPoint, grid_fingerprint
+from repro.core.sweep import EvaluationCache, run_design_sweep
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError

@@ -16,12 +16,9 @@ from repro.circuits.qfactor import (
 )
 from repro.core.figure_of_merit import FomWeights
 from repro.core.pareto import analyze_study
+from repro.core.grid import GRID_AXES, DesignPoint, NreScenario, SweepGrid
 from repro.core.sweep import (
-    GRID_AXES,
-    DesignPoint,
     EvaluationCache,
-    NreScenario,
-    SweepGrid,
     evaluate_cells,
     family_runs,
     run_design_sweep,

@@ -1177,6 +1177,29 @@ class TestQueueCli:
         assert excinfo.value.code == 2
         assert "--queue-init" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ttl", ["1e999", "Infinity", "1" + "0" * 400])
+    def test_worker_refuses_an_infinite_lease_ttl(
+        self, tmp_path, capsys, ttl
+    ):
+        """JSON reads the first two as ``inf`` and the third as an
+        integer past the largest double: every lease would never
+        expire, so a dead worker would hold its shard forever."""
+        manifest = self._init(tmp_path, capsys)
+        text = manifest.read_text(encoding="utf-8")
+        assert '"lease_ttl": 300.0' in text
+        manifest.write_text(
+            text.replace('"lease_ttl": 300.0', f'"lease_ttl": {ttl}'),
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--queue", str(manifest)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert "needs a positive lease TTL, got " in err
+        assert not list(tmp_path.glob("shard-*.json"))
+
     def test_worker_with_missing_manifest_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--queue", str(tmp_path / "nope.json")])

@@ -27,7 +27,8 @@ import pytest
 
 import repro
 from repro.circuits.approximation import elliptic_attenuation_db
-from repro.core.sweep import MAX_ROWS_ENV
+from repro.cli import MAX_ROWS_ENV
+from test_layering import DECISION_LAYER
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
@@ -190,17 +191,18 @@ def test_importing_the_package_loads_no_subpackage():
     assert seen == ["repro", "repro._lazy"]
 
 
-#: Model packages the frame, ranking and Pareto kernels never call.
-MODEL_PACKAGES = ("area", "circuits", "cost", "passives")
+#: Model packages the decision layer never calls.
+MODEL_PACKAGES = ("area", "circuits", "cost", "passives", "gps")
 
 
 @pytest.mark.parametrize(
-    "module",
-    ["repro.core.resultframe", "repro.core.ranking", "repro.core.pareto"],
+    "module", [f"repro.core.{name}" for name in DECISION_LAYER]
 )
 def test_frame_kernels_load_no_model_package(module):
-    """The columnar kernels name ``StudyResult`` only in annotations, so
-    importing one loads no circuit, area, cost or passives module."""
+    """The decision layer (``tests/test_layering.py``) names model
+    classes only in annotations and imports the engine only inside the
+    producers that evaluate, so importing one of its modules loads no
+    circuit, area, cost, passives or GPS module."""
     seen = run_cold(
         f"""
         import {module}
@@ -247,11 +249,24 @@ SERVICE = [
     "repro.core.warehouse",
 ]
 GRID = ["--volumes", "1e3,1e4"]
+#: The evaluation engine and the model behind it: the commands that
+#: only merge, gather, store or query frames load none of these.
+ENGINE = (
+    "repro.area.placement",
+    "repro.circuits.mna",
+    "repro.core.methodology",
+    "repro.core.sweep",
+    "repro.cost.moe.analytic",
+    "repro.gps.study",
+)
+#: The commands below that evaluate nothing.
+FRAME_ONLY = ("merge", "gather", "build", "serve", "query")
 COMMANDS = (
     ("queue-init",
      ["sweep", *GRID, "--queue-init", "q/manifest.json", "--shards", "2"],
      SHARDS),
     ("queue", ["sweep", "--queue", "q/manifest.json"], SHARDS),
+    ("merge", ["sweep", "--merge", "q", "--csv"], ["repro.core.sharding"]),
     ("gather", ["gather", "q", "--csv"], ["repro.core.gather", *SHARDS]),
     ("build", ["warehouse", "build", "wh", "--from-shards", "q"],
      ["repro.core.sharding", "repro.core.warehouse"]),
@@ -265,9 +280,10 @@ COMMANDS = (
 def test_queue_and_warehouse_commands_load_what_they_run(tmp_path):
     """The per-command imports still happen: each command runs in its
     own interpreter, after ``import repro.cli``, and must load its own
-    modules there (and never ``asyncio``).  ``warehouse serve`` binds a
-    real server (on an ephemeral localhost port) whose loop is stopped
-    at once."""
+    modules there (and never ``asyncio``), while the commands that
+    evaluate nothing (:data:`FRAME_ONLY`) load no :data:`ENGINE`
+    module.  ``warehouse serve`` binds a real server (on an ephemeral
+    localhost port) whose loop is stopped at once."""
     seen = {}
     for label, argv, modules in COMMANDS:
         seen[label] = run_cold(
@@ -281,10 +297,15 @@ def test_queue_and_warehouse_commands_load_what_they_run(tmp_path):
             import repro.cli
             before = loaded({COMMAND_ONLY!r})
             code = quiet({argv!r})
-            print(json.dumps([code, before, loaded({COMMAND_ONLY!r})]))
+            print(json.dumps([
+                code,
+                before,
+                loaded({COMMAND_ONLY!r}),
+                loaded({ENGINE!r}) if {label!r} in {FRAME_ONLY!r} else [],
+            ]))
             """,
             cwd=tmp_path,
         )
     assert seen == {
-        label: [0, [], sorted(modules)] for label, _, modules in COMMANDS
+        label: [0, [], sorted(modules), []] for label, _, modules in COMMANDS
     }
