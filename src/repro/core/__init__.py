@@ -46,8 +46,8 @@ __getattr__, __dir__, __all__ = attach(
             "StreamedCell",
             "SweepRow",
             "assess_candidate_family_cached",
+            "assess_family",
             "candidate_area_keys",
-            "evaluate_family",
             "family_runs",
             "frame_for_cells",
             "run_design_sweep",

@@ -492,16 +492,16 @@ def run_adaptive_sweep(
         if chosen:
             hits_before = cache.hits
             misses_before = cache.misses
-            for block in stream_decision_frames(
-                [grid.point_at(i) for i in chosen],
-                candidate_factory,
-                reference,
-                weights,
-                cache,
-            ):
-                blocks.append(
-                    block.reindexed([chosen[i] for i in block.indices])
+            blocks.extend(
+                stream_decision_frames(
+                    [grid.point_at(i) for i in chosen],
+                    candidate_factory,
+                    reference,
+                    weights,
+                    cache,
+                    chosen,
                 )
+            )
             evaluated.update(chosen)
             merged = DecisionFrame.concat(blocks)
             mask = global_front_mask(merged.frame, refine_margin)

@@ -56,6 +56,7 @@ class SerialExecutor:
         reference: int,
         weights: FomWeights,
         cache: EvaluationCache,
+        indices: Optional[Sequence[int]] = None,
     ) -> Iterator[DecisionFrame]:
         """Stream decision-frame blocks in canonical order.
 
@@ -66,7 +67,9 @@ class SerialExecutor:
         driver): contiguous blocks of :data:`STREAM_BLOCK` points go
         through :func:`~repro.core.sweep.evaluate_cells` — the
         family-batched fill, for a volume-invariant factory — so at
-        most one block is held at a time.  Results are bit-identical
+        most one block is held at a time.  Point ``p`` lands at point
+        index ``indices[p]`` (``p`` when omitted); each block is built
+        at its final indices.  Results are bit-identical
         whatever the block boundaries, and the batched fill's
         :meth:`EvaluationCache.count_reuse` discipline keeps the
         per-block cache stats summing to the whole-run tally — so the
@@ -74,11 +77,18 @@ class SerialExecutor:
         :func:`~repro.core.sweep.run_design_sweep` rows *and* stats
         exactly.
         """
+        if indices is None:
+            indices = range(len(points))
         for start in range(0, len(points), STREAM_BLOCK):
-            block = points[start : start + STREAM_BLOCK]
+            stop = start + STREAM_BLOCK
             yield evaluate_cells(
-                block, candidate_factory, reference, weights, cache
-            ).reindexed(range(start, start + len(block)))
+                points[start:stop],
+                candidate_factory,
+                reference,
+                weights,
+                cache,
+                indices[start:stop],
+            )
 
 
 class _SweepAbandoned(Exception):

@@ -123,6 +123,18 @@ def parse_fom_weights(value) -> FomWeights:
         raise QueryError(str(exc)) from None
 
 
+def _point_count(point_ids: np.ndarray) -> int:
+    """How many points the rows of ``point_ids`` cover.
+
+    The ids are a warehouse frame's :meth:`DecisionFrame.point_of_row`
+    under a mask: the merged frame holds each point once, its rows
+    together, so every change of id starts a new point.  Counting the
+    runs keeps ``np.unique`` — whose first plain call imports
+    ``numpy.ma`` — off a cold query.
+    """
+    return int(point_ids.size and 1 + np.count_nonzero(np.diff(point_ids)))
+
+
 def rerank_frame(
     dframe: DecisionFrame, weights: FomWeights
 ) -> ResultFrame:
@@ -131,7 +143,7 @@ def rerank_frame(
     Byte-identical to re-running the sweep with ``weights`` as the
     sweep-wide default: points on the frame's weights *axis* (a
     non-``paper`` ``weights`` label) keep their own per-point ranking —
-    exactly as :func:`~repro.core.sweep.evaluate_family` would — while
+    exactly as :func:`~repro.core.sweep.frame_for_cells` ranked them — while
     every ``paper``-label point is re-scored from the stored FoM
     inputs.  Both steps are the sweep's own ranking kernels
     (:mod:`repro.core.ranking`) applied to the stored columns: the
@@ -479,12 +491,11 @@ class QueryService:
             )
         if kind == "winners":
             selected = effective.filter(mask)
-            points = np.unique(dframe.point_of_row()[mask])
             return self._envelope(
                 kind,
                 manifest,
                 winner_counts=selected.winner_counts(),
-                points=int(points.size),
+                points=_point_count(dframe.point_of_row()[mask]),
                 count=len(selected),
             )
         if kind == "best":
@@ -539,11 +550,11 @@ class QueryService:
         slices = []
         for value in values:
             vmask = column == value
-            points = np.unique(point_ids[vmask])
-            if points.size != 1:
+            points = _point_count(point_ids[vmask])
+            if points != 1:
                 raise QueryError(
                     f"sensitivity slice {axis}={value!r} covers "
-                    f"{points.size} grid points; pin the remaining "
+                    f"{points} grid points; pin the remaining "
                     f"axes in where so each slice is one point"
                 )
             sub = selected.filter(vmask)

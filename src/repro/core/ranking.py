@@ -2,13 +2,20 @@
 
 The decision step normalises every build-up to the reference, folds
 ``perf · (1/size) · (1/cost)`` into the figure of merit (Fig. 6) and
-picks the winner.  Per volume family that is a few array operations,
-and the same operations re-rank a stored warehouse frame under new
-weights, so both callers — :func:`repro.core.sweep.evaluate_family`
-and :func:`repro.core.queryservice.rerank_frame` — share this module:
+picks the winner.  Over a block of cells that is a few array
+operations, and the same operations re-rank a stored warehouse frame
+under new weights, so both callers — the sweep's one ranking call,
+:func:`repro.core.sweep.frame_for_cells`, and
+:func:`repro.core.queryservice.rerank_frame` — share this module:
 the :class:`DecisionFrame` unit, :func:`weighted_fom`,
 :func:`winner_mask` (first-max winner, broadcast by name) and
 :func:`cell_front_mask` (per-point front, broadcast by name).
+
+A :class:`DecisionFrame` is built one of two ways.  The validating
+constructor (and :meth:`DecisionFrame.from_payload`, which every file
+reader goes through) checks every part; :meth:`DecisionFrame.adopt`,
+the trusted constructor, takes arrays the engine has just built as
+they are and keeps only the positive-finite ratio refusal, vectorised.
 
 ``pow`` goes through the scalar ``**`` operator (``np.power`` drifts
 by 1 ulp on a few percent of inputs); reciprocals and products
@@ -20,9 +27,9 @@ in ``tests/study_reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -73,47 +80,54 @@ class DecisionFrame:
                     f"decision frame {name} must be one value per row "
                     f"({len(self.frame)}), got shape {array.shape}"
                 )
-            if array.size and (
-                not np.all(np.isfinite(array)) or np.any(array <= 0.0)
-            ):
-                # The re-rank kernel computes 1/ratio and raises it to
-                # a power; zero or NaN here would turn a corrupt frame
-                # file into silently wrong rankings.
-                raise SpecificationError(
-                    f"decision frame {name} values must be positive "
-                    f"finite numbers"
-                )
+            _check_ratio(name, array)
             if array.flags.writeable or array.base is not None:
                 array = array.copy()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        if len(self.indices) != len(self.row_counts):
-            raise SpecificationError(
-                f"decision frame carries {len(self.indices)} indices but "
-                f"{len(self.row_counts)} row counts"
-            )
-        for name, values in (
-            ("index", self.indices),
-            ("row count", self.row_counts),
-        ):
-            for value in values:
-                # Exact non-negative ints only: a float would silently
-                # truncate (and a negative count crash) in the int64
-                # cast :meth:`point_of_row` feeds to ``np.repeat``.
-                if (
-                    not isinstance(value, int)
-                    or isinstance(value, bool)
-                    or value < 0
-                ):
-                    raise SpecificationError(
-                        f"decision frame {name}s must be non-negative "
-                        f"integers, got {value!r}"
-                    )
+        check_indices(self.indices, len(self.row_counts))
+        _check_counts("row count", self.row_counts)
         if sum(self.row_counts) != len(self.frame):
             raise SpecificationError(
                 f"decision frame row counts sum to {sum(self.row_counts)} "
                 f"but the frame carries {len(self.frame)} rows"
             )
+
+    @classmethod
+    def adopt(
+        cls,
+        frame: ResultFrame,
+        size_ratio: np.ndarray,
+        cost_ratio: np.ndarray,
+        indices: tuple[int, ...],
+        row_counts: tuple[int, ...],
+    ) -> "DecisionFrame":
+        """The trusted constructor: a frame over parts its caller has
+        just built or already holds (the sweep engine's ranked block,
+        :meth:`concat`, :meth:`reindexed`).
+
+        The ratio columns must be float64 arrays of one value per row
+        that nothing else writes to, and ``indices`` / ``row_counts``
+        tuples of Python ints that match the frame; they are taken as
+        they are (the arrays marked read-only, nothing copied).  Only
+        the positive-finite ratio refusal runs, vectorised, because a
+        ratio is a model output: a factory whose reference area or cost
+        makes one ``inf`` or ``0`` is refused here exactly as the
+        validating constructor refuses it.  :meth:`from_payload` and
+        every file reader go through the validating constructor.
+        """
+        dframe = object.__new__(cls)
+        for name, array in (
+            ("size_ratio", size_ratio),
+            ("cost_ratio", cost_ratio),
+        ):
+            _check_ratio(name, array)
+            array.flags.writeable = False
+            object.__setattr__(dframe, name, array)
+        object.__setattr__(dframe, "frame", frame)
+        object.__setattr__(dframe, "indices", indices)
+        object.__setattr__(dframe, "row_counts", row_counts)
+        return dframe
 
     @classmethod
     def empty(cls) -> "DecisionFrame":
@@ -155,12 +169,12 @@ class DecisionFrame:
         if np.any(point[1:] < point[:-1]):
             order = np.argsort(point, kind="stable")
             merged, size, cost = merged.take(order), size[order], cost[order]
-        return cls(
-            frame=merged,
-            size_ratio=size,
-            cost_ratio=cost,
-            indices=tuple(indices.tolist()),
-            row_counts=tuple(count for _, count in pairs),
+        return cls.adopt(
+            merged,
+            size,
+            cost,
+            tuple(indices.tolist()),
+            tuple(count for _, count in pairs),
         )
 
     def to_payload(self) -> dict:
@@ -283,8 +297,20 @@ class DecisionFrame:
         return name_codes(self.frame.column("candidate").tolist())
 
     def reindexed(self, indices: Sequence[int]) -> "DecisionFrame":
-        """The same rows assigned to other point indices (same count)."""
-        return replace(self, indices=tuple(indices))
+        """The same rows assigned to other point indices (same count).
+
+        Only the new indices are checked; the rows, ratios and row
+        counts are this frame's own, shared as they are.
+        """
+        indices = tuple(indices)
+        check_indices(indices, len(self.row_counts))
+        return DecisionFrame.adopt(
+            self.frame,
+            self.size_ratio,
+            self.cost_ratio,
+            indices,
+            self.row_counts,
+        )
 
     def cells(self) -> Iterator[tuple[int, ResultFrame]]:
         """``(index, frame)`` per point, in row order; each cell's frame
@@ -296,9 +322,47 @@ class DecisionFrame:
             yield index, self.frame.rows_between(start, stop)
 
 
+def _check_ratio(name: str, array: np.ndarray) -> None:
+    """Refuse a ratio column holding a zero, negative, NaN or infinite
+    value.
+
+    The re-rank kernel computes 1/ratio and raises it to a power; such
+    a value would turn a corrupt frame file (or a degenerate reference
+    candidate) into silently wrong rankings.
+    """
+    if not np.all((array > 0.0) & (array < np.inf)):
+        raise SpecificationError(
+            f"decision frame {name} values must be positive finite numbers"
+        )
+
+
+def _check_counts(name: str, values: Sequence[int]) -> None:
+    """Refuse anything but exact non-negative ints: a float would
+    silently truncate (and a negative count crash) in the int64 cast
+    :meth:`DecisionFrame.point_of_row` feeds to ``np.repeat``."""
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise SpecificationError(
+                f"decision frame {name}s must be non-negative integers, "
+                f"got {value!r}"
+            )
+
+
+def check_indices(indices: Sequence[int], points: int) -> None:
+    """Refuse point indices that are not one exact int per row run."""
+    if len(indices) != points:
+        raise SpecificationError(
+            f"decision frame carries {len(indices)} indices but "
+            f"{points} row counts"
+        )
+    _check_counts("index", indices)
+
+
 #: One FoM factor's base as :func:`~repro.core.resultframe.distinct_values`:
-#: ``(distinct, inverse)``.
-FomFactor = tuple[np.ndarray, np.ndarray]
+#: ``(distinct, inverse)``; an ``inverse`` of ``None`` marks a base
+#: :func:`weighted_fom` keeps whole (``distinct`` is the base itself)
+#: because it raises it only to 0 or 1.
+FomFactor = tuple[np.ndarray, Optional[np.ndarray]]
 
 
 def fom_factors(
@@ -331,13 +395,14 @@ def _pow_factor(factor: FomFactor, exponent: float, axis: str) -> np.ndarray:
     size ratio at every volume), so ``-0.0`` and ``0.0`` stay apart.
     Exponents ``0.0`` and ``1.0`` short-circuit exactly
     (``pow(x, 0) == 1.0`` for every double including NaN,
-    ``pow(x, 1) == x``).  Overflow is refused by
+    ``pow(x, 1) == x``), so a base kept whole needs no distinct values
+    for them.  Overflow is refused by
     :func:`~repro.core.figure_of_merit.weighted_power`, the scalar
     formula's own rule, naming the ``axis`` weight.
     """
     distinct, inverse = factor
     if exponent == 0.0:
-        return np.ones(inverse.shape, dtype=np.float64)
+        return np.ones(distinct.shape if inverse is None else inverse.shape)
     if exponent != 1.0:
         distinct = np.asarray(
             [
@@ -346,7 +411,7 @@ def _pow_factor(factor: FomFactor, exponent: float, axis: str) -> np.ndarray:
             ],
             dtype=np.float64,
         )
-    return distinct[inverse]
+    return distinct if inverse is None else distinct[inverse]
 
 
 def fom_from_factors(
@@ -383,9 +448,20 @@ def weighted_fom(
         raise SpecificationError(
             f"performance cannot be negative or NaN, got {bad}"
         )
-    return fom_from_factors(
-        fom_factors(performance, size_ratio, cost_ratio), weights
+    # A base whose exponent is 0 or 1 is never raised, so it is kept
+    # whole: the ``np.unique`` pass of its distinct values would not
+    # pay for itself.
+    bases = (
+        performance,
+        1.0 / np.asarray(size_ratio, dtype=np.float64),
+        1.0 / np.asarray(cost_ratio, dtype=np.float64),
     )
+    exponents = (weights.performance, weights.size, weights.cost)
+    factors = tuple(
+        (base, None) if exponent in (0.0, 1.0) else distinct_values(base)
+        for base, exponent in zip(bases, exponents)
+    )
+    return fom_from_factors(factors, weights)
 
 
 def group_first_max(starts, values) -> np.ndarray:
@@ -452,7 +528,9 @@ def cell_front_mask(performance, size_ratio, cost_ratio, names) -> np.ndarray:
     is broadcast by name like
     :meth:`~repro.core.pareto.ParetoAnalysis.is_on_front`: a row is on
     the front when any row of its cell with the same candidate name
-    is undominated.
+    is undominated.  ``names`` (or any labels equal exactly where the
+    names are, such as :func:`name_codes`) broadcast to ``(cells, k)``
+    too, so cells of one call may hold different candidates.
     """
     cost = np.asarray(cost_ratio, dtype=np.float64)
     perf = np.broadcast_to(
@@ -473,6 +551,8 @@ def cell_front_mask(performance, size_ratio, cost_ratio, names) -> np.ndarray:
         | (cost[:, :, None] < cost[:, None, :])
     )
     front = ~(at_least & strictly).any(axis=1)
-    names = np.asarray(names, dtype=object)
-    same = names[:, None] == names[None, :]
-    return (front[:, :, None] & same[None, :, :]).any(axis=1)
+    if not isinstance(names, np.ndarray):
+        names = np.asarray(names, dtype=object)
+    names = np.broadcast_to(names, cost.shape)
+    same = names[:, :, None] == names[:, None, :]
+    return (front[:, :, None] & same).any(axis=1)

@@ -372,12 +372,14 @@ class ResultFrame:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _wrap(cls, columns: dict[str, np.ndarray]) -> "ResultFrame":
+    def adopt(cls, columns: dict[str, np.ndarray]) -> "ResultFrame":
         """Adopt freshly-built arrays without the validating copy.
 
-        Internal fast path for :meth:`concat` / :meth:`take` /
-        :meth:`filter`, whose numpy outputs are already owned, typed
-        and equal-length; the arrays are only marked read-only.
+        The trusted constructor of :meth:`concat` / :meth:`take` /
+        :meth:`filter` and of the sweep engine's ranked blocks: every
+        :data:`COLUMN_ORDER` column must be an owned array of its
+        schema dtype, all of one length, which nothing here checks;
+        the arrays are only marked read-only.
         """
         for array in columns.values():
             array.flags.writeable = False
@@ -418,7 +420,7 @@ class ResultFrame:
             return cls.empty()
         if len(frames) == 1:
             return frames[0]
-        return cls._wrap(
+        return cls.adopt(
             {
                 name: np.concatenate(
                     [frame._columns[name] for frame in frames]
@@ -492,7 +494,7 @@ class ResultFrame:
     def take(self, indices) -> "ResultFrame":
         """A new frame of the given rows, in the given order."""
         indices = np.asarray(indices, dtype=np.intp)
-        return ResultFrame._wrap(
+        return ResultFrame.adopt(
             {
                 name: self._columns[name][indices]
                 for name in COLUMN_ORDER
@@ -505,7 +507,7 @@ class ResultFrame:
         Basic slices of the read-only columns, so no row is copied:
         the result shares this frame's memory, and neither can change
         under the other.  A view of a read-only array is read-only
-        itself, so :meth:`_wrap`'s flag pass is not needed.
+        itself, so :meth:`adopt`'s flag pass is not needed.
         """
         frame = object.__new__(ResultFrame)
         object.__setattr__(
@@ -523,7 +525,7 @@ class ResultFrame:
                 f"filter mask has shape {mask.shape}, expected "
                 f"({len(self)},)"
             )
-        return ResultFrame._wrap(
+        return ResultFrame.adopt(
             {name: self._columns[name][mask] for name in COLUMN_ORDER}
         )
 

@@ -236,16 +236,14 @@ def run_shard(
     points, weights, cache = resolve_sweep(grid, weights, cache)
     indices = shard_indices(len(points), shards, shard_index)
     shard_points = [points[i] for i in indices]
-    dframe = DecisionFrame.empty()
-    if shard_points:
-        dframe = evaluate_cells(
-            shard_points, candidate_factory, reference, weights, cache
-        )
     return ShardArtifact(
         grid=GridIdentity.of(points),
         shards=shards,
         shard_index=shard_index,
-        dframe=dframe.reindexed(indices),
+        dframe=evaluate_cells(
+            shard_points, candidate_factory, reference, weights, cache,
+            indices,
+        ),
         cache_state=cache.portable_state(),
     )
 

@@ -19,10 +19,13 @@ or queries results imports instead of this module:
   plus the cache's stats.
 
 Evaluation is columnar end to end: each volume family's candidates
-are assessed as columns (one batched flow walk per candidate) and
-ranked by :mod:`repro.core.ranking`, the module the warehouse re-rank
-shares, into a :class:`~repro.core.ranking.DecisionFrame` — no
-per-point study object is built.
+are assessed as plain arrays (:func:`assess_family`, one batched flow
+walk per candidate), and a whole block of families is ranked in one
+call (:func:`frame_for_cells`, on the kernels of
+:mod:`repro.core.ranking`, the module the warehouse re-rank shares)
+into one :class:`~repro.core.ranking.DecisionFrame` at the block's
+final point indices — no per-point study object and no per-family
+frame is built.
 
 One engine runs every sweep: :func:`run_design_sweep` evaluates the
 grid through the family-batched fill (:func:`evaluate_cells`), and
@@ -46,7 +49,14 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 import numpy as np
 
@@ -66,7 +76,7 @@ from .methodology import BuildUpAssessment, CandidateBuildUp
 from .ranking import (
     DecisionFrame,
     cell_front_mask,
-    name_codes,
+    check_indices,
     weighted_fom,
     winner_mask,
 )
@@ -450,61 +460,118 @@ def cached_assessment(
     )
 
 
+class FamilyCells(NamedTuple):
+    """One volume family of a block, assessed (steps 2-4): what
+    :func:`frame_for_cells` ranks.
+
+    The family's points sit at ``positions`` in the block, in order,
+    and each point's cell holds a row per candidate, in ``names``
+    order.  ``performance`` and ``size_ratio`` hold one value per
+    candidate, ``cost_ratio`` one row of them per point; ``weights``
+    rank the family.
+    """
+
+    positions: Sequence[int]
+    names: list[str]
+    performance: np.ndarray
+    size_ratio: np.ndarray
+    cost_ratio: np.ndarray
+    weights: FomWeights
+
+
 def frame_for_cells(
     points: Sequence[DesignPoint],
-    names: Sequence[str],
-    performance,
-    size_ratio,
-    cost_ratio,
-    weights: FomWeights,
+    families: Sequence[FamilyCells],
+    indices: Sequence[int],
 ) -> DecisionFrame:
-    """Rank one volume family's cells and lay them out as a frame.
+    """Rank a block's cells and lay them out as a frame: the sweep's
+    one ranking call.
 
-    Methodology step 5 on the :mod:`repro.core.ranking` kernels: the
-    weighted FoM, each point's first-max winner and its Pareto front,
-    both broadcast by candidate name.  Every metric argument
-    broadcasts to ``(len(points), k)`` — point *p*'s cell is row *p*,
-    candidate *i* column *i* — and the frame holds the cells in the
-    order given, ``k`` rows each, at point indices
-    ``0 .. len(points) - 1``.  The points share every axis but the
-    volume, so the labels come from the first one.
+    Methodology step 5 on the :mod:`repro.core.ranking` kernels, once
+    per block however many families it holds.  ``families`` cover
+    every position of ``points`` once; their columns are scattered
+    into block arrays in point order, a cell's rows in candidate order,
+    and ranked there:
+
+    * the weighted FoM once per distinct weights value in the block;
+    * each point's first-max winner (:func:`winner_mask`) once over
+      every cell, broadcast by candidate name;
+    * each point's Pareto front (:func:`cell_front_mask`) once per
+      distinct candidate count, names compared per cell — so a block
+      whose families differ in their candidates, or repeat a name,
+      ranks exactly as its families would one by one.
+
+    The frame holds point ``p``'s cell at point index ``indices[p]``
+    (Python ints), built by the trusted constructors
+    (:meth:`ResultFrame.adopt`, :meth:`DecisionFrame.adopt`), so it
+    is never copied or reindexed after it is built.
     """
-    fom = weighted_fom(performance, size_ratio, cost_ratio, weights)
-    shape = fom.shape
-    codes = name_codes(names)
-
-    def cells(values) -> np.ndarray:
-        return np.broadcast_to(values, shape).ravel()
-
-    candidate = np.empty(shape, dtype=object)
-    candidate[:] = list(names)
-    size, cost = cells(size_ratio), cells(cost_ratio)
-    columns = {
-        "volume": np.repeat([p.volume for p in points], shape[1]),
-        **{
-            name: np.full(fom.size, label, dtype=object)
-            for name, label in points[0].axis_labels().items()
-        },
-        "candidate": candidate.ravel(),
-        "performance": cells(performance),
-        "area_percent": 100.0 * size,
-        "cost_percent": 100.0 * cost,
-        "figure_of_merit": fom.ravel(),
-        "is_winner": winner_mask(
-            np.arange(0, fom.size, shape[1]),
-            fom.ravel(),
-            np.tile(codes, shape[0]),
-        ),
-        "on_pareto_front": cell_front_mask(
-            performance, size_ratio, cost_ratio, names
-        ).ravel(),
-    }
-    return DecisionFrame(
-        frame=ResultFrame.from_columns(columns),
-        size_ratio=size,
-        cost_ratio=cost,
-        indices=tuple(range(shape[0])),
-        row_counts=(shape[1],) * shape[0],
+    if not families:
+        return DecisionFrame.empty()
+    counts = np.empty(len(points), dtype=np.intp)
+    for family in families:
+        counts[family.positions] = len(family.names)
+    starts = np.cumsum(counts) - counts
+    rows = int(counts.sum())
+    performance, size, cost = (np.empty(rows) for _ in range(3))
+    candidate = np.empty(rows, dtype=object)
+    codes = np.empty(rows, dtype=np.intp)
+    labels: dict[str, np.ndarray] = {}
+    # Per point: its family's entry in ``by_weights``.
+    ranked_by = np.empty(len(points), dtype=np.intp)
+    by_weights: dict[FomWeights, int] = {}
+    by_name: dict[str, int] = {}
+    for family in families:
+        positions = np.asarray(family.positions, dtype=np.intp)
+        # (points, k): the block row of every cell of the family.
+        at = starts[positions][:, None] + np.arange(len(family.names))
+        performance[at] = family.performance
+        size[at] = family.size_ratio
+        cost[at] = family.cost_ratio
+        candidate[at] = np.asarray(family.names, dtype=object)
+        codes[at] = [
+            by_name.setdefault(name, len(by_name)) for name in family.names
+        ]
+        for name, label in points[positions[0]].axis_labels().items():
+            labels.setdefault(name, np.empty(len(points), dtype=object))[
+                positions
+            ] = label
+        ranked_by[positions] = by_weights.setdefault(
+            family.weights, len(by_weights)
+        )
+    fom = np.empty(rows)
+    row_ranked_by = np.repeat(ranked_by, counts)
+    for weights, group in by_weights.items():
+        chosen = row_ranked_by == group
+        fom[chosen] = weighted_fom(
+            performance[chosen], size[chosen], cost[chosen], weights
+        )
+    is_winner = winner_mask(starts, fom, codes)
+    front = np.empty(rows, dtype=bool)
+    for k in {len(family.names) for family in families}:
+        at = starts[counts == k][:, None] + np.arange(k)
+        front[at] = cell_front_mask(
+            performance[at], size[at], cost[at], codes[at]
+        )
+    volumes = np.asarray([point.volume for point in points], dtype=np.float64)
+    frame = ResultFrame.adopt(
+        {
+            "volume": np.repeat(volumes, counts),
+            **{
+                name: np.repeat(column, counts)
+                for name, column in labels.items()
+            },
+            "candidate": candidate,
+            "performance": performance,
+            "area_percent": 100.0 * size,
+            "cost_percent": 100.0 * cost,
+            "figure_of_merit": fom,
+            "is_winner": is_winner,
+            "on_pareto_front": front,
+        }
+    )
+    return DecisionFrame.adopt(
+        frame, size, cost, tuple(indices), tuple(counts.tolist())
     )
 
 
@@ -546,37 +613,38 @@ def candidate_area_keys(
     ]
 
 
-def evaluate_family(
+def assess_family(
     points: Sequence[DesignPoint],
+    positions: Sequence[int],
     candidates: Sequence[CandidateBuildUp],
     area_keys: Sequence[str],
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
-) -> DecisionFrame:
-    """Evaluate and rank a whole volume family of grid points.
+) -> FamilyCells:
+    """Assess a whole volume family of a block's points as columns.
 
-    All points share one candidate list (the family key excludes only
-    the volume), with each candidate's area key alongside
-    (:func:`candidate_area_keys`); each candidate is assessed across
-    the whole volume axis at once, the ratios to the reference
-    candidate follow the scalar formula's operation order, and
-    :func:`frame_for_cells` ranks the cells — with the family's own
-    weights-axis vector, else ``weights``.  Returns the cells in the
-    order given, at point indices ``0 .. len(points) - 1``.
+    The family's points sit at ``positions`` of ``points``; they share
+    one candidate list (the family key excludes only the volume), with
+    each candidate's area key alongside (:func:`candidate_area_keys`).
+    Each candidate is assessed across the whole volume axis at once and
+    the ratios to the reference candidate follow the scalar formula's
+    operation order.  The family is ranked with its own weights-axis
+    vector, else ``weights`` — by :func:`frame_for_cells`, together
+    with the block's other families.
     """
     candidates = list(candidates)
+    first = points[positions[0]]
     if not candidates:
         raise SpecificationError(
-            f"candidate factory returned no candidates at "
-            f"{points[0].label()}"
+            f"candidate factory returned no candidates at {first.label()}"
         )
     if not (0 <= reference < len(candidates)):
         raise SpecificationError(
             f"reference index {reference} out of range for "
             f"{len(candidates)} candidates"
         )
-    volumes = [point.volume for point in points]
+    volumes = [points[position].volume for position in positions]
     volume_keys = [repr(volume) for volume in volumes]
     performance, area, costs = zip(
         *(
@@ -589,13 +657,13 @@ def evaluate_family(
     area = np.asarray(area, dtype=np.float64)
     # (volumes, k): a cell per row, a candidate per column.
     cost = np.asarray(costs, dtype=np.float64).T
-    return frame_for_cells(
-        points,
-        [candidate.name for candidate in candidates],
-        np.asarray(performance, dtype=np.float64),
-        area / area[reference],
-        cost / cost[:, reference : reference + 1],
-        points[0].weights if points[0].weights is not None else weights,
+    return FamilyCells(
+        positions=positions,
+        names=[candidate.name for candidate in candidates],
+        performance=np.asarray(performance, dtype=np.float64),
+        size_ratio=area / area[reference],
+        cost_ratio=cost / cost[:, reference : reference + 1],
+        weights=first.weights if first.weights is not None else weights,
     )
 
 
@@ -606,13 +674,14 @@ def evaluate_cell(
     weights: FomWeights,
     cache: EvaluationCache,
 ) -> DecisionFrame:
-    """Evaluate one grid point over ready-made candidates: the
-    one-point family (:func:`evaluate_family`)."""
+    """Evaluate one grid point over ready-made candidates: a one-point
+    block at point index 0."""
     candidates = list(candidates)
     (area_keys,) = candidate_area_keys([candidates], cache)
-    return evaluate_family(
-        [point], candidates, area_keys, reference, weights, cache
+    family = assess_family(
+        [point], [0], candidates, area_keys, reference, weights, cache
     )
+    return frame_for_cells([point], [family], (0,))
 
 
 #: The axes a volume family shares: every :class:`DesignPoint` field
@@ -701,14 +770,18 @@ def evaluate_cells(
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
+    indices: Optional[Sequence[int]] = None,
 ) -> DecisionFrame:
-    """Evaluate a run of grid points in order, sharing one cache.
+    """Evaluate a block of grid points in order, sharing one cache.
 
     The sweep engine's whole job (its streaming surface,
     :meth:`~repro.core.executors.SerialExecutor.iter_cells`, calls
     this block by block).  Returns one decision frame with the
-    points' cells in run order, at point indices
-    ``0 .. len(points) - 1``.
+    points' cells in block order, point ``p`` at point index
+    ``indices[p]`` — non-negative Python ints, ``0 .. len(points) - 1``
+    when omitted, refused otherwise by the validating constructor's
+    rule (:func:`~repro.core.ranking.check_indices`) — so a caller
+    passes the block's final indices and never reindexes it.
 
     A candidate factory that declares ``volume_invariant = True``
     (it returns equal candidates for points differing only in volume —
@@ -719,13 +792,17 @@ def evaluate_cells(
     cache** — later calls on the same cache (the next stream block or
     adaptive pass) reuse its candidates through
     :meth:`EvaluationCache.memo` — placements are broadcast ahead of
-    the evaluation, and each family is assessed with one
-    :meth:`EvaluationCache.cost_batch` per (candidate, flow), which
-    walks a flow only the first time the cache sees it.  Any other
-    factory is called per point, each point its own family.  Both
-    produce bit-identical frames.  Either way each distinct area key is
-    rendered once per cache (:func:`candidate_area_keys`).
+    the evaluation, and each family is assessed
+    (:func:`assess_family`) with one :meth:`EvaluationCache.cost_batch`
+    per (candidate, flow), which walks a flow only the first time the
+    cache sees it.  Any other factory is called per point, each point
+    its own family.  Either way each distinct area key is rendered
+    once per cache (:func:`candidate_area_keys`), and the whole block
+    is ranked by one :func:`frame_for_cells` call; both produce
+    bit-identical frames.
     """
+    indices = range(len(points)) if indices is None else indices
+    check_indices(indices, len(points))
     batched = getattr(candidate_factory, "volume_invariant", False)
     if batched:
         families = _families(points)
@@ -746,20 +823,17 @@ def evaluate_cells(
     area_keys = candidate_area_keys(family_candidates, cache)
     if batched:
         _seed_family_placements(family_candidates, area_keys, cache)
-    return DecisionFrame.concat(
+    return frame_for_cells(
+        points,
         [
-            evaluate_family(
-                [points[position] for position in run],
-                candidates,
-                keys,
-                reference,
-                weights,
-                cache,
-            ).reindexed(run)
+            assess_family(
+                points, run, candidates, keys, reference, weights, cache
+            )
             for run, candidates, keys in zip(
                 runs, family_candidates, area_keys
             )
-        ]
+        ],
+        indices,
     )
 
 
@@ -834,15 +908,17 @@ def stream_decision_frames(
     reference: int = 0,
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
+    indices: Optional[Sequence[int]] = None,
 ) -> Iterator[DecisionFrame]:
-    """Decision-frame blocks at canonical point indices, in canonical
-    order: :meth:`~repro.core.executors.SerialExecutor.iter_cells`'s
-    batched blocks."""
+    """Decision-frame blocks in canonical order:
+    :meth:`~repro.core.executors.SerialExecutor.iter_cells`'s batched
+    blocks, point ``p`` at point index ``indices[p]`` (its canonical
+    index when omitted)."""
     from .executors import SerialExecutor  # cycle-free at import
 
     points, weights, cache = resolve_sweep(grid, weights, cache)
     yield from SerialExecutor().iter_cells(
-        points, candidate_factory, reference, weights, cache
+        points, candidate_factory, reference, weights, cache, indices
     )
 
 

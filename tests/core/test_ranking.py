@@ -1,8 +1,9 @@
 """The columnar ranking spine, locked against the per-point object path.
 
-The sweep assesses and ranks whole volume families as columns
-(:func:`repro.core.sweep.evaluate_family` on the kernels of
-:mod:`repro.core.ranking`); ``tests/per_point.py`` keeps the
+The sweep assesses whole volume families as columns
+(:func:`repro.core.sweep.assess_family`) and ranks a whole block of
+them in one call (:func:`repro.core.sweep.frame_for_cells`, on the
+kernels of :mod:`repro.core.ranking`); ``tests/per_point.py`` keeps the
 one-point-at-a-time path through ``BuildUpAssessment``,
 ``StudyResult`` and the scalar references of
 ``tests/study_reference.py``.  The hypothesis harness here
@@ -10,11 +11,16 @@ runs both over random grids — 1 to 8 candidates, exact FoM and
 objective ties, duplicate candidate names, any reference index, a
 weights axis with non-unit exponents, with and without the batched
 family fill — and demands equal frame bytes, equal ratio columns and
-equal cache tallies.  A guard below keeps per-cell objects out of
-every sweep entry point.
+equal cache tallies.  A second harness draws blocks whose families
+differ in their candidates (and, for a factory that is not
+``volume_invariant``, points of one family too), streamed across
+``STREAM_BLOCK`` boundaries at final point indices.  A guard below
+keeps per-cell objects out of every sweep entry point.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import MCM_D_RULE, PCB_RULE
-from repro.core import methodology, pareto
+from repro.core import executors, methodology, pareto
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
 from repro.core.ranking import (
@@ -33,6 +39,7 @@ from repro.core.ranking import (
     weighted_fom,
     winner_mask,
 )
+from repro.core.resultframe import COLUMN_ORDER
 from repro.core.sweep import EvaluationCache, SweepGrid, evaluate_cells
 from repro.cost.moe.analytic import CostReportBatch
 from repro.cost.moe.flow import ProductionFlow
@@ -46,6 +53,7 @@ from repro.gps.study import (
     spill_gps_sweep,
     stream_gps_sweep,
 )
+from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
 
 from pareto_reference import first_dominators
 from per_point import per_point_frame
@@ -170,6 +178,157 @@ class TestSpineMatchesPerPointObjects:
             )
         else:
             assert spine_cache.stats() == object_cache.stats()
+
+
+class KeyedFactory:
+    """Candidates per tolerance label — and, unless ``volume_invariant``,
+    per volume too — from :class:`SpecFactory` spec lists, so one block
+    holds cells of different candidate counts and names."""
+
+    def __init__(self, specs_by_key, invariant: bool) -> None:
+        self.factories = {
+            key: SpecFactory(specs, invariant)
+            for key, specs in specs_by_key.items()
+        }
+        self.invariant = invariant
+        if invariant:
+            self.volume_invariant = True
+
+    def __call__(self, point):
+        tolerance = point.axis_labels()["tolerance"]
+        key = tolerance if self.invariant else (tolerance, point.volume)
+        return self.factories[key](point)
+
+
+VOLUMES = (1e2, 5e2, 1e3, 7e3, 1e4, 1e5)
+TOLERANCES = (None, PRECISION_CLASS, MATCHING_CLASS)
+
+
+@st.composite
+def block_cases(draw):
+    volumes = tuple(
+        draw(
+            st.lists(
+                st.sampled_from(VOLUMES), min_size=1, max_size=4, unique=True
+            )
+        )
+    )
+    tolerances = tuple(
+        draw(
+            st.lists(
+                st.sampled_from(TOLERANCES),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+    )
+    invariant = draw(st.booleans())
+    labels = [t.name if t is not None else "paper" for t in tolerances]
+    keys = labels if invariant else [
+        (label, volume) for label in labels for volume in volumes
+    ]
+    specs_by_key = {
+        key: tuple(draw(st.lists(spec, min_size=1, max_size=5)))
+        for key in keys
+    }
+    reference = draw(
+        st.integers(0, min(map(len, specs_by_key.values())) - 1)
+    )
+    axis = FomWeights(
+        performance=draw(exponent), size=draw(exponent), cost=draw(exponent)
+    )
+    grid = SweepGrid(
+        volumes=volumes, tolerances=tolerances, fom_weights=(None, axis)
+    )
+    default = FomWeights(
+        performance=draw(exponent), size=draw(exponent), cost=draw(exponent)
+    )
+    factory = KeyedFactory(specs_by_key, invariant)
+    block = draw(st.sampled_from([1, 2, 3, 5, executors.STREAM_BLOCK]))
+    return factory, reference, grid, default, block
+
+
+def _bits(dframe: DecisionFrame) -> dict:
+    """Every column of a decision frame, floats and flags as raw bytes."""
+    columns = {
+        name: (
+            column.tolist()
+            if column.dtype == object
+            else (column.dtype.str, column.tobytes())
+        )
+        for name, column in (
+            (name, dframe.frame.column(name)) for name in COLUMN_ORDER
+        )
+    }
+    return {
+        **columns,
+        "size_ratio": dframe.size_ratio.tobytes(),
+        "cost_ratio": dframe.cost_ratio.tobytes(),
+        "indices": dframe.indices,
+        "row_counts": dframe.row_counts,
+    }
+
+
+class TestBlockRankerMatchesPerPointObjects:
+    """One ranking call per block equals ranking every point alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=block_cases())
+    def test_mixed_blocks_match_bit_for_bit(self, case):
+        factory, reference, grid, weights, block = case
+        points = grid.points()
+        expected = per_point_frame(
+            points, factory, reference, weights, EvaluationCache()
+        )
+        whole = evaluate_cells(
+            points, factory, reference, weights, EvaluationCache()
+        )
+        assert _bits(whole) == _bits(expected)
+        with mock.patch.object(executors, "STREAM_BLOCK", block):
+            streamed = list(
+                executors.SerialExecutor().iter_cells(
+                    points, factory, reference, weights, EvaluationCache()
+                )
+            )
+        assert [len(part.indices) for part in streamed] == [
+            len(points[start : start + block])
+            for start in range(0, len(points), block)
+        ]
+        assert _bits(DecisionFrame.concat(streamed)) == _bits(expected)
+
+    def test_final_indices_are_the_blocks_own(self):
+        """A block built at its final point indices equals the block
+        built at ``0 .. n - 1`` and reindexed."""
+        factory = SpecFactory((("a", 1.0, 10.0, False, 5.0, 0.0),), True)
+        points = SweepGrid(volumes=(1e3, 1e4, 1e5)).points()
+        args = (points, factory, 0, FomWeights())
+        placed = evaluate_cells(*args, EvaluationCache(), [7, 3, 9])
+        assert placed.indices == (7, 3, 9)
+        assert placed == evaluate_cells(*args, EvaluationCache()).reindexed(
+            (7, 3, 9)
+        )
+        with pytest.raises(SpecificationError, match="2 indices but 3"):
+            evaluate_cells(*args, EvaluationCache(), [0, 1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 2.0, np.int64(2), True],
+        ids=["negative", "float", "numpy-int", "bool"],
+    )
+    def test_final_indices_refuse_what_the_codec_refuses(self, bad):
+        """Final indices take the validating constructor's index rule:
+        an index ``to_payload`` or ``point_of_row`` could not carry is
+        refused before the block is built."""
+        factory = SpecFactory((("a", 1.0, 10.0, False, 5.0, 0.0),), True)
+        points = SweepGrid(volumes=(1e3, 1e4, 1e5)).points()
+        with pytest.raises(
+            SpecificationError, match="indexs must be non-negative integers"
+        ):
+            evaluate_cells(
+                points, factory, 0, FomWeights(), EvaluationCache(),
+                [0, 1, bad],
+            )
 
 
 class TestKernels:

@@ -5,16 +5,19 @@ from __future__ import annotations
 import copy
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.area.substrate import MCM_D_COARSE_RULE, MCM_D_FINE_RULE
+from repro.area.footprint import Footprint, MountKind
+from repro.area.substrate import MCM_D_COARSE_RULE, MCM_D_FINE_RULE, PCB_RULE
 from repro.circuits.qfactor import (
     SkinEffectQModel,
     SubstrateLossQModel,
 )
 from repro.core.figure_of_merit import FomWeights
+from repro.core.methodology import CandidateBuildUp
 from repro.core.pareto import analyze_study
 from repro.core.grid import GRID_AXES, DesignPoint, NreScenario, SweepGrid
 from repro.core.sweep import (
@@ -23,6 +26,8 @@ from repro.core.sweep import (
     family_runs,
     run_design_sweep,
 )
+from repro.cost.moe.flow import ProductionFlow
+from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
 from repro.gps.study import (
     NRE_SCENARIOS,
@@ -410,6 +415,109 @@ class TestBatchedFill:
         )
         # Per-point path: the factory runs once per point, not per family.
         assert len(calls) == len(points)
+
+
+class CarrierPriced:
+    """A one-carrier flow at a fixed unit cost, whatever the area."""
+
+    def __init__(self, unit_cost: float) -> None:
+        self.unit_cost = unit_cost
+
+    def __call__(self, area_cm2: float) -> ProductionFlow:
+        flow = ProductionFlow(name="priced", nre=0.0)
+        flow.add(CarrierStep("ID1", "carrier", unit_cost=self.unit_cost))
+        flow.add(TestStep("ID2", "test"))
+        return flow
+
+
+class PricedFactory:
+    """Equal candidates but for their carrier's unit cost; per
+    tolerance label when ``costs`` maps labels to cost tuples."""
+
+    def __init__(self, costs, invariant: bool) -> None:
+        self.costs = costs
+        if invariant:
+            self.volume_invariant = True
+
+    def __call__(self, point):
+        costs = self.costs
+        if isinstance(costs, dict):
+            costs = costs[point.axis_labels()["tolerance"]]
+        return [
+            CandidateBuildUp(
+                name=f"c{i}",
+                footprints=[Footprint("chip", 10.0, MountKind.PACKAGED)],
+                substrate_rule=PCB_RULE,
+                flow_factory=CarrierPriced(cost),
+                fixed_performance=1.0,
+            )
+            for i, cost in enumerate(costs)
+        ]
+
+
+RATIO_REFUSAL = (
+    "decision frame cost_ratio values must be positive finite numbers"
+)
+
+
+class TestTrustedFrameRefusesBadRatios:
+    """The engine builds its frames through the trusted constructor,
+    which still refuses a ratio the ranking cannot use — with the
+    validating constructor's own message."""
+
+    GRID = SweepGrid(
+        volumes=(1e3, 1e4), tolerances=(None, PRECISION_CLASS)
+    )
+
+    @pytest.mark.parametrize("invariant", [True, False])
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            # A subnormal reference cost: 10 / 1e-310 is ``inf``.
+            (1e-310, 10.0),
+            # The smallest subnormal against 10: the ratio is 0.
+            (10.0, 5e-324),
+        ],
+        ids=["inf", "zero"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_or_zero_ratio_is_refused(self, costs, invariant):
+        with pytest.raises(SpecificationError) as excinfo:
+            evaluate_cells(
+                self.GRID.points(),
+                PricedFactory(costs, invariant),
+                0,
+                FomWeights(),
+                EvaluationCache(),
+            )
+        assert str(excinfo.value) == RATIO_REFUSAL
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_bad_family_refuses_the_block(self):
+        """The refusal is vectorised over the whole block: one family's
+        ``inf`` among good families still refuses it."""
+        factory = PricedFactory(
+            {"paper": (5.0, 10.0), "precision": (1e-310, 10.0)}, True
+        )
+        with pytest.raises(SpecificationError) as excinfo:
+            evaluate_cells(
+                self.GRID.points(), factory, 0, FomWeights(), EvaluationCache()
+            )
+        assert str(excinfo.value) == RATIO_REFUSAL
+
+    def test_engine_frames_are_read_only(self):
+        dframe = evaluate_cells(
+            self.GRID.points(),
+            PricedFactory((5.0, 10.0), True),
+            0,
+            FomWeights(),
+            EvaluationCache(),
+        )
+        assert np.all(dframe.cost_ratio == [1.0, 2.0] * 4)
+        arrays = [dframe.size_ratio, dframe.cost_ratio] + [
+            dframe.frame.column(name) for name in ("performance", "volume")
+        ]
+        assert not any(array.flags.writeable for array in arrays)
 
 
 class TestGpsAxes:

@@ -1,7 +1,9 @@
 """The per-point object reference of a sweep, for differential tests.
 
-Production sweeps assess and rank each volume family as columns
-(:func:`repro.core.sweep.evaluate_family`).  This module keeps the
+Production sweeps assess each volume family as columns
+(:func:`repro.core.sweep.assess_family`) and rank a whole block of
+families in one call (:func:`repro.core.sweep.frame_for_cells`).  This
+module keeps the
 plain one-point-at-a-time object path that spine must match bit for
 bit: every candidate assessed into a
 :class:`~repro.core.methodology.BuildUpAssessment` (its scalar

@@ -76,7 +76,8 @@ class ShardedExecutor:
                     reference,
                     weights,
                     cache,
-                ).reindexed(indices)
+                    indices,
+                )
             )
         return DecisionFrame.concat(frames)
 

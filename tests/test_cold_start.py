@@ -309,3 +309,38 @@ def test_queue_and_warehouse_commands_load_what_they_run(tmp_path):
     assert seen == {
         label: [0, [], sorted(modules), []] for label, _, modules in COMMANDS
     }
+
+
+def test_cold_point_counting_queries_load_no_numpy_ma(tmp_path):
+    """``winners`` and ``sensitivity`` count the points their rows
+    cover without ``np.unique``, whose first plain call imports
+    ``numpy.ma`` (~15 ms of a cold query): a fresh interpreter answers
+    both, filtered, and ``numpy.ma`` is still not loaded."""
+    grid = ["--volumes", "1e3,1e4", "--tolerances", "paper,precision"]
+    build = [
+        ["sweep", *grid, "--queue-init", "q/manifest.json", "--shards", "2"],
+        ["sweep", "--queue", "q/manifest.json"],
+        ["warehouse", "build", "wh", "--from-shards", "q"],
+    ]
+    assert run_cold(
+        f"print(json.dumps([quiet(argv) for argv in {build!r}]))",
+        cwd=tmp_path,
+    ) == [0, 0, 0]
+    queries = [
+        ["warehouse", "query", "wh", "--kind", "winners"],
+        ["warehouse", "query", "wh", "--kind", "winners",
+         "--tolerance", "precision"],
+        ["warehouse", "query", "wh", "--kind", "sensitivity",
+         "--axis", "volume", "--tolerance", "precision"],
+    ]
+    seen = run_cold(
+        f"""
+        import repro.cli
+        print(json.dumps([
+            [quiet(argv), "numpy.ma" in sys.modules]
+            for argv in {queries!r}
+        ]))
+        """,
+        cwd=tmp_path,
+    )
+    assert seen == [[0, False]] * len(queries)

@@ -4,7 +4,11 @@ The ``tier1-adaptive`` job runs this script (with ``PYTHONPATH=src``).
 It drives the walkthrough from docs/sweep-guide.md end to end through
 the ``repro-gps`` CLI — a dense-volume GPS sweep run twice, once
 exhaustively and once with ``--adaptive`` — then byte-compares the
-outputs:
+outputs.  It does so for two grids: the volume axis alone (one volume
+family), and the same volumes across two tolerance classes and two
+``--fom-weights`` vectors (four families, so every adaptive pass ranks
+several families in one block, one of them under non-unit weights).
+For each grid:
 
 * every adaptive CSV row must appear **verbatim** in the exhaustive
   CSV, in canonical grid order (the adaptive frame is a strict
@@ -71,9 +75,22 @@ def is_subsequence(needle: list[str], haystack: list[str]) -> bool:
     return all(line in it for line in needle)
 
 
-def main() -> int:
-    exhaustive = run_sweep()
-    adaptive = run_sweep("--adaptive")
+#: The grids checked, as extra ``sweep`` axis flags.
+GRIDS = {
+    "volumes": (),
+    "multi-family": (
+        "--tolerances",
+        "paper,precision",
+        "--fom-weights",
+        "paper,2:0.5:1.5",
+    ),
+}
+
+
+def check(label: str, axes: tuple[str, ...]) -> list[str]:
+    """Every failure of one grid's adaptive run, prefixed by ``label``."""
+    exhaustive = run_sweep(*axes)
+    adaptive = run_sweep(*axes, "--adaptive")
 
     exhaustive_lines = exhaustive.stdout.splitlines()
     adaptive_lines = adaptive.stdout.splitlines()
@@ -112,11 +129,20 @@ def main() -> int:
         failures.append("adaptive summary does not report a stable front")
 
     print(
-        f"adaptive CLI: {len(adaptive_lines) - 1} of "
+        f"adaptive CLI, {label} grid: {len(adaptive_lines) - 1} of "
         f"{len(exhaustive_lines) - 1} exhaustive rows evaluated, "
         f"front {len(adaptive_front)} rows "
         f"(full front {len(full_front)} rows)"
     )
+    return [f"{label} grid: {failure}" for failure in failures]
+
+
+def main() -> int:
+    failures = [
+        failure
+        for label, axes in GRIDS.items()
+        for failure in check(label, axes)
+    ]
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
