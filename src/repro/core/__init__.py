@@ -48,7 +48,6 @@ __getattr__, __dir__, __all__ = attach(
             "assess_candidate_family_cached",
             "assess_family",
             "candidate_area_keys",
-            "family_runs",
             "frame_for_cells",
             "run_design_sweep",
             "stream_design_sweep",

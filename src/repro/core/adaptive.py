@@ -494,7 +494,7 @@ def run_adaptive_sweep(
             misses_before = cache.misses
             blocks.extend(
                 stream_decision_frames(
-                    [grid.point_at(i) for i in chosen],
+                    grid,
                     candidate_factory,
                     reference,
                     weights,

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from ..errors import SpecificationError
 from .figure_of_merit import FomWeights
-from .grid import DesignPoint
+from .grid import DesignPoint, SweepGrid
 from .ranking import DecisionFrame
 from .sweep import (
     CandidateFactory,
@@ -51,7 +51,7 @@ class SerialExecutor:
 
     def iter_cells(
         self,
-        points: Sequence[DesignPoint],
+        grid: SweepGrid | Sequence[DesignPoint],
         candidate_factory: CandidateFactory,
         reference: int,
         weights: FomWeights,
@@ -78,16 +78,15 @@ class SerialExecutor:
         exactly.
         """
         if indices is None:
-            indices = range(len(points))
-        for start in range(0, len(points), STREAM_BLOCK):
-            stop = start + STREAM_BLOCK
+            indices = range(len(grid))
+        for start in range(0, len(indices), STREAM_BLOCK):
             yield evaluate_cells(
-                points[start:stop],
+                grid,
                 candidate_factory,
                 reference,
                 weights,
                 cache,
-                indices[start:stop],
+                indices[start : start + STREAM_BLOCK],
             )
 
 

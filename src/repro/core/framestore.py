@@ -625,14 +625,14 @@ def spill_design_sweep(
     """
     from .sweep import resolve_sweep, stream_decision_frames  # the engine
 
-    points, weights, cache = resolve_sweep(grid, weights, cache)
+    grid, weights, cache = resolve_sweep(grid, weights, cache)
     store = ChunkedFrameStore.create(
         directory,
         max_rows_in_memory=max_rows_in_memory,
-        meta={**(meta or {}), **GridIdentity.of(points).payload()},
+        meta={**(meta or {}), **GridIdentity.of(grid).payload()},
     )
     for block in stream_decision_frames(
-        points, candidate_factory, reference, weights, cache
+        grid, candidate_factory, reference, weights, cache
     ):
         store.append(block.frame)
     return store.finish(meta={"cache_stats": cache.stats()})

@@ -12,8 +12,9 @@ loads no circuit, area, cost, passives or GPS module:
   Q model, NRE scenario, FoM weight vector), with :class:`NreScenario`
   for the NRE axis;
 * :class:`SweepGrid` — the cartesian product of per-axis value lists
-  (:data:`GRID_AXES`), and :func:`grid_points`, a grid's or an
-  explicit point list's points;
+  (:data:`GRID_AXES`), :func:`resolve_grid` (a grid as it is, a point
+  list as a grid of its own points) and :func:`grid_points`, a grid's
+  or an explicit point list's points;
 * :class:`GridIdentity` — which grid, in which canonical order, of how
   many points: :func:`grid_fingerprint` (a content hash over the
   *sorted* point representations, so it survives axis reordering), the
@@ -289,13 +290,25 @@ class SweepGrid:
         return DesignPoint(*reversed(values))
 
 
-def grid_points(grid: SweepGrid | Iterable[DesignPoint]) -> list[DesignPoint]:
-    """The points of a :class:`SweepGrid` or an explicit iterable of
-    :class:`DesignPoint`, in canonical order; at least one."""
-    points = grid.points() if isinstance(grid, SweepGrid) else list(grid)
+def resolve_grid(
+    grid: SweepGrid | Iterable[DesignPoint],
+) -> SweepGrid | list[DesignPoint]:
+    """A :class:`SweepGrid` as it is, an explicit iterable of
+    :class:`DesignPoint` as its list — a grid of its own points, flat
+    index ``i`` its ``i``-th point; at least one point."""
+    if isinstance(grid, SweepGrid):
+        return grid
+    points = list(grid)
     if not points:
         raise SpecificationError("design sweep needs at least one point")
     return points
+
+
+def grid_points(grid: SweepGrid | Iterable[DesignPoint]) -> list[DesignPoint]:
+    """The points of a :class:`SweepGrid` or an explicit iterable of
+    :class:`DesignPoint`, in canonical order; at least one."""
+    grid = resolve_grid(grid)
+    return grid.points() if isinstance(grid, SweepGrid) else grid
 
 
 def grid_order_digest(point_reprs: Iterable[str]) -> str:

@@ -180,7 +180,7 @@ def run_study(
         Production volume for NRE amortisation; positive and finite,
         as a sweep's design point requires.
     """
-    from .grid import DesignPoint
+    from .grid import SweepGrid
 
     # Imported here: the sweep module imports this one.
     from .sweep import (
@@ -193,11 +193,11 @@ def run_study(
     if not candidates:
         raise SpecificationError("run_study needs at least one candidate")
     candidates = list(candidates)
-    point = DesignPoint(volume=volume)
+    grid = SweepGrid(volumes=(volume,))
     weights = weights if weights is not None else FomWeights()
     cache = EvaluationCache()
     cell = evaluate_cells(
-        [point], lambda _: candidates, reference, weights, cache
+        grid, lambda _: candidates, reference, weights, cache
     )
     (keys,) = candidate_area_keys([candidates], cache)
     assessments = [

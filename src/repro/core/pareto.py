@@ -98,7 +98,9 @@ def dominated_by(candidates, targets) -> np.ndarray:
     columns (size and cost in the study's orientation): sizes
     ascending, costs strictly descending, maintained with
     :mod:`bisect`.  Each group is queried against the staircase
-    *before* its own candidates are inserted.
+    *before* its own candidates are inserted.  Groups that an earlier
+    candidate group surely dominates (:func:`_settled`, vectorised)
+    skip the sweep.
     """
     same = targets is candidates
     candidates = np.asarray(candidates, dtype=np.float64)
@@ -110,10 +112,15 @@ def dominated_by(candidates, targets) -> np.ndarray:
                 f"got shape {matrix.shape}"
             )
     out = np.zeros(targets.shape[0], dtype=bool)
-    valid = np.flatnonzero(~np.isnan(targets).any(axis=1))
+    clean = not np.isnan(targets).any()
+    valid = (
+        np.arange(targets.shape[0])
+        if clean
+        else np.flatnonzero(~np.isnan(targets).any(axis=1))
+    )
     if same:
         # A self-query sorts the matrix once: each row plays both roles.
-        rows = targets[valid]
+        rows = targets if clean else targets[valid]
         row_target = valid
         row_is_candidate = np.ones(valid.shape[0], dtype=bool)
     else:
@@ -126,28 +133,33 @@ def dominated_by(candidates, targets) -> np.ndarray:
     if not row_is_candidate.any() or valid.shape[0] == 0:
         return out
     order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
-    ordered = rows[order]
+    ordered = [rows[:, column][order] for column in range(3)]
     # Group starts: the first row of every run of equal vectors.
-    new_group = np.concatenate(
-        [[True], (ordered[1:] != ordered[:-1]).any(axis=1)]
-    )
+    new_group = np.empty(order.shape[0], dtype=bool)
+    new_group[0] = True
+    np.not_equal(ordered[0][1:], ordered[0][:-1], out=new_group[1:])
+    for column in ordered[1:]:
+        new_group[1:] |= column[1:] != column[:-1]
     starts = np.flatnonzero(new_group)
     group_has_candidate = np.logical_or.reduceat(
         row_is_candidate[order], starts
     )
+    group_size, group_cost = ordered[1][starts], ordered[2][starts]
+    group_dominated = _settled(group_size, group_cost, group_has_candidate)
+    sweep = np.flatnonzero(~group_dominated)
     sizes: list[float] = []
     costs: list[float] = []
-    group_dominated = []
+    swept = []
     for size, cost, inserts in zip(
-        ordered[starts, 1].tolist(),
-        ordered[starts, 2].tolist(),
-        group_has_candidate.tolist(),
+        group_size[sweep].tolist(),
+        group_cost[sweep].tolist(),
+        group_has_candidate[sweep].tolist(),
     ):
         # Staircase points with size <= this one end at ``hi``; the
         # last of them carries the smallest cost.
         hi = bisect_right(sizes, size)
         dominated = hi > 0 and costs[hi - 1] <= cost
-        group_dominated.append(dominated)
+        swept.append(dominated)
         if inserts and not dominated:
             lo = bisect_left(sizes, size, 0, hi)
             # Retire the steps the new point covers: size >= its size
@@ -158,13 +170,40 @@ def dominated_by(candidates, targets) -> np.ndarray:
                 stop += 1
             sizes[lo:stop] = [size]
             costs[lo:stop] = [cost]
-    verdict = np.asarray(group_dominated, dtype=bool)[
-        np.cumsum(new_group) - 1
-    ]
+    group_dominated[sweep] = swept
+    verdict = group_dominated[np.cumsum(new_group) - 1]
     target = row_target[order]
     is_target = target >= 0
     out[target[is_target]] = verdict[is_target]
     return out
+
+
+def _settled(size, cost, is_candidate) -> np.ndarray:
+    """Lex-sorted groups that an earlier candidate group surely
+    dominates, found without the staircase.
+
+    A group is dominated by any earlier (lex-smaller, so distinct)
+    candidate group no larger in size and cost.  Two such candidates
+    are tried per group, vectorised: the earlier candidate group of
+    least cost and the one of least size.  A dominated group never
+    enters the staircase, so :func:`dominated_by` sweeps only the rest
+    and every verdict stays as the full sweep gives it.
+    """
+    candidates = np.flatnonzero(is_candidate)
+    # Per group: how many candidate groups precede it.
+    before = np.cumsum(is_candidate) - is_candidate
+    has = before > 0
+    settled = np.zeros(size.shape[0], dtype=bool)
+    for column in (size, cost):
+        values = column[candidates]
+        running = np.minimum.accumulate(values)
+        improves = np.concatenate([[True], running[1:] < running[:-1]])
+        best = np.maximum.accumulate(
+            np.where(improves, np.arange(values.shape[0]), 0)
+        )
+        by = candidates[best[before[has] - 1]]
+        settled[has] |= (size[by] <= size[has]) & (cost[by] <= cost[has])
+    return settled
 
 
 def nondominated_mask(performance, size, cost) -> np.ndarray:

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 from ..errors import SpecificationError
 from . import blobstore
 from .figure_of_merit import FomWeights
-from .grid import GridIdentity, grid_points
+from .grid import GridIdentity, resolve_grid
 from .sharding import (
     matching_artifact,
     run_shard,
@@ -535,9 +535,9 @@ def run_queue_worker(
     done.
     """
     queue = ShardQueue(manifest_path, owner=owner, clock=clock)
-    points = grid_points(grid)
+    grid = resolve_grid(grid)
     queue.manifest.grid.check(
-        GridIdentity.of(points),
+        GridIdentity.of(grid),
         QueueError,
         "the resolved grid",
         f"queue manifest {queue.manifest_path}",
@@ -568,7 +568,7 @@ def run_queue_worker(
         )
         try:
             artifact = run_shard(
-                points,
+                grid,
                 candidate_factory,
                 shards=queue.manifest.shards,
                 shard_index=claim.shard_index,

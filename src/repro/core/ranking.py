@@ -15,7 +15,8 @@ A :class:`DecisionFrame` is built one of two ways.  The validating
 constructor (and :meth:`DecisionFrame.from_payload`, which every file
 reader goes through) checks every part; :meth:`DecisionFrame.adopt`,
 the trusted constructor, takes arrays the engine has just built as
-they are and keeps only the positive-finite ratio refusal, vectorised.
+they are and keeps only the ratio refusal (:func:`check_ratio`),
+vectorised.
 
 ``pow`` goes through the scalar ``**`` operator (``np.power`` drifts
 by 1 ulp on a few percent of inputs); reciprocals and products
@@ -80,7 +81,7 @@ class DecisionFrame:
                     f"decision frame {name} must be one value per row "
                     f"({len(self.frame)}), got shape {array.shape}"
                 )
-            _check_ratio(name, array)
+            check_ratio(name, array)
             if array.flags.writeable or array.base is not None:
                 array = array.copy()
             array.flags.writeable = False
@@ -110,10 +111,10 @@ class DecisionFrame:
         that nothing else writes to, and ``indices`` / ``row_counts``
         tuples of Python ints that match the frame; they are taken as
         they are (the arrays marked read-only, nothing copied).  Only
-        the positive-finite ratio refusal runs, vectorised, because a
-        ratio is a model output: a factory whose reference area or cost
-        makes one ``inf`` or ``0`` is refused here exactly as the
-        validating constructor refuses it.  :meth:`from_payload` and
+        the ratio refusal (:func:`check_ratio`) runs, vectorised,
+        because a ratio is a model output: a factory whose reference
+        area or cost makes one ``inf`` or ``0`` is refused here exactly
+        as the validating constructor refuses it.  :meth:`from_payload` and
         every file reader go through the validating constructor.
         """
         dframe = object.__new__(cls)
@@ -121,7 +122,7 @@ class DecisionFrame:
             ("size_ratio", size_ratio),
             ("cost_ratio", cost_ratio),
         ):
-            _check_ratio(name, array)
+            check_ratio(name, array)
             array.flags.writeable = False
             object.__setattr__(dframe, name, array)
         object.__setattr__(dframe, "frame", frame)
@@ -151,18 +152,19 @@ class DecisionFrame:
             a < b for a, b in zip(frames[0].indices, frames[0].indices[1:])
         ):
             return frames[0]
-        pairs = sorted(
-            (index, count)
-            for frame in frames
-            for index, count in zip(frame.indices, frame.row_counts)
+        indices, counts = (
+            [np.asarray(getattr(f, name), dtype=np.int64) for f in frames]
+            for name in ("indices", "row_counts")
         )
-        indices = np.asarray([index for index, _ in pairs])
+        point = np.concatenate(list(map(np.repeat, indices, counts)))
+        indices, counts = np.concatenate(indices), np.concatenate(counts)
+        order = np.argsort(indices, kind="stable")
+        indices, counts = indices[order], counts[order]
         overlap = indices[1:][indices[1:] == indices[:-1]]
         if overlap.size:
             raise SpecificationError(
                 f"decision frames overlap on point index {overlap[0]}"
             )
-        point = np.concatenate([frame.point_of_row() for frame in frames])
         merged = ResultFrame.concat([f.frame for f in frames])
         size = np.concatenate([f.size_ratio for f in frames])
         cost = np.concatenate([f.cost_ratio for f in frames])
@@ -174,7 +176,7 @@ class DecisionFrame:
             size,
             cost,
             tuple(indices.tolist()),
-            tuple(count for _, count in pairs),
+            tuple(counts.tolist()),
         )
 
     def to_payload(self) -> dict:
@@ -322,18 +324,31 @@ class DecisionFrame:
             yield index, self.frame.rows_between(start, stop)
 
 
-def _check_ratio(name: str, array: np.ndarray) -> None:
-    """Refuse a ratio column holding a zero, negative, NaN or infinite
-    value.
+#: The largest ratio whose percentage ``100.0 * ratio`` is finite.
+RATIO_CEILING = float(np.finfo(np.float64).max) / 100.0
 
-    The re-rank kernel computes 1/ratio and raises it to a power; such
+
+def check_ratio(name: str, array: np.ndarray) -> None:
+    """Refuse a ratio column holding a zero, negative, NaN or infinite
+    value, or one above :data:`RATIO_CEILING`.
+
+    The re-rank kernel computes 1/ratio and raises it to a power, and
+    a frame shows each ratio as the percentage ``100.0 * ratio``; such
     a value would turn a corrupt frame file (or a degenerate reference
-    candidate) into silently wrong rankings.
+    candidate) into silently wrong rankings or an infinite percentage
+    beside a finite ratio.  Comparisons only, so a refused column
+    raises no floating-point warning.
     """
+    if np.all((array > 0.0) & (array <= RATIO_CEILING)):
+        return
     if not np.all((array > 0.0) & (array < np.inf)):
         raise SpecificationError(
             f"decision frame {name} values must be positive finite numbers"
         )
+    raise SpecificationError(
+        f"decision frame {name} values must be at most {RATIO_CEILING!r}, "
+        f"so that 100 times each is a finite percentage"
+    )
 
 
 def _check_counts(name: str, values: Sequence[int]) -> None:
@@ -348,9 +363,12 @@ def _check_counts(name: str, values: Sequence[int]) -> None:
             )
 
 
-def check_indices(indices: Sequence[int], points: int) -> None:
-    """Refuse point indices that are not one exact int per row run."""
-    if len(indices) != points:
+def check_indices(
+    indices: Sequence[int], points: Optional[int] = None
+) -> None:
+    """Refuse point indices that are not exact non-negative ints, one
+    per row run when the frame's ``points`` row runs are given."""
+    if points is not None and len(indices) != points:
         raise SpecificationError(
             f"decision frame carries {len(indices)} indices but "
             f"{points} row counts"

@@ -227,22 +227,20 @@ def run_shard(
 ) -> ShardArtifact:
     """Evaluate one shard of a grid and package it for merging.
 
-    The full grid is resolved locally (cheap — points are tiny frozen
-    dataclasses) so the shard knows its canonical indices and the
-    grid identity; only the shard's own points are evaluated.
+    The shard's canonical indices come from the grid's size and its
+    identity from the grid; only the shard's own points are evaluated,
+    as the grid plus those indices.
     """
     from .sweep import evaluate_cells, resolve_sweep  # the engine
 
-    points, weights, cache = resolve_sweep(grid, weights, cache)
-    indices = shard_indices(len(points), shards, shard_index)
-    shard_points = [points[i] for i in indices]
+    grid, weights, cache = resolve_sweep(grid, weights, cache)
+    indices = shard_indices(len(grid), shards, shard_index)
     return ShardArtifact(
-        grid=GridIdentity.of(points),
+        grid=GridIdentity.of(grid),
         shards=shards,
         shard_index=shard_index,
         dframe=evaluate_cells(
-            shard_points, candidate_factory, reference, weights, cache,
-            indices,
+            grid, candidate_factory, reference, weights, cache, indices
         ),
         cache_state=cache.portable_state(),
     )

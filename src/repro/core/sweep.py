@@ -70,13 +70,14 @@ from .grid import (
     DesignPoint,
     SweepGrid,
     SweepReport,
-    grid_points,
+    resolve_grid,
 )
 from .methodology import BuildUpAssessment, CandidateBuildUp
 from .ranking import (
     DecisionFrame,
     cell_front_mask,
     check_indices,
+    check_ratio,
     weighted_fom,
     winner_mask,
 )
@@ -460,18 +461,109 @@ def cached_assessment(
     )
 
 
+class Family(NamedTuple):
+    """One volume family of a block: its points differ only in volume.
+
+    ``point`` is the family's first point in the block: the candidate
+    factory sees it, and the family's rows carry its axis labels and
+    weights.  ``key`` is the ``repr`` of every axis but the volume, the
+    family's memo key (``None`` for the one-point families of a factory
+    called per point).  The family's points sit at ``positions`` of the
+    block, in order, at ``volumes``, whose reprs are ``volume_keys``.
+    """
+
+    point: DesignPoint
+    key: Optional[tuple[str, ...]]
+    positions: np.ndarray
+    volumes: list
+    volume_keys: list[str]
+
+
+#: The axes a volume family shares: every :class:`DesignPoint` field
+#: but the volume.
+_family_axes = attrgetter(
+    "substrate", "process", "tolerance", "q_model", "nre", "weights"
+)
+
+
+def _objects(values: Sequence) -> np.ndarray:
+    """``values`` as a one-dimensional object array of the objects
+    themselves."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+def block_families(
+    grid: SweepGrid | Sequence[DesignPoint],
+    indices: Sequence[int],
+    batched: bool,
+) -> tuple[list[Family], np.ndarray]:
+    """A block's volume families and its volume column, from the flat
+    indices of its points.
+
+    Volume is a :class:`SweepGrid`'s slowest axis, so with
+    ``F = len(grid) // len(grid.volumes)`` points per volume, flat
+    index ``i`` is family ``i % F`` at volume ``grid.volumes[i // F]``:
+    integer arithmetic, one :class:`DesignPoint` per family
+    (:meth:`SweepGrid.point_at`) and one ``repr`` per distinct volume.
+    A point list is a grid of its own, every point a family at its own
+    volume.  With ``batched`` (a volume-invariant factory), families
+    whose axes but the volume have equal reprs merge — a grid axis may
+    hold distinct objects that render alike, a point list equal points
+    — at one ``repr`` tuple per family, in block order of their first
+    points; otherwise every point is a family of its own.
+    """
+    if isinstance(grid, SweepGrid):
+        index = np.fromiter(indices, dtype=np.intp, count=len(indices))
+        slots, family_of = np.divmod(index, len(grid) // len(grid.volumes))
+        table: Sequence = grid.volumes
+        point_at = grid.point_at
+    else:
+        slots = family_of = np.arange(len(indices))
+        table = [grid[i].volume for i in indices]
+        point_at = grid.__getitem__
+    distinct, inverse = np.unique(slots, return_inverse=True)
+    values = [table[slot] for slot in distinct.tolist()]
+    volumes = _objects(values)[inverse]
+    volume_keys = _objects([repr(value) for value in values])[inverse]
+    if batched:
+        order = np.argsort(family_of, kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(family_of[order])) + 1)
+        runs.sort(key=lambda run: run[0])
+    else:
+        runs = list(np.arange(len(indices))[:, None])
+    grouped: dict = {}
+    for run in runs:
+        point = point_at(indices[run[0]])
+        key = tuple(map(repr, _family_axes(point))) if batched else len(grouped)
+        grouped.setdefault(key, (point, []))[1].append(run)
+    families = []
+    for key, (point, parts) in grouped.items():
+        positions = np.sort(np.concatenate(parts)) if len(parts) > 1 else parts[0]
+        families.append(
+            Family(
+                point,
+                key if batched else None,
+                positions,
+                volumes[positions].tolist(),
+                volume_keys[positions].tolist(),
+            )
+        )
+    return families, np.asarray(values, dtype=np.float64)[inverse]
+
+
 class FamilyCells(NamedTuple):
     """One volume family of a block, assessed (steps 2-4): what
     :func:`frame_for_cells` ranks.
 
-    The family's points sit at ``positions`` in the block, in order,
-    and each point's cell holds a row per candidate, in ``names``
-    order.  ``performance`` and ``size_ratio`` hold one value per
-    candidate, ``cost_ratio`` one row of them per point; ``weights``
+    Each of the ``family``'s points holds a row per candidate, in
+    ``names`` order.  ``performance`` and ``size_ratio`` hold one value
+    per candidate, ``cost_ratio`` one row of them per point; ``weights``
     rank the family.
     """
 
-    positions: Sequence[int]
+    family: Family
     names: list[str]
     performance: np.ndarray
     size_ratio: np.ndarray
@@ -480,18 +572,19 @@ class FamilyCells(NamedTuple):
 
 
 def frame_for_cells(
-    points: Sequence[DesignPoint],
     families: Sequence[FamilyCells],
+    volumes: np.ndarray,
     indices: Sequence[int],
 ) -> DecisionFrame:
     """Rank a block's cells and lay them out as a frame: the sweep's
     one ranking call.
 
     Methodology step 5 on the :mod:`repro.core.ranking` kernels, once
-    per block however many families it holds.  ``families`` cover
-    every position of ``points`` once; their columns are scattered
-    into block arrays in point order, a cell's rows in candidate order,
-    and ranked there:
+    per block however many families it holds.  ``volumes`` is the
+    block's volume column, one value per point (:func:`block_families`),
+    and ``families`` cover every point once; their columns are
+    scattered into block arrays in point order, a cell's rows in
+    candidate order, and ranked there:
 
     * the weighted FoM once per distinct weights value in the block;
     * each point's first-max winner (:func:`winner_mask`) once over
@@ -501,16 +594,17 @@ def frame_for_cells(
       whose families differ in their candidates, or repeat a name,
       ranks exactly as its families would one by one.
 
-    The frame holds point ``p``'s cell at point index ``indices[p]``
-    (Python ints), built by the trusted constructors
-    (:meth:`ResultFrame.adopt`, :meth:`DecisionFrame.adopt`), so it
-    is never copied or reindexed after it is built.
+    The ratios meet :func:`~repro.core.ranking.check_ratio` before the
+    percent columns multiply them.  The frame holds point ``p``'s cell
+    at point index ``indices[p]`` (Python ints), built by the trusted
+    constructors (:meth:`ResultFrame.adopt`, :meth:`DecisionFrame.adopt`),
+    so it is never copied or reindexed after it is built.
     """
     if not families:
         return DecisionFrame.empty()
-    counts = np.empty(len(points), dtype=np.intp)
-    for family in families:
-        counts[family.positions] = len(family.names)
+    counts = np.empty(len(volumes), dtype=np.intp)
+    for cells in families:
+        counts[cells.family.positions] = len(cells.names)
     starts = np.cumsum(counts) - counts
     rows = int(counts.sum())
     performance, size, cost = (np.empty(rows) for _ in range(3))
@@ -518,26 +612,26 @@ def frame_for_cells(
     codes = np.empty(rows, dtype=np.intp)
     labels: dict[str, np.ndarray] = {}
     # Per point: its family's entry in ``by_weights``.
-    ranked_by = np.empty(len(points), dtype=np.intp)
+    ranked_by = np.empty(len(volumes), dtype=np.intp)
     by_weights: dict[FomWeights, int] = {}
     by_name: dict[str, int] = {}
-    for family in families:
-        positions = np.asarray(family.positions, dtype=np.intp)
+    for cells in families:
+        positions = cells.family.positions
         # (points, k): the block row of every cell of the family.
-        at = starts[positions][:, None] + np.arange(len(family.names))
-        performance[at] = family.performance
-        size[at] = family.size_ratio
-        cost[at] = family.cost_ratio
-        candidate[at] = np.asarray(family.names, dtype=object)
+        at = starts[positions][:, None] + np.arange(len(cells.names))
+        performance[at] = cells.performance
+        size[at] = cells.size_ratio
+        cost[at] = cells.cost_ratio
+        candidate[at] = np.asarray(cells.names, dtype=object)
         codes[at] = [
-            by_name.setdefault(name, len(by_name)) for name in family.names
+            by_name.setdefault(name, len(by_name)) for name in cells.names
         ]
-        for name, label in points[positions[0]].axis_labels().items():
-            labels.setdefault(name, np.empty(len(points), dtype=object))[
+        for name, label in cells.family.point.axis_labels().items():
+            labels.setdefault(name, np.empty(len(volumes), dtype=object))[
                 positions
             ] = label
         ranked_by[positions] = by_weights.setdefault(
-            family.weights, len(by_weights)
+            cells.weights, len(by_weights)
         )
     fom = np.empty(rows)
     row_ranked_by = np.repeat(ranked_by, counts)
@@ -548,12 +642,13 @@ def frame_for_cells(
         )
     is_winner = winner_mask(starts, fom, codes)
     front = np.empty(rows, dtype=bool)
-    for k in {len(family.names) for family in families}:
+    for k in {len(cells.names) for cells in families}:
         at = starts[counts == k][:, None] + np.arange(k)
         front[at] = cell_front_mask(
             performance[at], size[at], cost[at], codes[at]
         )
-    volumes = np.asarray([point.volume for point in points], dtype=np.float64)
+    check_ratio("size_ratio", size)
+    check_ratio("cost_ratio", cost)
     frame = ResultFrame.adopt(
         {
             "volume": np.repeat(volumes, counts),
@@ -614,27 +709,25 @@ def candidate_area_keys(
 
 
 def assess_family(
-    points: Sequence[DesignPoint],
-    positions: Sequence[int],
+    family: Family,
     candidates: Sequence[CandidateBuildUp],
     area_keys: Sequence[str],
     reference: int,
     weights: FomWeights,
     cache: EvaluationCache,
 ) -> FamilyCells:
-    """Assess a whole volume family of a block's points as columns.
+    """Assess a whole volume family of a block as columns.
 
-    The family's points sit at ``positions`` of ``points``; they share
-    one candidate list (the family key excludes only the volume), with
-    each candidate's area key alongside (:func:`candidate_area_keys`).
-    Each candidate is assessed across the whole volume axis at once and
+    The family's points share one candidate list, with each
+    candidate's area key alongside (:func:`candidate_area_keys`).
+    Each candidate is assessed across the family's volumes at once and
     the ratios to the reference candidate follow the scalar formula's
     operation order.  The family is ranked with its own weights-axis
     vector, else ``weights`` — by :func:`frame_for_cells`, together
     with the block's other families.
     """
     candidates = list(candidates)
-    first = points[positions[0]]
+    first = family.point
     if not candidates:
         raise SpecificationError(
             f"candidate factory returned no candidates at {first.label()}"
@@ -644,12 +737,10 @@ def assess_family(
             f"reference index {reference} out of range for "
             f"{len(candidates)} candidates"
         )
-    volumes = [points[position].volume for position in positions]
-    volume_keys = [repr(volume) for volume in volumes]
     performance, area, costs = zip(
         *(
             assess_candidate_family_cached(
-                candidate, key, volumes, volume_keys, cache
+                candidate, key, family.volumes, family.volume_keys, cache
             )
             for candidate, key in zip(candidates, area_keys)
         )
@@ -658,7 +749,7 @@ def assess_family(
     # (volumes, k): a cell per row, a candidate per column.
     cost = np.asarray(costs, dtype=np.float64).T
     return FamilyCells(
-        positions=positions,
+        family=family,
         names=[candidate.name for candidate in candidates],
         performance=np.asarray(performance, dtype=np.float64),
         size_ratio=area / area[reference],
@@ -678,54 +769,11 @@ def evaluate_cell(
     block at point index 0."""
     candidates = list(candidates)
     (area_keys,) = candidate_area_keys([candidates], cache)
+    families, volumes = block_families([point], (0,), False)
     family = assess_family(
-        [point], [0], candidates, area_keys, reference, weights, cache
+        families[0], candidates, area_keys, reference, weights, cache
     )
-    return frame_for_cells([point], [family], (0,))
-
-
-#: The axes a volume family shares: every :class:`DesignPoint` field
-#: but the volume.
-_family_axes = attrgetter(
-    "substrate", "process", "tolerance", "q_model", "nre", "weights"
-)
-
-
-def _families(points: Sequence[DesignPoint]) -> dict[tuple, list[int]]:
-    """:func:`family_runs`, each run under its family key: the ``repr``
-    of every axis but the volume."""
-    by_identity: dict[tuple[int, ...], list[int]] = {}
-    for position, point in enumerate(points):
-        identity = tuple(map(id, _family_axes(point)))
-        by_identity.setdefault(identity, []).append(position)
-    families: dict[tuple[str, ...], list[int]] = {}
-    for run in by_identity.values():
-        key = tuple(map(repr, _family_axes(points[run[0]])))
-        family = families.get(key)
-        if family is None:
-            families[key] = run
-        else:
-            family.extend(run)
-            family.sort()
-    return families
-
-
-def family_runs(points: Sequence[DesignPoint]) -> list[list[int]]:
-    """Group point positions into volume families.
-
-    Two points belong to one family when every axis except the volume
-    agrees (by content ``repr``, the cache-key discipline) — such
-    points share candidates, performance and placement, differing only
-    in the cost step's volume.  Grid enumeration is volume-major
-    (volume varies *slowest*), so a family's members are strided across
-    the run, not adjacent; positions within each family keep run order.
-
-    Grid points share their axis objects, so points are first grouped
-    by the ``id`` s of those objects, and only one point per such group
-    is ``repr`` ed; groups with equal reprs (equal content held by
-    distinct objects) merge into one family.
-    """
-    return list(_families(points).values())
+    return frame_for_cells([family], volumes, (0,))
 
 
 def _seed_family_placements(
@@ -765,7 +813,7 @@ CandidateFactory = Callable[[DesignPoint], Sequence[CandidateBuildUp]]
 
 
 def evaluate_cells(
-    points: Sequence[DesignPoint],
+    grid: SweepGrid | Sequence[DesignPoint],
     candidate_factory: CandidateFactory,
     reference: int,
     weights: FomWeights,
@@ -776,21 +824,25 @@ def evaluate_cells(
 
     The sweep engine's whole job (its streaming surface,
     :meth:`~repro.core.executors.SerialExecutor.iter_cells`, calls
-    this block by block).  Returns one decision frame with the
-    points' cells in block order, point ``p`` at point index
-    ``indices[p]`` — non-negative Python ints, ``0 .. len(points) - 1``
-    when omitted, refused otherwise by the validating constructor's
-    rule (:func:`~repro.core.ranking.check_indices`) — so a caller
-    passes the block's final indices and never reindexes it.
+    this block by block).  A block is a grid — a :class:`SweepGrid`,
+    or a point list, a grid of its own points — plus the flat indices
+    of its points: non-negative Python ints below ``len(grid)``
+    (``0 .. len(grid) - 1`` when omitted), refused otherwise, exact
+    ints by the validating constructor's rule
+    (:func:`~repro.core.ranking.check_indices`).  Returns one decision
+    frame with the points' cells in block order, point ``p`` at point
+    index ``indices[p]``, so a caller passes the block's final indices
+    and never reindexes it.
 
-    A candidate factory that declares ``volume_invariant = True``
-    (it returns equal candidates for points differing only in volume —
+    The block's volume families come from the indices
+    (:func:`block_families`: integer arithmetic on a grid, one
+    :class:`DesignPoint` per family).  A candidate factory that
+    declares ``volume_invariant = True`` (it returns equal candidates
+    for points differing only in volume —
     :func:`~repro.gps.study.sweep_candidates`, the one GPS factory,
-    does) gets the batched
-    fill: points are grouped into volume families
-    (:func:`family_runs`), the factory runs **once per family and
-    cache** — later calls on the same cache (the next stream block or
-    adaptive pass) reuse its candidates through
+    does) gets the batched fill: the factory runs **once per family
+    and cache** — later calls on the same cache (the next stream block
+    or adaptive pass) reuse its candidates through
     :meth:`EvaluationCache.memo` — placements are broadcast ahead of
     the evaluation, and each family is assessed
     (:func:`assess_family`) with one :meth:`EvaluationCache.cost_batch`
@@ -801,38 +853,43 @@ def evaluate_cells(
     is ranked by one :func:`frame_for_cells` call; both produce
     bit-identical frames.
     """
-    indices = range(len(points)) if indices is None else indices
-    check_indices(indices, len(points))
+    indices = range(len(grid)) if indices is None else indices
+    check_indices(indices)
+    if not indices:
+        return DecisionFrame.empty()
+    if max(indices) >= len(grid):
+        raise SpecificationError(
+            f"grid index {max(indices)} is out of range for a "
+            f"{len(grid)}-point grid"
+        )
     batched = getattr(candidate_factory, "volume_invariant", False)
+    families, volumes = block_families(grid, indices, batched)
     if batched:
-        families = _families(points)
-        runs = list(families.values())
         family_candidates = [
             cache.memo(
-                ("candidates", id(candidate_factory), key),
+                ("candidates", id(candidate_factory), family.key),
                 candidate_factory,
-                lambda: list(candidate_factory(points[run[0]])),
+                lambda: list(candidate_factory(family.point)),
             )
-            for key, run in families.items()
+            for family in families
         ]
     else:
-        runs = [[position] for position in range(len(points))]
         family_candidates = [
-            list(candidate_factory(point)) for point in points
+            list(candidate_factory(family.point)) for family in families
         ]
     area_keys = candidate_area_keys(family_candidates, cache)
     if batched:
         _seed_family_placements(family_candidates, area_keys, cache)
     return frame_for_cells(
-        points,
         [
             assess_family(
-                points, run, candidates, keys, reference, weights, cache
+                family, candidates, keys, reference, weights, cache
             )
-            for run, candidates, keys in zip(
-                runs, family_candidates, area_keys
+            for family, candidates, keys in zip(
+                families, family_candidates, area_keys
             )
         ],
+        volumes,
         indices,
     )
 
@@ -841,10 +898,11 @@ def resolve_sweep(
     grid: SweepGrid | Iterable[DesignPoint],
     weights: Optional[FomWeights] = None,
     cache: Optional[EvaluationCache] = None,
-) -> tuple[list[DesignPoint], FomWeights, EvaluationCache]:
-    """A sweep's points (at least one), weights and cache, defaulted."""
+) -> tuple[SweepGrid | list[DesignPoint], FomWeights, EvaluationCache]:
+    """A sweep's grid (:func:`~repro.core.grid.resolve_grid`: at least
+    one point), weights and cache, defaulted."""
     return (
-        grid_points(grid),
+        resolve_grid(grid),
         weights if weights is not None else FomWeights(),
         cache if cache is not None else EvaluationCache(),
     )
@@ -875,10 +933,8 @@ def run_design_sweep(
         Optional pre-warmed :class:`EvaluationCache`; a fresh one is
         created when omitted.  Its stats cover the whole sweep.
     """
-    points, weights, cache = resolve_sweep(grid, weights, cache)
-    dframe = evaluate_cells(
-        points, candidate_factory, reference, weights, cache
-    )
+    grid, weights, cache = resolve_sweep(grid, weights, cache)
+    dframe = evaluate_cells(grid, candidate_factory, reference, weights, cache)
     return SweepReport(frame=dframe.frame, cache_stats=cache.stats())
 
 
@@ -912,13 +968,13 @@ def stream_decision_frames(
 ) -> Iterator[DecisionFrame]:
     """Decision-frame blocks in canonical order:
     :meth:`~repro.core.executors.SerialExecutor.iter_cells`'s batched
-    blocks, point ``p`` at point index ``indices[p]`` (its canonical
-    index when omitted)."""
+    blocks of the grid's points at flat ``indices`` (every point when
+    omitted)."""
     from .executors import SerialExecutor  # cycle-free at import
 
-    points, weights, cache = resolve_sweep(grid, weights, cache)
+    grid, weights, cache = resolve_sweep(grid, weights, cache)
     yield from SerialExecutor().iter_cells(
-        points, candidate_factory, reference, weights, cache, indices
+        grid, candidate_factory, reference, weights, cache, indices
     )
 
 

@@ -70,7 +70,7 @@ from . import blobstore
 # Re-exported: perfbench/workloads.py imports canonical_json from here.
 from .blobstore import canonical_json  # noqa: F401
 from .figure_of_merit import FomWeights
-from .grid import GridIdentity, grid_points
+from .grid import GridIdentity, resolve_grid
 from .ranking import DecisionFrame
 from .sharding import (
     CoverPolicy,
@@ -585,16 +585,16 @@ def build_warehouse(
     """
     from .sweep import stream_decision_frames  # the engine
 
-    points = grid_points(grid)
+    grid = resolve_grid(grid)
     blocks = stream_decision_frames(
-        points,
+        grid,
         candidate_factory,
         reference=reference,
         weights=weights,
         cache=cache,
     )
     dframe = DecisionFrame.concat(list(blocks))
-    init_warehouse(directory, points, grid_spec=grid_spec)
+    init_warehouse(directory, grid, grid_spec=grid_spec)
     return append_decision_frame(directory, dframe)
 
 

@@ -331,9 +331,9 @@ class TestSerialBlockStreaming:
         calls = []
         evaluate = executors.evaluate_cells
 
-        def counting(block_points, *args):
-            calls.append(len(block_points))
-            return evaluate(block_points, *args)
+        def counting(grid, *args):
+            calls.append(len(args[-1]))
+            return evaluate(grid, *args)
 
         monkeypatch.setattr(executors, "STREAM_BLOCK", block)
         monkeypatch.setattr(executors, "evaluate_cells", counting)

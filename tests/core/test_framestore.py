@@ -65,12 +65,13 @@ from repro.core.sharding import (
 )
 from repro.cli import MAX_ROWS_ENV, max_rows_from_env
 from repro.core.grid import DesignPoint, SweepGrid
-from repro.core.sweep import family_runs, run_design_sweep
+from repro.core.sweep import run_design_sweep
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
 
 from pareto_reference import first_dominators
+from per_point import family_runs
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import blobstore
 from repro.core.framestore import ChunkedFrameStore, FrameStoreError
-from repro.core.ranking import DecisionFrame
+from repro.core.ranking import RATIO_CEILING, DecisionFrame
 from repro.core.resultframe import (
     COLUMN_ORDER,
     FLOAT_COLUMNS,
@@ -106,8 +106,8 @@ class TestRoundTrip:
         st.lists(
             st.tuples(
                 doubles,
-                st.floats(min_value=5e-324, allow_infinity=False),
-                st.floats(min_value=5e-324, allow_infinity=False),
+                st.floats(min_value=5e-324, max_value=RATIO_CEILING),
+                st.floats(min_value=5e-324, max_value=RATIO_CEILING),
             ),
             max_size=12,
         )
@@ -181,6 +181,9 @@ HOSTILE = [
      lambda n: pack_column(-np.ones(n)), "positive finite"),
     ("ratio-nan", "ratios", "size_ratio",
      lambda n: pack_column(np.full(n, np.nan)), "positive finite"),
+    ("ratio-percent-overflow", "ratios", "cost_ratio",
+     lambda n: pack_column(np.full(n, np.nextafter(RATIO_CEILING, np.inf))),
+     "finite percentage"),
 ]
 IDS = [case[0] for case in HOSTILE]
 #: A chunk carries no ratios.

@@ -20,6 +20,7 @@ keeps per-cell objects out of every sweep entry point.
 
 from __future__ import annotations
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.core.ranking import (
     winner_mask,
 )
 from repro.core.resultframe import COLUMN_ORDER
+from repro.core.grid import NreScenario
 from repro.core.sweep import EvaluationCache, SweepGrid, evaluate_cells
 from repro.cost.moe.analytic import CostReportBatch
 from repro.cost.moe.flow import ProductionFlow
@@ -56,7 +58,7 @@ from repro.gps.study import (
 from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
 
 from pareto_reference import first_dominators
-from per_point import per_point_frame
+from per_point import grouped_frame, per_point_frame
 
 
 class ToyFlow:
@@ -298,18 +300,26 @@ class TestBlockRankerMatchesPerPointObjects:
         assert _bits(DecisionFrame.concat(streamed)) == _bits(expected)
 
     def test_final_indices_are_the_blocks_own(self):
-        """A block built at its final point indices equals the block
-        built at ``0 .. n - 1`` and reindexed."""
+        """A block is a grid plus the flat indices of its points: it
+        equals those points evaluated as a list at ``0 .. n - 1`` and
+        reindexed, and an index past the grid is refused."""
         factory = SpecFactory((("a", 1.0, 10.0, False, 5.0, 0.0),), True)
-        points = SweepGrid(volumes=(1e3, 1e4, 1e5)).points()
-        args = (points, factory, 0, FomWeights())
-        placed = evaluate_cells(*args, EvaluationCache(), [7, 3, 9])
-        assert placed.indices == (7, 3, 9)
-        assert placed == evaluate_cells(*args, EvaluationCache()).reindexed(
-            (7, 3, 9)
+        grid = SweepGrid(
+            volumes=(1e2, 1e3, 1e4, 1e5, 1e6),
+            fom_weights=(None, FomWeights(cost=2.0)),
         )
-        with pytest.raises(SpecificationError, match="2 indices but 3"):
-            evaluate_cells(*args, EvaluationCache(), [0, 1])
+        placed = evaluate_cells(
+            grid, factory, 0, FomWeights(), EvaluationCache(), [7, 3, 9]
+        )
+        assert placed.indices == (7, 3, 9)
+        points = [grid.point_at(index) for index in (7, 3, 9)]
+        assert placed == evaluate_cells(
+            points, factory, 0, FomWeights(), EvaluationCache()
+        ).reindexed((7, 3, 9))
+        with pytest.raises(SpecificationError, match="index 10 is out of"):
+            evaluate_cells(
+                grid, factory, 0, FomWeights(), EvaluationCache(), [0, 10]
+            )
 
     @pytest.mark.parametrize(
         "bad",
@@ -329,6 +339,71 @@ class TestBlockRankerMatchesPerPointObjects:
                 points, factory, 0, FomWeights(), EvaluationCache(),
                 [0, 1, bad],
             )
+
+
+@st.composite
+def grid_block_cases(draw):
+    """A block case over several axes, as a grid plus sorted flat
+    indices, with tolerance values that are distinct objects of equal
+    ``repr`` (one family, two grid slots)."""
+    factory, reference, grid, weights, block = draw(block_cases())
+    tolerances = list(grid.tolerances)
+    named = [tolerance for tolerance in tolerances if tolerance is not None]
+    if named and draw(st.booleans()):
+        tolerances.append(copy.deepcopy(draw(st.sampled_from(named))))
+    grid = SweepGrid(
+        volumes=grid.volumes,
+        tolerances=tuple(tolerances),
+        nres=(None, NreScenario("zero", ((1, 0.0),)))[: draw(st.integers(1, 2))],
+        fom_weights=grid.fom_weights,
+    )
+    indices = sorted(
+        draw(st.sets(st.integers(0, len(grid) - 1), min_size=1))
+    )
+    return factory, reference, grid, weights, block, indices
+
+
+class TestGridFamiliesMatchPerPointGrouping:
+    """A block's families read off the grid's flat indices equal the
+    per-point ``id``/``repr`` grouping of the same points, bit for bit,
+    cache stats included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=grid_block_cases())
+    def test_grid_blocks_match_grouped_points(self, case):
+        factory, reference, grid, weights, block, indices = case
+        points = [grid.point_at(index) for index in indices]
+        expected_cache = EvaluationCache()
+        expected = grouped_frame(
+            points, factory, reference, weights, expected_cache, indices
+        )
+        cache = EvaluationCache()
+        whole = evaluate_cells(grid, factory, reference, weights, cache, indices)
+        assert _bits(whole) == _bits(expected)
+        assert cache.stats() == expected_cache.stats()
+        stream_cache = EvaluationCache()
+        with mock.patch.object(executors, "STREAM_BLOCK", block):
+            streamed = list(
+                executors.SerialExecutor().iter_cells(
+                    grid, factory, reference, weights, stream_cache, indices
+                )
+            )
+        reference_cache = EvaluationCache()
+        blocks = [
+            grouped_frame(
+                points[start : start + block],
+                factory,
+                reference,
+                weights,
+                reference_cache,
+                indices[start : start + block],
+            )
+            for start in range(0, len(points), block)
+        ]
+        assert [_bits(part) for part in streamed] == [
+            _bits(part) for part in blocks
+        ]
+        assert stream_cache.stats() == reference_cache.stats()
 
 
 class TestKernels:

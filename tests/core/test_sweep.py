@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import MCM_D_COARSE_RULE, MCM_D_FINE_RULE, PCB_RULE
 from repro.circuits.qfactor import (
+    Q_MODEL_SCENARIOS,
     SkinEffectQModel,
     SubstrateLossQModel,
 )
@@ -23,7 +25,6 @@ from repro.core.grid import GRID_AXES, DesignPoint, NreScenario, SweepGrid
 from repro.core.sweep import (
     EvaluationCache,
     evaluate_cells,
-    family_runs,
     run_design_sweep,
 )
 from repro.cost.moe.flow import ProductionFlow
@@ -37,9 +38,15 @@ from repro.gps.study import (
     sweep_candidates,
 )
 from repro.passives.thin_film import SI3N4_PROCESS
-from repro.passives.tolerance import MATCHING_CLASS, PRECISION_CLASS
+from repro.core.ranking import DecisionFrame
+from repro.core.resultframe import pack_column
+from repro.passives.tolerance import (
+    MATCHING_CLASS,
+    PRECISION_CLASS,
+    TOLERANCE_CLASSES,
+)
 
-from per_point import per_point_frame, per_point_studies
+from per_point import family_runs, per_point_frame, per_point_studies
 
 IMPL3 = "MCM-D(Si)/FC/IP"
 IMPL4 = "MCM-D(Si)/FC/IP&SMD"
@@ -345,6 +352,29 @@ class TestBatchedFill:
         assert copies[0] is not copies[1]
         assert family_runs(points) == [[0, 2, 3], [1, 4]]
 
+    def test_grid_path_builds_one_point_per_family(self, monkeypatch):
+        """On a grid, families come from flat indices: the 2304-point
+        benchmark grid builds one ``DesignPoint`` per family (9), not
+        one per point."""
+        grid = SweepGrid(
+            volumes=tuple(np.geomspace(1e2, 1e7, 256).tolist()),
+            tolerances=tuple(TOLERANCE_CLASSES.values()),
+            q_models=(
+                None, Q_MODEL_SCENARIOS["skin"], Q_MODEL_SCENARIOS["substrate"]
+            ),
+        )
+        built = []
+        post_init = DesignPoint.__post_init__
+
+        def counting(point):
+            built.append(point)
+            post_init(point)
+
+        monkeypatch.setattr(DesignPoint, "__post_init__", counting)
+        report = run_design_sweep(grid, sweep_candidates)
+        assert len(grid) == 2304 and len(report.frame) == 4 * 2304
+        assert len(built) <= 9
+
     def test_fills_produce_bit_identical_rows(self):
         batched = evaluate_cells(
             self.GRID.points(),
@@ -504,6 +534,32 @@ class TestTrustedFrameRefusesBadRatios:
                 self.GRID.points(), factory, 0, FomWeights(), EvaluationCache()
             )
         assert str(excinfo.value) == RATIO_REFUSAL
+
+    def test_ratio_whose_percentage_overflows_is_refused(self):
+        """A finite ratio above ``RATIO_CEILING`` would make its percent
+        column ``inf``: refused before the multiply, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecificationError, match="finite percentage"):
+                evaluate_cells(
+                    self.GRID,
+                    PricedFactory((1e-300, 1e7), True),
+                    0,
+                    FomWeights(),
+                    EvaluationCache(),
+                )
+
+    def test_stored_ratio_whose_percentage_overflows_is_refused(self):
+        payload = evaluate_cells(
+            self.GRID,
+            PricedFactory((5.0, 10.0), True),
+            0,
+            FomWeights(),
+            EvaluationCache(),
+        ).to_payload()
+        payload["ratios"]["cost_ratio"] = pack_column(np.full(8, 1e307))
+        with pytest.raises(SpecificationError, match="finite percentage"):
+            DecisionFrame.from_payload(payload)
 
     def test_engine_frames_are_read_only(self):
         dframe = evaluate_cells(

@@ -1,12 +1,15 @@
-"""The ``repro-gps sweep --csv`` bytes of a multi-family grid, pinned.
+"""The ``repro-gps sweep --csv`` bytes of multi-family grids, pinned.
 
 ``sweep_csv_golden.json`` holds the sha256 (and the line count) of the
 CSV that ``repro-gps sweep --csv`` prints for a grid of several volume
 families ranked together: 3 tolerance classes x 3 Q models x a
 2-value ``--fom-weights`` axis (one weight vector with exponents other
-than 0 and 1) x 16 volumes, 288 points.  Any change to how a block of
-families is assessed, ranked or rendered that moves one byte fails
-here.
+than 0 and 1) x 16 volumes, 288 points.
+``sweep_csv_golden_large.json`` does the same at scale, over every
+scenario axis at once: 256 volumes x 3 tolerance classes x 3 Q models
+x 2 NRE scenarios x 8 weight vectors, 36864 points in 144 volume
+families.  Any change to how a block of families is
+assessed, ranked or rendered that moves one byte fails here.
 
 Regenerate only for an intended change of the CSV::
 
@@ -24,7 +27,9 @@ from pathlib import Path
 
 from repro.cli import main
 
-GOLDEN_PATH = Path(__file__).parent / "goldens" / "sweep_csv_golden.json"
+GOLDENS = Path(__file__).parent / "goldens"
+GOLDEN_PATH = GOLDENS / "sweep_csv_golden.json"
+LARGE_GOLDEN_PATH = GOLDENS / "sweep_csv_golden_large.json"
 
 VOLUMES = ",".join(
     repr(volume)
@@ -44,15 +49,31 @@ ARGV = [
     "--csv",
 ]
 
+#: 256 log-spaced volumes from 1e2 to 1e7, each ``repr`` ed.
+LARGE_VOLUMES = ",".join(
+    repr(10.0 ** (2.0 + 5.0 * step / 255)) for step in range(256)
+)
 
-def render() -> dict:
-    """Digest of the CLI's stdout for :data:`ARGV`."""
+LARGE_ARGV = [
+    "sweep",
+    "--volumes", LARGE_VOLUMES,
+    "--tolerances", "uncritical,matching,precision",
+    "--q-models", "paper,skin,substrate",
+    "--nres", "paper,mask-heavy",
+    "--fom-weights",
+    "paper,2:0.5:1.5,1:1:0,0:1:1,1:0:1,1:2:1,0.5:1:2,3:1:1",
+    "--csv",
+]
+
+
+def render(argv=ARGV) -> dict:
+    """Digest of the CLI's stdout for ``argv``."""
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(ARGV) == 0
+        assert main(argv) == 0
     text = out.getvalue()
     return {
-        "argv": ARGV,
+        "argv": argv,
         "lines": text.count("\n"),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
@@ -63,7 +84,16 @@ def test_multi_family_sweep_csv_matches_golden():
     assert render() == expected
 
 
+def test_large_multi_axis_sweep_csv_matches_golden():
+    expected = json.loads(LARGE_GOLDEN_PATH.read_text())
+    assert render(LARGE_ARGV) == expected
+
+
 if __name__ == "__main__":
     if "--write" in sys.argv:
-        GOLDEN_PATH.write_text(json.dumps(render(), indent=2) + "\n")
-        print(f"wrote {GOLDEN_PATH}")
+        for path, argv in (
+            (GOLDEN_PATH, ARGV),
+            (LARGE_GOLDEN_PATH, LARGE_ARGV),
+        ):
+            path.write_text(json.dumps(render(argv), indent=2) + "\n")
+            print(f"wrote {path}")

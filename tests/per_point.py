@@ -14,10 +14,19 @@ the references in ``tests/study_reference.py``.
 
 Give the reference its own :class:`~repro.core.sweep.EvaluationCache`:
 its cost table holds whole reports, the spine's holds final costs.
+
+It also keeps the per-point family grouping the engine used before it
+read a block's families off the grid's flat indices
+(:func:`repro.core.sweep.block_families`): :func:`family_runs` groups
+a list of points by the ``id`` s, then the ``repr`` s, of their axes,
+and :func:`grouped_frame` feeds those families to the production
+assessment and ranking, so the two derivations can be compared bit
+for bit, cache stats included.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -27,7 +36,14 @@ from repro.circuits.performance import ChainPerformance, assess_chain
 from repro.core.methodology import BuildUpAssessment, CandidateBuildUp
 from repro.core.ranking import DecisionFrame
 from repro.core.resultframe import COLUMN_ORDER, ResultFrame
-from repro.core.sweep import EvaluationCache
+from repro.core.sweep import (
+    EvaluationCache,
+    Family,
+    _seed_family_placements,
+    assess_family,
+    candidate_area_keys,
+    frame_for_cells,
+)
 from repro.errors import SpecificationError
 
 from moe_reference import evaluate
@@ -155,4 +171,99 @@ def per_point_frame(
         cost_ratio=np.asarray(cost, dtype=np.float64),
         indices=tuple(range(len(studies))),
         row_counts=tuple(len(result.rows) for _, result in studies),
+    )
+
+
+#: The axes a volume family shares: every ``DesignPoint`` field but
+#: the volume.
+_family_axes = attrgetter(
+    "substrate", "process", "tolerance", "q_model", "nre", "weights"
+)
+
+
+def _families(points) -> dict[tuple, list[int]]:
+    """:func:`family_runs`, each run under its family key: the ``repr``
+    of every axis but the volume."""
+    by_identity: dict[tuple[int, ...], list[int]] = {}
+    for position, point in enumerate(points):
+        identity = tuple(map(id, _family_axes(point)))
+        by_identity.setdefault(identity, []).append(position)
+    families: dict[tuple[str, ...], list[int]] = {}
+    for run in by_identity.values():
+        key = tuple(map(repr, _family_axes(points[run[0]])))
+        family = families.get(key)
+        if family is None:
+            families[key] = run
+        else:
+            family.extend(run)
+            family.sort()
+    return families
+
+
+def family_runs(points) -> list[list[int]]:
+    """Group point positions into volume families.
+
+    Two points belong to one family when every axis except the volume
+    agrees (by content ``repr``, the cache-key discipline).  Points are
+    first grouped by the ``id`` s of their axis objects, and one point
+    per such group is ``repr`` ed; groups with equal reprs (equal
+    content held by distinct objects) merge into one family, positions
+    in run order.
+    """
+    return list(_families(points).values())
+
+
+def grouped_frame(
+    points, candidate_factory, reference, weights, cache, indices=None
+):
+    """A block of explicit points through the per-point grouping.
+
+    The engine as it was before the grid handed out its families: a
+    volume-invariant factory's points grouped by :func:`_families`
+    (any other factory's one family per point), each family's volumes
+    and their reprs gathered point by point, then the production
+    candidate memo, placement seeding, :func:`assess_family` and
+    :func:`frame_for_cells`.  Point ``p`` lands at ``indices[p]``.
+    """
+    indices = range(len(points)) if indices is None else indices
+    batched = getattr(candidate_factory, "volume_invariant", False)
+    if batched:
+        grouped = list(_families(points).items())
+    else:
+        grouped = [(None, [position]) for position in range(len(points))]
+    families = [
+        Family(
+            points[run[0]],
+            key,
+            np.asarray(run, dtype=np.intp),
+            [points[position].volume for position in run],
+            [repr(points[position].volume) for position in run],
+        )
+        for key, run in grouped
+    ]
+    if batched:
+        family_candidates = [
+            cache.memo(
+                ("candidates", id(candidate_factory), family.key),
+                candidate_factory,
+                lambda: list(candidate_factory(family.point)),
+            )
+            for family in families
+        ]
+    else:
+        family_candidates = [
+            list(candidate_factory(family.point)) for family in families
+        ]
+    area_keys = candidate_area_keys(family_candidates, cache)
+    if batched:
+        _seed_family_placements(family_candidates, area_keys, cache)
+    return frame_for_cells(
+        [
+            assess_family(family, candidates, keys, reference, weights, cache)
+            for family, candidates, keys in zip(
+                families, family_candidates, area_keys
+            )
+        ],
+        np.asarray([point.volume for point in points], dtype=np.float64),
+        indices,
     )

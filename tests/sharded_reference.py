@@ -29,6 +29,7 @@ from repro.core.sweep import (
     CandidateFactory,
     DesignPoint,
     EvaluationCache,
+    SweepGrid,
     evaluate_cells,
 )
 from repro.errors import SpecificationError
@@ -40,8 +41,8 @@ class ShardedExecutor:
     Partitions the grid with :func:`~repro.core.sharding.shard_indices`
     — exactly the runs the cross-host flow would distribute — and
     evaluates each shard sequentially through
-    :func:`~repro.core.sweep.evaluate_cells` against the caller's
-    shared cache.  Because the cache is shared,
+    :func:`~repro.core.sweep.evaluate_cells`, as the grid plus the
+    shard's indices, against the caller's shared cache.  Because the cache is shared,
     memoisation still spans shard boundaries and the engine is
     byte-identical to serial with only partition bookkeeping as
     overhead.
@@ -58,7 +59,7 @@ class ShardedExecutor:
 
     def run_sweep(
         self,
-        points: Sequence[DesignPoint],
+        grid: SweepGrid | Sequence[DesignPoint],
         candidate_factory: CandidateFactory,
         reference: int,
         weights: FomWeights,
@@ -66,12 +67,12 @@ class ShardedExecutor:
     ) -> DecisionFrame:
         frames = []
         for shard_index in range(self.shards):
-            indices = shard_indices(len(points), self.shards, shard_index)
+            indices = shard_indices(len(grid), self.shards, shard_index)
             if not indices:
                 continue
             frames.append(
                 evaluate_cells(
-                    [points[i] for i in indices],
+                    grid,
                     candidate_factory,
                     reference,
                     weights,
