@@ -6,9 +6,10 @@ distributes, but drives them through the serial fill
 (``evaluate_cells``) against the caller's *shared* cache — so memoisation still spans shard boundaries
 and the only added work is partition bookkeeping.  This benchmark pins
 that claim on the small GPS grid: identical rows, and wall-clock
-within 10 % of the serial engine (best-of-5 timing keeps CI noise out
-of the signal; a small absolute allowance covers timer resolution on
-sub-millisecond deltas).
+within 10 % of the serial engine (best-of-5 timing, the two engines
+alternating per repeat so a noisy burst on a shared host slows both,
+keeps CI noise out of the signal; a small absolute allowance covers
+timer resolution on sub-millisecond deltas).
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ MAX_OVERHEAD = 0.10
 TIMER_SLACK_S = 0.010
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    """Minimum wall-clock of ``repeats`` runs (noise-robust timing)."""
-    best = float("inf")
+def _best_of_interleaved(*fns, repeats: int = 5) -> list[float]:
+    """Minimum wall-clock of each function over ``repeats`` rounds, one
+    run of each per round (noise-robust, and fair under drift)."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for slot, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[slot] = min(best[slot], time.perf_counter() - start)
     return best
 
 
@@ -58,8 +61,7 @@ def test_sharded_engine_overhead_and_identity():
 
     assert sharded().frame.to_rows() == serial().frame.to_rows()
 
-    serial_s = _best_of(serial)
-    sharded_s = _best_of(sharded)
+    serial_s, sharded_s = _best_of_interleaved(serial, sharded)
     overhead = sharded_s / serial_s - 1.0
     print(
         f"\n3-volume GPS grid: serial {1e3 * serial_s:.1f} ms, "

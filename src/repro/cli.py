@@ -26,10 +26,10 @@ Installed as ``repro-gps``.  Subcommands:
   ``--from-shards``) into content-addressed frame files and answer
   decision queries from them, on the command line or over HTTP.
 
-Every report mode streams through a chunked frame store under a row
+Every report mode streams through a spilled warehouse under a row
 budget (``--max-rows-in-memory`` or ``$REPRO_SWEEP_MAX_ROWS``), kept
-in ``--spill-dir`` when one is given; stdout is byte-identical to the
-in-RAM report.
+in ``--spill-dir`` (which ``warehouse query`` answers) when one is
+given; stdout is byte-identical to the in-RAM report.
 
 Which flags each mode of ``sweep``, ``gather`` and ``warehouse build``
 takes is one table, :data:`MODE_TABLES`, checked before the mode runs.
@@ -550,27 +550,28 @@ def _row_budget(args: argparse.Namespace) -> Optional[int]:
 
 
 def _render_spilled(args, build, identity=None) -> int:
-    """Spill through ``build(directory)``, then render the frame store.
+    """Spill through ``build(directory)``, then render the store.
 
     Stdout is byte-identical to the in-RAM report: CSV streams the
-    store chunk by chunk; the table crosses the identity bridge
+    store frame by frame; the table crosses the identity bridge
     (:meth:`~repro.core.framestore.ChunkedFrameStore.to_frame`).
     Without --spill-dir the store lives in a temporary directory for
-    as long as it is rendered.  With it, a complete store already
-    there for exactly the grid ``identity()`` names (called only then;
-    a merge or gather runs its cover over the shard directory) is
-    re-read instead of rebuilt — the same discipline as ``--resume``;
-    a half-written or foreign store is refused.  A run without an
-    ``identity`` (adaptive) builds into the directory.
+    as long as it is rendered.  With it, a warehouse already there
+    whose frames cover exactly the grid ``identity()`` names (called
+    only then; a merge or gather runs its cover over the shard
+    directory) is re-read instead of rebuilt — the same discipline as
+    ``--resume``; a partial or foreign one is refused.  A run without
+    an ``identity`` (adaptive) builds into the directory.
     """
-    from .core.framestore import MANIFEST_NAME, ChunkedFrameStore
+    from .core.framestore import ChunkedFrameStore
+    from .core.warehouse import holds_manifest
 
     if args.spill_dir is None:
         with tempfile.TemporaryDirectory(prefix="repro-spill-") as scratch:
             _print_store_report(build(Path(scratch) / "store"), args)
         return 0
     directory = Path(args.spill_dir)
-    if identity is None or not (directory / MANIFEST_NAME).exists():
+    if identity is None or not holds_manifest(directory):
         _print_store_report(build(_create_directory(directory)), args)
         return 0
     grid = identity()
@@ -580,7 +581,7 @@ def _render_spilled(args, build, identity=None) -> int:
             f"spill directory {directory} holds an incomplete "
             f"frame store (crashed run?); remove it and re-run"
         )
-    if GridIdentity.from_payload(store.meta) != grid:
+    if store.manifest.grid != grid:
         raise SpecificationError(
             f"spill directory {directory} holds a frame store for "
             f"a different grid; remove it or pick another "
@@ -589,15 +590,15 @@ def _render_spilled(args, build, identity=None) -> int:
     # Reuse is chatter, not output: stdout stays pure table/CSV.
     print(
         f"reusing spilled frame store at {directory} "
-        f"({store.chunk_count} chunks, {store.total_rows} rows)",
+        f"({store.chunk_count} frames, {store.total_rows} rows)",
         file=sys.stderr,
     )
     _print_store_report(store, args)
     return 0
 
 
-def _print_store_report(store: ChunkedFrameStore, args) -> None:
-    """Render a chunked frame store like :func:`_print_sweep_report`."""
+def _print_store_report(store, args) -> None:
+    """Render a spilled store like :func:`_print_sweep_report`."""
     stats = store.meta.get("cache_stats", {})
     if args.csv:
         _print_csv(store.csv_lines(), stats, args)
@@ -669,7 +670,7 @@ def _run_merge(args: argparse.Namespace) -> int:
     if max_rows is None:
         _print_sweep_report(merge_shard_artifacts(paths), args)
         return 0
-    # Out-of-core merge: spill to a chunked frame store and stream it
+    # Out-of-core merge: spill to a warehouse directory and stream it
     # out — byte-identical stdout, bounded memory.
     from .core.framestore import merge_artifacts_to_store
 
@@ -844,11 +845,9 @@ def _run_adaptive(args: argparse.Namespace) -> int:
         _print_adaptive_summary(report, args)
         _print_sweep_report(report.report, args)
         return 0
-    from .core.framestore import MANIFEST_NAME
+    from .core.warehouse import holds_manifest
 
-    if args.spill_dir is not None and (
-        Path(args.spill_dir) / MANIFEST_NAME
-    ).exists():
+    if args.spill_dir is not None and holds_manifest(args.spill_dir):
         # The exhaustive spill can verify reuse against the grid
         # identity; an adaptive run cannot — which points were
         # evaluated depends on the refinement itself.
@@ -879,8 +878,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         _print_sweep_report(run_gps_sweep(grid), args)
         return 0
 
-    # Out-of-core mode: spill completed rows to a chunked frame store
-    # as the sweep streams, then render from the store.
+    # Out-of-core mode: spill completed rows to a warehouse directory
+    # as the sweep streams, then render from it.
     return _render_spilled(
         args,
         lambda directory: spill_gps_sweep(grid, directory, max_rows),
@@ -893,7 +892,7 @@ def _run_gather(args: argparse.Namespace) -> int:
 
     Exit codes separate *asking wrong* from *not done yet*: an
     unreadable manifest or a broken spill store (wrong grid, corrupt
-    chunk) exits 2, while an incomplete directory, a timeout or a
+    frame) exits 2, while an incomplete directory, a timeout or a
     rejected artifact exit 1 with a one-line reason — the right signal
     for a supervisor restarting the watch.
     """

@@ -1,7 +1,7 @@
 """Adaptive Pareto-refinement sweep driver (coarse → zoom passes).
 
-Every tier so far — batched MNA, sharding, the queue fabric, the
-warehouse, the out-of-core store — evaluates the **exhaustive**
+Every other tier — batched MNA, sharding, the queue fabric, the
+warehouse and its spill writer — evaluates the **exhaustive**
 Cartesian grid.  This module attacks the evaluation count instead: run
 a *coarse* pass over a subsampled grid, find the cells that put rows on
 (or within a configurable dominance margin of) the current global
@@ -33,8 +33,7 @@ exhaustive front restricted to the evaluated points, because every
 evaluated point is an exhaustive-grid point evaluated through exactly
 the same :func:`~repro.core.sweep.evaluate_cells` path.
 
-Each pass is an ordinary point list — only the points it evaluates,
-resolved with :meth:`~repro.core.grid.SweepGrid.point_at` — driven
+Each pass is the grid plus the flat indices it evaluates, driven
 through :func:`~repro.core.sweep.stream_decision_frames` (serial,
 family-batched blocks) with one shared memoised
 :class:`~repro.core.sweep.EvaluationCache`, so the sweep machinery
@@ -45,8 +44,10 @@ an index of the evaluated set, never from a scan of the axis.  All
 passes merge into one canonical
 :class:`~repro.core.ranking.DecisionFrame` — deduplicated by design
 point (one evaluation per grid coordinate, whatever pass proposed it
-first) and ordered by the point's canonical grid position —
-byte-compatible with the warehouse and framestore ingest paths.
+first) and ordered by the point's canonical grid position — the unit
+a warehouse frame stores, so a spilled adaptive run
+(:func:`spill_adaptive_sweep`) is a warehouse of the grid whose
+frames cover the evaluated points.
 
 The :class:`AdaptiveReport` records per-pass evaluation counts, front
 deltas and cache reuse, so the "≥10x fewer evaluations at equal front
@@ -162,9 +163,10 @@ class AdaptiveReport:
     ``frame`` carries the merged results of every pass in canonical
     grid order — byte-identical to what an exhaustive sweep
     restricted to ``evaluated_indices`` would report, so all frame
-    consumers (warehouse ingest, framestore spill, CSV) compose
-    unchanged.  ``grid_points`` is the exhaustive grid's size;
-    ``savings`` is the headline evaluation-count ratio.
+    consumers (the warehouse, the spill writer, CSV) compose
+    unchanged; ``dframe`` is that frame with its ratios and indices.
+    ``grid_points`` is the exhaustive grid's size; ``savings`` is the
+    headline evaluation-count ratio.
     """
 
     grid_points: int
@@ -173,9 +175,18 @@ class AdaptiveReport:
     stable: bool
     budget_exhausted: bool
     refine_margin: float
-    frame: ResultFrame
-    evaluated_indices: tuple[int, ...]
+    dframe: DecisionFrame
     cache_stats: dict = field(default_factory=dict)
+
+    @property
+    def frame(self) -> ResultFrame:
+        """The merged rows of every pass, in canonical grid order."""
+        return self.dframe.frame
+
+    @property
+    def evaluated_indices(self) -> tuple[int, ...]:
+        """The grid indices evaluated, in canonical order."""
+        return self.dframe.indices
 
     @property
     def savings(self) -> float:
@@ -535,8 +546,7 @@ def run_adaptive_sweep(
         stable=stable,
         budget_exhausted=budget_exhausted,
         refine_margin=refine_margin,
-        frame=merged.frame,
-        evaluated_indices=merged.indices,
+        dframe=merged,
         cache_stats=cache.stats(),
     )
 
@@ -556,17 +566,15 @@ def spill_adaptive_sweep(
     coarse: int = 4,
     meta: Optional[dict] = None,
 ):
-    """Adaptive sweep whose merged frame lands in a chunk store.
+    """Adaptive sweep whose merged frame is spilled to a warehouse.
 
-    Runs :func:`run_adaptive_sweep` and spills the canonical merged
-    frame into a
-    :class:`~repro.core.framestore.ChunkedFrameStore` under
-    ``directory`` — the same ingest path the exhaustive spill uses, so
-    warehouse/framestore consumers read adaptive results unchanged.
-    The store's meta carries the identity of the *evaluated* subgrid
-    (fingerprint, order digest, point count: what the store actually
-    holds) plus the adaptive counters, and the finish meta carries the
-    shared cache's stats.
+    Runs :func:`run_adaptive_sweep` and writes the merged
+    :class:`~repro.core.ranking.DecisionFrame` at its grid indices
+    through a :class:`~repro.core.framestore.ChunkedFrameStore` under
+    ``directory``, under the full grid's identity: the frames cover the
+    evaluated points, so ``warehouse query`` answers over them.  The
+    manifest's meta carries the adaptive counters and the shared
+    cache's stats.
 
     Returns ``(store, report)`` — the report keeps the in-RAM pass
     bookkeeping, the store the durable rows.
@@ -584,13 +592,12 @@ def spill_adaptive_sweep(
         refine_margin=refine_margin,
         coarse=coarse,
     )
-    evaluated_points = [grid.point_at(i) for i in report.evaluated_indices]
     store = ChunkedFrameStore.create(
         directory,
+        GridIdentity.of(grid),
         max_rows_in_memory=max_rows_in_memory,
         meta={
             **(meta or {}),
-            **GridIdentity.of(evaluated_points).payload(),
             "adaptive": {
                 "grid_points": report.grid_points,
                 "total_evaluations": report.total_evaluations,
@@ -601,5 +608,5 @@ def spill_adaptive_sweep(
             },
         },
     )
-    store.append(report.frame)
+    store.append(report.dframe)
     return store.finish(meta={"cache_stats": report.cache_stats}), report

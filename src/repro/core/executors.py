@@ -62,16 +62,15 @@ class SerialExecutor:
 
         The streaming surface of
         :func:`~repro.core.sweep.stream_decision_frames` and its
-        constant-memory consumers (the chunked frame store's
-        :func:`~repro.core.framestore.spill_design_sweep`, the adaptive
-        driver): contiguous blocks of :data:`STREAM_BLOCK` points go
-        through :func:`~repro.core.sweep.evaluate_cells` — the
-        family-batched fill, for a volume-invariant factory — so at
-        most one block is held at a time.  Point ``p`` lands at point
-        index ``indices[p]`` (``p`` when omitted); each block is built
-        at its final indices.  Results are bit-identical
-        whatever the block boundaries, and the batched fill's
-        :meth:`EvaluationCache.count_reuse` discipline keeps the
+        constant-memory consumers (the spill writer,
+        :func:`~repro.core.framestore.spill_design_sweep`; the adaptive
+        driver): the grid's flat ``indices`` (every point when omitted)
+        go in contiguous blocks of :data:`STREAM_BLOCK` through
+        :func:`~repro.core.sweep.evaluate_cells` — the family-batched
+        fill, for a volume-invariant factory — so at most one block is
+        held at a time, each built at its grid indices.  Results are
+        bit-identical whatever the block boundaries, and the batched
+        fill's :meth:`EvaluationCache.count_reuse` discipline keeps the
         per-block cache stats summing to the whole-run tally — so the
         streamed sweep matches
         :func:`~repro.core.sweep.run_design_sweep` rows *and* stats

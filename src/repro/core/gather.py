@@ -38,7 +38,7 @@ fully readable — a poll can never observe a torn file.
   *byte-identical* to ``--merge`` and hence to the serial engine;
 * :func:`gather_directory` / :func:`gather_directory_to_store` — the
   one-shot gather of a finished directory, in RAM or spilled to a
-  chunked frame store, both under the same cover (:func:`gather_grid`
+  warehouse directory, both under the same cover (:func:`gather_grid`
   runs it alone): the same rules and the same refusals, word for
   word, with or without the spill;
 * :func:`watch_directory` — the service loop: poll, publish a
@@ -315,12 +315,12 @@ def gather_directory_to_store(
     max_rows_in_memory: int,
     expected: Optional[QueueManifest] = None,
 ):
-    """Strict one-shot gather spilled to a chunked frame store.
+    """Strict one-shot gather spilled to a warehouse directory.
 
     The out-of-core twin of :func:`gather_directory`, under the same
     cover: the finished shard directory is merged through
     :func:`~repro.core.framestore.merge_artifacts_to_store`, never
-    holding more than one artifact plus the store's row buffer — the
+    holding more than one artifact plus the writer's row buffer — the
     store's row stream is byte-identical to the in-RAM gather's frame,
     and every refusal is the in-RAM gather's, word for word.
     """

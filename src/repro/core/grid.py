@@ -12,15 +12,14 @@ loads no circuit, area, cost, passives or GPS module:
   Q model, NRE scenario, FoM weight vector), with :class:`NreScenario`
   for the NRE axis;
 * :class:`SweepGrid` — the cartesian product of per-axis value lists
-  (:data:`GRID_AXES`), :func:`resolve_grid` (a grid as it is, a point
-  list as a grid of its own points) and :func:`grid_points`, a grid's
-  or an explicit point list's points;
+  (:data:`GRID_AXES`) and :func:`resolve_grid` (a grid as it is, a
+  point list as a grid of its own points);
 * :class:`GridIdentity` — which grid, in which canonical order, of how
   many points: :func:`grid_fingerprint` (a content hash over the
   *sorted* point representations, so it survives axis reordering), the
   order-sensitive :func:`grid_order_digest` (shard *indices* depend on
   the order) and the point count.  Artifacts, queue manifests,
-  warehouses and spilled stores all carry it, and
+  and warehouses (spilled ones included) all carry it, and
   :meth:`GridIdentity.check` is the one rule that compares two;
 * :class:`SweepReport` — a sweep's results as a columnar
   :class:`~repro.core.resultframe.ResultFrame` plus the evaluation
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -268,6 +267,15 @@ class SweepGrid:
             for values in product(*(getattr(self, a) for a in GRID_AXES))
         ]
 
+    def point_reprs(self) -> list[str]:
+        """``repr`` of every point :meth:`points` lists, joined from each
+        axis value's ``repr`` without building a point."""
+        axes = [
+            [f"{field.name}={value!r}" for value in getattr(self, axis)]
+            for axis, field in zip(GRID_AXES, fields(DesignPoint))
+        ]
+        return [f"DesignPoint({', '.join(parts)})" for parts in product(*axes)]
+
     def point_at(self, index: int) -> DesignPoint:
         """The coordinate :meth:`points` lists at ``index``.
 
@@ -302,13 +310,6 @@ def resolve_grid(
     if not points:
         raise SpecificationError("design sweep needs at least one point")
     return points
-
-
-def grid_points(grid: SweepGrid | Iterable[DesignPoint]) -> list[DesignPoint]:
-    """The points of a :class:`SweepGrid` or an explicit iterable of
-    :class:`DesignPoint`, in canonical order; at least one."""
-    grid = resolve_grid(grid)
-    return grid.points() if isinstance(grid, SweepGrid) else grid
 
 
 def grid_order_digest(point_reprs: Iterable[str]) -> str:
@@ -361,8 +362,13 @@ class GridIdentity:
     @classmethod
     def of(cls, grid: SweepGrid | Iterable[DesignPoint]) -> "GridIdentity":
         """The identity of a grid or its resolved points (at least one;
-        each point ``repr`` ed once)."""
-        reprs = [repr(point) for point in grid_points(grid)]
+        each point ``repr`` ed once, a grid's by
+        :meth:`SweepGrid.point_reprs`)."""
+        grid = resolve_grid(grid)
+        if isinstance(grid, SweepGrid):
+            reprs = grid.point_reprs()
+        else:
+            reprs = [repr(point) for point in grid]
         return cls(
             grid_order_digest(sorted(reprs)),
             grid_order_digest(reprs),

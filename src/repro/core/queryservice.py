@@ -603,7 +603,7 @@ class QueryService:
                 {
                     "file": entry.file,
                     "digest": entry.digest,
-                    "points": len(entry.indices),
+                    "points": entry.points,
                     "rows": entry.rows,
                 }
                 for entry in manifest.frames

@@ -28,16 +28,16 @@ module:
   :func:`os.replace` writes, strict reads), so a concurrent reader —
   the incremental gather service polls shard directories — never
   observes a half-written artifact;
-* :class:`ShardCover` — the one account every consumer of artifacts
-  (both merges, both gathers, the warehouse) adds them to, one at a
+* :class:`ShardCover` — the one account every merge of artifacts
+  (both merges, both gathers) adds them to, one at a
   time: one grid in one order, the pinned partition, the index range,
   the overlaps, the final gaps and that each artifact holds its
   shard's points (:func:`shard_misfit`).  Each consumer holds only its
   :class:`CoverPolicy` — the merges' :data:`MERGE_COVER` refuses any
   overlap (a missing or doubled shard is a loud
   :class:`ShardMergeError`, never a silently wrong report), the gather
-  drops a repeated shard index and pins the partition, the warehouse
-  refuses points it already covers.  :func:`matching_artifact` is the
+  drops a repeated shard index and pins the partition (the warehouse
+  keeps its cover as index runs).  :func:`matching_artifact` is the
   one "is this shard I/K of grid G" check (``--resume``, the queue);
 * :func:`merge_shard_artifacts` — reassemble any combination of
   artifacts into one :class:`~repro.core.grid.SweepReport` from
@@ -433,10 +433,8 @@ class CoverPolicy:
     ``by_shard``: artifacts are named by their file, the first pins the
     partition and a shard index seen before is a repeat, dropped
     unchecked.  Every other overlap is refused.  Refusals are ``error``
-    worded by
-    ``overlap`` (``{label}``, ``{first}``, the sorted ``{indices}``),
-    ``self_overlap`` (one artifact naming a point twice; default
-    ``overlap``) and ``incomplete`` (``{missing}`` of ``{total}``).
+    worded by ``overlap`` (``{label}``, ``{first}``, the sorted
+    ``{indices}``) and ``incomplete`` (``{missing}`` of ``{total}``).
 
     ``refuse_misfit``: an artifact whose points are not its shard's
     (:func:`shard_misfit`) is refused when it is added, after every
@@ -447,7 +445,6 @@ class CoverPolicy:
     error: type
     overlap: str
     incomplete: str = ""
-    self_overlap: Optional[str] = None
     by_shard: bool = False
     refuse_misfit: bool = False
 
@@ -455,9 +452,9 @@ class CoverPolicy:
 class ShardCover:
     """Which points of one grid a stream of artifacts covers.
 
-    Each artifact (or warehouse frame) is added on its own, so a
-    streaming consumer holds only indices.  :meth:`add` checks it
-    against the grid (``grid``, else the first one added;
+    Each artifact is added on its own, so a streaming consumer holds
+    only indices.  :meth:`add_artifact` checks it against the grid
+    (``grid``, else the first one added;
     :meth:`~repro.core.grid.GridIdentity.check`), the pinned partition
     and the index range, then classifies its overlap;
     :meth:`require_complete` refuses the gaps (:func:`summarise_missing`,
@@ -474,19 +471,19 @@ class ShardCover:
         grid: Optional[GridIdentity] = None,
         source: str = "",
         shards: Optional[int] = None,
-        covered: Iterable[int] = (),
     ) -> None:
         self.policy = policy
         self.grid, self._source, self.shards = grid, source, shards
-        self.covered: set[int] = set(covered)
+        self.covered: set[int] = set()
         self._shard_indices: set[int] = set()
         self._misfit = ""
 
     def add_artifact(
         self, artifact: ShardArtifact, source: ArtifactLike
     ) -> bool:
-        """:meth:`add` ``artifact``, read from ``source`` (its path or
-        file name, or the artifact itself)."""
+        """Take the points ``artifact``, read from ``source`` (its path
+        or file name, or the artifact itself), carries (``False``: a
+        repeat, dropped), or raise the policy's error."""
         label = artifact.label
         if self.policy.by_shard:
             label = (
@@ -494,26 +491,10 @@ class ShardCover:
                 if isinstance(source, (str, Path))
                 else "<memory>"
             )
-        return self.add(
-            label,
-            artifact.dframe.indices,
-            artifact.grid,
-            artifact.shards,
-            artifact.shard_index,
-        )
-
-    def add(
-        self,
-        label: str,
-        indices: Sequence[int],
-        grid: Optional[GridIdentity] = None,
-        shards: Optional[int] = None,
-        shard_index: Optional[int] = None,
-    ) -> bool:
-        """Take the points ``label`` carries (``False``: a repeat,
-        dropped), or raise the policy's error."""
+        grid, indices = artifact.grid, artifact.dframe.indices
+        shards, shard_index = artifact.shards, artifact.shard_index
         policy, error = self.policy, self.policy.error
-        if grid is not None and self.grid is not None:
+        if self.grid is not None:
             self.grid.check(grid, error, label, self._source)
         pinned = shards if self.shards is None else self.shards
         if policy.by_shard:
@@ -539,18 +520,14 @@ class ShardCover:
             else:
                 fresh.add(index)
         if overlap:
-            first = overlap[0]
-            wording = policy.overlap
-            if first not in self.covered and policy.self_overlap:
-                wording = policy.self_overlap
             raise error(
-                wording.format(
+                policy.overlap.format(
                     label=label,
-                    first=first,
+                    first=overlap[0],
                     indices=summarise_indices(sorted(set(overlap))),
                 )
             )
-        if shards is not None and not self._misfit:
+        if not self._misfit:
             misfit = shard_misfit(indices, total, shards, shard_index)
             misfit = misfit and f"{label} {misfit}"
             if misfit and policy.refuse_misfit:

@@ -16,6 +16,11 @@ Layout of a warehouse directory::
     warehouse.json            # the manifest (atomically republished)
     frame-<digest>.json       # immutable content-addressed frame files
 
+The manifest lists each frame file with its digest, its row count and
+the canonical point indices it covers as sorted half-open runs
+``[[start, stop], ...]``, so its size and every cover check grow with
+the runs, never with the points.
+
 Design rules:
 
 * **Frames carry the re-rank basis.**  Each
@@ -31,7 +36,10 @@ Design rules:
   shard artifacts embed too: ingesting a shard appends the artifact's
   decision frame as read, after one
   :meth:`~repro.core.grid.GridIdentity.check` against the
-  manifest.
+  manifest.  A spilled sweep is a warehouse too: its bounded writer
+  and streaming reader (:class:`~repro.core.framestore.
+  ChunkedFrameStore`) cut frames at whole grid points, and its
+  ``meta`` carries the sweep's cache statistics.
 * **Frame files are immutable and content-addressed.**  Frames are
   :func:`~repro.core.blobstore.put_blob` blobs: the file holds the
   payload's canonical JSON, its name embeds the
@@ -59,11 +67,14 @@ Design rules:
 from __future__ import annotations
 
 import copy
+import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from ..errors import SpecificationError
 from . import blobstore
@@ -72,21 +83,16 @@ from .blobstore import canonical_json  # noqa: F401
 from .figure_of_merit import FomWeights
 from .grid import GridIdentity, resolve_grid
 from .ranking import DecisionFrame
-from .sharding import (
-    CoverPolicy,
-    ShardArtifact,
-    ShardCover,
-    find_shard_artifacts,
-    read_shard_artifact,
-)
+from .sharding import ShardArtifact, find_shard_artifacts, read_shard_artifact
 
 if TYPE_CHECKING:
     from .grid import DesignPoint, SweepGrid
     from .sweep import EvaluationCache
 
 #: Manifest format identifier; bumped on incompatible layout changes
-#: (version 2: frame files whose numeric columns are packed).
-WAREHOUSE_FORMAT = "repro-warehouse/2"
+#: (version 2: frame files whose numeric columns are packed; version
+#: 3: frame entries record index runs, and the manifest a ``meta``).
+WAREHOUSE_FORMAT = "repro-warehouse/3"
 
 #: Frame-file format identifier.
 FRAME_FORMAT = "repro-warehouse-frame/2"
@@ -97,8 +103,14 @@ REBUILD_WAREHOUSE = (
     "build`, or re-run the shards and `--from-shards` them)"
 )
 
+#: How a refusal of an older release's spilled frame store ends.
+RESPILL_STORE = "remove the directory and re-run the sweep to spill it again"
+
 #: The manifest filename inside a warehouse directory.
 MANIFEST_NAME = "warehouse.json"
+
+#: The manifest an older release's spill directory held instead.
+LEGACY_STORE_MANIFEST = "framestore.json"
 
 
 class WarehouseError(SpecificationError):
@@ -106,17 +118,11 @@ class WarehouseError(SpecificationError):
 
 
 #: The manifest's own frames cover each point once at most.
-FRAMES_COVER = CoverPolicy(
-    WarehouseError, overlap="warehouse frames overlap on point index {first}"
-)
+FRAMES_OVERLAP = "warehouse frames overlap on point index {first}"
 #: An append refuses every point the warehouse already covers.
-APPEND_COVER = CoverPolicy(
-    WarehouseError,
-    overlap=(
-        "warehouse already covers point index {first}; appending the "
-        "same shard twice?"
-    ),
-    self_overlap=FRAMES_COVER.overlap,
+APPEND_OVERLAP = (
+    "warehouse already covers point index {first}; appending the same "
+    "shard twice?"
 )
 
 
@@ -189,35 +195,108 @@ def read_warehouse_frame(
 
 # -- the manifest -----------------------------------------------------
 
+#: A half-open run ``(start, stop)`` of canonical point indices.
+Run = tuple[int, int]
+
+
+def index_runs(indices: Sequence[int]) -> tuple[Run, ...]:
+    """The sorted half-open runs of distinct point indices:
+    ``(4, 2, 3, 7)`` is ``((2, 5), (7, 8))``.  A repeated index is
+    refused."""
+    points = np.sort(np.fromiter(indices, np.int64, len(indices)))
+    if not points.size:
+        return ()
+    repeated = points[1:][points[1:] == points[:-1]]
+    if repeated.size:
+        raise WarehouseError(FRAMES_OVERLAP.format(first=int(repeated[0])))
+    cuts = np.flatnonzero(np.diff(points) != 1) + 1
+    starts = points[np.r_[0, cuts]].tolist()
+    stops = (points[np.r_[cuts - 1, -1]] + 1).tolist()
+    return tuple(zip(starts, stops))
+
+
+def _cover_with(
+    cover: tuple[Run, ...],
+    runs: tuple[Run, ...],
+    total: int,
+    label: str,
+    overlap: str,
+) -> tuple[Run, ...]:
+    """``cover`` plus ``runs`` (each sorted and disjoint), coalesced.
+
+    Refuses a run past the ``total``-point grid, then a point both hold
+    (``overlap``, worded by its ``{first}``), in O(runs) whatever the
+    runs declare."""
+    for start, stop in runs:
+        if stop > total:
+            raise WarehouseError(
+                f"{label} carries point index {max(start, total)}, "
+                f"outside the {total}-point grid"
+            )
+    merged: list[list[int]] = []
+    for start, stop in heapq.merge(cover, runs):
+        if merged and start < merged[-1][1]:
+            raise WarehouseError(overlap.format(first=start))
+        if merged and start == merged[-1][1]:
+            merged[-1][1] = stop
+        else:
+            merged.append([start, stop])
+    return tuple((start, stop) for start, stop in merged)
+
+
+def is_count(value, minimum: int = 0) -> bool:
+    """``value`` is an exact int (not a bool) of at least ``minimum``."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and value >= minimum
+    )
+
 
 @dataclass(frozen=True)
 class FrameEntry:
-    """One frame file as the manifest records it."""
+    """One frame file as the manifest records it: its points as sorted,
+    disjoint half-open index ``runs``, and its row count."""
 
     file: str
     digest: str
-    indices: tuple[int, ...]
+    runs: tuple[Run, ...]
     rows: int
 
     def __post_init__(self) -> None:
         blobstore.check_blob_name(self.file, WarehouseError, "frame entry")
-        if not isinstance(self.rows, int) or isinstance(
-            self.rows, bool
-        ) or self.rows < 0:
+        if not is_count(self.rows):
             raise WarehouseError(
                 f"frame entry rows must be a non-negative integer, "
                 f"got {self.rows!r}"
             )
-        for value in self.indices:
+        previous = 0
+        for run in self.runs:
             if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 0
+                not isinstance(run, tuple)
+                or len(run) != 2
+                or not all(map(is_count, run))
             ):
                 raise WarehouseError(
-                    f"frame entry indices must be non-negative "
-                    f"integers, got {value!r}"
+                    f"frame entry runs must be [start, stop] pairs of "
+                    f"non-negative integers, got {run!r:.60}"
                 )
+            if not previous <= run[0] < run[1]:
+                raise WarehouseError(
+                    f"frame entry runs must be non-empty, sorted and "
+                    f"disjoint, got {list(run)} after {previous}"
+                )
+            previous = run[1]
+        if self.points > self.rows:
+            raise WarehouseError(
+                f"frame entry runs name {self.points} points but the "
+                f"frame has {self.rows} rows"
+            )
+
+    @property
+    def points(self) -> int:
+        """How many point indices the runs hold."""
+        return sum(stop - start for start, stop in self.runs)
 
 
 @dataclass(frozen=True)
@@ -226,9 +305,11 @@ class WarehouseManifest:
 
     ``revision`` increments on every append, so a reader can cheaply
     tell whether anything changed; ``frames`` lists the
-    content-addressed frame files with the canonical point indices
-    each covers.  ``grid_spec`` optionally carries the CLI axis tokens
-    (the queue-manifest discipline) so tooling can rebuild the grid.
+    content-addressed frame files with the canonical point runs each
+    covers.  ``grid_spec`` optionally carries the CLI axis tokens
+    (the queue-manifest discipline) so tooling can rebuild the grid;
+    ``meta`` what the writer adds (a spill's ``cache_stats``, an
+    adaptive run's counters).
     """
 
     fingerprint: str
@@ -237,43 +318,48 @@ class WarehouseManifest:
     revision: int
     frames: tuple[FrameEntry, ...] = ()
     grid_spec: Optional[dict] = None
-    #: The point indices the frames cover, built by the overlap check
-    #: and carried forward by :meth:`appended`, so that an appender
-    #: never rebuilds it.
-    covered: frozenset[int] = field(init=False, repr=False, compare=False)
+    meta: dict = field(default_factory=dict)
+    #: The runs the frames cover, sorted and coalesced: built by the
+    #: overlap check and carried forward by :meth:`appended`, so that
+    #: an appender never rebuilds it.
+    cover: tuple[Run, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label, value, minimum in (
             ("total_points", self.total_points, 1),
             ("revision", self.revision, 1),
         ):
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < minimum
-            ):
+            if not is_count(value, minimum):
                 raise WarehouseError(
                     f"warehouse manifest {label} must be an integer "
                     f">= {minimum}, got {value!r}"
                 )
-        cover = ShardCover(FRAMES_COVER, self.grid)
+        cover: tuple[Run, ...] = ()
         for entry in self.frames:
-            cover.add(f"warehouse frame {entry.file}", entry.indices)
-        object.__setattr__(self, "covered", frozenset(cover.covered))
+            cover = _cover_with(
+                cover,
+                entry.runs,
+                self.total_points,
+                f"warehouse frame {entry.file}",
+                FRAMES_OVERLAP,
+            )
+        object.__setattr__(self, "cover", cover)
 
-    def appended(self, entry: FrameEntry) -> "WarehouseManifest":
+    def appended(
+        self, entry: FrameEntry, cover: tuple[Run, ...]
+    ) -> "WarehouseManifest":
         """This manifest plus one frame, the revision bumped.
 
-        The caller has checked ``entry.indices`` against the grid and
-        :attr:`covered` (:func:`append_decision_frame` does), so the
-        new manifest carries ``covered`` forward instead of walking
-        every frame again: an append costs O(shard), not O(warehouse).
+        ``cover`` is :attr:`cover` plus ``entry.runs``, which the caller
+        has checked (:func:`append_frame` does), so the new manifest
+        carries it instead of walking every frame again: an append
+        costs O(runs), not O(warehouse).
         """
         manifest = copy.copy(self)
         for name, value in (
             ("revision", self.revision + 1),
             ("frames", self.frames + (entry,)),
-            ("covered", self.covered.union(entry.indices)),
+            ("cover", cover),
         ):
             object.__setattr__(manifest, name, value)
         return manifest
@@ -288,12 +374,19 @@ class WarehouseManifest:
     @property
     def covered_points(self) -> int:
         """How many canonical grid points the frames cover."""
-        return len(self.covered)
+        return sum(stop - start for start, stop in self.cover)
 
     @property
     def complete(self) -> bool:
         """True when every grid point is covered."""
-        return self.covered_points == self.total_points
+        return self.cover == ((0, self.total_points),)
+
+    def covers(self, runs: tuple[Run, ...]) -> bool:
+        """True when every run lies inside the cover."""
+        return all(
+            any(low <= start and stop <= high for low, high in self.cover)
+            for start, stop in runs
+        )
 
 
 def manifest_to_payload(manifest: WarehouseManifest) -> dict:
@@ -308,7 +401,7 @@ def manifest_to_payload(manifest: WarehouseManifest) -> dict:
             {
                 "file": entry.file,
                 "digest": entry.digest,
-                "indices": list(entry.indices),
+                "runs": [list(run) for run in entry.runs],
                 "rows": entry.rows,
             }
             for entry in manifest.frames
@@ -316,6 +409,8 @@ def manifest_to_payload(manifest: WarehouseManifest) -> dict:
     }
     if manifest.grid_spec is not None:
         payload["grid_spec"] = manifest.grid_spec
+    if manifest.meta:
+        payload["meta"] = manifest.meta
     return payload
 
 
@@ -331,11 +426,11 @@ def payload_to_manifest(
         WAREHOUSE_FORMAT,
         REBUILD_WAREHOUSE,
     )
-    grid_spec = payload.get("grid_spec")
-    if grid_spec is not None and not isinstance(grid_spec, dict):
-        raise WarehouseError(
-            f"{source}: warehouse manifest grid_spec must be an object"
-        )
+    for name in ("grid_spec", "meta"):
+        if not isinstance(payload.get(name, {}), dict):
+            raise WarehouseError(
+                f"{source}: warehouse manifest {name} must be an object"
+            )
     try:
         return WarehouseManifest(
             fingerprint=payload["fingerprint"],
@@ -346,12 +441,16 @@ def payload_to_manifest(
                 FrameEntry(
                     file=entry["file"],
                     digest=entry["digest"],
-                    indices=tuple(entry["indices"]),
+                    runs=tuple(
+                        tuple(run) if isinstance(run, list) else run
+                        for run in entry["runs"]
+                    ),
                     rows=entry["rows"],
                 )
                 for entry in payload.get("frames", ())
             ),
-            grid_spec=grid_spec,
+            grid_spec=payload.get("grid_spec"),
+            meta=payload.get("meta", {}),
         )
     except (KeyError, TypeError, SpecificationError) as exc:
         raise WarehouseError(
@@ -364,6 +463,15 @@ def manifest_path(directory: Union[str, Path]) -> Path:
     return Path(directory) / MANIFEST_NAME
 
 
+def holds_manifest(directory: Union[str, Path]) -> bool:
+    """True when ``directory`` holds a warehouse manifest, or the
+    frame store manifest of an older release."""
+    return any(
+        (Path(directory) / name).exists()
+        for name in (MANIFEST_NAME, LEGACY_STORE_MANIFEST)
+    )
+
+
 def read_warehouse_manifest(
     directory: Union[str, Path],
 ) -> WarehouseManifest:
@@ -374,13 +482,26 @@ def read_warehouse_manifest(
 
 
 def read_manifest_bytes(directory: Union[str, Path]) -> bytes:
-    """The manifest file's raw bytes (see :func:`read_warehouse_manifest`)."""
+    """The manifest file's raw bytes (see :func:`read_warehouse_manifest`).
+
+    A directory an older release spilled into holds a frame store
+    manifest instead: it is refused at its format tag."""
     path = manifest_path(directory)
     try:
         return blobstore.read_bytes(path, WarehouseError, "warehouse manifest")
     except WarehouseError as exc:
         if path.exists():
             raise
+        legacy = Path(directory) / LEGACY_STORE_MANIFEST
+        if legacy.exists():
+            declared = blobstore.read_json(
+                legacy, WarehouseError, "frame store"
+            ).get("format")
+            raise WarehouseError(
+                f"{legacy}: unsupported frame store format {declared!r} "
+                f"(expected a {WAREHOUSE_FORMAT!r} {MANIFEST_NAME}); "
+                f"{RESPILL_STORE}"
+            ) from None
         raise WarehouseError(
             f"{exc} (is {directory} a warehouse? build one with "
             f"`repro-gps warehouse build`)"
@@ -398,9 +519,10 @@ def parse_warehouse_manifest(
     return payload_to_manifest(payload, source=str(path))
 
 
-def _publish_manifest(
+def publish_manifest(
     directory: Union[str, Path], manifest: WarehouseManifest
 ) -> WarehouseManifest:
+    """Atomically (re)publish ``manifest`` as ``directory``'s manifest."""
     blobstore.write_json(
         manifest_path(directory), manifest_to_payload(manifest)
     )
@@ -429,7 +551,7 @@ def init_warehouse(
             f"--from-shards / append_shard_artifact, or build into a "
             f"fresh directory"
         )
-    return _publish_manifest(
+    return publish_manifest(
         directory,
         WarehouseManifest(
             **identity.payload(),
@@ -440,24 +562,21 @@ def init_warehouse(
     )
 
 
-def _append_frame(
+def append_frame(
     directory: Path, manifest: WarehouseManifest, dframe: DecisionFrame
 ) -> WarehouseManifest:
     """Publish ``dframe``'s frame file into the warehouse whose current
     manifest is ``manifest``; returns that manifest plus the frame, not
-    yet published."""
-    ShardCover(APPEND_COVER, manifest.grid, covered=manifest.covered).add(
-        "frame", dframe.indices
+    yet published.  Points outside the grid, named twice or already
+    covered are refused before anything is written."""
+    runs = index_runs(dframe.indices)
+    cover = _cover_with(
+        manifest.cover, runs, manifest.total_points, "frame", APPEND_OVERLAP
     )
     payload = frame_payload(dframe, **manifest.grid.payload())
     name, digest = blobstore.put_blob(directory, frame_filename, payload)
-    entry = FrameEntry(
-        file=name,
-        digest=digest,
-        indices=dframe.indices,
-        rows=len(dframe),
-    )
-    return manifest.appended(entry)
+    entry = FrameEntry(file=name, digest=digest, runs=runs, rows=len(dframe))
+    return manifest.appended(entry, cover)
 
 
 def append_decision_frame(
@@ -471,9 +590,9 @@ def append_decision_frame(
     or out-of-range points are refused before anything is written.
     """
     directory = Path(directory)
-    return _publish_manifest(
+    return publish_manifest(
         directory,
-        _append_frame(directory, read_warehouse_manifest(directory), dframe),
+        append_frame(directory, read_warehouse_manifest(directory), dframe),
     )
 
 
@@ -498,9 +617,9 @@ def append_shard_artifact(
     manifest.grid.check(
         artifact.grid, WarehouseError, artifact.label, "the warehouse"
     )
-    manifest = _append_frame(directory, manifest, artifact.dframe)
+    manifest = append_frame(directory, manifest, artifact.dframe)
     if publish:
-        _publish_manifest(directory, manifest)
+        publish_manifest(directory, manifest)
     return manifest
 
 
@@ -555,7 +674,7 @@ def ingest_shard_directory(
         manifest.grid.check(
             artifact.grid, WarehouseError, artifact.label, "the warehouse"
         )
-        if manifest.covered.issuperset(artifact.dframe.indices):
+        if manifest.covers(index_runs(set(artifact.dframe.indices))):
             # Fully covered (or legitimately empty) artifact: nothing
             # new to publish.
             skipped.append(path.name)
@@ -563,7 +682,7 @@ def ingest_shard_directory(
         manifest = append_shard_artifact(directory, artifact, manifest)
         appended.append(path.name)
     if fresh or appended:
-        _publish_manifest(directory, manifest)
+        publish_manifest(directory, manifest)
     return manifest, appended, skipped
 
 
@@ -613,11 +732,7 @@ class FrameCache:
     """
 
     def __init__(self, capacity: int = 8) -> None:
-        if (
-            isinstance(capacity, bool)
-            or not isinstance(capacity, int)
-            or capacity < 1
-        ):
+        if not is_count(capacity, 1):
             raise WarehouseError(
                 f"frame cache capacity must be a positive integer, "
                 f"got {capacity!r}"
@@ -655,6 +770,30 @@ class FrameCache:
             return len(self._entries)
 
 
+def read_frame_entry(
+    directory: Union[str, Path],
+    entry: FrameEntry,
+    cache: Optional[FrameCache] = None,
+) -> DecisionFrame:
+    """The frame file ``entry`` names, through ``cache`` when given,
+    checked against the entry's digest, row count and runs."""
+    path = Path(directory) / entry.file
+    if cache is not None:
+        dframe = cache.get(path, entry.digest)
+    else:
+        dframe = read_warehouse_frame(path, expected_digest=entry.digest)
+    if len(dframe) != entry.rows:
+        raise WarehouseError(
+            f"{path}: frame carries {len(dframe)} rows but the manifest "
+            f"records {entry.rows}"
+        )
+    if index_runs(dframe.indices) != entry.runs:
+        raise WarehouseError(
+            f"{path}: frame holds other points than the manifest's runs"
+        )
+    return dframe
+
+
 def load_warehouse(
     directory: Union[str, Path],
     manifest: Optional[WarehouseManifest] = None,
@@ -663,22 +802,18 @@ def load_warehouse(
     """The warehouse's frames merged into one canonical decision frame.
 
     Reads the manifest fresh (unless one is passed in), resolves every
-    frame file — through the :class:`FrameCache` when given — and
-    merges into canonical point order.  Because the manifest names
-    frame files by content digest, the result is consistent even while
-    a writer is appending: whichever manifest revision was read, all
-    its frame files are already durable.
+    frame file (:func:`read_frame_entry`, through the
+    :class:`FrameCache` when given) and merges into canonical point
+    order.  Because the manifest names frame files by content digest,
+    the result is consistent even while a writer is appending:
+    whichever manifest revision was read, all its frame files are
+    already durable.
     """
-    directory = Path(directory)
     if manifest is None:
         manifest = read_warehouse_manifest(directory)
-    frames = []
-    for entry in manifest.frames:
-        path = directory / entry.file
-        if cache is not None:
-            frames.append(cache.get(path, entry.digest))
-        else:
-            frames.append(
-                read_warehouse_frame(path, expected_digest=entry.digest)
-            )
-    return merge_decision_frames(frames)
+    return merge_decision_frames(
+        [
+            read_frame_entry(directory, entry, cache)
+            for entry in manifest.frames
+        ]
+    )

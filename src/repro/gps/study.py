@@ -209,10 +209,11 @@ def spill_gps_sweep(
     """Out-of-core variant of :func:`run_gps_sweep`.
 
     Evaluates the grid while spilling completed cells into a
-    :class:`~repro.core.framestore.ChunkedFrameStore` under
-    ``directory``, never buffering more than ``max_rows_in_memory``
-    rows — the store's row stream (chunks, CSV, Pareto mask) is
-    byte-identical to :func:`run_gps_sweep`'s in-RAM frame.  The CLI
+    warehouse directory through a
+    :class:`~repro.core.framestore.ChunkedFrameStore`, buffering fewer
+    than ``max_rows_in_memory`` rows beyond the frame being cut — the
+    store's row stream (CSV, Pareto mask) is byte-identical to
+    :func:`run_gps_sweep`'s in-RAM frame.  The CLI
     flow is ``repro-gps sweep --max-rows-in-memory N [--spill-dir
     DIR]`` (or ``$REPRO_SWEEP_MAX_ROWS``).
     """
@@ -280,13 +281,13 @@ def spill_adaptive_gps_sweep(
     refine_margin: float = 0.0,
     coarse: int = 4,
 ):
-    """Adaptive GPS sweep spilled to a chunk store.
+    """Adaptive GPS sweep spilled to a warehouse directory.
 
-    Combines :func:`run_adaptive_gps_sweep` with the out-of-core store
+    Combines :func:`run_adaptive_gps_sweep` with the spill writer
     (:func:`~repro.core.adaptive.spill_adaptive_sweep`): the merged
-    canonical frame lands chunked under ``directory`` with the
-    evaluated-subgrid identity and adaptive counters in the manifest
-    meta.  Returns ``(store, report)``.
+    decision frame lands under ``directory`` at its grid indices, with
+    the adaptive counters in the manifest meta.  Returns
+    ``(store, report)``.
     """
     from ..core.adaptive import spill_adaptive_sweep
 

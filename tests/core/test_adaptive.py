@@ -43,6 +43,7 @@ from repro.core.adaptive import (
 )
 from repro.core import executors
 from repro.core.figure_of_merit import FomWeights
+from repro.core.grid import GridIdentity
 from repro.core.methodology import CandidateBuildUp
 from repro.core.sweep import (
     DesignPoint,
@@ -394,7 +395,9 @@ class TestSpill:
         meta = store.meta["adaptive"]
         assert meta["grid_points"] == len(grid)
         assert meta["total_evaluations"] == report.total_evaluations
-        assert store.meta["total_points"] == report.total_evaluations
+        # The frames cover the evaluated points of the full grid.
+        assert store.manifest.grid == GridIdentity.of(grid)
+        assert store.manifest.covered_points == report.total_evaluations
 
 
 class TestValidation:

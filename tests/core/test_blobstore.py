@@ -1,8 +1,8 @@
 """Fault suite for the storage primitive (``repro.core.blobstore``).
 
-Every on-disk container — shard artifacts, warehouse frames, frame
-store chunks and manifests, the queue manifest — publishes and reads
-through one module, so crash safety is proven once, here:
+Every on-disk container — shard artifacts, warehouse frames and
+manifests (a spilled store's included), the queue manifest — publishes
+and reads through one module, so crash safety is proven once, here:
 
 * a written file truncated at *every* byte offset, or with any byte
   flipped, ends in the caller's error class (or, for a flip that keeps
@@ -42,11 +42,7 @@ from hypothesis import strategies as st
 import repro.core as core_package
 from repro.core import blobstore
 from repro.core.blobstore import ArtifactState, artifact_state, pending_path
-from repro.core.framestore import (
-    MANIFEST_NAME as STORE_MANIFEST,
-    ChunkedFrameStore,
-    FrameStoreError,
-)
+from repro.core.framestore import ChunkedFrameStore
 from repro.core.queue import (
     QueueError,
     QueueManifest,
@@ -62,6 +58,7 @@ from repro.core.sharding import (
     write_shard_artifact,
 )
 from repro.core.warehouse import (
+    MANIFEST_NAME as STORE_MANIFEST,
     DecisionFrame,
     WarehouseError,
     frame_filename,
@@ -277,7 +274,7 @@ class TestNoReEncode:
         frame, digest = _frame_file(tmp_path / "warehouse")
         store = _store(tmp_path / "store")
         manifest = json.loads((store.directory / STORE_MANIFEST).read_bytes())
-        chunk = manifest["chunks"][0]
+        chunk = manifest["frames"][0]
         with _counting(*self.ENCODERS) as calls:
             read_warehouse_frame(frame, expected_digest=digest)
             blobstore.get_blob(
@@ -397,15 +394,15 @@ class TestLegacyBlobs:
         _store(tmp_path / "old" / "store")
         monkeypatch.undo()
         assert (legacy_frame.name, legacy_digest) == (frame.name, digest)
-        legacy_chunks = sorted((tmp_path / "old" / "store").glob("chunk-*"))
-        chunks = sorted((tmp_path / "new" / "store").glob("chunk-*"))
+        legacy_chunks = sorted((tmp_path / "old" / "store").glob("frame-*"))
+        chunks = sorted((tmp_path / "new" / "store").glob("frame-*"))
         assert [p.name for p in legacy_chunks] == [p.name for p in chunks]
         for old, new in zip([legacy_frame, *legacy_chunks], [frame, *chunks]):
             assert old.read_bytes() != new.read_bytes()
             assert json.loads(old.read_bytes()) == json.loads(new.read_bytes())
         with pytest.raises(WarehouseError, match="tampered or mispaired"):
             read_warehouse_frame(legacy_frame, expected_digest=digest)
-        with pytest.raises(FrameStoreError, match="tampered or mispaired"):
+        with pytest.raises(WarehouseError, match="tampered or mispaired"):
             ChunkedFrameStore.open(tmp_path / "old" / "store").to_frame()
 
 
@@ -747,8 +744,11 @@ def _frame_file(directory: Path) -> tuple[Path, str]:
 
 
 def _store(directory: Path) -> ChunkedFrameStore:
-    store = ChunkedFrameStore.create(directory, max_rows_in_memory=2)
-    store.append(_frame(3))
+    store = ChunkedFrameStore.create(
+        directory, GridIdentity("f" * 16, "o" * 16, 3), max_rows_in_memory=2
+    )
+    ones = np.ones(3)
+    store.append(DecisionFrame(_frame(3), ones, ones, (0, 1, 2), (1, 1, 1)))
     return store.finish()
 
 
@@ -770,7 +770,7 @@ def _containers(directory: Path):
     frame, digest = _frame_file(directory / "warehouse")
     store_dir = directory / "store"
     _store(store_dir)
-    chunk = sorted(store_dir.glob("chunk-*.json"))[0]
+    chunk = sorted(store_dir.glob("frame-*.json"))[0]
     queue = _queue_manifest(directory / "queue")
 
     def read_store():
@@ -784,8 +784,8 @@ def _containers(directory: Path):
             WarehouseError,
             True,
         ),
-        (store_dir / STORE_MANIFEST, read_store, FrameStoreError, False),
-        (chunk, read_store, FrameStoreError, True),
+        (store_dir / STORE_MANIFEST, read_store, WarehouseError, False),
+        (chunk, read_store, WarehouseError, True),
         (queue, lambda: read_manifest(queue), QueueError, False),
     ]
 

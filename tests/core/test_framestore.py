@@ -1,14 +1,16 @@
-"""The out-of-core chunked frame store.
+"""The spill writer and reader over the one frame container.
 
 The load-bearing properties, checked with hypothesis:
 
-* **byte identity** — for any rows, any chunk budget (including 1 and
-  larger-than-the-frame) and any append granularity, the store's
-  bridged frame, streamed CSV and chunk layout are bit-identical to
-  the in-RAM reference;
+* **byte identity** — for any rows cut into any cells, any row budget
+  (including 1 and larger-than-the-frame) and any append granularity,
+  the store's bridged frame and streamed CSV are bit-identical to the
+  in-RAM reference, and its frames are cut at whole cells: each holds
+  at least the budget's rows (the last may hold fewer) and overshoots
+  it by less than its last cell's rows;
 * **chunked Pareto equivalence** — the carried-front kernel over any
   block cuts equals :func:`~repro.core.pareto.nondominated_mask` over
-  the concatenated arrays, ties, NaNs and cross-chunk dominators
+  the concatenated arrays, ties, NaNs and cross-frame dominators
   included;
 * **streaming merge** — for any shard count and any artifact order,
   :func:`merge_artifacts_to_store` reproduces
@@ -16,8 +18,9 @@ The load-bearing properties, checked with hypothesis:
   (rows and merged cache statistics).
 
 Around them: the atomic-publication discipline under fault injection
-(a writer killed mid-chunk leaves absent-or-previous, never torn) and
-the typed refusal of truncated, foreign or mispaired chunk files.
+(a writer killed mid-spill leaves the empty manifest, never a torn
+store, and never a complete cover without its meta) and the typed refusal of
+truncated, foreign or mispaired frame files.
 """
 
 from __future__ import annotations
@@ -38,17 +41,14 @@ from repro.area.substrate import PCB_RULE
 from repro.core import blobstore, executors, sharding
 from repro.core.figure_of_merit import FomWeights
 from repro.core.framestore import (
-    CHUNK_FORMAT,
-    MANIFEST_NAME,
-    STORE_FORMAT,
     ChunkedFrameStore,
-    FrameStoreError,
     chunked_nondominated_mask,
     merge_artifacts_to_store,
     spill_design_sweep,
 )
 from repro.core.methodology import CandidateBuildUp
 from repro.core.pareto import nondominated_mask
+from repro.core.ranking import DecisionFrame
 from repro.core.resultframe import (
     ResultFrame,
     SweepRow,
@@ -66,6 +66,7 @@ from repro.core.sharding import (
 from repro.cli import MAX_ROWS_ENV, max_rows_from_env
 from repro.core.grid import DesignPoint, SweepGrid
 from repro.core.sweep import run_design_sweep
+from repro.core.warehouse import MANIFEST_NAME, WarehouseError
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
 from repro.errors import SpecificationError
@@ -84,111 +85,147 @@ labels = st.text(
     max_size=12,
 )
 
-rows_strategy = st.lists(
-    st.builds(
-        SweepRow,
-        volume=finite_floats,
-        substrate=labels,
-        process=labels,
-        tolerance=labels,
-        q_model=labels,
-        nre=labels,
-        weights=labels,
-        candidate=labels,
-        performance=finite_floats,
-        area_percent=finite_floats,
-        cost_percent=finite_floats,
-        figure_of_merit=finite_floats,
-        is_winner=st.booleans(),
-        on_pareto_front=st.booleans(),
-    ),
-    max_size=25,
+row_strategy = st.builds(
+    SweepRow,
+    volume=finite_floats,
+    substrate=labels,
+    process=labels,
+    tolerance=labels,
+    q_model=labels,
+    nre=labels,
+    weights=labels,
+    candidate=labels,
+    performance=finite_floats,
+    area_percent=finite_floats,
+    cost_percent=finite_floats,
+    figure_of_merit=finite_floats,
+    is_winner=st.booleans(),
+    on_pareto_front=st.booleans(),
+)
+
+#: Rows cut into cells: ``(row_counts, rows)``, one cell per point.
+cells_strategy = st.lists(
+    st.integers(min_value=1, max_value=4), max_size=10
+).flatmap(
+    lambda counts: st.tuples(
+        st.just(tuple(counts)),
+        st.lists(row_strategy, min_size=sum(counts), max_size=sum(counts)),
+    )
 )
 
 
-def _spill(frame: ResultFrame, directory, budget: int, splits) -> ChunkedFrameStore:
-    """Append ``frame`` in the given row-count granularity, finish."""
+def _dframe(rows, counts) -> DecisionFrame:
+    """``rows`` as a decision frame of cells of ``counts`` rows, at
+    point indices 0, 1, ... (unit ratios)."""
+    frame = ResultFrame.from_rows(rows)
+    ones = np.ones(len(frame))
+    return DecisionFrame(
+        frame, ones, ones, tuple(range(len(counts))), tuple(counts)
+    )
+
+
+def _grid(points: int) -> GridIdentity:
+    return GridIdentity("grid", "grid", max(points, 1))
+
+
+def _points(dframe: DecisionFrame, start: int, stop: int) -> DecisionFrame:
+    """Points ``start`` to ``stop`` of ``dframe`` (copied rows)."""
+    ends = np.cumsum((0, *dframe.row_counts))
+    rows = np.arange(ends[start], ends[stop])
+    return DecisionFrame(
+        dframe.frame.take(rows),
+        dframe.size_ratio[rows],
+        dframe.cost_ratio[rows],
+        dframe.indices[start:stop],
+        dframe.row_counts[start:stop],
+    )
+
+
+def _spill(dframe: DecisionFrame, directory, budget: int, splits) -> ChunkedFrameStore:
+    """Append ``dframe`` in the given point-count granularity, finish."""
+    points = len(dframe.indices)
     store = ChunkedFrameStore.create(
-        directory, max_rows_in_memory=budget
+        directory, _grid(points), max_rows_in_memory=budget
     )
     start = 0
-    for size in splits:
-        stop = min(start + size, len(frame))
-        store.append(frame.take(np.arange(start, stop)))
+    for size in [*splits, points]:
+        stop = min(start + size, points)
+        store.append(_points(dframe, start, stop))
         start = stop
-        if start >= len(frame):
-            break
-    if start < len(frame):
-        store.append(frame.take(np.arange(start, len(frame))))
     return store.finish()
+
+
+def _layout(store: ChunkedFrameStore) -> list:
+    return [
+        (entry.file, entry.digest, entry.runs, entry.rows)
+        for entry in store.manifest.frames
+    ]
 
 
 class TestStoreByteIdentity:
     @settings(max_examples=60)
     @given(
-        rows=rows_strategy,
+        cells=cells_strategy,
         budget=st.integers(min_value=1, max_value=40),
         splits=st.lists(
-            st.integers(min_value=1, max_value=9), max_size=30
+            st.integers(min_value=1, max_value=5), max_size=12
         ),
     )
     def test_round_trip_any_budget_any_granularity(
-        self, rows, budget, splits
+        self, cells, budget, splits
     ):
-        """to_frame/CSV are bit-identical for every spill schedule."""
-        reference = ResultFrame.from_rows(rows)
+        """to_frame/CSV are bit-identical for every spill schedule, and
+        frames are cut at whole cells."""
+        counts, rows = cells
+        reference = _dframe(rows, counts)
         with tempfile.TemporaryDirectory() as tmp:
             store = _spill(reference, Path(tmp) / "store", budget, splits)
-            assert store.to_frame() == reference
-            assert list(store.csv_lines()) == reference.csv_lines()
+            assert store.to_frame() == reference.frame
+            assert list(store.csv_lines()) == reference.frame.csv_lines()
             assert store.total_rows == len(reference)
-            # The last chunk is the only one allowed to run short.
-            sizes = [entry.rows for entry in store._entries]
-            assert sizes[:-1] == [budget] * max(0, len(sizes) - 1)
+            entries = store.manifest.frames
+            for entry in entries:
+                last_cell = counts[entry.runs[-1][1] - 1]
+                assert entry.rows - last_cell < budget
+            assert all(entry.rows >= budget for entry in entries[:-1])
             reopened = ChunkedFrameStore.open(Path(tmp) / "store")
-            assert reopened.complete
-            assert reopened.to_frame() == reference
+            assert reopened.complete == bool(counts)
+            assert reopened.to_frame() == reference.frame
+            assert [chunk for chunk in reopened.iter_chunks()] == [
+                _points(reference, entry.runs[0][0], entry.runs[-1][1])
+                for entry in entries
+            ]
 
     @settings(max_examples=40)
     @given(
-        rows=rows_strategy,
+        cells=cells_strategy,
         budget=st.integers(min_value=1, max_value=40),
         splits=st.lists(
-            st.integers(min_value=1, max_value=9), max_size=30
+            st.integers(min_value=1, max_value=5), max_size=12
         ),
     )
     def test_chunk_layout_independent_of_append_granularity(
-        self, rows, budget, splits
+        self, cells, budget, splits
     ):
-        """Chunk digests depend only on the row stream and the budget."""
-        reference = ResultFrame.from_rows(rows)
+        """Frame digests depend only on the cells and the budget."""
+        reference = _dframe(cells[1], cells[0])
         with tempfile.TemporaryDirectory() as tmp:
-            whole = _spill(
-                reference, Path(tmp) / "a", budget, [len(reference) or 1]
-            )
+            whole = _spill(reference, Path(tmp) / "a", budget, [])
             pieces = _spill(reference, Path(tmp) / "b", budget, splits)
-            assert [
-                (entry.file, entry.digest, entry.rows)
-                for entry in whole._entries
-            ] == [
-                (entry.file, entry.digest, entry.rows)
-                for entry in pieces._entries
-            ]
+            assert _layout(whole) == _layout(pieces)
 
     def test_budget_larger_than_frame_is_one_chunk(self):
-        frame = ResultFrame.from_rows(
-            [_row(volume=float(i)) for i in range(5)]
-        )
+        dframe = _dframe([_row(volume=float(i)) for i in range(5)], (1,) * 5)
         with tempfile.TemporaryDirectory() as tmp:
-            store = _spill(frame, Path(tmp) / "s", 100, [5])
+            store = _spill(dframe, Path(tmp) / "s", 100, [5])
             assert store.chunk_count == 1
-            assert store.to_frame() == frame
+            assert store.to_frame() == dframe.frame
 
     def test_empty_appends_are_ignored(self, tmp_path):
         store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=3
+            tmp_path / "s", _grid(1), max_rows_in_memory=3
         )
-        store.append(ResultFrame.empty())
+        store.append(DecisionFrame.empty())
         store.finish()
         assert store.chunk_count == 0
         assert store.to_frame() == ResultFrame.empty()
@@ -196,11 +233,21 @@ class TestStoreByteIdentity:
 
     def test_meta_survives_create_finish_open(self, tmp_path):
         store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=3, meta={"k": "v"}
+            tmp_path / "s", _grid(1), max_rows_in_memory=3, meta={"k": "v"}
         )
         store.finish(meta={"done": True})
         reopened = ChunkedFrameStore.open(tmp_path / "s")
         assert reopened.meta == {"k": "v", "done": True}
+
+    def test_a_cell_is_never_split(self, tmp_path):
+        """A budget below one cell's rows still cuts whole cells: each
+        frame holds one five-row cell."""
+        dframe = _dframe([_row(volume=float(i)) for i in range(15)], (5,) * 3)
+        store = _spill(dframe, tmp_path / "s", 2, [])
+        assert [entry.runs for entry in store.manifest.frames] == [
+            ((0, 1),), ((1, 2),), ((2, 3),)
+        ]
+        assert [entry.rows for entry in store.manifest.frames] == [5] * 3
 
 
 def _row(**overrides) -> SweepRow:
@@ -384,7 +431,7 @@ class TestStreamingMerge:
         assert store.to_frame() == reference.frame
         assert store.meta["cache_stats"] == reference.cache_stats
         assert store.complete
-        assert GridIdentity.from_payload(store.meta) == artifacts[0].grid
+        assert store.manifest.grid == artifacts[0].grid
 
     def test_file_swapped_between_passes_is_refused(self, tmp_path):
         artifacts = make_artifacts(3)
@@ -491,7 +538,7 @@ class TestSpillDesignSweep:
         )
         assert store.to_frame() == report.frame
         assert store.meta["cache_stats"] == report.cache_stats
-        assert store.winner_points() == len(POINTS)
+        assert store.to_frame().column("is_winner").sum() == len(POINTS)
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(SpecificationError, match="at least one"):
@@ -542,33 +589,37 @@ def _tree_bytes(directory: Path) -> dict:
 # -- fault injection ---------------------------------------------------
 
 
+def _ten_rows(count: int = 10) -> DecisionFrame:
+    """``count`` one-row cells."""
+    return _dframe([_row(volume=float(i)) for i in range(count)], (1,) * count)
+
+
 def _spilled_store(directory: Path) -> ChunkedFrameStore:
-    frame = ResultFrame.from_rows(
-        [_row(volume=float(i)) for i in range(10)]
+    return _spill(_ten_rows(), directory, 3, [10])
+
+
+def _writer(directory: Path, budget: int) -> ChunkedFrameStore:
+    """An empty store for a ten-point grid."""
+    return ChunkedFrameStore.create(
+        directory, _grid(10), max_rows_in_memory=budget
     )
-    return _spill(frame, directory, 3, [10])
 
 
 class TestAtomicPublication:
     def test_writer_killed_before_chunk_lands(self, tmp_path, monkeypatch):
-        """A crash writing the chunk file leaves the previous store."""
-        store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=3
-        )
-        store.append(
-            ResultFrame.from_rows([_row(volume=float(i)) for i in range(2)])
-        )
+        """A crash writing the frame file leaves the previous store."""
+        store = _writer(tmp_path / "s", 3)
+        ten = _ten_rows()
+        store.append(_points(ten, 0, 2))
 
         def explode(path, data):
             raise OSError("disk gone")
 
-        # Every file (chunk blobs and manifests) lands through the one
+        # Every file (frame blobs and manifests) lands through the one
         # publish seam.
         monkeypatch.setattr(blobstore, "publish_bytes", explode)
         with pytest.raises(OSError):
-            store.append(
-                ResultFrame.from_rows([_row(volume=99.0)])
-            )
+            store.append(_points(ten, 2, 3))
         monkeypatch.undo()
         survivor = ChunkedFrameStore.open(tmp_path / "s")
         assert survivor.chunk_count == 0
@@ -578,12 +629,10 @@ class TestAtomicPublication:
     def test_writer_killed_between_chunk_and_manifest(
         self, tmp_path, monkeypatch
     ):
-        """An orphan chunk file never reaches readers: the manifest is
-        the source of truth, and it still references only the chunks
+        """An orphan frame file never reaches readers: the manifest is
+        the source of truth, and it still lists only the frames
         published before the crash."""
-        store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=3
-        )
+        store = _writer(tmp_path / "s", 3)
         real = blobstore.publish_bytes
 
         def crash_on_manifest(path, data):
@@ -592,15 +641,12 @@ class TestAtomicPublication:
             real(path, data)
 
         monkeypatch.setattr(blobstore, "publish_bytes", crash_on_manifest)
+        store.append(_points(_ten_rows(), 0, 3))
         with pytest.raises(OSError):
-            store.append(
-                ResultFrame.from_rows(
-                    [_row(volume=float(i)) for i in range(3)]
-                )
-            )
+            store.finish()
         monkeypatch.undo()
-        # The chunk file landed but is unreferenced: absent-or-previous.
-        assert list(tmp_path.glob("s/chunk-*.json"))
+        # The frame file landed but is unreferenced: absent-or-previous.
+        assert list(tmp_path.glob("s/frame-*.json"))
         survivor = ChunkedFrameStore.open(tmp_path / "s")
         assert survivor.chunk_count == 0
         assert survivor.total_rows == 0
@@ -608,66 +654,88 @@ class TestAtomicPublication:
     def test_interrupted_replace_leaves_no_tmp_litter(
         self, tmp_path, monkeypatch
     ):
-        store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=2
-        )
+        store = _writer(tmp_path / "s", 2)
 
         def explode(src, dst):
             raise OSError("kill -9")
 
         monkeypatch.setattr(blobstore.os, "replace", explode)
         with pytest.raises(OSError):
-            store.append(
-                ResultFrame.from_rows(
-                    [_row(volume=float(i)) for i in range(2)]
-                )
-            )
+            store.append(_points(_ten_rows(), 0, 2))
         monkeypatch.undo()
         assert not list(tmp_path.glob("s/*.tmp"))
+
+    def test_complete_cover_lands_with_the_meta(self, tmp_path, monkeypatch):
+        """The manifest is published empty, then once by :meth:`finish`
+        with every frame and the meta: a writer killed before that
+        leaves a partial store, which reuse refuses, and a complete
+        cover never lacks its cache statistics."""
+        published = []
+        real = blobstore.publish_bytes
+
+        def recording(path, data):
+            name = Path(path).name
+            published.append(
+                json.loads(data) if name == MANIFEST_NAME else name
+            )
+            real(path, data)
+
+        monkeypatch.setattr(blobstore, "publish_bytes", recording)
+        store = _writer(tmp_path / "s", 5)
+        store.append(_ten_rows())
+        assert [len(p["frames"]) for p in published[:1]] == [0]
+        assert len(published) == 3  # the empty manifest, two frames
+        assert not ChunkedFrameStore.open(tmp_path / "s").complete
+        store.finish(meta={"cache_stats": {}})
+        assert len(published) == 4
+        assert len(published[-1]["frames"]) == 2
+        assert published[-1]["meta"] == {"cache_stats": {}}
+        assert ChunkedFrameStore.open(tmp_path / "s").complete
 
 
 class TestChunkRefusals:
     def test_truncated_chunk_refused(self, tmp_path):
         store = _spilled_store(tmp_path / "s")
-        chunk = sorted((tmp_path / "s").glob("chunk-*.json"))[0]
-        chunk.write_text(chunk.read_text()[:40], encoding="utf-8")
-        with pytest.raises(FrameStoreError, match="not valid JSON"):
+        frame = sorted((tmp_path / "s").glob("frame-*.json"))[0]
+        frame.write_text(frame.read_text()[:40], encoding="utf-8")
+        with pytest.raises(WarehouseError, match="not valid JSON"):
             store.to_frame()
 
     def test_foreign_format_refused(self, tmp_path):
         store = _spilled_store(tmp_path / "s")
-        chunk = sorted((tmp_path / "s").glob("chunk-*.json"))[0]
-        payload = json.loads(chunk.read_text(encoding="utf-8"))
+        frame = sorted((tmp_path / "s").glob("frame-*.json"))[0]
+        payload = json.loads(frame.read_text(encoding="utf-8"))
         payload["format"] = "alien/9"
-        chunk.write_text(json.dumps(payload), encoding="utf-8")
+        frame.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(
-            FrameStoreError, match="unsupported frame chunk format"
+            WarehouseError, match="unsupported warehouse frame format"
         ):
             store.to_frame()
 
     def test_tampered_content_refused_by_digest(self, tmp_path):
         store = _spilled_store(tmp_path / "s")
-        chunk = sorted((tmp_path / "s").glob("chunk-*.json"))[0]
-        payload = json.loads(chunk.read_text(encoding="utf-8"))
+        frame = sorted((tmp_path / "s").glob("frame-*.json"))[0]
+        payload = json.loads(frame.read_text(encoding="utf-8"))
+        rows = sum(payload["row_counts"])
         volume = unpack_column(
-            payload["columns"]["volume"], np.float64, payload["rows"], "v"
+            payload["columns"]["volume"], np.float64, rows, "v"
         ).copy()
         volume[0] = 123456.0
         payload["columns"]["volume"] = pack_column(volume)
-        chunk.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(FrameStoreError, match="digest"):
+        frame.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(WarehouseError, match="digest"):
             store.to_frame()
 
     def test_mispaired_chunk_files_refused(self, tmp_path):
         store = _spilled_store(tmp_path / "s")
-        chunks = sorted((tmp_path / "s").glob("chunk-*.json"))
-        assert len(chunks) >= 2
-        a_text = chunks[0].read_text(encoding="utf-8")
-        chunks[0].write_text(
-            chunks[1].read_text(encoding="utf-8"), encoding="utf-8"
+        frames = sorted((tmp_path / "s").glob("frame-*.json"))
+        assert len(frames) >= 2
+        a_text = frames[0].read_text(encoding="utf-8")
+        frames[0].write_text(
+            frames[1].read_text(encoding="utf-8"), encoding="utf-8"
         )
-        chunks[1].write_text(a_text, encoding="utf-8")
-        with pytest.raises(FrameStoreError, match="digest"):
+        frames[1].write_text(a_text, encoding="utf-8")
+        with pytest.raises(WarehouseError, match="digest"):
             store.to_frame()
 
     @pytest.mark.parametrize(
@@ -675,82 +743,70 @@ class TestChunkRefusals:
         ["../other/{}", "/abs/{}", "sub/{}", "..\\{}", "", ".", ".."],
     )
     def test_chunk_outside_the_store_refused(self, tmp_path, name):
-        """The regression: a manifest naming ``../other/chunk-….json``
+        """The regression: a manifest naming ``../other/<blob>.json``
         (digest intact) used to open, and ``to_frame()`` returned rows
         read from outside the store directory."""
         _spilled_store(tmp_path / "s")
         manifest = tmp_path / "s" / MANIFEST_NAME
         payload = json.loads(manifest.read_text(encoding="utf-8"))
-        chunk = payload["chunks"][0]["file"]
+        frame = payload["frames"][0]["file"]
         (tmp_path / "other").mkdir()
-        (tmp_path / "s" / chunk).rename(tmp_path / "other" / chunk)
-        payload["chunks"][0]["file"] = name.format(chunk)
+        (tmp_path / "s" / frame).rename(tmp_path / "other" / frame)
+        payload["frames"][0]["file"] = name.format(frame)
         manifest.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(FrameStoreError, match="bare file name"):
+        with pytest.raises(WarehouseError, match="bare file name"):
             ChunkedFrameStore.open(tmp_path / "s").to_frame()
 
     def test_missing_chunk_refused(self, tmp_path):
         store = _spilled_store(tmp_path / "s")
-        sorted((tmp_path / "s").glob("chunk-*.json"))[0].unlink()
-        with pytest.raises(FrameStoreError, match="cannot read"):
+        sorted((tmp_path / "s").glob("frame-*.json"))[0].unlink()
+        with pytest.raises(WarehouseError, match="cannot read"):
             store.to_frame()
 
 
 class TestStoreContracts:
     def test_create_refuses_existing_store(self, tmp_path):
-        ChunkedFrameStore.create(tmp_path / "s", max_rows_in_memory=3)
-        with pytest.raises(FrameStoreError, match="already exists"):
-            ChunkedFrameStore.create(
-                tmp_path / "s", max_rows_in_memory=3
-            )
+        _writer(tmp_path / "s", 3)
+        with pytest.raises(WarehouseError, match="already exists"):
+            _writer(tmp_path / "s", 3)
 
     def test_create_refuses_stray_chunks(self, tmp_path):
         (tmp_path / "s").mkdir()
-        (tmp_path / "s" / "chunk-000000-dead.json").write_text("{}")
-        with pytest.raises(FrameStoreError, match="crashed writer"):
-            ChunkedFrameStore.create(
-                tmp_path / "s", max_rows_in_memory=3
-            )
+        (tmp_path / "s" / "frame-dead.json").write_text("{}")
+        with pytest.raises(WarehouseError, match="crashed writer"):
+            _writer(tmp_path / "s", 3)
 
     def test_append_after_finish_refused(self, tmp_path):
-        store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=3
-        )
+        store = _writer(tmp_path / "s", 3)
         store.finish()
-        with pytest.raises(FrameStoreError, match="complete"):
-            store.append(ResultFrame.from_rows([_row()]))
+        with pytest.raises(WarehouseError, match="complete"):
+            store.append(_ten_rows(1))
 
     def test_double_finish_refused(self, tmp_path):
-        store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=3
-        )
+        store = _writer(tmp_path / "s", 3)
         store.finish()
-        with pytest.raises(FrameStoreError, match="already complete"):
+        with pytest.raises(WarehouseError, match="already complete"):
             store.finish()
 
     def test_reading_with_unflushed_buffer_refused(self, tmp_path):
-        store = ChunkedFrameStore.create(
-            tmp_path / "s", max_rows_in_memory=10
-        )
-        store.append(ResultFrame.from_rows([_row()]))
-        with pytest.raises(FrameStoreError, match="unflushed"):
+        store = _writer(tmp_path / "s", 10)
+        store.append(_ten_rows(1))
+        with pytest.raises(WarehouseError, match="unflushed"):
             store.to_frame()
 
     @pytest.mark.parametrize("budget", [0, -1, 1.5, True, "3"])
     def test_bad_budget_refused(self, tmp_path, budget):
-        with pytest.raises(FrameStoreError, match="positive integer"):
-            ChunkedFrameStore.create(
-                tmp_path / "s", max_rows_in_memory=budget
-            )
+        with pytest.raises(WarehouseError, match="positive integer"):
+            _writer(tmp_path / "s", budget)
 
     def test_open_refuses_missing_manifest(self, tmp_path):
-        with pytest.raises(FrameStoreError, match="cannot read"):
+        with pytest.raises(WarehouseError, match="cannot read"):
             ChunkedFrameStore.open(tmp_path / "nope")
 
     def test_open_refuses_truncated_manifest(self, tmp_path):
         (tmp_path / "s").mkdir()
         (tmp_path / "s" / MANIFEST_NAME).write_text('{"format": ')
-        with pytest.raises(FrameStoreError, match="not valid JSON"):
+        with pytest.raises(WarehouseError, match="not valid JSON"):
             ChunkedFrameStore.open(tmp_path / "s")
 
     def test_open_refuses_foreign_format(self, tmp_path):
@@ -759,58 +815,71 @@ class TestStoreContracts:
             json.dumps({"format": "alien/1"})
         )
         with pytest.raises(
-            FrameStoreError, match="unsupported frame store format"
+            WarehouseError, match="unsupported warehouse manifest format"
         ):
             ChunkedFrameStore.open(tmp_path / "s")
 
     def test_open_refuses_row_count_mismatch(self, tmp_path):
+        """A manifest entry whose row count is not its frame's is
+        refused when the frame is read."""
         _spilled_store(tmp_path / "s")
         manifest = tmp_path / "s" / MANIFEST_NAME
         payload = json.loads(manifest.read_text(encoding="utf-8"))
-        payload["total_rows"] += 1
+        payload["frames"][0]["rows"] += 1
         manifest.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(FrameStoreError, match="total_rows"):
-            ChunkedFrameStore.open(tmp_path / "s")
+        with pytest.raises(WarehouseError, match="manifest records 4"):
+            ChunkedFrameStore.open(tmp_path / "s").to_frame()
 
 
 class TestBufferCopies:
-    """The writer copies each buffered row once: cutting one large frame
-    into many chunks used to re-copy its unflushed tail at every chunk,
-    O(F²/B) rows for an F-row frame at budget B."""
+    """The writer copies each buffered row at most once: cutting one
+    large frame into many frames used to re-copy its unflushed tail at
+    every cut, O(F²/B) rows for an F-row frame at budget B."""
 
     ROWS, BUDGET = 10_000, 64
 
     @classmethod
-    def _frame(cls) -> ResultFrame:
+    def _frame(cls) -> DecisionFrame:
         rows = [_row(volume=float(i)) for i in range(8)]
-        return ResultFrame.from_rows(rows).take(
-            np.arange(cls.ROWS) % 8
+        frame = ResultFrame.from_rows(rows).take(np.arange(cls.ROWS) % 8)
+        ones = np.ones(cls.ROWS)
+        return DecisionFrame(
+            frame, ones, ones, tuple(range(cls.ROWS)), (1,) * cls.ROWS
         )
 
     def test_one_large_frame_is_copied_once(self, tmp_path, monkeypatch):
-        frame = self._frame()
-        taken = []
-        real = ResultFrame.take
+        dframe = self._frame()
+        copied = []
+        take, concat = ResultFrame.take, ResultFrame.concat.__func__
 
-        def counting(self, indices):
-            taken.append(len(indices))
-            return real(self, indices)
+        def counting_take(self, indices):
+            copied.append(len(indices))
+            return take(self, indices)
 
-        monkeypatch.setattr(ResultFrame, "take", counting)
-        store = ChunkedFrameStore.create(
-            tmp_path / "one", max_rows_in_memory=self.BUDGET
+        def counting_concat(cls, frames):
+            frames = list(frames)
+            if len(frames) > 1:
+                copied.append(sum(map(len, frames)))
+            return concat(cls, frames)
+
+        monkeypatch.setattr(ResultFrame, "take", counting_take)
+        monkeypatch.setattr(
+            ResultFrame, "concat", classmethod(counting_concat)
         )
-        store.append(frame)
+        store = ChunkedFrameStore.create(
+            tmp_path / "one", _grid(self.ROWS), max_rows_in_memory=self.BUDGET
+        )
+        store.append(dframe)
         store.finish()
         monkeypatch.undo()
-        assert sum(taken) <= self.ROWS
+        assert sum(copied) <= self.ROWS
         assert store.chunk_count == -(-self.ROWS // self.BUDGET)
-        assert store.to_frame() == frame
+        assert store.to_frame() == dframe.frame
 
     def test_chunk_bytes_do_not_depend_on_append_size(self, tmp_path):
-        frame = self._frame()
-        one = _spill(frame, tmp_path / "one", self.BUDGET, [self.ROWS])
-        pieces = _spill(frame, tmp_path / "pieces", self.BUDGET, [37] * 300)
+        dframe = self._frame()
+        one = _spill(dframe, tmp_path / "one", self.BUDGET, [self.ROWS])
+        pieces = _spill(dframe, tmp_path / "pieces", self.BUDGET, [37] * 300)
         names = sorted(path.name for path in one.directory.iterdir())
         assert names == sorted(
             path.name for path in pieces.directory.iterdir()

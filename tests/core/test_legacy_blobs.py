@@ -1,10 +1,10 @@
 """Stores written by an older release are refused; today's are pinned.
 
-``legacy_blobs/`` holds a warehouse, a spilled chunk store and two
-shard artifacts in older formats.  The warehouse and the store were
-written by commit ``6387989``, whose blobs were ``json.dumps`` lines
-(default separators, insertion key order) named by the digest of the
-payload's canonical JSON, with numeric columns as JSON number lists::
+``legacy_blobs/`` holds warehouses, spilled chunk stores and two shard
+artifacts in older formats.  ``warehouse`` and ``store`` were written
+by commit ``6387989``, whose blobs were ``json.dumps`` lines (default
+separators, insertion key order) named by the digest of the payload's
+canonical JSON, with numeric columns as JSON number lists::
 
     repro-gps warehouse build warehouse \\
         --volumes 1e3,1e4 --tolerances paper,precision
@@ -17,15 +17,22 @@ JSON number lists) were written by commit ``283add2``::
     repro-gps sweep --volumes 1e3,1e4 --tolerances paper,precision \\
         --shards 2 --shard-index I --shard-dir shards    # I = 0, 1
 
+``warehouse2`` (format ``repro-warehouse/2``: frame entries list
+every point index) and ``store2`` (``repro-framestore/2``: a chunk
+store beside the warehouse) were written by the same two warehouse and
+store commands at commit ``442df8e``, the last before a spill directory
+became a warehouse.
+
 ``answers.json`` is what the fixture's warehouse answered to
 :data:`ASKS` before numeric columns were packed.
 
 Every one of those files is refused at its format tag: through the CLI
 as exit 2 with one stderr line that names the re-run.  The same
 commands run today give the same CSV and the same answers to every
-query kind; only the blob names and digests differ, and those are
-pinned in ``blob_names_golden.json``.  After an intended format change,
-regenerate that golden with::
+query kind, and so does the spill directory the store command leaves;
+only the blob names, digests and the manifest layout differ, and those
+are pinned in ``blob_names_golden.json``.  After an intended format
+change, regenerate that golden with::
 
     PYTHONPATH=src python tests/core/test_legacy_blobs.py --write
 """
@@ -44,6 +51,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.queryservice import QueryService, response_bytes
+from repro.core.warehouse import WarehouseError, index_runs
 
 HERE = Path(__file__).parent
 LEGACY = HERE / "legacy_blobs"
@@ -106,13 +114,15 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def _renamed(legacy: dict, current: dict, section: str) -> dict:
-    """``legacy`` (a manifest) with ``current``'s format tag and blob
-    names and digests: the declared format change, and nothing else."""
+def _renamed(legacy: dict, current: dict) -> dict:
+    """``legacy`` (a warehouse manifest) with ``current``'s format tag,
+    blob names and digests, and its point indices as runs: the declared
+    format changes, and nothing else."""
     expected = json.loads(json.dumps(legacy))
     expected["format"] = current["format"]
-    for old, new in zip(expected[section], current[section]):
+    for old, new in zip(expected["frames"], current["frames"]):
         old.update(file=new["file"], digest=new["digest"])
+        old["runs"] = [list(run) for run in index_runs(old.pop("indices"))]
     return expected
 
 
@@ -146,9 +156,10 @@ def test_same_names_and_manifest(rebuilt):
     current = _snapshot(rebuilt / "warehouse", "warehouse.json")
     assert current == _golden()["warehouse"]
     legacy = json.loads((LEGACY / "warehouse" / "warehouse.json").read_bytes())
-    assert current["manifest"] == _renamed(
-        legacy, current["manifest"], "frames"
-    )
+    assert current["manifest"] == _renamed(legacy, current["manifest"])
+    for older in ("warehouse", "warehouse2"):
+        legacy = json.loads((LEGACY / older / "warehouse.json").read_bytes())
+        assert current["manifest"] == _renamed(legacy, current["manifest"])
 
 
 @pytest.mark.parametrize(
@@ -172,22 +183,26 @@ def test_every_query_kind_answers_the_same_bytes(rebuilt, ask):
 
 
 def test_store_csv_names_and_manifest(tmp_path, capsys):
-    """Spilling today gives the legacy CSV and the golden's chunk names
-    and manifest; reusing the legacy store is refused."""
+    """Spilling today gives the legacy CSV and the golden's frame names
+    and manifest, whose grid and cache statistics are the legacy
+    store's; reusing the legacy store is refused."""
     capsys.readouterr()
     assert main([
         "sweep", *GRID, *SPILL, str(tmp_path / "store"), "--csv"
     ]) == 0
     current_csv = capsys.readouterr().out
     assert current_csv == (LEGACY / "store.csv").read_text(encoding="utf-8")
-    current = _snapshot(tmp_path / "store", "framestore.json")
+    current = _snapshot(tmp_path / "store", "warehouse.json")
     assert current == _golden()["store"]
-    legacy_manifest = json.loads(
-        (LEGACY / "store" / "framestore.json").read_bytes()
-    )
-    assert current["manifest"] == _renamed(
-        legacy_manifest, current["manifest"], "chunks"
-    )
+    for older in ("store", "store2"):
+        meta = json.loads(
+            (LEGACY / older / "framestore.json").read_bytes()
+        )["meta"]
+        assert {
+            key: current["manifest"][key]
+            for key in ("fingerprint", "order_digest", "total_points")
+        } == {key: meta[key] for key in ("fingerprint", "order_digest", "total_points")}
+        assert current["manifest"]["meta"] == {"cache_stats": meta["cache_stats"]}
     # A copy, so the reuse path never writes into the fixture.
     legacy = tmp_path / "legacy"
     shutil.copytree(LEGACY / "store", legacy)
@@ -196,14 +211,63 @@ def test_store_csv_names_and_manifest(tmp_path, capsys):
     assert "re-run the sweep" in line
 
 
-@pytest.mark.parametrize("ask", ["manifest", "pareto", "winners"])
-def test_legacy_warehouse_query_is_refused(ask, capsys):
-    line = _refusal(
-        ["warehouse", "query", str(LEGACY / "warehouse"), "--kind", ask],
-        capsys,
+#: The containers of the last release, each refused with its re-run.
+PREVIOUS = {
+    "store2": (
+        "unsupported frame store format 'repro-framestore/2'",
+        "re-run the sweep",
+    ),
+    "warehouse2": (
+        "unsupported warehouse manifest format 'repro-warehouse/2'",
+        "rebuild the warehouse",
+    ),
+}
+
+
+@pytest.mark.parametrize("older", sorted(PREVIOUS))
+def test_previous_formats_are_refused(older, tmp_path, capsys):
+    """``sweep --spill-dir``, ``warehouse query`` and the query service
+    refuse the last release's store and warehouse in one line that
+    names the re-run."""
+    refusal, rerun = PREVIOUS[older]
+    copy = tmp_path / older  # the reuse path never writes the fixture
+    shutil.copytree(LEGACY / older, copy)
+    for argv in (
+        ["sweep", *GRID, *SPILL, str(copy), "--csv"],
+        ["warehouse", "query", str(copy), "--kind", "pareto"],
+        ["warehouse", "query", str(copy), "--kind", "manifest"],
+    ):
+        line = _refusal(argv, capsys)
+        assert refusal in line and rerun in line, argv
+    with pytest.raises(WarehouseError) as excinfo:
+        QueryService(copy).execute({"kind": "winners"})
+    assert refusal in str(excinfo.value) and rerun in str(excinfo.value)
+    assert sorted(path.name for path in copy.iterdir()) == sorted(
+        path.name for path in (LEGACY / older).iterdir()
     )
-    assert "unsupported warehouse manifest format 'repro-warehouse/1'" in line
-    assert "rebuild the warehouse" in line
+
+
+@pytest.mark.parametrize(
+    "ask", ASKS, ids=[f"{i}-{ask['kind']}" for i, ask in enumerate(ASKS)]
+)
+def test_spill_directory_answers_like_the_warehouse(rebuilt, ask):
+    """A spill directory is a warehouse: every query kind answers what
+    the warehouse build of the same grid answers, but for the revision
+    and, in the manifest answer, the frame list and the grid spec (a
+    sweep records none)."""
+    spilled = rebuilt / "store"
+    if not spilled.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", *GRID, *SPILL, str(spilled), "--csv"]) == 0
+    answers = [
+        QueryService(directory).execute(ask)
+        for directory in (spilled, rebuilt / "warehouse")
+    ]
+    for answer in answers:
+        answer.pop("revision")
+        if ask["kind"] == "manifest":
+            answer.pop("frames"), answer.pop("grid_spec")
+    assert response_bytes(answers[0]) == response_bytes(answers[1])
 
 
 def test_legacy_shard_merge_is_refused(capsys):
@@ -244,7 +308,7 @@ def _write_golden() -> None:
         _build(root)
         golden = {
             "warehouse": _snapshot(root / "warehouse", "warehouse.json"),
-            "store": _snapshot(root / "store", "framestore.json"),
+            "store": _snapshot(root / "store", "warehouse.json"),
         }
     GOLDEN.write_text(
         json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8"

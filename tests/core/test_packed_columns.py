@@ -1,5 +1,5 @@
-"""The packed column codec of shard artifacts, warehouse frames and
-chunks.
+"""The packed column codec of shard artifacts and warehouse frames
+(spilled ones included).
 
 Every numeric column is stored as the base64 text of its little-endian
 bytes (``repro.core.resultframe.pack_column``).  This suite pins:
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import blobstore
-from repro.core.framestore import ChunkedFrameStore, FrameStoreError
+from repro.core.framestore import ChunkedFrameStore
 from repro.core.ranking import RATIO_CEILING, DecisionFrame
 from repro.core.resultframe import (
     COLUMN_ORDER,
@@ -186,9 +186,6 @@ HOSTILE = [
      "finite percentage"),
 ]
 IDS = [case[0] for case in HOSTILE]
-#: A chunk carries no ratios.
-CHUNK_CASES = [case for case in HOSTILE if case[1] == "columns"]
-CHUNK_IDS = [case[0] for case in CHUNK_CASES]
 
 
 def _spoil(payload: dict, case) -> dict:
@@ -221,7 +218,7 @@ def _one_line_exit_2(argv, capsys) -> str:
     lines = [
         line
         for line in err.splitlines()
-        # A reused spill store is announced before its chunks are read.
+        # A reused spill store is announced before its frames are read.
         if not line.startswith("reusing spilled frame store")
     ]
     assert "Traceback" not in err and len(lines) == 1, err
@@ -278,20 +275,20 @@ class TestHostileColumns:
         )
         assert case[4] in err
 
-    @pytest.mark.parametrize("case", CHUNK_CASES, ids=CHUNK_IDS)
+    @pytest.mark.parametrize("case", HOSTILE, ids=IDS)
     def test_chunk_refuses(self, case, tmp_path, capsys):
+        """A spilled frame is a warehouse frame: refused alike."""
         spill = ["--max-rows-in-memory", "5", "--spill-dir", str(tmp_path)]
         assert main(["sweep", *GRID, "--csv", *spill]) == 0
-        manifest_file = tmp_path / "framestore.json"
+        manifest_file = tmp_path / "warehouse.json"
         manifest = json.loads(manifest_file.read_bytes())
-        entry = manifest["chunks"][0]
+        entry = manifest["frames"][0]
         chunk = json.loads((tmp_path / entry["file"]).read_bytes())
         entry["file"], entry["digest"] = blobstore.put_blob(
-            tmp_path, lambda digest: f"chunk-000000-{digest}.json",
-            _spoil(chunk, case),
+            tmp_path, frame_filename, _spoil(chunk, case)
         )
         blobstore.write_json(manifest_file, manifest)
-        with pytest.raises(FrameStoreError, match=case[4]):
+        with pytest.raises(WarehouseError, match=case[4]):
             ChunkedFrameStore.open(tmp_path).to_frame()
         err = _one_line_exit_2(["sweep", *GRID, "--csv", *spill], capsys)
         assert case[4] in err

@@ -12,6 +12,7 @@ The reader/query semantics live in ``test_queryservice.py``.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ import pytest
 from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
 from repro.core.figure_of_merit import FomWeights
+from repro.cli import main
+from repro.core import blobstore
 from repro.core.blobstore import content_digest
 from repro.core.methodology import CandidateBuildUp
 from repro.core.ranking import DecisionFrame
@@ -49,6 +52,7 @@ from repro.core.warehouse import (
     canonical_json,
     frame_filename,
     frame_payload,
+    index_runs,
     ingest_shard_directory,
     init_warehouse,
     load_warehouse,
@@ -59,6 +63,7 @@ from repro.core.warehouse import (
 )
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
+from repro.errors import SpecificationError
 
 GRID = SweepGrid(volumes=(1e3, 2e3, 5e3, 1e4, 5e4, 1e5))
 
@@ -403,7 +408,7 @@ class TestWriter:
         assert len(reads) == 0
         assert (len(appended), skipped) == (shards, [])
         assert manifest == real(reference)
-        assert manifest.covered == frozenset(range(len(GRID)))
+        assert manifest.cover == ((0, len(GRID)),)
         assert sorted(path.name for path in wh.iterdir()) == sorted(
             path.name for path in reference.iterdir()
         )
@@ -527,7 +532,7 @@ class TestWriter:
         manifest = append_shard_artifact(tmp_path, artifacts[0])
         assert len(reads) == 1
         assert manifest == real(tmp_path)
-        assert manifest.covered == frozenset(artifacts[0].dframe.indices)
+        assert manifest.cover == index_runs(artifacts[0].dframe.indices)
         # Handing the manifest over skips the read.
         append_shard_artifact(tmp_path, artifacts[1], manifest)
         assert len(reads) == 1
@@ -557,7 +562,7 @@ class TestWriter:
         validate = WarehouseManifest.__post_init__
 
         def counting(manifest):
-            visits.append(sum(len(entry.indices) for entry in manifest.frames))
+            visits.append(sum(entry.points for entry in manifest.frames))
             validate(manifest)
 
         monkeypatch.setattr(WarehouseManifest, "__post_init__", counting)
@@ -569,7 +574,7 @@ class TestWriter:
         on_disk = read_warehouse_manifest(tmp_path / "wh")
         assert visits[-1] == 64
         assert on_disk == manifest
-        assert on_disk.covered == manifest.covered == frozenset(range(64))
+        assert on_disk.cover == manifest.cover == ((0, 64),)
 
     def test_append_refuses_a_frame_overlapping_itself(self, tmp_path):
         init_warehouse(tmp_path, GRID)
@@ -639,3 +644,108 @@ class TestRerankWeightRespectsPointAxis:
         assert dframe.frame.to_json_columns() == (
             fresh.frame.to_json_columns()
         )
+
+
+def _runs(runs, **manifest):
+    """A hostile case: the first frame entry's ``runs`` replaced (and
+    the manifest's other fields updated)."""
+
+    def spoil(payload):
+        payload["frames"][0]["runs"] = runs
+        payload.update(manifest)
+
+    return spoil
+
+
+def _entry(**fields):
+    def spoil(payload):
+        payload["frames"][0].update(fields)
+
+    return spoil
+
+
+def _doubled(payload):
+    payload["frames"].append(dict(payload["frames"][0]))
+
+
+TRILLION = 10**12
+
+#: ``(id, spoil the manifest payload, refusal substring)``: every case
+#: ends in one WarehouseError, checked before anything is allocated or
+#: looped over per point.
+HOSTILE_RUNS = [
+    ("reversed", _runs([[3, 1]]), "non-empty, sorted and disjoint"),
+    ("empty", _runs([[2, 2]]), "non-empty, sorted and disjoint"),
+    ("overlapping", _runs([[0, 3], [2, 4]]), "got [2, 4] after 3"),
+    ("unsorted", _runs([[2, 4], [0, 2]]), "got [0, 2] after 4"),
+    ("past-total", _runs([[0, 5]]), "outside the 4-point grid"),
+    ("float", _runs([[0.0, 4]]), "non-negative integers"),
+    ("bool", _runs([[False, 4]]), "non-negative integers"),
+    ("string", _runs([["0", 4]]), "non-negative integers"),
+    ("negative", _runs([[-1, 4]]), "non-negative integers"),
+    ("triple", _runs([[0, 2, 4]]), "[start, stop] pairs"),
+    ("not-a-list", _runs(7), "malformed warehouse manifest"),
+    ("trillion", _runs([[0, TRILLION]]), f"name {TRILLION} points"),
+    (
+        "trillion-grid",
+        _runs([[0, TRILLION]], total_points=TRILLION),
+        f"name {TRILLION} points but the frame has 8 rows",
+    ),
+    (
+        "trillion-past-total",
+        _runs([[TRILLION, TRILLION + 8]]),
+        f"point index {TRILLION}, outside the 4-point grid",
+    ),
+    ("other-points", _runs([[0, 3]]), "other points than the manifest"),
+    ("rows", _entry(rows=9), "manifest records 9"),
+    ("frames-overlap", _doubled, "frames overlap on point index 0"),
+]
+
+
+class TestHostileRuns:
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("wh") / "wh"
+        build_warehouse(
+            directory, SweepGrid(volumes=GRID.volumes[:4]), fixed_candidates
+        )
+        return directory
+
+    @pytest.mark.parametrize(
+        "case", HOSTILE_RUNS, ids=[case[0] for case in HOSTILE_RUNS]
+    )
+    def test_refused_in_one_line(self, built, case, tmp_path, capsys):
+        _, spoil, refusal = case
+        directory = tmp_path / "wh"
+        directory.mkdir()
+        for path in built.iterdir():
+            (directory / path.name).write_bytes(path.read_bytes())
+        payload = json.loads(manifest_path(directory).read_bytes())
+        assert payload["frames"][0]["runs"] == [[0, 4]]
+        spoil(payload)
+        blobstore.write_json(manifest_path(directory), payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WarehouseError) as excinfo:
+                load_warehouse(directory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refusal in str(excinfo.value)
+        assert peak < 1_000_000
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["warehouse", "query", str(directory), "--kind", "pareto"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1, err
+        assert refusal in err
+
+    def test_a_frame_index_past_int64_is_refused(self, built):
+        """A frame naming an index no int64 holds is refused by the
+        codec, before any array is built from its indices."""
+        entry = read_warehouse_manifest(built).frames[0]
+        payload = json.loads((built / entry.file).read_bytes())
+        payload["indices"][-1] = 2**63
+        with pytest.raises(SpecificationError, match=r"below 2\*\*63"):
+            DecisionFrame.from_payload(payload)

@@ -1,4 +1,4 @@
-"""``tools/check_blob_names.py`` on a fresh warehouse and spilled store.
+"""``tools/check_blob_names.py`` on a fresh warehouse and a spill.
 
 CI runs the tool after its warehouse and out-of-core walkthroughs; this
 runs it on the same kinds of directory, and shows it notices a blob
@@ -51,9 +51,9 @@ def test_fresh_blobs_hash_to_their_names(containers):
 
 
 def test_a_rewritten_blob_fails(containers, tmp_path):
-    chunk = sorted((containers / "spill").glob("chunk-*.json"))[0]
-    copy = tmp_path / chunk.name
-    copy.write_bytes(chunk.read_bytes().replace(b'"rows":8', b'"rows": 8'))
+    frame = sorted((containers / "spill").glob("frame-*.json"))[0]
+    copy = tmp_path / frame.name
+    copy.write_bytes(frame.read_bytes().replace(b'"indices":[', b'"indices": ['))
     result = _check(copy.parent)
     assert result.returncode == 1
     assert result.stderr.startswith(f"{copy}: hashes to ")
@@ -62,4 +62,4 @@ def test_a_rewritten_blob_fails(containers, tmp_path):
 def test_a_directory_without_blobs_fails(tmp_path):
     result = _check(tmp_path)
     assert result.returncode == 1
-    assert "no frame/chunk blobs" in result.stderr
+    assert "no frame blobs" in result.stderr

@@ -1772,7 +1772,7 @@ class TestWarehouseCli:
 class TestOutOfCoreCli:
     """The --max-rows-in-memory / --spill-dir surface.
 
-    The contract under test: spilling through the chunked frame store
+    The contract under test: spilling through a warehouse directory
     never changes a single stdout byte — CSV and table alike — and
     every misuse (bad budget, budget-less --spill-dir, spill flags on
     artifact-writing paths, a corrupt spill store) exits 2 with a
@@ -1888,6 +1888,22 @@ class TestOutOfCoreCli:
         assert excinfo.value.code == 2
         assert "different grid" in capsys.readouterr().err
 
+    def test_spill_dir_partial_cover_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A spill whose frames stop short of the grid (a crashed run,
+        or an adaptive one) is refused, not reused."""
+        monkeypatch.delenv("REPRO_SWEEP_MAX_ROWS", raising=False)
+        spill = ["--max-rows-in-memory", "5", "--spill-dir", str(tmp_path / "sp")]
+        grid = ["--volumes", ",".join(f"{v}e3" for v in range(1, 10))]
+        adaptive = ["--adaptive", "--coarse", "2", "--passes", "1"]
+        assert main(["sweep", *grid, *adaptive, *spill]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *grid, "--csv", *spill])
+        assert excinfo.value.code == 2
+        assert "incomplete" in capsys.readouterr().err
+
     def test_corrupt_spill_chunk_exits_2(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -1901,10 +1917,11 @@ class TestOutOfCoreCli:
         spill = ["--max-rows-in-memory", "5", "--spill-dir", str(tmp_path / "sp")]
         assert main(["sweep", *self.GRID, "--csv", *spill]) == 0
         capsys.readouterr()
-        chunk = sorted((tmp_path / "sp").glob("chunk-*.json"))[0]
+        chunk = sorted((tmp_path / "sp").glob("frame-*.json"))[0]
         payload = json.loads(chunk.read_text(encoding="utf-8"))
+        rows = sum(payload["row_counts"])
         volume = unpack_column(
-            payload["columns"]["volume"], np.float64, payload["rows"], "v"
+            payload["columns"]["volume"], np.float64, rows, "v"
         ).copy()
         volume[0] = 1e9
         payload["columns"]["volume"] = pack_column(volume)
@@ -1917,7 +1934,7 @@ class TestOutOfCoreCli:
     def test_spill_manifest_path_escape_exits_2(
         self, tmp_path, capsys, monkeypatch
     ):
-        """A reused store whose manifest names a chunk outside its
+        """A reused store whose manifest names a frame outside its
         directory is refused before a single row is read."""
         import json
 
@@ -1926,11 +1943,11 @@ class TestOutOfCoreCli:
         assert main(["sweep", *self.GRID, "--csv", *spill]) == 0
         capsys.readouterr()
         (tmp_path / "other").mkdir()
-        manifest = tmp_path / "sp" / "framestore.json"
+        manifest = tmp_path / "sp" / "warehouse.json"
         payload = json.loads(manifest.read_text(encoding="utf-8"))
-        name = payload["chunks"][0]["file"]
+        name = payload["frames"][0]["file"]
         (tmp_path / "sp" / name).rename(tmp_path / "other" / name)
-        payload["chunks"][0]["file"] = f"../other/{name}"
+        payload["frames"][0]["file"] = f"../other/{name}"
         manifest.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", *self.GRID, "--csv", *spill])

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Check that every frame and chunk blob hashes to its file name.
+"""Check that every frame blob hashes to its file name.
 
-A warehouse frame (``frame-<digest>.json``) or chunk-store chunk
-(``chunk-<sequence>-<digest>.json``) is ``canonical_json(payload)``
-plus one newline, so the first 16 hex digits of the SHA-256 of its
-bytes less that newline are the digest its file name (and its
-manifest entry) carries.
+A warehouse frame (``frame-<digest>.json``, in a warehouse or a spill
+directory) is ``canonical_json(payload)`` plus one newline, so the
+first 16 hex digits of the SHA-256 of its bytes less that newline are
+the digest its file name (and its manifest entry) carries.
 
     python tools/check_blob_names.py DIR [DIR ...]
 
@@ -23,11 +22,9 @@ from pathlib import Path
 
 def blob_failures(directory: Path) -> tuple[int, list[str]]:
     """``(blobs checked, failures)`` for one directory."""
-    blobs = sorted(directory.glob("frame-*.json")) + sorted(
-        directory.glob("chunk-*.json")
-    )
+    blobs = sorted(directory.glob("frame-*.json"))
     if not blobs:
-        return 0, [f"{directory}: no frame/chunk blobs"]
+        return 0, [f"{directory}: no frame blobs"]
     failures = []
     for blob in blobs:
         data = blob.read_bytes()
