@@ -211,6 +211,16 @@ def test_store_csv_names_and_manifest(tmp_path, capsys):
     assert "re-run the sweep" in line
 
 
+@pytest.mark.parametrize("ask", ["manifest", "pareto", "winners"])
+def test_legacy_warehouse_query_is_refused(ask, capsys):
+    line = _refusal(
+        ["warehouse", "query", str(LEGACY / "warehouse"), "--kind", ask],
+        capsys,
+    )
+    assert "unsupported warehouse manifest format 'repro-warehouse/1'" in line
+    assert "rebuild the warehouse" in line
+
+
 #: The containers of the last release, each refused with its re-run.
 PREVIOUS = {
     "store2": (
